@@ -17,8 +17,9 @@ from .cohomology import SymCoeffs, TrivialCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
 from .gamma1 import free_basis
 from .iwasawa import branch_count, family_tail
+from .linalg import charpoly_mod
 from .qexp import eisenstein, hecke_t, pairing, trivial_char
-from .slope import char_poly, newton_polygon, slope_factor
+from .slope import newton_polygon, slope_factor
 from .verify import SUITES, run_suite
 
 SCHEMA = 1
@@ -128,7 +129,7 @@ def slopes(ctx, level, prime, precision, ell, sym):
     coeffs = _coeffs(prime, precision, sym)
     pres = h1(coeffs, fb)
     T = pres.induced_matrix(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))
-    P = char_poly(T, prime, precision)
+    P = charpoly_mod(T, prime, precision)
     poly = newton_polygon(P, prime, precision)
     Q, _, loss = slope_factor(P, 1, prime, precision)
     _emit(ctx, {"level": level, "prime": prime, "precision": precision,

@@ -377,7 +377,7 @@ class H1Presentation:
         return [[Ttil[f1][f2] for f2 in F] for f1 in F]
 
     def charpoly(self, T):
-        return charpoly_mod(self.induced_matrix(T), self.coeffs.p ** self.coeffs.r)
+        return charpoly_mod(self.induced_matrix(T), self.coeffs.p, self.coeffs.r)
 
 
 def h1(coeffs, basis):

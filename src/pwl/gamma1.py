@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 
 from .errors import BadLevel, InternalInconsistency, NotInGroup
 from .matrices import IntMat
@@ -348,6 +349,19 @@ def _payload_hash(blob):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _write_cache(path, blob):
+    """Write blob as JSON to a temporary file beside path, then rename it
+    onto path, so a crash never leaves a half-written cache file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(blob, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def free_basis(N, cache_dir=None):
     """Free generators and rewriting data for level N, cached when possible."""
     cdir = cache_dir or os.environ.get("PWL_CACHE_DIR")
@@ -368,8 +382,7 @@ def free_basis(N, cache_dir=None):
             os.makedirs(cdir, exist_ok=True)
             blob = data.to_payload()
             blob["sha"] = _payload_hash(data.to_payload())
-            with open(path, "w") as fh:
-                json.dump(blob, fh, sort_keys=True)
+            _write_cache(path, blob)
         except OSError:
             pass
     return data

@@ -6,9 +6,11 @@ normalization); the transforms are returned, so solving, inverting, kernel
 bases and cokernel presentations all come out of one reduction.  Matrices
 are lists of rows of plain ints.
 
-charpoly_mod is the division-free Berkowitz algorithm, valid over any
-Z/M; coefficients are returned in ascending degree order with the leading
-coefficient last (monic).
+charpoly_mod reduces a square matrix to Hessenberg form by similarities
+over Z/p^r (again with minimal-valuation pivots, so every multiplier is
+integral) and reads det(X I - A) off the division-free Hessenberg
+recurrence, in O(n^3) operations; coefficients are returned in ascending
+degree order with the leading coefficient last (monic).
 """
 
 from .errors import NotInvertible
@@ -161,28 +163,66 @@ def invert_mod(A, p, r):
     return mat_mul(sf.V, sf.U, p ** r)
 
 
-def charpoly_mod(A, M):
-    """det(X I - A) by the Berkowitz method; ascending coefficients."""
+def charpoly_mod(A, p, r):
+    """det(X I - A) mod p^r: ascending coefficients, monic.
+
+    A is first brought to upper Hessenberg form H by similarities in
+    GL_n(Z/p^r).  For column k the sub-diagonal entry of least valuation
+    p^e * u is swapped into row k+1; every lower entry x then has
+    valuation >= e, so c = (x / p^e) * u^-1 satisfies c * p^e * u = x and
+    row_i -= c row_{k+1}, col_{k+1} += c col_i clears it exactly.  The
+    charpoly of H follows from the division-free recurrence
+    P_m = (X - h_mm) P_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) P_{i-1}
+    on its leading blocks.  O(n^3) operations on residues mod p^r.
+    """
+    M = p ** r
     n = len(A)
-    if n == 0:
-        return [1 % M]
-    poly = [1 % M, (-A[0][0]) % M]
-    for k in range(1, n):
-        a = A[k][k] % M
-        R = [A[k][j] % M for j in range(k)]
-        C = [A[i][k] % M for i in range(k)]
-        B = [[A[i][j] % M for j in range(k)] for i in range(k)]
-        t = [1 % M, (-a) % M]
-        w = C
-        for step in range(k):
-            t.append((-sum(x * y for x, y in zip(R, w))) % M)
-            if step < k - 1:
-                w = mat_vec(B, w, M)
-        new = [0] * (k + 2)
-        for i, ti in enumerate(t):
-            if ti:
-                for j, pj in enumerate(poly):
-                    if i + j < k + 2 and pj:
-                        new[i + j] = (new[i + j] + ti * pj) % M
-        poly = new
-    return list(reversed(poly))
+    H = [[x % M for x in row] for row in A]
+    for k in range(n - 2):
+        piv, e = -1, r
+        for i in range(k + 1, n):
+            x = H[i][k]
+            if x:
+                v = vp(x, p)
+                if v < e:
+                    piv, e = i, v
+                    if not v:
+                        break
+        if piv < 0:
+            continue
+        k1 = k + 1
+        if piv != k1:
+            H[k1], H[piv] = H[piv], H[k1]
+            for row in H:
+                row[k1], row[piv] = row[piv], row[k1]
+        pe = p ** e
+        uinv = pow(H[k1][k] // pe, -1, M)
+        top = H[k1][k:]
+        mults = []
+        for i in range(k + 2, n):
+            row = H[i]
+            if row[k]:
+                c = row[k] // pe * uinv % M
+                row[k:] = [(a - c * b) % M for a, b in zip(row[k:], top)]
+                mults.append((i, c))
+        if mults:
+            for row in H:
+                row[k1] = (row[k1] + sum(c * row[i] for i, c in mults)) % M
+    polys = [[1 % M]]
+    for m in range(n):
+        prev = polys[-1]
+        h = H[m][m]
+        new = [0] + prev
+        for j, c in enumerate(prev):
+            new[j] -= h * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % M
+            if not t:
+                break
+            c = H[i][m] * t % M
+            if c:
+                for j, q in enumerate(polys[i]):
+                    new[j] -= c * q
+        polys.append([x % M for x in new])
+    return polys[-1]

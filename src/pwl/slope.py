@@ -29,18 +29,13 @@ window in p^s; ideal membership is decided exactly by linear solves.
 import random
 from fractions import Fraction
 
-from .errors import (AmbiguousAtPrecision, ContractViolated, NotInvertible,
-                     PrecisionExhausted)
+from .errors import (AmbiguousAtPrecision, ContractViolated,
+                     InternalInconsistency, NotInvertible, PrecisionExhausted)
 from .gamma1 import free_basis
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
 from .linalg import charpoly_mod, identity_mat, invert_mod, mat_mul, mat_vec, smith_mod
 from .matrices import PadicMat
 from .padic import vp
-
-
-def char_poly(A, p, r):
-    """Monic characteristic polynomial mod p^r, ascending coefficients."""
-    return charpoly_mod(A, p ** r)
 
 
 class NewtonPolygon:
@@ -284,7 +279,7 @@ def _poly_eval_matrix(f, A, M):
 
 def slope_projector(A, s, p, r):
     """(pi, rank, prec): idempotent onto the root-valuation < s part of A."""
-    P = char_poly(A, p, r)
+    P = charpoly_mod(A, p, r)
     Q, R, loss = slope_factor(P, s, p, r)
     prec = r - loss
     u, v = _bezout_pair(Q, R, p, prec)
@@ -319,10 +314,13 @@ def ps_tp_inv(A, s, p, r):
     for j in range(rank):
         target = mat_vec(A, [basis[i][j] for i in range(n)], M)
         x = bs.solve(target)
-        assert x is not None
+        if x is None:
+            # pi is a polynomial in A, so A maps the image of pi into itself
+            raise InternalInconsistency(
+                f"A moves projector basis column {j} out of the image")
         block.append(x)
     M0 = [[block[j][i] for j in range(rank)] for i in range(rank)]
-    coeffs = charpoly_mod(M0, M)
+    coeffs = charpoly_mod(M0, p, prec)
     det = (-1) ** rank * coeffs[0] % M
     if det == 0:
         raise NotInvertible("slope block determinant vanishes at this precision")
@@ -338,9 +336,9 @@ def ps_tp_inv(A, s, p, r):
         power = mat_mul(power, M0, M)
     sign = (-1) ** (rank - 1) % M
     adj = [[x * sign % M for x in row] for row in adj]
-    check = mat_mul(M0, adj, M)
-    assert check == [[det if a == b else 0 for b in range(rank)]
-                     for a in range(rank)]
+    if mat_mul(M0, adj, M) != [[det if a == b else 0 for b in range(rank)]
+                               for a in range(rank)]:
+        raise InternalInconsistency("block times adjugate is not det * I")
     unit_inv = pow(det // p ** vdet, -1, M)
     out_prec = prec - max(0, vdet - s)
     if out_prec < 1:

@@ -12,10 +12,10 @@ import random
 
 from .cohomology import TrivialCoeffs, h1, hecke_matrix, t_ell_reps
 from .gamma1 import free_basis
-from .linalg import mat_mul
+from .linalg import charpoly_mod, mat_mul
 from .matrices import PadicMat
 from .padic import PrecInt, Weight, vp_factorial
-from .slope import char_poly, newton_polygon, ps_tp_inv, slope_factor, \
+from .slope import newton_polygon, ps_tp_inv, slope_factor, \
     verify_truncate_lemma
 from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
     congr_project, tail_width
@@ -126,7 +126,7 @@ def suite_slope(seed=0):
     coeffs = TrivialCoeffs(11, 4)
     pres = h1(coeffs, basis)
     T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
-    P = char_poly(T11, 11, 4)
+    P = charpoly_mod(T11, 11, 4)
     poly = newton_polygon(P, 11, 4)
     mult = poly.slope_multiplicity(0)
     assert mult >= 1

@@ -52,31 +52,6 @@ def test_rep_invariants():
             assert A.a % 9 == 1 and A.c % 9 == 0
 
 
-def divide_linear(poly, root, M):
-    desc = list(reversed(poly))
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append((c + root * out[-1]) % M)
-    return list(reversed(out[:-1])), out[-1]
-
-
-def test_weight_two_eigenvalues_level11():
-    # the unique weight-2 cusp form at level 11 has a_2 = -2, a_3 = -1;
-    # both must be double roots of the induced charpoly
-    p, r = 11, 6
-    M = p ** r
-    fb = free_basis(11)
-    co = TrivialCoeffs(p, r)
-    pres = h1(co, fb)
-    for ell, ev in [(2, -2), (3, -1)]:
-        T = hecke_matrix(co, fb, t_ell_reps(ell, fb))
-        poly = pres.charpoly(T)
-        q, rem = divide_linear(poly, ev, M)
-        assert rem == 0
-        q2, rem2 = divide_linear(q, ev, M)
-        assert rem2 == 0
-
-
 def test_hecke_commute_and_order_independence():
     p, r = 11, 4
     M = p ** r

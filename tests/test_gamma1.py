@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pwl import gamma1
 from pwl.errors import BadLevel, NotInGroup
 from pwl.gamma1 import (ROT, SIX, CosetTable, _free_reduce, coset_table,
                         free_basis, in_gamma1)
@@ -169,3 +170,24 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "gamma1_9.json").exists()
     fb = free_basis(9)
     assert fb.rank() == 7
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "gamma1_5.json"
+    free_basis(5, cache_dir=str(tmp_path))
+    good = path.read_bytes()
+    # a truncated file is rebuilt and replaced whole
+    path.write_bytes(good[:len(good) // 2])
+    assert free_basis(5, cache_dir=str(tmp_path)).rank() == 3
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma1_5.json"]
+    # a write that dies half way leaves neither a partial file nor a temp
+    path.unlink()
+
+    def dying_dump(blob, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gamma1.json, "dump", dying_dump)
+    assert free_basis(5, cache_dir=str(tmp_path)).rank() == 3
+    assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwl.errors import NotInvertible
 from pwl.linalg import (charpoly_mod, identity_mat, invert_mod, mat_mul,
@@ -147,12 +149,98 @@ def test_kernel_basis_spans():
         assert len(spanned) == p ** sf.kernel_exponent()
 
 
+def berkowitz(A, M):
+    """det(X I - A) over Z/M by the division-free Berkowitz method, O(n^4);
+    ascending coefficients.  The oracle for charpoly_mod."""
+    n = len(A)
+    if n == 0:
+        return [1 % M]
+    poly = [1 % M, (-A[0][0]) % M]
+    for k in range(1, n):
+        a = A[k][k] % M
+        R = [A[k][j] % M for j in range(k)]
+        C = [A[i][k] % M for i in range(k)]
+        B = [[A[i][j] % M for j in range(k)] for i in range(k)]
+        t = [1 % M, (-a) % M]
+        w = C
+        for step in range(k):
+            t.append((-sum(x * y for x, y in zip(R, w))) % M)
+            if step < k - 1:
+                w = mat_vec(B, w, M)
+        new = [0] * (k + 2)
+        for i, ti in enumerate(t):
+            if ti:
+                for j, pj in enumerate(poly):
+                    if i + j < k + 2 and pj:
+                        new[i + j] = (new[i + j] + ti * pj) % M
+        poly = new
+    return list(reversed(poly))
+
+
+def pivot_stress(rng, n, p, r, kind):
+    """Random n x n matrix mod p^r whose sub-diagonal columns are shaped to
+    exercise the Hessenberg pivot search."""
+    M = p ** r
+    A = rand_mat(rng, n, n, M)
+    for k in range(n):
+        below = range(k + 1, n)
+        if kind == "non-units":      # least valuation 1..r-1, never 0
+            e = rng.randrange(1, r) if r > 1 else 1
+            for i in below:
+                A[i][k] = A[i][k] * p ** rng.randrange(e, r + 1) % M
+            if n > k + 1 and e < r:
+                A[rng.choice(below)][k] = p ** e * (rng.randrange(1, p)) % M
+        elif kind == "zero":         # every other sub-column vanishes
+            if k % 2 == 0:
+                for i in below:
+                    A[i][k] = 0
+        elif kind == "last-row":     # the only unit sits in the last row
+            for i in below:
+                A[i][k] = A[i][k] * p % M
+            if n > k + 1:
+                A[n - 1][k] = rng.randrange(1, p) + p * rng.randrange(M)
+    return A
+
+
+def test_charpoly_matches_berkowitz():
+    rng = random.Random(8)
+    kinds = ("random", "non-units", "zero", "last-row")
+    for p in (3, 11, 43):
+        for r in (1, 6, 7):
+            M = p ** r
+            for n in range(13):
+                for kind in kinds:
+                    A = pivot_stress(rng, n, p, r, kind)
+                    assert charpoly_mod(A, p, r) == berkowitz(A, M), \
+                        (p, r, n, kind)
+
+
+def test_charpoly_takes_unreduced_entries():
+    A = [[-1, 10 ** 30], [7, -3 ** 40]]
+    assert charpoly_mod(A, 5, 3) == berkowitz(A, 125)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 43)), st.integers(1, 6),
+       st.integers(0, 8).flatmap(lambda n: st.lists(
+           st.lists(st.tuples(st.integers(0, 10 ** 12), st.integers(0, 7)),
+                    min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_property_matches_berkowitz(p, r, entries):
+    # entries are (unit-ish part, power of p), so valuations vary freely
+    M = p ** r
+    A = [[x * p ** e % M for x, e in row] for row in entries]
+    coeffs = charpoly_mod(A, p, r)
+    assert coeffs == berkowitz(A, M)
+    assert len(coeffs) == len(A) + 1 and coeffs[-1] == 1 % M
+
+
 def test_charpoly_matches_determinant():
     rng = random.Random(6)
-    for M in (3 ** 4, 11 ** 6):
+    for p, r in ((3, 4), (11, 6)):
+        M = p ** r
         for n in (1, 2, 3, 4, 5):
             A = rand_mat(rng, n, n, M)
-            coeffs = charpoly_mod(A, M)
+            coeffs = charpoly_mod(A, p, r)
             assert len(coeffs) == n + 1
             assert coeffs[-1] == 1
             for x in range(n + 3):
@@ -165,10 +253,11 @@ def test_charpoly_matches_determinant():
 
 def test_charpoly_cayley_hamilton():
     rng = random.Random(7)
-    M = 3 ** 5
+    p, r = 3, 5
+    M = p ** r
     for _ in range(5):
         A = rand_mat(rng, 3, 3, M)
-        coeffs = charpoly_mod(A, M)
+        coeffs = charpoly_mod(A, p, r)
         acc = [[0] * 3 for _ in range(3)]
         power = identity_mat(3)
         for c in coeffs:

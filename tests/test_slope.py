@@ -5,11 +5,13 @@ import random
 import pytest
 
 from pwl.cohomology import TrivialCoeffs, h1, hecke_matrix, t_ell_reps
-from pwl.errors import AmbiguousAtPrecision, ContractViolated, NotInvertible
+from pwl import slope
+from pwl.errors import (AmbiguousAtPrecision, ContractViolated,
+                        InternalInconsistency, NotInvertible)
 from pwl.gamma1 import free_basis
-from pwl.linalg import invert_mod, mat_mul, mat_vec
-from pwl.slope import (_ideal_member, char_poly, newton_polygon, ps_tp_inv,
-                       slope_factor, slope_projector, verify_truncate_lemma)
+from pwl.linalg import charpoly_mod, invert_mod, mat_mul, mat_vec
+from pwl.slope import (_ideal_member, newton_polygon, ps_tp_inv, slope_factor,
+                       slope_projector, verify_truncate_lemma)
 
 
 def polymul(f, g, M):
@@ -214,12 +216,35 @@ def test_no_unit_part_raises():
         ps_tp_inv(A, 1, p, r)
 
 
+def test_scaled_inverse_traps_non_invariant_image(monkeypatch):
+    # span(e1) is not A-stable, as the image of a true projector would be
+    monkeypatch.setattr(slope, "slope_projector",
+                        lambda A, s, p, r: ([[1, 0], [0, 0]], 1, r))
+    with pytest.raises(InternalInconsistency):
+        ps_tp_inv([[1, 1], [1, 2]], 1, 3, 4)
+
+
+def test_scaled_inverse_traps_wrong_charpoly(monkeypatch):
+    p, r = 3, 7
+    A, _ = conjugated_block(p, r, random.Random(19), [4, 7], [3, 12])
+
+    def off_by_one(B, p, r):
+        coeffs = charpoly_mod(B, p, r)
+        if len(B) == 2:    # only the slope block; det stays a unit
+            coeffs[1] = (coeffs[1] + 1) % p ** r
+        return coeffs
+
+    monkeypatch.setattr(slope, "charpoly_mod", off_by_one)
+    with pytest.raises(InternalInconsistency):
+        ps_tp_inv(A, 1, p, r)
+
+
 def test_level_eleven_unit_root_factor():
     basis = free_basis(11)
     coeffs = TrivialCoeffs(11, 4)
     pres = h1(coeffs, basis)
     T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
-    P = char_poly(T11, 11, 4)
+    P = charpoly_mod(T11, 11, 4)
     poly = newton_polygon(P, 11, 4)
     mult = poly.slope_multiplicity(0)
     assert mult >= 1
