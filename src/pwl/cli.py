@@ -18,6 +18,7 @@ from .errors import PwlError
 from .gamma1 import free_basis
 from .iwasawa import branch_count, family_tail
 from .linalg import charpoly_mod
+from .padic import _is_odd_prime
 from .qexp import eisenstein, hecke_t, pairing, trivial_char
 from .slope import newton_polygon, slope_factor
 from .verify import SUITES, run_suite
@@ -46,6 +47,25 @@ def _guard(fn):
             click.echo(json.dumps(err, sort_keys=True), err=True)
             sys.exit(1)
     return wrapped
+
+
+def _odd_prime(ctx, param, value):
+    if not _is_odd_prime(value):
+        raise click.BadParameter(f"{value} is not an odd prime")
+    return value
+
+
+def _at_least_one(ctx, param, value):
+    if value < 1:
+        raise click.BadParameter(f"{value} is below 1")
+    return value
+
+
+_prime_option = click.option("--prime", type=int, required=True,
+                             callback=_odd_prime, help="Odd prime p.")
+_precision_option = click.option("--precision", type=int, required=True,
+                                 callback=_at_least_one,
+                                 help="Digits r, mod p^r.")
 
 
 def _coeffs(prime, precision, sym):
@@ -80,8 +100,8 @@ def basis(ctx, level):
 
 @main.command("h1")
 @click.option("--level", type=int, required=True)
-@click.option("--prime", type=int, required=True)
-@click.option("--precision", type=int, required=True, help="Digits r, mod p^r.")
+@_prime_option
+@_precision_option
 @click.option("--sym", type=int, default=0, show_default=True,
               help="Symmetric power degree of the coefficients.")
 @click.pass_context
@@ -97,8 +117,8 @@ def h1_cmd(ctx, level, prime, precision, sym):
 
 @main.command()
 @click.option("--level", type=int, required=True)
-@click.option("--prime", type=int, required=True)
-@click.option("--precision", type=int, required=True)
+@_prime_option
+@_precision_option
 @click.option("--ell", type=int, required=True, help="Operator index.")
 @click.option("--sym", type=int, default=0, show_default=True)
 @click.pass_context
@@ -117,8 +137,8 @@ def hecke(ctx, level, prime, precision, ell, sym):
 
 @main.command()
 @click.option("--level", type=int, required=True)
-@click.option("--prime", type=int, required=True)
-@click.option("--precision", type=int, required=True)
+@_prime_option
+@_precision_option
 @click.option("--ell", type=int, required=True)
 @click.option("--sym", type=int, default=0, show_default=True)
 @click.pass_context
@@ -143,8 +163,8 @@ def slopes(ctx, level, prime, precision, ell, sym):
 
 
 @main.command()
-@click.option("--prime", type=int, required=True)
-@click.option("--precision", type=int, required=True)
+@_prime_option
+@_precision_option
 @click.option("--degree", type=int, required=True,
               help="Weight-series truncation order d, mod X^d.")
 @click.option("--out-width", type=int, default=1, show_default=True)

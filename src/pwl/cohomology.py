@@ -123,7 +123,9 @@ class FamilyCoeffs:
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
-        assert stored_width >= out_width
+        if stored_width < out_width:
+            raise WidthInsufficient(
+                f"stored width {stored_width} is below out width {out_width}")
         self.p, self.r, self.d = p, r, d
         self.out_width = out_width
         self.stored_width = stored_width

@@ -14,16 +14,23 @@ valuation >= 1, so the result carries precision min(r, d).
 A FamilyVec is a coordinate window whose entries are such functions;
 act_family applies the weight-minus-2 family of symmetric-power actions.
 Coordinate j influences output i only when j - i < p(r + d), so each
-application consumes family_tail(p, r, d) stored coordinates.
+application consumes family_tail(p, r, d) stored coordinates.  The term
+of input j through index h carries c^L/L! with L = j - h; since p | c,
+this factor is zero mod p^r for all but a few L, and act_family sums only
+the L where it is not.  Those skipped terms are exactly zero, so the
+result is unchanged and family_tail stays the certified-width bound.
 trunc_minus / trunc_plus are the complementary coordinate truncations at a
 cut k0 (coordinates below / from k0 - 1).
 """
 
 import math
+import operator
 
-from .errors import BadLevel, NotAUnit, WidthInsufficient
+from .errors import (BadLevel, BadRange, DimensionMismatch,
+                     InternalInconsistency, NotAUnit, PrecisionMismatch,
+                     WidthInsufficient)
 from .padic import PrecInt, Weight, reduce_weight, unit_project, vp, vp_factorial
-from .sympow import SeqVec
+from .sympow import SeqVec, _c_factors
 
 
 def branch_count(p):
@@ -42,7 +49,9 @@ class WeightFn:
 
     def __init__(self, p, r, d, comps):
         nb = branch_count(p)
-        assert len(comps) == nb and all(len(c) == d for c in comps)
+        if len(comps) != nb or any(len(c) != d for c in comps):
+            raise DimensionMismatch(
+                f"need {nb} branches of {d} coefficients each")
         M = p ** r
         self.p, self.r, self.d = p, r, d
         self.comps = [[x % M for x in c] for c in comps]
@@ -93,8 +102,10 @@ class WeightFn:
                         [[x * k for x in c] for c in self.comps])
 
     def _compat(self, other):
-        assert (self.p, self.d) == (other.p, other.d)
-        assert self.r == other.r
+        if (self.p, self.r, self.d) != (other.p, other.r, other.d):
+            raise PrecisionMismatch(
+                f"mod ({self.p}^{self.r}, X^{self.d}) vs "
+                f"mod ({other.p}^{other.r}, X^{other.d})")
 
     def __eq__(self, other):
         if not isinstance(other, WeightFn):
@@ -218,7 +229,9 @@ def sp_k(k, fn):
     else:
         zeta = k % branch_count(p)
         x0 = (k - zeta) % p ** r
-    assert x0 % p == 0
+    if x0 % p:
+        raise InternalInconsistency(
+            f"weight {k} is not congruent to its branch {zeta} mod {p}")
     M = p ** r
     acc, xp = 0, 1
     for h in range(d):
@@ -280,40 +293,19 @@ class FamilyVec:
                 f"mod ({self.p}^{self.r}, X^{self.d}))")
 
 
-_FALL_CACHE = {}
-
-
-def _falling_z(p, r, d, i, L):
-    """prod_{m=i}^{i+L-1} (z - 2 - m) as raw branch lists, cached."""
-    key = (p, r, d, i, L)
-    got = _FALL_CACHE.get(key)
-    if got is not None:
-        return got
-    M = p ** r
-    if L == 0:
-        comps = [[1 % M] + [0] * (d - 1) for _ in range(branch_count(p))]
-    else:
-        prev = _falling_z(p, r, d, i, L - 1)
-        m_last = i + L - 1
-        comps = []
-        for zeta in range(branch_count(p)):
-            c0 = (zeta - 2 - m_last) % M
-            q = prev[zeta]
-            out = [0] * d
-            for k in range(d):
-                out[k] = (c0 * q[k] + (q[k - 1] if k else 0)) % M
-            comps.append(out)
-    _FALL_CACHE[key] = comps
-    return comps
-
-
 def act_family(mat, fam):
     """Apply the weight-minus-2 family action; consumes family_tail coords.
 
-    Same double sum as the single-weight action with the tautological
-    weight z - 2 in the falling products and d-powers carried by
-    char_series; the first (stored - family_tail) output coordinates are
-    certified mod (p^r, X^d).
+    Output coordinate i is
+      G * sum_L P_L(i) (c^L/L!) d^-(2+i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
+    with G = char_series(d), i.e. d^z, and the falling product
+    P_L(i) = prod_{m=i}^{i+L-1} (z - 2 - m) in the tautological weight z.
+    c is divisible by p, so c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r
+    (for a level-subgroup matrix, v_p(c) >= v_p(N)).  Only the live L with
+    c^L/L! != 0 are summed, each with one series product per branch (none
+    for L = 0).  The skipped terms are exactly zero, so the first
+    (stored - family_tail) output coordinates are certified mod (p^r, X^d)
+    as before; family_tail remains the width bound.
     """
     p, r, dd = fam.p, fam.r, fam.d
     t = family_tail(p, r, dd)
@@ -324,66 +316,43 @@ def act_family(mat, fam):
             f"need {fam.out_width + t} stored coordinates, have {width}")
     M = p ** r
     a0, b0, c0, d0 = mat.a % M, mat.b % M, mat.c % M, mat.d % M
-    nb = branch_count(p)
     G = char_series(d0, p, r, dd).comps
     dinv = pow(d0, -1, M)
     dinvpow = [1] * (2 * width + 3)
     for s in range(1, 2 * width + 3):
         dinvpow[s] = dinvpow[s - 1] * dinv % M
-    cf = _cf_table(c0, width, p, r)
+    cf = _c_factors(c0, width, p, r)
+    live_L = [L for L in range(width) if cf[L]]
     apow = [pow(a0, h, M) for h in range(width + 1)]
     bpow = [pow(b0, h, M) for h in range(width + 1)]
-    comb = math.comb
+    # cols[zeta][k][j]: the X^k coefficient of coordinate j on branch zeta
+    cols = [[[f.comps[zeta][k] for f in fam.coords] for k in range(dd)]
+            for zeta in range(branch_count(p))]
     out = []
     for i in range(new_len):
-        S = [[0] * dd for _ in range(nb)]
-        for j in range(width):
-            Fj = fam.coords[j].comps
-            if fam.coords[j].is_zero():
-                continue
-            Q = [[0] * dd for _ in range(nb)]
-            any_q = False
-            for h in range(min(i, j) + 1):
-                L = j - h
-                scal = (comb(i, h) % M * apow[h] % M * bpow[i - h] % M
-                        * cf[L] % M * dinvpow[2 + i + j - h] % M)
-                if scal == 0:
-                    continue
-                any_q = True
-                PL = _falling_z(p, r, dd, i, L)
-                for zeta in range(nb):
-                    qz, pz = Q[zeta], PL[zeta]
-                    for k in range(dd):
-                        qz[k] = (qz[k] + scal * pz[k]) % M
-            if not any_q:
-                continue
-            for zeta in range(nb):
-                sz = S[zeta]
-                prod = _series_mul(Q[zeta], Fj[zeta], M, dd)
-                for k in range(dd):
-                    sz[k] = (sz[k] + prod[k]) % M
-        coord = [_series_mul(G[zeta], S[zeta], M, dd) for zeta in range(nb)]
+        row = [math.comb(i, h) * apow[h] % M * bpow[i - h] % M
+               for h in range(i + 1)]
+        coord = []
+        for zeta, cz in enumerate(cols):
+            S = [0] * dd
+            fall, m = [1 % M] + [0] * (dd - 1), 0  # P_m(i) on branch zeta
+            for L in live_L:
+                while m < L:  # times (z - 2 - i - m) = (zeta - 2 - i - m) + X
+                    e = zeta - 2 - i - m
+                    fall = [(e * fall[k] + (fall[k - 1] if k else 0)) % M
+                            for k in range(dd)]
+                    m += 1
+                # W = (c^L/L!) d^-(2+i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
+                scal = cf[L] * dinvpow[2 + i + L] % M
+                W = [scal * sum(map(operator.mul, row, col[L:])) % M
+                     for col in cz]
+                if m:
+                    W = _series_mul(fall, W, M, dd)
+                for k, x in enumerate(W):
+                    S[k] += x
+            coord.append(_series_mul(G[zeta], S, M, dd))
         out.append(WeightFn(p, r, dd, coord))
     return FamilyVec(p, r, dd, fam.out_width, out)
-
-
-def _cf_table(c, jmax, p, r):
-    # c^m / m! mod p^r (c divisible by p, quotient integral)
-    M = p ** r
-    cf = [1 % M]
-    if c % M == 0:
-        return cf + [0] * jmax
-    vc = vp(c % M, p)
-    u = (c % M) // p ** vc
-    for m in range(1, jmax + 1):
-        vfac = vp_factorial(m, p)
-        e = m * vc - vfac
-        if e >= r:
-            cf.append(0)
-            continue
-        unit = math.factorial(m) // p ** vfac
-        cf.append(pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M)
-    return cf
 
 
 def sp_vector(k, fam):
@@ -393,9 +362,14 @@ def sp_vector(k, fam):
     return SeqVec(chi, fam.out_width, [sp_k(k, c).res for c in fam.coords])
 
 
+def _check_cut(k0):
+    if k0 < 2:
+        raise BadRange(f"cut k0 = {k0} is below 2")
+
+
 def trunc_minus(k0, fam):
     """Keep coordinates 0..k0-2, zero the rest."""
-    assert k0 >= 2
+    _check_cut(k0)
     zero = WeightFn.zero(fam.p, fam.r, fam.d)
     coords = [c if i <= k0 - 2 else zero for i, c in enumerate(fam.coords)]
     return FamilyVec(fam.p, fam.r, fam.d, fam.out_width, coords)
@@ -403,7 +377,7 @@ def trunc_minus(k0, fam):
 
 def trunc_plus(k0, fam):
     """Zero coordinates 0..k0-2, keep the rest."""
-    assert k0 >= 2
+    _check_cut(k0)
     zero = WeightFn.zero(fam.p, fam.r, fam.d)
     coords = [zero if i <= k0 - 2 else c for i, c in enumerate(fam.coords)]
     return FamilyVec(fam.p, fam.r, fam.d, fam.out_width, coords)

@@ -16,8 +16,6 @@ cohomologically and just eps(n) classically.
 import math
 from fractions import Fraction
 
-from sympy import bernoulli, divisor_sigma
-
 from .errors import (BadWeight, NotCoprime, PrecisionExhausted,
                      TruncationTooShort)
 from .padic import PrecInt, vp
@@ -84,14 +82,32 @@ class QExp:
         return f"QExp([{head}{', ...' if len(self.coeffs) > 6 else ''}])"
 
 
+def bernoulli(k):
+    """B_k as a Fraction, from sum_{j<=m} C(m+1, j) B_j = 0 (B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for m in range(1, k + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B[k]
+
+
+def divisor_sigma(n, s):
+    """sigma_s(n) = sum of e^s over the positive divisors e of n."""
+    total = 0
+    for e in range(1, math.isqrt(n) + 1):
+        if n % e == 0:
+            total += e ** s
+            if e * e != n:
+                total += (n // e) ** s
+    return total
+
+
 def eisenstein(k, T):
     """Level-one Eisenstein series: -B_k/2k + sum sigma_(k-1)(h) q^h."""
     if k < 4 or k % 2 != 0:
         raise BadWeight(
             f"weight {k} has no holomorphic level-one Eisenstein series here")
-    b = bernoulli(k)
-    a0 = Fraction(-int(b.p), int(2 * k * b.q))
-    return QExp([a0] + [int(divisor_sigma(h, k - 1)) for h in range(1, T + 1)])
+    a0 = -bernoulli(k) / (2 * k)
+    return QExp([a0] + [divisor_sigma(h, k - 1) for h in range(1, T + 1)])
 
 
 def _power_exponent(k, normalization):

@@ -19,6 +19,7 @@ used to verify the action's composition law coefficientwise.
 """
 
 import math
+import operator
 
 from .errors import BadRange, BadWeight, CongruenceViolated, WidthInsufficient
 from .padic import PrecInt, Weight, binom, binom_int, eval_char, vp, vp_factorial
@@ -183,10 +184,12 @@ def act_universal(mat, seq):
     """Apply the weight-chi action; consumes tail_width stored coordinates.
 
     Output coordinate i is
-      sum_j alpha_j sum_h C(i,h) prod_{m=i}^{i+j-h-1}(w - m)
-                         a^h b^(i-h) (c^(j-h)/(j-h)!) d^(chi - i - j + h)
-    with w the wild part of chi.  Raises WidthInsufficient when fewer than
-    out_width coordinates would remain certified.
+      sum_L prod_{m=i}^{i+L-1}(w - m) (c^L/L!) d^(chi - i - L)
+            sum_h C(i,h) a^h b^(i-h) alpha_(h+L)
+    with w the wild part of chi.  c is divisible by p, so only the few L
+    with c^L/L! != 0 mod p^r are summed; the skipped terms are zero.
+    Raises WidthInsufficient when fewer than out_width coordinates would
+    remain certified.
     """
     chi = seq.chi
     p, r = seq.p, seq.r
@@ -202,27 +205,24 @@ def act_universal(mat, seq):
     # d^(chi - t) for every exponent shift t that can occur
     dpow = [eval_char(chi.shift(s), d_pre).res for s in range(2 * width + 1)]
     cf = _c_factors(c, width, p, r)
+    live_L = [L for L in range(width) if cf[L]]
     apow = [pow(a, h, M) for h in range(width + 1)]
     bpow = [pow(b, h, M) for h in range(width + 1)]
     w = chi.wild.res
     out = []
     for i in range(new_len):
-        # falling products prod_{m=i}^{i+L-1} (w - m), built incrementally
-        fall = [1]
-        for L in range(1, width):
-            fall.append(fall[-1] * ((w - (i + L - 1)) % M) % M)
+        row = [math.comb(i, h) * apow[h] % M * bpow[i - h] % M
+               for h in range(i + 1)]
         acc = 0
-        for j in range(width):
-            aj = seq.coords[j]
-            if aj == 0:
-                continue
-            s = 0
-            for h in range(min(i, j) + 1):
-                L = j - h
-                s += (math.comb(i, h) * fall[L] % M * apow[h] % M
-                      * bpow[i - h] % M * cf[L] % M * dpow[i + j - h] % M)
-            acc = (acc + aj * s) % M
-        out.append(acc)
+        # falling product prod_{m=i}^{i+L-1} (w - m), built up to each live L
+        fall, m = 1, 0
+        for L in live_L:
+            while m < L:
+                fall = fall * (w - i - m) % M
+                m += 1
+            acc += (fall * cf[L] % M * dpow[i + L] % M
+                    * sum(map(operator.mul, row, seq.coords[L:])))
+        out.append(acc % M)
     return SeqVec(chi, seq.out_width, out)
 
 

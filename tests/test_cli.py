@@ -108,3 +108,18 @@ def test_cache_env_variable(tmp_path):
                   env_extra={"PWL_CACHE_DIR": cachedir})
     assert res.returncode == 0
     assert (tmp_path / "envtables" / "gamma1_7.json").exists()
+
+
+def test_rejects_bad_prime_and_precision():
+    for args, option in (
+            (("h1", "--level", "11", "--prime", "15", "--precision", "2"),
+             "--prime"),
+            (("h1", "--level", "11", "--prime", "2", "--precision", "2"),
+             "--prime"),
+            (("family", "--prime", "4", "--precision", "2", "--degree", "2"),
+             "--prime"),
+            (("h1", "--level", "11", "--prime", "11", "--precision", "0"),
+             "--precision")):
+        res = run_cli("--no-meta", *args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert f"Invalid value for '{option}'" in res.stderr

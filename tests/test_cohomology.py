@@ -9,7 +9,7 @@ from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, TrivialCoeffs,
                             double_coset_reps, family_preimage, h1,
                             hecke_images, hecke_matrix, specialize_cocycle,
                             t_ell_reps)
-from pwl.errors import NotCoprime, NotFreeModule
+from pwl.errors import NotCoprime, NotFreeModule, WidthInsufficient
 from pwl.gamma1 import free_basis, in_gamma1
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
@@ -216,3 +216,8 @@ def test_family_preimage_round_trip():
         back = specialize_cocycle(co.n + 2, lifted)
         for x, y in zip(back.values, c.values):
             assert co.eq(x, y)
+
+
+def test_family_coeffs_rejects_short_window():
+    with pytest.raises(WidthInsufficient):
+        FamilyCoeffs(3, 2, 2, 5, 4)

@@ -2,10 +2,16 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwl.errors import BadLevel, NotAUnit, WidthInsufficient
+from pwl import iwasawa
+from pwl.errors import (BadLevel, BadRange, DimensionMismatch,
+                        InternalInconsistency, NotAUnit, PrecisionMismatch,
+                        WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, e_branch, family_tail, one_n, sp_k,
                          sp_vector, trunc_minus, trunc_plus, z)
@@ -23,6 +29,100 @@ def rand_fn(rng, p, r, d):
 def rand_fam(rng, p, r, d, out_width, width):
     return FamilyVec(p, r, d, out_width,
                      [rand_fn(rng, p, r, d) for _ in range(width)])
+
+
+def ref_cf(c, m, p, r):
+    """c^m/m! mod p^r by exact rational arithmetic (p | c)."""
+    q = Fraction(c ** m, math.factorial(m))
+    return q.numerator * pow(q.denominator, -1, p ** r) % p ** r
+
+
+def ref_falling(p, r, d, i, L):
+    """prod_{m=i}^{i+L-1} (z - 2 - m) as branch lists."""
+    M = p ** r
+    comps = [[1 % M] + [0] * (d - 1) for _ in range(branch_count(p))]
+    for m in range(i, i + L):
+        for zeta, q in enumerate(comps):
+            c0 = (zeta - 2 - m) % M
+            comps[zeta] = [(c0 * q[k] + (q[k - 1] if k else 0)) % M
+                           for k in range(d)]
+    return comps
+
+
+def ref_act_family(mat, fam):
+    """The family action's double sum over every j and h <= min(i, j)."""
+    p, r, dd = fam.p, fam.r, fam.d
+    width = len(fam.coords)
+    M = p ** r
+    a0, b0, c0, d0 = mat.a % M, mat.b % M, mat.c % M, mat.d % M
+    nb = branch_count(p)
+    G = char_series(d0, p, r, dd)
+    dinv = pow(d0, -1, M)
+    out = []
+    for i in range(width - family_tail(p, r, dd)):
+        S = WeightFn.zero(p, r, dd)
+        for j in range(width):
+            if fam.coords[j].is_zero():
+                continue
+            Q = [[0] * dd for _ in range(nb)]
+            for h in range(min(i, j) + 1):
+                L = j - h
+                scal = (math.comb(i, h) * pow(a0, h, M) * pow(b0, i - h, M)
+                        * ref_cf(c0, L, p, r) * pow(dinv, 2 + i + j - h, M)
+                        % M)
+                if scal == 0:
+                    continue
+                PL = ref_falling(p, r, dd, i, L)
+                for zeta in range(nb):
+                    for k in range(dd):
+                        Q[zeta][k] = (Q[zeta][k] + scal * PL[zeta][k]) % M
+            S = S + WeightFn(p, r, dd, Q) * fam.coords[j]
+        out.append(G * S)
+    return out
+
+
+def rand_family_case(rng, p, r, d, c, out_width):
+    """A monoid matrix with lower-left entry c and a window with zero coordinates."""
+    M = p ** r
+    dd = rng.choice([u for u in range(1, M) if u % p])
+    mat = PadicMat(p, r, rng.randrange(M), rng.randrange(M), c, dd)
+    coords = [WeightFn.zero(p, r, d) if rng.random() < 0.3
+              else rand_fn(rng, p, r, d)
+              for _ in range(out_width + family_tail(p, r, d))]
+    return mat, FamilyVec(p, r, d, out_width, coords)
+
+
+def assert_same_residues(got, want):
+    assert [f.comps for f in got.coords] == [f.comps for f in want]
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_act_family_matches_reference(p):
+    # v_p(c) = 1 gives the widest set of live L, v_p(c) >= r only L = 0
+    rng = random.Random(40 + p)
+    for r in range(1, 5):
+        for d in range(1, 5):
+            for c in (p * 7, p * (p + 1), p ** r * 2, 0):
+                mat, fam = rand_family_case(rng, p, r, d, c, 4)
+                assert_same_residues(act_family(mat, fam),
+                                     ref_act_family(mat, fam))
+
+
+def test_act_family_matches_reference_wide():
+    # a long certified window reaches large i and every live L for each h
+    rng = random.Random(47)
+    for c in (3, 6, 9, 0):
+        mat, fam = rand_family_case(rng, 3, 3, 2, c, 12)
+        assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_act_family_property(p, r, d, vc, out_width, rng):
+    c = p ** vc * rng.randrange(1, p ** r) if rng.random() < 0.9 else 0
+    mat, fam = rand_family_case(rng, p, r, d, c, out_width)
+    assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
 
 
 def test_branch_idempotents():
@@ -216,3 +316,35 @@ def test_family_tail_values():
     assert family_tail(3, 4, 3) == 21
     assert family_tail(5, 2, 2) == 20
     assert family_tail(3, 2, 2) < family_tail(3, 3, 2)
+
+
+def test_weight_fn_shape_guard():
+    with pytest.raises(DimensionMismatch):
+        WeightFn(3, 2, 2, [[0, 0]] * 5)
+    with pytest.raises(DimensionMismatch):
+        WeightFn(3, 2, 2, [[0, 0]] * 5 + [[0]])
+
+
+def test_weight_fn_precision_guard():
+    f = WeightFn.const(1, 3, 2, 2)
+    for g in (WeightFn.const(1, 3, 3, 2), WeightFn.const(1, 3, 2, 3),
+              WeightFn.const(1, 5, 2, 2)):
+        with pytest.raises(PrecisionMismatch):
+            f + g
+        with pytest.raises(PrecisionMismatch):
+            f * g
+
+
+def test_trunc_cut_guard():
+    fam = rand_fam(random.Random(1), 3, 2, 2, 2, 4)
+    for cut in (trunc_minus, trunc_plus):
+        with pytest.raises(BadRange):
+            cut(1, fam)
+
+
+def test_sp_k_branch_check(monkeypatch):
+    # unreachable with a correct reduce_weight: inject a wrong branch
+    monkeypatch.setattr(iwasawa, "reduce_weight", lambda k, s: 0)
+    chi = Weight.of_int(4, 3, 2)
+    with pytest.raises(InternalInconsistency):
+        sp_k(chi, WeightFn.const(1, 3, 2, 2))

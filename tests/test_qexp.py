@@ -7,8 +7,9 @@ import pytest
 from pwl.errors import (BadWeight, NotCoprime, PrecisionExhausted,
                         TruncationTooShort)
 from pwl.padic import PrecInt
-from pwl.qexp import (DirichletChar, QExp, eisenstein, hecke_s, hecke_t,
-                      pairing, slope_check, trivial_char)
+from pwl.qexp import (DirichletChar, QExp, bernoulli, divisor_sigma,
+                      eisenstein, hecke_s, hecke_t, pairing, slope_check,
+                      trivial_char)
 
 ETA_PREFIX = [1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, -2, 4]
 
@@ -28,6 +29,22 @@ def eta_level11(T):
 
 def sigma_brute(h, e):
     return sum(d ** e for d in range(1, h + 1) if h % d == 0)
+
+
+def test_bernoulli_known_values():
+    known = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6),
+             3: Fraction(0), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+             8: Fraction(-1, 30), 10: Fraction(5, 66),
+             12: Fraction(-691, 2730), 14: Fraction(7, 6)}
+    for k, b in known.items():
+        assert bernoulli(k) == b
+    assert all(bernoulli(k) == 0 for k in range(3, 30, 2))
+
+
+def test_divisor_sigma_matches_brute_force():
+    for h in range(1, 200):
+        for e in (0, 1, 3, 11):
+            assert divisor_sigma(h, e) == sigma_brute(h, e)
 
 
 def test_eisenstein_constant_terms():

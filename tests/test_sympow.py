@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from pwl.errors import BadRange, BadWeight, CongruenceViolated, WidthInsufficient
 from pwl.matrices import IntMat, PadicMat
-from pwl.padic import PrecInt, Weight
+from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import (
     SeqVec,
     SymVec,
@@ -32,6 +33,38 @@ def rand_monoid_mat(rng, p, r):
 def rand_seq(rng, chi, out_width, width):
     M = chi.p ** chi.r
     return SeqVec(chi, out_width, [rng.randrange(M) for _ in range(width)])
+
+
+def ref_cf(c, m, p, r):
+    """c^m/m! mod p^r by exact rational arithmetic (p | c)."""
+    q = Fraction(c ** m, math.factorial(m))
+    return q.numerator * pow(q.denominator, -1, p ** r) % p ** r
+
+
+def ref_act_universal(mat, seq):
+    """The weight-chi action's double sum over every j and h <= min(i, j)."""
+    chi, p, r = seq.chi, seq.p, seq.r
+    M = p ** r
+    a, b, c, d = mat.a % M, mat.b % M, mat.c % M, mat.d % M
+    w = chi.wild.res
+    width = len(seq.coords)
+    out = []
+    for i in range(width - tail_width(p, r)):
+        fall = [1]
+        for L in range(1, width):
+            fall.append(fall[-1] * ((w - (i + L - 1)) % M) % M)
+        acc = 0
+        for j in range(width):
+            aj = seq.coords[j]
+            if aj == 0:
+                continue
+            for h in range(min(i, j) + 1):
+                L = j - h
+                dch = eval_char(chi.shift(i + j - h), PrecInt(p, r, d)).res
+                acc += (aj * math.comb(i, h) * fall[L] * pow(a, h, M)
+                        * pow(b, i - h, M) * ref_cf(c, L, p, r) * dch)
+        out.append(acc % M)
+    return out
 
 
 class TestActSym:
@@ -118,7 +151,6 @@ class TestActUniversal:
         width = 3 + tail_width(p, r)
         seq = rand_seq(rng, chi, 3, width)
         got = act_universal(m, seq)
-        from pwl.padic import eval_char
         M = p ** r
         for i in range(3):
             # j = h = i survives: scale a^i d^(chi - i)
@@ -160,6 +192,24 @@ class TestActUniversal:
             lhs = act_universal(m1 * m2, seq)
             rhs = act_universal(m1, act_universal(m2, seq))
             assert lhs.agrees(rhs, 3)
+
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_matches_reference(self, p):
+        # v_p(c) = 1 gives the widest set of live L, v_p(c) >= r only L = 0;
+        # about a third of the coordinates are zero
+        rng = random.Random(50 + p)
+        for r in range(1, 5):
+            M = p ** r
+            t = tail_width(p, r)
+            for c in (p * 7, p * (p + 1), p ** r * 2, 0):
+                chi = Weight(rng.randrange(p - 1),
+                             PrecInt(p, r, rng.randrange(M)))
+                d = rng.choice([u for u in range(1, M) if u % p])
+                m = PadicMat(p, r, rng.randrange(M), rng.randrange(M), c, d)
+                coords = [0 if rng.random() < 0.3 else rng.randrange(M)
+                          for _ in range(5 + t)]
+                seq = SeqVec(chi, 5, coords)
+                assert act_universal(m, seq).coords == ref_act_universal(m, seq)
 
 
 class TestSpecialize:
