@@ -5,10 +5,10 @@ Submodules:
   matrices    exact 2x2 integer matrices and the p-stabilized matrix monoid
   sympow      symmetric-power actions and their interpolation in the weight
   iwasawa     analytic functions on the weight space, family action
-  gamma1      coset tables and free bases for Gamma_1(N)
+  gamma1      cosets and free bases for Gamma_1(N)
   linalg      matrix algebra over Z/p^r (canonical forms, solving, charpoly)
   cohomology  cocycles, H^1 presentations, Hecke operators
-  slope       characteristic polynomials, Newton polygons, slope splitting
+  slope       Newton polygons, slope splitting
   qexp        q-expansions, Eisenstein series, Hecke action on coefficients
   cli         command-line front end
 """

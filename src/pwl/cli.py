@@ -13,7 +13,7 @@ import time
 
 import click
 
-from .cohomology import SymCoeffs, TrivialCoeffs, h1, hecke_matrix, t_ell_reps
+from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
 from .gamma1 import free_basis
 from .iwasawa import branch_count, family_tail
@@ -68,11 +68,6 @@ _precision_option = click.option("--precision", type=int, required=True,
                                  help="Digits r, mod p^r.")
 
 
-def _coeffs(prime, precision, sym):
-    return TrivialCoeffs(prime, precision) if sym == 0 \
-        else SymCoeffs(prime, precision, sym)
-
-
 @click.group()
 @click.option("--seed", default=0, show_default=True,
               help="Master seed for randomized checks.")
@@ -109,7 +104,7 @@ def basis(ctx, level):
 def h1_cmd(ctx, level, prime, precision, sym):
     """Presentation of first cohomology: free rank and divisors."""
     fb = free_basis(level, cache_dir=ctx.obj["cache"])
-    pres = h1(_coeffs(prime, precision, sym), fb)
+    pres = h1(SymCoeffs(prime, precision, sym), fb)
     _emit(ctx, {"level": level, "prime": prime, "precision": precision,
                 "sym": sym, "free_rank": pres.free_rank(),
                 "is_free": pres.is_free(), "moduli": pres.moduli})
@@ -126,7 +121,7 @@ def h1_cmd(ctx, level, prime, precision, sym):
 def hecke(ctx, level, prime, precision, ell, sym):
     """Characteristic polynomial of a Hecke operator on the free quotient."""
     fb = free_basis(level, cache_dir=ctx.obj["cache"])
-    coeffs = _coeffs(prime, precision, sym)
+    coeffs = SymCoeffs(prime, precision, sym)
     reps = t_ell_reps(ell, fb)
     pres = h1(coeffs, fb)
     poly = pres.charpoly(hecke_matrix(coeffs, fb, reps))
@@ -146,7 +141,7 @@ def hecke(ctx, level, prime, precision, ell, sym):
 def slopes(ctx, level, prime, precision, ell, sym):
     """Newton polygon of a Hecke operator and its unit-root factor."""
     fb = free_basis(level, cache_dir=ctx.obj["cache"])
-    coeffs = _coeffs(prime, precision, sym)
+    coeffs = SymCoeffs(prime, precision, sym)
     pres = h1(coeffs, fb)
     T = pres.induced_matrix(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))
     P = charpoly_mod(T, prime, precision)

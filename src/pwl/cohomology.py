@@ -5,9 +5,8 @@ by arbitrary values on the free generators and H^1 is the quotient of the
 value space by coboundaries.  Coefficient systems share a small duck
 interface (zero/add/neg/act/dim/to_coords/from_coords/act_matrix):
 
-  TrivialCoeffs  ints mod p^r with the trivial action;
   SymCoeffs      symmetric-power vectors acted on through the weight-n
-                 matrix action;
+                 matrix action; n = 0 is Z/p^r with the trivial action;
   FamilyCoeffs   coordinate windows of weight-space functions acted on
                  through the interpolated family action (each action
                  consumes one width tail).
@@ -17,7 +16,7 @@ rewriting of a group element, applying exactly one coefficient action per
 letter so the family width cost of an evaluation is a single tail.
 
 Double-coset operators: reps are found by a closure walk from the seed,
-deduplicating by exact left-coset comparison over Z; the operator value
+deduplicating by the exact coset test _gamma1_quotient; the operator value
 (A c)(g) = sum_theta act(adj(A_theta), c(gamma_theta)) uses the main
 involution (adjugate) on the left.  hecke_matrix assembles the same
 operator as a matrix on stacked generator values in one pass over the
@@ -32,48 +31,10 @@ import math
 from .errors import (InternalInconsistency, NoLift, NotCoprime, NotFreeModule,
                      WidthInsufficient)
 from .gamma1 import in_gamma1
-from .iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
-                      family_tail, sp_vector)
+from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import charpoly_mod, invert_mod, mat_mul, mat_vec, smith_mod
 from .matrices import IntMat, PadicMat
 from .sympow import SymVec, act_sym, sym_matrix
-
-
-class TrivialCoeffs:
-    """Z/p^r with every group element acting as the identity."""
-
-    def __init__(self, p, r):
-        self.p, self.r = p, r
-
-    def dim(self):
-        return 1
-
-    def zero(self):
-        return 0
-
-    def add(self, x, y):
-        return (x + y) % self.p ** self.r
-
-    def neg(self, x):
-        return -x % self.p ** self.r
-
-    def act(self, mat, x):
-        return x % self.p ** self.r
-
-    def act_matrix(self, mat):
-        return [[1]]
-
-    def to_coords(self, x):
-        return [x % self.p ** self.r]
-
-    def from_coords(self, coords):
-        return coords[0] % self.p ** self.r
-
-    def eq(self, x, y):
-        return (x - y) % self.p ** self.r == 0
-
-    def rand(self, rng):
-        return rng.randrange(self.p ** self.r)
 
 
 class SymCoeffs:
@@ -130,9 +91,6 @@ class FamilyCoeffs:
         self.out_width = out_width
         self.stored_width = stored_width
 
-    def tail(self):
-        return family_tail(self.p, self.r, self.d)
-
     def zero(self):
         return FamilyVec.zero(self.p, self.r, self.d, self.out_width,
                               self.stored_width)
@@ -173,10 +131,6 @@ class Cocycle:
         self.coeffs = coeffs
         self.basis = basis
         self.values = list(values)
-
-    @classmethod
-    def zero(cls, coeffs, basis):
-        return cls(coeffs, basis, [coeffs.zero() for _ in range(basis.rank())])
 
     @classmethod
     def random(cls, coeffs, basis, rng):
@@ -223,14 +177,17 @@ def coboundary(coeffs, basis, b):
     return Cocycle(coeffs, basis, values)
 
 
-def _same_left_coset(B1, B2, N):
-    det = B1.det()
-    if B2.det() != det:
-        return False
-    C = B1 * B2.cofactor()
-    if any(e % det != 0 for e in C.entries()):
-        return False
-    return in_gamma1(IntMat(*(e // det for e in C.entries())), N)
+def _gamma1_quotient(B, A, N):
+    """B adj(A) / det A if it is an integer matrix in Gamma_1(N), else None:
+    B and A lie in the same left coset exactly when it is not None."""
+    det = A.det()
+    if B.det() != det:
+        return None
+    C = B * A.cofactor()
+    if any(e % det for e in C.entries()):
+        return None
+    G = IntMat(*(e // det for e in C.entries()))
+    return G if in_gamma1(G, N) else None
 
 
 def double_coset_reps(seed, basis, order=None, max_reps=2000):
@@ -250,7 +207,7 @@ def double_coset_reps(seed, basis, order=None, max_reps=2000):
         qi += 1
         for g in order:
             cand = cur * g
-            if not any(_same_left_coset(cand, old, N) for old in reps):
+            if all(_gamma1_quotient(cand, old, N) is None for old in reps):
                 reps.append(cand)
                 if len(reps) > max_reps:
                     raise InternalInconsistency("double coset failed to close")
@@ -273,12 +230,9 @@ def diamond_rep(n, N):
 
 def _coset_partner(B, reps, N):
     for A2 in reps:
-        det = A2.det()
-        C = B * A2.cofactor()
-        if all(e % det == 0 for e in C.entries()):
-            G = IntMat(*(e // det for e in C.entries()))
-            if in_gamma1(G, N):
-                return G
+        G = _gamma1_quotient(B, A2, N)
+        if G is not None:
+            return G
     raise InternalInconsistency("no representative absorbs the translate")
 
 
@@ -347,18 +301,12 @@ class H1Presentation:
     def is_free(self):
         return all(e in (0, self.coeffs.r) for e in self.moduli)
 
-    def order_exponent(self):
-        return sum(self.moduli)
-
     def class_coords(self, cocycle_or_stack):
         stack = (cocycle_or_stack.stacked_coords()
                  if isinstance(cocycle_or_stack, Cocycle) else cocycle_or_stack)
         p = self.coeffs.p
         w = mat_vec(self.sf.U, stack, p ** self.coeffs.r)
         return tuple(x % p ** e for x, e in zip(w, self.moduli))
-
-    def same_class(self, c1, c2):
-        return self.class_coords(c1) == self.class_coords(c2)
 
     def induced_matrix(self, T):
         """Matrix of T on the free quotient coordinates; checks that T

@@ -1,4 +1,4 @@
-"""Coset tables and free generating sets for level subgroups of SL_2(Z).
+"""Cosets and free generating sets for level subgroups of SL_2(Z).
 
 Right cosets of the level-N subgroup (lower-left entry divisible by N,
 diagonal 1 mod N) inside SL_2(Z) correspond to unimodular bottom rows
@@ -8,9 +8,10 @@ s = (0 -1; 1 0) and u = s * t with t the unit translation.  A breadth
 first Schreier transversal over the projective cosets (rows up to global
 sign) therefore yields a free generating set of rank 1 + mu/6, where mu
 is the projective index, plus a rewriting table expressing every directed
-coset edge as a word in the kept generators.  express() decomposes an
-arbitrary group element into that basis and replays the product as an
-exact check.
+coset edge as a word in the kept generators.  FreeBasisData keeps the
+projective cosets themselves (rows, the permutations perm_s and perm_u,
+coset_of); express() decomposes an arbitrary group element into the basis
+and replays the product as an exact check.
 
 free_basis caches its output as JSON keyed by a content hash (directory
 taken from the cache_dir argument or the PWL_CACHE_DIR environment
@@ -37,36 +38,6 @@ def in_gamma1(mat, N):
     """Membership test: determinant 1, c = 0 and a = d = 1 mod N."""
     return (mat.det() == 1 and mat.c % N == 0
             and mat.a % N == 1 and mat.d % N == 1)
-
-
-class CosetTable:
-    """Full coset list with the permutation action of s and t."""
-
-    __slots__ = ("N", "rows", "index", "perm_s", "perm_t")
-
-    def __init__(self, N, rows, index, perm_s, perm_t):
-        self.N = N
-        self.rows = rows
-        self.index = index
-        self.perm_s = perm_s
-        self.perm_t = perm_t
-
-    def coset_of(self, mat):
-        return self.index[(mat.c % self.N, mat.d % self.N)]
-
-    def size(self):
-        return len(self.rows)
-
-
-def coset_table(N):
-    if N < 1:
-        raise BadLevel(f"level must be positive, got {N}")
-    rows = sorted((c, d) for c in range(N) for d in range(N)
-                  if math.gcd(math.gcd(c, d), N) == 1)
-    index = {row: i for i, row in enumerate(rows)}
-    perm_s = [index[(d, (-c) % N)] for (c, d) in rows]
-    perm_t = [index[(c, (c + d) % N)] for (c, d) in rows]
-    return CosetTable(N, rows, index, perm_s, perm_t)
 
 
 def _proj_canon(c, d, N):

@@ -150,11 +150,6 @@ def smith_mod(A, p, r):
     return SmithForm(p, r, m, n, exps, U, V)
 
 
-def solve_mod(A, b, p, r):
-    """One solution of A x = b over Z/p^r, or None."""
-    return smith_mod(A, p, r).solve(b)
-
-
 def invert_mod(A, p, r):
     n = len(A)
     sf = smith_mod(A, p, r)

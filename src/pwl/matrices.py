@@ -6,8 +6,9 @@ over Z/p^r whose lower-left entry is divisible by p and whose lower-right
 entry is a unit; this monoid is closed under multiplication and acts on
 p-adic integers by fractional linear (moebius) maps.
 
-cofactor sends (a b; c d) to (d -b; -c a); it is an antihomomorphism
-(cofactor(A*B) = cofactor(B)*cofactor(A)) and preserves the determinant.
+Both kinds have a cofactor method sending (a b; c d) to (d -b; -c a); it is
+an antihomomorphism ((A*B).cofactor() = B.cofactor() * A.cofactor()) and
+preserves the determinant.
 """
 
 from .errors import NotAdmissible, PrecisionMismatch
@@ -82,10 +83,6 @@ class PadicMat:
     def identity(cls, p, r):
         return cls(p, r, 1, 0, 0, 1)
 
-    @classmethod
-    def from_int_mat(cls, m, p, r):
-        return cls(p, r, m.a, m.b, m.c, m.d)
-
     @property
     def modulus(self):
         return self.p ** self.r
@@ -131,8 +128,3 @@ class PadicMat:
     def __repr__(self):
         return (f"PadicMat[{self.p}^{self.r}]"
                 f"({self.a}, {self.b}, {self.c}, {self.d})")
-
-
-def cofactor(m):
-    """Cofactor for either matrix kind."""
-    return m.cofactor()

@@ -7,9 +7,10 @@ digits and raises PrecisionExhausted when none would remain.
 
 A Weight is a character of the units, split as (tame, wild) with
 tame in [0, p-2] and wild a PrecInt.  eval_char evaluates it on a unit via
-the Teichmuller projection, pow_unit raises one-units to p-adic powers, and
-reduce_weight computes the minimal non-negative integer congruent to the
-weight modulo p^r (p - 1).
+the Teichmuller projection, pow_unit raises one-units to p-adic powers (a
+binomial series cut at tail_width terms, the same width one weight action
+consumes in sympow), and reduce_weight computes the minimal non-negative
+integer congruent to the weight modulo p^r (p - 1).
 """
 
 import math
@@ -224,8 +225,8 @@ def unit_project(d):
     return u
 
 
-def _series_cutoff(p, r):
-    # first H with H*(p-2)/(p-1) >= r
+def tail_width(p, r):
+    """Smallest t with t(p-2)/(p-1) >= r: later terms vanish mod p^r."""
     return -((-r * (p - 1)) // (p - 2))
 
 
@@ -233,8 +234,8 @@ def pow_unit(d, n):
     """d^n for a one-unit d and integer or PrecInt exponent n.
 
     Binomial series sum_h binom(n, h) (d-1)^h on the canonical lift of n,
-    truncated at the first h with h(p-2)/(p-1) >= r.  Output precision is
-    r for integer n and min(r, precision(n) + 1) otherwise.
+    truncated at h = tail_width(p, r).  Output precision is r for integer
+    n and min(r, precision(n) + 1) otherwise.
     """
     if not d.is_one_unit():
         raise NotOneUnit(f"{d.res} is not congruent to 1 mod {d.p}")
@@ -248,7 +249,7 @@ def pow_unit(d, n):
         r = d.r
         n_int = n % p ** r
     M = p ** r
-    H = _series_cutoff(p, r)
+    H = tail_width(p, r)
     x = (d.res - 1) % M
     acc, xpow = 0, 1
     for h in range(H):

@@ -29,8 +29,9 @@ window in p^s; ideal membership is decided exactly by linear solves.
 import random
 from fractions import Fraction
 
-from .errors import (AmbiguousAtPrecision, ContractViolated,
-                     InternalInconsistency, NotInvertible, PrecisionExhausted)
+from .errors import (AmbiguousAtPrecision, BadLevel, BadRange,
+                     ContractViolated, InternalInconsistency, NotInvertible,
+                     PrecisionExhausted)
 from .gamma1 import free_basis
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
 from .linalg import charpoly_mod, identity_mat, invert_mod, mat_mul, mat_vec, smith_mod
@@ -370,13 +371,18 @@ def _ideal_member(series, factor_val, zeta_shift, p, r, d):
 
 def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0, extra=2,
                           word_len=4):
-    """Randomized check of the truncation contracts; raises on violation.
+    """Randomized check of the truncation contracts; raises
+    ContractViolated on a violation, BadLevel unless p | N and BadRange
+    unless k0 >= 2.
 
     For windows supported in coordinates >= k0 - 1: group elements send
     the low window into N * (weight - k0), and the p-translate sends the
     low window into p^s * (weight - k0) and the high window into p^s.
     """
-    assert N % p == 0 and k0 >= 2
+    if N % p:
+        raise BadLevel(f"the level {N} is not divisible by {p}")
+    if k0 < 2:
+        raise BadRange(f"cut weight k0 = {k0} is below 2")
     rng = random.Random(seed)
     fb = free_basis(N)
     vN = vp(N, p)
@@ -402,7 +408,9 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0, extra=2,
         for _ in range(word_len - 1):
             g2 = fb.gens[rng.randrange(fb.rank())]
             gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
-        assert gam.c % N == 0 and gam.a % N == 1
+        if gam.c % N or gam.a % N != 1:
+            raise ContractViolated("word leaves the level subgroup",
+                                   payload={"matrix": gam.entries()})
         out_g = act_family(PadicMat(p, r, *gam.entries()), F)
         for i in range(min(k0 - 1, len(out_g.coords))):
             fn = out_g.coords[i]

@@ -22,12 +22,8 @@ import math
 import operator
 
 from .errors import BadRange, BadWeight, CongruenceViolated, WidthInsufficient
-from .padic import PrecInt, Weight, binom, binom_int, eval_char, vp, vp_factorial
-
-
-def tail_width(p, r):
-    """Smallest t with t(p-2)/(p-1) >= r: coordinates consumed per action."""
-    return -((-r * (p - 1)) // (p - 2))
+from .padic import (PrecInt, Weight, binom, binom_int, eval_char, tail_width,
+                    vp, vp_factorial)
 
 
 def _entries_mod(mat, p, r):
@@ -105,12 +101,6 @@ def act_sym(mat, v):
     out = [sum(m[i][j] * v.coords[j] for j in range(v.n + 1))
            for i in range(v.n + 1)]
     return SymVec(v.p, v.r, v.n, out)
-
-
-def to_monomial(v):
-    """Debug change of basis: coordinates on T1^i T2^(n-i), as Fractions."""
-    from fractions import Fraction
-    return [Fraction(v.coords[i]) * math.comb(v.n, i) for i in range(v.n + 1)]
 
 
 class SeqVec:
@@ -201,9 +191,11 @@ def act_universal(mat, seq):
             f"need {seq.out_width + t} stored coordinates, have {width}")
     a, b, c, d = _entries_mod(mat, p, r)
     M = p ** r
-    d_pre = PrecInt(p, r, d)
-    # d^(chi - t) for every exponent shift t that can occur
-    dpow = [eval_char(chi.shift(s), d_pre).res for s in range(2 * width + 1)]
+    # d^(chi - s) = d^chi d^-s for every exponent shift s that can occur
+    dpow = [eval_char(chi, PrecInt(p, r, d)).res]
+    dinv = pow(d, -1, M)
+    for _ in range(2 * width):
+        dpow.append(dpow[-1] * dinv % M)
     cf = _c_factors(c, width, p, r)
     live_L = [L for L in range(width) if cf[L]]
     apow = [pow(a, h, M) for h in range(width + 1)]

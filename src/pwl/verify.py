@@ -1,18 +1,20 @@
 """Self-check suites shared by the command line and the tests.
 
 Each suite runs a batch of fixed and seeded identities and returns a
-small report dict.  A violated identity raises, so a returned report
-means the suite passed.  Child seeds are derived by hashing the user
-seed with the suite label, so suites are reproducible independently of
-the order they run in.
+small report dict.  A violated identity raises ContractViolated with the
+offending data in its payload (never an assert, so the checks also run
+under python -O), and a returned report means the suite passed.  Child
+seeds are derived by hashing the user seed with the suite label, so
+suites are reproducible independently of the order they run in.
 """
 
 import hashlib
 import random
 
-from .cohomology import TrivialCoeffs, h1, hecke_matrix, t_ell_reps
+from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
+from .errors import ContractViolated
 from .gamma1 import free_basis
-from .linalg import charpoly_mod, mat_mul
+from .linalg import charpoly_mod, identity_mat, mat_mul
 from .matrices import PadicMat
 from .padic import PrecInt, Weight, vp_factorial
 from .slope import newton_polygon, ps_tp_inv, slope_factor, \
@@ -20,12 +22,15 @@ from .slope import newton_polygon, ps_tp_inv, slope_factor, \
 from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
     congr_project, tail_width
 
-SUITES = ("action", "identity", "congruence", "hecke", "slope", "truncate")
-
 
 def child_seed(seed, label):
     digest = hashlib.sha256(f"{seed}:{label}".encode()).hexdigest()
     return int(digest[:16], 16)
+
+
+def _check(ok, what, **payload):
+    if not ok:
+        raise ContractViolated(what, payload=payload)
 
 
 def _rand_monoid_mat(rng, p, r):
@@ -55,32 +60,28 @@ def suite_action(seed=0):
                            [rng.randrange(p ** r) for _ in range(3 + 2 * t)])
                 lhs = act_universal(m1 * m2, F)
                 rhs = act_universal(m1, act_universal(m2, F))
-                assert lhs.agrees(rhs, 3)
+                _check(lhs.agrees(rhs, 3), "action composition law fails",
+                       chi=chi, m1=m1, m2=m2, F=F.coords)
                 checks += 1
     return {"suite": "action", "passed": True, "checks": checks}
 
 
 def suite_identity(seed=0):
     """The alternating binomial identity, integer and p-adic upper index."""
-    checks = 0
-    for n in range(-6, 7):
-        for i in range(5):
-            for j in range(5):
-                for h in range(min(i, j) + 1):
-                    lhs, rhs = binom_identity(n, i, j, h)
-                    assert lhs == rhs
-                    checks += 1
+    cases = [(n, i, j, h) for n in range(-6, 7) for i in range(5)
+             for j in range(5) for h in range(min(i, j) + 1)]
     rng = random.Random(child_seed(seed, "identity"))
     for p in (3, 5):
         pad = 4 + vp_factorial(4, p)
         for _ in range(10):
             n = PrecInt(p, pad, rng.randrange(p ** pad))
             i, j = rng.randrange(1, 5), rng.randrange(1, 5)
-            h = rng.randrange(min(i, j) + 1)
-            lhs, rhs = binom_identity(n, i, j, h)
-            assert lhs == rhs
-            checks += 1
-    return {"suite": "identity", "passed": True, "checks": checks}
+            cases.append((n, i, j, rng.randrange(min(i, j) + 1)))
+    for n, i, j, h in cases:
+        lhs, rhs = binom_identity(n, i, j, h)
+        _check(lhs == rhs, "binomial identity fails",
+               n=n, i=i, j=j, h=h, lhs=lhs, rhs=rhs)
+    return {"suite": "identity", "passed": True, "checks": len(cases)}
 
 
 def suite_congruence(seed=0):
@@ -97,7 +98,8 @@ def suite_congruence(seed=0):
                            [rng.randrange(p ** (r + 2)) for _ in range(n1 + 1)])
                 lhs = congr_project(r, n1, n0, act_sym(m, v))
                 rhs = act_sym(m, congr_project(r, n1, n0, v))
-                assert lhs.reduce(r) == rhs.reduce(r)
+                _check(lhs.reduce(r) == rhs.reduce(r),
+                       "truncation is not equivariant", m=m, lhs=lhs, rhs=rhs)
                 checks += 1
     return {"suite": "congruence", "passed": True, "checks": checks}
 
@@ -105,17 +107,18 @@ def suite_congruence(seed=0):
 def suite_hecke(seed=0):
     """Commutativity and the known eigenvalues on the level-11 quotient."""
     basis = free_basis(11)
-    coeffs = TrivialCoeffs(11, 3)
+    coeffs = SymCoeffs(11, 3, 0)
     M = 11 ** 3
     T2 = hecke_matrix(coeffs, basis, t_ell_reps(2, basis))
     T3 = hecke_matrix(coeffs, basis, t_ell_reps(3, basis))
-    assert mat_mul(T2, T3, M) == mat_mul(T3, T2, M)
+    _check(mat_mul(T2, T3, M) == mat_mul(T3, T2, M),
+           "T2 and T3 do not commute")
     pres = h1(coeffs, basis)
     ev = {2: -2, 3: -1}
     for ell, T in ((2, T2), (3, T3)):
         poly = pres.charpoly(T)
         val = sum(c * ev[ell] ** i for i, c in enumerate(poly)) % M
-        assert val == 0
+        _check(val == 0, f"{ev[ell]} is no eigenvalue of T{ell}", P=poly)
     return {"suite": "hecke", "passed": True, "rank": pres.free_rank(),
             "checks": 3}
 
@@ -123,24 +126,26 @@ def suite_hecke(seed=0):
 def suite_slope(seed=0):
     """Polygon, unit-root factor and scaled-inverse contraction at level 11."""
     basis = free_basis(11)
-    coeffs = TrivialCoeffs(11, 4)
+    coeffs = SymCoeffs(11, 4, 0)
     pres = h1(coeffs, basis)
     T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
     P = charpoly_mod(T11, 11, 4)
     poly = newton_polygon(P, 11, 4)
     mult = poly.slope_multiplicity(0)
-    assert mult >= 1
+    _check(mult >= 1, "no unit-root slope", P=P)
     Q, _, loss = slope_factor(P, 1, 11, 4)
-    assert loss == 0 and len(Q) - 1 == mult
-    assert sum(Q) % 11 == 0          # X = 1 is a root mod 11
+    _check(loss == 0 and len(Q) - 1 == mult,
+           "unit-root factor disagrees with the polygon", Q=Q, loss=loss)
+    _check(sum(Q) % 11 == 0, "X = 1 is not a root mod 11", Q=Q)
     W, _, _ = ps_tp_inv(T11, 1, 11, 4)
     k = len(W)
     for m in (1, 2):
         Mm = 11 ** m
-        power = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        power = identity_mat(k)
         for _ in range(k * m):
             power = mat_mul(power, W, Mm)
-        assert all(x == 0 for row in power for x in row)
+        _check(all(x == 0 for row in power for x in row),
+               "scaled inverse is not nilpotent", modulus=Mm, W=W)
     return {"suite": "slope", "passed": True, "ordinary_rank": mult,
             "checks": 5}
 
@@ -156,12 +161,15 @@ def suite_truncate(seed=0):
 
 def run_suite(name, seed=0):
     """Run one named suite, or all of them under name 'all'."""
-    table = {"action": suite_action, "identity": suite_identity,
-             "congruence": suite_congruence, "hecke": suite_hecke,
-             "slope": suite_slope, "truncate": suite_truncate}
     if name == "all":
-        reports = [table[n](seed) for n in SUITES]
+        reports = [_TABLE[n](seed) for n in SUITES]
         return {"suite": "all", "passed": all(r["passed"] for r in reports),
                 "checks": sum(r["checks"] for r in reports),
                 "reports": reports}
-    return table[name](seed)
+    return _TABLE[name](seed)
+
+
+_TABLE = {"action": suite_action, "identity": suite_identity,
+          "congruence": suite_congruence, "hecke": suite_hecke,
+          "slope": suite_slope, "truncate": suite_truncate}
+SUITES = tuple(_TABLE)

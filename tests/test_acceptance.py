@@ -9,9 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from pwl.cohomology import (Cocycle, SymCoeffs, TrivialCoeffs,
-                            family_preimage, h1, hecke_matrix,
-                            specialize_cocycle, t_ell_reps)
+from pwl.cohomology import (Cocycle, SymCoeffs, family_preimage, h1,
+                            hecke_matrix, specialize_cocycle, t_ell_reps)
 from pwl.gamma1 import free_basis
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          family_tail, sp_vector)
@@ -161,7 +160,7 @@ def test_criterion_06_free_basis_ranks():
 
 def test_criterion_07_level_eleven_cohomology_rank():
     t0 = time.perf_counter()
-    pres = h1(TrivialCoeffs(11, 6), free_basis(11))
+    pres = h1(SymCoeffs(11, 6, 0), free_basis(11))
     assert pres.is_free()
     # 2 * genus + (number of cusps - 1) = 2 + 9
     assert pres.free_rank() == 11
@@ -173,7 +172,7 @@ def test_criterion_08_eigenvalue_multiplicities():
     p, r = 11, 6
     M = p ** r
     fb = free_basis(11)
-    co = TrivialCoeffs(p, r)
+    co = SymCoeffs(p, r, 0)
     pres = h1(co, fb)
     # the newform 11a has a_2 = -2, a_3 = -1, a_5 = 1, a_7 = -2, a_13 = 4;
     # the cusp part of H^1 is two-dimensional, so each is a double root
@@ -190,7 +189,7 @@ def test_criterion_09_commutativity_and_order_independence():
     p, r = 11, 4
     M = p ** r
     fb = free_basis(11)
-    co = TrivialCoeffs(p, r)
+    co = SymCoeffs(p, r, 0)
     T2 = hecke_matrix(co, fb, t_ell_reps(2, fb))
     T3 = hecke_matrix(co, fb, t_ell_reps(3, fb))
     assert mat_mul(T2, T3, M) == mat_mul(T3, T2, M)
@@ -203,7 +202,7 @@ def test_criterion_09_commutativity_and_order_independence():
 def test_criterion_10_unit_root_segment():
     t0 = time.perf_counter()
     fb = free_basis(11)
-    co = TrivialCoeffs(11, 4)
+    co = SymCoeffs(11, 4, 0)
     pres = h1(co, fb)
     T11 = pres.induced_matrix(hecke_matrix(co, fb, t_ell_reps(11, fb)))
     P = charpoly_mod(T11, 11, 4)
@@ -220,7 +219,7 @@ def test_criterion_11_scaled_inverse_nilpotence():
     t0 = time.perf_counter()
     for p, N in ((11, 11), (3, 9)):
         fb = free_basis(N)
-        co = TrivialCoeffs(p, 4)
+        co = SymCoeffs(p, 4, 0)
         pres = h1(co, fb)
         T = pres.induced_matrix(hecke_matrix(co, fb, t_ell_reps(p, fb)))
         W, _, prec = ps_tp_inv(T, 1, p, 4)

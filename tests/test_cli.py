@@ -123,3 +123,19 @@ def test_rejects_bad_prime_and_precision():
         res = run_cli("--no-meta", *args)
         assert res.returncode == 2 and res.stdout == ""
         assert f"Invalid value for '{option}'" in res.stderr
+
+
+def test_verify_reports_violation():
+    # a broken identity makes `verify` exit 1 with a typed error, also
+    # when the interpreter runs optimized (asserts stripped)
+    code = ("import sys; from pwl import cli, verify; "
+            "verify.binom_identity = lambda n, i, j, h: (0, 1); "
+            "sys.argv = ['pwl', '--no-meta', 'verify', '--suite', 'identity']; "
+            "cli.main()")
+    for flags in ([], ["-O"]):
+        res = subprocess.run([sys.executable, *flags, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 1 and res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "ContractViolated"
+        assert err["payload"]["lhs"] == "0" and err["payload"]["rhs"] == "1"

@@ -1,17 +1,26 @@
-"""Coset tables, free generating sets, and word rewriting."""
+"""Cosets, free generating sets, and word rewriting."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from pwl import gamma1
 from pwl.errors import BadLevel, NotInGroup
-from pwl.gamma1 import (ROT, SIX, CosetTable, _free_reduce, coset_table,
-                        free_basis, in_gamma1)
+from pwl.gamma1 import ROT, SIX, _free_reduce, free_basis, in_gamma1
 from pwl.matrices import IntMat
 
 T_MAT = IntMat(1, 1, 0, 1)
+
+
+def sl2_index(N):
+    """[SL_2(Z) : Gamma_1(N)] = N^2 prod_{l | N} (1 - l^-2), in closed form."""
+    index = Fraction(N * N)
+    for ell in range(2, N + 1):
+        if N % ell == 0 and all(ell % q for q in range(2, ell)):
+            index *= 1 - Fraction(1, ell * ell)
+    return index
 
 
 def word_matrix(basis, word):
@@ -23,42 +32,48 @@ def word_matrix(basis, word):
 
 
 def test_coset_counts():
+    # each projective coset is a pair of bottom rows +-(c, d)
     for N, count in [(5, 24), (7, 48), (9, 72), (11, 120)]:
-        assert coset_table(N).size() == count
+        assert sl2_index(N) == count
+        assert 2 * free_basis(N).mu == count
+
+
+def test_coset_counts_match_index_formula():
+    for N in range(5, 31):
+        fb = free_basis(N)
+        assert 2 * fb.mu == sl2_index(N)
+        assert fb.rank() == 1 + fb.mu // 6
 
 
 def test_coset_permutation_relations():
     for N in (5, 7, 9, 11):
-        ct = coset_table(N)
-        n = ct.size()
-        assert sorted(ct.perm_s) == list(range(n))
-        assert sorted(ct.perm_t) == list(range(n))
-        # s has order 4 and s*t has order 6 in the matrix group
+        fb = free_basis(N)
+        n = fb.mu
+        assert sorted(fb.perm_s) == list(range(n))
+        assert sorted(fb.perm_u) == list(range(n))
+        # s^2 = u^3 = 1 in PSL_2(Z); the level subgroup is torsion-free,
+        # so neither s nor u fixes a coset
         for i in range(n):
-            x = i
-            for _ in range(4):
-                x = ct.perm_s[x]
-            assert x == i
-            y = i
-            for _ in range(6):
-                y = ct.perm_t[ct.perm_s[y]]
-            assert y == i
+            assert fb.perm_s[i] != i and fb.perm_s[fb.perm_s[i]] == i
+            assert fb.perm_u[i] != i
+            assert fb.perm_u[fb.perm_u[fb.perm_u[i]]] == i
 
 
 def test_coset_of_matches_action():
-    ct = coset_table(7)
+    fb = free_basis(7)
     m = ROT * T_MAT * ROT * T_MAT * T_MAT
-    i = ct.coset_of(m)
-    j = ct.coset_of(m * T_MAT)
-    assert ct.perm_t[i] == j
-    assert ct.perm_s[i] == ct.coset_of(m * ROT)
+    i = fb.coset_of(m)
+    assert fb.perm_s[i] == fb.coset_of(m * ROT)
+    assert fb.perm_u[i] == fb.coset_of(m * SIX)
+    # t = s^-1 u, and s^-1 = -s acts on cosets as s does
+    assert fb.perm_u[fb.perm_s[i]] == fb.coset_of(m * T_MAT)
 
 
 def test_free_ranks():
     for N, rank in [(5, 3), (7, 5), (9, 7), (11, 11)]:
         fb = free_basis(N)
         assert fb.rank() == rank
-        assert fb.mu == coset_table(N).size() // 2
+        assert 2 * fb.mu == sl2_index(N)
         assert fb.rank() == 1 + fb.mu // 6
 
 
@@ -131,7 +146,7 @@ def test_level_guard():
     with pytest.raises(BadLevel):
         free_basis(3)
     with pytest.raises(BadLevel):
-        coset_table(0)
+        free_basis(0)
 
 
 def test_cache_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pwl.errors import NotInvertible
 from pwl.linalg import (charpoly_mod, identity_mat, invert_mod, mat_mul,
-                        mat_vec, smith_mod, solve_mod)
+                        mat_vec, smith_mod)
 
 
 def rand_mat(rng, m, n, M):
@@ -79,16 +79,16 @@ def test_solve_found_and_verified():
             A = rand_mat(rng, m, n, M)
             x0 = [rng.randrange(M) for _ in range(n)]
             b = mat_vec(A, x0, M)
-            x = solve_mod(A, b, p, r)
+            x = smith_mod(A, p, r).solve(b)
             assert x is not None
             assert mat_vec(A, x, M) == b
 
 
 def test_solve_unsolvable():
-    assert solve_mod([[3]], [1], 3, 3) is None
-    assert solve_mod([[9, 0], [0, 9]], [3, 1], 3, 2) is None
+    assert smith_mod([[3]], 3, 3).solve([1]) is None
+    assert smith_mod([[9, 0], [0, 9]], 3, 2).solve([3, 1]) is None
     # zero rows constrain the right-hand side
-    assert solve_mod([[0], [0]], [0, 1], 3, 2) is None
+    assert smith_mod([[0], [0]], 3, 2).solve([0, 1]) is None
 
 
 def test_invert():

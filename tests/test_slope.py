@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from pwl.cohomology import TrivialCoeffs, h1, hecke_matrix, t_ell_reps
+from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
-from pwl.errors import (AmbiguousAtPrecision, ContractViolated,
-                        InternalInconsistency, NotInvertible)
+from pwl.errors import (AmbiguousAtPrecision, BadLevel, BadRange,
+                        ContractViolated, InternalInconsistency, NotInvertible)
 from pwl.gamma1 import free_basis
 from pwl.linalg import charpoly_mod, invert_mod, mat_mul, mat_vec
 from pwl.slope import (_ideal_member, newton_polygon, ps_tp_inv, slope_factor,
@@ -241,7 +241,7 @@ def test_scaled_inverse_traps_wrong_charpoly(monkeypatch):
 
 def test_level_eleven_unit_root_factor():
     basis = free_basis(11)
-    coeffs = TrivialCoeffs(11, 4)
+    coeffs = SymCoeffs(11, 4, 0)
     pres = h1(coeffs, basis)
     T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
     P = charpoly_mod(T11, 11, 4)
@@ -294,3 +294,10 @@ def test_truncate_contracts_hold():
 def test_truncate_checker_detects_overclaim():
     with pytest.raises(ContractViolated):
         verify_truncate_lemma(9, 2, 2, 3, 4, 4, trials=3, seed=2)
+
+
+def test_truncate_checker_rejects_bad_input():
+    with pytest.raises(BadLevel):
+        verify_truncate_lemma(10, 1, 2, 3, 4, 4, trials=1)
+    with pytest.raises(BadRange):
+        verify_truncate_lemma(9, 1, 1, 3, 4, 4, trials=1)

@@ -72,6 +72,25 @@ class TestActSym:
         v = SymVec(3, 3, 4, [1, 2, 3, 4, 5])
         assert act_sym(IntMat.identity(), v) == v
 
+    def test_degree_zero_is_trivial(self):
+        # Sym^0 is Z/p^r with the trivial action, whatever the entries
+        rng = random.Random(17)
+        for p, r in ((3, 1), (3, 4), (11, 6), (43, 3)):
+            M = p ** r
+            mats = [IntMat(p, 0, 0, p), IntMat(p, p, 0, p * p),
+                    PadicMat(p, r, 0, 0, 0, 1), PadicMat(p, r, p, p, p, 1)]
+            while len(mats) < 24:
+                a, b, c, d = (rng.randrange(-3 * p, 3 * p) * rng.choice((1, p))
+                              for _ in range(4))
+                if a * d - b * c > 0:
+                    mats.append(IntMat(a, b, c, d))
+                if d % p:
+                    mats.append(PadicMat(p, r, a, b, p * c, d))
+            for m in mats:
+                assert sym_matrix(0, m, p, r) == [[1]]
+                x = rng.randrange(M)
+                assert act_sym(m, SymVec(p, r, 0, [x])).coords == [x]
+
     def test_diagonal_scales(self):
         # diag(a, d): e_i -> a^i d^(n-i) e_i
         p, r, n = 5, 3, 3
