@@ -20,19 +20,26 @@ deduplicating by the exact coset test _gamma1_quotient; the operator value
 (A c)(g) = sum_theta act(adj(A_theta), c(gamma_theta)) uses the main
 involution (adjugate) on the left.  hecke_matrix assembles the same
 operator as a matrix on stacked generator values in one pass over the
-rewritten words.  h1 presents the quotient by coboundaries via the
-diagonalization of the coboundary matrix, giving class coordinates,
-orders, and induced operator matrices (with charpoly available on free
-presentations).
+rewritten words, on packed rows (linalg.pack_row, W-bit fields with
+W = bits(D (p^r - 1)^2) + 40): a letter multiplies the D prefix rows by a
+generator action as D sums of int products, O(D^2) interpreted steps
+where a D x D mat_mul takes O(D^3), and the spare 40 bits let the
+unreduced rows be summed per block before one reduction.  Products that
+occur once (the induced operator) keep the zero-skipping mat_mul.  h1
+presents the quotient by coboundaries via the diagonalization of the
+coboundary matrix, giving class coordinates, orders, and induced operator
+matrices (with charpoly available on free presentations).
 """
 
 import math
+from operator import add, mul
 
 from .errors import (InternalInconsistency, NoLift, NotCoprime, NotFreeModule,
                      WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
-from .linalg import charpoly_mod, invert_mod, mat_mul, mat_vec, smith_mod
+from .linalg import (charpoly_mod, invert_mod, mat_mul, mat_vec, pack_row,
+                     smith_mod, unpack_row)
 from .matrices import IntMat, PadicMat
 from .sympow import SymVec, act_sym, sym_matrix
 
@@ -250,35 +257,69 @@ def hecke_images(cocycle, reps):
     return Cocycle(coeffs, basis, out)
 
 
+# bits above the largest product entry in each packed field of hecke_matrix:
+# a field may take 2^_HEADROOM_BITS additions before it can overflow
+_HEADROOM_BITS = 40
+
+
 def hecke_matrix(coeffs, basis, reps):
     """Matrix of the operator on stacked generator values, assembled in
-    one pass over the rewritten words."""
+    one pass over the rewritten words.
+
+    Along a word the prefix matrix S (entries in [0, p^r)) is multiplied
+    by one generator action per letter.  The generator actions are packed
+    once, row by row, into W-bit fields with W = bits(D (p^r - 1)^2) +
+    _HEADROOM_BITS, so row i of S G is the single int sum_t S[i][t] G[t]
+    and unpacking it gives the reduced S for the next letter.  Every field
+    of a packed row is below 2^(W - _HEADROOM_BITS), so the unreduced rows
+    of block (h, q) can be summed, one dict per sign keyed by q, while the
+    words of generator h are walked, and unpacked once when they are done.
+    More than 2^_HEADROOM_BITS letters for one generator could overflow a
+    field and raise InternalInconsistency.
+    """
     D = coeffs.dim()
     R = basis.rank()
     M = coeffs.p ** coeffs.r
+    W = (D * (M - 1) ** 2).bit_length() + _HEADROOM_BITS
+    max_letters = 1 << _HEADROOM_BITS
     T = [[0] * (R * D) for _ in range(R * D)]
 
-    def add_block(h, q, S, sign):
-        for i in range(D):
-            row = T[h * D + i]
-            Si = S[i]
-            for j in range(D):
-                row[q * D + j] = (row[q * D + j] + sign * Si[j]) % M
+    def packed(mat):
+        return [pack_row(row, W) for row in mat]
 
-    gen_mats = [coeffs.act_matrix(g) for g in basis.gens]
-    inv_mats = [coeffs.act_matrix(g.inverse()) for g in basis.gens]
+    gen_mats = [packed(coeffs.act_matrix(g)) for g in basis.gens]
+    inv_mats = [packed(coeffs.act_matrix(g.inverse())) for g in basis.gens]
+    no_rows = [0] * D
     for h, gam in enumerate(basis.gens):
+        plus, minus = {}, {}  # letter index q -> packed rows of block (h, q)
+        letters = 0
         for A in reps:
             G = _coset_partner(A * gam, reps, basis.N)
             word = basis.express(G)
+            letters += len(word)
+            if letters > max_letters:
+                raise InternalInconsistency(
+                    f"{letters} letters overflow {_HEADROOM_BITS} headroom bits")
             S = coeffs.act_matrix(A.cofactor())
+            P = packed(S)
             for k in word:
                 if k > 0:
-                    add_block(h, k - 1, S, 1)
-                    S = mat_mul(S, gen_mats[k - 1], M)
+                    old = plus.get(k - 1)
+                    plus[k - 1] = P if old is None else list(map(add, old, P))
+                    Gp = gen_mats[k - 1]
                 else:
-                    S = mat_mul(S, inv_mats[-k - 1], M)
-                    add_block(h, -k - 1, S, -1)
+                    Gp = inv_mats[-k - 1]
+                P = [sum(map(mul, Si, Gp)) for Si in S]
+                S = [unpack_row(x, D, W, M) for x in P]
+                if k < 0:
+                    old = minus.get(-k - 1)
+                    minus[-k - 1] = P if old is None else list(map(add, old, P))
+        for q in plus.keys() | minus.keys():
+            pos, neg = plus.get(q, no_rows), minus.get(q, no_rows)
+            for i in range(D):
+                T[h * D + i][q * D:(q + 1) * D] = [
+                    (x - y) % M for x, y in zip(unpack_row(pos[i], D, W, M),
+                                                unpack_row(neg[i], D, W, M))]
     return T
 
 

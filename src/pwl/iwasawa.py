@@ -57,6 +57,14 @@ class WeightFn:
         self.comps = [[x % M for x in c] for c in comps]
 
     @classmethod
+    def _raw(cls, p, r, d, comps):
+        """Trusted constructor for comps already shaped (branch_count(p)
+        lists of d) and reduced mod p^r: no check, no copy."""
+        fn = object.__new__(cls)
+        fn.p, fn.r, fn.d, fn.comps = p, r, d, comps
+        return fn
+
+    @classmethod
     def zero(cls, p, r, d):
         return cls(p, r, d, [[0] * d for _ in range(branch_count(p))])
 
@@ -72,34 +80,38 @@ class WeightFn:
 
     def __add__(self, other):
         self._compat(other)
-        return WeightFn(self.p, self.r, self.d,
-                        [[x + y for x, y in zip(a, b)]
-                         for a, b in zip(self.comps, other.comps)])
+        M = self.p ** self.r
+        return WeightFn._raw(self.p, self.r, self.d,
+                             [[(x + y) % M for x, y in zip(a, b)]
+                              for a, b in zip(self.comps, other.comps)])
 
     def __sub__(self, other):
         self._compat(other)
-        return WeightFn(self.p, self.r, self.d,
-                        [[x - y for x, y in zip(a, b)]
-                         for a, b in zip(self.comps, other.comps)])
+        M = self.p ** self.r
+        return WeightFn._raw(self.p, self.r, self.d,
+                             [[(x - y) % M for x, y in zip(a, b)]
+                              for a, b in zip(self.comps, other.comps)])
 
     def __neg__(self):
-        return WeightFn(self.p, self.r, self.d,
-                        [[-x for x in c] for c in self.comps])
+        M = self.p ** self.r
+        return WeightFn._raw(self.p, self.r, self.d,
+                             [[-x % M for x in c] for c in self.comps])
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._compat(other)
         M = self.p ** self.r
-        return WeightFn(self.p, self.r, self.d,
-                        [_series_mul(a, b, M, self.d)
-                         for a, b in zip(self.comps, other.comps)])
+        return WeightFn._raw(self.p, self.r, self.d,
+                             [_series_mul(a, b, M, self.d)
+                              for a, b in zip(self.comps, other.comps)])
 
     __rmul__ = __mul__
 
     def scale(self, k):
-        return WeightFn(self.p, self.r, self.d,
-                        [[x * k for x in c] for c in self.comps])
+        M = self.p ** self.r
+        return WeightFn._raw(self.p, self.r, self.d,
+                             [[x * k % M for x in c] for c in self.comps])
 
     def _compat(self, other):
         if (self.p, self.r, self.d) != (other.p, other.r, other.d):
@@ -351,7 +363,7 @@ def act_family(mat, fam):
                 for k, x in enumerate(W):
                     S[k] += x
             coord.append(_series_mul(G[zeta], S, M, dd))
-        out.append(WeightFn(p, r, dd, coord))
+        out.append(WeightFn._raw(p, r, dd, coord))
     return FamilyVec(p, r, dd, fam.out_width, out)
 
 

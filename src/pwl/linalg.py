@@ -11,6 +11,16 @@ over Z/p^r (again with minimal-valuation pivots, so every multiplier is
 integral) and reads det(X I - A) off the division-free Hessenberg
 recurrence, in O(n^3) operations; coefficients are returned in ascending
 degree order with the leading coefficient last (monic).
+
+pack_row / unpack_row hold a row of nonnegative ints as the w-bit fields of
+one int (entry j at bit w*j; Kronecker substitution).  A scalar times a
+packed row scales every field, and a sum of packed rows adds them field by
+field, so a dot product with the rows of a packed matrix is one C-level
+sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
+a bound on the entries: cohomology.hecke_matrix and sympow.sym_matrix do, and
+share unpack_row.  mat_mul stays unpacked on purpose: it skips zero entries,
+and on the one-off products left to it (the induced operator, inversion)
+that beats packing both operands for a single use.
 """
 
 from .errors import NotInvertible
@@ -35,6 +45,21 @@ def mat_mul(A, B, M):
                 for j in range(m):
                     row[j] = (row[j] + a * Bt[j]) % M
     return out
+
+
+def pack_row(row, w):
+    """The nonnegative entries of row, each below 2^w, as the w-bit fields
+    of one int: entry j occupies bits w*j .. w*j + w - 1."""
+    x = 0
+    for v in reversed(row):
+        x = (x << w) | v
+    return x
+
+
+def unpack_row(x, n, w, M):
+    """The first n w-bit fields of x, each reduced mod M."""
+    mask = (1 << w) - 1
+    return [((x >> (w * j)) & mask) % M for j in range(n)]
 
 
 def mat_vec(A, v, M):

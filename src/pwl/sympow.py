@@ -2,7 +2,12 @@
 
 SymVec holds the coordinates of a degree-n symmetric-power lattice element
 in the binomial basis e_i = C(n, i) T1^i T2^(n-i); the matrix action is
-induced by T1 -> a T1 + c T2, T2 -> b T1 + d T2.
+induced by T1 -> a T1 + c T2, T2 -> b T1 + d T2.  sym_matrix computes row i
+as the coefficients of (a X + b)^i (c X + d)^(n-i): with a, b, c, d reduced
+mod p^r, it evaluates the product at X = 2^B, B = bits((2(p^r - 1))^n),
+which bounds every coefficient, and reads the row off in B-bit fields
+(linalg.unpack_row), so a row costs a few big-int products, not O(n^2)
+modular powers.
 
 SeqVec holds an infinite-coordinate analogue at a p-adic weight chi: a
 finite window of coordinates over Z/p^r.  act_universal applies the
@@ -21,7 +26,9 @@ used to verify the action's composition law coefficientwise.
 import math
 import operator
 
-from .errors import BadRange, BadWeight, CongruenceViolated, WidthInsufficient
+from .errors import (BadRange, BadWeight, CongruenceViolated,
+                     DimensionMismatch, PrecisionMismatch, WidthInsufficient)
+from .linalg import unpack_row
 from .padic import (PrecInt, Weight, binom, binom_int, eval_char, tail_width,
                     vp, vp_factorial)
 
@@ -38,19 +45,27 @@ class SymVec:
     __slots__ = ("p", "r", "n", "coords")
 
     def __init__(self, p, r, n, coords):
-        assert len(coords) == n + 1
+        if len(coords) != n + 1:
+            raise DimensionMismatch(
+                f"degree {n} needs {n + 1} coordinates, got {len(coords)}")
         self.p, self.r, self.n = p, r, n
         M = p ** r
         self.coords = [c % M for c in coords]
 
+    def _compat(self, other):
+        if self.p != other.p:
+            raise PrecisionMismatch(f"primes differ: {self.p} vs {other.p}")
+        if self.n != other.n:
+            raise DimensionMismatch(f"degrees differ: {self.n} vs {other.n}")
+
     def __add__(self, other):
-        assert self.n == other.n and self.p == other.p
+        self._compat(other)
         r = min(self.r, other.r)
         return SymVec(self.p, r, self.n,
                       [x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        assert self.n == other.n and self.p == other.p
+        self._compat(other)
         r = min(self.r, other.r)
         return SymVec(self.p, r, self.n,
                       [x - y for x, y in zip(self.coords, other.coords)])
@@ -59,7 +74,8 @@ class SymVec:
         return SymVec(self.p, self.r, self.n, [-x for x in self.coords])
 
     def reduce(self, r2):
-        assert 1 <= r2 <= self.r
+        if not 1 <= r2 <= self.r:
+            raise BadRange(f"precision {r2} is outside 1..{self.r}")
         return SymVec(self.p, r2, self.n, self.coords)
 
     def __eq__(self, other):
@@ -77,21 +93,25 @@ class SymVec:
 def sym_matrix(n, mat, p, r):
     """Matrix of the degree-n action in the binomial basis, mod p^r.
 
-    Entry (i, j) is sum_h C(i,h) C(n-i, j-h) a^h b^(i-h) c^(j-h) d^(n-i-j+h).
+    Entry (i, j) is sum_h C(i,h) C(n-i, j-h) a^h b^(i-h) c^(j-h) d^(n-i-j+h),
+    the X^j coefficient of (a X + b)^i (c X + d)^(n-i).  With a, b, c, d
+    reduced into [0, p^r) that coefficient is at most C(n, j) (p^r - 1)^n
+    < 2^B, B = bits((2(p^r - 1))^n), so row i is the one integer
+    (a 2^B + b)^i (c 2^B + d)^(n-i), read off in B-bit fields.
     """
     a, b, c, d = _entries_mod(mat, p, r)
     M = p ** r
+    B = ((2 * (M - 1)) ** n).bit_length()
+    x = (a << B) + b
+    y = (c << B) + d
+    ypow = [1]
+    for _ in range(n):
+        ypow.append(ypow[-1] * y)
     rows = []
+    xpow = 1
     for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            acc = 0
-            for h in range(max(0, i + j - n), min(i, j) + 1):
-                acc += (math.comb(i, h) * math.comb(n - i, j - h)
-                        * pow(a, h, M) * pow(b, i - h, M)
-                        * pow(c, j - h, M) * pow(d, n - i - j + h, M))
-            row.append(acc % M)
-        rows.append(row)
+        rows.append(unpack_row(xpow * ypow[n - i], n + 1, B, M))
+        xpow *= x
     return rows
 
 
@@ -113,7 +133,8 @@ class SeqVec:
     __slots__ = ("p", "r", "chi", "out_width", "coords")
 
     def __init__(self, chi, out_width, coords):
-        assert isinstance(chi, Weight)
+        if not isinstance(chi, Weight):
+            raise BadWeight(f"{chi!r} is not a Weight")
         if len(coords) < out_width:
             raise WidthInsufficient(
                 f"{len(coords)} coordinates cannot certify width {out_width}")
@@ -126,14 +147,18 @@ class SeqVec:
     def width(self):
         return len(self.coords)
 
+    def _compat(self, other):
+        if self.chi != other.chi:
+            raise BadWeight(f"weights differ: {self.chi} vs {other.chi}")
+
     def __add__(self, other):
-        assert self.chi == other.chi
+        self._compat(other)
         n = min(len(self.coords), len(other.coords))
         return SeqVec(self.chi, min(self.out_width, other.out_width),
                       [x + y for x, y in zip(self.coords[:n], other.coords[:n])])
 
     def __sub__(self, other):
-        assert self.chi == other.chi
+        self._compat(other)
         n = min(len(self.coords), len(other.coords))
         return SeqVec(self.chi, min(self.out_width, other.out_width),
                       [x - y for x, y in zip(self.coords[:n], other.coords[:n])])
@@ -241,7 +266,8 @@ def congr_project(r, n1, n0, v):
     """
     if n0 > n1:
         raise BadRange(f"target degree {n0} exceeds source degree {n1}")
-    assert v.n == n1
+    if v.n != n1:
+        raise DimensionMismatch(f"vector has degree {v.n}, not {n1}")
     p = v.p
     if (n1 - n0) % (p ** (r - 1) * (p - 1)) != 0:
         raise CongruenceViolated(

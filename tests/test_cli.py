@@ -139,3 +139,18 @@ def test_verify_reports_violation():
         err = json.loads(res.stderr)
         assert err["error"] == "ContractViolated"
         assert err["payload"]["lhs"] == "0" and err["payload"]["rhs"] == "1"
+
+
+def test_readme_usage_lines_run():
+    # every `pwl ...` line of the README's command-line block must run
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [ln.split()[1:] for ln in block.splitlines() if ln.startswith("pwl ")]
+    assert len(lines) == 7
+    for args in lines:
+        res = run_cli(*args)
+        assert res.returncode == 0, (args, res.stderr)
+        assert json.loads(res.stdout)["schema"] == 1

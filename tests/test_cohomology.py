@@ -1,14 +1,17 @@
 """Cohomology of the level subgroups: classes, operators, families."""
 
+import math
 import random
 
 import pytest
 
+from pwl import cohomology
 from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_partner,
                             coboundary, diamond_rep, double_coset_reps,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
-from pwl.errors import NotCoprime, NotFreeModule, WidthInsufficient
+from pwl.errors import (InternalInconsistency, NotCoprime, NotFreeModule,
+                        WidthInsufficient)
 from pwl.gamma1 import free_basis, in_gamma1
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
@@ -21,6 +24,92 @@ def rand_word_matrix(rng, basis, max_len=6):
         g = basis.gens[rng.randrange(basis.rank())]
         m = m * (g if rng.random() < 0.5 else g.inverse())
     return m
+
+
+def ref_hecke_matrix(coeffs, basis, reps):
+    """The operator's matrix by one D x D mat_mul per word letter, with
+    every block update reduced mod p^r as it is added."""
+    D = coeffs.dim()
+    R = basis.rank()
+    M = coeffs.p ** coeffs.r
+    T = [[0] * (R * D) for _ in range(R * D)]
+
+    def add_block(h, q, S, sign):
+        for i in range(D):
+            row = T[h * D + i]
+            for j in range(D):
+                row[q * D + j] = (row[q * D + j] + sign * S[i][j]) % M
+
+    gen_mats = [coeffs.act_matrix(g) for g in basis.gens]
+    inv_mats = [coeffs.act_matrix(g.inverse()) for g in basis.gens]
+    for h, gam in enumerate(basis.gens):
+        for A in reps:
+            word = basis.express(_coset_partner(A * gam, reps, basis.N))
+            S = coeffs.act_matrix(A.cofactor())
+            for k in word:
+                if k > 0:
+                    add_block(h, k - 1, S, 1)
+                    S = mat_mul(S, gen_mats[k - 1], M)
+                else:
+                    S = mat_mul(S, inv_mats[-k - 1], M)
+                    add_block(h, -k - 1, S, -1)
+    return T
+
+
+# (N, n, p, r, reps): "Tp" is t_ell_reps(p), "Tl" t_ell_reps of a small
+# prime ell != p, "diamond" one diamond_rep; every N, n, p and r occurs
+HECKE_CASES = [
+    (5, 16, 31, 4, "Tl"),
+    (5, 0, 5, 8, "Tp"),
+    (5, 2, 31, 8, "Tp"),
+    (5, 5, 3, 1, "Tp"),
+    (7, 1, 3, 4, "Tp"),
+    (7, 5, 31, 1, "diamond"),
+    (7, 16, 5, 4, "Tl"),
+    (11, 2, 5, 8, "Tp"),
+    (11, 16, 3, 1, "diamond"),
+    (11, 0, 31, 8, "Tl"),
+    (13, 5, 3, 8, "Tl"),
+    (13, 0, 31, 4, "Tl"),
+    (13, 1, 5, 1, "Tp"),
+]
+
+
+@pytest.mark.parametrize("N, n, p, r, kind", HECKE_CASES)
+def test_hecke_matrix_matches_reference(N, n, p, r, kind):
+    rng = random.Random(1000 * N + 10 * n + r)
+    fb = free_basis(N)
+    if kind == "Tp":
+        reps = t_ell_reps(p, fb)
+    elif kind == "Tl":
+        ell = rng.choice([q for q in (2, 3, 5, 7) if q != p and N % q])
+        reps = t_ell_reps(ell, fb)
+    else:
+        m = rng.choice([x for x in range(2, N) if math.gcd(x, N) == 1])
+        reps = [diamond_rep(m, N)]
+    co = SymCoeffs(p, r, n)
+    assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
+
+
+def test_hecke_matrix_headroom_guard(monkeypatch):
+    # with no headroom a packed field takes one addition: the one-letter
+    # words of the identity operator still fit, T_2's longer words do not
+    fb = free_basis(7)
+    co = SymCoeffs(5, 4, 5)
+    monkeypatch.setattr(cohomology, "_HEADROOM_BITS", 0)
+    n = fb.rank() * co.dim()
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert hecke_matrix(co, fb, [IntMat.identity()]) == eye
+    monkeypatch.setattr(cohomology, "_HEADROOM_BITS", 2)
+    reps = t_ell_reps(2, fb)
+    with pytest.raises(InternalInconsistency):
+        hecke_matrix(co, fb, reps)
+    # the fewest headroom bits the longest generator's letter count allows
+    letters = max(sum(len(fb.express(_coset_partner(A * g, reps, 7)))
+                      for A in reps) for g in fb.gens)
+    monkeypatch.setattr(cohomology, "_HEADROOM_BITS",
+                        (letters - 1).bit_length())
+    assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
 
 
 def test_h1_trivial_level11():

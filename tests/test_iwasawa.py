@@ -325,6 +325,30 @@ def test_weight_fn_shape_guard():
         WeightFn(3, 2, 2, [[0, 0]] * 5 + [[0]])
 
 
+def test_weight_fn_arithmetic_is_reduced():
+    # +, -, negation, scaling and act_family build their results without
+    # the public constructor; each must hold the residues it would give
+    rng = random.Random(31)
+    p, r, d = 3, 3, 3
+    M = p ** r
+    for _ in range(10):
+        f, g = rand_fn(rng, p, r, d), rand_fn(rng, p, r, d)
+        k = rng.randrange(-5 * M, 5 * M)
+        for got, raw in ((f + g, [[x + y for x, y in zip(a, b)]
+                                  for a, b in zip(f.comps, g.comps)]),
+                         (f - g, [[x - y for x, y in zip(a, b)]
+                                  for a, b in zip(f.comps, g.comps)]),
+                         (-f, [[-x for x in a] for a in f.comps]),
+                         (f.scale(k), [[x * k for x in a] for a in f.comps]),
+                         (f * g, (f * g).comps)):
+            assert got.comps == WeightFn(p, r, d, raw).comps
+    mat = PadicMat(p, r, 2, 5, 3, 4)
+    fam = rand_fam(rng, p, r, d, 1, 1 + family_tail(p, r, d))
+    for x in act_family(mat, fam).coords:
+        assert len(x.comps) == branch_count(p)
+        assert all(len(c) == d and all(0 <= e < M for e in c) for c in x.comps)
+
+
 def test_weight_fn_precision_guard():
     f = WeightFn.const(1, 3, 2, 2)
     for g in (WeightFn.const(1, 3, 3, 2), WeightFn.const(1, 3, 2, 3),

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pwl.errors import BadRange, BadWeight, CongruenceViolated, WidthInsufficient
+from pwl.errors import (BadRange, BadWeight, CongruenceViolated,
+                        DimensionMismatch, PrecisionMismatch, WidthInsufficient)
+from pwl.linalg import mat_mul
 from pwl.matrices import IntMat, PadicMat
 from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import (
@@ -33,6 +37,25 @@ def rand_monoid_mat(rng, p, r):
 def rand_seq(rng, chi, out_width, width):
     M = chi.p ** chi.r
     return SeqVec(chi, out_width, [rng.randrange(M) for _ in range(width)])
+
+
+def ref_sym_matrix(n, mat, p, r):
+    """Entry (i, j) of the degree-n action as the triple sum
+    sum_h C(i,h) C(n-i, j-h) a^h b^(i-h) c^(j-h) d^(n-i-j+h) mod p^r."""
+    M = p ** r
+    a, b, c, d = mat.a % M, mat.b % M, mat.c % M, mat.d % M
+    rows = []
+    for i in range(n + 1):
+        row = []
+        for j in range(n + 1):
+            acc = 0
+            for h in range(max(0, i + j - n), min(i, j) + 1):
+                acc += (math.comb(i, h) * math.comb(n - i, j - h)
+                        * pow(a, h, M) * pow(b, i - h, M)
+                        * pow(c, j - h, M) * pow(d, n - i - j + h, M))
+            row.append(acc % M)
+        rows.append(row)
+    return rows
 
 
 def ref_cf(c, m, p, r):
@@ -311,6 +334,81 @@ class TestBinomIdentity:
     def test_range_guard(self):
         with pytest.raises(BadRange):
             binom_identity(5, 2, 3, 4)
+
+
+class TestSymMatrixPacked:
+    def test_matches_reference(self):
+        # every degree up to 30; negative entries, entries divisible by p,
+        # all four entries = -1 mod p^r (the largest packed coefficients)
+        # and PadicMat input
+        rng = random.Random(29)
+        for n in range(31):
+            p = (3, 5, 31)[n % 3]
+            r = (1, 4, 8)[n // 3 % 3]
+            M = p ** r
+            mats = [IntMat(M - 1, -1, -1, M - 1), rand_monoid_mat(rng, p, r)]
+            while len(mats) < 5:
+                a, b, c, d = (rng.randrange(-M, M) * rng.choice((1, 1, p, 0))
+                              for _ in range(4))
+                if a * d - b * c > 0:
+                    mats.append(IntMat(a, b, c, d))
+            for m in mats:
+                assert sym_matrix(n, m, p, r) == ref_sym_matrix(n, m, p, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.sampled_from([3, 5, 31]),
+           st.integers(1, 8),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8))
+    def test_multiplicative(self, n, p, r, e):
+        # rho(XY) = rho(X) rho(Y) mod p^r
+        def positive(a, b, c, d):
+            # swapping the columns flips the sign of the determinant
+            assume(a * d != b * c)
+            return IntMat(a, b, c, d) if a * d > b * c else IntMat(b, a, d, c)
+        X, Y = positive(*e[:4]), positive(*e[4:])
+        assert sym_matrix(n, X * Y, p, r) == mat_mul(
+            sym_matrix(n, X, p, r), sym_matrix(n, Y, p, r), p ** r)
+
+
+class TestTypedErrors:
+    def test_symvec_length(self):
+        with pytest.raises(DimensionMismatch):
+            SymVec(3, 2, 2, [0, 0])
+
+    def test_symvec_degree_mismatch(self):
+        u, v = SymVec(3, 2, 1, [1, 2]), SymVec(3, 2, 2, [1, 2, 3])
+        with pytest.raises(DimensionMismatch):
+            u + v
+        with pytest.raises(DimensionMismatch):
+            u - v
+
+    def test_symvec_prime_mismatch(self):
+        u, v = SymVec(3, 2, 1, [1, 2]), SymVec(5, 2, 1, [1, 2])
+        with pytest.raises(PrecisionMismatch):
+            u + v
+        with pytest.raises(PrecisionMismatch):
+            u - v
+
+    def test_symvec_reduce_range(self):
+        v = SymVec(3, 2, 1, [1, 2])
+        for r2 in (0, 3):
+            with pytest.raises(BadRange):
+                v.reduce(r2)
+
+    def test_seqvec_weight(self):
+        with pytest.raises(BadWeight):
+            SeqVec(4, 1, [0, 0])
+        u = SeqVec(Weight.of_int(4, 3, 2), 1, [0, 0])
+        v = SeqVec(Weight.of_int(6, 3, 2), 1, [0, 0])
+        with pytest.raises(BadWeight):
+            u + v
+        with pytest.raises(BadWeight):
+            u - v
+
+    def test_congr_project_degree(self):
+        v = SymVec(3, 2, 2, [0] * 3)
+        with pytest.raises(DimensionMismatch):
+            congr_project(1, 4, 2, v)
 
 
 class TestSymMatrixShape:
