@@ -71,14 +71,12 @@ _precision_option = click.option("--precision", type=int, required=True,
 @click.group()
 @click.option("--seed", default=0, show_default=True,
               help="Master seed for randomized checks.")
-@click.option("--cache", type=click.Path(file_okay=False), default=None,
-              help="Directory for generator tables (PWL_CACHE_DIR also works).")
 @click.option("--no-meta", is_flag=True,
               help="Omit timestamps so output is byte-reproducible.")
 @click.pass_context
-def main(ctx, seed, cache, no_meta):
+def main(ctx, seed, no_meta):
     """Weight families, cohomology of congruence groups, and slopes."""
-    ctx.obj = {"seed": seed, "cache": cache, "no_meta": no_meta}
+    ctx.obj = {"seed": seed, "no_meta": no_meta}
 
 
 @main.command()
@@ -87,7 +85,7 @@ def main(ctx, seed, cache, no_meta):
 @_guard
 def basis(ctx, level):
     """Free generators of the level subgroup and coset counts."""
-    fb = free_basis(level, cache_dir=ctx.obj["cache"])
+    fb = free_basis(level)
     _emit(ctx, {"level": level, "rank": fb.rank(),
                 "projective_cosets": fb.mu, "cosets": 2 * fb.mu,
                 "generators": [list(g.entries()) for g in fb.gens]})
@@ -103,7 +101,7 @@ def basis(ctx, level):
 @_guard
 def h1_cmd(ctx, level, prime, precision, sym):
     """Presentation of first cohomology: free rank and divisors."""
-    fb = free_basis(level, cache_dir=ctx.obj["cache"])
+    fb = free_basis(level)
     pres = h1(SymCoeffs(prime, precision, sym), fb)
     _emit(ctx, {"level": level, "prime": prime, "precision": precision,
                 "sym": sym, "free_rank": pres.free_rank(),
@@ -120,7 +118,7 @@ def h1_cmd(ctx, level, prime, precision, sym):
 @_guard
 def hecke(ctx, level, prime, precision, ell, sym):
     """Characteristic polynomial of a Hecke operator on the free quotient."""
-    fb = free_basis(level, cache_dir=ctx.obj["cache"])
+    fb = free_basis(level)
     coeffs = SymCoeffs(prime, precision, sym)
     reps = t_ell_reps(ell, fb)
     pres = h1(coeffs, fb)
@@ -140,7 +138,7 @@ def hecke(ctx, level, prime, precision, ell, sym):
 @_guard
 def slopes(ctx, level, prime, precision, ell, sym):
     """Newton polygon of a Hecke operator and its unit-root factor."""
-    fb = free_basis(level, cache_dir=ctx.obj["cache"])
+    fb = free_basis(level)
     coeffs = SymCoeffs(prime, precision, sym)
     pres = h1(coeffs, fb)
     T = pres.induced_matrix(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))

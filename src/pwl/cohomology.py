@@ -3,7 +3,8 @@
 The level subgroup is free (rank 1 + mu/6), so a 1-cocycle is determined
 by arbitrary values on the free generators and H^1 is the quotient of the
 value space by coboundaries.  Coefficient systems share a small duck
-interface (zero/add/neg/act/dim/to_coords/from_coords/act_matrix):
+interface (zero/act/eq/rand; SymCoeffs adds dim/from_coords/act_matrix for
+the matrix paths), and their values combine with +, - and unary -:
 
   SymCoeffs      symmetric-power vectors acted on through the weight-n
                  matrix action; n = 0 is Z/p^r with the trivial action;
@@ -34,8 +35,8 @@ matrices (with charpoly available on free presentations).
 import math
 from operator import add, mul
 
-from .errors import (InternalInconsistency, NoLift, NotCoprime, NotFreeModule,
-                     WidthInsufficient)
+from .errors import (DimensionMismatch, InternalInconsistency, NoLift,
+                     NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, invert_mod, mat_mul, mat_vec, pack_row,
@@ -56,20 +57,11 @@ class SymCoeffs:
     def zero(self):
         return SymVec(self.p, self.r, self.n, [0] * (self.n + 1))
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
     def act(self, mat, x):
         return act_sym(mat, x)
 
     def act_matrix(self, mat):
         return sym_matrix(self.n, mat, self.p, self.r)
-
-    def to_coords(self, x):
-        return list(x.coords)
 
     def from_coords(self, coords):
         return SymVec(self.p, self.r, self.n, list(coords))
@@ -102,12 +94,6 @@ class FamilyCoeffs:
         return FamilyVec.zero(self.p, self.r, self.d, self.out_width,
                               self.stored_width)
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
     def act(self, mat, x):
         if isinstance(mat, IntMat):
             mat = PadicMat(self.p, self.r, *mat.entries())
@@ -134,7 +120,9 @@ class Cocycle:
     __slots__ = ("coeffs", "basis", "values")
 
     def __init__(self, coeffs, basis, values):
-        assert len(values) == basis.rank()
+        if len(values) != basis.rank():
+            raise DimensionMismatch(
+                f"{len(values)} values for {basis.rank()} generators")
         self.coeffs = coeffs
         self.basis = basis
         self.values = list(values)
@@ -145,13 +133,11 @@ class Cocycle:
 
     def __add__(self, other):
         return Cocycle(self.coeffs, self.basis,
-                       [self.coeffs.add(x, y)
-                        for x, y in zip(self.values, other.values)])
+                       [x + y for x, y in zip(self.values, other.values)])
 
     def __sub__(self, other):
         return Cocycle(self.coeffs, self.basis,
-                       [self.coeffs.add(x, self.coeffs.neg(y))
-                        for x, y in zip(self.values, other.values)])
+                       [x - y for x, y in zip(self.values, other.values)])
 
     def eval(self, target):
         """Value on a group element (IntMat) or a pre-rewritten word."""
@@ -161,26 +147,24 @@ class Cocycle:
         for k in word:
             if k > 0:
                 g = self.basis.gens[k - 1]
-                term = self.coeffs.act(cur, self.values[k - 1])
-                val = self.coeffs.add(val, term)
+                val += self.coeffs.act(cur, self.values[k - 1])
                 cur = cur * g
             else:
                 g = self.basis.gens[-k - 1]
                 cur = cur * g.inverse()
-                term = self.coeffs.act(cur, self.values[-k - 1])
-                val = self.coeffs.add(val, self.coeffs.neg(term))
+                val -= self.coeffs.act(cur, self.values[-k - 1])
         return val
 
     def stacked_coords(self):
         out = []
         for v in self.values:
-            out.extend(self.coeffs.to_coords(v))
+            out.extend(v.coords)
         return out
 
 
 def coboundary(coeffs, basis, b):
     """The cocycle g -> g.b - b."""
-    values = [coeffs.add(coeffs.act(g, b), coeffs.neg(b)) for g in basis.gens]
+    values = [coeffs.act(g, b) - b for g in basis.gens]
     return Cocycle(coeffs, basis, values)
 
 
@@ -252,7 +236,7 @@ def hecke_images(cocycle, reps):
         for A in reps:
             G = _coset_partner(A * gam, reps, basis.N)
             v = cocycle.eval(G)
-            val = coeffs.add(val, coeffs.act(A.cofactor(), v))
+            val += coeffs.act(A.cofactor(), v)
         out.append(val)
     return Cocycle(coeffs, basis, out)
 

@@ -13,16 +13,11 @@ projective cosets themselves (rows, the permutations perm_s and perm_u,
 coset_of); express() decomposes an arbitrary group element into the basis
 and replays the product as an exact check.
 
-free_basis caches its output as JSON keyed by a content hash (directory
-taken from the cache_dir argument or the PWL_CACHE_DIR environment
-variable); missing, stale or tampered files are silently rebuilt.
+free_basis builds the basis afresh on every call and replays every
+rewriting entry against the matrix of its directed edge before returning.
 """
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 
 from .errors import BadLevel, InternalInconsistency, NotInGroup
 from .matrices import IntMat
@@ -30,8 +25,6 @@ from .matrices import IntMat
 ROT = IntMat(0, -1, 1, 0)
 SIX = IntMat(0, -1, 1, 1)        # rot * translation, order 3 in PSL_2(Z)
 SIX_INV = IntMat(1, 1, -1, 0)
-
-_CACHE_VERSION = 1
 
 
 def in_gamma1(mat, N):
@@ -60,10 +53,10 @@ class FreeBasisData:
     """Free generators of the level subgroup plus the rewriting table."""
 
     __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "perm_u_inv", "root",
-                 "order", "pos", "lifts", "lift_words", "gens", "expr")
+                 "lifts", "lift_words", "gens", "expr")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, root, order, lifts,
-                 lift_words, gens, expr):
+    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, lift_words,
+                 gens, expr):
         self.N = N
         self.mu = mu
         self.rows = rows
@@ -73,8 +66,6 @@ class FreeBasisData:
         for i, j in enumerate(perm_u):
             self.perm_u_inv[j] = i
         self.root = root
-        self.order = order
-        self.pos = {t: i for i, t in enumerate(order)}
         self.lifts = lifts
         self.lift_words = lift_words
         self.gens = gens
@@ -112,33 +103,6 @@ class FreeBasisData:
         if prod != mat:
             raise InternalInconsistency("replayed word disagrees with input")
         return tuple(red)
-
-    def to_payload(self):
-        return {
-            "version": _CACHE_VERSION,
-            "level": self.N,
-            "mu": self.mu,
-            "rows": [list(r) for r in self.rows],
-            "perm_s": list(self.perm_s),
-            "perm_u": list(self.perm_u),
-            "root": self.root,
-            "order": list(self.order),
-            "lifts": [list(m.entries()) for m in self.lifts],
-            "lift_words": [[[g, e] for g, e in w] for w in self.lift_words],
-            "gens": [list(m.entries()) for m in self.gens],
-            "expr": sorted([t, g, list(w)] for (t, g), w in self.expr.items()),
-        }
-
-    @classmethod
-    def from_payload(cls, blob):
-        rows = [tuple(r) for r in blob["rows"]]
-        lifts = [IntMat(*e) for e in blob["lifts"]]
-        words = [tuple((g, e) for g, e in w) for w in blob["lift_words"]]
-        gens = [IntMat(*e) for e in blob["gens"]]
-        expr = {(t, g): tuple(w) for t, g, w in blob["expr"]}
-        return cls(blob["level"], blob["mu"], rows, blob["perm_s"],
-                   blob["perm_u"], blob["root"], blob["order"], lifts,
-                   words, gens, expr)
 
 
 def _free_reduce(word):
@@ -185,14 +149,17 @@ def _su_word(mat):
     return out
 
 
-def _build_basis(N):
+def free_basis(N):
+    """Free generators and rewriting data for level N, every rewriting
+    entry checked against its edge matrix."""
     if N < 4:
         raise BadLevel(f"level {N} has torsion; need N >= 4")
     rows = sorted({_proj_canon(c, d, N) for c in range(N) for d in range(N)
                    if math.gcd(math.gcd(c, d), N) == 1})
     index = {row: i for i, row in enumerate(rows)}
     mu = len(rows)
-    assert mu % 6 == 0
+    if mu % 6:
+        raise InternalInconsistency(f"{mu} projective cosets, not a multiple of 6")
 
     def canon_i(c, d):
         return index[_proj_canon(c, d, N)]
@@ -232,9 +199,11 @@ def _build_basis(N):
                 tree.add((cur, "u"))
             else:
                 tree.add((nxt, "u"))
-    assert len(order) == mu
+    if len(order) != mu:
+        raise InternalInconsistency(f"walk reached {len(order)} of {mu} cosets")
     for t in order:
-        assert canon_i(lifts[t].c, lifts[t].d) == t
+        if canon_i(lifts[t].c, lifts[t].d) != t:
+            raise InternalInconsistency(f"lift of coset {t} lies in another coset")
 
     def edge_matrix(t, g):
         tgt = perm_s[t] if g == "s" else perm_u[t]
@@ -245,7 +214,8 @@ def _build_basis(N):
     expr = {}
     for t in order:
         t2 = perm_s[t]
-        assert t2 != t
+        if t2 == t:
+            raise InternalInconsistency(f"s fixes coset {t}")
         if pos[t2] < pos[t]:
             continue
         if (t, "s") in tree:
@@ -264,11 +234,13 @@ def _build_basis(N):
         if t in seen:
             continue
         cyc = [t, perm_u[t], perm_u[perm_u[t]]]
-        assert len(set(cyc)) == 3
+        if len(set(cyc)) != 3:
+            raise InternalInconsistency(f"u has a short cycle through coset {t}")
         seen.update(cyc)
         stat = [(c, "u") in tree for c in cyc]
         nontree = [i for i in range(3) if not stat[i]]
-        assert nontree
+        if not nontree:
+            raise InternalInconsistency(f"u-triangle at coset {t} is all tree")
         for i in range(3):
             if stat[i]:
                 expr[(cyc[i], "u")] = ()
@@ -297,7 +269,7 @@ def _build_basis(N):
         raise InternalInconsistency(
             f"basis has {len(gens)} letters, expected {1 + mu // 6}")
 
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root, order,
+    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root,
                          [lifts[t] for t in range(mu)],
                          [words[t] for t in range(mu)], gens, expr)
     _verify_edges(data, edge_matrix)
@@ -313,47 +285,3 @@ def _verify_edges(data, edge_matrix):
             prod = prod * (gen if k > 0 else gen.inverse())
         if prod != edge_matrix(t, g):
             raise InternalInconsistency(f"edge ({t}, {g}) fails to replay")
-
-
-def _payload_hash(blob):
-    canon = json.dumps(blob, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _write_cache(path, blob):
-    """Write blob as JSON to a temporary file beside path, then rename it
-    onto path, so a crash never leaves a half-written cache file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def free_basis(N, cache_dir=None):
-    """Free generators and rewriting data for level N, cached when possible."""
-    cdir = cache_dir or os.environ.get("PWL_CACHE_DIR")
-    path = os.path.join(cdir, f"gamma1_{N}.json") if cdir else None
-    if path and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                blob = json.load(fh)
-            sha = blob.pop("sha", None)
-            if (blob.get("version") == _CACHE_VERSION
-                    and blob.get("level") == N and sha == _payload_hash(blob)):
-                return FreeBasisData.from_payload(blob)
-        except (ValueError, KeyError, TypeError, OSError):
-            pass
-    data = _build_basis(N)
-    if path:
-        try:
-            os.makedirs(cdir, exist_ok=True)
-            blob = data.to_payload()
-            blob["sha"] = _payload_hash(data.to_payload())
-            _write_cache(path, blob)
-        except OSError:
-            pass
-    return data

@@ -195,18 +195,10 @@ def _exp_coeffs(log_val, p, r, d):
 
 
 def one_n(N, p, r, d):
-    """The function k -> (1+N)^k: branch zeta carries (1+N)^zeta exp(X log(1+N))."""
+    """The function k -> (1+N)^k, i.e. char_series of the one-unit 1 + N."""
     if N < 5 or N % p != 0:
         raise BadLevel(f"need p | N and N >= 5, got N={N}, p={p}")
-    R = r + vp_factorial(d - 1, p)
-    L = _log_one_unit((1 + N) % p ** R, p, R)
-    coeffs = _exp_coeffs(L, p, r, d)
-    M = p ** r
-    comps = []
-    for zeta in range(branch_count(p)):
-        s = pow(1 + N, zeta, M)
-        comps.append([s * c % M for c in coeffs])
-    return WeightFn(p, r, d, comps)
+    return char_series(1 + N, p, r, d)
 
 
 def char_series(u, p, r, d):

@@ -11,7 +11,7 @@ an antihomomorphism ((A*B).cofactor() = B.cofactor() * A.cofactor()) and
 preserves the determinant.
 """
 
-from .errors import NotAdmissible, PrecisionMismatch
+from .errors import NotAdmissible, NotInvertible, PrecisionMismatch
 from .padic import PrecInt
 
 
@@ -47,7 +47,8 @@ class IntMat:
 
     def inverse(self):
         """Exact inverse; only determinant-1 matrices have one over Z."""
-        assert self.det() == 1
+        if self.det() != 1:
+            raise NotInvertible(f"{self} has determinant {self.det()}")
         return self.cofactor()
 
     def entries(self):

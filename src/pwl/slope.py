@@ -204,11 +204,15 @@ def _unit_root_split(P, p, r):
 def slope_factor(P, s, p, r):
     """(Q, R, loss): P = Q R mod p^(r - loss), Q holding root vals < s.
 
-    Both factors are monic; s must be a positive integer.
+    Both factors are monic; s must be a positive integer and P monic
+    mod p^r, else BadRange.
     """
-    assert s >= 1 and P[-1] % p ** r == 1
+    if s < 1:
+        raise BadRange(f"slope cut {s} is below 1")
     if r < 1:
         raise PrecisionExhausted("no working digits left for a slope split")
+    if P[-1] % p ** r != 1:
+        raise BadRange(f"leading coefficient {P[-1]} is not 1 mod {p}^{r}")
     low, unitpart = _unit_root_split(P, p, r)
     if s == 1:
         return unitpart, low, 0

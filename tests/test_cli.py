@@ -6,12 +6,9 @@ import subprocess
 import sys
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "pwl.cli", *args],
-                         capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def test_basis_ranks():
@@ -91,23 +88,6 @@ def test_error_reporting():
 def test_usage_error_exit_code():
     res = run_cli("--no-meta", "basis")
     assert res.returncode == 2
-
-
-def test_cache_option_writes(tmp_path):
-    cachedir = str(tmp_path / "tables")
-    res = run_cli("--no-meta", "--cache", cachedir, "basis", "--level", "5")
-    assert res.returncode == 0
-    assert (tmp_path / "tables" / "gamma1_5.json").exists()
-    res = run_cli("--no-meta", "--cache", cachedir, "basis", "--level", "5")
-    assert res.returncode == 0
-
-
-def test_cache_env_variable(tmp_path):
-    cachedir = str(tmp_path / "envtables")
-    res = run_cli("--no-meta", "basis", "--level", "7",
-                  env_extra={"PWL_CACHE_DIR": cachedir})
-    assert res.returncode == 0
-    assert (tmp_path / "envtables" / "gamma1_7.json").exists()
 
 
 def test_rejects_bad_prime_and_precision():

@@ -10,9 +10,9 @@ from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_partner,
                             coboundary, diamond_rep, double_coset_reps,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
-from pwl.errors import (InternalInconsistency, NotCoprime, NotFreeModule,
-                        WidthInsufficient)
-from pwl.gamma1 import free_basis, in_gamma1
+from pwl.errors import (DimensionMismatch, InternalInconsistency, NotCoprime,
+                        NotFreeModule, WidthInsufficient)
+from pwl.gamma1 import FreeBasisData, free_basis, in_gamma1
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
@@ -195,9 +195,20 @@ def test_eval_twisted_homomorphism():
         w1 = rand_word_matrix(rng, fb)
         w2 = rand_word_matrix(rng, fb)
         lhs = c.eval(w1 * w2)
-        rhs = co.add(c.eval(w1), co.act(w1, c.eval(w2)))
+        rhs = c.eval(w1) + co.act(w1, c.eval(w2))
         assert co.eq(lhs, rhs)
         assert co.eq(c.eval(IntMat.identity()), co.zero())
+
+
+def test_cocycle_rejects_wrong_value_count(monkeypatch):
+    fb = free_basis(7)
+    co = SymCoeffs(5, 2, 1)
+    with pytest.raises(DimensionMismatch):
+        Cocycle(co, fb, [co.zero()] * (fb.rank() - 1))
+    # a basis whose rank disagrees with its generator list
+    monkeypatch.setattr(FreeBasisData, "rank", lambda self: len(self.gens) + 1)
+    with pytest.raises(DimensionMismatch):
+        coboundary(co, fb, co.from_coords([1, 0]))
 
 
 def test_coboundaries_vanish_in_h1():

@@ -1,13 +1,12 @@
 """Cosets, free generating sets, and word rewriting."""
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from pwl import gamma1
-from pwl.errors import BadLevel, NotInGroup
+from pwl.errors import BadLevel, InternalInconsistency, NotInGroup
 from pwl.gamma1 import ROT, SIX, _free_reduce, free_basis, in_gamma1
 from pwl.matrices import IntMat
 
@@ -149,60 +148,8 @@ def test_level_guard():
         free_basis(0)
 
 
-def test_cache_roundtrip(tmp_path):
-    fresh = free_basis(5)
-    first = free_basis(5, cache_dir=str(tmp_path))
-    assert (tmp_path / "gamma1_5.json").exists()
-    second = free_basis(5, cache_dir=str(tmp_path))
-    for fb in (first, second):
-        assert fb.to_payload() == fresh.to_payload()
-
-
-def test_cache_hash_is_stable(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    free_basis(7, cache_dir=str(a))
-    free_basis(7, cache_dir=str(b))
-    assert (a / "gamma1_7.json").read_bytes() == (b / "gamma1_7.json").read_bytes()
-
-
-def test_cache_rejects_tampering(tmp_path):
-    free_basis(5, cache_dir=str(tmp_path))
-    path = tmp_path / "gamma1_5.json"
-    blob = json.loads(path.read_text())
-    blob["gens"][0][1] += 5
-    path.write_text(json.dumps(blob))
-    fb = free_basis(5, cache_dir=str(tmp_path))
-    assert fb.to_payload() == free_basis(5).to_payload()
-    path.write_text("not json at all")
-    fb = free_basis(5, cache_dir=str(tmp_path))
-    assert fb.rank() == 3
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("PWL_CACHE_DIR", str(tmp_path))
-    free_basis(9)
-    assert (tmp_path / "gamma1_9.json").exists()
-    fb = free_basis(9)
-    assert fb.rank() == 7
-
-
-def test_cache_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "gamma1_5.json"
-    free_basis(5, cache_dir=str(tmp_path))
-    good = path.read_bytes()
-    # a truncated file is rebuilt and replaced whole
-    path.write_bytes(good[:len(good) // 2])
-    assert free_basis(5, cache_dir=str(tmp_path)).rank() == 3
-    assert path.read_bytes() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma1_5.json"]
-    # a write that dies half way leaves neither a partial file nor a temp
-    path.unlink()
-
-    def dying_dump(blob, fh, **kwargs):
-        fh.write("{")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(gamma1.json, "dump", dying_dump)
-    assert free_basis(5, cache_dir=str(tmp_path)).rank() == 3
-    assert list(tmp_path.iterdir()) == []
+def test_basis_lift_check_raises(monkeypatch):
+    # a wrong u-step lifts every coset onto its parent's bottom row
+    monkeypatch.setattr(gamma1, "SIX", IntMat.identity())
+    with pytest.raises(InternalInconsistency, match="lift of coset"):
+        free_basis(7)

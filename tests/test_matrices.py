@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pwl.errors import NotAdmissible, PrecisionMismatch
+from pwl.errors import NotAdmissible, NotInvertible, PrecisionMismatch
 from pwl.matrices import IntMat, PadicMat
 from pwl.padic import PrecInt
 
@@ -32,6 +32,10 @@ class TestIntMat:
         t = IntMat(1, 1, 0, 1)
         assert (s * s.inverse()) == IntMat.identity()
         assert (s * t).det() == 1
+
+    def test_inverse_needs_determinant_one(self):
+        with pytest.raises(NotInvertible):
+            IntMat(2, 0, 0, 1).inverse()
 
     def test_cofactor_antihomomorphism(self):
         rng = random.Random(5)

@@ -142,6 +142,16 @@ def test_slope_factor_refuses_fractional_slopes():
         slope_factor(P, 2, p, r)
 
 
+def test_slope_factor_rejects_non_monic():
+    with pytest.raises(BadRange):
+        slope_factor([3, 1, 2], 1, 5, 3)
+
+
+def test_slope_factor_rejects_cut_below_one():
+    with pytest.raises(BadRange):
+        slope_factor([25, 5, 1], 0, 5, 3)
+
+
 def conjugated_block(p, r, rng, unit_diag, small_diag):
     """Random invertible conjugate of an upper triangular two-block matrix."""
     M = p ** r
