@@ -17,7 +17,6 @@ from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
 from .gamma1 import free_basis
 from .iwasawa import branch_count, family_tail
-from .linalg import charpoly_mod
 from .padic import _is_odd_prime
 from .qexp import eisenstein, hecke_t, pairing, trivial_char
 from .slope import newton_polygon, slope_factor
@@ -55,6 +54,12 @@ def _odd_prime(ctx, param, value):
     return value
 
 
+def _prime_ell(ctx, param, value):
+    if not (value == 2 or _is_odd_prime(value)):
+        raise click.BadParameter(f"{value} is not a prime")
+    return value
+
+
 def _at_least_one(ctx, param, value):
     if value < 1:
         raise click.BadParameter(f"{value} is below 1")
@@ -66,6 +71,9 @@ _prime_option = click.option("--prime", type=int, required=True,
 _precision_option = click.option("--precision", type=int, required=True,
                                  callback=_at_least_one,
                                  help="Digits r, mod p^r.")
+_ell_option = click.option("--ell", type=int, required=True,
+                           callback=_prime_ell,
+                           help="Prime index ell of T_ell.")
 
 
 @click.group()
@@ -112,7 +120,7 @@ def h1_cmd(ctx, level, prime, precision, sym):
 @click.option("--level", type=int, required=True)
 @_prime_option
 @_precision_option
-@click.option("--ell", type=int, required=True, help="Operator index.")
+@_ell_option
 @click.option("--sym", type=int, default=0, show_default=True)
 @click.pass_context
 @_guard
@@ -132,7 +140,7 @@ def hecke(ctx, level, prime, precision, ell, sym):
 @click.option("--level", type=int, required=True)
 @_prime_option
 @_precision_option
-@click.option("--ell", type=int, required=True)
+@_ell_option
 @click.option("--sym", type=int, default=0, show_default=True)
 @click.pass_context
 @_guard
@@ -141,8 +149,7 @@ def slopes(ctx, level, prime, precision, ell, sym):
     fb = free_basis(level)
     coeffs = SymCoeffs(prime, precision, sym)
     pres = h1(coeffs, fb)
-    T = pres.induced_matrix(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))
-    P = charpoly_mod(T, prime, precision)
+    P = pres.charpoly(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))
     poly = newton_polygon(P, prime, precision)
     Q, _, loss = slope_factor(P, 1, prime, precision)
     _emit(ctx, {"level": level, "prime": prime, "precision": precision,

@@ -16,8 +16,12 @@ Cocycle.eval folds the defining identity c(gh) = c(g) + g.c(h) along the
 rewriting of a group element, applying exactly one coefficient action per
 letter so the family width cost of an evaluation is a single tail.
 
-Double-coset operators: reps are found by a closure walk from the seed,
-deduplicating by the exact coset test _gamma1_quotient; the operator value
+Double-coset operators: T_ell for a prime ell has the closed-form reps
+(1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
+divide N, with sigma_ell = diamond_rep(ell, N) (Diamond-Shurman, A First
+Course in Modular Forms, Prop. 5.2.1).  Each translate A gamma is matched
+to the rep that absorbs it by the exact coset test _gamma1_quotient,
+which raises if the set is not closed; the operator value
 (A c)(g) = sum_theta act(adj(A_theta), c(gamma_theta)) uses the main
 involution (adjugate) on the left.  hecke_matrix assembles the same
 operator as a matrix on stacked generator values in one pass over the
@@ -35,13 +39,14 @@ matrices (with charpoly available on free presentations).
 import math
 from operator import add, mul
 
-from .errors import (DimensionMismatch, InternalInconsistency, NoLift,
-                     NotCoprime, NotFreeModule, WidthInsufficient)
+from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
+                     NoLift, NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, invert_mod, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat, PadicMat
+from .padic import _is_odd_prime
 from .sympow import SymVec, act_sym, sym_matrix
 
 
@@ -181,34 +186,6 @@ def _gamma1_quotient(B, A, N):
     return G if in_gamma1(G, N) else None
 
 
-def double_coset_reps(seed, basis, order=None, max_reps=2000):
-    """Left-coset representatives of the double coset of the seed.
-
-    order optionally overrides the closure walk's multiplier sequence
-    (default: each free generator and its inverse, in basis order); the
-    resulting representative set depends on it, the operator does not.
-    """
-    N = basis.N
-    if order is None:
-        order = [g for gg in basis.gens for g in (gg, gg.inverse())]
-    reps = [seed]
-    qi = 0
-    while qi < len(reps):
-        cur = reps[qi]
-        qi += 1
-        for g in order:
-            cand = cur * g
-            if all(_gamma1_quotient(cand, old, N) is None for old in reps):
-                reps.append(cand)
-                if len(reps) > max_reps:
-                    raise InternalInconsistency("double coset failed to close")
-    return reps
-
-
-def t_ell_reps(ell, basis, order=None):
-    return double_coset_reps(IntMat(1, 0, 0, ell), basis, order=order)
-
-
 def diamond_rep(n, N):
     """Determinant-1 matrix congruent to (n^-1, 0; 0, n) mod N."""
     if math.gcd(n, N) != 1:
@@ -217,6 +194,19 @@ def diamond_rep(n, N):
     a = pow(d, -1, N)
     b = (a * d - 1) // N
     return IntMat(a, b, N, d)
+
+
+def t_ell_reps(ell, basis):
+    """Reps A of the cosets Gamma_1(N) A that make up the double coset
+    Gamma_1(N) diag(1, ell) Gamma_1(N), for a prime ell (Diamond-Shurman,
+    Prop. 5.2.1)."""
+    if not (ell == 2 or _is_odd_prime(ell)):
+        raise BadRange(f"T_ell needs a prime ell, got {ell}")
+    N = basis.N
+    reps = [IntMat(1, j, 0, ell) for j in range(ell)]
+    if N % ell:
+        reps.append(diamond_rep(ell, N) * IntMat(ell, 0, 0, 1))
+    return reps
 
 
 def _coset_partner(B, reps, N):

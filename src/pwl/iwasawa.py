@@ -29,7 +29,7 @@ import operator
 from .errors import (BadLevel, BadRange, DimensionMismatch,
                      InternalInconsistency, NotAUnit, PrecisionMismatch,
                      WidthInsufficient)
-from .padic import PrecInt, Weight, reduce_weight, unit_project, vp, vp_factorial
+from .padic import PrecInt, Weight, reduce_weight, unit_project, vp
 from .sympow import SeqVec, _c_factors
 
 
@@ -182,18 +182,6 @@ def _log_one_unit(u, p, R):
     return acc
 
 
-def _exp_coeffs(log_val, p, r, d):
-    # coefficients L^h / h! mod p^r for h < d; log_val given mod p^(r + v_p((d-1)!))
-    out = [1 % p ** r]
-    for h in range(1, d):
-        vh = vp_factorial(h, p)
-        lh = pow(log_val, h, p ** (r + vh))
-        q = lh // p ** vh
-        unit = math.factorial(h) // p ** vh
-        out.append(q * pow(unit, -1, p ** r) % p ** r)
-    return out
-
-
 def one_n(N, p, r, d):
     """The function k -> (1+N)^k, i.e. char_series of the one-unit 1 + N."""
     if N < 5 or N % p != 0:
@@ -206,10 +194,9 @@ def char_series(u, p, r, d):
     u0 = u.res if isinstance(u, PrecInt) else u % p ** r
     if u0 % p == 0:
         raise NotAUnit(f"{u0} is divisible by {p}")
-    R = r + vp_factorial(d - 1, p)
-    one_unit = unit_project(PrecInt(p, R, u0))
-    L = _log_one_unit(one_unit.res, p, R)
-    coeffs = _exp_coeffs(L, p, r, d)
+    # L^h / h! mod p^r depends only on L mod p^r, as p | L
+    L = _log_one_unit(unit_project(PrecInt(p, r, u0)).res, p, r)
+    coeffs = _c_factors(L, d - 1, p, r)
     M = p ** r
     comps = []
     for zeta in range(branch_count(p)):

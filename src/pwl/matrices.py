@@ -34,7 +34,8 @@ class IntMat:
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other):
-        assert isinstance(other, IntMat)
+        if not isinstance(other, IntMat):
+            raise NotAdmissible(f"IntMat times {type(other).__name__}")
         return IntMat(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -92,7 +93,8 @@ class PadicMat:
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other):
-        assert isinstance(other, PadicMat)
+        if not isinstance(other, PadicMat):
+            raise NotAdmissible(f"PadicMat times {type(other).__name__}")
         if self.p != other.p:
             raise PrecisionMismatch(f"primes differ: {self.p} vs {other.p}")
         r = min(self.r, other.r)
@@ -112,7 +114,10 @@ class PadicMat:
 
     def moebius(self, z):
         """(az + b) / (cz + d); the denominator is automatically a unit."""
-        assert isinstance(z, PrecInt) and z.p == self.p
+        if not isinstance(z, PrecInt):
+            raise NotAdmissible(f"moebius of a {type(z).__name__}")
+        if z.p != self.p:
+            raise PrecisionMismatch(f"primes differ: {self.p} vs {z.p}")
         num = z * self.a + self.b
         den = z * self.c + self.d
         return num * den.inverse()

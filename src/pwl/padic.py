@@ -16,6 +16,7 @@ integer congruent to the weight modulo p^r (p - 1).
 import math
 
 from .errors import (
+    BadRange,
     PrecisionExhausted,
     NotAUnit,
     NotOneUnit,
@@ -42,7 +43,8 @@ def _is_odd_prime(p):
 
 def vp(n, p):
     """p-adic valuation of a nonzero integer."""
-    assert n != 0
+    if n == 0:
+        raise BadRange("the valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p

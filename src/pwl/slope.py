@@ -331,14 +331,7 @@ def ps_tp_inv(A, s, p, r):
         raise NotInvertible("slope block determinant vanishes at this precision")
     vdet = vp(det, p)
     # adjugate via Cayley-Hamilton, no divisions
-    adj = [[0] * rank for _ in range(rank)]
-    power = identity_mat(rank)
-    for i in range(1, len(coeffs)):
-        c = coeffs[i]
-        for a in range(rank):
-            for b in range(rank):
-                adj[a][b] = (adj[a][b] + c * power[a][b]) % M
-        power = mat_mul(power, M0, M)
+    adj = _poly_eval_matrix(coeffs[1:], M0, M)
     sign = (-1) ** (rank - 1) % M
     adj = [[x * sign % M for x in row] for row in adj]
     if mat_mul(M0, adj, M) != [[det if a == b else 0 for b in range(rank)]

@@ -99,7 +99,9 @@ def test_rejects_bad_prime_and_precision():
             (("family", "--prime", "4", "--precision", "2", "--degree", "2"),
              "--prime"),
             (("h1", "--level", "11", "--prime", "11", "--precision", "0"),
-             "--precision")):
+             "--precision"),
+            *((("hecke", "--level", "11", "--prime", "11", "--precision",
+                "2", "--ell", ell), "--ell") for ell in ("4", "1", "0"))):
         res = run_cli("--no-meta", *args)
         assert res.returncode == 2 and res.stdout == ""
         assert f"Invalid value for '{option}'" in res.stderr

@@ -7,11 +7,11 @@ import pytest
 
 from pwl import cohomology
 from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_partner,
-                            coboundary, diamond_rep, double_coset_reps,
+                            _gamma1_quotient, coboundary, diamond_rep,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
-from pwl.errors import (DimensionMismatch, InternalInconsistency, NotCoprime,
-                        NotFreeModule, WidthInsufficient)
+from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
+                        NotCoprime, NotFreeModule, WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis, in_gamma1
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
@@ -24,6 +24,14 @@ def rand_word_matrix(rng, basis, max_len=6):
         g = basis.gens[rng.randrange(basis.rank())]
         m = m * (g if rng.random() < 0.5 else g.inverse())
     return m
+
+
+def other_choice(reps, basis, rng):
+    """The same cosets: each rep left-multiplied by a random word in the
+    generators, in shuffled order."""
+    out = [rand_word_matrix(rng, basis) * A for A in reps]
+    rng.shuffle(out)
+    return out
 
 
 def ref_hecke_matrix(coeffs, basis, reps):
@@ -130,14 +138,32 @@ def test_rep_counts():
     assert len(t_ell_reps(3, fb9)) == 3
 
 
+def test_t_ell_reps_needs_prime():
+    fb = free_basis(11)
+    for ell in (4, 1, 0, -3, 9):
+        with pytest.raises(BadRange):
+            t_ell_reps(ell, fb)
+
+
 def test_rep_invariants():
-    # every representative keeps a = 1 and c = 0 mod N, so the adjugate
-    # stays admissible for the p-adic actions
-    fb = free_basis(9)
-    for ell in (2, 3):
-        for A in t_ell_reps(ell, fb):
-            assert A.det() == ell
-            assert A.a % 9 == 1 and A.c % 9 == 0
+    # on every level 5..25, for small ell and the primes dividing N: ell + 1
+    # reps (ell if ell | N) of determinant ell with a = 1 and c = 0 mod N,
+    # so the adjugate stays admissible for the p-adic actions; pairwise
+    # inequivalent, and closed under right multiplication by the generators
+    for N in range(5, 26):
+        fb = free_basis(N)
+        moves = [h for g in fb.gens for h in (g, g.inverse())]
+        ells = {2, 3, 5, 7} | {q for q in (11, 13, 17, 19, 23) if N % q == 0}
+        for ell in sorted(ells):
+            reps = t_ell_reps(ell, fb)
+            assert len(reps) == ell + (N % ell != 0)
+            for i, A in enumerate(reps):
+                assert A.det() == ell
+                assert A.a % N == 1 and A.c % N == 0
+                assert all(_gamma1_quotient(A, B, N) is None
+                           for B in reps[i + 1:])
+                for g in moves:
+                    _coset_partner(A * g, reps, N)
 
 
 def test_hecke_commute_and_order_independence():
@@ -148,8 +174,20 @@ def test_hecke_commute_and_order_independence():
     T2 = hecke_matrix(co, fb, t_ell_reps(2, fb))
     T3 = hecke_matrix(co, fb, t_ell_reps(3, fb))
     assert mat_mul(T2, T3, M) == mat_mul(T3, T2, M)
-    alt = [g.inverse() for g in reversed(fb.gens)] + list(fb.gens)
-    assert hecke_matrix(co, fb, t_ell_reps(2, fb, order=alt)) == T2
+    # another choice of reps changes the matrix by a map into the
+    # coboundaries, which are zero for trivial coefficients
+    rng = random.Random(7)
+    assert hecke_matrix(co, fb, other_choice(t_ell_reps(2, fb), fb, rng)) == T2
+    fb7 = free_basis(7)
+    co = SymCoeffs(5, 3, 2)
+    pres = h1(co, fb7)
+    T = hecke_matrix(co, fb7, t_ell_reps(5, fb7))
+    T_alt = hecke_matrix(co, fb7, other_choice(t_ell_reps(5, fb7), fb7, rng))
+    n = len(T)
+    for j in range(n):
+        col = [(T[i][j] - T_alt[i][j]) % 5 ** 3 for i in range(n)]
+        assert pres.sf.solve(col) is not None
+    assert pres.charpoly(T) == pres.charpoly(T_alt)
 
 
 def test_diamond_reps():

@@ -125,3 +125,15 @@ class TestMoebius:
         m = PadicMat(7, 2, 1, 5, 0, 1)
         z = PrecInt(7, 2, 3)
         assert m.moebius(z) == 8
+
+
+def test_mixed_operands_raise_typed_errors():
+    # typed errors, not asserts, so these hold under python -O too
+    with pytest.raises(NotAdmissible):
+        IntMat(2, 1, 1, 1) * PadicMat(3, 2, 1, 0, 3, 1)
+    with pytest.raises(NotAdmissible):
+        PadicMat(3, 2, 1, 0, 3, 1) * IntMat(2, 1, 1, 1)
+    with pytest.raises(NotAdmissible):
+        PadicMat(3, 2, 1, 0, 3, 1).moebius(1)
+    with pytest.raises(PrecisionMismatch):
+        PadicMat(3, 2, 1, 0, 3, 1).moebius(PrecInt(5, 2, 1))

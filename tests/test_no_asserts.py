@@ -7,7 +7,8 @@ import pytest
 
 import pwl
 
-ASSERT_FREE = ("cli", "cohomology", "gamma1", "linalg", "sympow", "verify")
+ASSERT_FREE = ("cli", "cohomology", "gamma1", "linalg", "matrices", "sympow",
+               "verify")
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE)

@@ -1,8 +1,11 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from pwl.errors import (
+    BadRange,
     PrecisionExhausted,
     NotAUnit,
     NotOneUnit,
@@ -19,6 +22,7 @@ from pwl.padic import (
     reduce_weight,
     teichmuller,
     unit_project,
+    vp,
     vp_factorial,
 )
 
@@ -62,6 +66,16 @@ class TestPrecInt:
     def test_eq_mod_min_precision(self):
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
         assert PrecInt(3, 3, 10) != PrecInt(3, 2, 4)
+
+
+def test_vp_of_zero_raises():
+    with pytest.raises(BadRange):
+        vp(0, 3)
+    # optimized, a stripped check would loop forever dividing 0 by p
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", "from pwl.padic import vp; vp(0, 3)"],
+        capture_output=True, text=True, timeout=30)
+    assert res.returncode == 1 and "BadRange" in res.stderr
 
 
 class TestBinom:
