@@ -43,8 +43,8 @@ from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NoLift, NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
-from .linalg import (charpoly_mod, invert_mod, mat_mul, mat_vec, pack_row,
-                     smith_mod, unpack_row)
+from .linalg import (charpoly_mod, mat_mul, mat_vec, pack_row, smith_mod,
+                     unpack_row)
 from .matrices import IntMat, PadicMat
 from .padic import _is_odd_prime
 from .sympow import SymVec, act_sym, sym_matrix
@@ -104,10 +104,8 @@ class FamilyCoeffs:
             mat = PadicMat(self.p, self.r, *mat.entries())
         return act_family(mat, x)
 
-    def eq(self, x, y, width=None):
-        if width is None:
-            width = min(self.out_width, x.width(), y.width())
-        return x.agrees(y, width)
+    def eq(self, x, y):
+        return x.agrees(y, min(self.out_width, x.width(), y.width()))
 
     def rand(self, rng):
         M = self.p ** self.r
@@ -336,8 +334,7 @@ class H1Presentation:
                     "operator does not preserve coboundaries")
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
-        Uinv = invert_mod(self.sf.U, p, r)
-        Ttil = mat_mul(mat_mul(self.sf.U, T, M), Uinv, M)
+        Ttil = mat_mul(mat_mul(self.sf.U, T, M), self.sf.Uinv, M)
         F = [i for i, e in enumerate(self.moduli) if e == r]
         return [[Ttil[f1][f2] for f2 in F] for f1 in F]
 
@@ -375,7 +372,7 @@ def specialize_cocycle(k, cocycle):
     return Cocycle(out_coeffs, cocycle.basis, values)
 
 
-def family_preimage(cocycle, d, stored_width=None):
+def family_preimage(cocycle, d):
     """Interpolate a symmetric-power cocycle into family coefficients.
 
     Solves, per generator and coordinate, for a branch series whose value
@@ -386,9 +383,7 @@ def family_preimage(cocycle, d, stored_width=None):
     p, r = sym.p, sym.r
     k = sym.n + 2
     out_width = k - 1
-    if stored_width is None:
-        stored_width = out_width
-    fam_coeffs = FamilyCoeffs(p, r, d, out_width, stored_width)
+    fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width)
     zeta = k % branch_count(p)
     x0 = k - zeta
     M = p ** r
@@ -404,8 +399,6 @@ def family_preimage(cocycle, d, stored_width=None):
             comps = [[0] * d for _ in range(branch_count(p))]
             comps[zeta] = [x % M for x in sol]
             coords.append(WeightFn(p, r, d, comps))
-        coords.extend(WeightFn.zero(p, r, d)
-                      for _ in range(stored_width - out_width))
         F = FamilyVec(p, r, d, out_width, coords)
         rr = min(r, d)
         check = sp_vector(k, F)

@@ -27,8 +27,8 @@ import math
 import operator
 
 from .errors import (BadLevel, BadRange, DimensionMismatch,
-                     InternalInconsistency, NotAUnit, PrecisionMismatch,
-                     WidthInsufficient)
+                     InternalInconsistency, NotAdmissible, NotAUnit,
+                     NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from .padic import PrecInt, Weight, reduce_weight, unit_project, vp
 from .sympow import SeqVec, _c_factors
 
@@ -165,12 +165,14 @@ def e_branch(zeta, p, r, d):
 
 def _log_one_unit(u, p, R):
     """log of a one-unit mod p^R via the alternating series."""
-    assert u % p == 1
+    if u % p != 1:
+        raise NotOneUnit(f"{u} is not 1 mod {p}")
+    # v_p(m) <= 7 in the loop below needs 3^8 > R + 8
+    if 3 ** 8 <= R + 8:
+        raise BadRange(f"precision {R} is too large for the log series")
     x = (u - 1) % p ** R
     acc = 0
     m = 1
-    # v_p(m) <= 7 in this loop for any practical R (3^8 > R + 8)
-    assert 3 ** 8 > R + 8
     while m <= R + 8:
         v = vp(m, p) if m % p == 0 else 0
         if m - v < R:
@@ -241,7 +243,8 @@ class FamilyVec:
         if len(coords) < out_width:
             raise WidthInsufficient(
                 f"{len(coords)} coordinates cannot certify width {out_width}")
-        assert all(isinstance(c, WeightFn) for c in coords)
+        if not all(isinstance(c, WeightFn) for c in coords):
+            raise NotAdmissible("family coordinates must be WeightFn")
         self.p, self.r, self.d = p, r, d
         self.out_width = out_width
         self.coords = list(coords)

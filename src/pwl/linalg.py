@@ -1,10 +1,15 @@
 """Linear algebra over Z/p^r: diagonalization, solving, charpoly.
 
 smith_mod reduces a matrix to diag(p^e_1, ..., p^e_k) with e_1 <= e_2 <= ...
-by invertible row and column transforms (minimal-valuation pivoting, unit
-normalization); the transforms are returned, so solving, inverting, kernel
-bases and cokernel presentations all come out of one reduction.  Matrices
-are lists of rows of plain ints.
+by invertible row and column transforms (minimal-valuation pivoting, the
+first unit ends the search, unit normalization).  It returns U, V and also
+U^-1: every row operation on U is mirrored by the inverse column operation
+on Uinv (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+A row swap is a column swap; scaling row k by u^-1 and then the batch
+U[i] -= f_i U[k] are one pass Uinv[:, k] = u Uinv[:, k] + sum f_i Uinv[:, i].
+So solving, changing to Smith coordinates and back, and cokernel
+presentations all come out of one reduction.  Matrices are lists of rows
+of plain ints.
 
 charpoly_mod reduces a square matrix to Hessenberg form by similarities
 over Z/p^r (again with minimal-valuation pivots, so every multiplier is
@@ -19,11 +24,10 @@ field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
 a bound on the entries: cohomology.hecke_matrix and sympow.sym_matrix do, and
 share unpack_row.  mat_mul stays unpacked on purpose: it skips zero entries,
-and on the one-off products left to it (the induced operator, inversion)
-that beats packing both operands for a single use.
+and on the one-off products left to it (the induced operator) that beats
+packing both operands for a single use.
 """
 
-from .errors import NotInvertible
 from .padic import vp
 
 
@@ -66,21 +70,18 @@ def mat_vec(A, v, M):
     return [sum(a * x for a, x in zip(row, v)) % M for row in A]
 
 
-def _val(x, p, r):
-    return r if x % p ** r == 0 else min(vp(x, p), r)
-
-
 class SmithForm:
-    """U A V = diag(p^exps) mod p^r with U, V invertible."""
+    """U A V = diag(p^exps) mod p^r with U, V invertible; Uinv = U^-1."""
 
-    __slots__ = ("p", "r", "m", "n", "exps", "U", "V")
+    __slots__ = ("p", "r", "m", "n", "exps", "U", "V", "Uinv")
 
-    def __init__(self, p, r, m, n, exps, U, V):
+    def __init__(self, p, r, m, n, exps, U, V, Uinv):
         self.p, self.r = p, r
         self.m, self.n = m, n
         self.exps = exps
         self.U = U
         self.V = V
+        self.Uinv = Uinv
 
     def solve(self, b):
         """Particular solution of A x = b, or None."""
@@ -97,29 +98,6 @@ class SmithForm:
                 return None
         return mat_vec(self.V, z, M)
 
-    def kernel_exponent(self):
-        """|kernel| = p ** this."""
-        free_cols = self.n - len(self.exps)
-        return sum(self.exps) + self.r * free_cols
-
-    def image_exponent(self):
-        """|image| = p ** this."""
-        return sum(self.r - e for e in self.exps)
-
-    def kernel_basis(self):
-        """Column vectors spanning the kernel."""
-        p, r = self.p, self.r
-        M = p ** r
-        out = []
-        for i, e in enumerate(self.exps):
-            if e == 0:
-                continue
-            scale = p ** (r - e)
-            out.append([self.V[t][i] * scale % M for t in range(self.n)])
-        for i in range(len(self.exps), self.n):
-            out.append([self.V[t][i] % M for t in range(self.n)])
-        return out
-
 
 def smith_mod(A, p, r):
     m = len(A)
@@ -127,60 +105,63 @@ def smith_mod(A, p, r):
     M = p ** r
     B = [[x % M for x in row] for row in A]
     U = identity_mat(m)
+    Uinv = identity_mat(m)
     V = identity_mat(n)
     exps = []
     for k in range(min(m, n)):
         piv_i = piv_j = -1
-        piv_v = r
+        e = r
         for i in range(k, m):
+            row = B[i]
             for j in range(k, n):
-                v = _val(B[i][j], p, r)
-                if v < piv_v:
-                    piv_i, piv_j, piv_v = i, j, v
+                x = row[j]
+                if x:
+                    v = vp(x, p)
+                    if v < e:
+                        piv_i, piv_j, e = i, j, v
+                        if not v:
+                            break
+            if not e:
+                break
         if piv_i < 0:
             exps.extend([r] * (min(m, n) - k))
             break
         if piv_i != k:
             B[k], B[piv_i] = B[piv_i], B[k]
             U[k], U[piv_i] = U[piv_i], U[k]
+            for row in Uinv:
+                row[k], row[piv_i] = row[piv_i], row[k]
         if piv_j != k:
             for row in B:
                 row[k], row[piv_j] = row[piv_j], row[k]
             for row in V:
                 row[k], row[piv_j] = row[piv_j], row[k]
-        e = piv_v
-        unit = B[k][k] // p ** e
+        pe = p ** e
+        unit = B[k][k] // pe
         uinv = pow(unit, -1, M)
         B[k] = [x * uinv % M for x in B[k]]
         U[k] = [x * uinv % M for x in U[k]]
+        mults = []
         for i in range(m):
-            if i == k:
-                continue
-            f = B[i][k] // p ** e
-            if f % M == 0:
-                continue
-            B[i] = [(x - f * y) % M for x, y in zip(B[i], B[k])]
-            U[i] = [(x - f * y) % M for x, y in zip(U[i], U[k])]
+            if i != k and B[i][k]:
+                f = B[i][k] // pe
+                B[i] = [(x - f * y) % M for x, y in zip(B[i], B[k])]
+                U[i] = [(x - f * y) % M for x, y in zip(U[i], U[k])]
+                mults.append((i, f))
+        for row in Uinv:
+            row[k] = (unit * row[k] + sum(f * row[i] for i, f in mults)) % M
         for j in range(n):
             if j == k:
                 continue
-            f = B[k][j] // p ** e
-            if f % M == 0:
+            f = B[k][j] // pe
+            if not f:
                 continue
             for row in B:
                 row[j] = (row[j] - f * row[k]) % M
             for row in V:
                 row[j] = (row[j] - f * row[k]) % M
         exps.append(e)
-    return SmithForm(p, r, m, n, exps, U, V)
-
-
-def invert_mod(A, p, r):
-    n = len(A)
-    sf = smith_mod(A, p, r)
-    if any(e != 0 for e in sf.exps) or len(sf.exps) < n:
-        raise NotInvertible(f"matrix has elementary divisors p^{sf.exps}")
-    return mat_mul(sf.V, sf.U, p ** r)
+    return SmithForm(p, r, m, n, exps, U, V, Uinv)
 
 
 def charpoly_mod(A, p, r):

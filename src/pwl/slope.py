@@ -15,9 +15,14 @@ Bezout identity u Q + v R = 1 solved as a linear system; for s = 1 the
 factors are coprime mod p and the system is always solvable, while for
 deeper cuts an unsolvable system raises AmbiguousAtPrecision instead of
 guessing.  ps_tp_inv restricts M to the image of pi and returns
-p^s * (block inverse), the scaled inverse whose powers contract; it uses
-the division-free adjugate so only the determinant's unit part is ever
-inverted.
+p^s * (block inverse), the scaled inverse whose powers contract.  One
+Smith form U pi V = diag(p^e) gives the block.  pi is idempotent, so
+its divisors are 0 (rank times) and the precision, and the first rank
+columns of U^-1 span its image.  As M keeps that image, U M U^-1 is
+block upper triangular, with the block of M on the image in its top left
+corner; a nonzero entry below that block is a bug trap.  The inverse
+uses the division-free adjugate, so only the determinant's unit part is
+ever inverted.
 
 verify_truncate_lemma is a randomized contract checker for the
 interaction of coordinate truncation with the family action: group
@@ -34,7 +39,7 @@ from .errors import (AmbiguousAtPrecision, BadLevel, BadRange,
                      PrecisionExhausted)
 from .gamma1 import free_basis
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
-from .linalg import charpoly_mod, identity_mat, invert_mod, mat_mul, mat_vec, smith_mod
+from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
 from .matrices import PadicMat
 from .padic import vp
 
@@ -190,14 +195,19 @@ def _unit_root_split(P, p, r):
     B0 = _poly_trim(Pb[w:], p)
     # coprime since B0 has a nonzero constant term mod p
     g0, u0, v0 = _poly_gcd_bezout_modp(A0, B0, p)
-    assert len(g0) == 1 and g0[0] % p != 0
+    if len(g0) != 1 or g0[0] % p == 0:
+        raise InternalInconsistency(
+            f"X^{w} and its cofactor share {g0} mod {p}")
     scal = pow(g0[0], -1, p)
     u0 = _poly_scale(u0, scal, p)
     v0 = _poly_scale(v0, scal, p)
     A, _, _, _ = _hensel_pair([c % M for c in P], A0, B0, u0, v0, p, r)
-    assert len(A) == w + 1 and A[-1] == 1
+    if len(A) != w + 1 or A[-1] != 1:
+        raise InternalInconsistency(
+            f"Hensel lift {A} is not monic of degree {w}")
     B, rem = _poly_divmod([c % M for c in P], A, M)
-    assert rem == [0]
+    if rem != [0]:
+        raise InternalInconsistency(f"Hensel lift leaves remainder {rem}")
     return A, B
 
 
@@ -306,25 +316,17 @@ def ps_tp_inv(A, s, p, r):
     if rank == 0:
         raise NotInvertible("no finite-slope part below the requested cut")
     M = p ** prec
-    n = len(A)
     sf = smith_mod(pi, p, prec)
-    Uinv = invert_mod(sf.U, p, prec)
-    cols = [i for i, e in enumerate(sf.exps) if e == 0]
-    if len(cols) != rank:
+    if sf.exps.count(0) != rank:
         raise AmbiguousAtPrecision(
             f"projector image has divisors {sf.exps}, expected rank {rank}")
-    basis = [[Uinv[i][j] for j in cols] for i in range(n)]       # n x k
-    bs = smith_mod(basis, p, prec)
-    block = []
-    for j in range(rank):
-        target = mat_vec(A, [basis[i][j] for i in range(n)], M)
-        x = bs.solve(target)
-        if x is None:
-            # pi is a polynomial in A, so A maps the image of pi into itself
-            raise InternalInconsistency(
-                f"A moves projector basis column {j} out of the image")
-        block.append(x)
-    M0 = [[block[j][i] for j in range(rank)] for i in range(rank)]
+    # exps ascend, so the first rank Smith coordinates span the image of pi
+    basis = [row[:rank] for row in sf.Uinv]  # n x rank
+    UAB = mat_mul(sf.U, mat_mul(A, basis, M), M)
+    if any(any(row) for row in UAB[rank:]):
+        # pi is a polynomial in A, so A maps the image of pi into itself
+        raise InternalInconsistency("A moves the projector image")
+    M0 = UAB[:rank]
     coeffs = charpoly_mod(M0, p, prec)
     det = (-1) ** rank * coeffs[0] % M
     if det == 0:
@@ -366,8 +368,7 @@ def _ideal_member(series, factor_val, zeta_shift, p, r, d):
     return smith_mod(mat, p, r).solve([x % M for x in series]) is not None
 
 
-def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0, extra=2,
-                          word_len=4):
+def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
     """Randomized check of the truncation contracts; raises
     ContractViolated on a violation, BadLevel unless p | N and BadRange
     unless k0 >= 2.
@@ -384,7 +385,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0, extra=2,
     fb = free_basis(N)
     vN = vp(N, p)
     tail = family_tail(p, r, d)
-    out = k0 - 1 + extra
+    out = k0 + 1                       # two coordinates past the window
     width = out + tail
     nb = branch_count(p)
     M = p ** r
@@ -402,7 +403,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0, extra=2,
 
         m = fb.gens[rng.randrange(fb.rank())]
         gam = m if rng.random() < 0.5 else m.inverse()
-        for _ in range(word_len - 1):
+        for _ in range(3):                 # words of four letters
             g2 = fb.gens[rng.randrange(fb.rank())]
             gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
         if gam.c % N or gam.a % N != 1:

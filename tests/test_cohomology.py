@@ -287,8 +287,29 @@ def test_cardinality_identities():
         D = co.dim()
         R = fb.rank()
         r = co.r
-        assert pres.sf.kernel_exponent() + pres.sf.image_exponent() == r * D
-        assert sum(pres.moduli) + pres.sf.image_exponent() == r * R * D
+        exps = pres.sf.exps
+        kernel = sum(exps) + r * (D - len(exps))
+        image = sum(r - e for e in exps)
+        assert kernel + image == r * D
+        assert sum(pres.moduli) + image == r * R * D
+
+
+def test_induced_matrix_needs_coboundary_stable_operator():
+    fb = free_basis(7)
+    co = SymCoeffs(5, 3, 2)
+    pres = h1(co, fb)
+    assert pres.is_free()
+    n = fb.rank() * co.dim()
+    M = 5 ** 3
+    # the identity and T_5 preserve the coboundaries; the map that sums
+    # every generator block into the first one does not
+    pres.induced_matrix([[int(i == j) for j in range(n)] for i in range(n)])
+    pres.induced_matrix(hecke_matrix(co, fb, t_ell_reps(5, fb)))
+    collapse = [[int(i == j % co.dim()) for j in range(n)] for i in range(n)]
+    assert any(pres.sf.solve(mat_vec(collapse, [row[t] for row in pres.beta],
+                                      M)) is None for t in range(co.dim()))
+    with pytest.raises(InternalInconsistency, match="coboundaries"):
+        pres.induced_matrix(collapse)
 
 
 def test_induced_matrix_needs_free_presentation():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pwl import iwasawa
 from pwl.errors import (BadLevel, BadRange, DimensionMismatch,
-                        InternalInconsistency, NotAUnit, PrecisionMismatch,
-                        WidthInsufficient)
+                        InternalInconsistency, NotAdmissible, NotAUnit,
+                        NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, e_branch, family_tail, one_n, sp_k,
                          sp_vector, trunc_minus, trunc_plus, z)
@@ -372,3 +372,20 @@ def test_sp_k_branch_check(monkeypatch):
     chi = Weight.of_int(4, 3, 2)
     with pytest.raises(InternalInconsistency):
         sp_k(chi, WeightFn.const(1, 3, 2, 2))
+
+
+def test_log_one_unit_guards(monkeypatch):
+    # the log series needs a one-unit and v_p(m) <= 7 for m <= R + 8
+    with pytest.raises(BadRange):
+        iwasawa._log_one_unit(4, 3, 6553)
+    # unreachable with a correct unit_project: inject a non-one-unit
+    monkeypatch.setattr(iwasawa, "unit_project", lambda u: PrecInt(3, 2, 2))
+    with pytest.raises(NotOneUnit):
+        char_series(2, 3, 2, 2)
+
+
+def test_family_vec_rejects_raw_coordinates():
+    with pytest.raises(NotAdmissible):
+        FamilyVec(3, 2, 2, 1, [0])
+    with pytest.raises(NotAdmissible):
+        FamilyVec(3, 2, 2, 1, [WeightFn.zero(3, 2, 2), [[0, 0]] * 6])

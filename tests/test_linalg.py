@@ -3,17 +3,57 @@
 import itertools
 import random
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwl.errors import NotInvertible
-from pwl.linalg import (charpoly_mod, identity_mat, invert_mod, mat_mul,
-                        mat_vec, smith_mod)
+from pwl.linalg import charpoly_mod, identity_mat, mat_mul, mat_vec, smith_mod
 
 
 def rand_mat(rng, m, n, M):
     return [[rng.randrange(M) for _ in range(n)] for _ in range(m)]
+
+
+def kernel_exponent(sf):
+    """|kernel| = p ** this, read off the elementary divisors."""
+    return sum(sf.exps) + sf.r * (sf.n - len(sf.exps))
+
+
+def image_exponent(sf):
+    """|image| = p ** this."""
+    return sum(sf.r - e for e in sf.exps)
+
+
+def kernel_basis(sf):
+    """Column vectors spanning the kernel, from the columns of V."""
+    M = sf.p ** sf.r
+    out = []
+    for i, e in enumerate(sf.exps):
+        if e:
+            scale = sf.p ** (sf.r - e)
+            out.append([sf.V[t][i] * scale % M for t in range(sf.n)])
+    for i in range(len(sf.exps), sf.n):
+        out.append([sf.V[t][i] % M for t in range(sf.n)])
+    return out
+
+
+def check_smith(A, p, r):
+    """U A V is diag(p^exps) with exps ascending, and Uinv is U^-1."""
+    M = p ** r
+    m = len(A)
+    n = len(A[0]) if m else 0
+    sf = smith_mod(A, p, r)
+    assert sf.exps == sorted(sf.exps)
+    assert all(0 <= e <= r for e in sf.exps)
+    assert len(sf.exps) == min(m, n)
+    D = mat_mul(mat_mul(sf.U, A, M), sf.V, M)
+    for i in range(m):
+        for j in range(n):
+            want = p ** sf.exps[i] % M if (i == j and i < len(sf.exps)) else 0
+            assert D[i][j] == want
+    assert det_mod_p(sf.U, p) != 0
+    assert det_mod_p(sf.V, p) != 0
+    assert mat_mul(sf.U, sf.Uinv, M) == identity_mat(m)
+    assert mat_mul(sf.Uinv, sf.U, M) == identity_mat(m)
 
 
 def det_int(A):
@@ -58,16 +98,26 @@ def test_smith_reconstruction():
             if rng.random() < 0.5:
                 i = rng.randrange(m)
                 A[i] = [x * p % M for x in A[i]]
-            sf = smith_mod(A, p, r)
-            assert sf.exps == sorted(sf.exps)
-            assert all(0 <= e <= r for e in sf.exps)
-            D = mat_mul(mat_mul(sf.U, A, M), sf.V, M)
-            for i in range(m):
-                for j in range(n):
-                    want = p ** sf.exps[i] % M if (i == j and i < len(sf.exps)) else 0
-                    assert D[i][j] == want
-            assert det_mod_p(sf.U, p) != 0
-            assert det_mod_p(sf.V, p) != 0
+            check_smith(A, p, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 43)), st.integers(1, 6), st.integers(0, 8),
+       st.integers(1, 8), st.data())
+@example(3, 2, 3, 4, None)
+@example(5, 1, 0, 1, None)
+def test_smith_property(p, r, m, n, data):
+    # entries are (unit-ish part, power of p), so valuations vary freely;
+    # a drawn row may be zero, and data=None pins the zero matrix
+    M = p ** r
+    A = [[0] * n for _ in range(m)]
+    if data is not None:
+        for i in range(m):
+            if not data.draw(st.booleans(), label="zero row"):
+                A[i] = [x * p ** e % M for x, e in data.draw(st.lists(
+                    st.tuples(st.integers(0, 10 ** 12), st.integers(0, 7)),
+                    min_size=n, max_size=n), label="row")]
+    check_smith(A, p, r)
 
 
 def test_solve_found_and_verified():
@@ -104,11 +154,13 @@ def test_invert():
                     L[i][j] = rng.randrange(M)
                     Rm[j][i] = rng.randrange(M)
             A = mat_mul(L, Rm, M)
-            Ainv = invert_mod(A, p, r)
+            # U A V = I, so A^-1 = V U
+            sf = smith_mod(A, p, r)
+            assert sf.exps == [0] * n
+            Ainv = mat_mul(sf.V, sf.U, M)
             assert mat_mul(A, Ainv, M) == identity_mat(n)
             assert mat_mul(Ainv, A, M) == identity_mat(n)
-    with pytest.raises(NotInvertible):
-        invert_mod([[5, 0], [0, 1]], 5, 3)
+    assert smith_mod([[5, 0], [0, 1]], 5, 3).exps == [0, 1]
 
 
 def test_kernel_size_brute_force():
@@ -123,10 +175,10 @@ def test_kernel_size_brute_force():
             sf = smith_mod(A, p, r)
             brute = sum(1 for v in itertools.product(range(M), repeat=n)
                         if all(x == 0 for x in mat_vec(A, list(v), M)))
-            assert brute == p ** sf.kernel_exponent()
+            assert brute == p ** kernel_exponent(sf)
             image = {tuple(mat_vec(A, list(v), M))
                      for v in itertools.product(range(M), repeat=n)}
-            assert len(image) == p ** sf.image_exponent()
+            assert len(image) == p ** image_exponent(sf)
 
 
 def test_kernel_basis_spans():
@@ -137,7 +189,7 @@ def test_kernel_basis_spans():
         A = rand_mat(rng, 2, 2, M)
         A[0] = [x * p % M for x in A[0]]
         sf = smith_mod(A, p, r)
-        basis = sf.kernel_basis()
+        basis = kernel_basis(sf)
         for v in basis:
             assert all(x == 0 for x in mat_vec(A, v, M))
         spanned = set()
@@ -146,7 +198,7 @@ def test_kernel_basis_spans():
             for c, v in zip(coeffs, basis):
                 vec = [(x + c * y) % M for x, y in zip(vec, v)]
             spanned.add(tuple(vec))
-        assert len(spanned) == p ** sf.kernel_exponent()
+        assert len(spanned) == p ** kernel_exponent(sf)
 
 
 def berkowitz(A, M):

@@ -7,8 +7,8 @@ import pytest
 
 import pwl
 
-ASSERT_FREE = ("cli", "cohomology", "gamma1", "linalg", "matrices", "sympow",
-               "verify")
+ASSERT_FREE = ("cli", "cohomology", "gamma1", "iwasawa", "linalg", "matrices",
+               "slope", "sympow", "verify")
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE)

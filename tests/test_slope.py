@@ -9,7 +9,7 @@ from pwl import slope
 from pwl.errors import (AmbiguousAtPrecision, BadLevel, BadRange,
                         ContractViolated, InternalInconsistency, NotInvertible)
 from pwl.gamma1 import free_basis
-from pwl.linalg import charpoly_mod, invert_mod, mat_mul, mat_vec
+from pwl.linalg import charpoly_mod, mat_mul, mat_vec, smith_mod
 from pwl.slope import (_ideal_member, newton_polygon, ps_tp_inv, slope_factor,
                        slope_projector, verify_truncate_lemma)
 
@@ -90,6 +90,24 @@ def test_unit_root_split_random_products():
         assert Qg == Q and Rg == R
 
 
+def test_unit_root_split_traps(monkeypatch):
+    # unreachable with a correct gcd and Hensel lift: inject wrong ones
+    P = [3, 77, 1]                       # (X - 3)(X - 1) mod 3^4
+    monkeypatch.setattr(slope, "_poly_gcd_bezout_modp",
+                        lambda A, B, p: ([0, 1], [1], [0]))
+    with pytest.raises(InternalInconsistency, match="share"):
+        slope_factor(P, 1, 3, 4)
+    monkeypatch.undo()
+    for lift, msg in (([0, 2], "monic"), ([0, 1], "remainder")):
+        monkeypatch.setattr(slope, "_hensel_pair",
+                            lambda P, A, B, u, v, p, r, lift=lift:
+                            (lift, B, u, v))
+        with pytest.raises(InternalInconsistency, match=msg):
+            slope_factor(P, 1, 3, 4)
+    monkeypatch.undo()
+    assert slope_factor(P, 1, 3, 4) == ([80, 1], [78, 1], 0)
+
+
 def test_slope_factor_trivial_sides():
     p, r = 3, 6
     M = p ** r
@@ -165,12 +183,11 @@ def conjugated_block(p, r, rng, unit_diag, small_diag):
     D[len(unit_diag) - 1][len(unit_diag)] = 0
     while True:
         S = [[rng.randrange(M) for _ in range(n)] for _ in range(n)]
-        try:
-            Sinv = invert_mod(S, p, r)
+        sf = smith_mod(S, p, r)
+        if sf.exps == [0] * n:
             break
-        except NotInvertible:
-            continue
-    return mat_mul(mat_mul(S, D, M), Sinv, M), S
+    # U S V = I, so S^-1 = V U
+    return mat_mul(mat_mul(S, D, M), mat_mul(sf.V, sf.U, M), M), S
 
 
 def test_projector_splits_conjugated_blocks():
