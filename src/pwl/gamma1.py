@@ -55,16 +55,14 @@ class FreeBasisData:
     __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "perm_u_inv", "root",
                  "lifts", "lift_words", "gens", "expr")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, lift_words,
-                 gens, expr):
+    def __init__(self, N, mu, rows, perm_s, perm_u, perm_u_inv, root, lifts,
+                 lift_words, gens, expr):
         self.N = N
         self.mu = mu
         self.rows = rows
         self.perm_s = perm_s
         self.perm_u = perm_u
-        self.perm_u_inv = [0] * len(perm_u)
-        for i, j in enumerate(perm_u):
-            self.perm_u_inv[j] = i
+        self.perm_u_inv = perm_u_inv
         self.root = root
         self.lifts = lifts
         self.lift_words = lift_words
@@ -96,13 +94,18 @@ class FreeBasisData:
         if cur != self.root:
             raise InternalInconsistency("rewriting walk did not close up")
         red = _free_reduce(out)
-        prod = IntMat.identity()
-        for k in red:
-            g = self.gens[abs(k) - 1]
-            prod = prod * (g if k > 0 else g.inverse())
-        if prod != mat:
+        if _word_matrix(self.gens, red) != mat:
             raise InternalInconsistency("replayed word disagrees with input")
         return tuple(red)
+
+
+def _word_matrix(gens, word):
+    """Product of a word of signed 1-based indices into gens."""
+    prod = IntMat.identity()
+    for k in word:
+        g = gens[abs(k) - 1]
+        prod = prod * (g if k > 0 else g.inverse())
+    return prod
 
 
 def _free_reduce(word):
@@ -269,7 +272,7 @@ def free_basis(N):
         raise InternalInconsistency(
             f"basis has {len(gens)} letters, expected {1 + mu // 6}")
 
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root,
+    data = FreeBasisData(N, mu, rows, perm_s, perm_u, perm_u_inv, root,
                          [lifts[t] for t in range(mu)],
                          [words[t] for t in range(mu)], gens, expr)
     _verify_edges(data, edge_matrix)
@@ -279,9 +282,5 @@ def free_basis(N):
 def _verify_edges(data, edge_matrix):
     # every rewriting entry must replay to the matrix of its directed edge
     for (t, g), word in data.expr.items():
-        prod = IntMat.identity()
-        for k in word:
-            gen = data.gens[abs(k) - 1]
-            prod = prod * (gen if k > 0 else gen.inverse())
-        if prod != edge_matrix(t, g):
+        if _word_matrix(data.gens, word) != edge_matrix(t, g):
             raise InternalInconsistency(f"edge ({t}, {g}) fails to replay")

@@ -68,16 +68,6 @@ class WeightFn:
     def zero(cls, p, r, d):
         return cls(p, r, d, [[0] * d for _ in range(branch_count(p))])
 
-    @classmethod
-    def const(cls, value, p, r, d):
-        comps = [[0] * d for _ in range(branch_count(p))]
-        for c in comps:
-            c[0] = value
-        return cls(p, r, d, comps)
-
-    def is_zero(self):
-        return all(x == 0 for c in self.comps for x in c)
-
     def __add__(self, other):
         self._compat(other)
         M = self.p ** self.r
@@ -272,11 +262,6 @@ class FamilyVec:
     def __neg__(self):
         return FamilyVec(self.p, self.r, self.d, self.out_width,
                          [-x for x in self.coords])
-
-    def scale_fn(self, fn):
-        """Multiply every coordinate by a WeightFn scalar."""
-        return FamilyVec(self.p, self.r, self.d, self.out_width,
-                         [fn * x for x in self.coords])
 
     def agrees(self, other, width):
         return all(x == y for x, y in

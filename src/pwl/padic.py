@@ -22,6 +22,7 @@ from .errors import (
     NotOneUnit,
     PrecisionMismatch,
     BadWeight,
+    InternalInconsistency,
 )
 
 _PRIME_CACHE = {}
@@ -54,7 +55,8 @@ def vp(n, p):
 
 def vp_factorial(m, p):
     """v_p(m!) by the digit-sum formula."""
-    assert m >= 0
+    if m < 0:
+        raise BadRange(f"factorial of negative {m}")
     s, n = 0, m
     while n:
         s += n % p
@@ -68,8 +70,10 @@ class PrecInt:
     __slots__ = ("p", "r", "res")
 
     def __init__(self, p, r, value):
-        assert _is_odd_prime(p), f"p must be an odd prime, got {p}"
-        assert r >= 1, f"precision must be >= 1, got {r}"
+        if not _is_odd_prime(p):
+            raise BadRange(f"p must be an odd prime, got {p}")
+        if r < 1:
+            raise BadRange(f"precision must be >= 1, got {r}")
         self.p = p
         self.r = r
         self.res = value % (p ** r)
@@ -120,7 +124,8 @@ class PrecInt:
         return PrecInt(self.p, self.r, -self.res)
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
+        if not isinstance(e, int) or e < 0:
+            raise BadRange(f"exponent must be a natural number, got {e}")
         return PrecInt(self.p, self.r, pow(self.res, e, self.modulus))
 
     def is_unit(self):
@@ -136,7 +141,8 @@ class PrecInt:
 
     def divexact(self, k):
         """Divide by a nonzero integer k, consuming v_p(k) digits."""
-        assert isinstance(k, int) and k != 0
+        if not isinstance(k, int) or k == 0:
+            raise BadRange(f"divisor must be a nonzero integer, got {k}")
         sign = 1
         if k < 0:
             k, sign = -k, -1
@@ -153,7 +159,8 @@ class PrecInt:
         return PrecInt(self.p, r2, res)
 
     def reduce(self, r2):
-        assert 1 <= r2 <= self.r
+        if not 1 <= r2 <= self.r:
+            raise BadRange(f"cannot reduce precision {self.r} to {r2}")
         return PrecInt(self.p, r2, self.res)
 
     def valuation(self):
@@ -178,12 +185,14 @@ class PrecInt:
 
 def binom_int(n, m):
     """Exact integer binomial for any integer n and natural m."""
-    assert m >= 0
+    if m < 0:
+        raise BadRange(f"binomial index {m} is negative")
     num = 1
     for h in range(m):
         num *= n - h
     q, rem = divmod(num, math.factorial(m))
-    assert rem == 0
+    if rem:
+        raise InternalInconsistency(f"{m}! does not divide {num}")
     return q
 
 
@@ -193,7 +202,6 @@ def binom(n, m):
     Integer n gives the exact integer value; a PrecInt n gives a PrecInt of
     precision r - v_p(m!), raising PrecisionExhausted when r <= v_p(m!).
     """
-    assert m >= 0
     if isinstance(n, int):
         return binom_int(n, m)
     p = n.p
@@ -216,14 +224,16 @@ def teichmuller(d):
     x = d.res
     for _ in range(d.r):
         x = pow(x, d.p, M)
-    assert pow(x, d.p, M) == x  # exact fixed point mod p^r
+    if pow(x, d.p, M) != x:
+        raise InternalInconsistency(f"{x} is not fixed by x -> x^{d.p}")
     return PrecInt(d.p, d.r, x)
 
 
 def unit_project(d):
     """Projection of a unit onto the one-units: d divided by its Teichmuller lift."""
     u = d * teichmuller(d).inverse()
-    assert u.is_one_unit()
+    if not u.is_one_unit():
+        raise InternalInconsistency(f"{u} is not a one-unit")
     return u
 
 
@@ -266,7 +276,8 @@ class Weight:
     __slots__ = ("tame", "wild")
 
     def __init__(self, tame, wild):
-        assert isinstance(wild, PrecInt)
+        if not isinstance(wild, PrecInt):
+            raise BadWeight(f"wild part {wild!r} is not a PrecInt")
         if not 0 <= tame <= wild.p - 2:
             raise BadWeight(f"tame part {tame} outside [0, {wild.p - 2}]")
         self.tame = tame
@@ -295,12 +306,14 @@ class Weight:
         return Weight((self.tame - m) % (self.p - 1), self.wild - m)
 
     def __add__(self, other):
-        assert isinstance(other, Weight)
+        if not isinstance(other, Weight):
+            raise BadWeight(f"{other!r} is not a Weight")
         return Weight((self.tame + other.tame) % (self.p - 1),
                       self.wild + other.wild)
 
     def __sub__(self, other):
-        assert isinstance(other, Weight)
+        if not isinstance(other, Weight):
+            raise BadWeight(f"{other!r} is not a Weight")
         return Weight((self.tame - other.tame) % (self.p - 1),
                       self.wild - other.wild)
 
@@ -332,5 +345,6 @@ def reduce_weight(chi, s):
     w = chi.wild.res % m2
     t = ((chi.tame - w) * pow(m2 % m1, -1, m1)) % m1
     m = w + m2 * t
-    assert 0 <= m < m1 * m2 and m % m1 == chi.tame % m1 and m % m2 == w
+    if not (0 <= m < m1 * m2 and m % m1 == chi.tame % m1 and m % m2 == w):
+        raise InternalInconsistency(f"{m} misses the weight's residues")
     return m

@@ -5,10 +5,16 @@ Working over Z/p^r, a coefficient congruent to 0 only reveals valuation
 touches a censored point is reported as ambiguous rather than asserted.
 
 slope_factor splits a monic polynomial into the part with root valuation
-< s and the rest: the s = 1 split reduces mod p, peels the power of X,
-and lifts the coprime factorization by quadratic Hensel iteration (no
-precision loss); deeper cuts substitute X -> pX, divide by the forced
-power of p (losing that much precision, which is tracked), and recurse.
+< s and the rest.  For s = 1, P = X^w B0 mod p with B0(0) a unit.  The
+Newton step v (2 - v B) mod A squares the error 1 - v B of v as an
+inverse of B modulo A.  Run modulo X^k over F_p, k doubling, it inverts
+B0 modulo X^w.  Quadratic Hensel lifting then refines only the low
+factor A, monic with A = X^w mod p: each pass doubles its precision by
+A += v (P mod A) mod A, after one more Newton step keeps v inverse to
+B = P div A.  Hensel uniqueness fixes A, the unit-root factor is the
+exact quotient P div A, and no precision is lost.  Deeper cuts
+substitute X -> pX, divide by the forced power of p (losing that much
+precision, which is tracked), and recurse.
 
 slope_projector turns the split into an idempotent pi = (v R)(M) from a
 Bezout identity u Q + v R = 1 solved as a linear system; for s = 1 the
@@ -126,18 +132,13 @@ def _poly_add(f, g, M):
             for i in range(n)]
 
 
-def _poly_scale(f, c, M):
-    return [x * c % M for x in f]
-
-
 def _poly_divmod(f, g, M):
-    """Division by a polynomial with unit leading coefficient."""
+    """Division by a monic polynomial."""
     f = list(f)
     dg = len(g) - 1
-    lead_inv = pow(g[-1], -1, M)
     q = [0] * max(1, len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * lead_inv % M
+        c = f[i] % M
         if c:
             q[i - dg] = c
             for j in range(dg + 1):
@@ -145,67 +146,55 @@ def _poly_divmod(f, g, M):
     return _poly_trim(q, M), _poly_trim(f[:dg] if dg else [0], M)
 
 
-def _poly_gcd_bezout_modp(f, g, p):
-    """(gcd, u, v) with u f + v g = gcd over the prime field."""
-    r0, r1 = _poly_trim(f, p), _poly_trim(g, p)
-    u0, u1 = [1], [0]
-    v0, v1 = [0], [1]
-    while r1 != [0]:
-        q, rem = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, _poly_trim(rem, p)
-        u0, u1 = u1, _poly_trim(_poly_add(u0, _poly_scale(_poly_mul(q, u1, p), -1, p), p), p)
-        v0, v1 = v1, _poly_trim(_poly_add(v0, _poly_scale(_poly_mul(q, v1, p), -1, p), p), p)
-    return r0, u0, v0
+def _newton_step(v, B, A, M):
+    """v (2 - v B) mod A: squares the error 1 - v B of v as B^-1 mod A."""
+    vB = _poly_divmod(_poly_mul(v, B, M), A, M)[1]
+    return _poly_divmod(_poly_mul(v, _poly_add([2], [-x for x in vB], M), M),
+                        A, M)[1]
 
 
-def _hensel_pair(P, A, B, u, v, p, r):
-    """Lift P = A B with u A + v B = 1 from mod p to mod p^r."""
+def _lift_low_factor(P, A, v, p, r):
+    """Lift the monic factor A of P from mod p to mod p^r.
+
+    v inverts the cofactor P div A modulo (A, p).  Each pass doubles the
+    precision m of A: with B, e = divmod(P, A), e = 0 mod p^m, so
+    A + (v e mod A) divides P mod p^2m once v inverts B mod (A, p^m),
+    which one Newton step restores.
+    """
     m = 1
-    M = p ** r
     while m < r:
-        m2 = min(2 * m, r)
-        Mm = p ** m2
-        e = _poly_add(P, _poly_scale(_poly_mul(A, B, Mm), -1, Mm), Mm)
-        ve = _poly_mul(v, e, Mm)
-        qa, ra = _poly_divmod(ve, A, Mm)
-        A = _poly_trim(_poly_add(A, ra, Mm), Mm)
-        B = _poly_trim(_poly_add(B, _poly_add(_poly_mul(u, e, Mm),
-                                              _poly_mul(qa, B, Mm), Mm), Mm), Mm)
-        g = _poly_add(_poly_add(_poly_mul(u, A, Mm), _poly_mul(v, B, Mm), Mm),
-                      [-1], Mm)
-        u = _poly_trim(_poly_add(u, _poly_scale(_poly_mul(u, g, Mm), -1, Mm), Mm), Mm)
-        v = _poly_trim(_poly_add(v, _poly_scale(_poly_mul(v, g, Mm), -1, Mm), Mm), Mm)
-        m = m2
-    return _poly_trim(A, M), _poly_trim(B, M), u, v
+        m = min(2 * m, r)
+        Mm = p ** m
+        B, e = _poly_divmod(P, A, Mm)
+        v = _newton_step(v, B, A, Mm)
+        A = _poly_add(A, _poly_divmod(_poly_mul(v, e, Mm), A, Mm)[1], Mm)
+    return A
 
 
 def _unit_root_split(P, p, r):
     """P = low * unitpart mod p^r with low monic collecting roots of
     positive valuation (reduction X^w) and unitpart the coprime rest."""
     M = p ** r
-    Pb = [c % p for c in P]
+    P = [c % M for c in P]
     w = 0
-    while w < len(Pb) - 1 and Pb[w] == 0:
+    while w < len(P) - 1 and P[w] % p == 0:
         w += 1
     if w == 0:
-        return [1], [c % M for c in P]
+        return [1], P
     if w == len(P) - 1:
-        return [c % M for c in P], [1]
-    A0 = [0] * w + [1]
-    B0 = _poly_trim(Pb[w:], p)
-    # coprime since B0 has a nonzero constant term mod p
-    g0, u0, v0 = _poly_gcd_bezout_modp(A0, B0, p)
-    if len(g0) != 1 or g0[0] % p == 0:
-        raise InternalInconsistency(
-            f"X^{w} and its cofactor share {g0} mod {p}")
-    scal = pow(g0[0], -1, p)
-    u0 = _poly_scale(u0, scal, p)
-    v0 = _poly_scale(v0, scal, p)
-    A, _, _, _ = _hensel_pair([c % M for c in P], A0, B0, u0, v0, p, r)
+        return P, [1]
+    # B0 = P div X^w mod p has a unit constant term, so Newton steps
+    # modulo X^k, k doubling, invert it modulo X^w
+    B0 = [c % p for c in P[w:]]
+    v, k = [pow(B0[0], -1, p)], 1
+    while k < w:
+        k = min(2 * k, w)
+        v = _newton_step(v, B0, [0] * k + [1], p)
+    A = _lift_low_factor(P, [0] * w + [1], v, p, r)
     if len(A) != w + 1 or A[-1] != 1:
         raise InternalInconsistency(
             f"Hensel lift {A} is not monic of degree {w}")
-    B, rem = _poly_divmod([c % M for c in P], A, M)
+    B, rem = _poly_divmod(P, A, M)
     if rem != [0]:
         raise InternalInconsistency(f"Hensel lift leaves remainder {rem}")
     return A, B

@@ -26,6 +26,12 @@ def rand_fn(rng, p, r, d):
                               for _ in range(branch_count(p))])
 
 
+def const_fn(value, p, r, d):
+    """The constant function value on every branch."""
+    return WeightFn(p, r, d, [[value] + [0] * (d - 1)
+                              for _ in range(branch_count(p))])
+
+
 def rand_fam(rng, p, r, d, out_width, width):
     return FamilyVec(p, r, d, out_width,
                      [rand_fn(rng, p, r, d) for _ in range(width)])
@@ -58,11 +64,12 @@ def ref_act_family(mat, fam):
     nb = branch_count(p)
     G = char_series(d0, p, r, dd)
     dinv = pow(d0, -1, M)
+    zero = WeightFn.zero(p, r, dd)
     out = []
     for i in range(width - family_tail(p, r, dd)):
         S = WeightFn.zero(p, r, dd)
         for j in range(width):
-            if fam.coords[j].is_zero():
+            if fam.coords[j] == zero:
                 continue
             Q = [[0] * dd for _ in range(nb)]
             for h in range(min(i, j) + 1):
@@ -134,8 +141,8 @@ def test_branch_idempotents():
         total = total + e
         for j, f in enumerate(es):
             if i != j:
-                assert (e * f).is_zero()
-    assert total == WeightFn.const(1, p, r, d)
+                assert e * f == WeightFn.zero(p, r, d)
+    assert total == const_fn(1, p, r, d)
 
 
 def test_tautological_weight_specializes():
@@ -297,9 +304,10 @@ def test_trunc_complementary():
         assert (lo + hi).agrees(fam, 8)
         assert trunc_minus(k0, lo).agrees(lo, 8)
         assert trunc_plus(k0, hi).agrees(hi, 8)
-        assert all(c.is_zero() for c in trunc_plus(k0, lo).coords)
-        assert all(lo.coords[i].is_zero() for i in range(k0 - 1, 8))
-        assert all(hi.coords[i].is_zero() for i in range(k0 - 1))
+        zero = WeightFn.zero(p, r, d)
+        assert all(c == zero for c in trunc_plus(k0, lo).coords)
+        assert all(lo.coords[i] == zero for i in range(k0 - 1, 8))
+        assert all(hi.coords[i] == zero for i in range(k0 - 1))
 
 
 def test_trunc_commutes_with_scalars():
@@ -307,8 +315,12 @@ def test_trunc_commutes_with_scalars():
     rng = random.Random(6)
     fam = rand_fam(rng, p, r, d, 4, 6)
     s = rand_fn(rng, p, r, d)
-    lhs = trunc_minus(3, fam.scale_fn(s))
-    rhs = trunc_minus(3, fam).scale_fn(s)
+
+    def scale_fn(vec):
+        return FamilyVec(p, r, d, vec.out_width, [s * x for x in vec.coords])
+
+    lhs = trunc_minus(3, scale_fn(fam))
+    rhs = scale_fn(trunc_minus(3, fam))
     assert lhs.agrees(rhs, 6)
 
 
@@ -350,9 +362,9 @@ def test_weight_fn_arithmetic_is_reduced():
 
 
 def test_weight_fn_precision_guard():
-    f = WeightFn.const(1, 3, 2, 2)
-    for g in (WeightFn.const(1, 3, 3, 2), WeightFn.const(1, 3, 2, 3),
-              WeightFn.const(1, 5, 2, 2)):
+    f = const_fn(1, 3, 2, 2)
+    for g in (const_fn(1, 3, 3, 2), const_fn(1, 3, 2, 3),
+              const_fn(1, 5, 2, 2)):
         with pytest.raises(PrecisionMismatch):
             f + g
         with pytest.raises(PrecisionMismatch):
@@ -371,7 +383,7 @@ def test_sp_k_branch_check(monkeypatch):
     monkeypatch.setattr(iwasawa, "reduce_weight", lambda k, s: 0)
     chi = Weight.of_int(4, 3, 2)
     with pytest.raises(InternalInconsistency):
-        sp_k(chi, WeightFn.const(1, 3, 2, 2))
+        sp_k(chi, const_fn(1, 3, 2, 2))
 
 
 def test_log_one_unit_guards(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import pwl
 
 ASSERT_FREE = ("cli", "cohomology", "gamma1", "iwasawa", "linalg", "matrices",
-               "slope", "sympow", "verify")
+               "padic", "slope", "sympow", "verify")
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE)

@@ -1,9 +1,11 @@
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from pwl import padic
 from pwl.errors import (
     BadRange,
     PrecisionExhausted,
@@ -11,6 +13,7 @@ from pwl.errors import (
     NotOneUnit,
     PrecisionMismatch,
     BadWeight,
+    InternalInconsistency,
 )
 from pwl.padic import (
     PrecInt,
@@ -67,6 +70,26 @@ class TestPrecInt:
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
         assert PrecInt(3, 3, 10) != PrecInt(3, 2, 4)
 
+    def test_rejects_bad_prime_and_precision(self):
+        for p, r in ((4, 2), (2, 2), (9, 1), (3, 0), (5, -1)):
+            with pytest.raises(BadRange):
+                PrecInt(p, r, 5)
+
+    def test_reduce_cannot_invent_digits(self):
+        assert PrecInt(3, 4, 10).reduce(2) == PrecInt(3, 2, 1)
+        for r2 in (0, 5, 7):
+            with pytest.raises(BadRange):
+                PrecInt(3, 4, 10).reduce(r2)
+
+    def test_rejects_bad_exponent_and_divisor(self):
+        x = PrecInt(3, 2, 4)
+        for e in (-1, 2.0):
+            with pytest.raises(BadRange):
+                x ** e
+        for k in (0, 3.0):
+            with pytest.raises(BadRange):
+                x.divexact(k)
+
 
 def test_vp_of_zero_raises():
     with pytest.raises(BadRange):
@@ -76,6 +99,19 @@ def test_vp_of_zero_raises():
         [sys.executable, "-O", "-c", "from pwl.padic import vp; vp(0, 3)"],
         capture_output=True, text=True, timeout=30)
     assert res.returncode == 1 and "BadRange" in res.stderr
+
+
+def test_vp_factorial_of_negative_raises():
+    # without the check the digit loop never ends, so the timed-out
+    # optimized subprocess runs before the in-process call
+    res = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from pwl.padic import vp_factorial; vp_factorial(-3, 3)"],
+        capture_output=True, text=True, timeout=30)
+    assert res.returncode == 1 and "BadRange" in res.stderr
+    with pytest.raises(BadRange):
+        vp_factorial(-3, 3)
+    assert vp_factorial(9, 3) == 4
 
 
 class TestBinom:
@@ -103,6 +139,19 @@ class TestBinom:
     def test_precision_exhausted(self):
         with pytest.raises(PrecisionExhausted):
             binom(PrecInt(3, 1, 5), 3)  # v_3(3!) = 1 = r
+
+    def test_negative_index(self):
+        for n in (5, PrecInt(3, 4, 5)):
+            with pytest.raises(BadRange):
+                binom(n, -1)
+        with pytest.raises(BadRange):
+            binom_int(5, -2)
+
+    def test_remainder_trap(self, monkeypatch):
+        # unreachable with a correct factorial: inject a wrong one
+        monkeypatch.setattr(padic, "math", SimpleNamespace(factorial=lambda m: 7))
+        with pytest.raises(InternalInconsistency):
+            binom_int(5, 3)
 
     def test_pascal_rule(self):
         rng = random.Random(7)
@@ -164,6 +213,19 @@ class TestUnitProject:
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
             unit_project(PrecInt(3, 2, 3))
+
+    def test_teichmuller_fixed_point_trap(self, monkeypatch):
+        # unreachable with a correct modular power: inject a wrong one
+        monkeypatch.setattr(padic, "pow", lambda b, e, m: (b ** e + 1) % m,
+                            raising=False)
+        with pytest.raises(InternalInconsistency):
+            teichmuller(PrecInt(5, 3, 2))
+
+    def test_one_unit_trap(self, monkeypatch):
+        # unreachable with a correct Teichmuller lift: inject a wrong one
+        monkeypatch.setattr(padic, "teichmuller", lambda d: PrecInt(d.p, d.r, 1))
+        with pytest.raises(InternalInconsistency):
+            unit_project(PrecInt(3, 2, 2))
 
 
 class TestPowUnit:
@@ -265,6 +327,19 @@ class TestReduceWeight:
     def test_weight_validation(self):
         with pytest.raises(BadWeight):
             Weight(5, PrecInt(5, 2, 0))
+        with pytest.raises(BadWeight):
+            Weight(0, 7)
+        chi = Weight.of_int(2, 5, 2)
+        with pytest.raises(BadWeight):
+            chi + 1
+        with pytest.raises(BadWeight):
+            chi - PrecInt(5, 2, 1)
+
+    def test_residue_trap(self, monkeypatch):
+        # unreachable with a correct modular inverse: inject a wrong one
+        monkeypatch.setattr(padic, "pow", lambda b, e, m: 0, raising=False)
+        with pytest.raises(InternalInconsistency):
+            reduce_weight(Weight(3, PrecInt(5, 1, 0)), 1)
 
     def test_shift(self):
         chi = Weight.of_int(7, 5, 3)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
@@ -27,6 +29,91 @@ def from_roots(roots, M):
     for rt in roots:
         P = polymul(P, [(-rt) % M, 1], M)
     return P
+
+
+def ref_trim(f, M):
+    f = [c % M for c in f]
+    while len(f) > 1 and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def ref_add(f, g, M):
+    n = max(len(f), len(g))
+    return [((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % M
+            for i in range(n)]
+
+
+def ref_sub(f, g, M):
+    return ref_add(f, [-c for c in g], M)
+
+
+def ref_divmod(f, g, M):
+    """Division by a polynomial with unit leading coefficient."""
+    f = list(f)
+    dg = len(g) - 1
+    lead_inv = pow(g[-1], -1, M)
+    q = [0] * max(1, len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i] * lead_inv % M
+        q[i - dg] = c
+        for j in range(dg + 1):
+            f[i - dg + j] = (f[i - dg + j] - c * g[j]) % M
+    return ref_trim(q, M), ref_trim(f[:dg] if dg else [0], M)
+
+
+def ref_gcd_bezout_modp(f, g, p):
+    """(gcd, u, v) with u f + v g = gcd over the prime field, by Euclid."""
+    r0, r1 = ref_trim(f, p), ref_trim(g, p)
+    u0, u1 = [1], [0]
+    v0, v1 = [0], [1]
+    while r1 != [0]:
+        q, rem = ref_divmod(r0, r1, p)
+        r0, r1 = r1, rem
+        u0, u1 = u1, ref_trim(ref_sub(u0, polymul(q, u1, p), p), p)
+        v0, v1 = v1, ref_trim(ref_sub(v0, polymul(q, v1, p), p), p)
+    return r0, u0, v0
+
+
+def ref_hensel_pair(P, A, B, u, v, p, r):
+    """Lift P = A B with u A + v B = 1 from mod p to mod p^r, all four
+    polynomials at once."""
+    m = 1
+    while m < r:
+        m = min(2 * m, r)
+        Mm = p ** m
+        e = ref_sub(P, polymul(A, B, Mm), Mm)
+        qa, ra = ref_divmod(polymul(v, e, Mm), A, Mm)
+        A = ref_trim(ref_add(A, ra, Mm), Mm)
+        B = ref_trim(ref_add(B, ref_add(polymul(u, e, Mm), polymul(qa, B, Mm),
+                                        Mm), Mm), Mm)
+        g = ref_sub(ref_add(polymul(u, A, Mm), polymul(v, B, Mm), Mm), [1], Mm)
+        u = ref_trim(ref_sub(u, polymul(u, g, Mm), Mm), Mm)
+        v = ref_trim(ref_sub(v, polymul(v, g, Mm), Mm), Mm)
+    return A, B
+
+
+def ref_unit_root_split(P, p, r):
+    """(low, unitpart) of a monic P: Euclid mod p, then the four-polynomial
+    Hensel lift, then one division for the cofactor."""
+    M = p ** r
+    P = [c % M for c in P]
+    w = 0
+    while w < len(P) - 1 and P[w] % p == 0:
+        w += 1
+    if w == 0:
+        return [1], P
+    if w == len(P) - 1:
+        return P, [1]
+    A0, B0 = [0] * w + [1], [c % p for c in P[w:]]
+    g0, u0, v0 = ref_gcd_bezout_modp(A0, B0, p)
+    assert g0 != [0] and len(g0) == 1
+    scal = pow(g0[0], -1, p)
+    A, _ = ref_hensel_pair(P, A0, B0, [c * scal % p for c in u0],
+                           [c * scal % p for c in v0], p, r)
+    B, rem = ref_divmod(P, A, M)
+    assert rem == [0]
+    return A, B
 
 
 def test_polygon_two_segments():
@@ -90,18 +177,33 @@ def test_unit_root_split_random_products():
         assert Qg == Q and Rg == R
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 23, 43)), st.integers(1, 24), st.integers(1, 40),
+       st.integers(0, 40), st.randoms(use_true_random=False))
+@example(3, 5, 7, 0, random.Random(1))
+@example(23, 24, 40, 40, random.Random(2))
+@example(43, 1, 9, 4, random.Random(3))
+def test_unit_root_split_matches_euclid_hensel(p, r, deg, w, rng):
+    # P mod p is X^w times a polynomial with a unit constant term
+    M = p ** r
+    w = min(w, deg)
+    P = [rng.randrange(M) for _ in range(deg)] + [1]
+    for i in range(w):
+        P[i] = P[i] * p % M
+    if w < deg and P[w] % p == 0:
+        P[w] += 1
+    low, unitpart = ref_unit_root_split(P, p, r)
+    assert len(low) - 1 == w
+    assert slope_factor(P, 1, p, r) == (unitpart, low, 0)
+    assert polymul(low, unitpart, M) == P
+
+
 def test_unit_root_split_traps(monkeypatch):
-    # unreachable with a correct gcd and Hensel lift: inject wrong ones
+    # unreachable with a correct Hensel lift: inject wrong ones
     P = [3, 77, 1]                       # (X - 3)(X - 1) mod 3^4
-    monkeypatch.setattr(slope, "_poly_gcd_bezout_modp",
-                        lambda A, B, p: ([0, 1], [1], [0]))
-    with pytest.raises(InternalInconsistency, match="share"):
-        slope_factor(P, 1, 3, 4)
-    monkeypatch.undo()
     for lift, msg in (([0, 2], "monic"), ([0, 1], "remainder")):
-        monkeypatch.setattr(slope, "_hensel_pair",
-                            lambda P, A, B, u, v, p, r, lift=lift:
-                            (lift, B, u, v))
+        monkeypatch.setattr(slope, "_lift_low_factor",
+                            lambda P, A, v, p, r, lift=lift: lift)
         with pytest.raises(InternalInconsistency, match=msg):
             slope_factor(P, 1, 3, 4)
     monkeypatch.undo()
