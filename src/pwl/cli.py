@@ -38,7 +38,7 @@ def _guard(fn):
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (PwlError, AssertionError) as exc:
+        except PwlError as exc:
             err = {"error": type(exc).__name__, "message": str(exc)}
             payload = getattr(exc, "payload", None)
             if payload:

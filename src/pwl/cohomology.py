@@ -274,18 +274,21 @@ def hecke_matrix(coeffs, basis, reps):
                     f"{letters} letters overflow {_HEADROOM_BITS} headroom bits")
             S = coeffs.act_matrix(A.cofactor())
             P = packed(S)
-            for k in word:
+            for k in word[:-1]:
                 if k > 0:
-                    old = plus.get(k - 1)
-                    plus[k - 1] = P if old is None else list(map(add, old, P))
+                    plus[k - 1] = list(map(add, plus.get(k - 1, no_rows), P))
                     Gp = gen_mats[k - 1]
                 else:
                     Gp = inv_mats[-k - 1]
                 P = [sum(map(mul, Si, Gp)) for Si in S]
                 S = [unpack_row(x, D, W, M) for x in P]
                 if k < 0:
-                    old = minus.get(-k - 1)
-                    minus[-k - 1] = P if old is None else list(map(add, old, P))
+                    minus[-k - 1] = list(map(add, minus.get(-k - 1, no_rows), P))
+            if word:  # only a negative last letter reads a product after it
+                k = word[-1]
+                blocks, q = (plus, k - 1) if k > 0 else (minus, -k - 1)
+                P = P if k > 0 else [sum(map(mul, Si, inv_mats[q])) for Si in S]
+                blocks[q] = list(map(add, blocks.get(q, no_rows), P))
         for q in plus.keys() | minus.keys():
             pos, neg = plus.get(q, no_rows), minus.get(q, no_rows)
             for i in range(D):

@@ -14,18 +14,18 @@ of plain ints.
 charpoly_mod reduces a square matrix to Hessenberg form by similarities
 over Z/p^r (again with minimal-valuation pivots, so every multiplier is
 integral) and reads det(X I - A) off the division-free Hessenberg
-recurrence, in O(n^3) operations; coefficients are returned in ascending
-degree order with the leading coefficient last (monic).
+recurrence in O(n^2) interpreted steps on packed columns; coefficients are
+returned in ascending degree order with the leading coefficient last (monic).
 
 pack_row / unpack_row hold a row of nonnegative ints as the w-bit fields of
 one int (entry j at bit w*j; Kronecker substitution).  A scalar times a
 packed row scales every field, and a sum of packed rows adds them field by
 field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
-a bound on the entries: cohomology.hecke_matrix and sympow.sym_matrix do, and
-share unpack_row.  mat_mul stays unpacked on purpose: it skips zero entries,
-and on the one-off products left to it (the induced operator) that beats
-packing both operands for a single use.
+a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix and
+charpoly_mod do, and share unpack_row.  mat_mul stays unpacked on purpose:
+it skips zero entries, and on the one-off products left to it (the
+induced operator) that beats packing both operands for a single use.
 """
 
 from .padic import vp
@@ -174,56 +174,53 @@ def charpoly_mod(A, p, r):
     row_i -= c row_{k+1}, col_{k+1} += c col_i clears it exactly.  The
     charpoly of H follows from the division-free recurrence
     P_m = (X - h_mm) P_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) P_{i-1}
-    on its leading blocks.  O(n^3) operations on residues mod p^r.
+    on its leading blocks.  Column j of H is one int of w-bit fields
+    (pack_row), row i in field pos[i] (a row swap swaps two entries of
+    pos), reduced mod M = p^r only where read.  Pivot k is O(n) big-int
+    operations: the row pass col_j += y_j * neg for j > k (y_j = h_{k+1,j}
+    mod M, neg the packed M - c_i; column k skips it, as nothing reads what
+    it clears) and the column pass col_{k+1} += sum c_i col_i.  A pivot
+    row-passes a column at most once, adding y (M - c) < M^2 to a field,
+    and never after its column pass, so a field is below (n+1) M^2 before
+    that pass and below (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3 < 2^w after.
+    The recurrence packs P_m in w2-bit fields, below (n+2) M^2 < 2^w2.
     """
     M = p ** r
     n = len(A)
-    H = [[x % M for x in row] for row in A]
+    w = ((n + 1) ** 2 * M ** 3).bit_length()
+    mask = (1 << w) - 1
+    cols = [pack_row([row[j] % M for row in A], w) for j in range(n)]
+    pos = list(range(n))
     for k in range(n - 2):
-        piv, e = -1, r
-        for i in range(k + 1, n):
-            x = H[i][k]
-            if x:
-                v = vp(x, p)
-                if v < e:
-                    piv, e = i, v
-                    if not v:
-                        break
+        col = unpack_row(cols[k], n, w, M)  # col[pos[i]] = h_ik
+        e, piv = min(((vp(col[pos[i]], p), i) for i in range(k + 1, n)
+                      if col[pos[i]]), default=(r, -1))
         if piv < 0:
             continue
         k1 = k + 1
-        if piv != k1:
-            H[k1], H[piv] = H[piv], H[k1]
-            for row in H:
-                row[k1], row[piv] = row[piv], row[k1]
+        pos[k1], pos[piv] = pos[piv], pos[k1]
+        cols[k1], cols[piv] = cols[piv], cols[k1]
         pe = p ** e
-        uinv = pow(H[k1][k] // pe, -1, M)
-        top = H[k1][k:]
-        mults = []
-        for i in range(k + 2, n):
-            row = H[i]
-            if row[k]:
-                c = row[k] // pe * uinv % M
-                row[k:] = [(a - c * b) % M for a, b in zip(row[k:], top)]
-                mults.append((i, c))
-        if mults:
-            for row in H:
-                row[k1] = (row[k1] + sum(c * row[i] for i, c in mults)) % M
-    polys = [[1 % M]]
+        uinv = pow(col[pos[k1]] // pe, -1, M)
+        mults = [(i, col[pos[i]] // pe * uinv % M) for i in range(k + 2, n)
+                 if col[pos[i]]]
+        neg = sum((M - c) << (w * pos[i]) for i, c in mults)
+        off = w * pos[k1]
+        for j in range(k1, n):
+            y = ((cols[j] >> off) & mask) % M
+            if y:
+                cols[j] += y * neg
+        cols[k1] += sum(c * cols[i] for i, c in mults)
+    H = [[(x >> w * s & mask) % M for s in pos] for x in cols]  # H[j][i] = h_ij
+    w2 = ((n + 2) * M * M).bit_length()
+    polys = [1 % M]
     for m in range(n):
-        prev = polys[-1]
-        h = H[m][m]
-        new = [0] + prev
-        for j, c in enumerate(prev):
-            new[j] -= h * c
+        new = (polys[-1] << w2) + (-H[m][m] % M) * polys[-1]
         t = 1
         for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i] % M
+            t = t * H[i][i + 1] % M
             if not t:
                 break
-            c = H[i][m] * t % M
-            if c:
-                for j, q in enumerate(polys[i]):
-                    new[j] -= c * q
-        polys.append([x % M for x in new])
-    return polys[-1]
+            new += (-H[m][i] * t % M) * polys[i]
+        polys.append(pack_row(unpack_row(new, m + 2, w2, M), w2))
+    return unpack_row(polys[-1], n + 1, w2, M)

@@ -16,7 +16,7 @@ cohomologically and just eps(n) classically.
 import math
 from fractions import Fraction
 
-from .errors import (BadWeight, NotCoprime, PrecisionExhausted,
+from .errors import (BadRange, BadWeight, NotCoprime, PrecisionExhausted,
                      TruncationTooShort)
 from .padic import PrecInt, vp
 
@@ -27,11 +27,13 @@ class DirichletChar:
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus, values=None):
-        assert modulus >= 1
+        if modulus < 1:
+            raise BadRange(f"character modulus {modulus} is below 1")
         self.modulus = modulus
         self.values = {}
         for u, x in (values or {}).items():
-            assert math.gcd(u % modulus, modulus) == 1
+            if math.gcd(u % modulus, modulus) != 1:
+                raise BadRange(f"character key {u} is not a unit mod {modulus}")
             self.values[u % modulus] = x
 
     def __call__(self, n):
@@ -51,7 +53,8 @@ class QExp:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        assert len(coeffs) >= 1
+        if not coeffs:
+            raise BadRange("a q-expansion needs its constant term")
         self.coeffs = list(coeffs)
 
     def truncation(self):
@@ -110,8 +113,13 @@ def eisenstein(k, T):
     return QExp([a0] + [divisor_sigma(h, k - 1) for h in range(1, T + 1)])
 
 
+def _check_normalization(normalization):
+    if normalization not in ("cohomological", "classical"):
+        raise BadRange(f"unknown normalization {normalization!r}")
+
+
 def _power_exponent(k, normalization):
-    assert normalization in ("cohomological", "classical")
+    _check_normalization(normalization)
     return k - 2 if normalization == "cohomological" else k - 1
 
 
@@ -139,7 +147,7 @@ def hecke_t(ell, k, eps, f, normalization="cohomological"):
 
 def hecke_s(n, k, eps, f, normalization="cohomological"):
     """Diamond operator: eps(n) classically, eps(n) n^(k-2) cohomologically."""
-    assert normalization in ("cohomological", "classical")
+    _check_normalization(normalization)
     if eps(n) == 0:
         raise NotCoprime(f"{n} shares a factor with the modulus {eps.modulus}")
     scal = eps(n) if normalization == "classical" else eps(n) * n ** (k - 2)
@@ -158,7 +166,8 @@ def slope_check(f, p, s):
     only if its precision exceeds s, otherwise a residue of 0 cannot
     distinguish valuation s from larger and we refuse.
     """
-    assert s >= 0
+    if s < 0:
+        raise BadRange(f"valuation cutoff {s} is negative")
     ap = f.a(p)
     if isinstance(ap, PrecInt):
         if ap.res != 0:

@@ -1,9 +1,12 @@
 """End-to-end checks of the installed command line entry point."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args):
@@ -136,3 +139,27 @@ def test_readme_usage_lines_run():
         res = run_cli(*args)
         assert res.returncode == 0, (args, res.stderr)
         assert json.loads(res.stdout)["schema"] == 1
+
+
+# sha256 of the --no-meta stdout bytes of the three benchmark CLI jobs
+# (perfbench/run.py WORKLOADS): any change to their output bytes fails here
+PINNED_OUTPUTS = [
+    (("slopes", "--level", "23", "--prime", "23", "--precision", "24",
+      "--ell", "23"),
+     "e5d418c4958df3b5537e36f7c67badbb4892e6e003b616e479d35cf7c4000247"),
+    (("hecke", "--level", "43", "--prime", "43", "--precision", "3",
+      "--ell", "2"),
+     "e5d19931849826f91a15268942b35014cb7c5bbddaa4b5590ec1a145aed6a64c"),
+    (("slopes", "--level", "5", "--prime", "31", "--precision", "4",
+      "--ell", "31", "--sym", "16"),
+     "941f0813db8d8b87fbe3e521c49829fe855aefec6c5e50e9992fe5fd50e84cb7"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
+                         ids=["slopes_N23", "hecke_N43", "sym16_N5"])
+def test_benchmark_outputs_are_pinned(args, digest):
+    res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout).hexdigest() == digest

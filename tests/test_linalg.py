@@ -267,6 +267,43 @@ def test_charpoly_matches_berkowitz():
                         (p, r, n, kind)
 
 
+def unit_lower_inverse(L, M):
+    """L^-1 mod M for unit lower-triangular L, by forward substitution."""
+    n = len(L)
+    X = identity_mat(n)
+    for i in range(n):
+        for j in range(i):
+            X[i][j] = -sum(L[i][t] * X[t][j] for t in range(j, i)) % M
+    return X
+
+
+def test_charpoly_large_conjugate_of_triangular():
+    # A = L T L^-1 with T upper-triangular, entries near M - 1: the
+    # charpoly is prod (X - t_ii), at sizes where the packed fields of
+    # charpoly_mod are wide enough to overflow if the width bound were off
+    rng = random.Random(9)
+    for p, r in ((43, 3), (23, 24)):
+        M = p ** r
+        for n in (40, 100):
+            L = identity_mat(n)
+            T = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    if j < i:
+                        L[i][j] = rng.randrange(M)
+                    else:
+                        T[i][j] = M - 1 - rng.randrange(3)
+            Linv = unit_lower_inverse(L, M)
+            assert mat_mul(L, Linv, M) == identity_mat(n)
+            A = mat_mul(mat_mul(L, T, M), Linv, M)
+            want = [1]
+            for i in range(n):
+                # multiply by X - t_ii
+                want = [(a - T[i][i] * b) % M
+                        for a, b in zip([0] + want, want + [0])]
+            assert charpoly_mod(A, p, r) == want, (p, r, n)
+
+
 def test_charpoly_takes_unreduced_entries():
     A = [[-1, 10 ** 30], [7, -3 ** 40]]
     assert charpoly_mod(A, 5, 3) == berkowitz(A, 125)

@@ -8,7 +8,7 @@ import pytest
 import pwl
 
 ASSERT_FREE = ("cli", "cohomology", "gamma1", "iwasawa", "linalg", "matrices",
-               "padic", "slope", "sympow", "verify")
+               "padic", "qexp", "slope", "sympow", "verify")
 
 
 @pytest.mark.parametrize("module", ASSERT_FREE)

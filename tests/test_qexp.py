@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwl.errors import (BadWeight, NotCoprime, PrecisionExhausted,
+from pwl.errors import (BadRange, BadWeight, NotCoprime, PrecisionExhausted,
                         TruncationTooShort)
 from pwl.padic import PrecInt
 from pwl.qexp import (DirichletChar, QExp, bernoulli, divisor_sigma,
@@ -155,6 +155,37 @@ def test_truncation_guards():
         f.a(5)
     with pytest.raises(TruncationTooShort):
         f.a(-1)
+
+
+def test_character_rejects_bad_modulus():
+    with pytest.raises(BadRange):
+        DirichletChar(0)
+
+
+def test_character_rejects_non_unit_key():
+    with pytest.raises(BadRange):
+        DirichletChar(6, {2: -1})
+
+
+def test_qexp_rejects_empty_coefficients():
+    with pytest.raises(BadRange):
+        QExp([])
+
+
+def test_hecke_t_rejects_unknown_normalization():
+    with pytest.raises(BadRange):
+        hecke_t(2, 4, trivial_char(1), QExp([1, 2, 3]), normalization="x")
+
+
+def test_hecke_s_rejects_unknown_normalization():
+    chi = DirichletChar(5)
+    with pytest.raises(BadRange):
+        hecke_s(2, 4, chi, QExp([1, 2, 3]), normalization="x")
+
+
+def test_slope_check_rejects_negative_cutoff():
+    with pytest.raises(BadRange):
+        slope_check(QExp([0, 0, 0, 1]), 3, -1)
 
 
 def test_slope_check_exact_coefficients():
