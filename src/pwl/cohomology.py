@@ -20,8 +20,11 @@ Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
 divide N, with sigma_ell = diamond_rep(ell, N) (Diamond-Shurman, A First
 Course in Modular Forms, Prop. 5.2.1).  Each translate A gamma is matched
-to the rep that absorbs it by the exact coset test _gamma1_quotient,
-which raises if the set is not closed; the operator value
+to the rep that absorbs it in O(1): the left coset Gamma_1(N) B is keyed
+by the Hermite form H of B's row lattice (an invariant of SL_2(Z) B) and
+the bottom row mod N of B H^-1, one dict holds the key of every rep, and
+one exact coset test _gamma1_quotient confirms the match.  A translate
+with no rep, or two reps of one coset, raises.  The operator value
 (A c)(g) = sum_theta act(adj(A_theta), c(gamma_theta)) uses the main
 involution (adjugate) on the left.  hecke_matrix assembles the same
 operator as a matrix on stacked generator values in one pass over the
@@ -29,8 +32,10 @@ rewritten words, on packed rows (linalg.pack_row, W-bit fields with
 W = bits(D (p^r - 1)^2) + 40): a letter multiplies the D prefix rows by a
 generator action as D sums of int products, O(D^2) interpreted steps
 where a D x D mat_mul takes O(D^3), and the spare 40 bits let the
-unreduced rows be summed per block before one reduction.  Products that
-occur once (the induced operator) keep the zero-skipping mat_mul.  h1
+unreduced rows be summed per block before one reduction; a letter that
+acts as the identity (every letter on Sym^0) skips its product.
+Products that occur once (the induced operator) keep the zero-skipping
+mat_mul.  h1
 presents the quotient by coboundaries via the diagonalization of the
 coboundary matrix, giving class coordinates, orders, and induced operator
 matrices (with charpoly available on free presentations).
@@ -43,8 +48,8 @@ from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NoLift, NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
-from .linalg import (charpoly_mod, mat_mul, mat_vec, pack_row, smith_mod,
-                     unpack_row)
+from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
+                     smith_mod, unpack_row)
 from .matrices import IntMat, PadicMat
 from .padic import _is_odd_prime
 from .sympow import SymVec, act_sym, sym_matrix
@@ -207,22 +212,55 @@ def t_ell_reps(ell, basis):
     return reps
 
 
-def _coset_partner(B, reps, N):
-    for A2 in reps:
-        G = _gamma1_quotient(B, A2, N)
-        if G is not None:
-            return G
-    raise InternalInconsistency("no representative absorbs the translate")
+def _coset_key(B, N):
+    """Key of the left coset Gamma_1(N) B = Gamma_1(N) U H: the Hermite
+    form H = (g, b; 0, h) of B's row lattice, 0 <= b < h, and the bottom
+    row mod N of U = B H^-1 in SL_2(Z), which fixes Gamma_1(N) U."""
+    a, b, c, d = B.entries()
+    # extended Euclid: x a + y c = g = gcd(a, c) > 0
+    g, g1, x, x1, y, y1 = a, c, 1, 0, 0, 1
+    while g1:
+        q = g // g1
+        g, g1 = g1, g - q * g1
+        x, x1 = x1, x - q * x1
+        y, y1 = y1, y - q * y1
+    if g < 0:
+        g, x, y = -g, -x, -y
+    h = (a * d - b * c) // g
+    top = (x * b + y * d) % h
+    u = c // g
+    return g, top, h, u % N, (d - u * top) // h % N
+
+
+def _coset_index(reps, N):
+    """Coset key -> rep; raises if two reps share a coset."""
+    index = {}
+    for A in reps:
+        key = _coset_key(A, N)
+        if key in index:
+            raise InternalInconsistency(f"{index[key]} and {A} share a coset")
+        index[key] = A
+    return index
+
+
+def _coset_partner(B, index, N):
+    """B A^-1 in Gamma_1(N) for the rep A of B's coset (exactly checked)."""
+    A = index.get(_coset_key(B, N))
+    G = None if A is None else _gamma1_quotient(B, A, N)
+    if G is None:
+        raise InternalInconsistency("no representative absorbs the translate")
+    return G
 
 
 def hecke_images(cocycle, reps):
     """Value-level double-coset operator: new cocycle on the generators."""
     coeffs, basis = cocycle.coeffs, cocycle.basis
+    index = _coset_index(reps, basis.N)
     out = []
     for gam in basis.gens:
         val = coeffs.zero()
         for A in reps:
-            G = _coset_partner(A * gam, reps, basis.N)
+            G = _coset_partner(A * gam, index, basis.N)
             v = cocycle.eval(G)
             val += coeffs.act(A.cofactor(), v)
         out.append(val)
@@ -259,14 +297,16 @@ def hecke_matrix(coeffs, basis, reps):
     def packed(mat):
         return [pack_row(row, W) for row in mat]
 
+    eye = packed(identity_mat(D))
     gen_mats = [packed(coeffs.act_matrix(g)) for g in basis.gens]
     inv_mats = [packed(coeffs.act_matrix(g.inverse())) for g in basis.gens]
     no_rows = [0] * D
+    index = _coset_index(reps, basis.N)
     for h, gam in enumerate(basis.gens):
         plus, minus = {}, {}  # letter index q -> packed rows of block (h, q)
         letters = 0
         for A in reps:
-            G = _coset_partner(A * gam, reps, basis.N)
+            G = _coset_partner(A * gam, index, basis.N)
             word = basis.express(G)
             letters += len(word)
             if letters > max_letters:
@@ -280,14 +320,16 @@ def hecke_matrix(coeffs, basis, reps):
                     Gp = gen_mats[k - 1]
                 else:
                     Gp = inv_mats[-k - 1]
-                P = [sum(map(mul, Si, Gp)) for Si in S]
-                S = [unpack_row(x, D, W, M) for x in P]
+                if Gp != eye:  # an identity letter leaves S and P as they are
+                    P = [sum(map(mul, Si, Gp)) for Si in S]
+                    S = [unpack_row(x, D, W, M) for x in P]
                 if k < 0:
                     minus[-k - 1] = list(map(add, minus.get(-k - 1, no_rows), P))
             if word:  # only a negative last letter reads a product after it
                 k = word[-1]
                 blocks, q = (plus, k - 1) if k > 0 else (minus, -k - 1)
-                P = P if k > 0 else [sum(map(mul, Si, inv_mats[q])) for Si in S]
+                if k < 0 and inv_mats[q] != eye:
+                    P = [sum(map(mul, Si, inv_mats[q])) for Si in S]
                 blocks[q] = list(map(add, blocks.get(q, no_rows), P))
         for q in plus.keys() | minus.keys():
             pos, neg = plus.get(q, no_rows), minus.get(q, no_rows)

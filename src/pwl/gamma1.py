@@ -9,9 +9,19 @@ first Schreier transversal over the projective cosets (rows up to global
 sign) therefore yields a free generating set of rank 1 + mu/6, where mu
 is the projective index, plus a rewriting table expressing every directed
 coset edge as a word in the kept generators.  FreeBasisData keeps the
-projective cosets themselves (rows, the permutations perm_s and perm_u,
-coset_of); express() decomposes an arbitrary group element into the basis
-and replays the product as an exact check.
+projective cosets themselves (rows and the permutations perm_s, perm_u
+and perm_t) and, per coset x, the reduced word of one t-step, the width
+w_x of x's t-orbit (its cusp width, a divisor of N) and the loop word of
+t^w_x from x.
+
+express() writes a group element as +-t^e_0 s t^e_1 ... s t^e_n by the
+nearest-integer continued fraction of its left column (each step at
+least halves the lower-left entry c, so n <= 1 + log_2 |c|), then walks
+the cosets: an s costs one table entry, and t^e with e = q w_x + k,
+|k| <= w_x / 2, costs q copies of the loop word and one memoized word of
+k t-steps.  Reduced words in a free group are unique, so the reduced
+result is the same whatever the walk; express replays it against the
+input as an exact check.
 
 free_basis builds the basis afresh on every call and replays every
 rewriting entry against the matrix of its directed edge before returning.
@@ -52,28 +62,42 @@ def _normalize_sign(m, N):
 class FreeBasisData:
     """Free generators of the level subgroup plus the rewriting table."""
 
-    __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "perm_u_inv", "root",
-                 "lifts", "lift_words", "gens", "expr")
+    __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "root", "lifts",
+                 "lift_words", "gens", "expr", "perm_t", "t_word", "width",
+                 "loop", "steps")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, perm_u_inv, root, lifts,
-                 lift_words, gens, expr):
+    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, lift_words,
+                 gens, expr, perm_t, t_word, width, loop):
         self.N = N
         self.mu = mu
         self.rows = rows
         self.perm_s = perm_s
         self.perm_u = perm_u
-        self.perm_u_inv = perm_u_inv
         self.root = root
         self.lifts = lifts
         self.lift_words = lift_words
         self.gens = gens
         self.expr = expr
+        self.perm_t = perm_t
+        self.t_word = t_word
+        self.width = width
+        self.loop = loop
+        self.steps = {}  # (coset, k) -> (word of t^k from it, end coset)
 
     def rank(self):
         return len(self.gens)
 
-    def coset_of(self, mat):
-        return self.rows.index(_proj_canon(mat.c, mat.d, self.N))
+    def _t_steps(self, x, k):
+        """Reduced word of t^k from coset x, 0 < |k| < width, and its end."""
+        step = self.steps.get((x, k))
+        if step is None:
+            word = [] if k > 0 else _inverse(self.loop[x])
+            y = x
+            for _ in range(k % self.width[x]):
+                word.extend(self.t_word[y])
+                y = self.perm_t[y]
+            step = self.steps[(x, k)] = (tuple(_free_reduce(word)), y)
+        return step
 
     def express(self, mat):
         """Word in the free generators equal to mat, as signed 1-based indices."""
@@ -81,16 +105,21 @@ class FreeBasisData:
             raise NotInGroup(f"{mat} is not in the level-{self.N} subgroup")
         out = []
         cur = self.root
-        for g, e in _su_word(mat):
-            if g == "s":
+        for i, e in enumerate(_st_decompose(mat)):
+            if i:
                 out.extend(self.expr[(cur, "s")])
                 cur = self.perm_s[cur]
-            elif e == 1:
-                out.extend(self.expr[(cur, "u")])
-                cur = self.perm_u[cur]
-            else:
-                cur = self.perm_u_inv[cur]
-                out.extend(-x for x in reversed(self.expr[(cur, "u")]))
+            # t^e = (t^w)^q t^k with |k| <= w/2: q loops, then k steps
+            w = self.width[cur]
+            q, k = divmod(e + w // 2, w)
+            k -= w // 2
+            if q > 0:
+                out.extend(self.loop[cur] * q)
+            elif q < 0:
+                out.extend(_inverse(self.loop[cur]) * -q)
+            if k:
+                word, cur = self._t_steps(cur, k)
+                out.extend(word)
         if cur != self.root:
             raise InternalInconsistency("rewriting walk did not close up")
         red = _free_reduce(out)
@@ -100,12 +129,18 @@ class FreeBasisData:
 
 
 def _word_matrix(gens, word):
-    """Product of a word of signed 1-based indices into gens."""
-    prod = IntMat.identity()
+    """Product of a word of signed 1-based indices into gens (all of
+    determinant 1, so a negative index takes the adjugate)."""
+    a, b, c, d = 1, 0, 0, 1
     for k in word:
-        g = gens[abs(k) - 1]
-        prod = prod * (g if k > 0 else g.inverse())
-    return prod
+        m = gens[abs(k) - 1]
+        e, f, g, h = (m.a, m.b, m.c, m.d) if k > 0 else (m.d, -m.b, -m.c, m.a)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return IntMat(a, b, c, d)
+
+
+def _inverse(word):
+    return [-k for k in reversed(word)]
 
 
 def _free_reduce(word):
@@ -119,37 +154,21 @@ def _free_reduce(word):
 
 
 def _st_decompose(mat):
-    """mat as a left-to-right word of ('s',) and ('t', e) tokens, up to sign."""
+    """Exponents e_0, ..., e_n with mat = +-t^e_0 s t^e_1 s ... s t^e_n.
+
+    Euclid on the left column with nearest-integer quotients: each step
+    left-multiplies by s t^k, with k chosen so the new lower-left entry is
+    at most half the old one in absolute value."""
     a, b, c, d = mat.entries()
-    ops = []
+    exps = []
     while c != 0:
-        k = -(a // c)
+        k = -((2 * a + c) // (2 * c))
         a, b = a + k * c, b + k * d
-        ops.append(k)
+        exps.append(-k)
         a, b, c, d = -c, -d, a, b
-    # now +-(1, b'; 0, 1) with the sign in a; undo the ops left to right
-    word = []
-    for k in ops:
-        word.append(("t", -k))
-        word.append(("s",))
-    if a * b != 0:
-        word.append(("t", a * b))
-    return word
-
-
-def _su_word(mat):
-    """mat as a word in s and u (t = s u in the projective group)."""
-    out = []
-    for tok in _st_decompose(mat):
-        if tok[0] == "s":
-            out.append(("s", 1))
-        else:
-            e = tok[1]
-            if e > 0:
-                out.extend([("s", 1), ("u", 1)] * e)
-            else:
-                out.extend([("u", -1), ("s", 1)] * (-e))
-    return out
+    # now +-(1, b'; 0, 1) with the sign in a
+    exps.append(a * b)
+    return exps
 
 
 def free_basis(N):
@@ -272,9 +291,23 @@ def free_basis(N):
         raise InternalInconsistency(
             f"basis has {len(gens)} letters, expected {1 + mu // 6}")
 
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, perm_u_inv, root,
+    # t = s^-1 u acts on cosets as s then u; each t-orbit is a cusp of
+    # width w, and t^w loops back to the coset it starts from
+    perm_t = [perm_u[perm_s[t]] for t in range(mu)]
+    t_word = [tuple(_free_reduce(expr[(t, "s")] + expr[(perm_s[t], "u")]))
+              for t in range(mu)]
+    width, loop = [], []
+    for t in range(mu):
+        word, y, w = list(t_word[t]), perm_t[t], 1
+        while y != t:
+            word.extend(t_word[y])
+            y, w = perm_t[y], w + 1
+        width.append(w)
+        loop.append(tuple(_free_reduce(word)))
+    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root,
                          [lifts[t] for t in range(mu)],
-                         [words[t] for t in range(mu)], gens, expr)
+                         [words[t] for t in range(mu)], gens, expr, perm_t,
+                         t_word, width, loop)
     _verify_edges(data, edge_matrix)
     return data
 

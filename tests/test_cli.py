@@ -142,7 +142,9 @@ def test_readme_usage_lines_run():
 
 
 # sha256 of the --no-meta stdout bytes of the three benchmark CLI jobs
-# (perfbench/run.py WORKLOADS): any change to their output bytes fails here
+# (perfbench/run.py WORKLOADS) and of the level-37 T_37 charpoly, the
+# longest coset walk (78324 letters): any change to their output bytes
+# fails here
 PINNED_OUTPUTS = [
     (("slopes", "--level", "23", "--prime", "23", "--precision", "24",
       "--ell", "23"),
@@ -153,11 +155,15 @@ PINNED_OUTPUTS = [
     (("slopes", "--level", "5", "--prime", "31", "--precision", "4",
       "--ell", "31", "--sym", "16"),
      "941f0813db8d8b87fbe3e521c49829fe855aefec6c5e50e9992fe5fd50e84cb7"),
+    (("hecke", "--level", "37", "--prime", "37", "--precision", "3",
+      "--ell", "37"),
+     "704abb32b4c24d77384ea3ce86fc6bae0037332f62e05f4a346910da9d92df8d"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
-                         ids=["slopes_N23", "hecke_N43", "sym16_N5"])
+                         ids=["slopes_N23", "hecke_N43", "sym16_N5",
+                              "hecke_N37"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)

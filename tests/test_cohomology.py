@@ -6,8 +6,9 @@ import random
 import pytest
 
 from pwl import cohomology
-from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_partner,
-                            _gamma1_quotient, coboundary, diamond_rep,
+from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
+                            _coset_partner, _gamma1_quotient, coboundary,
+                            diamond_rep,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
@@ -34,6 +35,15 @@ def other_choice(reps, basis, rng):
     return out
 
 
+def scan_partner(B, reps, N):
+    """B A^-1 for the first rep A that absorbs B, by testing every rep."""
+    for A in reps:
+        G = _gamma1_quotient(B, A, N)
+        if G is not None:
+            return G
+    raise InternalInconsistency("no representative absorbs the translate")
+
+
 def ref_hecke_matrix(coeffs, basis, reps):
     """The operator's matrix by one D x D mat_mul per word letter, with
     every block update reduced mod p^r as it is added."""
@@ -52,7 +62,7 @@ def ref_hecke_matrix(coeffs, basis, reps):
     inv_mats = [coeffs.act_matrix(g.inverse()) for g in basis.gens]
     for h, gam in enumerate(basis.gens):
         for A in reps:
-            word = basis.express(_coset_partner(A * gam, reps, basis.N))
+            word = basis.express(scan_partner(A * gam, reps, basis.N))
             S = coeffs.act_matrix(A.cofactor())
             for k in word:
                 if k > 0:
@@ -113,11 +123,46 @@ def test_hecke_matrix_headroom_guard(monkeypatch):
     with pytest.raises(InternalInconsistency):
         hecke_matrix(co, fb, reps)
     # the fewest headroom bits the longest generator's letter count allows
-    letters = max(sum(len(fb.express(_coset_partner(A * g, reps, 7)))
+    letters = max(sum(len(fb.express(scan_partner(A * g, reps, 7)))
                       for A in reps) for g in fb.gens)
     monkeypatch.setattr(cohomology, "_HEADROOM_BITS",
                         (letters - 1).bit_length())
     assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
+
+
+@pytest.mark.parametrize("N, p, n, trivial", [(9, 3, 2, 2), (15, 5, 3, 2)])
+def test_hecke_matrix_identity_letters(N, p, n, trivial):
+    # some generators act as the identity on Sym^n mod p and some do not:
+    # skipping the products of the identity letters changes no entry
+    fb = free_basis(N)
+    co = SymCoeffs(p, 1, n)
+    eye = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    assert sum(co.act_matrix(g) == eye for g in fb.gens) == trivial
+    reps = t_ell_reps(p, fb)
+    assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
+
+
+def test_hecke_matrix_work_counts(monkeypatch):
+    # T_23 at level 23: one exact coset test per translate (45 generators
+    # times 23 reps) and 13564 letters over the rewritten words
+    quotients, letters = [], []
+    quotient, express = cohomology._gamma1_quotient, FreeBasisData.express
+
+    def counted_quotient(B, A, N):
+        quotients.append(1)
+        return quotient(B, A, N)
+
+    def counted_express(self, mat):
+        word = express(self, mat)
+        letters.append(len(word))
+        return word
+
+    monkeypatch.setattr(cohomology, "_gamma1_quotient", counted_quotient)
+    monkeypatch.setattr(FreeBasisData, "express", counted_express)
+    fb = free_basis(23)
+    hecke_matrix(SymCoeffs(23, 2, 0), fb, t_ell_reps(23, fb))
+    assert len(quotients) == 1035 == fb.rank() * 23
+    assert sum(letters) == 13564
 
 
 def test_h1_trivial_level11():
@@ -163,7 +208,48 @@ def test_rep_invariants():
                 assert all(_gamma1_quotient(A, B, N) is None
                            for B in reps[i + 1:])
                 for g in moves:
-                    _coset_partner(A * g, reps, N)
+                    scan_partner(A * g, reps, N)
+
+
+def test_keyed_partner_matches_scan():
+    # every generator translate of the T_ell reps, of the identity alone
+    # and of all diamond reps at once (determinant-1 cosets that share a
+    # Hermite form and differ in their bottom rows) at levels 5..29: the
+    # coset key picks the rep the scan over all reps finds
+    translates = 0
+    for N in range(5, 30):
+        fb = free_basis(N)
+        rep_lists = [t_ell_reps(ell, fb) for ell in (2, 3, 5, 7, 11, 13)]
+        rep_lists.append([IntMat.identity()])
+        rep_lists.append([diamond_rep(m, N) for m in range(1, N)
+                          if math.gcd(m, N) == 1])
+        for reps in rep_lists:
+            index = _coset_index(reps, N)
+            for A in reps:
+                for g in fb.gens:
+                    B = A * g
+                    G = _coset_partner(B, index, N)
+                    assert G == scan_partner(B, reps, N)
+                    translates += 1
+    assert translates == 38319
+
+
+def test_keyed_partner_rejects_incomplete_and_repeated_reps():
+    fb = free_basis(11)
+    reps = t_ell_reps(3, fb)
+    # a dropped rep leaves some translate without a partner
+    with pytest.raises(InternalInconsistency, match="no representative"):
+        hecke_matrix(SymCoeffs(3, 2, 0), fb, reps[1:])
+    with pytest.raises(InternalInconsistency, match="no representative"):
+        hecke_images(Cocycle.random(SymCoeffs(3, 2, 0), fb, random.Random(3)),
+                     reps[:-1])
+    # a second rep of a coset already present: g A with g in the subgroup
+    twin = fb.gens[0] * reps[2]
+    assert _gamma1_quotient(twin, reps[2], 11) == fb.gens[0]
+    with pytest.raises(InternalInconsistency, match="share a coset"):
+        _coset_index(reps + [twin], 11)
+    with pytest.raises(InternalInconsistency, match="share a coset"):
+        hecke_matrix(SymCoeffs(3, 2, 0), fb, [twin] + reps)
 
 
 def test_hecke_commute_and_order_independence():
@@ -350,7 +436,7 @@ def test_family_hecke_intertwines_specialization():
     # cheapest generator column by total rewritten word length
     totals = []
     for gam in fb.gens:
-        totals.append(sum(len(fb.express(_coset_partner(A * gam, reps, 9)))
+        totals.append(sum(len(fb.express(scan_partner(A * gam, reps, 9)))
                           for A in reps))
     h = totals.index(min(totals))
     out = k - 1

@@ -6,11 +6,64 @@ from fractions import Fraction
 import pytest
 
 from pwl import gamma1
+from pwl.cohomology import _coset_index, _coset_partner, t_ell_reps
 from pwl.errors import BadLevel, InternalInconsistency, NotInGroup
-from pwl.gamma1 import ROT, SIX, _free_reduce, free_basis, in_gamma1
+from pwl.gamma1 import (ROT, SIX, _free_reduce, _proj_canon, _st_decompose,
+                        free_basis, in_gamma1)
 from pwl.matrices import IntMat
 
 T_MAT = IntMat(1, 1, 0, 1)
+
+
+def coset_of(basis, mat):
+    """Index of the projective coset of mat's bottom row, by a scan."""
+    return basis.rows.index(_proj_canon(mat.c, mat.d, basis.N))
+
+
+def floor_st_decompose(mat):
+    """mat as ('s',) and ('t', e) tokens up to sign, by Euclid with floor
+    quotients (t^0 tokens kept)."""
+    a, b, c, d = mat.entries()
+    ops = []
+    while c != 0:
+        k = -(a // c)
+        a, b = a + k * c, b + k * d
+        ops.append(k)
+        a, b, c, d = -c, -d, a, b
+    word = []
+    for k in ops:
+        word.append(("t", -k))
+        word.append(("s",))
+    if a * b != 0:
+        word.append(("t", a * b))
+    return word
+
+
+def ref_express(basis, mat):
+    """The rewriting walk one s or u step at a time over the floor tokens,
+    with t^e walked as (s u)^e and t^-e as (u^-1 s)^e."""
+    perm_u_inv = [0] * basis.mu
+    for i, j in enumerate(basis.perm_u):
+        perm_u_inv[j] = i
+    out = []
+    cur = basis.root
+    for tok in floor_st_decompose(mat):
+        if tok[0] == "s":
+            moves = ["s"]
+        else:
+            moves = ["s", "u"] * tok[1] if tok[1] > 0 else ["u-", "s"] * -tok[1]
+        for g in moves:
+            if g == "s":
+                out.extend(basis.expr[(cur, "s")])
+                cur = basis.perm_s[cur]
+            elif g == "u":
+                out.extend(basis.expr[(cur, "u")])
+                cur = basis.perm_u[cur]
+            else:
+                cur = perm_u_inv[cur]
+                out.extend(-x for x in reversed(basis.expr[(cur, "u")]))
+    assert cur == basis.root
+    return tuple(_free_reduce(out))
 
 
 def sl2_index(N):
@@ -61,11 +114,31 @@ def test_coset_permutation_relations():
 def test_coset_of_matches_action():
     fb = free_basis(7)
     m = ROT * T_MAT * ROT * T_MAT * T_MAT
-    i = fb.coset_of(m)
-    assert fb.perm_s[i] == fb.coset_of(m * ROT)
-    assert fb.perm_u[i] == fb.coset_of(m * SIX)
+    i = coset_of(fb, m)
+    assert fb.perm_s[i] == coset_of(fb, m * ROT)
+    assert fb.perm_u[i] == coset_of(fb, m * SIX)
     # t = s^-1 u, and s^-1 = -s acts on cosets as s does
-    assert fb.perm_u[fb.perm_s[i]] == fb.coset_of(m * T_MAT)
+    assert fb.perm_u[fb.perm_s[i]] == coset_of(fb, m * T_MAT)
+    assert fb.perm_t[i] == coset_of(fb, m * T_MAT)
+
+
+def test_t_orbits():
+    # the t-orbit of a coset has width w_x dividing N, and the loop word of
+    # t^w_x replays to lift t^w_x lift^-1 up to sign
+    for N in (4, 6, 12, 13):
+        fb = free_basis(N)
+        for x in range(fb.mu):
+            w = fb.width[x]
+            assert N % w == 0
+            y = x
+            for k in range(w):
+                assert k == 0 or y != x
+                y = fb.perm_t[y]
+            assert y == x
+            lift = fb.lifts[x]
+            m = lift * IntMat(1, w, 0, 1) * lift.inverse()
+            minus_m = IntMat(*(-e for e in m.entries()))
+            assert word_matrix(fb, fb.loop[x]) in (m, minus_m)
 
 
 def test_free_ranks():
@@ -93,7 +166,7 @@ def test_transversal_properties():
             # prefix closed and consistent with the coset it represents
             for cut in range(len(word)):
                 assert word[:cut] in word_set
-            assert fb.coset_of(lift) == t
+            assert coset_of(fb, lift) == t
             prod = IntMat.identity()
             for g, e in word:
                 if g == "s":
@@ -131,6 +204,67 @@ def test_express_translation_powers():
         assert word_matrix(fb, fb.express(m)) == m
 
 
+EXPRESS_LEVELS = (4, 5, 6, 8, 12, 23, 37)
+
+
+@pytest.mark.parametrize("N", EXPRESS_LEVELS)
+def test_express_matches_unit_step_walk(N):
+    # random words of 0..40 letters: the nearest-integer walk with whole
+    # t-power jumps, the per-unit s/u walk and the reduced word all agree;
+    # the nearest-integer decomposition never takes more s letters than the
+    # floor one, and fewer tokens (s letters and nonzero t-powers) over the
+    # sample
+    fb = free_basis(N)
+    rng = random.Random(300 + N)
+    near = floor = 0
+    for _ in range(60):
+        word = [rng.choice([1, -1]) * rng.randrange(1, fb.rank() + 1)
+                for _ in range(rng.randrange(0, 41))]
+        m = word_matrix(fb, word)
+        assert fb.express(m) == ref_express(fb, m) == tuple(_free_reduce(word))
+        exps = _st_decompose(m)
+        toks = floor_st_decompose(m)
+        assert len(exps) - 1 <= toks.count(("s",))
+        near += len(exps) - 1 + sum(1 for e in exps if e)
+        floor += sum(1 for tok in toks if tok[0] == "s" or tok[1])
+    assert near < floor
+
+
+@pytest.mark.parametrize("N", EXPRESS_LEVELS)
+def test_express_t_powers(N):
+    # lift_x t^e lift_y^-1 for the coset y = x t^e, with e beyond the orbit
+    # width w, negative, and a multiple of it; up to sign in the subgroup
+    fb = free_basis(N)
+    rng = random.Random(400 + N)
+    cosets = range(fb.mu) if fb.mu <= 48 else rng.sample(range(fb.mu), 40)
+    for x in cosets:
+        w = fb.width[x]
+        for e in (w + 1, -(w + 1), 3 * w + w // 2, -2 * w, 7 * w, -1):
+            y = x
+            for _ in range(e % w):
+                y = fb.perm_t[y]
+            m = fb.lifts[x] * IntMat(1, e, 0, 1) * fb.lifts[y].inverse()
+            if not in_gamma1(m, N):
+                m = IntMat(*(-v for v in m.entries()))
+            assert in_gamma1(m, N)
+            red = fb.express(m)
+            assert red == ref_express(fb, m)
+            assert word_matrix(fb, red) == m
+
+
+@pytest.mark.parametrize("N", (11, 23))
+def test_express_on_hecke_translates(N):
+    # every word the T_ell operators of a small prime and of N rewrite
+    fb = free_basis(N)
+    for ell in (2, 3, N):
+        reps = t_ell_reps(ell, fb)
+        index = _coset_index(reps, N)
+        for A in reps:
+            for g in fb.gens:
+                G = _coset_partner(A * g, index, N)
+                assert fb.express(G) == ref_express(fb, G)
+
+
 def test_express_rejects_outsiders():
     fb = free_basis(5)
     with pytest.raises(NotInGroup):
@@ -153,3 +287,12 @@ def test_basis_lift_check_raises(monkeypatch):
     monkeypatch.setattr(gamma1, "SIX", IntMat.identity())
     with pytest.raises(InternalInconsistency, match="lift of coset"):
         free_basis(7)
+
+
+def test_express_replay_check_raises():
+    # a wrong loop word still closes the walk; the exact replay catches it
+    fb = free_basis(7)
+    assert fb.width[fb.root] == 1
+    fb.loop[fb.root] = ()
+    with pytest.raises(InternalInconsistency, match="replayed word"):
+        fb.express(IntMat(1, 5, 0, 1))
