@@ -1,17 +1,17 @@
 """Command line interface for bases, cohomology, Hecke data and slopes.
 
 Every command prints one JSON document with sorted keys to stdout.
-Package errors become a JSON object on stderr and exit status 1; click
-keeps its usual status 2 for argument problems.  With --no-meta the
-output carries no timestamp, so identical inputs give identical bytes.
+Package errors become a JSON object on stderr and exit status 1, as does
+a failed `verify`; argparse exits with status 2 on argument problems and
+prints nothing to stdout.  With --no-meta the output carries no
+timestamp, so identical inputs give identical bytes.  The parser uses
+only the standard library.
 """
 
-import functools
+import argparse
 import json
 import sys
 import time
-
-import click
 
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
@@ -25,193 +25,174 @@ from .verify import SUITES, run_suite
 SCHEMA = 1
 
 
-def _emit(ctx, payload):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    if not ctx.obj["no_meta"]:
-        payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    click.echo(json.dumps(payload, sort_keys=True))
+def _checked(option, test, what):
+    """argparse type: an int that passes test; any other int is a usage
+    error "Invalid value for '<option>': <value> <what>"."""
+    def parse(text):
+        value = int(text)  # a ValueError reads "invalid int value"
+        if not test(value):
+            # ArgumentError(None, ...) reaches the parser's error() as is
+            raise argparse.ArgumentError(
+                None, f"Invalid value for '{option}': {value} {what}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PwlError as exc:
-            err = {"error": type(exc).__name__, "message": str(exc)}
-            payload = getattr(exc, "payload", None)
-            if payload:
-                err["payload"] = {str(k): str(v) for k, v in payload.items()}
-            click.echo(json.dumps(err, sort_keys=True), err=True)
-            sys.exit(1)
-    return wrapped
+_PRIME = ("--prime", dict(
+    type=_checked("--prime", _is_odd_prime, "is not an odd prime"),
+    required=True, help="Odd prime p."))
+_PRECISION = ("--precision", dict(
+    type=_checked("--precision", lambda v: v >= 1, "is below 1"),
+    required=True, help="Digits r, mod p^r."))
+_ELL = ("--ell", dict(
+    type=_checked("--ell", lambda v: v == 2 or _is_odd_prime(v),
+                  "is not a prime"),
+    required=True, help="Prime index ell of T_ell."))
+_LEVEL = ("--level", dict(type=int, required=True, help="Congruence level N."))
+_SYM = ("--sym", dict(type=int, default=0, help="Symmetric power degree of "
+                      "the coefficients (default: %(default)s)."))
 
 
-def _odd_prime(ctx, param, value):
-    if not _is_odd_prime(value):
-        raise click.BadParameter(f"{value} is not an odd prime")
-    return value
-
-
-def _prime_ell(ctx, param, value):
-    if not (value == 2 or _is_odd_prime(value)):
-        raise click.BadParameter(f"{value} is not a prime")
-    return value
-
-
-def _at_least_one(ctx, param, value):
-    if value < 1:
-        raise click.BadParameter(f"{value} is below 1")
-    return value
-
-
-_prime_option = click.option("--prime", type=int, required=True,
-                             callback=_odd_prime, help="Odd prime p.")
-_precision_option = click.option("--precision", type=int, required=True,
-                                 callback=_at_least_one,
-                                 help="Digits r, mod p^r.")
-_ell_option = click.option("--ell", type=int, required=True,
-                           callback=_prime_ell,
-                           help="Prime index ell of T_ell.")
-
-
-@click.group()
-@click.option("--seed", default=0, show_default=True,
-              help="Master seed for randomized checks.")
-@click.option("--no-meta", is_flag=True,
-              help="Omit timestamps so output is byte-reproducible.")
-@click.pass_context
-def main(ctx, seed, no_meta):
-    """Weight families, cohomology of congruence groups, and slopes."""
-    ctx.obj = {"seed": seed, "no_meta": no_meta}
-
-
-@main.command()
-@click.option("--level", type=int, required=True, help="Congruence level N.")
-@click.pass_context
-@_guard
-def basis(ctx, level):
+def basis(a):
     """Free generators of the level subgroup and coset counts."""
-    fb = free_basis(level)
-    _emit(ctx, {"level": level, "rank": fb.rank(),
-                "projective_cosets": fb.mu, "cosets": 2 * fb.mu,
-                "generators": [list(g.entries()) for g in fb.gens]})
+    fb = free_basis(a.level)
+    return {"level": a.level, "rank": fb.rank(),
+            "projective_cosets": fb.mu, "cosets": 2 * fb.mu,
+            "generators": [list(g.entries()) for g in fb.gens]}
 
 
-@main.command("h1")
-@click.option("--level", type=int, required=True)
-@_prime_option
-@_precision_option
-@click.option("--sym", type=int, default=0, show_default=True,
-              help="Symmetric power degree of the coefficients.")
-@click.pass_context
-@_guard
-def h1_cmd(ctx, level, prime, precision, sym):
+def h1_cmd(a):
     """Presentation of first cohomology: free rank and divisors."""
-    fb = free_basis(level)
-    pres = h1(SymCoeffs(prime, precision, sym), fb)
-    _emit(ctx, {"level": level, "prime": prime, "precision": precision,
-                "sym": sym, "free_rank": pres.free_rank(),
-                "is_free": pres.is_free(), "moduli": pres.moduli})
+    pres = h1(SymCoeffs(a.prime, a.precision, a.sym), free_basis(a.level))
+    return {"level": a.level, "prime": a.prime, "precision": a.precision,
+            "sym": a.sym, "free_rank": pres.free_rank(),
+            "is_free": pres.is_free(), "moduli": pres.moduli}
 
 
-@main.command()
-@click.option("--level", type=int, required=True)
-@_prime_option
-@_precision_option
-@_ell_option
-@click.option("--sym", type=int, default=0, show_default=True)
-@click.pass_context
-@_guard
-def hecke(ctx, level, prime, precision, ell, sym):
+def _charpoly(a):
+    """Reps of T_ell and the charpoly of T_ell on the free quotient."""
+    fb = free_basis(a.level)
+    coeffs = SymCoeffs(a.prime, a.precision, a.sym)
+    reps = t_ell_reps(a.ell, fb)
+    pres = h1(coeffs, fb)
+    return reps, pres.charpoly(hecke_matrix(coeffs, fb, reps))
+
+
+def hecke(a):
     """Characteristic polynomial of a Hecke operator on the free quotient."""
-    fb = free_basis(level)
-    coeffs = SymCoeffs(prime, precision, sym)
-    reps = t_ell_reps(ell, fb)
-    pres = h1(coeffs, fb)
-    poly = pres.charpoly(hecke_matrix(coeffs, fb, reps))
-    _emit(ctx, {"level": level, "prime": prime, "precision": precision,
-                "ell": ell, "sym": sym, "cosets": len(reps),
-                "charpoly": poly})
+    reps, poly = _charpoly(a)
+    return {"level": a.level, "prime": a.prime, "precision": a.precision,
+            "ell": a.ell, "sym": a.sym, "cosets": len(reps),
+            "charpoly": poly}
 
 
-@main.command()
-@click.option("--level", type=int, required=True)
-@_prime_option
-@_precision_option
-@_ell_option
-@click.option("--sym", type=int, default=0, show_default=True)
-@click.pass_context
-@_guard
-def slopes(ctx, level, prime, precision, ell, sym):
+def slopes(a):
     """Newton polygon of a Hecke operator and its unit-root factor."""
-    fb = free_basis(level)
-    coeffs = SymCoeffs(prime, precision, sym)
-    pres = h1(coeffs, fb)
-    P = pres.charpoly(hecke_matrix(coeffs, fb, t_ell_reps(ell, fb)))
-    poly = newton_polygon(P, prime, precision)
-    Q, _, loss = slope_factor(P, 1, prime, precision)
-    _emit(ctx, {"level": level, "prime": prime, "precision": precision,
-                "ell": ell, "sym": sym,
-                "vertices": [list(v) for v in poly.vertices],
-                "root_valuations": [[str(v), m]
-                                    for v, m in poly.root_valuations()],
-                "censored_on_hull": poly.ambiguous,
-                "unit_root_factor": Q, "unit_root_rank": len(Q) - 1,
-                "factor_precision": precision - loss})
+    _, P = _charpoly(a)
+    poly = newton_polygon(P, a.prime, a.precision)
+    Q, _, loss = slope_factor(P, 1, a.prime, a.precision)
+    return {"level": a.level, "prime": a.prime, "precision": a.precision,
+            "ell": a.ell, "sym": a.sym,
+            "vertices": [list(v) for v in poly.vertices],
+            "root_valuations": [[str(v), m]
+                                for v, m in poly.root_valuations()],
+            "censored_on_hull": poly.ambiguous,
+            "unit_root_factor": Q, "unit_root_rank": len(Q) - 1,
+            "factor_precision": a.precision - loss}
 
 
-@main.command()
-@_prime_option
-@_precision_option
-@click.option("--degree", type=int, required=True,
-              help="Weight-series truncation order d, mod X^d.")
-@click.option("--out-width", type=int, default=1, show_default=True)
-@click.option("--actions", type=int, default=1, show_default=True,
-              help="How many monoid actions the stored window must survive.")
-@click.pass_context
-@_guard
-def family(ctx, prime, precision, degree, out_width, actions):
+def family(a):
     """Size a coordinate window for computations over the weight space."""
-    tail = family_tail(prime, precision, degree)
-    _emit(ctx, {"prime": prime, "precision": precision, "degree": degree,
-                "branches": branch_count(prime), "tail": tail,
-                "out_width": out_width, "actions": actions,
-                "stored_width": out_width + actions * tail})
+    tail = family_tail(a.prime, a.precision, a.degree)
+    return {"prime": a.prime, "precision": a.precision, "degree": a.degree,
+            "branches": branch_count(a.prime), "tail": tail,
+            "out_width": a.out_width, "actions": a.actions,
+            "stored_width": a.out_width + a.actions * tail}
 
 
-@main.command("eisenstein")
-@click.option("--weight", type=int, required=True)
-@click.option("--terms", type=int, default=10, show_default=True)
-@click.option("--hecke-ell", type=int, default=None,
-              help="Also apply the classical operator at this index.")
-@click.pass_context
-@_guard
-def eisenstein_cmd(ctx, weight, terms, hecke_ell):
+def eisenstein_cmd(a):
     """Coefficients of the level-one Eisenstein series."""
-    f = eisenstein(weight, terms)
-    out = {"weight": weight, "terms": terms,
+    f = eisenstein(a.weight, a.terms)
+    out = {"weight": a.weight, "terms": a.terms,
            "coefficients": [str(c) for c in f.coeffs]}
-    if hecke_ell is not None:
-        g = hecke_t(hecke_ell, weight, trivial_char(1), f,
+    if a.hecke_ell is not None:
+        g = hecke_t(a.hecke_ell, a.weight, trivial_char(1), f,
                     normalization="classical")
-        out["hecke_ell"] = hecke_ell
+        out["hecke_ell"] = a.hecke_ell
         out["hecke_coefficients"] = [str(c) for c in g.coeffs]
         out["hecke_pairing"] = str(pairing(g))
-    _emit(ctx, out)
+    return out
 
 
-@main.command()
-@click.option("--suite", type=click.Choice(SUITES + ("all",)),
-              default="all", show_default=True)
-@click.pass_context
-@_guard
-def verify(ctx, suite):
+def verify(a):
     """Run a self-check suite and report what it verified."""
-    report = run_suite(suite, seed=ctx.obj["seed"])
-    _emit(ctx, report)
-    if not report["passed"]:
+    return run_suite(a.suite, seed=a.seed)
+
+
+# (name, function, options) per subcommand
+COMMANDS = [
+    ("basis", basis, [_LEVEL]),
+    ("h1", h1_cmd, [_LEVEL, _PRIME, _PRECISION, _SYM]),
+    ("hecke", hecke, [_LEVEL, _PRIME, _PRECISION, _ELL, _SYM]),
+    ("slopes", slopes, [_LEVEL, _PRIME, _PRECISION, _ELL, _SYM]),
+    ("family", family, [
+        _PRIME, _PRECISION,
+        ("--degree", dict(type=int, required=True, help="Weight-series "
+                          "truncation order d, mod X^d.")),
+        ("--out-width", dict(type=int, default=1,
+                             help="Certified coordinates (default: %(default)s).")),
+        ("--actions", dict(type=int, default=1, help="How many monoid actions "
+                           "the stored window must survive "
+                           "(default: %(default)s)."))]),
+    ("eisenstein", eisenstein_cmd, [
+        ("--weight", dict(type=int, required=True)),
+        ("--terms", dict(type=int, default=10,
+                         help="Coefficients (default: %(default)s).")),
+        ("--hecke-ell", dict(type=int, help="Also apply the classical "
+                             "operator at this index."))]),
+    ("verify", verify, [
+        ("--suite", dict(choices=SUITES + ("all",), default="all",
+                         help="(default: %(default)s)"))]),
+]
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False, description="Weight families, "
+        "cohomology of congruence groups, and slopes.")
+    parser.add_argument("--seed", type=int, default=0, help="Master seed for "
+                        "randomized checks (default: %(default)s).")
+    parser.add_argument("--no-meta", action="store_true", help="Omit "
+                        "timestamps so output is byte-reproducible.")
+    subs = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, fn, options in COMMANDS:
+        doc = fn.__doc__
+        sub = subs.add_parser(name, help=doc, description=doc,
+                              allow_abbrev=False)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def main(args=None, prog_name="pwl"):
+    """Run one command: print its JSON on stdout, or exit 1 with a JSON
+    error on stderr.  Usage errors exit 2 through argparse."""
+    a = _parser(prog_name).parse_args(args)
+    try:
+        payload = a.run(a)
+    except PwlError as exc:
+        err = {"error": type(exc).__name__, "message": str(exc)}
+        if exc.payload:
+            err["payload"] = {str(k): str(v) for k, v in exc.payload.items()}
+        print(json.dumps(err, sort_keys=True), file=sys.stderr)
+        sys.exit(1)
+    payload["schema"] = SCHEMA
+    if not a.no_meta:
+        payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    print(json.dumps(payload, sort_keys=True))
+    if not payload.get("passed", True):  # a failed verify suite
         sys.exit(1)
 
 

@@ -3,8 +3,8 @@
 The level subgroup is free (rank 1 + mu/6), so a 1-cocycle is determined
 by arbitrary values on the free generators and H^1 is the quotient of the
 value space by coboundaries.  Coefficient systems share a small duck
-interface (zero/act/eq/rand; SymCoeffs adds dim/from_coords/act_matrix for
-the matrix paths), and their values combine with +, - and unary -:
+interface (zero/act/eq/rand; SymCoeffs adds dim/act_matrix for the matrix
+paths), and their values combine with +, - and unary -:
 
   SymCoeffs      symmetric-power vectors acted on through the weight-n
                  matrix action; n = 0 is Z/p^r with the trivial action;
@@ -33,12 +33,13 @@ W = bits(D (p^r - 1)^2) + 40): a letter multiplies the D prefix rows by a
 generator action as D sums of int products, O(D^2) interpreted steps
 where a D x D mat_mul takes O(D^3), and the spare 40 bits let the
 unreduced rows be summed per block before one reduction; a letter that
-acts as the identity (every letter on Sym^0) skips its product.
-Products that occur once (the induced operator) keep the zero-skipping
-mat_mul.  h1
-presents the quotient by coboundaries via the diagonalization of the
-coboundary matrix, giving class coordinates, orders, and induced operator
-matrices (with charpoly available on free presentations).
+acts as the identity (every letter on Sym^0) skips its product.  h1
+stacks act_matrix(g) - I over the generators into the coboundary matrix
+and presents the quotient by its diagonalization, giving class
+coordinates, orders, and induced operator matrices (with charpoly
+available on free presentations).  The induced operator multiplies only
+the free rows of U, which are sparse, into the operator, and reads the
+free columns of U^-1 as sparse columns.
 """
 
 import math
@@ -72,9 +73,6 @@ class SymCoeffs:
 
     def act_matrix(self, mat):
         return sym_matrix(self.n, mat, self.p, self.r)
-
-    def from_coords(self, coords):
-        return SymVec(self.p, self.r, self.n, list(coords))
 
     def eq(self, x, y):
         return x == y
@@ -168,12 +166,6 @@ class Cocycle:
         for v in self.values:
             out.extend(v.coords)
         return out
-
-
-def coboundary(coeffs, basis, b):
-    """The cocycle g -> g.b - b."""
-    values = [coeffs.act(g, b) - b for g in basis.gens]
-    return Cocycle(coeffs, basis, values)
 
 
 def _gamma1_quotient(B, A, N):
@@ -367,36 +359,37 @@ class H1Presentation:
         return tuple(x % p ** e for x, e in zip(w, self.moduli))
 
     def induced_matrix(self, T):
-        """Matrix of T on the free quotient coordinates; checks that T
-        preserves coboundaries first."""
-        p, r = self.coeffs.p, self.coeffs.r
-        M = p ** r
-        D = self.coeffs.dim()
-        for t in range(D):
-            col = [self.beta[i][t] for i in range(len(self.beta))]
-            if self.sf.solve(mat_vec(T, col, M)) is None:
-                raise InternalInconsistency(
-                    "operator does not preserve coboundaries")
+        """Matrix of T on the free quotient coordinates: rows and columns F
+        of U T U^-1, F the free indices.  On a free presentation T
+        preserves the coboundaries exactly when Q T beta = 0, Q the rows F
+        of U (sparse: mat_mul skips their zeros); that is checked first,
+        then Q T is read against the columns F of U^-1 as sparse columns."""
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
-        Ttil = mat_mul(mat_mul(self.sf.U, T, M), self.sf.Uinv, M)
-        F = [i for i, e in enumerate(self.moduli) if e == r]
-        return [[Ttil[f1][f2] for f2 in F] for f1 in F]
+        M = self.coeffs.p ** self.coeffs.r
+        F = [i for i, e in enumerate(self.moduli) if e == self.coeffs.r]
+        QT = mat_mul([self.sf.U[f] for f in F], T, M)
+        if any(any(row) for row in mat_mul(QT, self.beta, M)):
+            raise InternalInconsistency(
+                "operator does not preserve coboundaries")
+        cols = [[(i, row[f]) for i, row in enumerate(self.sf.Uinv) if row[f]]
+                for f in F]
+        return [[sum(row[i] * x for i, x in col) % M for col in cols]
+                for row in QT]
 
     def charpoly(self, T):
         return charpoly_mod(self.induced_matrix(T), self.coeffs.p, self.coeffs.r)
 
 
 def h1(coeffs, basis):
-    D = coeffs.dim()
-    R = basis.rank()
-    beta = [[0] * D for _ in range(R * D)]
-    for t in range(D):
-        b = coeffs.from_coords([1 if i == t else 0 for i in range(D)])
-        cob = coboundary(coeffs, basis, b)
-        stack = cob.stacked_coords()
-        for i, x in enumerate(stack):
-            beta[i][t] = x
+    """Presentation of H^1: beta stacks act_matrix(g) - I over the
+    generators g, so its column t is the coboundary of the t-th unit
+    vector, and one Smith form of beta gives the quotient."""
+    M = coeffs.p ** coeffs.r
+    beta = []
+    for g in basis.gens:
+        for i, row in enumerate(coeffs.act_matrix(g)):
+            beta.append([(x - (i == t)) % M for t, x in enumerate(row)])
     sf = smith_mod(beta, coeffs.p, coeffs.r)
     return H1Presentation(coeffs, basis, beta, sf)
 

@@ -24,8 +24,8 @@ field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
 a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix and
 charpoly_mod do, and share unpack_row.  mat_mul stays unpacked on purpose:
-it skips zero entries, and on the one-off products left to it (the
-induced operator) that beats packing both operands for a single use.
+it skips zero entries of its left operand, which pays on the sparse rows
+it is given (the free rows of U in cohomology's induced operator).
 """
 
 from .padic import vp

@@ -163,12 +163,6 @@ class PrecInt:
             raise BadRange(f"cannot reduce precision {self.r} to {r2}")
         return PrecInt(self.p, r2, self.res)
 
-    def valuation(self):
-        """v_p of the residue; None when the residue is 0 (only >= r known)."""
-        if self.res == 0:
-            return None
-        return vp(self.res, self.p)
-
     def __eq__(self, other):
         # equality mod the smaller of the two precisions
         o, r = self._coerce(other)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from .errors import (AmbiguousAtPrecision, BadLevel, BadRange,
                      ContractViolated, InternalInconsistency, NotInvertible,
                      PrecisionExhausted)
-from .gamma1 import free_basis
+from .gamma1 import free_basis, in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
 from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
 from .matrices import PadicMat
@@ -395,7 +395,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
         for _ in range(3):                 # words of four letters
             g2 = fb.gens[rng.randrange(fb.rank())]
             gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
-        if gam.c % N or gam.a % N != 1:
+        if not in_gamma1(gam, N):
             raise ContractViolated("word leaves the level subgroup",
                                    payload={"matrix": gam.entries()})
         out_g = act_family(PadicMat(p, r, *gam.entries()), F)

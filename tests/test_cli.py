@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from pwl import cli
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "pwl.cli", *args],
@@ -93,6 +95,26 @@ def test_usage_error_exit_code():
     assert res.returncode == 2
 
 
+def test_parser_usage_errors():
+    # argparse rejects each of these before any command runs; --prec is
+    # no abbreviation of --precision
+    for args in ((), ("nope",), ("basis", "--level", "abc"),
+                 ("verify", "--suite", "nope"),
+                 ("h1", "--level", "11", "--prime", "11", "--prec", "3")):
+        res = run_cli("--no-meta", *args)
+        assert res.returncode == 2 and res.stdout == "", args
+        assert res.stderr
+    res = run_cli("--help")
+    assert res.returncode == 0 and "verify" in res.stdout
+
+
+def test_main_in_process_matches_subprocess(capsys):
+    args = ["--no-meta", "hecke", "--level", "11", "--prime", "11",
+            "--precision", "2", "--ell", "2"]
+    assert cli.main(args, prog_name="pwl") is None
+    assert capsys.readouterr().out == run_cli(*args).stdout
+
+
 def test_rejects_bad_prime_and_precision():
     for args, option in (
             (("h1", "--level", "11", "--prime", "15", "--precision", "2"),
@@ -143,8 +165,9 @@ def test_readme_usage_lines_run():
 
 # sha256 of the --no-meta stdout bytes of the three benchmark CLI jobs
 # (perfbench/run.py WORKLOADS) and of the level-37 T_37 charpoly, the
-# longest coset walk (78324 letters): any change to their output bytes
-# fails here
+# longest coset walk (78324 letters), and of a Sym^4 charpoly at level 13
+# whose H^1 presentation has U != I (75 stacked coordinates, free rank 70):
+# any change to their output bytes fails here
 PINNED_OUTPUTS = [
     (("slopes", "--level", "23", "--prime", "23", "--precision", "24",
       "--ell", "23"),
@@ -158,12 +181,15 @@ PINNED_OUTPUTS = [
     (("hecke", "--level", "37", "--prime", "37", "--precision", "3",
       "--ell", "37"),
      "704abb32b4c24d77384ea3ce86fc6bae0037332f62e05f4a346910da9d92df8d"),
+    (("hecke", "--level", "13", "--prime", "7", "--precision", "3",
+      "--ell", "2", "--sym", "4"),
+     "68b2f4bd6ff96b6835b70de9c8c6468192606ad965de136b4cd05b9fa9dc52a5"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
                          ids=["slopes_N23", "hecke_N43", "sym16_N5",
-                              "hecke_N37"])
+                              "hecke_N37", "sym4_N13"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)

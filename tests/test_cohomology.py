@@ -7,8 +7,7 @@ import pytest
 
 from pwl import cohomology
 from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
-                            _coset_partner, _gamma1_quotient, coboundary,
-                            diamond_rep,
+                            _coset_partner, _gamma1_quotient, diamond_rep,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
@@ -17,6 +16,12 @@ from pwl.gamma1 import FreeBasisData, free_basis, in_gamma1
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
+from pwl.sympow import SymVec
+
+
+def coboundary(coeffs, basis, b):
+    """The cocycle g -> g.b - b."""
+    return Cocycle(coeffs, basis, [coeffs.act(g, b) - b for g in basis.gens])
 
 
 def rand_word_matrix(rng, basis, max_len=6):
@@ -332,7 +337,7 @@ def test_cocycle_rejects_wrong_value_count(monkeypatch):
     # a basis whose rank disagrees with its generator list
     monkeypatch.setattr(FreeBasisData, "rank", lambda self: len(self.gens) + 1)
     with pytest.raises(DimensionMismatch):
-        coboundary(co, fb, co.from_coords([1, 0]))
+        coboundary(co, fb, SymVec(5, 2, 1, [1, 0]))
 
 
 def test_coboundaries_vanish_in_h1():
@@ -407,6 +412,47 @@ def test_induced_matrix_needs_free_presentation():
     eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     with pytest.raises(NotFreeModule):
         pres.induced_matrix(eye)
+
+
+def reference_beta(co, fb):
+    """The coboundary matrix built value by value: column t stacks the
+    coboundary of the t-th unit vector."""
+    D = co.dim()
+    cols = [coboundary(co, fb, SymVec(co.p, co.r, co.n,
+                                      [int(i == t) for i in range(D)]))
+            .stacked_coords() for t in range(D)]
+    return [list(row) for row in zip(*cols)]
+
+
+def reference_induced(pres, T):
+    """U T U^-1 as two dense products, restricted to the free indices."""
+    M = pres.coeffs.p ** pres.coeffs.r
+    full = mat_mul(mat_mul(pres.sf.U, T, M), pres.sf.Uinv, M)
+    F = [i for i, e in enumerate(pres.moduli) if e == pres.coeffs.r]
+    return [[full[a][b] for b in F] for a in F]
+
+
+@pytest.mark.parametrize("N, p, r, n, ell", [
+    (5, 31, 4, 16, 2), (7, 5, 3, 2, 5), (11, 11, 3, 0, 2), (13, 7, 3, 4, 2),
+    (13, 7, 2, 4, 3), (9, 5, 2, 2, 2), (17, 3, 2, 0, 3), (9, 3, 3, 2, 2)])
+def test_h1_matches_reference_construction(N, p, r, n, ell):
+    fb = free_basis(N)
+    co = SymCoeffs(p, r, n)
+    pres = h1(co, fb)
+    assert pres.beta == reference_beta(co, fb)
+    if not pres.is_free():  # only (9, 3, 3, 2): mixed divisors
+        return
+    # seeded combinations a T_ell + b T_ell' + c I keep the coboundaries
+    M = p ** r
+    rng = random.Random(N * 1000 + n)
+    T1 = hecke_matrix(co, fb, t_ell_reps(ell, fb))
+    T2 = hecke_matrix(co, fb, t_ell_reps(p, fb))
+    for _ in range(3):
+        a, b, c = (rng.randrange(M) for _ in range(3))
+        T = [[(a * x + b * y + c * (i == j)) % M
+              for j, (x, y) in enumerate(zip(r1, r2))]
+             for i, (r1, r2) in enumerate(zip(T1, T2))]
+        assert pres.induced_matrix(T) == reference_induced(pres, T)
 
 
 def test_specialize_commutes_with_eval():
