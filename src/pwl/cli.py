@@ -17,7 +17,7 @@ from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
 from .gamma1 import free_basis
 from .iwasawa import branch_count, family_tail
-from .padic import _is_odd_prime
+from .padic import _is_odd_prime, is_prime
 from .qexp import eisenstein, hecke_t, pairing, trivial_char
 from .slope import newton_polygon, slope_factor
 from .verify import SUITES, run_suite
@@ -39,19 +39,20 @@ def _checked(option, test, what):
     return parse
 
 
+def _at_least(option, low):
+    return _checked(option, lambda v: v >= low, f"is below {low}")
+
+
 _PRIME = ("--prime", dict(
     type=_checked("--prime", _is_odd_prime, "is not an odd prime"),
     required=True, help="Odd prime p."))
-_PRECISION = ("--precision", dict(
-    type=_checked("--precision", lambda v: v >= 1, "is below 1"),
-    required=True, help="Digits r, mod p^r."))
-_ELL = ("--ell", dict(
-    type=_checked("--ell", lambda v: v == 2 or _is_odd_prime(v),
-                  "is not a prime"),
-    required=True, help="Prime index ell of T_ell."))
+_PRECISION = ("--precision", dict(type=_at_least("--precision", 1),
+                                  required=True, help="Digits r, mod p^r."))
+_ELL = ("--ell", dict(type=_checked("--ell", is_prime, "is not a prime"),
+                      required=True, help="Prime index ell of T_ell."))
 _LEVEL = ("--level", dict(type=int, required=True, help="Congruence level N."))
-_SYM = ("--sym", dict(type=int, default=0, help="Symmetric power degree of "
-                      "the coefficients (default: %(default)s)."))
+_SYM = ("--sym", dict(type=_at_least("--sym", 0), default=0, help="Symmetric "
+                      "power degree of the coefficients (default: %(default)s)."))
 
 
 def basis(a):
@@ -138,19 +139,20 @@ COMMANDS = [
     ("slopes", slopes, [_LEVEL, _PRIME, _PRECISION, _ELL, _SYM]),
     ("family", family, [
         _PRIME, _PRECISION,
-        ("--degree", dict(type=int, required=True, help="Weight-series "
-                          "truncation order d, mod X^d.")),
-        ("--out-width", dict(type=int, default=1,
+        ("--degree", dict(type=_at_least("--degree", 1), required=True,
+                          help="Weight-series truncation order d, mod X^d.")),
+        ("--out-width", dict(type=_at_least("--out-width", 1), default=1,
                              help="Certified coordinates (default: %(default)s).")),
-        ("--actions", dict(type=int, default=1, help="How many monoid actions "
-                           "the stored window must survive "
-                           "(default: %(default)s)."))]),
+        ("--actions", dict(type=_at_least("--actions", 0), default=1,
+                           help="How many monoid actions the stored window "
+                           "must survive (default: %(default)s)."))]),
     ("eisenstein", eisenstein_cmd, [
         ("--weight", dict(type=int, required=True)),
-        ("--terms", dict(type=int, default=10,
+        ("--terms", dict(type=_at_least("--terms", 0), default=10,
                          help="Coefficients (default: %(default)s).")),
-        ("--hecke-ell", dict(type=int, help="Also apply the classical "
-                             "operator at this index."))]),
+        ("--hecke-ell", dict(type=_checked("--hecke-ell", is_prime,
+                                           "is not a prime"),
+                             help="Also apply the classical T_ell."))]),
     ("verify", verify, [
         ("--suite", dict(choices=SUITES + ("all",), default="all",
                          help="(default: %(default)s)"))]),

@@ -52,7 +52,7 @@ from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat, PadicMat
-from .padic import _is_odd_prime
+from .padic import is_prime
 from .sympow import SymVec, act_sym, sym_matrix
 
 
@@ -195,7 +195,7 @@ def t_ell_reps(ell, basis):
     """Reps A of the cosets Gamma_1(N) A that make up the double coset
     Gamma_1(N) diag(1, ell) Gamma_1(N), for a prime ell (Diamond-Shurman,
     Prop. 5.2.1)."""
-    if not (ell == 2 or _is_odd_prime(ell)):
+    if not is_prime(ell):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
     N = basis.N
     reps = [IntMat(1, j, 0, ell) for j in range(ell)]
@@ -352,6 +352,8 @@ class H1Presentation:
         return all(e in (0, self.coeffs.r) for e in self.moduli)
 
     def class_coords(self, cocycle_or_stack):
+        """Class of a cocycle (or of its stacked coordinates), one entry
+        mod p^e per divisor: the class map the H^1 tests check against."""
         stack = (cocycle_or_stack.stacked_coords()
                  if isinstance(cocycle_or_stack, Cocycle) else cocycle_or_stack)
         p = self.coeffs.p

@@ -63,11 +63,10 @@ class FreeBasisData:
     """Free generators of the level subgroup plus the rewriting table."""
 
     __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "root", "lifts",
-                 "lift_words", "gens", "expr", "perm_t", "t_word", "width",
-                 "loop", "steps")
+                 "gens", "expr", "perm_t", "t_word", "width", "loop", "steps")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, lift_words,
-                 gens, expr, perm_t, t_word, width, loop):
+    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, gens, expr,
+                 perm_t, t_word, width, loop):
         self.N = N
         self.mu = mu
         self.rows = rows
@@ -75,7 +74,6 @@ class FreeBasisData:
         self.perm_u = perm_u
         self.root = root
         self.lifts = lifts
-        self.lift_words = lift_words
         self.gens = gens
         self.expr = expr
         self.perm_t = perm_t
@@ -196,7 +194,6 @@ def free_basis(N):
     order = [root]
     pos = {root: 0}
     lifts = {root: IntMat.identity()}
-    words = {root: ()}
     tree = set()
     qi = 0
     while qi < len(order):
@@ -213,7 +210,6 @@ def free_basis(N):
             order.append(nxt)
             step = ROT if g == "s" else (SIX if e == 1 else SIX_INV)
             lifts[nxt] = lifts[cur] * step
-            words[nxt] = words[cur] + ((g, e),)
             if g == "s":
                 tree.add((cur, "s"))
                 tree.add((nxt, "s"))
@@ -305,8 +301,7 @@ def free_basis(N):
         width.append(w)
         loop.append(tuple(_free_reduce(word)))
     data = FreeBasisData(N, mu, rows, perm_s, perm_u, root,
-                         [lifts[t] for t in range(mu)],
-                         [words[t] for t in range(mu)], gens, expr, perm_t,
+                         [lifts[t] for t in range(mu)], gens, expr, perm_t,
                          t_word, width, loop)
     _verify_edges(data, edge_matrix)
     return data

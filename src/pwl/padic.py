@@ -42,6 +42,10 @@ def _is_odd_prime(p):
     return _PRIME_CACHE[p]
 
 
+def is_prime(n):
+    return n == 2 or _is_odd_prime(n)
+
+
 def vp(n, p):
     """p-adic valuation of a nonzero integer."""
     if n == 0:

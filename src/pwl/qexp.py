@@ -5,20 +5,18 @@ Eisenstein constant terms, plain ints for cusp form fixtures, PrecInt
 for p-adic data.  The operators only add and multiply coefficients, so
 any of these work.
 
-Two normalizations of the weight-k operator at ell are supported: the
-'classical' one puts ell^(k-1) on the lower coefficient, while the
-'cohomological' one puts ell^(k-2) there, matching the twist by which
-the adjugate action on coefficient modules differs from the classical
-double-coset action.  The diamond scalar is eps(n) n^(k-2)
-cohomologically and just eps(n) classically.
+Two normalizations of the weight-k operator at a prime ell are
+supported: the 'classical' one puts ell^(k-1) on the lower coefficient,
+while the 'cohomological' one puts ell^(k-2) there, matching the twist
+by which the adjugate action on coefficient modules differs from the
+classical double-coset action.
 """
 
 import math
 from fractions import Fraction
 
-from .errors import (BadRange, BadWeight, NotCoprime, PrecisionExhausted,
-                     TruncationTooShort)
-from .padic import PrecInt, vp
+from .errors import BadRange, BadWeight, TruncationTooShort
+from .padic import is_prime
 
 
 class DirichletChar:
@@ -109,28 +107,25 @@ def eisenstein(k, T):
     if k < 4 or k % 2 != 0:
         raise BadWeight(
             f"weight {k} has no holomorphic level-one Eisenstein series here")
+    if T < 0:
+        raise BadRange(f"truncation {T} is negative")
     a0 = -bernoulli(k) / (2 * k)
     return QExp([a0] + [divisor_sigma(h, k - 1) for h in range(1, T + 1)])
-
-
-def _check_normalization(normalization):
-    if normalization not in ("cohomological", "classical"):
-        raise BadRange(f"unknown normalization {normalization!r}")
-
-
-def _power_exponent(k, normalization):
-    _check_normalization(normalization)
-    return k - 2 if normalization == "cohomological" else k - 1
 
 
 def hecke_t(ell, k, eps, f, normalization="cohomological"):
     """b_h = a(ell h) + eps(ell) ell^e a(h/ell), second term when ell | h.
 
+    The formula is T_ell only for a prime ell; any other ell is BadRange.
     eps(ell) = 0 when ell divides the character modulus, which switches
     the second term off exactly when it should be.  The result is known
     through exponent T // ell.
     """
-    e = _power_exponent(k, normalization)
+    if not is_prime(ell):
+        raise BadRange(f"T_ell needs a prime ell, got {ell}")
+    if normalization not in ("cohomological", "classical"):
+        raise BadRange(f"unknown normalization {normalization!r}")
+    e = k - 2 if normalization == "cohomological" else k - 1
     T = f.truncation()
     newT = T // ell
     if newT < 1:
@@ -145,39 +140,6 @@ def hecke_t(ell, k, eps, f, normalization="cohomological"):
     return QExp(out)
 
 
-def hecke_s(n, k, eps, f, normalization="cohomological"):
-    """Diamond operator: eps(n) classically, eps(n) n^(k-2) cohomologically."""
-    _check_normalization(normalization)
-    if eps(n) == 0:
-        raise NotCoprime(f"{n} shares a factor with the modulus {eps.modulus}")
-    scal = eps(n) if normalization == "classical" else eps(n) * n ** (k - 2)
-    return QExp([scal * c for c in f.coeffs])
-
-
 def pairing(f):
     """Evaluation against the canonical linear functional: the q^1 term."""
     return f.a(1)
-
-
-def slope_check(f, p, s):
-    """True when v_p(a_p) < s, decided rigorously or not at all.
-
-    Exact coefficients (int, Fraction) always decide; a PrecInt decides
-    only if its precision exceeds s, otherwise a residue of 0 cannot
-    distinguish valuation s from larger and we refuse.
-    """
-    if s < 0:
-        raise BadRange(f"valuation cutoff {s} is negative")
-    ap = f.a(p)
-    if isinstance(ap, PrecInt):
-        if ap.res != 0:
-            # a nonzero residue pins the valuation exactly
-            return vp(ap.res, p) < s
-        if ap.r > s:
-            return False
-        raise PrecisionExhausted(
-            f"valuation cutoff {s} needs more than {ap.r} digits")
-    x = Fraction(ap)
-    if x == 0:
-        return False
-    return vp(x.numerator, p) - vp(x.denominator, p) < s

@@ -29,24 +29,13 @@ block upper triangular, with the block of M on the image in its top left
 corner; a nonzero entry below that block is a bug trap.  The inverse
 uses the division-free adjugate, so only the determinant's unit part is
 ever inverted.
-
-verify_truncate_lemma is a randomized contract checker for the
-interaction of coordinate truncation with the family action: group
-elements move the low window into the ideal N * (weight - k0), and the
-p-translate lands the low window in p^s * (weight - k0) and the high
-window in p^s; ideal membership is decided exactly by linear solves.
 """
 
-import random
 from fractions import Fraction
 
-from .errors import (AmbiguousAtPrecision, BadLevel, BadRange,
-                     ContractViolated, InternalInconsistency, NotInvertible,
-                     PrecisionExhausted)
-from .gamma1 import free_basis, in_gamma1
-from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
+from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
+                     NotInvertible, PrecisionExhausted)
 from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
-from .matrices import PadicMat
 from .padic import vp
 
 
@@ -345,84 +334,3 @@ def ps_tp_inv(A, s, p, r):
             W[a][b] = num % Mo
     return W, basis, out_prec
 
-
-def _ideal_member(series, factor_val, zeta_shift, p, r, d):
-    """Is the branch series in p^factor_val * (c + X) with c = zeta_shift?"""
-    M = p ** r
-    mat = [[0] * d for _ in range(d)]
-    for j in range(d):
-        mat[j][j] = zeta_shift * p ** factor_val % M
-        if j:
-            mat[j][j - 1] = p ** factor_val % M
-    return smith_mod(mat, p, r).solve([x % M for x in series]) is not None
-
-
-def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
-    """Randomized check of the truncation contracts; raises
-    ContractViolated on a violation, BadLevel unless p | N and BadRange
-    unless k0 >= 2.
-
-    For windows supported in coordinates >= k0 - 1: group elements send
-    the low window into N * (weight - k0), and the p-translate sends the
-    low window into p^s * (weight - k0) and the high window into p^s.
-    """
-    if N % p:
-        raise BadLevel(f"the level {N} is not divisible by {p}")
-    if k0 < 2:
-        raise BadRange(f"cut weight k0 = {k0} is below 2")
-    rng = random.Random(seed)
-    fb = free_basis(N)
-    vN = vp(N, p)
-    tail = family_tail(p, r, d)
-    out = k0 + 1                       # two coordinates past the window
-    width = out + tail
-    nb = branch_count(p)
-    M = p ** r
-    checked_group = checked_translate = 0
-    for trial in range(trials):
-        coords = []
-        for i in range(width):
-            if i < k0 - 1:
-                coords.append(WeightFn.zero(p, r, d))
-            else:
-                coords.append(WeightFn(p, r, d,
-                                       [[rng.randrange(M) for _ in range(d)]
-                                        for _ in range(nb)]))
-        F = FamilyVec(p, r, d, out, coords)
-
-        m = fb.gens[rng.randrange(fb.rank())]
-        gam = m if rng.random() < 0.5 else m.inverse()
-        for _ in range(3):                 # words of four letters
-            g2 = fb.gens[rng.randrange(fb.rank())]
-            gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
-        if not in_gamma1(gam, N):
-            raise ContractViolated("word leaves the level subgroup",
-                                   payload={"matrix": gam.entries()})
-        out_g = act_family(PadicMat(p, r, *gam.entries()), F)
-        for i in range(min(k0 - 1, len(out_g.coords))):
-            fn = out_g.coords[i]
-            for zeta in range(nb):
-                if not _ideal_member(fn.comps[zeta], vN, zeta - k0, p, r, d):
-                    raise ContractViolated(
-                        "group action escapes the level ideal",
-                        payload={"trial": trial, "coord": i, "branch": zeta,
-                                 "matrix": gam.entries()})
-            checked_group += 1
-
-        theta = rng.randrange(p)
-        out_t = act_family(PadicMat(p, r, p, -theta, 0, 1), F)
-        for i, fn in enumerate(out_t.coords):
-            for zeta in range(nb):
-                if i < k0 - 1:
-                    ok = _ideal_member(fn.comps[zeta], s, zeta - k0, p, r, d)
-                else:
-                    ok = all(x % p ** s == 0 for x in fn.comps[zeta])
-                if not ok:
-                    raise ContractViolated(
-                        "translate action escapes the slope ideal",
-                        payload={"trial": trial, "coord": i, "branch": zeta,
-                                 "theta": theta})
-            checked_translate += 1
-    return {"trials": trials, "level": N, "cut": k0, "slope": s,
-            "group_coords_checked": checked_group,
-            "translate_coords_checked": checked_translate}

@@ -99,6 +99,8 @@ def sym_matrix(n, mat, p, r):
     < 2^B, B = bits((2(p^r - 1))^n), so row i is the one integer
     (a 2^B + b)^i (c 2^B + d)^(n-i), read off in B-bit fields.
     """
+    if n < 0:
+        raise BadRange(f"symmetric power degree {n} is negative")
     a, b, c, d = _entries_mod(mat, p, r)
     M = p ** r
     B = ((2 * (M - 1)) ** n).bit_length()

@@ -1,4 +1,4 @@
-"""Self-check suites shared by the command line and the tests.
+"""Self-check suites shared by the command line and the acceptance tests.
 
 Each suite runs a batch of fixed and seeded identities and returns a
 small report dict.  A violated identity raises ContractViolated with the
@@ -6,21 +6,32 @@ offending data in its payload (never an assert, so the checks also run
 under python -O), and a returned report means the suite passed.  Child
 seeds are derived by hashing the user seed with the suite label, so
 suites are reproducible independently of the order they run in.
+
+The suites take their sizes as keywords, defaulting to the sizes of
+`pwl verify`: primes, precision, degree and trials (action); primes,
+span, top, digits and trials (identity); trials (congruence and
+truncate); precision, eigenvalues and reorder (hecke); pairs, precision
+and powers (slope).  tests/test_acceptance.py runs the same suites at
+its own sizes, so each invariant is written once.
 """
 
 import hashlib
 import random
 
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
-from .errors import ContractViolated
-from .gamma1 import free_basis
-from .linalg import charpoly_mod, identity_mat, mat_mul
+from .errors import BadLevel, BadRange, ContractViolated
+from .gamma1 import free_basis, in_gamma1
+from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
+from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
 from .matrices import PadicMat
-from .padic import PrecInt, Weight, vp_factorial
-from .slope import newton_polygon, ps_tp_inv, slope_factor, \
-    verify_truncate_lemma
+from .padic import PrecInt, Weight, vp, vp_factorial
+from .slope import newton_polygon, ps_tp_inv, slope_factor
 from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
     congr_project, tail_width
+
+# a_ell of the newform 11a; the cusp part of H^1 at level 11 is
+# two-dimensional, so each is a double root of the T_ell charpoly
+NEWFORM_11A = {2: -2, 3: -1, 5: 1, 7: -2, 13: 4}
 
 
 def child_seed(seed, label):
@@ -33,7 +44,8 @@ def _check(ok, what, **payload):
         raise ContractViolated(what, payload=payload)
 
 
-def _rand_monoid_mat(rng, p, r):
+def rand_monoid_mat(rng, p, r):
+    """A random (a b; c d) mod p^r with p | c and d a unit."""
     M = p ** r
     while True:
         d = rng.randrange(M)
@@ -43,48 +55,50 @@ def _rand_monoid_mat(rng, p, r):
                     p * rng.randrange(M // p), d)
 
 
-def suite_action(seed=0):
+def suite_action(seed=0, primes=(3, 5), precision=4, degree=3, trials=6):
     """Composition law of the universal weight action, several characters."""
     checks = 0
-    for p in (3, 5):
-        r = 4
+    for p in primes:
+        M = p ** precision
         rng = random.Random(child_seed(seed, f"action-{p}"))
-        t = tail_width(p, r)
-        chars = [Weight.of_int(0, p, r), Weight.of_int(3, p, r),
-                 Weight.wild_only(1 + p, p, r)]
+        width = degree + 2 * tail_width(p, precision)
+        chars = [Weight.of_int(0, p, precision), Weight.of_int(3, p, precision),
+                 Weight.wild_only(1 + p, p, precision)]
         for chi in chars:
-            for _ in range(6):
-                m1 = _rand_monoid_mat(rng, p, r)
-                m2 = _rand_monoid_mat(rng, p, r)
-                F = SeqVec(chi, 3,
-                           [rng.randrange(p ** r) for _ in range(3 + 2 * t)])
+            for _ in range(trials):
+                m1 = rand_monoid_mat(rng, p, precision)
+                m2 = rand_monoid_mat(rng, p, precision)
+                F = SeqVec(chi, degree, [rng.randrange(M) for _ in range(width)])
                 lhs = act_universal(m1 * m2, F)
                 rhs = act_universal(m1, act_universal(m2, F))
-                _check(lhs.agrees(rhs, 3), "action composition law fails",
+                _check(lhs.agrees(rhs, degree), "action composition law fails",
                        chi=chi, m1=m1, m2=m2, F=F.coords)
                 checks += 1
     return {"suite": "action", "passed": True, "checks": checks}
 
 
-def suite_identity(seed=0):
-    """The alternating binomial identity, integer and p-adic upper index."""
-    cases = [(n, i, j, h) for n in range(-6, 7) for i in range(5)
-             for j in range(5) for h in range(min(i, j) + 1)]
+def suite_identity(seed=0, primes=(3, 5), span=6, top=4, digits=4, trials=10):
+    """The alternating binomial identity, integer and p-adic upper index;
+    a p-adic n carries digits + v_p(top!) and both sides keep digits."""
+    cases = [(n, i, j, h) for n in range(-span, span + 1)
+             for i in range(top + 1) for j in range(top + 1)
+             for h in range(min(i, j) + 1)]
     rng = random.Random(child_seed(seed, "identity"))
-    for p in (3, 5):
-        pad = 4 + vp_factorial(4, p)
-        for _ in range(10):
+    for p in primes:
+        pad = digits + vp_factorial(top, p)
+        for _ in range(trials):
             n = PrecInt(p, pad, rng.randrange(p ** pad))
-            i, j = rng.randrange(1, 5), rng.randrange(1, 5)
+            i, j = rng.randrange(1, top + 1), rng.randrange(1, top + 1)
             cases.append((n, i, j, rng.randrange(min(i, j) + 1)))
     for n, i, j, h in cases:
         lhs, rhs = binom_identity(n, i, j, h)
-        _check(lhs == rhs, "binomial identity fails",
+        kept = isinstance(n, int) or min(lhs.r, rhs.r) >= digits
+        _check(lhs == rhs and kept, f"binomial identity fails to {digits} digits",
                n=n, i=i, j=j, h=h, lhs=lhs, rhs=rhs)
     return {"suite": "identity", "passed": True, "checks": len(cases)}
 
 
-def suite_congruence(seed=0):
+def suite_congruence(seed=0, trials=4):
     """Degree truncation commutes with the action across the congruence step."""
     checks = 0
     p = 3
@@ -92,8 +106,8 @@ def suite_congruence(seed=0):
     for r in (1, 2):
         step = p ** (r - 1) * (p - 1)
         for n0, n1 in ((0, step), (1, 1 + step), (2, 2 + 2 * step)):
-            for _ in range(4):
-                m = _rand_monoid_mat(rng, p, r + 2)
+            for _ in range(trials):
+                m = rand_monoid_mat(rng, p, r + 2)
                 v = SymVec(p, r + 2, n1,
                            [rng.randrange(p ** (r + 2)) for _ in range(n1 + 1)])
                 lhs = congr_project(r, n1, n0, act_sym(m, v))
@@ -104,59 +118,168 @@ def suite_congruence(seed=0):
     return {"suite": "congruence", "passed": True, "checks": checks}
 
 
-def suite_hecke(seed=0):
-    """Commutativity and the known eigenvalues on the level-11 quotient."""
+def suite_hecke(seed=0, precision=3, eigenvalues=NEWFORM_11A,
+                reorder=(2, 3, 11)):
+    """Level 11, mod 11^precision: T2 and T3 commute, each a_ell is a
+    double root of the T_ell charpoly, and for each ell in reorder,
+    reps left-multiplied by random words and shuffled give the same
+    matrix (coboundaries vanish on trivial coefficients)."""
     basis = free_basis(11)
-    coeffs = SymCoeffs(11, 3, 0)
-    M = 11 ** 3
-    T2 = hecke_matrix(coeffs, basis, t_ell_reps(2, basis))
-    T3 = hecke_matrix(coeffs, basis, t_ell_reps(3, basis))
-    _check(mat_mul(T2, T3, M) == mat_mul(T3, T2, M),
+    coeffs = SymCoeffs(11, precision, 0)
+    M = 11 ** precision
+    reps = {ell: t_ell_reps(ell, basis)
+            for ell in (2, 3, *eigenvalues, *reorder)}
+    T = {ell: hecke_matrix(coeffs, basis, R) for ell, R in reps.items()}
+    _check(mat_mul(T[2], T[3], M) == mat_mul(T[3], T[2], M),
            "T2 and T3 do not commute")
     pres = h1(coeffs, basis)
-    ev = {2: -2, 3: -1}
-    for ell, T in ((2, T2), (3, T3)):
-        poly = pres.charpoly(T)
-        val = sum(c * ev[ell] ** i for i, c in enumerate(poly)) % M
-        _check(val == 0, f"{ev[ell]} is no eigenvalue of T{ell}", P=poly)
+    for ell, lam in eigenvalues.items():
+        # (X - lam)^2 | P iff P(lam) = P'(lam) = 0: P = (X - lam) Q + P(lam)
+        # with Q(lam) = P'(lam)
+        P = pres.charpoly(T[ell])
+        value = sum(c * lam ** i for i, c in enumerate(P)) % M
+        slope = sum(i * c * lam ** (i - 1) for i, c in enumerate(P) if i) % M
+        _check(value == slope == 0, f"{lam} is no double eigenvalue of T{ell}",
+               P=P)
+    rng = random.Random(child_seed(seed, "hecke"))
+    for ell in reorder:
+        alt = []
+        for A in reps[ell]:
+            for _ in range(rng.randrange(1, 7)):
+                g = rng.choice(basis.gens)
+                A = (g if rng.random() < 0.5 else g.inverse()) * A
+            alt.append(A)
+        rng.shuffle(alt)
+        _check(hecke_matrix(coeffs, basis, alt) == T[ell],
+               f"T{ell} depends on the choice of reps")
     return {"suite": "hecke", "passed": True, "rank": pres.free_rank(),
-            "checks": 3}
+            "checks": 1 + len(eigenvalues) + len(reorder)}
 
 
-def suite_slope(seed=0):
-    """Polygon, unit-root factor and scaled-inverse contraction at level 11."""
-    basis = free_basis(11)
-    coeffs = SymCoeffs(11, 4, 0)
-    pres = h1(coeffs, basis)
-    T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
-    P = charpoly_mod(T11, 11, 4)
-    poly = newton_polygon(P, 11, 4)
-    mult = poly.slope_multiplicity(0)
-    _check(mult >= 1, "no unit-root slope", P=P)
-    Q, _, loss = slope_factor(P, 1, 11, 4)
-    _check(loss == 0 and len(Q) - 1 == mult,
-           "unit-root factor disagrees with the polygon", Q=Q, loss=loss)
-    _check(sum(Q) % 11 == 0, "X = 1 is not a root mod 11", Q=Q)
-    W, _, _ = ps_tp_inv(T11, 1, 11, 4)
-    k = len(W)
-    for m in (1, 2):
-        Mm = 11 ** m
-        power = identity_mat(k)
-        for _ in range(k * m):
-            power = mat_mul(power, W, Mm)
-        _check(all(x == 0 for row in power for x in row),
-               "scaled inverse is not nilpotent", modulus=Mm, W=W)
-    return {"suite": "slope", "passed": True, "ordinary_rank": mult,
-            "checks": 5}
+def suite_slope(seed=0, pairs=((11, 11), (3, 9)), precision=4, powers=2):
+    """Polygon, unit-root factor and scaled-inverse contraction of U_p at
+    level N for each (p, N) in pairs; ordinary_rank is that of the first."""
+    checks = 0
+    ranks = []
+    for p, N in pairs:
+        basis = free_basis(N)
+        coeffs = SymCoeffs(p, precision, 0)
+        pres = h1(coeffs, basis)
+        T = pres.induced_matrix(hecke_matrix(coeffs, basis,
+                                             t_ell_reps(p, basis)))
+        P = charpoly_mod(T, p, precision)
+        mult = newton_polygon(P, p, precision).slope_multiplicity(0)
+        _check(mult >= 1, "no unit-root slope", P=P)
+        Q, _, loss = slope_factor(P, 1, p, precision)
+        _check(loss == 0 and len(Q) - 1 == mult,
+               "unit-root factor disagrees with the polygon", Q=Q, loss=loss)
+        _check(sum(Q) % p == 0, f"X = 1 is not a root mod {p}", Q=Q)
+        W, _, prec = ps_tp_inv(T, 1, p, precision)
+        _check(prec >= precision - 1, "scaled inverse lost digits", prec=prec)
+        k = len(W)
+        for m in range(1, powers + 1):
+            Mm = p ** m
+            power = identity_mat(k)
+            for _ in range(k * m):
+                power = mat_mul(power, W, Mm)
+            _check(all(x == 0 for row in power for x in row),
+                   "scaled inverse is not nilpotent", modulus=Mm, W=W)
+        checks += 4 + powers
+        ranks.append(mult)
+    return {"suite": "slope", "passed": True, "ordinary_rank": ranks[0],
+            "checks": checks}
 
 
-def suite_truncate(seed=0):
+def suite_truncate(seed=0, trials=4):
     """Window contracts for the family action at the base level."""
-    report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=4,
+    report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=trials,
                                    seed=child_seed(seed, "truncate"))
     return {"suite": "truncate", "passed": True,
             "checks": report["group_coords_checked"]
             + report["translate_coords_checked"]}
+
+
+def _ideal_member(series, factor_val, zeta_shift, p, r, d):
+    """Is the branch series in p^factor_val * (c + X) with c = zeta_shift?"""
+    M = p ** r
+    mat = [[0] * d for _ in range(d)]
+    for j in range(d):
+        mat[j][j] = zeta_shift * p ** factor_val % M
+        if j:
+            mat[j][j - 1] = p ** factor_val % M
+    return smith_mod(mat, p, r).solve([x % M for x in series]) is not None
+
+
+def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
+    """Randomized check of the truncation contracts; raises
+    ContractViolated on a violation, BadLevel unless p | N and BadRange
+    unless k0 >= 2.
+
+    For windows supported in coordinates >= k0 - 1: group elements send
+    the low window into N * (weight - k0), and the p-translate sends the
+    low window into p^s * (weight - k0) and the high window into p^s.
+    Ideal membership is decided exactly by linear solves.
+    """
+    if N % p:
+        raise BadLevel(f"the level {N} is not divisible by {p}")
+    if k0 < 2:
+        raise BadRange(f"cut weight k0 = {k0} is below 2")
+    rng = random.Random(seed)
+    fb = free_basis(N)
+    vN = vp(N, p)
+    tail = family_tail(p, r, d)
+    out = k0 + 1                       # two coordinates past the window
+    width = out + tail
+    nb = branch_count(p)
+    M = p ** r
+    checked_group = checked_translate = 0
+    for trial in range(trials):
+        coords = []
+        for i in range(width):
+            if i < k0 - 1:
+                coords.append(WeightFn.zero(p, r, d))
+            else:
+                coords.append(WeightFn(p, r, d,
+                                       [[rng.randrange(M) for _ in range(d)]
+                                        for _ in range(nb)]))
+        F = FamilyVec(p, r, d, out, coords)
+
+        m = fb.gens[rng.randrange(fb.rank())]
+        gam = m if rng.random() < 0.5 else m.inverse()
+        for _ in range(3):                 # words of four letters
+            g2 = fb.gens[rng.randrange(fb.rank())]
+            gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
+        if not in_gamma1(gam, N):
+            raise ContractViolated("word leaves the level subgroup",
+                                   payload={"matrix": gam.entries()})
+        out_g = act_family(PadicMat(p, r, *gam.entries()), F)
+        for i in range(min(k0 - 1, len(out_g.coords))):
+            fn = out_g.coords[i]
+            for zeta in range(nb):
+                if not _ideal_member(fn.comps[zeta], vN, zeta - k0, p, r, d):
+                    raise ContractViolated(
+                        "group action escapes the level ideal",
+                        payload={"trial": trial, "coord": i, "branch": zeta,
+                                 "matrix": gam.entries()})
+            checked_group += 1
+
+        theta = rng.randrange(p)
+        out_t = act_family(PadicMat(p, r, p, -theta, 0, 1), F)
+        for i, fn in enumerate(out_t.coords):
+            for zeta in range(nb):
+                if i < k0 - 1:
+                    ok = _ideal_member(fn.comps[zeta], s, zeta - k0, p, r, d)
+                else:
+                    ok = all(x % p ** s == 0 for x in fn.comps[zeta])
+                if not ok:
+                    raise ContractViolated(
+                        "translate action escapes the slope ideal",
+                        payload={"trial": trial, "coord": i, "branch": zeta,
+                                 "theta": theta})
+            checked_translate += 1
+    return {"trials": trials, "level": N, "cut": k0, "slope": s,
+            "group_coords_checked": checked_group,
+            "translate_coords_checked": checked_translate}
 
 
 def run_suite(name, seed=0):

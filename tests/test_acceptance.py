@@ -2,7 +2,9 @@
 
 Every test checks its identity at the stated modulus and asserts its own
 runtime budget, so the -v listing gives one pass/fail line per
-criterion.
+criterion.  Criteria 01, 02, 04 and 08-12 run the pwl.verify suites
+that `pwl verify` runs, at acceptance sizes, and assert their check
+counts, so a suite that silently does less fails here.
 """
 
 import random
@@ -10,18 +12,16 @@ import time
 from fractions import Fraction
 
 from pwl.cohomology import (Cocycle, SymCoeffs, family_preimage, h1,
-                            hecke_matrix, specialize_cocycle, t_ell_reps)
+                            specialize_cocycle)
 from pwl.gamma1 import free_basis
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          family_tail, sp_vector)
-from pwl.linalg import charpoly_mod, mat_mul
-from pwl.matrices import PadicMat
-from pwl.padic import PrecInt, Weight, vp_factorial
+from pwl.padic import Weight
 from pwl.qexp import eisenstein, hecke_t, pairing, trivial_char
-from pwl.slope import (newton_polygon, ps_tp_inv, slope_factor,
-                       verify_truncate_lemma)
-from pwl.sympow import (SeqVec, SymVec, act_sym, act_universal,
-                        binom_identity, congr_project, specialize, tail_width)
+from pwl.sympow import SeqVec, act_sym, act_universal, specialize, tail_width
+from pwl.verify import (NEWFORM_11A, rand_monoid_mat, suite_action,
+                        suite_congruence, suite_hecke, suite_identity,
+                        suite_slope, suite_truncate)
 
 
 def stamp(label, t0, bound):
@@ -30,65 +30,19 @@ def stamp(label, t0, bound):
     print(f"[{label}] PASS ({dt:.2f}s)")
 
 
-def rand_monoid_mat(rng, p, r):
-    M = p ** r
-    while True:
-        d = rng.randrange(M)
-        if d % p:
-            break
-    return PadicMat(p, r, rng.randrange(M), rng.randrange(M),
-                    p * rng.randrange(M // p), d)
-
-
-def divide_linear(P, lam, M):
-    """Divide the ascending polynomial P by X - lam; (quotient, remainder)."""
-    D = P[::-1]
-    out = [D[0] % M]
-    for a in D[1:]:
-        out.append((a + lam * out[-1]) % M)
-    return out[:-1][::-1], out[-1]
-
-
 def test_criterion_01_action_composition_law():
     t0 = time.perf_counter()
-    for p in (3, 5):
-        r = 5
-        t = tail_width(p, r)
-        width = 6 + 2 * t
-        assert width == {3: 26, 5: 20}[p]
-        chars = [Weight.of_int(0, p, r), Weight.of_int(3, p, r),
-                 Weight.wild_only(1 + p, p, r)]
-        for ci, chi in enumerate(chars):
-            rng = random.Random(1000 * p + ci)
-            for _ in range(50):
-                m1 = rand_monoid_mat(rng, p, r)
-                m2 = rand_monoid_mat(rng, p, r)
-                F = SeqVec(chi, 6,
-                           [rng.randrange(p ** r) for _ in range(width)])
-                lhs = act_universal(m1 * m2, F)
-                rhs = act_universal(m1, act_universal(m2, F))
-                assert lhs.agrees(rhs, 6)
+    assert [6 + 2 * tail_width(p, 5) for p in (3, 5)] == [26, 20]
+    report = suite_action(primes=(3, 5), precision=5, degree=6, trials=50)
+    assert report["checks"] == 2 * 3 * 50
     stamp("criterion 01 composition law", t0, 10.0)
 
 
 def test_criterion_02_binomial_identity():
     t0 = time.perf_counter()
-    for n in range(-12, 13):
-        for i in range(11):
-            for j in range(11):
-                for h in range(min(i, j) + 1):
-                    lhs, rhs = binom_identity(n, i, j, h)
-                    assert lhs == rhs
-    for p in (3, 5):
-        pad = 6 + vp_factorial(10, p)
-        rng = random.Random(20 + p)
-        for _ in range(20):
-            n = PrecInt(p, pad, rng.randrange(p ** pad))
-            i, j = rng.randrange(11), rng.randrange(11)
-            h = rng.randrange(min(i, j) + 1)
-            lhs, rhs = binom_identity(n, i, j, h)
-            assert min(lhs.r, rhs.r) >= 6
-            assert lhs == rhs
+    # 25 integer n, sum over i, j <= 10 of min(i, j) + 1 = 506, 2 * 20 p-adic
+    report = suite_identity(span=12, top=10, digits=6, trials=20)
+    assert report["checks"] == 25 * 506 + 40
     stamp("criterion 02 binomial identity", t0, 5.0)
 
 
@@ -112,18 +66,7 @@ def test_criterion_03_specialization_equivariance():
 
 def test_criterion_04_congruence_projection():
     t0 = time.perf_counter()
-    p = 3
-    for r in (1, 2):
-        step = p ** (r - 1) * (p - 1)
-        for n0, n1 in ((0, step), (1, 1 + step), (2, 2 + 2 * step)):
-            rng = random.Random(40 + 10 * r + n0)
-            for _ in range(10):
-                m = rand_monoid_mat(rng, p, r + 2)
-                v = SymVec(p, r + 2, n1,
-                           [rng.randrange(p ** (r + 2)) for _ in range(n1 + 1)])
-                lhs = congr_project(r, n1, n0, act_sym(m, v))
-                rhs = act_sym(m, congr_project(r, n1, n0, v))
-                assert lhs.reduce(r) == rhs.reduce(r)
+    assert suite_congruence(trials=10)["checks"] == 2 * 3 * 10
     stamp("criterion 04 congruence projection", t0, 5.0)
 
 
@@ -169,88 +112,41 @@ def test_criterion_07_level_eleven_cohomology_rank():
 
 def test_criterion_08_eigenvalue_multiplicities():
     t0 = time.perf_counter()
-    p, r = 11, 6
-    M = p ** r
-    fb = free_basis(11)
-    co = SymCoeffs(p, r, 0)
-    pres = h1(co, fb)
     # the newform 11a has a_2 = -2, a_3 = -1, a_5 = 1, a_7 = -2, a_13 = 4;
     # the cusp part of H^1 is two-dimensional, so each is a double root
-    for ell, lam in ((2, -2), (3, -1), (5, 1), (7, -2), (13, 4)):
-        P = pres.charpoly(hecke_matrix(co, fb, t_ell_reps(ell, fb)))
-        q1, rem1 = divide_linear(P, lam, M)
-        q2, rem2 = divide_linear(q1, lam, M)
-        assert rem1 == 0 and rem2 == 0
+    report = suite_hecke(precision=6, eigenvalues=NEWFORM_11A, reorder=())
+    assert report["checks"] == 1 + 5
     stamp("criterion 08 eigenvalue multiplicities", t0, 300.0)
 
 
 def test_criterion_09_commutativity_and_order_independence():
     t0 = time.perf_counter()
-    p, r = 11, 4
-    M = p ** r
-    fb = free_basis(11)
-    co = SymCoeffs(p, r, 0)
-    T2 = hecke_matrix(co, fb, t_ell_reps(2, fb))
-    T3 = hecke_matrix(co, fb, t_ell_reps(3, fb))
-    assert mat_mul(T2, T3, M) == mat_mul(T3, T2, M)
-    # another choice of reps (each left-multiplied by a random word in the
-    # generators, in shuffled order) gives the same matrix on trivial
-    # coefficients, where coboundaries vanish
-    rng = random.Random(9)
-    for ell in (2, 3, 11):
-        reps = t_ell_reps(ell, fb)
-        alt = []
-        for A in reps:
-            for _ in range(rng.randrange(1, 7)):
-                g = rng.choice(fb.gens)
-                A = (g if rng.random() < 0.5 else g.inverse()) * A
-            alt.append(A)
-        rng.shuffle(alt)
-        assert hecke_matrix(co, fb, alt) == hecke_matrix(co, fb, reps)
+    # T2 T3 = T3 T2, and reps of T_2, T_3, T_11 left-multiplied by random
+    # words and shuffled give the same matrix
+    report = suite_hecke(precision=4, eigenvalues={}, reorder=(2, 3, 11))
+    assert report["checks"] == 1 + 3
     stamp("criterion 09 commutativity", t0, 300.0)
 
 
 def test_criterion_10_unit_root_segment():
     t0 = time.perf_counter()
-    fb = free_basis(11)
-    co = SymCoeffs(11, 4, 0)
-    pres = h1(co, fb)
-    T11 = pres.induced_matrix(hecke_matrix(co, fb, t_ell_reps(11, fb)))
-    P = charpoly_mod(T11, 11, 4)
-    mult = newton_polygon(P, 11, 4).slope_multiplicity(0)
-    assert mult >= 1
-    Q, _, loss = slope_factor(P, 1, 11, 4)
-    assert loss == 0 and len(Q) - 1 == mult
-    # X = 1 divides the reduction: the weight-2 unit eigenvalue 1 is seen
-    assert sum(Q) % 11 == 0
+    # the T_11 factor of slope 0 matches the polygon and vanishes at 1
+    report = suite_slope(pairs=((11, 11),), precision=4)
+    assert report["checks"] == 6 and report["ordinary_rank"] == 7
     stamp("criterion 10 unit-root segment", t0, 300.0)
 
 
 def test_criterion_11_scaled_inverse_nilpotence():
     t0 = time.perf_counter()
-    for p, N in ((11, 11), (3, 9)):
-        fb = free_basis(N)
-        co = SymCoeffs(p, 4, 0)
-        pres = h1(co, fb)
-        T = pres.induced_matrix(hecke_matrix(co, fb, t_ell_reps(p, fb)))
-        W, _, prec = ps_tp_inv(T, 1, p, 4)
-        assert prec >= 3
-        n = len(W)
-        for m in (1, 2, 3):
-            Mm = p ** m
-            power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(n * m):
-                power = mat_mul(power, W, Mm)
-            assert all(x == 0 for row in power for x in row)
+    report = suite_slope(pairs=((11, 11), (3, 9)), precision=4, powers=3)
+    assert report["checks"] == 2 * (4 + 3)
     stamp("criterion 11 scaled-inverse nilpotence", t0, 60.0)
 
 
 def test_criterion_12_truncation_contracts():
     t0 = time.perf_counter()
-    report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=20, seed=12)
-    assert report["trials"] == 20
-    assert report["group_coords_checked"] == 20
-    assert report["translate_coords_checked"] == 60
+    # 20 group coordinates and 3 * 20 translate coordinates
+    assert suite_truncate(trials=20)["checks"] == 20 + 60
     stamp("criterion 12 truncation contracts", t0, 60.0)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pwl import cli
+from pwl import cli, errors
 
 
 def run_cli(*args):
@@ -130,6 +130,51 @@ def test_rejects_bad_prime_and_precision():
         res = run_cli("--no-meta", *args)
         assert res.returncode == 2 and res.stdout == ""
         assert f"Invalid value for '{option}'" in res.stderr
+
+
+# small valid arguments per command, for the integer option sweep below
+SMALL_ARGS = {
+    "basis": {"--level": "5"},
+    "h1": {"--level": "5", "--prime": "3", "--precision": "2"},
+    "hecke": {"--level": "5", "--prime": "3", "--precision": "2", "--ell": "2"},
+    "slopes": {"--level": "5", "--prime": "3", "--precision": "2",
+               "--ell": "3"},
+    "family": {"--prime": "3", "--precision": "2", "--degree": "2"},
+    "eisenstein": {"--weight": "4", "--terms": "6", "--hecke-ell": "2"},
+    "verify": {"--suite": "congruence"},
+}
+
+
+def test_integer_options_never_raise_a_traceback(capsys):
+    # every integer option at -1 and at 0: the run succeeds, or exits 1
+    # with a JSON PwlError, or exits 2 with a usage error; any other
+    # exception escapes and fails the test
+    for name, _, options in cli.COMMANDS:
+        flags = [flag for flag, kw in options
+                 if getattr(kw.get("type"), "__name__", None) == "int"]
+        runs = [(None, None)] + [(flag, value) for flag in ["--seed", *flags]
+                                 for value in ("-1", "0")]
+        for flag, value in runs:
+            opts = dict(SMALL_ARGS[name])
+            seed = value if flag == "--seed" else "0"
+            if flag not in (None, "--seed"):
+                opts[flag] = value
+            args = ["--no-meta", "--seed", seed, name,
+                    *(x for kv in opts.items() for x in kv)]
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            if code is None:
+                assert json.loads(out)["schema"] == 1, args
+            elif code == 1:
+                assert out == "", args
+                kind = getattr(errors, json.loads(err)["error"])
+                assert issubclass(kind, errors.PwlError), args
+            else:
+                assert code == 2 and out == "" and "error:" in err, args
+            assert flag is not None or code is None, args
 
 
 def test_verify_reports_violation():

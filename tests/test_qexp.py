@@ -1,15 +1,12 @@
-"""Eisenstein series, coefficient Hecke operators, slope bounds."""
+"""Eisenstein series and coefficient Hecke operators."""
 
 from fractions import Fraction
 
 import pytest
 
-from pwl.errors import (BadRange, BadWeight, NotCoprime, PrecisionExhausted,
-                        TruncationTooShort)
-from pwl.padic import PrecInt
+from pwl.errors import BadRange, BadWeight, TruncationTooShort
 from pwl.qexp import (DirichletChar, QExp, bernoulli, divisor_sigma,
-                      eisenstein, hecke_s, hecke_t, pairing, slope_check,
-                      trivial_char)
+                      eisenstein, hecke_t, pairing, trivial_char)
 
 ETA_PREFIX = [1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, -2, 4]
 
@@ -138,15 +135,6 @@ def test_eta_dividing_level_operator():
         assert g.a(h) == f.a(h)
 
 
-def test_diamond_operator():
-    chi = DirichletChar(5, {2: -1, 3: -1, 4: 1})
-    f = QExp([1, 2, 3])
-    assert hecke_s(2, 4, chi, f).coeffs == [-4, -8, -12]
-    assert hecke_s(2, 4, chi, f, normalization="classical").coeffs == [-1, -2, -3]
-    with pytest.raises(NotCoprime):
-        hecke_s(10, 4, chi, f)
-
-
 def test_truncation_guards():
     f = QExp([1, 2, 3])
     with pytest.raises(TruncationTooShort):
@@ -172,42 +160,21 @@ def test_qexp_rejects_empty_coefficients():
         QExp([])
 
 
+def test_rejects_non_prime_index_and_negative_truncation():
+    # the formula is T_ell only at a prime ell: at 4 its a_0 is 13/48,
+    # while T_4 E_4 = 73 E_4 has a_0 = 73/240
+    f = eisenstein(4, 20)
+    for ell in (4, 6, 1, 0, -2):
+        with pytest.raises(BadRange):
+            hecke_t(ell, 4, trivial_char(1), f, normalization="classical")
+    with pytest.raises(BadRange):
+        eisenstein(4, -1)
+    assert eisenstein(4, 0).coeffs == [Fraction(1, 240)]
+
+
 def test_hecke_t_rejects_unknown_normalization():
     with pytest.raises(BadRange):
         hecke_t(2, 4, trivial_char(1), QExp([1, 2, 3]), normalization="x")
-
-
-def test_hecke_s_rejects_unknown_normalization():
-    chi = DirichletChar(5)
-    with pytest.raises(BadRange):
-        hecke_s(2, 4, chi, QExp([1, 2, 3]), normalization="x")
-
-
-def test_slope_check_rejects_negative_cutoff():
-    with pytest.raises(BadRange):
-        slope_check(QExp([0, 0, 0, 1]), 3, -1)
-
-
-def test_slope_check_exact_coefficients():
-    f = eta_level11(12)
-    assert slope_check(f, 11, 1)
-    e4 = eisenstein(4, 10)
-    assert slope_check(e4, 3, 1)
-    g = QExp([0, 0, 0, Fraction(9, 2)])
-    assert not slope_check(g, 3, 2)
-    assert slope_check(g, 3, 3)
-    assert not slope_check(QExp([0, 0, 0, 0]), 3, 5)
-
-
-def test_slope_check_padic_coefficients():
-    f = QExp([0, 0, 0, PrecInt(3, 3, 9)])
-    assert not slope_check(f, 3, 1)
-    assert not slope_check(f, 3, 2)
-    assert slope_check(f, 3, 3)
-    zero = QExp([0, 0, 0, PrecInt(3, 2, 0)])
-    assert not slope_check(zero, 3, 1)
-    with pytest.raises(PrecisionExhausted):
-        slope_check(zero, 3, 2)
 
 
 def test_series_arithmetic():

@@ -1,4 +1,4 @@
-"""Newton polygons, slope splits, projectors, and the window contracts."""
+"""Newton polygons, slope splits, projectors and scaled inverses."""
 
 import random
 
@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
-from pwl.errors import (AmbiguousAtPrecision, BadLevel, BadRange,
-                        ContractViolated, InternalInconsistency, NotInvertible)
+from pwl.errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
+                        NotInvertible)
 from pwl.gamma1 import free_basis
 from pwl.linalg import charpoly_mod, mat_mul, mat_vec, smith_mod
-from pwl.slope import (_ideal_member, newton_polygon, ps_tp_inv, slope_factor,
-                       slope_projector, verify_truncate_lemma)
+from pwl.slope import (newton_polygon, ps_tp_inv, slope_factor,
+                       slope_projector)
 
 
 def polymul(f, g, M):
@@ -389,44 +389,3 @@ def test_level_eleven_unit_root_factor():
         for _ in range(k * m):
             power = mat_mul(power, W, Mm)
         assert all(x == 0 for row in power for x in row)
-
-
-def test_ideal_member_unit_shift():
-    p, r, d = 3, 4, 4
-    rng = random.Random(3)
-    for _ in range(10):
-        series = [rng.randrange(3 ** r) for _ in range(d)]
-        assert _ideal_member(series, 0, 1, p, r, d)
-        assert _ideal_member(series, 0, -1, p, r, d)
-
-
-def test_ideal_member_degenerate_shift():
-    p, r, d = 3, 4, 4
-    # shift 0: ideal is (X), membership means no constant term
-    assert _ideal_member([0, 5, 7, 1], 0, 0, p, r, d)
-    assert not _ideal_member([2, 5, 7, 1], 0, 0, p, r, d)
-    # shift 0 with a power of p in front
-    assert _ideal_member([0, 3, 6, 81 - 3], 1, 0, p, r, d)
-    assert not _ideal_member([0, 3, 5, 0], 1, 0, p, r, d)
-    # shift 3: constant term must be divisible by 3 after peeling one X
-    assert _ideal_member([0, 3, 1, 0], 0, 3, p, r, d)
-    assert not _ideal_member([1, 0, 0, 0], 0, 3, p, r, d)
-
-
-def test_truncate_contracts_hold():
-    report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=5, seed=2)
-    assert report["trials"] == 5
-    assert report["group_coords_checked"] == 5
-    assert report["translate_coords_checked"] == 15
-
-
-def test_truncate_checker_detects_overclaim():
-    with pytest.raises(ContractViolated):
-        verify_truncate_lemma(9, 2, 2, 3, 4, 4, trials=3, seed=2)
-
-
-def test_truncate_checker_rejects_bad_input():
-    with pytest.raises(BadLevel):
-        verify_truncate_lemma(10, 1, 2, 3, 4, 4, trials=1)
-    with pytest.raises(BadRange):
-        verify_truncate_lemma(9, 1, 1, 3, 4, 4, trials=1)

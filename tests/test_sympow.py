@@ -22,16 +22,7 @@ from pwl.sympow import (
     sym_matrix,
     tail_width,
 )
-
-
-def rand_monoid_mat(rng, p, r):
-    M = p ** r
-    while True:
-        d = rng.randrange(M)
-        if d % p:
-            break
-    return PadicMat(p, r, rng.randrange(M), rng.randrange(M),
-                    p * rng.randrange(M // p), d)
+from pwl.verify import rand_monoid_mat
 
 
 def rand_seq(rng, chi, out_width, width):
@@ -113,6 +104,10 @@ class TestActSym:
                 assert sym_matrix(0, m, p, r) == [[1]]
                 x = rng.randrange(M)
                 assert act_sym(m, SymVec(p, r, 0, [x])).coords == [x]
+
+    def test_negative_degree(self):
+        with pytest.raises(BadRange):
+            sym_matrix(-1, IntMat.identity(), 3, 2)
 
     def test_diagonal_scales(self):
         # diag(a, d): e_i -> a^i d^(n-i) e_i
