@@ -33,7 +33,7 @@ def stamp(label, t0, bound):
 def test_criterion_01_action_composition_law():
     t0 = time.perf_counter()
     assert [6 + 2 * tail_width(p, 5) for p in (3, 5)] == [26, 20]
-    report = suite_action(primes=(3, 5), precision=5, degree=6, trials=50)
+    report = suite_action(precision=5, degree=6, trials=50)
     assert report["checks"] == 2 * 3 * 50
     stamp("criterion 01 composition law", t0, 10.0)
 
@@ -131,14 +131,14 @@ def test_criterion_09_commutativity_and_order_independence():
 def test_criterion_10_unit_root_segment():
     t0 = time.perf_counter()
     # the T_11 factor of slope 0 matches the polygon and vanishes at 1
-    report = suite_slope(pairs=((11, 11),), precision=4)
+    report = suite_slope(pairs=((11, 11),))
     assert report["checks"] == 6 and report["ordinary_rank"] == 7
     stamp("criterion 10 unit-root segment", t0, 300.0)
 
 
 def test_criterion_11_scaled_inverse_nilpotence():
     t0 = time.perf_counter()
-    report = suite_slope(pairs=((11, 11), (3, 9)), precision=4, powers=3)
+    report = suite_slope(pairs=((11, 11), (3, 9)), powers=3)
     assert report["checks"] == 2 * (4 + 3)
     stamp("criterion 11 scaled-inverse nilpotence", t0, 60.0)
 
