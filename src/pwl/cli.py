@@ -118,8 +118,7 @@ def eisenstein_cmd(a):
     out = {"weight": a.weight, "terms": a.terms,
            "coefficients": [str(c) for c in f.coeffs]}
     if a.hecke_ell is not None:
-        g = hecke_t(a.hecke_ell, a.weight, trivial_char(1), f,
-                    normalization="classical")
+        g = hecke_t(a.hecke_ell, a.weight, trivial_char(1), f)
         out["hecke_ell"] = a.hecke_ell
         out["hecke_coefficients"] = [str(c) for c in g.coeffs]
         out["hecke_pairing"] = str(pairing(g))

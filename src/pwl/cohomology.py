@@ -4,7 +4,7 @@ The level subgroup is free (rank 1 + mu/6), so a 1-cocycle is determined
 by arbitrary values on the free generators and H^1 is the quotient of the
 value space by coboundaries.  Coefficient systems share a small duck
 interface (zero/act/eq/rand; SymCoeffs adds dim/act_matrix for the matrix
-paths), and their values combine with +, - and unary -:
+paths), and their values combine with + and -:
 
   SymCoeffs      symmetric-power vectors acted on through the weight-n
                  matrix action; n = 0 is Z/p^r with the trivial action;

@@ -259,10 +259,6 @@ class FamilyVec:
                          min(self.out_width, other.out_width),
                          [x - y for x, y in zip(self.coords[:n], other.coords[:n])])
 
-    def __neg__(self):
-        return FamilyVec(self.p, self.r, self.d, self.out_width,
-                         [-x for x in self.coords])
-
     def agrees(self, other, width):
         return all(x == y for x, y in
                    zip(self.coords[:width], other.coords[:width]))

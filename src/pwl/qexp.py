@@ -4,12 +4,6 @@ Coefficients live in whatever ring the caller supplies: Fractions for
 Eisenstein constant terms, plain ints for cusp form fixtures, PrecInt
 for p-adic data.  The operators only add and multiply coefficients, so
 any of these work.
-
-Two normalizations of the weight-k operator at a prime ell are
-supported: the 'classical' one puts ell^(k-1) on the lower coefficient,
-while the 'cohomological' one puts ell^(k-2) there, matching the twist
-by which the adjugate action on coefficient modules differs from the
-classical double-coset action.
 """
 
 import math
@@ -113,8 +107,9 @@ def eisenstein(k, T):
     return QExp([a0] + [divisor_sigma(h, k - 1) for h in range(1, T + 1)])
 
 
-def hecke_t(ell, k, eps, f, normalization="cohomological"):
-    """b_h = a(ell h) + eps(ell) ell^e a(h/ell), second term when ell | h.
+def hecke_t(ell, k, eps, f):
+    """Classical T_ell: b_h = a(ell h) + eps(ell) ell^(k-1) a(h/ell), the
+    second term only when ell | h.
 
     The formula is T_ell only for a prime ell; any other ell is BadRange.
     eps(ell) = 0 when ell divides the character modulus, which switches
@@ -123,9 +118,6 @@ def hecke_t(ell, k, eps, f, normalization="cohomological"):
     """
     if not is_prime(ell):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
-    if normalization not in ("cohomological", "classical"):
-        raise BadRange(f"unknown normalization {normalization!r}")
-    e = k - 2 if normalization == "cohomological" else k - 1
     T = f.truncation()
     newT = T // ell
     if newT < 1:
@@ -135,7 +127,7 @@ def hecke_t(ell, k, eps, f, normalization="cohomological"):
     for h in range(newT + 1):
         b = f.a(ell * h)
         if h % ell == 0:
-            b = b + eps(ell) * ell ** e * f.a(h // ell)
+            b = b + eps(ell) * ell ** (k - 1) * f.a(h // ell)
         out.append(b)
     return QExp(out)
 

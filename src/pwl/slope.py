@@ -1,4 +1,4 @@
-"""Finite-slope machinery: Newton polygons, slope factors, projectors.
+"""Finite-slope machinery: Newton polygons, slope factors, scaled inverses.
 
 Working over Z/p^r, a coefficient congruent to 0 only reveals valuation
 >= r, so polygon points carry a censored flag and anything whose hull
@@ -16,19 +16,22 @@ exact quotient P div A, and no precision is lost.  Deeper cuts
 substitute X -> pX, divide by the forced power of p (losing that much
 precision, which is tracked), and recurse.
 
-slope_projector turns the split into an idempotent pi = (v R)(M) from a
-Bezout identity u Q + v R = 1 solved as a linear system; for s = 1 the
-factors are coprime mod p and the system is always solvable, while for
-deeper cuts an unsolvable system raises AmbiguousAtPrecision instead of
-guessing.  ps_tp_inv restricts M to the image of pi and returns
-p^s * (block inverse), the scaled inverse whose powers contract.  One
-Smith form U pi V = diag(p^e) gives the block.  pi is idempotent, so
-its divisors are 0 (rank times) and the precision, and the first rank
-columns of U^-1 span its image.  As M keeps that image, U M U^-1 is
-block upper triangular, with the block of M on the image in its top left
-corner; a nonzero entry below that block is a bug trap.  The inverse
-uses the division-free adjugate, so only the determinant's unit part is
-ever inverted.
+ps_tp_inv restricts a matrix A to its slope < s part and returns p^s *
+(block inverse), the scaled inverse whose powers contract.  With
+(Q, R, loss) the split of the charpoly of A and prec = r - loss, K = R(A)
+is zero on the R part and injective on the Q part, so its image has rank
+deg Q inside the slope < s lattice.  A Smith form U K V = diag(p^e) with
+divisor 0 deg Q times and prec elsewhere says that this image is a direct
+summand, so the whole lattice, spanned by the first deg Q columns of
+U^-1; any other divisors raise AmbiguousAtPrecision.  K is a polynomial
+in A, so U A U^-1 is block upper triangular with the block M0 of A on the
+image in its top left corner; a nonzero entry below it is a bug trap.  A
+second Smith form U0 M0 V0 = diag(p^e_i) gives W = V0 diag(p^(s - e_i))
+U0, so that M0 W = p^s I.  e_max = max e_i above s (p^s M0^-1 is not
+integral) or at prec (M0 is singular at this precision) raises
+NotInvertible.  W is reported mod p^(prec - e_max) and no further: if
+M0 W' = p^s I as well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so
+row i of V0^-1 (W - W') vanishes only mod p^(prec - e_i).
 """
 
 from fractions import Fraction
@@ -189,11 +192,29 @@ def _unit_root_split(P, p, r):
     return A, B
 
 
+def _roots_over_p(f, p, r):
+    """f(pX) / p^deg f mod p^(r - deg f), the roots of f divided by p;
+    AmbiguousAtPrecision if a root of f has valuation below 1."""
+    d = len(f) - 1
+    out = []
+    for i, c in enumerate(f):
+        num = c % p ** r * p ** i
+        if num % p ** d != 0:
+            raise AmbiguousAtPrecision(
+                "positive-valuation block has slopes below 1; "
+                "integer cuts cannot separate it")
+        out.append(num // p ** d % p ** max(r - d, 0))
+    return out
+
+
 def slope_factor(P, s, p, r):
     """(Q, R, loss): P = Q R mod p^(r - loss), Q holding root vals < s.
 
     Both factors are monic; s must be a positive integer and P monic
-    mod p^r, else BadRange.
+    mod p^r, else BadRange.  For s = 1, Q is the unit-root factor and R
+    takes every root of positive valuation, fractional ones included.
+    For s >= 2 a root of non-integral valuation below s raises
+    AmbiguousAtPrecision.
     """
     if s < 1:
         raise BadRange(f"slope cut {s} is below 1")
@@ -210,51 +231,17 @@ def slope_factor(P, s, p, r):
     if r - n1 < 1:
         raise PrecisionExhausted(
             f"scaling by p^{n1} exhausts precision {r}")
-    M2 = p ** (r - n1)
-    scaled = []
-    for i, c in enumerate(low):
-        num = c % p ** r * p ** i
-        if num % p ** n1 != 0:
-            raise AmbiguousAtPrecision(
-                "positive-valuation block has slopes below 1; "
-                "integer cuts cannot separate it")
-        scaled.append(num // p ** n1 % M2)
-    Qs, Rs, loss2 = slope_factor(scaled, s - 1, p, r - n1)
+    Qs, Rs, loss2 = slope_factor(_roots_over_p(low, p, r), s - 1, p, r - n1)
+    if s == 2:
+        # the s = 1 split files roots of valuation in (0, 1) under Rs;
+        # here they lie in (s - 1, s), where an integer cut cannot go
+        _roots_over_p(Rs, p, r - n1)
     loss = n1 + loss2
     Mq = p ** (r - loss)
     Q1 = [c * p ** (len(Qs) - 1 - i) % Mq for i, c in enumerate(Qs)]
     R1 = [c * p ** (len(Rs) - 1 - i) % Mq for i, c in enumerate(Rs)]
     Q = _poly_mul(unitpart, Q1, Mq)
     return _poly_trim(Q, Mq), R1, loss
-
-
-def _bezout_pair(Q, R, p, r):
-    """u, v with u Q + v R = 1 mod p^r via the resultant-style system."""
-    n = (len(Q) - 1) + (len(R) - 1)
-    if n == 0:
-        return [1], [0]
-    cols = []
-    for i in range(len(R) - 1):          # u X^i Q
-        col = [0] * n
-        for j, c in enumerate(Q):
-            if i + j < n:
-                col[i + j] = c
-        cols.append(col)
-    for i in range(len(Q) - 1):          # v X^i R
-        col = [0] * n
-        for j, c in enumerate(R):
-            if i + j < n:
-                col[i + j] = c
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    rhs = [1] + [0] * (n - 1)
-    sol = smith_mod(mat, p, r).solve(rhs)
-    if sol is None:
-        raise AmbiguousAtPrecision(
-            "slope factors are not coprime at this precision")
-    u = sol[:len(R) - 1] or [0]
-    v = sol[len(R) - 1:] or [0]
-    return u, v
 
 
 def _poly_eval_matrix(f, A, M):
@@ -270,67 +257,33 @@ def _poly_eval_matrix(f, A, M):
     return out
 
 
-def slope_projector(A, s, p, r):
-    """(pi, rank, prec): idempotent onto the root-valuation < s part of A."""
-    P = charpoly_mod(A, p, r)
-    Q, R, loss = slope_factor(P, s, p, r)
-    prec = r - loss
-    u, v = _bezout_pair(Q, R, p, prec)
-    M = p ** prec
-    pi = _poly_eval_matrix(_poly_mul(v, R, M), A, M)
-    pi2 = mat_mul(pi, pi, M)
-    if pi2 != pi:
-        raise AmbiguousAtPrecision("projector fails to be idempotent")
-    return pi, len(Q) - 1, prec
-
-
 def ps_tp_inv(A, s, p, r):
     """(W, basis, prec): W = p^s * inverse of A on its slope < s part.
 
-    basis columns span the image of the slope projector; W is the matrix
-    of p^s A^{-1} on that image in the given basis.
+    basis (n x deg Q) spans that part and W is the matrix of p^s A^-1 on
+    it in that basis: A basis W = p^s basis mod p^prec.
     """
-    pi, rank, prec = slope_projector(A, s, p, r)
+    Q, R, loss = slope_factor(charpoly_mod(A, p, r), s, p, r)
+    rank, prec = len(Q) - 1, r - loss
     if rank == 0:
         raise NotInvertible("no finite-slope part below the requested cut")
     M = p ** prec
-    sf = smith_mod(pi, p, prec)
-    if sf.exps.count(0) != rank:
+    sf = smith_mod(_poly_eval_matrix(R, A, M), p, prec)
+    if sf.exps != [0] * rank + [prec] * (len(A) - rank):
         raise AmbiguousAtPrecision(
-            f"projector image has divisors {sf.exps}, expected rank {rank}")
-    # exps ascend, so the first rank Smith coordinates span the image of pi
-    basis = [row[:rank] for row in sf.Uinv]  # n x rank
+            f"R(A) has divisors {sf.exps}, expected {rank} units")
+    basis = [row[:rank] for row in sf.Uinv]
     UAB = mat_mul(sf.U, mat_mul(A, basis, M), M)
     if any(any(row) for row in UAB[rank:]):
-        # pi is a polynomial in A, so A maps the image of pi into itself
-        raise InternalInconsistency("A moves the projector image")
-    M0 = UAB[:rank]
-    coeffs = charpoly_mod(M0, p, prec)
-    det = (-1) ** rank * coeffs[0] % M
-    if det == 0:
-        raise NotInvertible("slope block determinant vanishes at this precision")
-    vdet = vp(det, p)
-    # adjugate via Cayley-Hamilton, no divisions
-    adj = _poly_eval_matrix(coeffs[1:], M0, M)
-    sign = (-1) ** (rank - 1) % M
-    adj = [[x * sign % M for x in row] for row in adj]
-    if mat_mul(M0, adj, M) != [[det if a == b else 0 for b in range(rank)]
-                               for a in range(rank)]:
-        raise InternalInconsistency("block times adjugate is not det * I")
-    unit_inv = pow(det // p ** vdet, -1, M)
-    out_prec = prec - max(0, vdet - s)
-    if out_prec < 1:
-        raise PrecisionExhausted("scaled inverse has no certified digits")
-    Mo = p ** out_prec
-    W = [[0] * rank for _ in range(rank)]
-    for a in range(rank):
-        for b in range(rank):
-            num = adj[a][b] * unit_inv % M * p ** s
-            if vdet > s:
-                if num % p ** (vdet - s) != 0:
-                    raise NotInvertible(
-                        "scaled inverse is not integral at this slope")
-                num //= p ** (vdet - s)
-            W[a][b] = num % Mo
-    return W, basis, out_prec
-
+        # R(A) is a polynomial in A, so A maps its image into itself
+        raise InternalInconsistency("A moves the image of R(A)")
+    blk = smith_mod(UAB[:rank], p, prec)
+    e_max = blk.exps[-1]
+    if e_max == prec:
+        raise NotInvertible("slope block is singular at this precision")
+    if e_max > s:
+        raise NotInvertible("scaled inverse is not integral at this slope")
+    # U0 M0 V0 = diag(p^e), so M0 V0 diag(p^(s - e)) U0 = p^s I
+    scaled = [[x * p ** (s - e) for x in row]
+              for row, e in zip(blk.U, blk.exps)]
+    return mat_mul(blk.V, scaled, p ** (prec - e_max)), basis, prec - e_max

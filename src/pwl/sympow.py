@@ -70,9 +70,6 @@ class SymVec:
         return SymVec(self.p, r, self.n,
                       [x - y for x, y in zip(self.coords, other.coords)])
 
-    def __neg__(self):
-        return SymVec(self.p, self.r, self.n, [-x for x in self.coords])
-
     def reduce(self, r2):
         if not 1 <= r2 <= self.r:
             raise BadRange(f"precision {r2} is outside 1..{self.r}")
@@ -145,9 +142,6 @@ class SeqVec:
         self.out_width = out_width
         M = self.p ** self.r
         self.coords = [c % M for c in coords]
-
-    def width(self):
-        return len(self.coords)
 
     def _compat(self, other):
         if self.chi != other.chi:

@@ -161,7 +161,7 @@ def test_criterion_13_eisenstein_and_pairing():
             assert f.a(h) == sum(d ** (k - 1)
                                  for d in range(1, h + 1) if h % d == 0)
     f4 = eisenstein(4, 10)
-    g = hecke_t(2, 4, trivial_char(1), f4, normalization="classical")
+    g = hecke_t(2, 4, trivial_char(1), f4)
     assert pairing(g) == 9
     assert all(g.a(h) == 9 * f4.a(h) for h in range(6))
     stamp("criterion 13 eisenstein and pairing", t0, 5.0)

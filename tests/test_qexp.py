@@ -69,43 +69,19 @@ def test_classical_hecke_eigenvalues_on_eisenstein():
     chi = trivial_char(1)
     for ell, k in ((2, 4), (3, 4), (2, 6), (5, 4)):
         f = eisenstein(k, 30)
-        g = hecke_t(ell, k, chi, f, normalization="classical")
+        g = hecke_t(ell, k, chi, f)
         lam = 1 + ell ** (k - 1)
         assert g.truncation() == 30 // ell
         for h in range(g.truncation() + 1):
             assert g.a(h) == lam * f.a(h)
-    assert pairing(hecke_t(2, 4, chi, eisenstein(4, 10),
-                           normalization="classical")) == 9
-
-
-def test_cohomological_operator_values():
-    chi = trivial_char(1)
-    f = eisenstein(4, 20)
-    g = hecke_t(2, 4, chi, f)
-    assert g.a(0) == Fraction(5, 240)
-    assert g.a(1) == 9
-    assert g.a(2) == 73 + 4
-    assert g.a(3) == 252
-
-
-def test_normalization_bridge():
-    chi = trivial_char(1)
-    f = eisenstein(6, 24)
-    g_co = hecke_t(2, 6, chi, f)
-    g_cl = hecke_t(2, 6, chi, f, normalization="classical")
-    for h in range(g_co.truncation() + 1):
-        diff = g_cl.a(h) - g_co.a(h)
-        if h % 2 == 0:
-            assert diff == (2 ** 5 - 2 ** 4) * f.a(h // 2)
-        else:
-            assert diff == 0
+    assert pairing(hecke_t(2, 4, chi, eisenstein(4, 10))) == 9
 
 
 def test_character_values_and_twisted_operator():
     chi = DirichletChar(5, {2: -1, 3: -1, 4: 1})
     assert chi(7) == -1 and chi(11) == 1 and chi(10) == 0
     f = QExp([1, 1, 2, 3, 4, 5, 6])
-    g = hecke_t(3, 4, DirichletChar(5, {3: -1}), f, normalization="classical")
+    g = hecke_t(3, 4, DirichletChar(5, {3: -1}), f)
     assert g.coeffs == [1 - 27, 3, 6]
 
 
@@ -117,10 +93,10 @@ def test_eta_prefix_is_frozen():
 def test_eta_is_eigenform_at_two_and_three():
     chi = trivial_char(11)
     f = eta_level11(60)
-    g2 = hecke_t(2, 2, chi, f, normalization="classical")
+    g2 = hecke_t(2, 2, chi, f)
     for h in range(1, g2.truncation() + 1):
         assert g2.a(h) == -2 * f.a(h)
-    g3 = hecke_t(3, 2, chi, f, normalization="classical")
+    g3 = hecke_t(3, 2, chi, f)
     for h in range(1, g3.truncation() + 1):
         assert g3.a(h) == -1 * f.a(h)
 
@@ -129,7 +105,7 @@ def test_eta_dividing_level_operator():
     chi = trivial_char(11)
     f = eta_level11(60)
     assert chi(11) == 0
-    g = hecke_t(11, 2, chi, f, normalization="classical")
+    g = hecke_t(11, 2, chi, f)
     # the second summand is switched off, and the eigenvalue is 1
     for h in range(1, g.truncation() + 1):
         assert g.a(h) == f.a(h)
@@ -166,15 +142,10 @@ def test_rejects_non_prime_index_and_negative_truncation():
     f = eisenstein(4, 20)
     for ell in (4, 6, 1, 0, -2):
         with pytest.raises(BadRange):
-            hecke_t(ell, 4, trivial_char(1), f, normalization="classical")
+            hecke_t(ell, 4, trivial_char(1), f)
     with pytest.raises(BadRange):
         eisenstein(4, -1)
     assert eisenstein(4, 0).coeffs == [Fraction(1, 240)]
-
-
-def test_hecke_t_rejects_unknown_normalization():
-    with pytest.raises(BadRange):
-        hecke_t(2, 4, trivial_char(1), QExp([1, 2, 3]), normalization="x")
 
 
 def test_series_arithmetic():

@@ -1,4 +1,4 @@
-"""Newton polygons, slope splits, projectors and scaled inverses."""
+"""Newton polygons, slope splits and scaled inverses."""
 
 import random
 
@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
 from pwl.errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
-                        NotInvertible)
+                        NotInvertible, PrecisionExhausted)
 from pwl.gamma1 import free_basis
-from pwl.linalg import charpoly_mod, mat_mul, mat_vec, smith_mod
-from pwl.slope import (newton_polygon, ps_tp_inv, slope_factor,
-                       slope_projector)
+from pwl.linalg import charpoly_mod, mat_mul, smith_mod
+from pwl.slope import newton_polygon, ps_tp_inv, slope_factor
 
 
 def polymul(f, g, M):
@@ -260,6 +259,10 @@ def test_slope_factor_refuses_fractional_slopes():
     assert Qg == [1] and Rg == P
     with pytest.raises(AmbiguousAtPrecision):
         slope_factor(P, 2, p, r)
+    # roots of valuation 3/2 below the cut 2, and 5/2 below the cut 3
+    for c, s in ((27, 2), (3 ** 5, 3)):
+        with pytest.raises(AmbiguousAtPrecision):
+            slope_factor([(-c) % 3 ** 8, 0, 1], s, p, 8)
 
 
 def test_slope_factor_rejects_non_monic():
@@ -282,7 +285,8 @@ def conjugated_block(p, r, rng, unit_diag, small_diag):
         if i + 1 < n:
             D[i][i + 1] = rng.randrange(M)
     # separate the blocks so the coupling entry stays inside one of them
-    D[len(unit_diag) - 1][len(unit_diag)] = 0
+    if 0 < len(unit_diag) < n:
+        D[len(unit_diag) - 1][len(unit_diag)] = 0
     while True:
         S = [[rng.randrange(M) for _ in range(n)] for _ in range(n)]
         sf = smith_mod(S, p, r)
@@ -290,21 +294,6 @@ def conjugated_block(p, r, rng, unit_diag, small_diag):
             break
     # U S V = I, so S^-1 = V U
     return mat_mul(mat_mul(S, D, M), mat_mul(sf.V, sf.U, M), M), S
-
-
-def test_projector_splits_conjugated_blocks():
-    p, r = 3, 6
-    M = p ** r
-    rng = random.Random(7)
-    for _ in range(5):
-        A, S = conjugated_block(p, r, rng, [2, 5], [3, 6])
-        pi, rank, prec = slope_projector(A, 1, p, r)
-        assert rank == 2 and prec == r
-        assert mat_mul(pi, A, M) == mat_mul(A, pi, M)
-        for j in range(4):
-            col = [S[i][j] for i in range(4)]
-            image = mat_vec(pi, col, M)
-            assert image == (col if j < 2 else [0, 0, 0, 0])
 
 
 def test_scaled_inverse_properties():
@@ -346,26 +335,79 @@ def test_no_unit_part_raises():
 
 
 def test_scaled_inverse_traps_non_invariant_image(monkeypatch):
-    # span(e1) is not A-stable, as the image of a true projector would be
-    monkeypatch.setattr(slope, "slope_projector",
-                        lambda A, s, p, r: ([[1, 0], [0, 0]], 1, r))
+    # A = [[2, 1], [3, 3]] has one unit root; span(e1), injected as the
+    # image of R(A), is not A-stable, as the image of a polynomial in A is
+    monkeypatch.setattr(slope, "_poly_eval_matrix",
+                        lambda f, A, M: [[1, 0], [0, 0]])
     with pytest.raises(InternalInconsistency):
-        ps_tp_inv([[1, 1], [1, 2]], 1, 3, 4)
+        ps_tp_inv([[2, 1], [3, 3]], 1, 3, 4)
 
 
-def test_scaled_inverse_traps_wrong_charpoly(monkeypatch):
-    p, r = 3, 7
-    A, _ = conjugated_block(p, r, random.Random(19), [4, 7], [3, 12])
+@pytest.mark.parametrize("call, args, error, match", [
+    (slope_factor, ([0, 1], 1, 3, 0), PrecisionExhausted, "no working"),
+    (slope_factor, ([0, 0, 1], 2, 3, 2), PrecisionExhausted, "exhausts"),
+    # (X - 3)(X - 9) at s = 2: R(A) = A - 9 has divisor 3 on the block
+    (ps_tp_inv, ([[3, 0], [0, 9]], 2, 3, 9), AmbiguousAtPrecision,
+     "divisors"),
+    # a Jordan block of 3: 9 A^-1 has the entry 1/3
+    (ps_tp_inv, ([[3, 1, 0], [0, 3, 1], [0, 0, 3]], 2, 3, 9), NotInvertible,
+     "not integral"),
+    # X - 3 at s = 2 leaves one digit, where the block is 0
+    (ps_tp_inv, ([[3]], 2, 3, 2), NotInvertible, "singular"),
+], ids=["no-digits", "scaling-exhausts", "R(A)-divisors", "non-integral",
+        "singular"])
+def test_slope_errors(call, args, error, match):
+    with pytest.raises(error, match=match):
+        call(*args)
 
-    def off_by_one(B, p, r):
-        coeffs = charpoly_mod(B, p, r)
-        if len(B) == 2:    # only the slope block; det stays a unit
-            coeffs[1] = (coeffs[1] + 1) % p ** r
-        return coeffs
 
-    monkeypatch.setattr(slope, "charpoly_mod", off_by_one)
-    with pytest.raises(InternalInconsistency):
-        ps_tp_inv(A, 1, p, r)
+def unit(rng, M, p):
+    u = rng.randrange(1, M)
+    return u if u % p else u + 1
+
+
+@pytest.mark.parametrize("s", (1, 2, 3))
+def test_scaled_inverse_oracle(s):
+    """A = S D S^-1 with D upper triangular, its diagonal of prescribed
+    valuations in ascending order, so the slope < s lattice is spanned by
+    the first k columns of S.  Whenever ps_tp_inv answers, its basis spans
+    that lattice and A B W = p^s B at the precision it claims."""
+    p, r = 3, 9
+    rng = random.Random(40 + s)
+    answered = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        vals = sorted(rng.choice((0, 1, 2, 3)) for _ in range(n))
+        diag = [unit(rng, p ** r, p) * p ** v for v in vals]
+        k = sum(v < s for v in vals)
+        A, S = conjugated_block(p, r, rng, diag[:k], diag[k:])
+        try:
+            W, B, prec = ps_tp_inv(A, s, p, r)
+        except (AmbiguousAtPrecision, NotInvertible, PrecisionExhausted):
+            continue
+        answered += 1
+        M = p ** prec
+        Q = slope_factor(charpoly_mod(A, p, r), s, p, r)[0]
+        assert len(B[0]) == len(Q) - 1 == k
+        ABW = mat_mul(A, mat_mul(B, W, M), M)
+        assert ABW == [[p ** s * x % M for x in row] for row in B]
+        span = smith_mod(B, p, prec)
+        AB = mat_mul(A, B, M)
+        assert all(span.solve([row[j] for row in AB]) is not None
+                   for j in range(k))
+        sf = smith_mod(S, p, r)
+        C = mat_mul(mat_mul(sf.V, sf.U, M), B, M)    # S^-1 B
+        assert all(x == 0 for row in C[k:] for x in row)
+        assert smith_mod(C[:k], p, prec).exps == [0] * k
+    assert answered >= 10
+
+
+def test_scaled_inverse_non_unit_determinant():
+    # both roots 6 and 5 lie below the cut 2; det A = 30 is not a unit
+    A = [[6, 1], [0, 5]]
+    W, B, prec = ps_tp_inv(A, 2, 3, 9)
+    assert B == [[1, 0], [0, 1]] and prec == 7
+    assert mat_mul(A, W, 3 ** prec) == [[9, 0], [0, 9]]
 
 
 def test_level_eleven_unit_root_factor():
