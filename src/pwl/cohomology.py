@@ -25,8 +25,10 @@ by the Hermite form H of B's row lattice (an invariant of SL_2(Z) B) and
 the bottom row mod N of B H^-1, one dict holds the key of every rep, and
 one exact coset test _gamma1_quotient confirms the match.  A translate
 with no rep, or two reps of one coset, raises.  The operator value
-(A c)(g) = sum_theta act(adj(A_theta), c(gamma_theta)) uses the main
-involution (adjugate) on the left.  hecke_matrix assembles the same
+(A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
+(adjugate) on the left.  hecke_images and hecke_matrix walk each partner
+word gamma_theta from adj(A_theta), one coefficient action per letter, so
+a family window spends one tail per operator.  hecke_matrix assembles the
 operator as a matrix on stacked generator values in one pass over the
 rewritten words, on packed rows (linalg.pack_row, W-bit fields with
 W = bits(D (p^r - 1)^2) + 40): a letter multiplies the D prefix rows by a
@@ -53,7 +55,7 @@ from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat, PadicMat
 from .padic import is_prime
-from .sympow import SymVec, act_sym, sym_matrix
+from .sympow import SymVec, act_sym, specialize, sym_matrix
 
 
 class SymCoeffs:
@@ -87,7 +89,7 @@ class FamilyCoeffs:
     """Windows of weight-space functions with the family action.
 
     stored_width must budget one tail per action applied to a value: an
-    evaluation costs one, a double-coset operator costs two.
+    evaluation and a double-coset operator each cost one.
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
@@ -146,10 +148,15 @@ class Cocycle:
                        [x - y for x, y in zip(self.values, other.values)])
 
     def eval(self, target):
-        """Value on a group element (IntMat) or a pre-rewritten word."""
-        word = self.basis.express(target) if isinstance(target, IntMat) else target
+        """Value on a group element (IntMat): its rewritten word folded
+        from the identity."""
+        return self._fold(self.basis.express(target), IntMat.identity())
+
+    def _fold(self, word, cur):
+        """cur.c(w) for the group element w that `word` spells, folding
+        c(gh) = c(g) + g.c(h) letter by letter with the prefix matrix
+        starting at cur: one coefficient action per letter."""
         val = self.coeffs.zero()
-        cur = IntMat.identity()
         for k in word:
             if k > 0:
                 g = self.basis.gens[k - 1]
@@ -253,8 +260,7 @@ def hecke_images(cocycle, reps):
         val = coeffs.zero()
         for A in reps:
             G = _coset_partner(A * gam, index, basis.N)
-            v = cocycle.eval(G)
-            val += coeffs.act(A.cofactor(), v)
+            val += cocycle._fold(basis.express(G), A.cofactor())
         out.append(val)
     return Cocycle(coeffs, basis, out)
 
@@ -398,17 +404,11 @@ def h1(coeffs, basis):
 
 def specialize_cocycle(k, cocycle):
     """Family-coefficient cocycle evaluated at integer weight k, as a
-    symmetric-power cocycle of degree k - 2."""
+    symmetric-power cocycle of degree k - 2; raises WidthInsufficient
+    below k - 1 certified coordinates."""
     coeffs = cocycle.coeffs
-    if coeffs.out_width < k - 1:
-        raise WidthInsufficient(
-            f"need {k - 1} certified coordinates, have {coeffs.out_width}")
-    rr = min(coeffs.r, coeffs.d)
-    out_coeffs = SymCoeffs(coeffs.p, rr, k - 2)
-    values = []
-    for F in cocycle.values:
-        sv = sp_vector(k, F)
-        values.append(SymVec(coeffs.p, rr, k - 2, sv.coords[:k - 1]))
+    out_coeffs = SymCoeffs(coeffs.p, min(coeffs.r, coeffs.d), k - 2)
+    values = [specialize(sp_vector(k, F), k - 2) for F in cocycle.values]
     return Cocycle(out_coeffs, cocycle.basis, values)
 
 
@@ -440,10 +440,7 @@ def family_preimage(cocycle, d):
             comps[zeta] = [x % M for x in sol]
             coords.append(WeightFn(p, r, d, comps))
         F = FamilyVec(p, r, d, out_width, coords)
-        rr = min(r, d)
-        check = sp_vector(k, F)
-        if any((a - b) % p ** rr != 0
-               for a, b in zip(check.coords[:out_width], v.coords)):
+        if specialize(sp_vector(k, F), k - 2) != v:
             raise InternalInconsistency("family preimage fails to specialize")
         values.append(F)
     return Cocycle(fam_coeffs, cocycle.basis, values)

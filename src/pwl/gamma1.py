@@ -51,11 +51,9 @@ def _proj_canon(c, d, N):
 
 def _normalize_sign(m, N):
     # exactly one of +-m has diagonal 1 mod N once N >= 3
-    if m.c % N == 0 and m.a % N == 1 and m.d % N == 1:
-        return m
-    w = IntMat(-m.a, -m.b, -m.c, -m.d)
-    if w.c % N == 0 and w.a % N == 1 and w.d % N == 1:
-        return w
+    for w in (m, IntMat(-m.a, -m.b, -m.c, -m.d)):
+        if in_gamma1(w, N):
+            return w
     raise InternalInconsistency(f"{m} is not in the level-{N} subgroup up to sign")
 
 

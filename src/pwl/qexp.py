@@ -122,7 +122,7 @@ def hecke_t(ell, k, eps, f):
     newT = T // ell
     if newT < 1:
         raise TruncationTooShort(
-            f"need at least {ell} stored coefficients, have {T}")
+            f"need at least {ell + 1} stored coefficients, have {T + 1}")
     out = []
     for h in range(newT + 1):
         b = f.a(ell * h)

@@ -29,8 +29,8 @@ import operator
 from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, PrecisionMismatch, WidthInsufficient)
 from .linalg import unpack_row
-from .padic import (PrecInt, Weight, binom, binom_int, eval_char, tail_width,
-                    vp, vp_factorial)
+from .padic import (PrecInt, Weight, binom, eval_char, tail_width, vp,
+                    vp_factorial)
 
 
 def _entries_mod(mat, p, r):
@@ -280,16 +280,7 @@ def binom_identity(n, i, j, h):
     """
     if h > min(i, j):
         raise BadRange(f"h = {h} exceeds min(i, j) = {min(i, j)}")
-    if isinstance(n, int):
-        lhs = sum((-1) ** (m - h) * binom_int(n - m, i - m)
-                  * math.comb(j, m) * math.comb(m, h)
-                  for m in range(h, min(i, j) + 1))
-        rhs = binom_int(n - j, i - h) * math.comb(j, h)
-        return lhs, rhs
-    lhs = None
-    for m in range(h, min(i, j) + 1):
-        term = binom(n - m, i - m) * ((-1) ** (m - h)
-                                      * math.comb(j, m) * math.comb(m, h))
-        lhs = term if lhs is None else lhs + term
-    rhs = binom(n - j, i - h) * math.comb(j, h)
-    return lhs, rhs
+    lhs = sum(binom(n - m, i - m) * ((-1) ** (m - h)
+                                     * math.comb(j, m) * math.comb(m, h))
+              for m in range(h, min(i, j) + 1))
+    return lhs, binom(n - j, i - h) * math.comb(j, h)

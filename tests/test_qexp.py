@@ -113,8 +113,13 @@ def test_eta_dividing_level_operator():
 
 def test_truncation_guards():
     f = QExp([1, 2, 3])
-    with pytest.raises(TruncationTooShort):
+    # T_ell needs a_0..a_ell, ell + 1 stored coefficients
+    with pytest.raises(TruncationTooShort,
+                       match="need at least 8 stored coefficients, have 3"):
         hecke_t(7, 4, trivial_char(1), f)
+    with pytest.raises(TruncationTooShort,
+                       match="need at least 3 stored coefficients, have 2"):
+        hecke_t(2, 4, trivial_char(1), eisenstein(4, 1))
     with pytest.raises(TruncationTooShort):
         f.a(5)
     with pytest.raises(TruncationTooShort):
