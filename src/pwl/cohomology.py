@@ -26,22 +26,23 @@ the bottom row mod N of B H^-1, one dict holds the key of every rep, and
 one exact coset test _gamma1_quotient confirms the match.  A translate
 with no rep, or two reps of one coset, raises.  The operator value
 (A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
-(adjugate) on the left.  hecke_images and hecke_matrix walk each partner
-word gamma_theta from adj(A_theta), one coefficient action per letter, so
-a family window spends one tail per operator.  hecke_matrix assembles the
+(adjugate) on the left.  One walk, _partner_words, rewrites each partner
+word gamma_theta; hecke_images folds it from adj(A_theta) and
+hecke_matrix packs it, one coefficient action per letter, so a family
+window spends one tail per operator.  hecke_matrix assembles the
 operator as a matrix on stacked generator values in one pass over the
-rewritten words, on packed rows (linalg.pack_row, W-bit fields with
-W = bits(D (p^r - 1)^2) + 40): a letter multiplies the D prefix rows by a
-generator action as D sums of int products, O(D^2) interpreted steps
-where a D x D mat_mul takes O(D^3), and the spare 40 bits let the
-unreduced rows be summed per block before one reduction; a letter that
-acts as the identity (every letter on Sym^0) skips its product.  h1
-stacks act_matrix(g) - I over the generators into the coboundary matrix
-and presents the quotient by its diagonalization, giving class
-coordinates, orders, and induced operator matrices (with charpoly
-available on free presentations).  The induced operator multiplies only
-the free rows of U, which are sparse, into the operator, and reads the
-free columns of U^-1 as sparse columns.
+rewritten words, on packed rows (linalg.pack_row, W-bit fields with W
+worked out from the longest generator's letter count): a letter
+multiplies the D prefix rows by a generator action as D sums of int
+products, O(D^2) interpreted steps where a D x D mat_mul takes O(D^3),
+and the unreduced rows are summed per block before one reduction; a
+letter that acts as the identity (every letter on Sym^0) skips its
+product.  h1 stacks act_matrix(g) - I over the generators into the
+coboundary matrix and presents the quotient by its diagonalization,
+giving class coordinates, orders, and induced operator matrices (with
+charpoly available on free presentations).  The induced operator
+multiplies only the free rows of U, which are sparse, into the operator,
+and reads the free columns of U^-1 as sparse columns.
 """
 
 import math
@@ -251,45 +252,51 @@ def _coset_partner(B, index, N):
     return G
 
 
+def _partner_words(basis, reps):
+    """Per generator gamma, the pairs (adj A, word of the partner of A
+    gamma) over the reps A: the walk both operators fold or pack."""
+    index = _coset_index(reps, basis.N)
+    return [[(A.cofactor(), basis.express(_coset_partner(A * gam, index,
+                                                          basis.N)))
+             for A in reps] for gam in basis.gens]
+
+
 def hecke_images(cocycle, reps):
     """Value-level double-coset operator: new cocycle on the generators."""
-    coeffs, basis = cocycle.coeffs, cocycle.basis
-    index = _coset_index(reps, basis.N)
+    coeffs = cocycle.coeffs
     out = []
-    for gam in basis.gens:
+    for pairs in _partner_words(cocycle.basis, reps):
         val = coeffs.zero()
-        for A in reps:
-            G = _coset_partner(A * gam, index, basis.N)
-            val += cocycle._fold(basis.express(G), A.cofactor())
+        for adj, word in pairs:
+            val += cocycle._fold(word, adj)
         out.append(val)
-    return Cocycle(coeffs, basis, out)
-
-
-# bits above the largest product entry in each packed field of hecke_matrix:
-# a field may take 2^_HEADROOM_BITS additions before it can overflow
-_HEADROOM_BITS = 40
+    return Cocycle(coeffs, cocycle.basis, out)
 
 
 def hecke_matrix(coeffs, basis, reps):
     """Matrix of the operator on stacked generator values, assembled in
     one pass over the rewritten words.
 
-    Along a word the prefix matrix S (entries in [0, p^r)) is multiplied
-    by one generator action per letter.  The generator actions are packed
-    once, row by row, into W-bit fields with W = bits(D (p^r - 1)^2) +
-    _HEADROOM_BITS, so row i of S G is the single int sum_t S[i][t] G[t]
-    and unpacking it gives the reduced S for the next letter.  Every field
-    of a packed row is below 2^(W - _HEADROOM_BITS), so the unreduced rows
-    of block (h, q) can be summed, one dict per sign keyed by q, while the
-    words of generator h are walked, and unpacked once when they are done.
-    More than 2^_HEADROOM_BITS letters for one generator could overflow a
-    field and raise InternalInconsistency.
+    Along a word the prefix matrix S (entries in [0, M), M = p^r) is
+    multiplied by one generator action per letter.  The generator actions
+    are packed once, row by row, into W-bit fields, so row i of S G is the
+    single int sum_t S[i][t] G[t] and unpacking it gives the reduced S for
+    the next letter.  Each letter adds the packed prefix rows P to its
+    block (h, q), or Z - P for a negative letter, where every field of Z
+    is z = D M (M - 1): every field of P is at most D (M - 1)^2 <= z, so
+    every field added is in [0, z], and z = 0 mod M, so Z - P = -P field
+    by field mod M.  With L the most letters over the words of one
+    generator, W = bits(L z) gives L z < 2^W: the block sums never carry
+    between fields and each block is unpacked once when its generator's
+    words are done.
     """
     D = coeffs.dim()
     R = basis.rank()
     M = coeffs.p ** coeffs.r
-    W = (D * (M - 1) ** 2).bit_length() + _HEADROOM_BITS
-    max_letters = 1 << _HEADROOM_BITS
+    words = _partner_words(basis, reps)
+    z = D * M * (M - 1)
+    L = max(sum(len(w) for _, w in pairs) for pairs in words)
+    W = (L * z).bit_length()
     T = [[0] * (R * D) for _ in range(R * D)]
 
     def packed(mat):
@@ -298,43 +305,27 @@ def hecke_matrix(coeffs, basis, reps):
     eye = packed(identity_mat(D))
     gen_mats = [packed(coeffs.act_matrix(g)) for g in basis.gens]
     inv_mats = [packed(coeffs.act_matrix(g.inverse())) for g in basis.gens]
+    Z = pack_row([z] * D, W)
     no_rows = [0] * D
-    index = _coset_index(reps, basis.N)
-    for h, gam in enumerate(basis.gens):
-        plus, minus = {}, {}  # letter index q -> packed rows of block (h, q)
-        letters = 0
-        for A in reps:
-            G = _coset_partner(A * gam, index, basis.N)
-            word = basis.express(G)
-            letters += len(word)
-            if letters > max_letters:
-                raise InternalInconsistency(
-                    f"{letters} letters overflow {_HEADROOM_BITS} headroom bits")
-            S = coeffs.act_matrix(A.cofactor())
+    for h, pairs in enumerate(words):
+        blocks = {}  # letter index q -> summed packed rows of block (h, q)
+        for adj, word in pairs:
+            S = coeffs.act_matrix(adj)
             P = packed(S)
-            for k in word[:-1]:
+            for k in word:
+                q = abs(k) - 1
                 if k > 0:
-                    plus[k - 1] = list(map(add, plus.get(k - 1, no_rows), P))
-                    Gp = gen_mats[k - 1]
-                else:
-                    Gp = inv_mats[-k - 1]
+                    blocks[q] = list(map(add, blocks.get(q, no_rows), P))
+                Gp = gen_mats[q] if k > 0 else inv_mats[q]
                 if Gp != eye:  # an identity letter leaves S and P as they are
                     P = [sum(map(mul, Si, Gp)) for Si in S]
                     S = [unpack_row(x, D, W, M) for x in P]
                 if k < 0:
-                    minus[-k - 1] = list(map(add, minus.get(-k - 1, no_rows), P))
-            if word:  # only a negative last letter reads a product after it
-                k = word[-1]
-                blocks, q = (plus, k - 1) if k > 0 else (minus, -k - 1)
-                if k < 0 and inv_mats[q] != eye:
-                    P = [sum(map(mul, Si, inv_mats[q])) for Si in S]
-                blocks[q] = list(map(add, blocks.get(q, no_rows), P))
-        for q in plus.keys() | minus.keys():
-            pos, neg = plus.get(q, no_rows), minus.get(q, no_rows)
+                    blocks[q] = [b + Z - x
+                                 for b, x in zip(blocks.get(q, no_rows), P)]
+        for q, rows in blocks.items():
             for i in range(D):
-                T[h * D + i][q * D:(q + 1) * D] = [
-                    (x - y) % M for x, y in zip(unpack_row(pos[i], D, W, M),
-                                                unpack_row(neg[i], D, W, M))]
+                T[h * D + i][q * D:(q + 1) * D] = unpack_row(rows[i], D, W, M)
     return T
 
 

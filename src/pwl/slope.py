@@ -27,11 +27,13 @@ U^-1; any other divisors raise AmbiguousAtPrecision.  K is a polynomial
 in A, so U A U^-1 is block upper triangular with the block M0 of A on the
 image in its top left corner; a nonzero entry below it is a bug trap.  A
 second Smith form U0 M0 V0 = diag(p^e_i) gives W = V0 diag(p^(s - e_i))
-U0, so that M0 W = p^s I.  e_max = max e_i above s (p^s M0^-1 is not
-integral) or at prec (M0 is singular at this precision) raises
-NotInvertible.  W is reported mod p^(prec - e_max) and no further: if
-M0 W' = p^s I as well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so
-row i of V0^-1 (W - W') vanishes only mod p^(prec - e_i).
+U0, so that M0 W = p^s I.  e_max = max e_i above s raises NotInvertible:
+p^s M0^-1 is not integral, which is certified even when e_max reads as
+prec, since the true exponent is then >= prec.  e_max = prec <= s raises
+PrecisionExhausted: M0 reads as singular because its digits ran out.  W
+is reported mod p^(prec - e_max) and no further: if M0 W' = p^s I as
+well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so row i of
+V0^-1 (W - W') vanishes only mod p^(prec - e_i).
 """
 
 from fractions import Fraction
@@ -279,10 +281,11 @@ def ps_tp_inv(A, s, p, r):
         raise InternalInconsistency("A moves the image of R(A)")
     blk = smith_mod(UAB[:rank], p, prec)
     e_max = blk.exps[-1]
-    if e_max == prec:
-        raise NotInvertible("slope block is singular at this precision")
-    if e_max > s:
+    if e_max > s:  # an exponent read as prec is >= prec in truth
         raise NotInvertible("scaled inverse is not integral at this slope")
+    if e_max == prec:
+        raise PrecisionExhausted(
+            f"slope block reads as singular mod {p}^{prec}")
     # U0 M0 V0 = diag(p^e), so M0 V0 diag(p^(s - e)) U0 = p^s I
     scaled = [[x * p ** (s - e) for x in row]
               for row, e in zip(blk.U, blk.exps)]

@@ -114,25 +114,14 @@ def test_hecke_matrix_matches_reference(N, n, p, r, kind):
     assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
 
 
-def test_hecke_matrix_headroom_guard(monkeypatch):
-    # with no headroom a packed field takes one addition: the one-letter
-    # words of the identity operator still fit, T_2's longer words do not
+def test_hecke_matrix_identity_operator():
+    # one one-letter word per generator: the packed fields get the fewest
+    # bits any operator gets, W = bits(z)
     fb = free_basis(7)
     co = SymCoeffs(5, 4, 5)
-    monkeypatch.setattr(cohomology, "_HEADROOM_BITS", 0)
     n = fb.rank() * co.dim()
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     assert hecke_matrix(co, fb, [IntMat.identity()]) == eye
-    monkeypatch.setattr(cohomology, "_HEADROOM_BITS", 2)
-    reps = t_ell_reps(2, fb)
-    with pytest.raises(InternalInconsistency):
-        hecke_matrix(co, fb, reps)
-    # the fewest headroom bits the longest generator's letter count allows
-    letters = max(sum(len(fb.express(scan_partner(A * g, reps, 7)))
-                      for A in reps) for g in fb.gens)
-    monkeypatch.setattr(cohomology, "_HEADROOM_BITS",
-                        (letters - 1).bit_length())
-    assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
 
 
 @pytest.mark.parametrize("N, p, n, trivial", [(9, 3, 2, 2), (15, 5, 3, 2)])
@@ -149,7 +138,8 @@ def test_hecke_matrix_identity_letters(N, p, n, trivial):
 
 def test_hecke_matrix_work_counts(monkeypatch):
     # T_23 at level 23: one exact coset test per translate (45 generators
-    # times 23 reps) and 13564 letters over the rewritten words
+    # times 23 reps) and 13564 letters over the rewritten words, on the
+    # matrix path and on the value path alike
     quotients, letters = [], []
     quotient, express = cohomology._gamma1_quotient, FreeBasisData.express
 
@@ -165,8 +155,15 @@ def test_hecke_matrix_work_counts(monkeypatch):
     monkeypatch.setattr(cohomology, "_gamma1_quotient", counted_quotient)
     monkeypatch.setattr(FreeBasisData, "express", counted_express)
     fb = free_basis(23)
-    hecke_matrix(SymCoeffs(23, 2, 0), fb, t_ell_reps(23, fb))
+    co, reps = SymCoeffs(23, 2, 0), t_ell_reps(23, fb)
+    hecke_matrix(co, fb, reps)
     assert len(quotients) == 1035 == fb.rank() * 23
+    assert sum(letters) == 13564
+    c = Cocycle.random(co, fb, random.Random(23))
+    quotients.clear()
+    letters.clear()
+    hecke_images(c, reps)
+    assert len(quotients) == 1035
     assert sum(letters) == 13564
 
 

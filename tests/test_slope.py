@@ -352,10 +352,14 @@ def test_scaled_inverse_traps_non_invariant_image(monkeypatch):
     # a Jordan block of 3: 9 A^-1 has the entry 1/3
     (ps_tp_inv, ([[3, 1, 0], [0, 3, 1], [0, 0, 3]], 2, 3, 9), NotInvertible,
      "not integral"),
-    # X - 3 at s = 2 leaves one digit, where the block is 0
-    (ps_tp_inv, ([[3]], 2, 3, 2), NotInvertible, "singular"),
+    # the same block at r = 6 keeps 3 digits, where its exponent 3 reads
+    # as prec: still above s, so certified
+    (ps_tp_inv, ([[3, 1, 0], [0, 3, 1], [0, 0, 3]], 2, 3, 6), NotInvertible,
+     "not integral"),
+    # X - 3 at s = 2 leaves one digit, where the block reads as 0
+    (ps_tp_inv, ([[3]], 2, 3, 2), PrecisionExhausted, "singular"),
 ], ids=["no-digits", "scaling-exhausts", "R(A)-divisors", "non-integral",
-        "singular"])
+        "non-integral-at-prec", "singular"])
 def test_slope_errors(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)
