@@ -10,13 +10,15 @@ Submodules:
   cohomology  cocycles, H^1 presentations, Hecke operators
   slope       Newton polygons, slope splitting
   qexp        q-expansions, Eisenstein series, Hecke action on coefficients
+  verify      randomized checks of the contracts, shared by the CLI and tests
+  errors      the PwlError taxonomy
   cli         command-line front end
 """
 
 __version__ = "0.1.0"
 
 from .errors import PwlError
-from .padic import PrecInt, Weight, binom, unit_project, pow_unit, eval_char, reduce_weight
+from .padic import PrecInt, Weight, binom, unit_project, pow_unit, eval_char
 
 __all__ = [
     "PwlError",
@@ -26,6 +28,5 @@ __all__ = [
     "unit_project",
     "pow_unit",
     "eval_char",
-    "reduce_weight",
     "__version__",
 ]

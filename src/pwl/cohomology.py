@@ -49,7 +49,7 @@ import math
 from operator import add, mul
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                     NoLift, NotCoprime, NotFreeModule, WidthInsufficient)
+                     NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
@@ -253,21 +253,23 @@ def _coset_partner(B, index, N):
 
 
 def _partner_words(basis, reps):
-    """Per generator gamma, the pairs (adj A, word of the partner of A
-    gamma) over the reps A: the walk both operators fold or pack."""
+    """adj A for each rep A, and per generator gamma the words of the
+    partners of A gamma in rep order: the walk both operators fold or
+    pack."""
     index = _coset_index(reps, basis.N)
-    return [[(A.cofactor(), basis.express(_coset_partner(A * gam, index,
-                                                          basis.N)))
-             for A in reps] for gam in basis.gens]
+    words = [[basis.express(_coset_partner(A * gam, index, basis.N))
+              for A in reps] for gam in basis.gens]
+    return [A.cofactor() for A in reps], words
 
 
 def hecke_images(cocycle, reps):
     """Value-level double-coset operator: new cocycle on the generators."""
     coeffs = cocycle.coeffs
+    adjs, words = _partner_words(cocycle.basis, reps)
     out = []
-    for pairs in _partner_words(cocycle.basis, reps):
+    for gen_words in words:
         val = coeffs.zero()
-        for adj, word in pairs:
+        for adj, word in zip(adjs, gen_words):
             val += cocycle._fold(word, adj)
         out.append(val)
     return Cocycle(coeffs, cocycle.basis, out)
@@ -293,9 +295,9 @@ def hecke_matrix(coeffs, basis, reps):
     D = coeffs.dim()
     R = basis.rank()
     M = coeffs.p ** coeffs.r
-    words = _partner_words(basis, reps)
+    adjs, words = _partner_words(basis, reps)
     z = D * M * (M - 1)
-    L = max(sum(len(w) for _, w in pairs) for pairs in words)
+    L = max(sum(map(len, gen_words)) for gen_words in words)
     W = (L * z).bit_length()
     T = [[0] * (R * D) for _ in range(R * D)]
 
@@ -307,11 +309,12 @@ def hecke_matrix(coeffs, basis, reps):
     inv_mats = [packed(coeffs.act_matrix(g.inverse())) for g in basis.gens]
     Z = pack_row([z] * D, W)
     no_rows = [0] * D
-    for h, pairs in enumerate(words):
+    # each rep's adj(A) action, built once: S and P are rebound per
+    # letter, never mutated, so every generator's walk can start from it
+    starts = [(S, packed(S)) for S in map(coeffs.act_matrix, adjs)]
+    for h, gen_words in enumerate(words):
         blocks = {}  # letter index q -> summed packed rows of block (h, q)
-        for adj, word in pairs:
-            S = coeffs.act_matrix(adj)
-            P = packed(S)
+        for (S, P), word in zip(starts, gen_words):
             for k in word:
                 q = abs(k) - 1
                 if k > 0:
@@ -406,9 +409,11 @@ def specialize_cocycle(k, cocycle):
 def family_preimage(cocycle, d):
     """Interpolate a symmetric-power cocycle into family coefficients.
 
-    Solves, per generator and coordinate, for a branch series whose value
-    at the attached integer weight matches the given coordinate; raises
-    NoLift if some solve fails.
+    The weight k = n + 2 lies on the branch zeta = k mod p(p-1), where the
+    series (s_0, ..., s_(d-1)) takes the value sum_j s_j (k - zeta)^j.  Its
+    first term has coefficient 1, so each coordinate v lifts to the
+    constant series (v, 0, ..., 0) on branch zeta and to zero on every
+    other branch.
     """
     sym = cocycle.coeffs
     p, r = sym.p, sym.r
@@ -416,19 +421,12 @@ def family_preimage(cocycle, d):
     out_width = k - 1
     fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width)
     zeta = k % branch_count(p)
-    x0 = k - zeta
-    M = p ** r
-    row = [[pow(x0, j, M) for j in range(d)]]
-    sf = smith_mod(row, p, r)
     values = []
     for v in cocycle.values:
         coords = []
-        for i in range(out_width):
-            sol = sf.solve([v.coords[i]])
-            if sol is None:
-                raise NoLift(f"no branch series hits {v.coords[i]} at weight {k}")
+        for x in v.coords:
             comps = [[0] * d for _ in range(branch_count(p))]
-            comps[zeta] = [x % M for x in sol]
+            comps[zeta][0] = x
             coords.append(WeightFn(p, r, d, comps))
         F = FamilyVec(p, r, d, out_width, coords)
         if specialize(sp_vector(k, F), k - 2) != v:

@@ -76,10 +76,6 @@ class BadWeight(PwlError):
     """A weight fails a precondition (parity, range, or mismatch)."""
 
 
-class NoLift(PwlError):
-    """A linear solve for a preimage has no solution at the given precision."""
-
-
 class NotFreeModule(PwlError):
     """An operation needs a free presentation but elementary divisors are mixed."""
 

@@ -5,11 +5,10 @@ weight modulo p(p-1); an analytic function is stored as one truncated power
 series per branch, in the variable X centered at that residue, with
 coefficients mod p^r and degree < d (joint precision ideal (p^r, X^d)).
 
-z() is the tautological weight, e_branch the branch idempotents, one_n(N)
-interpolates k -> (1+N)^k, char_series(u) interpolates k -> u^k for a unit
-u.  sp_k evaluates at an integer weight k (or a Weight): branch k mod
-p(p-1), X = k minus the branch residue; the substituted value has
-valuation >= 1, so the result carries precision min(r, d).
+char_series(u) interpolates k -> u^k for a unit u.  sp_k evaluates at an
+integer weight k: branch k mod p(p-1), X = k minus the branch residue; the
+substituted value has valuation >= 1, so the result carries precision
+min(r, d).
 
 A FamilyVec is a coordinate window whose entries are such functions;
 act_family applies the weight-minus-2 family of symmetric-power actions.
@@ -19,17 +18,14 @@ of input j through index h carries c^L/L! with L = j - h; since p | c,
 this factor is zero mod p^r for all but a few L, and act_family sums only
 the L where it is not.  Those skipped terms are exactly zero, so the
 result is unchanged and family_tail stays the certified-width bound.
-trunc_minus / trunc_plus are the complementary coordinate truncations at a
-cut k0 (coordinates below / from k0 - 1).
 """
 
 import math
 import operator
 
-from .errors import (BadLevel, BadRange, DimensionMismatch,
-                     InternalInconsistency, NotAdmissible, NotAUnit,
+from .errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
                      NotOneUnit, PrecisionMismatch, WidthInsufficient)
-from .padic import PrecInt, Weight, reduce_weight, unit_project, vp
+from .padic import PrecInt, Weight, unit_project, vp
 from .sympow import SeqVec, _c_factors
 
 
@@ -82,11 +78,6 @@ class WeightFn:
                              [[(x - y) % M for x, y in zip(a, b)]
                               for a, b in zip(self.comps, other.comps)])
 
-    def __neg__(self):
-        M = self.p ** self.r
-        return WeightFn._raw(self.p, self.r, self.d,
-                             [[-x % M for x in c] for c in self.comps])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -134,25 +125,6 @@ def _series_mul(a, b, M, d):
     return out
 
 
-def z(p, r, d):
-    """The tautological weight: branch zeta is zeta + X."""
-    comps = []
-    for zeta in range(branch_count(p)):
-        c = [0] * d
-        c[0] = zeta
-        if d > 1:
-            c[1] = 1
-        comps.append(c)
-    return WeightFn(p, r, d, comps)
-
-
-def e_branch(zeta, p, r, d):
-    """Idempotent of the branch zeta."""
-    comps = [[0] * d for _ in range(branch_count(p))]
-    comps[zeta % branch_count(p)][0] = 1
-    return WeightFn(p, r, d, comps)
-
-
 def _log_one_unit(u, p, R):
     """log of a one-unit mod p^R via the alternating series."""
     if u % p != 1:
@@ -174,13 +146,6 @@ def _log_one_unit(u, p, R):
     return acc
 
 
-def one_n(N, p, r, d):
-    """The function k -> (1+N)^k, i.e. char_series of the one-unit 1 + N."""
-    if N < 5 or N % p != 0:
-        raise BadLevel(f"need p | N and N >= 5, got N={N}, p={p}")
-    return char_series(1 + N, p, r, d)
-
-
 def char_series(u, p, r, d):
     """The function k -> u^k for a unit u: branch zeta is u^zeta exp(X log<u>)."""
     u0 = u.res if isinstance(u, PrecInt) else u % p ** r
@@ -198,29 +163,20 @@ def char_series(u, p, r, d):
 
 
 def sp_k(k, fn):
-    """Evaluate at an integer weight (or Weight); result precision min(r, d).
+    """Evaluate at an integer weight k; result precision min(r, d).
 
     Reads the branch of k mod p(p-1) at X = k minus the branch residue; the
     substituted value has valuation >= 1.
     """
     p, r, d = fn.p, fn.r, fn.d
-    out_r = min(r, d)
-    if isinstance(k, Weight):
-        zeta = reduce_weight(k, 1)
-        x0 = (k.wild.res - zeta) % p ** r
-        out_r = min(out_r, k.wild.r)
-    else:
-        zeta = k % branch_count(p)
-        x0 = (k - zeta) % p ** r
-    if x0 % p:
-        raise InternalInconsistency(
-            f"weight {k} is not congruent to its branch {zeta} mod {p}")
+    zeta = k % branch_count(p)
     M = p ** r
+    x0 = (k - zeta) % M
     acc, xp = 0, 1
     for h in range(d):
         acc = (acc + fn.comps[zeta][h] * xp) % M
         xp = xp * x0 % M
-    return PrecInt(p, out_r, acc)
+    return PrecInt(p, min(r, d), acc)
 
 
 class FamilyVec:
@@ -336,23 +292,3 @@ def sp_vector(k, fam):
     chi = Weight.of_int(k - 2, fam.p, rr)
     return SeqVec(chi, fam.out_width, [sp_k(k, c).res for c in fam.coords])
 
-
-def _check_cut(k0):
-    if k0 < 2:
-        raise BadRange(f"cut k0 = {k0} is below 2")
-
-
-def trunc_minus(k0, fam):
-    """Keep coordinates 0..k0-2, zero the rest."""
-    _check_cut(k0)
-    zero = WeightFn.zero(fam.p, fam.r, fam.d)
-    coords = [c if i <= k0 - 2 else zero for i, c in enumerate(fam.coords)]
-    return FamilyVec(fam.p, fam.r, fam.d, fam.out_width, coords)
-
-
-def trunc_plus(k0, fam):
-    """Zero coordinates 0..k0-2, keep the rest."""
-    _check_cut(k0)
-    zero = WeightFn.zero(fam.p, fam.r, fam.d)
-    coords = [zero if i <= k0 - 2 else c for i, c in enumerate(fam.coords)]
-    return FamilyVec(fam.p, fam.r, fam.d, fam.out_width, coords)

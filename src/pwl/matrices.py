@@ -3,8 +3,7 @@
 IntMat is an exact integer matrix with positive determinant, used for group
 elements of Gamma_1(N) and for double-coset seeds.  PadicMat is a matrix
 over Z/p^r whose lower-left entry is divisible by p and whose lower-right
-entry is a unit; this monoid is closed under multiplication and acts on
-p-adic integers by fractional linear (moebius) maps.
+entry is a unit; this monoid is closed under multiplication.
 
 Both kinds have a cofactor method sending (a b; c d) to (d -b; -c a); it is
 an antihomomorphism ((A*B).cofactor() = B.cofactor() * A.cofactor()) and
@@ -12,7 +11,6 @@ preserves the determinant.
 """
 
 from .errors import NotAdmissible, NotInvertible, PrecisionMismatch
-from .padic import PrecInt
 
 
 class IntMat:
@@ -108,19 +106,6 @@ class PadicMat:
 
     def cofactor(self):
         return PadicMat(self.p, self.r, self.d, -self.b, -self.c, self.a)
-
-    def det(self):
-        return PrecInt(self.p, self.r, self.a * self.d - self.b * self.c)
-
-    def moebius(self, z):
-        """(az + b) / (cz + d); the denominator is automatically a unit."""
-        if not isinstance(z, PrecInt):
-            raise NotAdmissible(f"moebius of a {type(z).__name__}")
-        if z.p != self.p:
-            raise PrecisionMismatch(f"primes differ: {self.p} vs {z.p}")
-        num = z * self.a + self.b
-        den = z * self.c + self.d
-        return num * den.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, PadicMat):

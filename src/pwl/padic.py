@@ -7,10 +7,9 @@ digits and raises PrecisionExhausted when none would remain.
 
 A Weight is a character of the units, split as (tame, wild) with
 tame in [0, p-2] and wild a PrecInt.  eval_char evaluates it on a unit via
-the Teichmuller projection, pow_unit raises one-units to p-adic powers (a
-binomial series cut at tail_width terms, the same width one weight action
-consumes in sympow), and reduce_weight computes the minimal non-negative
-integer congruent to the weight modulo p^r (p - 1).
+the Teichmuller projection, and pow_unit raises one-units to p-adic powers
+(a binomial series cut at tail_width terms, the same width one weight
+action consumes in sympow).
 """
 
 import math
@@ -303,18 +302,6 @@ class Weight:
         """The weight lowered by the integer character x -> x^m."""
         return Weight((self.tame - m) % (self.p - 1), self.wild - m)
 
-    def __add__(self, other):
-        if not isinstance(other, Weight):
-            raise BadWeight(f"{other!r} is not a Weight")
-        return Weight((self.tame + other.tame) % (self.p - 1),
-                      self.wild + other.wild)
-
-    def __sub__(self, other):
-        if not isinstance(other, Weight):
-            raise BadWeight(f"{other!r} is not a Weight")
-        return Weight((self.tame - other.tame) % (self.p - 1),
-                      self.wild - other.wild)
-
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
@@ -332,17 +319,3 @@ def eval_char(chi, d):
     tame_part = PrecInt(d.p, d.r, pow(d.res, t, d.modulus))
     return tame_part * pow_unit(unit_project(d), chi.wild - t)
 
-
-def reduce_weight(chi, s):
-    """Minimal m in [0, p^s (p-1)) with m = tame mod (p-1), m = wild mod p^s."""
-    p = chi.p
-    if chi.r < s:
-        raise PrecisionExhausted(
-            f"reduce_weight needs wild precision >= {s}, have {chi.r}")
-    m1, m2 = p - 1, p ** s
-    w = chi.wild.res % m2
-    t = ((chi.tame - w) * pow(m2 % m1, -1, m1)) % m1
-    m = w + m2 * t
-    if not (0 <= m < m1 * m2 and m % m1 == chi.tame % m1 and m % m2 == w):
-        raise InternalInconsistency(f"{m} misses the weight's residues")
-    return m

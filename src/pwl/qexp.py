@@ -58,17 +58,6 @@ class QExp:
                 f"coefficient {h} beyond stored exponent {self.truncation()}")
         return self.coeffs[h]
 
-    def __add__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return QExp([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return QExp([self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
-    def scale(self, c):
-        return QExp([c * x for x in self.coeffs])
-
     def __eq__(self, other):
         return self.coeffs == other.coeffs
 

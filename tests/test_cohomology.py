@@ -490,6 +490,8 @@ def test_family_hecke_intertwines_specialization():
 
 
 def test_family_preimage_round_trip():
+    # the lift is the constant series (v, 0, 0) on the branch of the weight
+    # k = 3 mod p(p - 1) = 6, and zero on every other branch
     fb = free_basis(9)
     co = SymCoeffs(3, 3, 1)
     rng = random.Random(17)
@@ -499,6 +501,11 @@ def test_family_preimage_round_trip():
         back = specialize_cocycle(co.n + 2, lifted)
         for x, y in zip(back.values, c.values):
             assert co.eq(x, y)
+        for F, v in zip(lifted.values, c.values):
+            assert len(F.coords) == len(v.coords) == 2
+            for f, x in zip(F.coords, v.coords):
+                assert f.comps == [[x, 0, 0] if zeta == 3 else [0, 0, 0]
+                                   for zeta in range(6)]
 
 
 def test_family_coeffs_rejects_short_window():

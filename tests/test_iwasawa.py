@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwl import iwasawa
-from pwl.errors import (BadLevel, BadRange, DimensionMismatch,
-                        InternalInconsistency, NotAdmissible, NotAUnit,
+from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
                         NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
-                         char_series, e_branch, family_tail, one_n, sp_k,
-                         sp_vector, trunc_minus, trunc_plus, z)
+                         char_series, family_tail, sp_k, sp_vector)
 from pwl.matrices import PadicMat
 from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import act_universal
@@ -132,9 +130,15 @@ def test_act_family_property(p, r, d, vc, out_width, rng):
     assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
 
 
+def branch_fn(zeta, p, r, d):
+    """The idempotent of branch zeta: 1 there, 0 on every other branch."""
+    return WeightFn(p, r, d, [[int(i == zeta)] + [0] * (d - 1)
+                              for i in range(branch_count(p))])
+
+
 def test_branch_idempotents():
     p, r, d = 3, 3, 2
-    es = [e_branch(zeta, p, r, d) for zeta in range(branch_count(p))]
+    es = [branch_fn(zeta, p, r, d) for zeta in range(branch_count(p))]
     total = WeightFn.zero(p, r, d)
     for i, e in enumerate(es):
         assert e * e == e
@@ -146,36 +150,11 @@ def test_branch_idempotents():
 
 
 def test_tautological_weight_specializes():
-    w = z(3, 4, 3)
+    # branch zeta holds zeta + X, so sp_k must read X at k minus the branch
+    p, r, d = 3, 4, 3
+    w = WeightFn(p, r, d, [[zeta, 1, 0] for zeta in range(branch_count(p))])
     for k in range(-5, 15):
         assert sp_k(k, w) == PrecInt(3, 3, k)
-
-
-def test_z_on_branch():
-    p, r, d = 5, 2, 3
-    w = z(p, r, d)
-    cut = (z(p, r, d) * e_branch(7, p, r, d)).comps
-    assert cut[7] == [7, 1, 0]
-    assert all(not any(c) for i, c in enumerate(cut) if i != 7)
-
-
-def test_one_n_matches_powers():
-    # log/exp series route versus plain modular exponentiation
-    f = one_n(9, 3, 4, 4)
-    for k in range(-8, 21):
-        assert sp_k(k, f) == PrecInt(3, 4, pow(10, k, 3 ** 4))
-    g = one_n(10, 5, 3, 3)
-    for k in range(-6, 13):
-        assert sp_k(k, g) == PrecInt(5, 3, pow(11, k, 5 ** 3))
-
-
-def test_one_n_guards():
-    with pytest.raises(BadLevel):
-        one_n(3, 3, 2, 2)
-    with pytest.raises(BadLevel):
-        one_n(10, 3, 2, 2)
-    with pytest.raises(BadLevel):
-        one_n(5, 3, 2, 2)
 
 
 def test_char_series_integer_powers():
@@ -185,6 +164,13 @@ def test_char_series_integer_powers():
     g = char_series(2, 5, 3, 3)
     for k in range(-4, 25):
         assert sp_k(k, g) == PrecInt(5, 3, pow(2, k, 5 ** 3))
+    # one-units 1 + N (p | N): the log/exp series route
+    f = char_series(10, 3, 4, 4)
+    for k in range(-8, 21):
+        assert sp_k(k, f) == PrecInt(3, 4, pow(10, k, 3 ** 4))
+    g = char_series(11, 5, 3, 3)
+    for k in range(-6, 13):
+        assert sp_k(k, g) == PrecInt(5, 3, pow(11, k, 5 ** 3))
 
 
 def test_char_series_matches_character_eval():
@@ -196,10 +182,10 @@ def test_char_series_matches_character_eval():
         if u % p == 0:
             continue
         f = char_series(u, p, r, d)
-        tame = rng.randrange(p - 1)
-        wild = PrecInt(p, r, rng.randrange(p ** r))
-        chi = Weight(tame, wild)
-        assert sp_k(chi, f) == eval_char(chi, PrecInt(p, r, u))
+        # every weight mod p^r is the character of such an integer k
+        k = rng.randrange(p ** r * (p - 1))
+        chi = Weight.of_int(k, p, r)
+        assert sp_k(k, f) == eval_char(chi, PrecInt(p, r, u))
 
 
 def test_char_series_guard():
@@ -294,36 +280,6 @@ def test_intertwines_single_weight_action():
             assert left.agrees(right, 3)
 
 
-def test_trunc_complementary():
-    p, r, d = 3, 2, 2
-    rng = random.Random(4)
-    fam = rand_fam(rng, p, r, d, 4, 8)
-    for k0 in (2, 3, 5):
-        lo = trunc_minus(k0, fam)
-        hi = trunc_plus(k0, fam)
-        assert (lo + hi).agrees(fam, 8)
-        assert trunc_minus(k0, lo).agrees(lo, 8)
-        assert trunc_plus(k0, hi).agrees(hi, 8)
-        zero = WeightFn.zero(p, r, d)
-        assert all(c == zero for c in trunc_plus(k0, lo).coords)
-        assert all(lo.coords[i] == zero for i in range(k0 - 1, 8))
-        assert all(hi.coords[i] == zero for i in range(k0 - 1))
-
-
-def test_trunc_commutes_with_scalars():
-    p, r, d = 3, 2, 2
-    rng = random.Random(6)
-    fam = rand_fam(rng, p, r, d, 4, 6)
-    s = rand_fn(rng, p, r, d)
-
-    def scale_fn(vec):
-        return FamilyVec(p, r, d, vec.out_width, [s * x for x in vec.coords])
-
-    lhs = trunc_minus(3, scale_fn(fam))
-    rhs = scale_fn(trunc_minus(3, fam))
-    assert lhs.agrees(rhs, 6)
-
-
 def test_family_tail_values():
     assert family_tail(3, 4, 3) == 21
     assert family_tail(5, 2, 2) == 20
@@ -338,7 +294,7 @@ def test_weight_fn_shape_guard():
 
 
 def test_weight_fn_arithmetic_is_reduced():
-    # +, -, negation, scaling and act_family build their results without
+    # +, -, scaling and act_family build their results without
     # the public constructor; each must hold the residues it would give
     rng = random.Random(31)
     p, r, d = 3, 3, 3
@@ -350,7 +306,6 @@ def test_weight_fn_arithmetic_is_reduced():
                                   for a, b in zip(f.comps, g.comps)]),
                          (f - g, [[x - y for x, y in zip(a, b)]
                                   for a, b in zip(f.comps, g.comps)]),
-                         (-f, [[-x for x in a] for a in f.comps]),
                          (f.scale(k), [[x * k for x in a] for a in f.comps]),
                          (f * g, (f * g).comps)):
             assert got.comps == WeightFn(p, r, d, raw).comps
@@ -369,21 +324,6 @@ def test_weight_fn_precision_guard():
             f + g
         with pytest.raises(PrecisionMismatch):
             f * g
-
-
-def test_trunc_cut_guard():
-    fam = rand_fam(random.Random(1), 3, 2, 2, 2, 4)
-    for cut in (trunc_minus, trunc_plus):
-        with pytest.raises(BadRange):
-            cut(1, fam)
-
-
-def test_sp_k_branch_check(monkeypatch):
-    # unreachable with a correct reduce_weight: inject a wrong branch
-    monkeypatch.setattr(iwasawa, "reduce_weight", lambda k, s: 0)
-    chi = Weight.of_int(4, 3, 2)
-    with pytest.raises(InternalInconsistency):
-        sp_k(chi, const_fn(1, 3, 2, 2))
 
 
 def test_log_one_unit_guards(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from pwl.errors import NotAdmissible, NotInvertible, PrecisionMismatch
 from pwl.matrices import IntMat, PadicMat
-from pwl.padic import PrecInt
 
 
 def rand_padic(rng, p, r, unit_a=False):
@@ -100,40 +99,9 @@ class TestPadicMat:
             PadicMat(3, 2, 3, 1, 3, 1).cofactor()
 
 
-class TestMoebius:
-    def test_frozen_value(self):
-        m = PadicMat(3, 2, 1, 0, 3, 1)
-        z = PrecInt(3, 2, 1)
-        assert m.moebius(z) == 7  # 1/4 mod 9
-
-    def test_identity_fixes(self):
-        m = PadicMat.identity(5, 3)
-        z = PrecInt(5, 3, 42)
-        assert m.moebius(z) == z
-
-    def test_action_law(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            p = rng.choice([3, 5])
-            r = rng.randrange(2, 5)
-            a = rand_padic(rng, p, r)
-            b = rand_padic(rng, p, r)
-            z = PrecInt(p, r, rng.randrange(p ** r))
-            assert (a * b).moebius(z) == a.moebius(b.moebius(z))
-
-    def test_translation(self):
-        m = PadicMat(7, 2, 1, 5, 0, 1)
-        z = PrecInt(7, 2, 3)
-        assert m.moebius(z) == 8
-
-
 def test_mixed_operands_raise_typed_errors():
     # typed errors, not asserts, so these hold under python -O too
     with pytest.raises(NotAdmissible):
         IntMat(2, 1, 1, 1) * PadicMat(3, 2, 1, 0, 3, 1)
     with pytest.raises(NotAdmissible):
         PadicMat(3, 2, 1, 0, 3, 1) * IntMat(2, 1, 1, 1)
-    with pytest.raises(NotAdmissible):
-        PadicMat(3, 2, 1, 0, 3, 1).moebius(1)
-    with pytest.raises(PrecisionMismatch):
-        PadicMat(3, 2, 1, 0, 3, 1).moebius(PrecInt(5, 2, 1))
