@@ -164,11 +164,14 @@ def test_char_series_integer_powers():
     g = char_series(2, 5, 3, 3)
     for k in range(-4, 25):
         assert sp_k(k, g) == PrecInt(5, 3, pow(2, k, 5 ** 3))
-    # one-units 1 + N (p | N): the log/exp series route
-    f = char_series(10, 3, 4, 4)
+
+
+def test_one_n_matches_powers():
+    # one-units 1 + N (p | N): log/exp series route versus modular exponentiation
+    f = char_series(1 + 9, 3, 4, 4)
     for k in range(-8, 21):
         assert sp_k(k, f) == PrecInt(3, 4, pow(10, k, 3 ** 4))
-    g = char_series(11, 5, 3, 3)
+    g = char_series(1 + 10, 5, 3, 3)
     for k in range(-6, 13):
         assert sp_k(k, g) == PrecInt(5, 3, pow(11, k, 5 ** 3))
 
