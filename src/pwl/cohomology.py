@@ -54,7 +54,7 @@ from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
-from .matrices import IntMat, PadicMat
+from .matrices import IntMat
 from .padic import is_prime
 from .sympow import SymVec, act_sym, specialize, sym_matrix
 
@@ -106,8 +106,6 @@ class FamilyCoeffs:
                               self.stored_width)
 
     def act(self, mat, x):
-        if isinstance(mat, IntMat):
-            mat = PadicMat(self.p, self.r, *mat.entries())
         return act_family(mat, x)
 
     def eq(self, x, y):

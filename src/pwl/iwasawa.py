@@ -11,22 +11,17 @@ substituted value has valuation >= 1, so the result carries precision
 min(r, d).
 
 A FamilyVec is a coordinate window whose entries are such functions;
-act_family applies the weight-minus-2 family of symmetric-power actions.
-Coordinate j influences output i only when j - i < p(r + d), so each
-application consumes family_tail(p, r, d) stored coordinates.  The term
-of input j through index h carries c^L/L! with L = j - h; since p | c,
-this factor is zero mod p^r for all but a few L, and act_family sums only
-the L where it is not.  Those skipped terms are exactly zero, so the
-result is unchanged and family_tail stays the certified-width bound.
+act_family applies the weight-minus-2 family of symmetric-power actions,
+running sympow._act_window (the same loop as act_universal) with one
+component per branch.  Coordinate j influences output i only when
+j - i < p(r + d), so each application consumes family_tail(p, r, d)
+stored coordinates.
 """
-
-import math
-import operator
 
 from .errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
                      NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from .padic import PrecInt, Weight, unit_project, vp
-from .sympow import SeqVec, _c_factors
+from .sympow import SeqVec, _act_window, _c_factors, _series_mul
 
 
 def branch_count(p):
@@ -112,17 +107,6 @@ class WeightFn:
 
     def __repr__(self):
         return f"WeightFn(p={self.p}, mod ({self.p}^{self.r}, X^{self.d}))"
-
-
-def _series_mul(a, b, M, d):
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(d - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % M
-    return out
 
 
 def _log_one_unit(u, p, R):
@@ -227,63 +211,23 @@ class FamilyVec:
 def act_family(mat, fam):
     """Apply the weight-minus-2 family action; consumes family_tail coords.
 
-    Output coordinate i is
-      G * sum_L P_L(i) (c^L/L!) d^-(2+i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
-    with G = char_series(d), i.e. d^z, and the falling product
-    P_L(i) = prod_{m=i}^{i+L-1} (z - 2 - m) in the tautological weight z.
-    c is divisible by p, so c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r
-    (for a level-subgroup matrix, v_p(c) >= v_p(N)).  Only the live L with
-    c^L/L! != 0 are summed, each with one series product per branch (none
-    for L = 0).  The skipped terms are exactly zero, so the first
-    (stored - family_tail) output coordinates are certified mod (p^r, X^d)
-    as before; family_tail remains the width bound.
+    _act_window with one component per branch zeta, at the weight
+    zeta - 2 + X, scaled by char_series(d) d^-2: the factor d^(z - 2) in
+    the tautological weight z.
     """
     p, r, dd = fam.p, fam.r, fam.d
-    t = family_tail(p, r, dd)
-    width = len(fam.coords)
-    new_len = width - t
-    if new_len < fam.out_width:
-        raise WidthInsufficient(
-            f"need {fam.out_width + t} stored coordinates, have {width}")
     M = p ** r
-    a0, b0, c0, d0 = mat.a % M, mat.b % M, mat.c % M, mat.d % M
-    G = char_series(d0, p, r, dd).comps
-    dinv = pow(d0, -1, M)
-    dinvpow = [1] * (2 * width + 3)
-    for s in range(1, 2 * width + 3):
-        dinvpow[s] = dinvpow[s - 1] * dinv % M
-    cf = _c_factors(c0, width, p, r)
-    live_L = [L for L in range(width) if cf[L]]
-    apow = [pow(a0, h, M) for h in range(width + 1)]
-    bpow = [pow(b0, h, M) for h in range(width + 1)]
-    # cols[zeta][k][j]: the X^k coefficient of coordinate j on branch zeta
+
+    def scale(d):
+        d2 = pow(d, -2, M)
+        return [[x * d2 % M for x in g] for g in char_series(d, p, r, dd).comps]
+
     cols = [[[f.comps[zeta][k] for f in fam.coords] for k in range(dd)]
             for zeta in range(branch_count(p))]
-    out = []
-    for i in range(new_len):
-        row = [math.comb(i, h) * apow[h] % M * bpow[i - h] % M
-               for h in range(i + 1)]
-        coord = []
-        for zeta, cz in enumerate(cols):
-            S = [0] * dd
-            fall, m = [1 % M] + [0] * (dd - 1), 0  # P_m(i) on branch zeta
-            for L in live_L:
-                while m < L:  # times (z - 2 - i - m) = (zeta - 2 - i - m) + X
-                    e = zeta - 2 - i - m
-                    fall = [(e * fall[k] + (fall[k - 1] if k else 0)) % M
-                            for k in range(dd)]
-                    m += 1
-                # W = (c^L/L!) d^-(2+i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
-                scal = cf[L] * dinvpow[2 + i + L] % M
-                W = [scal * sum(map(operator.mul, row, col[L:])) % M
-                     for col in cz]
-                if m:
-                    W = _series_mul(fall, W, M, dd)
-                for k, x in enumerate(W):
-                    S[k] += x
-            coord.append(_series_mul(G[zeta], S, M, dd))
-        out.append(WeightFn._raw(p, r, dd, coord))
-    return FamilyVec(p, r, dd, fam.out_width, out)
+    out = _act_window(mat, p, r, cols, range(-2, branch_count(p) - 2), scale,
+                      family_tail(p, r, dd), fam.out_width)
+    return FamilyVec(p, r, dd, fam.out_width,
+                     [WeightFn._raw(p, r, dd, coord) for coord in out])
 
 
 def sp_vector(k, fam):

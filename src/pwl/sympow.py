@@ -10,8 +10,12 @@ which bounds every coefficient, and reads the row off in B-bit fields
 modular powers.
 
 SeqVec holds an infinite-coordinate analogue at a p-adic weight chi: a
-finite window of coordinates over Z/p^r.  act_universal applies the
-weight-chi action; its output coordinate i only depends on inputs j with
+finite window of coordinates over Z/p^r.  _act_window is the one
+implementation of the interpolated action, on windows of truncated series
+in the weight; act_universal runs it at the single weight chi and
+iwasawa.act_family with the weight left as a variable.  Both reject a
+matrix outside the monoid (p | c, d a unit) with NotAdmissible.  At weight
+chi, output coordinate i only depends on inputs j with
 (j - i)(p - 2)/(p - 1) < r, so each application consumes tail_width(p, r)
 stored coordinates.  At integer weight n, dropping coordinates beyond n
 (specialize) intertwines act_universal with act_sym exactly; between two
@@ -27,7 +31,8 @@ import math
 import operator
 
 from .errors import (BadRange, BadWeight, CongruenceViolated,
-                     DimensionMismatch, PrecisionMismatch, WidthInsufficient)
+                     DimensionMismatch, NotAdmissible, PrecisionMismatch,
+                     WidthInsufficient)
 from .linalg import unpack_row
 from .padic import (PrecInt, Weight, binom, eval_char, tail_width, vp,
                     vp_factorial)
@@ -45,6 +50,8 @@ class SymVec:
     __slots__ = ("p", "r", "n", "coords")
 
     def __init__(self, p, r, n, coords):
+        if n < 0:
+            raise BadRange(f"symmetric power degree {n} is negative")
         if len(coords) != n + 1:
             raise DimensionMismatch(
                 f"degree {n} needs {n + 1} coordinates, got {len(coords)}")
@@ -143,22 +150,6 @@ class SeqVec:
         M = self.p ** self.r
         self.coords = [c % M for c in coords]
 
-    def _compat(self, other):
-        if self.chi != other.chi:
-            raise BadWeight(f"weights differ: {self.chi} vs {other.chi}")
-
-    def __add__(self, other):
-        self._compat(other)
-        n = min(len(self.coords), len(other.coords))
-        return SeqVec(self.chi, min(self.out_width, other.out_width),
-                      [x + y for x, y in zip(self.coords[:n], other.coords[:n])])
-
-    def __sub__(self, other):
-        self._compat(other)
-        n = min(len(self.coords), len(other.coords))
-        return SeqVec(self.chi, min(self.out_width, other.out_width),
-                      [x - y for x, y in zip(self.coords[:n], other.coords[:n])])
-
     def agrees(self, other, width):
         """Equality of the first `width` coordinates mod p^min(r, r')."""
         m = self.p ** min(self.r, other.r)
@@ -191,52 +182,88 @@ def _c_factors(c, jmax, p, r):
     return cf
 
 
-def act_universal(mat, seq):
-    """Apply the weight-chi action; consumes tail_width stored coordinates.
+def _series_mul(a, b, M, d):
+    out = [0] * d
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(d - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % M
+    return out
 
-    Output coordinate i is
-      sum_L prod_{m=i}^{i+L-1}(w - m) (c^L/L!) d^(chi - i - L)
-            sum_h C(i,h) a^h b^(i-h) alpha_(h+L)
-    with w the wild part of chi.  c is divisible by p, so only the few L
-    with c^L/L! != 0 mod p^r are summed; the skipped terms are zero.
-    Raises WidthInsufficient when fewer than out_width coordinates would
-    remain certified.
+
+def _act_window(mat, p, r, cols, base, scale, tail, out_width):
+    """The weight action on windows of truncated series mod (p^r, X^dd).
+
+    Component z holds cols[z][k][j], the X^k coefficient of coordinate j,
+    at the weight base[z] + X.  Output coordinate i on component z is
+      g_z sum_L P_L(i) (c^L/L!) d^-(i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
+    with g = scale(d) and P_L(i) = prod_{m=i}^{i+L-1} (base[z] + X - m).
+    The monoid (p | c, d a unit) is checked before scale takes a power of
+    d.  As p | c, c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r (for a
+    level-subgroup matrix, v_p(c) >= v_p(N)); only the live L with
+    c^L/L! != 0 are summed, each with one series product per component
+    (none for L = 0).  The skipped terms are exactly zero, so tail stays
+    the certified-width bound.  Returns each output coordinate's series.
     """
-    chi = seq.chi
-    p, r = seq.p, seq.r
-    t = tail_width(p, r)
-    width = len(seq.coords)
-    new_len = width - t
-    if new_len < seq.out_width:
+    width = len(cols[0][0])
+    new_len = width - tail
+    if new_len < out_width:
         raise WidthInsufficient(
-            f"need {seq.out_width + t} stored coordinates, have {width}")
+            f"need {out_width + tail} stored coordinates, have {width}")
     a, b, c, d = _entries_mod(mat, p, r)
+    if c % p or d % p == 0:
+        raise NotAdmissible(
+            f"({a} {b}; {c} {d}) mod {p}^{r} is outside the monoid: "
+            f"need c = 0 and d a unit mod {p}")
     M = p ** r
-    # d^(chi - s) = d^chi d^-s for every exponent shift s that can occur
-    dpow = [eval_char(chi, PrecInt(p, r, d)).res]
+    dd = len(cols[0])
+    g = scale(d)
     dinv = pow(d, -1, M)
-    for _ in range(2 * width):
-        dpow.append(dpow[-1] * dinv % M)
+    dinvpow = [pow(dinv, s, M) for s in range(2 * width)]
     cf = _c_factors(c, width, p, r)
     live_L = [L for L in range(width) if cf[L]]
     apow = [pow(a, h, M) for h in range(width + 1)]
     bpow = [pow(b, h, M) for h in range(width + 1)]
-    w = chi.wild.res
     out = []
     for i in range(new_len):
         row = [math.comb(i, h) * apow[h] % M * bpow[i - h] % M
                for h in range(i + 1)]
-        acc = 0
-        # falling product prod_{m=i}^{i+L-1} (w - m), built up to each live L
-        fall, m = 1, 0
-        for L in live_L:
-            while m < L:
-                fall = fall * (w - i - m) % M
-                m += 1
-            acc += (fall * cf[L] % M * dpow[i + L] % M
-                    * sum(map(operator.mul, row, seq.coords[L:])))
-        out.append(acc % M)
-    return SeqVec(chi, seq.out_width, out)
+        coord = []
+        for cz, bz, gz in zip(cols, base, g):
+            S = [0] * dd
+            fall, m = [1] + [0] * (dd - 1), 0  # P_m(i) on component z
+            for L in live_L:
+                while m < L:  # times (base[z] + X - i - m)
+                    e = bz - i - m
+                    fall = [(e * fall[k] + (fall[k - 1] if k else 0)) % M
+                            for k in range(dd)]
+                    m += 1
+                scal = cf[L] * dinvpow[i + L] % M
+                W = [scal * sum(map(operator.mul, row, col[L:])) % M
+                     for col in cz]
+                if m:
+                    W = _series_mul(fall, W, M, dd)
+                for k, x in enumerate(W):
+                    S[k] += x
+            coord.append(_series_mul(gz, S, M, dd))
+        out.append(coord)
+    return out
+
+
+def act_universal(mat, seq):
+    """Apply the weight-chi action; consumes tail_width stored coordinates.
+
+    _act_window on one component of constants (dd = 1) at the wild part w
+    of chi, scaled by d^chi, so P_L(i) = prod_{m=i}^{i+L-1} (w - m).
+    Raises NotAdmissible outside the monoid, WidthInsufficient when short.
+    """
+    chi, p, r = seq.chi, seq.p, seq.r
+    out = _act_window(mat, p, r, [[seq.coords]], [chi.wild.res],
+                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]],
+                      tail_width(p, r), seq.out_width)
+    return SeqVec(chi, seq.out_width, [x[0][0] for x in out])
 
 
 def specialize(seq, n):

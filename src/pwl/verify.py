@@ -254,7 +254,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
         if not in_gamma1(gam, N):
             raise ContractViolated("word leaves the level subgroup",
                                    payload={"matrix": gam.entries()})
-        out_g = act_family(PadicMat(p, r, *gam.entries()), F)
+        out_g = act_family(gam, F)
         for i in range(min(k0 - 1, len(out_g.coords))):
             fn = out_g.coords[i]
             for zeta in range(nb):

@@ -12,7 +12,7 @@ from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
                             specialize_cocycle, t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotCoprime, NotFreeModule, WidthInsufficient)
-from pwl.gamma1 import FreeBasisData, free_basis, in_gamma1
+from pwl.gamma1 import FreeBasisData, free_basis
 from pwl.iwasawa import family_tail
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
@@ -506,6 +506,16 @@ def test_family_preimage_round_trip():
             for f, x in zip(F.coords, v.coords):
                 assert f.comps == [[x, 0, 0] if zeta == 3 else [0, 0, 0]
                                    for zeta in range(6)]
+
+
+def test_specialize_cocycle_rejects_negative_degree():
+    # weight k < 2 would be Sym^(k - 2) of negative degree
+    fb = free_basis(9)
+    co = FamilyCoeffs(3, 2, 2, 1, 1)
+    c_fam = Cocycle(co, fb, [co.zero()] * fb.rank())
+    for k in (1, 0):
+        with pytest.raises(BadRange):
+            specialize_cocycle(k, c_fam)
 
 
 def test_family_coeffs_rejects_short_window():

@@ -13,7 +13,8 @@ from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
                         NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, family_tail, sp_k, sp_vector)
-from pwl.matrices import PadicMat
+from pwl.gamma1 import in_gamma1
+from pwl.matrices import IntMat, PadicMat
 from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import act_universal
 
@@ -101,9 +102,14 @@ def assert_same_residues(got, want):
     assert [f.comps for f in got.coords] == [f.comps for f in want]
 
 
+# in Gamma_1(9), with 3 | c and 5 | c, and entries above p^r for small r
+GAMMA1_9 = IntMat(1, 1, 45, 46)
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_act_family_matches_reference(p):
     # v_p(c) = 1 gives the widest set of live L, v_p(c) >= r only L = 0
+    assert in_gamma1(GAMMA1_9, 9)
     rng = random.Random(40 + p)
     for r in range(1, 5):
         for d in range(1, 5):
@@ -111,6 +117,10 @@ def test_act_family_matches_reference(p):
                 mat, fam = rand_family_case(rng, p, r, d, c, 4)
                 assert_same_residues(act_family(mat, fam),
                                      ref_act_family(mat, fam))
+            # an exact IntMat of Gamma_1(9), against the equal PadicMat
+            assert_same_residues(
+                act_family(GAMMA1_9, fam),
+                ref_act_family(PadicMat(p, r, *GAMMA1_9.entries()), fam))
 
 
 def test_act_family_matches_reference_wide():
@@ -264,6 +274,15 @@ def test_act_width_guard():
     fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d) - 1)
     with pytest.raises(WidthInsufficient):
         act_family(PadicMat.identity(p, r), fam)
+
+
+def test_act_outside_monoid():
+    # p must divide c and not d; (1 0; 1 1) used to raise a raw ValueError
+    p, r, d = 3, 2, 2
+    fam = FamilyVec.zero(p, r, d, 1, 1 + family_tail(p, r, d))
+    for mat in (IntMat(1, 0, 1, 1), IntMat(1, 0, 3, 6)):
+        with pytest.raises(NotAdmissible):
+            act_family(mat, fam)
 
 
 def test_intertwines_single_weight_action():

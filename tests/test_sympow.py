@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwl.errors import (BadRange, BadWeight, CongruenceViolated,
-                        DimensionMismatch, PrecisionMismatch, WidthInsufficient)
+                        DimensionMismatch, NotAdmissible, PrecisionMismatch,
+                        WidthInsufficient)
 from pwl.linalg import mat_mul
 from pwl.matrices import IntMat, PadicMat
 from pwl.padic import PrecInt, Weight, eval_char
@@ -390,15 +391,25 @@ class TestTypedErrors:
             with pytest.raises(BadRange):
                 v.reduce(r2)
 
+    def test_symvec_negative_degree(self):
+        for n in (-1, -2):
+            with pytest.raises(BadRange):
+                SymVec(3, 2, n, [0] * max(n + 1, 0))
+
     def test_seqvec_weight(self):
         with pytest.raises(BadWeight):
             SeqVec(4, 1, [0, 0])
-        u = SeqVec(Weight.of_int(4, 3, 2), 1, [0, 0])
-        v = SeqVec(Weight.of_int(6, 3, 2), 1, [0, 0])
-        with pytest.raises(BadWeight):
-            u + v
-        with pytest.raises(BadWeight):
-            u - v
+
+    def test_act_universal_outside_monoid(self):
+        # p must divide c and not d; (1 0; 1 1) at p = 5, r = 1 used to
+        # return an uncertified [4], and at p = 3, r = 2 a raw ValueError
+        for mat, p, r in ((IntMat(1, 0, 1, 1), 5, 1),
+                          (IntMat(1, 0, 1, 1), 3, 2),
+                          (IntMat(1, 0, 3, 6), 3, 2)):
+            seq = SeqVec(Weight.of_int(2, p, r), 1,
+                         [1] * (1 + tail_width(p, r)))
+            with pytest.raises(NotAdmissible):
+                act_universal(mat, seq)
 
     def test_congr_project_degree(self):
         v = SymVec(3, 2, 2, [0] * 3)
