@@ -2,7 +2,7 @@
 
 Submodules:
   padic       p-adic integers with precision bookkeeping, weight characters
-  matrices    exact 2x2 integer matrices and the p-stabilized matrix monoid
+  matrices    exact 2x2 integer matrices, the one matrix type
   sympow      symmetric-power actions and their interpolation in the weight
   iwasawa     analytic functions on the weight space, family action
   gamma1      cosets and free bases for Gamma_1(N)

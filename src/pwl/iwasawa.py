@@ -175,6 +175,8 @@ class FamilyVec:
                 f"{len(coords)} coordinates cannot certify width {out_width}")
         if not all(isinstance(c, WeightFn) for c in coords):
             raise NotAdmissible("family coordinates must be WeightFn")
+        if any((c.p, c.r, c.d) != (p, r, d) for c in coords):
+            raise PrecisionMismatch(f"coordinates not mod ({p}^{r}, X^{d})")
         self.p, self.r, self.d = p, r, d
         self.out_width = out_width
         self.coords = list(coords)

@@ -1,16 +1,16 @@
-"""2x2 matrices: exact integer matrices and the p-stabilized monoid.
+"""Exact 2x2 integer matrices.
 
-IntMat is an exact integer matrix with positive determinant, used for group
-elements of Gamma_1(N) and for double-coset seeds.  PadicMat is a matrix
-over Z/p^r whose lower-left entry is divisible by p and whose lower-right
-entry is a unit; this monoid is closed under multiplication.
+IntMat is the one matrix type: elements of Gamma_1(N), double-coset seeds
+and members of the p-stabilized monoid (p | c, d a unit).  A matrix is
+exact; the vectors it acts on carry the precision, and each kernel reduces
+the entries mod p^r itself (sympow._act_window also checks the monoid).
 
-Both kinds have a cofactor method sending (a b; c d) to (d -b; -c a); it is
-an antihomomorphism ((A*B).cofactor() = B.cofactor() * A.cofactor()) and
-preserves the determinant.
+cofactor sends (a b; c d) to (d -b; -c a); it is an antihomomorphism
+((A*B).cofactor() = B.cofactor() * A.cofactor()) and preserves the
+determinant.
 """
 
-from .errors import NotAdmissible, NotInvertible, PrecisionMismatch
+from .errors import NotAdmissible, NotInvertible
 
 
 class IntMat:
@@ -64,58 +64,3 @@ class IntMat:
     def __repr__(self):
         return f"IntMat({self.a}, {self.b}, {self.c}, {self.d})"
 
-
-class PadicMat:
-    """Matrix over Z/p^r with c = 0 mod p and d a unit."""
-
-    __slots__ = ("p", "r", "a", "b", "c", "d")
-
-    def __init__(self, p, r, a, b, c, d):
-        M = p ** r
-        self.p, self.r = p, r
-        self.a, self.b, self.c, self.d = a % M, b % M, c % M, d % M
-        if self.c % p != 0:
-            raise NotAdmissible(f"lower-left entry {self.c} not divisible by {p}")
-        if self.d % p == 0:
-            raise NotAdmissible(f"lower-right entry {self.d} not a unit mod {p}")
-
-    @classmethod
-    def identity(cls, p, r):
-        return cls(p, r, 1, 0, 0, 1)
-
-    @property
-    def modulus(self):
-        return self.p ** self.r
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicMat):
-            raise NotAdmissible(f"PadicMat times {type(other).__name__}")
-        if self.p != other.p:
-            raise PrecisionMismatch(f"primes differ: {self.p} vs {other.p}")
-        r = min(self.r, other.r)
-        return PadicMat(
-            self.p, r,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def cofactor(self):
-        return PadicMat(self.p, self.r, self.d, -self.b, -self.c, self.a)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicMat):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        m = self.p ** min(self.r, other.r)
-        return all((x - y) % m == 0
-                   for x, y in zip(self.entries(), other.entries()))
-
-    def __repr__(self):
-        return (f"PadicMat[{self.p}^{self.r}]"
-                f"({self.a}, {self.b}, {self.c}, {self.d})")

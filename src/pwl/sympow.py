@@ -39,7 +39,6 @@ from .padic import (PrecInt, Weight, binom, eval_char, tail_width, vp,
 
 
 def _entries_mod(mat, p, r):
-    # accepts PadicMat or IntMat; returns entries reduced mod p^r
     M = p ** r
     return (mat.a % M, mat.b % M, mat.c % M, mat.d % M)
 
@@ -151,7 +150,10 @@ class SeqVec:
         self.coords = [c % M for c in coords]
 
     def agrees(self, other, width):
-        """Equality of the first `width` coordinates mod p^min(r, r')."""
+        """Equality of the first `width` coordinates mod p^min(r, r');
+        False across primes or weights."""
+        if self.p != other.p or self.chi != other.chi:
+            return False
         m = self.p ** min(self.r, other.r)
         return all((x - y) % m == 0
                    for x, y in zip(self.coords[:width], other.coords[:width]))

@@ -23,7 +23,7 @@ from .errors import BadLevel, BadRange, ContractViolated
 from .gamma1 import free_basis, in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
 from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
-from .matrices import PadicMat
+from .matrices import IntMat
 from .padic import PrecInt, Weight, vp, vp_factorial
 from .slope import newton_polygon, ps_tp_inv, slope_factor
 from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
@@ -45,14 +45,15 @@ def _check(ok, what, **payload):
 
 
 def rand_monoid_mat(rng, p, r):
-    """A random (a b; c d) mod p^r with p | c and d a unit."""
+    """A random (a b; c d) mod p^r with p | c and d a unit, made exact by
+    raising a by the least multiple of p^r (each adds p^r d) with ad > bc."""
     M = p ** r
     while True:
         d = rng.randrange(M)
         if d % p:
             break
-    return PadicMat(p, r, rng.randrange(M), rng.randrange(M),
-                    p * rng.randrange(M // p), d)
+    a, b, c = rng.randrange(M), rng.randrange(M), p * rng.randrange(M // p)
+    return IntMat(a + M * max(0, (b * c - a * d) // (M * d) + 1), b, c, d)
 
 
 def suite_action(seed=0, precision=4, degree=3, trials=6):
@@ -266,7 +267,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
             checked_group += 1
 
         theta = rng.randrange(p)
-        out_t = act_family(PadicMat(p, r, p, -theta, 0, 1), F)
+        out_t = act_family(IntMat(p, -theta, 0, 1), F)
         for i, fn in enumerate(out_t.coords):
             for zeta in range(nb):
                 if i < k0 - 1:

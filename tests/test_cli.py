@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -240,3 +241,35 @@ def test_benchmark_outputs_are_pinned(args, digest):
                          capture_output=True)
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+# the same for `pwl --no-meta --seed S verify --suite all` (its report
+# holds check counts only, so both seeds print the same bytes) and for the
+# family_N9 job's stdout at seeds 1-5
+VERIFY_ALL = "56eef5c7d7a27c76ec03f16e8d63d4c92f3cb294390815052f0ba045eaea0d9e"
+FAMILY_JOB_OUTPUTS = {
+    1: "cd2607bd1c1d913ab6832ac5d22a550690660a4265e7f43ba9ec768de25f6dd9",
+    2: "438fa6c543ecd0e43990d5456a8c775956614fc2ac4dead90a7be7a011074aa1",
+    3: "d7d00552555882989adfdd165e947f4389ba9406a1cc4600a43e777708b1778f",
+    4: "5760f08b7db66a29634305eeb1640f6a89465def7b5d786c845c52d3f0dd6b7c",
+    5: "86ed1322e122955592bb1941b0db9ee9c472b31bea49d7adc0bfd8d3e62c39b1",
+}
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_verify_all_is_pinned(seed):
+    res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta",
+                          "--seed", str(seed), "verify", "--suite", "all"],
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout).hexdigest() == VERIFY_ALL
+
+
+def test_family_job_is_pinned(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "family_job.py")
+    job = runpy.run_path(path, run_name="family_job")
+    for seed, digest in FAMILY_JOB_OUTPUTS.items():
+        job["main"](["--seed", str(seed)])
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, seed

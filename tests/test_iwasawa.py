@@ -14,7 +14,7 @@ from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, family_tail, sp_k, sp_vector)
 from pwl.gamma1 import in_gamma1
-from pwl.matrices import IntMat, PadicMat
+from pwl.matrices import IntMat
 from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import act_universal
 
@@ -91,7 +91,9 @@ def rand_family_case(rng, p, r, d, c, out_width):
     """A monoid matrix with lower-left entry c and a window with zero coordinates."""
     M = p ** r
     dd = rng.choice([u for u in range(1, M) if u % p])
-    mat = PadicMat(p, r, rng.randrange(M), rng.randrange(M), c, dd)
+    a, b, c = rng.randrange(M), rng.randrange(M), c % M
+    # a rises by the least multiple of p^r that makes the determinant positive
+    mat = IntMat(a + M * max(0, (b * c - a * dd) // (M * dd) + 1), b, c, dd)
     coords = [WeightFn.zero(p, r, d) if rng.random() < 0.3
               else rand_fn(rng, p, r, d)
               for _ in range(out_width + family_tail(p, r, d))]
@@ -117,10 +119,9 @@ def test_act_family_matches_reference(p):
                 mat, fam = rand_family_case(rng, p, r, d, c, 4)
                 assert_same_residues(act_family(mat, fam),
                                      ref_act_family(mat, fam))
-            # an exact IntMat of Gamma_1(9), against the equal PadicMat
-            assert_same_residues(
-                act_family(GAMMA1_9, fam),
-                ref_act_family(PadicMat(p, r, *GAMMA1_9.entries()), fam))
+            # an IntMat of Gamma_1(9) with entries above p^r
+            assert_same_residues(act_family(GAMMA1_9, fam),
+                                 ref_act_family(GAMMA1_9, fam))
 
 
 def test_act_family_matches_reference_wide():
@@ -221,7 +222,7 @@ def test_act_identity():
     p, r, d = 3, 3, 2
     rng = random.Random(2)
     fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d))
-    out = act_family(PadicMat.identity(p, r), fam)
+    out = act_family(IntMat.identity(), fam)
     assert out.agrees(fam, len(out.coords))
 
 
@@ -231,7 +232,7 @@ def test_act_diagonal():
     rng = random.Random(3)
     fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d))
     for u in (4, 7, 11):
-        out = act_family(PadicMat(p, r, 1, 0, 0, u), fam)
+        out = act_family(IntMat(1, 0, 0, u), fam)
         cs = char_series(u, p, r, d)
         uinv = pow(u, -1, M)
         for i in range(len(out.coords)):
@@ -247,7 +248,7 @@ def test_act_up_shape_closed_form():
     rng = random.Random(7)
     for theta in range(p):
         fam = rand_fam(rng, p, r, d, 4, 4 + family_tail(p, r, d))
-        out = act_family(PadicMat(p, r, p, -theta, 0, 1), fam)
+        out = act_family(IntMat(p, -theta, 0, 1), fam)
         for i in range(len(out.coords)):
             rhs = WeightFn.zero(p, r, d)
             for j in range(i + 1):
@@ -260,7 +261,7 @@ def test_act_unipotent_closed_form():
     p, r, d = 3, 3, 2
     rng = random.Random(8)
     fam = rand_fam(rng, p, r, d, 4, 4 + family_tail(p, r, d))
-    out = act_family(PadicMat(p, r, 1, 1, 0, 1), fam)
+    out = act_family(IntMat(1, 1, 0, 1), fam)
     for i in range(len(out.coords)):
         rhs = WeightFn.zero(p, r, d)
         for j in range(i + 1):
@@ -273,7 +274,7 @@ def test_act_width_guard():
     rng = random.Random(9)
     fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d) - 1)
     with pytest.raises(WidthInsufficient):
-        act_family(PadicMat.identity(p, r), fam)
+        act_family(IntMat.identity(), fam)
 
 
 def test_act_outside_monoid():
@@ -288,17 +289,14 @@ def test_act_outside_monoid():
 def test_intertwines_single_weight_action():
     # family action, then specialize at k == specialize, then weight k-2 action
     p, r, d = 3, 4, 3
-    rr = min(r, d)
     tail = family_tail(p, r, d)
     rng = random.Random(13)
-    mats = [PadicMat(p, r, 2, 1, 3, 5), PadicMat(p, r, 1, 0, 3, 1),
-            PadicMat(p, r, 4, 2, 6, 7)]
+    mats = [IntMat(2, 1, 3, 5), IntMat(1, 0, 3, 1), IntMat(4, 2, 6, 7)]
     for k in range(2, 8):
         fam = rand_fam(rng, p, r, d, 3, 3 + tail)
         for mat in mats:
             left = sp_vector(k, act_family(mat, fam))
-            mat_rr = PadicMat(p, rr, mat.a, mat.b, mat.c, mat.d)
-            right = act_universal(mat_rr, sp_vector(k, fam))
+            right = act_universal(mat, sp_vector(k, fam))
             assert left.agrees(right, 3)
 
 
@@ -331,7 +329,7 @@ def test_weight_fn_arithmetic_is_reduced():
                          (f.scale(k), [[x * k for x in a] for a in f.comps]),
                          (f * g, (f * g).comps)):
             assert got.comps == WeightFn(p, r, d, raw).comps
-    mat = PadicMat(p, r, 2, 5, 3, 4)
+    mat = IntMat(2 + M, 5, 3, 4)  # a lifted: 2 * 4 - 5 * 3 < 0
     fam = rand_fam(rng, p, r, d, 1, 1 + family_tail(p, r, d))
     for x in act_family(mat, fam).coords:
         assert len(x.comps) == branch_count(p)
@@ -363,3 +361,12 @@ def test_family_vec_rejects_raw_coordinates():
         FamilyVec(3, 2, 2, 1, [0])
     with pytest.raises(NotAdmissible):
         FamilyVec(3, 2, 2, 1, [WeightFn.zero(3, 2, 2), [[0, 0]] * 6])
+
+
+def test_family_vec_rejects_other_precisions():
+    # coordinates mod p^2 in a window mod p^4 would act as if certified,
+    # and X^2 coordinates in an X^3 window would be read past their end
+    for p, r, d in ((3, 2, 3), (3, 4, 2), (5, 4, 3)):
+        with pytest.raises(PrecisionMismatch):
+            FamilyVec(3, 4, 3, 1, [WeightFn.zero(3, 4, 3),
+                                   WeightFn.zero(p, r, d)])

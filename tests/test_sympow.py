@@ -10,7 +10,7 @@ from pwl.errors import (BadRange, BadWeight, CongruenceViolated,
                         DimensionMismatch, NotAdmissible, PrecisionMismatch,
                         WidthInsufficient)
 from pwl.linalg import mat_mul
-from pwl.matrices import IntMat, PadicMat
+from pwl.matrices import IntMat
 from pwl.padic import PrecInt, Weight, eval_char
 from pwl.sympow import (
     SeqVec,
@@ -29,6 +29,14 @@ from pwl.verify import rand_monoid_mat
 def rand_seq(rng, chi, out_width, width):
     M = chi.p ** chi.r
     return SeqVec(chi, out_width, [rng.randrange(M) for _ in range(width)])
+
+
+def monoid_mat(p, r, a, b, c, d):
+    """The IntMat with the residues of (a b; c d) mod p^r, d a unit, and a
+    raised by the least multiple of p^r that makes the determinant positive."""
+    M = p ** r
+    a, b, c, d = a % M, b % M, c % M, d % M
+    return IntMat(a + M * max(0, (b * c - a * d) // (M * d) + 1), b, c, d)
 
 
 def ref_sym_matrix(n, mat, p, r):
@@ -93,14 +101,14 @@ class TestActSym:
         for p, r in ((3, 1), (3, 4), (11, 6), (43, 3)):
             M = p ** r
             mats = [IntMat(p, 0, 0, p), IntMat(p, p, 0, p * p),
-                    PadicMat(p, r, 0, 0, 0, 1), PadicMat(p, r, p, p, p, 1)]
+                    monoid_mat(p, r, 0, 0, 0, 1), monoid_mat(p, r, p, p, p, 1)]
             while len(mats) < 24:
                 a, b, c, d = (rng.randrange(-3 * p, 3 * p) * rng.choice((1, p))
                               for _ in range(4))
                 if a * d - b * c > 0:
                     mats.append(IntMat(a, b, c, d))
                 if d % p:
-                    mats.append(PadicMat(p, r, a, b, p * c, d))
+                    mats.append(monoid_mat(p, r, a, b, p * c, d))
             for m in mats:
                 assert sym_matrix(0, m, p, r) == [[1]]
                 x = rng.randrange(M)
@@ -177,14 +185,14 @@ class TestActUniversal:
         chi = Weight.of_int(4, p, r)
         rng = random.Random(3)
         seq = rand_seq(rng, chi, 2, 2 + tail_width(p, r))
-        got = act_universal(PadicMat.identity(p, r), seq)
+        got = act_universal(IntMat.identity(), seq)
         assert got.coords[:2] == seq.coords[:2]
 
     def test_diagonal_single_term(self):
         # diag(a, d) with c = b = 0: coordinate i scaled by a^i d^(chi - 2i)
         p, r = 5, 3
         chi = Weight.wild_only(7, p, r)
-        m = PadicMat(p, r, 2, 0, 0, 3)
+        m = IntMat(2, 0, 0, 3)
         rng = random.Random(4)
         width = 3 + tail_width(p, r)
         seq = rand_seq(rng, chi, 3, width)
@@ -200,7 +208,7 @@ class TestActUniversal:
         p, r = 3, 4
         chi = Weight.wild_only(5, p, r)
         b = 4
-        m = PadicMat(p, r, 1, b, 0, 1)
+        m = IntMat(1, b, 0, 1)
         rng = random.Random(5)
         width = 4 + tail_width(p, r)
         seq = rand_seq(rng, chi, 4, width)
@@ -216,7 +224,7 @@ class TestActUniversal:
         chi = Weight.of_int(2, p, r)
         seq = SeqVec(chi, 2, [1] * (1 + tail_width(p, r)))
         with pytest.raises(WidthInsufficient):
-            act_universal(PadicMat.identity(p, r), seq)
+            act_universal(IntMat.identity(), seq)
 
     def test_action_law_smoke(self):
         p, r = 3, 3
@@ -243,7 +251,7 @@ class TestActUniversal:
                 chi = Weight(rng.randrange(p - 1),
                              PrecInt(p, r, rng.randrange(M)))
                 d = rng.choice([u for u in range(1, M) if u % p])
-                m = PadicMat(p, r, rng.randrange(M), rng.randrange(M), c, d)
+                m = monoid_mat(p, r, rng.randrange(M), rng.randrange(M), c, d)
                 coords = [0 if rng.random() < 0.3 else rng.randrange(M)
                           for _ in range(5 + t)]
                 seq = SeqVec(chi, 5, coords)
@@ -336,7 +344,7 @@ class TestSymMatrixPacked:
     def test_matches_reference(self):
         # every degree up to 30; negative entries, entries divisible by p,
         # all four entries = -1 mod p^r (the largest packed coefficients)
-        # and PadicMat input
+        # and a random monoid matrix
         rng = random.Random(29)
         for n in range(31):
             p = (3, 5, 31)[n % 3]
@@ -422,3 +430,12 @@ class TestSymMatrixShape:
         m = sym_matrix(3, IntMat(1, 1, 2, 3), 5, 2)
         assert len(m) == 4 and all(len(row) == 4 for row in m)
         assert all(0 <= x < 25 for row in m for x in row)
+
+
+def test_seqvec_agrees_needs_same_prime_and_weight():
+    # as SymVec equality is False across degrees; the prime is compared
+    # first, because Weights of different primes do not compare
+    v = SeqVec(Weight.of_int(2, 3, 4), 1, [1, 2, 3])
+    assert v.agrees(SeqVec(Weight.of_int(2, 3, 2), 1, [1, 2, 3]), 2)
+    assert not v.agrees(SeqVec(Weight.of_int(4, 3, 4), 1, [1, 2, 3]), 2)
+    assert not v.agrees(SeqVec(Weight.wild_only(2, 5, 4), 1, [1, 2, 3]), 2)
