@@ -12,8 +12,10 @@ min(r, d).
 
 A FamilyVec is a coordinate window whose entries are such functions;
 act_family applies the weight-minus-2 family of symmetric-power actions,
-running sympow._act_window (the same loop as act_universal) with one
-component per branch.  Coordinate j influences output i only when
+running sympow._act_window (the same kernel as act_universal) with one
+component per branch: the kernel packs every branch and series coefficient
+of a coordinate into one int, so one big-int dot product per live term
+covers all of them.  Coordinate j influences output i only when
 j - i < p(r + d), so each application consumes family_tail(p, r, d)
 stored coordinates.
 """
@@ -21,7 +23,18 @@ stored coordinates.
 from .errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
                      NotOneUnit, PrecisionMismatch, WidthInsufficient)
 from .padic import PrecInt, Weight, unit_project, vp
-from .sympow import SeqVec, _act_window, _c_factors, _series_mul
+from .sympow import SeqVec, _act_window, _c_factors
+
+
+def _series_mul(a, b, M, d):
+    out = [0] * d
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(d - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % M
+    return out
 
 
 def branch_count(p):
@@ -57,7 +70,7 @@ class WeightFn:
 
     @classmethod
     def zero(cls, p, r, d):
-        return cls(p, r, d, [[0] * d for _ in range(branch_count(p))])
+        return cls._raw(p, r, d, [[0] * d for _ in range(branch_count(p))])
 
     def __add__(self, other):
         self._compat(other)
@@ -215,7 +228,8 @@ def act_family(mat, fam):
 
     _act_window with one component per branch zeta, at the weight
     zeta - 2 + X, scaled by char_series(d) d^-2: the factor d^(z - 2) in
-    the tautological weight z.
+    the tautological weight z.  Each coordinate goes in as its branch
+    series laid end to end.
     """
     p, r, dd = fam.p, fam.r, fam.d
     M = p ** r
@@ -224,9 +238,9 @@ def act_family(mat, fam):
         d2 = pow(d, -2, M)
         return [[x * d2 % M for x in g] for g in char_series(d, p, r, dd).comps]
 
-    cols = [[[f.comps[zeta][k] for f in fam.coords] for k in range(dd)]
-            for zeta in range(branch_count(p))]
-    out = _act_window(mat, p, r, cols, range(-2, branch_count(p) - 2), scale,
+    out = _act_window(mat, p, r,
+                      [[x for c in f.comps for x in c] for f in fam.coords],
+                      range(-2, branch_count(p) - 2), scale,
                       family_tail(p, r, dd), fam.out_width)
     return FamilyVec(p, r, dd, fam.out_width,
                      [WeightFn._raw(p, r, dd, coord) for coord in out])

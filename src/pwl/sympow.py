@@ -13,14 +13,18 @@ SeqVec holds an infinite-coordinate analogue at a p-adic weight chi: a
 finite window of coordinates over Z/p^r.  _act_window is the one
 implementation of the interpolated action, on windows of truncated series
 in the weight; act_universal runs it at the single weight chi and
-iwasawa.act_family with the weight left as a variable.  Both reject a
-matrix outside the monoid (p | c, d a unit) with NotAdmissible.  At weight
-chi, output coordinate i only depends on inputs j with
-(j - i)(p - 2)/(p - 1) < r, so each application consumes tail_width(p, r)
-stored coordinates.  At integer weight n, dropping coordinates beyond n
-(specialize) intertwines act_universal with act_sym exactly; between two
-integer weights congruent mod p^(r-1)(p-1), truncation to the smaller
-degree (congr_project) is equivariant mod p^r.
+iwasawa.act_family with the weight left as a variable.  It packs each
+input coordinate, all its components and series degrees, into one int of
+W-bit fields, so each output coordinate costs one big-int dot product per
+live term L, and a Vandermonde split of the falling factorials keeps the
+weight-dependent series out of the per-coordinate loop.  act_universal
+and act_family both reject a matrix outside the monoid (p | c, d a unit)
+with NotAdmissible.  At weight chi, output coordinate i only depends on
+inputs j with (j - i)(p - 2)/(p - 1) < r, so each application consumes
+tail_width(p, r) stored coordinates.  At integer weight n, dropping
+coordinates beyond n (specialize) intertwines act_universal with act_sym
+exactly; between two integer weights congruent mod p^(r-1)(p-1),
+truncation to the smaller degree (congr_project) is equivariant mod p^r.
 
 binom_identity evaluates both sides of the alternating-sum identity
   sum_m (-1)^(m-h) binom(n-m, i-m) C(j, m) C(m, h) = binom(n-j, i-h) C(j, h)
@@ -33,7 +37,7 @@ import operator
 from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, NotAdmissible, PrecisionMismatch,
                      WidthInsufficient)
-from .linalg import unpack_row
+from .linalg import pack_row, unpack_row
 from .padic import (PrecInt, Weight, binom, eval_char, tail_width, vp,
                     vp_factorial)
 
@@ -164,54 +168,81 @@ class SeqVec:
 
 
 def _c_factors(c, jmax, p, r):
-    # cf[m] = c^m / m! mod p^r; c is divisible by p so the quotient is integral
+    """[c^m/m! mod p^r for m = 0..jmax] for c divisible by p (so each is
+    integral).  m v_p(c) - v_p(m!) >= m - (m-1)/(p-1) > m (p-2)/(p-1) >= r
+    once m >= tail_width(p, r), so only smaller m are computed."""
     M = p ** r
-    cf = [1]
-    if jmax == 0:
+    cf = [1] + [0] * jmax
+    c %= M
+    if c == 0:
         return cf
-    if c % M == 0:
-        return cf + [0] * jmax
-    vc = vp(c % M, p)
-    u = (c % M) // p ** vc
-    for m in range(1, jmax + 1):
+    vc = vp(c, p)
+    u = c // p ** vc
+    for m in range(1, min(jmax + 1, tail_width(p, r))):
         vfac = vp_factorial(m, p)
         e = m * vc - vfac
-        if e >= r:
-            cf.append(0)
-            continue
-        unit = math.factorial(m) // p ** vfac
-        cf.append(pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M)
+        if e < r:
+            unit = math.factorial(m) // p ** vfac
+            cf[m] = pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M
     return cf
 
 
-def _series_mul(a, b, M, d):
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(d - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % M
-    return out
-
-
-def _act_window(mat, p, r, cols, base, scale, tail, out_width):
+def _act_window(mat, p, r, coords, base, scale, tail, out_width):
     """The weight action on windows of truncated series mod (p^r, X^dd).
 
-    Component z holds cols[z][k][j], the X^k coefficient of coordinate j,
-    at the weight base[z] + X.  Output coordinate i on component z is
-      g_z sum_L P_L(i) (c^L/L!) d^-(i+L) sum_h C(i,h) a^h b^(i-h) F_(h+L)
-    with g = scale(d) and P_L(i) = prod_{m=i}^{i+L-1} (base[z] + X - m).
-    The monoid (p | c, d a unit) is checked before scale takes a power of
-    d.  As p | c, c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r (for a
+    coords[j] is coordinate j: nz dd residues mod M = p^r, component-major,
+    so coords[j][z dd + k] is the X^k coefficient of its series x_(j,z) on
+    component z, at the weight kappa_z = base[z] + X (nz = len(base)).
+    Output coordinate i on component z is
+      g_z sum_L (kappa_z - i)_L (c^L/L!) d^-(i+L) D_L(i)_z,
+      D_L(i) = sum_h row_i[h] x_(h+L),  row_i[h] = C(i,h) a^h b^(i-h),
+    with g = scale(d) and (x)_L = x (x - 1) ... (x - L + 1).  The monoid
+    (p | c, d a unit) is checked before scale takes a power of d.  As
+    p | c, c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r (for a
     level-subgroup matrix, v_p(c) >= v_p(N)); only the live L with
-    c^L/L! != 0 are summed, each with one series product per component
-    (none for L = 0).  The skipped terms are exactly zero, so tail stays
-    the certified-width bound.  Returns each output coordinate's series.
+    c^L/L! != 0 are summed.  The skipped terms are exactly zero, so tail
+    stays the certified-width bound.  Returns each output coordinate as
+    its list of nz series.
+
+    Packed layout: F_j = pack_row(coords[j], W) holds coordinate j in
+    W-bit fields.  A sum of packed ints adds field by field, so D_L(i), on
+    every component and degree at once, is the one int
+    sum(map(mul, row_i, F[L:])).  Row i + 1 comes from row i by Pascal's
+    rule, row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later
+    stage runs over all i at once: one comprehension per live L, per
+    (t, L) and per (t, z) below.
+
+    Vandermonde regrouping about s = base[0]:
+      (kappa - i)_L = sum_t C(L,t) (kappa - s)_t (s - i)_(L-t),
+    so the output is sum_t G_(t,z) B_t(i) with the series
+      G_(t,z) = g_z (base[z] - s + X)_t,
+    built once per call, and the packed sums
+      B_t(i) = sum_(live L >= t) e_(t,L)(i) D_L(i),
+      e_(t,L)(i) = C(L,t) (c^L/L!) d^-L (s - i)_(L-t) d^-i mod M,
+    whose integer coefficients do not depend on z.  Only the t < max(live
+    L) + 1 with some G_(t,z) != 0 are kept; call their number T.  (With
+    one component of constants, as in act_universal, G_(t,0) = 0 for
+    t >= 1, so T = 1 and each L costs one coefficient per i.)  Per
+    (i, z), each kept t costs one product of the W-bit fields z dd ..
+    z dd + dd - 1 of B_t(i) (a block) with packed G_(t,z); the low dd
+    fields of the sum over t are output i's series on component z.
+
+    Field bound: nothing is reduced between packing and the last unpack,
+    so W must hold every field exactly.  The coordinates (SeqVec and
+    WeightFn keep them reduced), row_i, e_(t,L)(i) and G are residues in
+    [0, M).  A field of D_L(i) sums at most i + 1 <= n products
+    row_i[h] x, n = width - tail the number of outputs, so it is at most
+    n (M-1)^2; a field of B_t(i) sums at most |live L| of these times some
+    e <= M - 1; field k of a block times G_(t,z) sums at most
+    min(k + 1, 2 dd - 1 - k) <= dd products, and the output adds T of
+    them.  So every field is at most
+      T dd (M-1) |live L| (M-1) n (M-1)^2 < 2^W,
+    no field carries into the next, and each block, product and unpack
+    reads exact integers.
     """
-    width = len(cols[0][0])
-    new_len = width - tail
-    if new_len < out_width:
+    width = len(coords)
+    n = width - tail
+    if n < out_width:
         raise WidthInsufficient(
             f"need {out_width + tail} stored coordinates, have {width}")
     a, b, c, d = _entries_mod(mat, p, r)
@@ -220,49 +251,62 @@ def _act_window(mat, p, r, cols, base, scale, tail, out_width):
             f"({a} {b}; {c} {d}) mod {p}^{r} is outside the monoid: "
             f"need c = 0 and d a unit mod {p}")
     M = p ** r
-    dd = len(cols[0])
-    g = scale(d)
+    nz = len(base)
+    dd = len(coords[0]) // nz
     dinv = pow(d, -1, M)
-    dinvpow = [pow(dinv, s, M) for s in range(2 * width)]
-    cf = _c_factors(c, width, p, r)
-    live_L = [L for L in range(width) if cf[L]]
-    apow = [pow(a, h, M) for h in range(width + 1)]
-    bpow = [pow(b, h, M) for h in range(width + 1)]
-    out = []
-    for i in range(new_len):
-        row = [math.comb(i, h) * apow[h] % M * bpow[i - h] % M
-               for h in range(i + 1)]
-        coord = []
-        for cz, bz, gz in zip(cols, base, g):
-            S = [0] * dd
-            fall, m = [1] + [0] * (dd - 1), 0  # P_m(i) on component z
-            for L in live_L:
-                while m < L:  # times (base[z] + X - i - m)
-                    e = bz - i - m
-                    fall = [(e * fall[k] + (fall[k - 1] if k else 0)) % M
-                            for k in range(dd)]
-                    m += 1
-                scal = cf[L] * dinvpow[i + L] % M
-                W = [scal * sum(map(operator.mul, row, col[L:])) % M
-                     for col in cz]
-                if m:
-                    W = _series_mul(fall, W, M, dd)
-                for k, x in enumerate(W):
-                    S[k] += x
-            coord.append(_series_mul(gz, S, M, dd))
-        out.append(coord)
-    return out
+    cf = _c_factors(c, width - 1, p, r)
+    live = [L for L in range(width) if cf[L]]
+    s = base[0]
+    g, kept = scale(d), []
+    for t in range(live[-1] + 1):  # g[z] = g_z (base[z] - s + X)_t
+        if t:
+            g = [[((bz - s - t + 1) * x + y) % M for x, y in zip(gz, [0] + gz)]
+                 for gz, bz in zip(g, base)]
+        if not any(map(any, g)):
+            break  # a zero G_t makes every later G_t zero
+        kept.append((t, g))
+    W = (len(kept) * dd * len(live) * n * (M - 1) ** 4).bit_length() or 1
+    # B_t(i) = sum over (k, u, q) in e[t] of q (s - i)_u d^-i D_(live[k])
+    e = [[(k, L - t, math.comb(L, t) * cf[L] * pow(dinv, L, M) % M)
+          for k, L in enumerate(live) if L >= t] for t, _ in kept]
+    G = [[pack_row(gz, W) for gz in gt] for _, gt in kept]
+    F = [pack_row(x, W) for x in coords]
+    rows = [[1]]  # row_i by Pascal's rule
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([(b * x + a * y) % M
+                     for x, y in zip(row + [0], [0] + row)])
+    D = [[sum(map(operator.mul, row, FL)) for row in rows]
+         for FL in [F[L:] for L in live]]
+    fall = [[pow(dinv, i, M) for i in range(n)]]  # (s - i)_u d^-i
+    for u in range(live[-1]):
+        fall.append([f * (s - i - u) % M for i, f in enumerate(fall[-1])])
+    B = []
+    for et in e:
+        Bt = [0] * n
+        for k, u, q in et:
+            Bt = [y + q * f % M * x for y, f, x in zip(Bt, fall[u], D[k])]
+        B.append(Bt)
+    blk = (1 << (W * dd)) - 1
+    comps = []  # comps[z][i]: output i's series on component z
+    for z, sh in enumerate(range(0, W * dd * nz, W * dd)):
+        y = [0] * n
+        for Bt, Gt in zip(B, G):
+            gz = Gt[z]
+            y = [v + (x >> sh & blk) * gz for v, x in zip(y, Bt)]
+        comps.append([unpack_row(v, dd, W, M) for v in y])
+    return list(map(list, zip(*comps)))
 
 
 def act_universal(mat, seq):
     """Apply the weight-chi action; consumes tail_width stored coordinates.
 
     _act_window on one component of constants (dd = 1) at the wild part w
-    of chi, scaled by d^chi, so P_L(i) = prod_{m=i}^{i+L-1} (w - m).
+    of chi, scaled by d^chi, so the falling factorials are (w - i)_L.
     Raises NotAdmissible outside the monoid, WidthInsufficient when short.
     """
     chi, p, r = seq.chi, seq.p, seq.r
-    out = _act_window(mat, p, r, [[seq.coords]], [chi.wild.res],
+    out = _act_window(mat, p, r, [[x] for x in seq.coords], [chi.wild.res],
                       lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]],
                       tail_width(p, r), seq.out_width)
     return SeqVec(chi, seq.out_width, [x[0][0] for x in out])

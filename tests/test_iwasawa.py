@@ -141,6 +141,22 @@ def test_act_family_property(p, r, d, vc, out_width, rng):
     assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
 
 
+@pytest.mark.parametrize("r", range(1, 6))
+@pytest.mark.parametrize("p", (3, 5))
+def test_act_family_field_bound_stress(p, r):
+    # every residue the kernel multiplies is as large as it can be: windows
+    # of M - 1 in every coefficient, a = b = d = -1 mod p^r, and v_p(c) = 1
+    # for the widest set of live L (a = 2M - 1 keeps the determinant
+    # positive); stored width two tails, d <= 6 - r
+    M = p ** r
+    mat = IntMat(2 * M - 1, M - 1, p, M - 1)
+    for d in range(1, 7 - r):
+        t = family_tail(p, r, d)
+        top = WeightFn(p, r, d, [[M - 1] * d for _ in range(branch_count(p))])
+        fam = FamilyVec(p, r, d, t, [top] * (2 * t))
+        assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
+
+
 def branch_fn(zeta, p, r, d):
     """The idempotent of branch zeta: 1 there, 0 on every other branch."""
     return WeightFn(p, r, d, [[int(i == zeta)] + [0] * (d - 1)

@@ -257,6 +257,23 @@ class TestActUniversal:
                 seq = SeqVec(chi, 5, coords)
                 assert act_universal(m, seq).coords == ref_act_universal(m, seq)
 
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_field_bound_stress(self, p):
+        # every residue the kernel multiplies is as large as it can be:
+        # windows of M - 1, a = b = d = -1 mod p^r, v_p(c) = 1 for the
+        # widest set of live L, d^chi = -1 for odd tame parts
+        for r in range(1, 6):
+            M = p ** r
+            t = tail_width(p, r)
+            m = monoid_mat(p, r, -1, -1, p, -1)
+            for tame in range(p - 1):
+                for wild in (tame, M - 1):
+                    chi = Weight(tame, PrecInt(p, r, wild))
+                    for width in (2 * t, 2 * t + 1):
+                        seq = SeqVec(chi, width - t, [M - 1] * width)
+                        assert (act_universal(m, seq).coords
+                                == ref_act_universal(m, seq))
+
 
 class TestSpecialize:
     def test_equivariance(self):
