@@ -5,10 +5,11 @@ weight modulo p(p-1); an analytic function is stored as one truncated power
 series per branch, in the variable X centered at that residue, with
 coefficients mod p^r and degree < d (joint precision ideal (p^r, X^d)).
 
-char_series(u) interpolates k -> u^k for a unit u.  sp_k evaluates at an
-integer weight k: branch k mod p(p-1), X = k minus the branch residue; the
-substituted value has valuation >= 1, so the result carries precision
-min(r, d).
+char_series(u) interpolates k -> u^k for a unit u, as exp(X log<u>) on
+each branch, from padic's log (_log_unit) and c^m/m! table (_c_factors).
+sp_k evaluates at an integer weight k: branch k mod p(p-1), X = k minus
+the branch residue; the substituted value has valuation >= 1, so the
+result carries precision min(r, d).
 
 A FamilyVec is a coordinate window whose entries are such functions;
 act_family applies the weight-minus-2 family of symmetric-power actions,
@@ -20,10 +21,10 @@ j - i < p(r + d), so each application consumes family_tail(p, r, d)
 stored coordinates.
 """
 
-from .errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
-                     NotOneUnit, PrecisionMismatch, WidthInsufficient)
-from .padic import PrecInt, Weight, unit_project, vp
-from .sympow import SeqVec, _act_window, _c_factors
+from .errors import (DimensionMismatch, NotAdmissible, PrecisionMismatch,
+                     WidthInsufficient)
+from .padic import PrecInt, Weight, _c_factors, _log_unit
+from .sympow import SeqVec, _act_window
 
 
 def _series_mul(a, b, M, d):
@@ -122,39 +123,21 @@ class WeightFn:
         return f"WeightFn(p={self.p}, mod ({self.p}^{self.r}, X^{self.d}))"
 
 
-def _log_one_unit(u, p, R):
-    """log of a one-unit mod p^R via the alternating series."""
-    if u % p != 1:
-        raise NotOneUnit(f"{u} is not 1 mod {p}")
-    # v_p(m) <= 7 in the loop below needs 3^8 > R + 8
-    if 3 ** 8 <= R + 8:
-        raise BadRange(f"precision {R} is too large for the log series")
-    x = (u - 1) % p ** R
-    acc = 0
-    m = 1
-    while m <= R + 8:
-        v = vp(m, p) if m % p == 0 else 0
-        if m - v < R:
-            xm = pow(x, m, p ** (R + v))
-            q = xm // p ** v
-            term = q * pow(m // p ** v, -1, p ** R) % p ** R
-            acc = (acc - term if m % 2 == 0 else acc + term) % p ** R
-        m += 1
-    return acc
-
-
 def char_series(u, p, r, d):
-    """The function k -> u^k for a unit u: branch zeta is u^zeta exp(X log<u>)."""
-    u0 = u.res if isinstance(u, PrecInt) else u % p ** r
-    if u0 % p == 0:
-        raise NotAUnit(f"{u0} is divisible by {p}")
+    """The function k -> u^k for a unit u: branch zeta is u^zeta exp(X log<u>).
+
+    u is an integer or a PrecInt of precision >= r, else PrecisionMismatch.
+    """
+    if isinstance(u, PrecInt):
+        if u.p != p or u.r < r:
+            raise PrecisionMismatch(f"{u!r} is not known mod {p}^{r}")
+        u = u.res
     # L^h / h! mod p^r depends only on L mod p^r, as p | L
-    L = _log_one_unit(unit_project(PrecInt(p, r, u0)).res, p, r)
-    coeffs = _c_factors(L, d - 1, p, r)
+    coeffs = _c_factors(_log_unit(u, p, r), d - 1, p, r)
     M = p ** r
     comps = []
     for zeta in range(branch_count(p)):
-        s = pow(u0, zeta, M)
+        s = pow(u, zeta, M)
         comps.append([s * c % M for c in coeffs])
     return WeightFn(p, r, d, comps)
 

@@ -5,11 +5,17 @@ r >= 1 and a canonical residue in [0, p^r).  Every operation records the
 precision of its output; in particular division by m! consumes v_p(m!)
 digits and raises PrecisionExhausted when none would remain.
 
+Every power of a unit goes through one log and one exp.  _log_one_unit
+sums the log series of a one-unit, _log_unit gives log<d> of any unit d
+as log(d^(p-1)) / (p-1), since log kills roots of unity, and exp is the
+sum of the c^m/m! table _c_factors, which is cut at tail_width terms (the
+same width one weight action consumes in sympow).  So pow_unit(d, n) is
+exp(n log d), unit_project(d) = <d> is exp(log<d>), and
+iwasawa.char_series and sympow._act_window read the same log and table.
+
 A Weight is a character of the units, split as (tame, wild) with
-tame in [0, p-2] and wild a PrecInt.  eval_char evaluates it on a unit via
-the Teichmuller projection, and pow_unit raises one-units to p-adic powers
-(a binomial series cut at tail_width terms, the same width one weight
-action consumes in sympow).
+tame in [0, p-2] and wild a PrecInt w.  eval_char evaluates it on a unit
+d as d^tame exp((w - tame) log<d>).
 """
 
 import math
@@ -134,9 +140,6 @@ class PrecInt:
     def is_unit(self):
         return self.res % self.p != 0
 
-    def is_one_unit(self):
-        return self.res % self.p == 1
-
     def inverse(self):
         if not self.is_unit():
             raise NotAUnit(f"{self.res} is divisible by {self.p}")
@@ -213,58 +216,85 @@ def binom(n, m):
     return PrecInt(p, n.r, prod).divexact(math.factorial(m))
 
 
-def teichmuller(d):
-    """The unique (p-1)-st root of unity congruent to d mod p."""
-    if not d.is_unit():
-        raise NotAUnit(f"{d.res} is divisible by {d.p}")
-    M = d.modulus
-    x = d.res
-    for _ in range(d.r):
-        x = pow(x, d.p, M)
-    if pow(x, d.p, M) != x:
-        raise InternalInconsistency(f"{x} is not fixed by x -> x^{d.p}")
-    return PrecInt(d.p, d.r, x)
-
-
-def unit_project(d):
-    """Projection of a unit onto the one-units: d divided by its Teichmuller lift."""
-    u = d * teichmuller(d).inverse()
-    if not u.is_one_unit():
-        raise InternalInconsistency(f"{u} is not a one-unit")
-    return u
-
-
 def tail_width(p, r):
     """Smallest t with t(p-2)/(p-1) >= r: later terms vanish mod p^r."""
     return -((-r * (p - 1)) // (p - 2))
 
 
-def pow_unit(d, n):
-    """d^n for a one-unit d and integer or PrecInt exponent n.
+def _c_factors(c, jmax, p, r):
+    """[c^m/m! mod p^r for m = 0..jmax] for c divisible by p (so each is
+    integral).  m v_p(c) - v_p(m!) >= m - (m-1)/(p-1) > m (p-2)/(p-1) >= r
+    once m >= tail_width(p, r), so only smaller m are computed."""
+    M = p ** r
+    cf = [1] + [0] * jmax
+    c %= M
+    if c == 0:
+        return cf
+    vc = vp(c, p)
+    u = c // p ** vc
+    for m in range(1, min(jmax + 1, tail_width(p, r))):
+        vfac = vp_factorial(m, p)
+        e = m * vc - vfac
+        if e < r:
+            unit = math.factorial(m) // p ** vfac
+            cf[m] = pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M
+    return cf
 
-    Binomial series sum_h binom(n, h) (d-1)^h on the canonical lift of n,
-    truncated at h = tail_width(p, r).  Output precision is r for integer
-    n and min(r, precision(n) + 1) otherwise.
+
+def _exp(c, p, r):
+    """exp(c) mod p^r for c divisible by p: the sum of the c^m/m! table."""
+    return sum(_c_factors(c, tail_width(p, r), p, r)) % p ** r
+
+
+def _log_one_unit(u, p, R):
+    """log u mod p^R for an integer one-unit u: sum_m (-1)^(m+1) x^m / m
+    with x = u - 1.  Term m has valuation >= m - v_p(m) >= m - lg(m),
+    lg(m) = floor(log_p m).  m - lg(m) never decreases as m grows, so the
+    sum stops at the first m with m - lg(m) >= R."""
+    if u % p != 1:
+        raise NotOneUnit(f"{u} is not 1 mod {p}")
+    M = p ** R
+    x = (u - 1) % M
+    acc, m, lg, pk = 0, 1, 0, p  # pk = p^(lg + 1)
+    while m - lg < R:
+        v = vp(m, p) if m % p == 0 else 0
+        # x^m / p^v mod p^R needs x^m mod p^(R + v)
+        term = pow(x, m, M * p ** v) // p ** v * pow(m // p ** v, -1, M)
+        acc += term if m % 2 else -term
+        m += 1
+        if m == pk:
+            lg, pk = lg + 1, pk * p
+    return acc % M
+
+
+def _log_unit(d, p, R):
+    """log<d> mod p^R for an integer unit d, <d> its one-unit part."""
+    if d % p == 0:
+        raise NotAUnit(f"{d} is divisible by {p}")
+    M = p ** R
+    return _log_one_unit(pow(d, p - 1, M), p, R) * pow(p - 1, -1, M) % M
+
+
+def unit_project(d):
+    """Projection of a unit onto the one-units: <d> = exp(log<d>)."""
+    p, r = d.p, d.r
+    return PrecInt(p, r, _exp(_log_unit(d.res, p, r), p, r))
+
+
+def pow_unit(d, n):
+    """d^n = exp(n log d) for a one-unit d and integer or PrecInt exponent n.
+
+    Output precision is r for integer n and min(r, precision(n) + 1)
+    otherwise, as p | log d.
     """
-    if not d.is_one_unit():
-        raise NotOneUnit(f"{d.res} is not congruent to 1 mod {d.p}")
     p = d.p
+    r = min(d.r, n.r + 1) if isinstance(n, PrecInt) else d.r
+    L = _log_one_unit(d.res, p, r)
     if isinstance(n, PrecInt):
         if n.p != p:
             raise PrecisionMismatch(f"primes differ: {p} vs {n.p}")
-        r = min(d.r, n.r + 1)
-        n_int = n.res
-    else:
-        r = d.r
-        n_int = n % p ** r
-    M = p ** r
-    H = tail_width(p, r)
-    x = (d.res - 1) % M
-    acc, xpow = 0, 1
-    for h in range(H):
-        acc = (acc + math.comb(n_int, h) * xpow) % M
-        xpow = xpow * x % M
-    return PrecInt(p, r, acc)
+        n = n.res
+    return PrecInt(p, r, _exp(n * L, p, r))
 
 
 class Weight:
@@ -312,10 +342,13 @@ class Weight:
 
 
 def eval_char(chi, d):
-    """Value of the weight character chi on a unit d."""
-    if not d.is_unit():
-        raise NotAUnit(f"{d.res} is divisible by {d.p}")
-    t = chi.tame
-    tame_part = PrecInt(d.p, d.r, pow(d.res, t, d.modulus))
-    return tame_part * pow_unit(unit_project(d), chi.wild - t)
-
+    """Value of the weight character chi on a unit d: d^t <d>^(w - t) =
+    d^t exp((w - t) log<d>), t = tame and w = wild, at precision
+    min(r, precision(w) + 1)."""
+    p, t, w = d.p, chi.tame, chi.wild
+    r = min(d.r, w.r + 1)
+    L = _log_unit(d.res, p, r)
+    if w.p != p:
+        raise PrecisionMismatch(f"primes differ: {p} vs {w.p}")
+    return PrecInt(p, r, pow(d.res, t, p ** r)
+                   * _exp((w.res - t) * L, p, r))

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
                      NotInvertible, PrecisionExhausted)
-from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
+from .linalg import charpoly_mod, mat_mul, smith_mod
 from .padic import vp
 
 
@@ -247,15 +247,14 @@ def slope_factor(P, s, p, r):
 
 
 def _poly_eval_matrix(f, A, M):
+    """f(A) mod M by Horner's rule, out = out A + c I, for f listed from
+    its constant term up."""
     n = len(A)
-    out = [[0] * n for _ in range(n)]
-    power = identity_mat(n)
-    for c in f:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = (out[i][j] + c * power[i][j]) % M
-        power = mat_mul(power, A, M)
+    out = [[f[-1] % M if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(f[:-1]):
+        out = mat_mul(out, A, M)
+        for i in range(n):
+            out[i][i] = (out[i][i] + c) % M
     return out
 
 

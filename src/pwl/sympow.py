@@ -17,14 +17,16 @@ iwasawa.act_family with the weight left as a variable.  It packs each
 input coordinate, all its components and series degrees, into one int of
 W-bit fields, so each output coordinate costs one big-int dot product per
 live term L, and a Vandermonde split of the falling factorials keeps the
-weight-dependent series out of the per-coordinate loop.  act_universal
-and act_family both reject a matrix outside the monoid (p | c, d a unit)
-with NotAdmissible.  At weight chi, output coordinate i only depends on
-inputs j with (j - i)(p - 2)/(p - 1) < r, so each application consumes
-tail_width(p, r) stored coordinates.  At integer weight n, dropping
-coordinates beyond n (specialize) intertwines act_universal with act_sym
-exactly; between two integer weights congruent mod p^(r-1)(p-1),
-truncation to the smaller degree (congr_project) is equivariant mod p^r.
+weight-dependent series out of the per-coordinate loop.  The live L are
+those with c^L/L! != 0 mod p^r, read from padic._c_factors, the table
+padic sums for exp.  act_universal and act_family both reject a matrix
+outside the monoid (p | c, d a unit) with NotAdmissible.  At weight chi,
+output coordinate i only depends on inputs j with
+(j - i)(p - 2)/(p - 1) < r, so each application consumes tail_width(p, r)
+stored coordinates.  At integer weight n, dropping coordinates beyond n
+(specialize) intertwines act_universal with act_sym exactly; between two
+integer weights congruent mod p^(r-1)(p-1), truncation to the smaller
+degree (congr_project) is equivariant mod p^r.
 
 binom_identity evaluates both sides of the alternating-sum identity
   sum_m (-1)^(m-h) binom(n-m, i-m) C(j, m) C(m, h) = binom(n-j, i-h) C(j, h)
@@ -38,8 +40,7 @@ from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, NotAdmissible, PrecisionMismatch,
                      WidthInsufficient)
 from .linalg import pack_row, unpack_row
-from .padic import (PrecInt, Weight, binom, eval_char, tail_width, vp,
-                    vp_factorial)
+from .padic import PrecInt, Weight, _c_factors, binom, eval_char, tail_width
 
 
 def _entries_mod(mat, p, r):
@@ -165,26 +166,6 @@ class SeqVec:
     def __repr__(self):
         return (f"SeqVec(out={self.out_width}, stored={len(self.coords)}, "
                 f"mod {self.p}^{self.r})")
-
-
-def _c_factors(c, jmax, p, r):
-    """[c^m/m! mod p^r for m = 0..jmax] for c divisible by p (so each is
-    integral).  m v_p(c) - v_p(m!) >= m - (m-1)/(p-1) > m (p-2)/(p-1) >= r
-    once m >= tail_width(p, r), so only smaller m are computed."""
-    M = p ** r
-    cf = [1] + [0] * jmax
-    c %= M
-    if c == 0:
-        return cf
-    vc = vp(c, p)
-    u = c // p ** vc
-    for m in range(1, min(jmax + 1, tail_width(p, r))):
-        vfac = vp_factorial(m, p)
-        e = m * vc - vfac
-        if e < r:
-            unit = math.factorial(m) // p ** vfac
-            cf[m] = pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M
-    return cf
 
 
 def _act_window(mat, p, r, coords, base, scale, tail, out_width):

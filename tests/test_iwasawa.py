@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwl import iwasawa
-from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible, NotAUnit,
-                        NotOneUnit, PrecisionMismatch, WidthInsufficient)
+from pwl.errors import (DimensionMismatch, NotAdmissible, NotAUnit,
+                        PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, family_tail, sp_k, sp_vector)
 from pwl.gamma1 import in_gamma1
@@ -204,7 +203,9 @@ def test_one_n_matches_powers():
 
 
 def test_char_series_matches_character_eval():
-    # series route versus the Teichmuller-projection route
+    # series in X = k - zeta versus the value at k; both take log<u> from
+    # padic, so this checks the series and branch bookkeeping, while
+    # test_char_series_integer_powers checks against modular powers
     p, r, d = 3, 5, 4
     rng = random.Random(11)
     for _ in range(25):
@@ -221,6 +222,11 @@ def test_char_series_matches_character_eval():
 def test_char_series_guard():
     with pytest.raises(NotAUnit):
         char_series(6, 3, 3, 2)
+    # 4 mod 3 cannot give 4^k mod 3^4: sp_k(4, .) would read 1, not 13
+    for u in (PrecInt(3, 1, 4), PrecInt(3, 3, 4), PrecInt(5, 4, 4)):
+        with pytest.raises(PrecisionMismatch):
+            char_series(u, 3, 4, 4)
+    assert sp_k(4, char_series(PrecInt(3, 5, 4), 3, 4, 4)) == 13
 
 
 def test_specialization_is_ring_hom():
@@ -360,16 +366,6 @@ def test_weight_fn_precision_guard():
             f + g
         with pytest.raises(PrecisionMismatch):
             f * g
-
-
-def test_log_one_unit_guards(monkeypatch):
-    # the log series needs a one-unit and v_p(m) <= 7 for m <= R + 8
-    with pytest.raises(BadRange):
-        iwasawa._log_one_unit(4, 3, 6553)
-    # unreachable with a correct unit_project: inject a non-one-unit
-    monkeypatch.setattr(iwasawa, "unit_project", lambda u: PrecInt(3, 2, 2))
-    with pytest.raises(NotOneUnit):
-        char_series(2, 3, 2, 2)
 
 
 def test_family_vec_rejects_raw_coordinates():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from pwl import padic
+from pwl.iwasawa import char_series
 from pwl.errors import (
     BadRange,
     PrecisionExhausted,
@@ -22,7 +23,6 @@ from pwl.padic import (
     binom_int,
     eval_char,
     pow_unit,
-    teichmuller,
     unit_project,
     vp,
     vp_factorial,
@@ -169,11 +169,16 @@ class TestUnitProject:
         assert unit_project(PrecInt(3, 2, 2)) == 7
 
     def test_teichmuller_is_root_of_unity(self):
+        # d / <d> is the Teichmuller lift of d: a (p-1)-st root of unity
+        # congruent to d mod p
         for p, r in [(3, 5), (5, 4), (7, 3)]:
-            for d in range(1, p):
-                w = teichmuller(PrecInt(p, r, d))
+            for d0 in range(1, p ** r):
+                if d0 % p == 0:
+                    continue
+                d = PrecInt(p, r, d0)
+                w = d * unit_project(d).inverse()
                 assert w ** (p - 1) == 1
-                assert w.res % p == d
+                assert w.res % p == d0 % p
 
     def test_identity_on_one_units(self):
         for p, r in [(3, 4), (5, 3)]:
@@ -212,19 +217,6 @@ class TestUnitProject:
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
             unit_project(PrecInt(3, 2, 3))
-
-    def test_teichmuller_fixed_point_trap(self, monkeypatch):
-        # unreachable with a correct modular power: inject a wrong one
-        monkeypatch.setattr(padic, "pow", lambda b, e, m: (b ** e + 1) % m,
-                            raising=False)
-        with pytest.raises(InternalInconsistency):
-            teichmuller(PrecInt(5, 3, 2))
-
-    def test_one_unit_trap(self, monkeypatch):
-        # unreachable with a correct Teichmuller lift: inject a wrong one
-        monkeypatch.setattr(padic, "teichmuller", lambda d: PrecInt(d.p, d.r, 1))
-        with pytest.raises(InternalInconsistency):
-            unit_project(PrecInt(3, 2, 2))
 
 
 class TestPowUnit:
@@ -306,6 +298,47 @@ class TestEvalChar:
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
             eval_char(Weight.of_int(2, 3, 2), PrecInt(3, 2, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exp_log_round_trip(p):
+    # at the exact stopping rule: the last m summed has m - lg(m) = R - 1,
+    # so u - 1 = p (a unit) makes its term nonzero whenever v_p(m) = lg(m)
+    rng = random.Random(p)
+    for R in range(1, 41):
+        M = p ** R
+        for u in (1 + p, 1 - p, 1 + p * rng.randrange(M), 1 + p ** 2):
+            assert padic._exp(padic._log_one_unit(u, p, R), p, R) == u % M
+
+
+def test_log_is_additive():
+    rng = random.Random(23)
+    for p in (3, 5, 7):
+        for R in range(1, 41):
+            M = p ** R
+            u, v = (1 + p * rng.randrange(M) for _ in range(2))
+            lhs = padic._log_one_unit(u * v, p, R)
+            rhs = padic._log_one_unit(u, p, R) + padic._log_one_unit(v, p, R)
+            assert lhs == rhs % M
+
+
+def test_log_one_unit_guards():
+    # the log series takes one-units only; _log_unit feeds it d^(p-1)
+    for u in (0, 2, 3, -1):
+        with pytest.raises(NotOneUnit):
+            padic._log_one_unit(u, 3, 4)
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (eval_char, (Weight.of_int(2, 5, 3), PrecInt(3, 3, 2)), PrecisionMismatch),
+    (pow_unit, (PrecInt(3, 3, 4), PrecInt(5, 3, 2)), PrecisionMismatch),
+    (eval_char, (Weight.of_int(2, 3, 3), PrecInt(3, 3, 3)), NotAUnit),
+    (pow_unit, (PrecInt(3, 3, 2), 5), NotOneUnit),
+    (char_series, (6, 3, 3, 2), NotAUnit),
+])
+def test_unit_power_errors(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 class TestReduceWeight:
