@@ -55,7 +55,7 @@ from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat
-from .padic import is_prime
+from .padic import _check_modulus, is_prime
 from .sympow import SymVec, act_sym, specialize, sym_matrix
 
 
@@ -63,6 +63,7 @@ class SymCoeffs:
     """Degree-n symmetric-power vectors mod p^r."""
 
     def __init__(self, p, r, n):
+        _check_modulus(p, r)
         self.p, self.r, self.n = p, r, n
 
     def dim(self):
@@ -94,6 +95,7 @@ class FamilyCoeffs:
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
+        _check_modulus(p, r)
         if stored_width < out_width:
             raise WidthInsufficient(
                 f"stored width {stored_width} is below out width {out_width}")

@@ -6,9 +6,11 @@ diagonal 1 mod N) inside SL_2(Z) correspond to unimodular bottom rows
 PSL_2(Z), which is freely generated modulo s^2 = u^3 = 1 by the rotation
 s = (0 -1; 1 0) and u = s * t with t the unit translation.  A breadth
 first Schreier transversal over the projective cosets (rows up to global
-sign) therefore yields a free generating set of rank 1 + mu/6, where mu
-is the projective index, plus a rewriting table expressing every directed
-coset edge as a word in the kept generators.  FreeBasisData keeps the
+sign) and one Reidemeister-Schreier rule over the cycles of s and of u
+(tree edges read (), each other edge but the last of a cycle is a new
+generator, the last reads the inverse of their product) give a free
+generating set of rank 1 + mu/6, where mu is the projective index, and a
+table writing every directed coset edge in it.  FreeBasisData keeps the
 projective cosets themselves (rows and the permutations perm_s, perm_u
 and perm_t) and, per coset x, the reduced word of one t-step, the width
 w_x of x's t-orbit (its cusp width, a divisor of N) and the loop word of
@@ -184,37 +186,25 @@ def free_basis(N):
 
     perm_s = [canon_i(d, -c) for (c, d) in rows]
     perm_u = [canon_i(d, d - c) for (c, d) in rows]
-    perm_u_inv = [0] * mu
-    for i, j in enumerate(perm_u):
-        perm_u_inv[j] = i
 
+    # breadth-first Schreier transversal by the steps s, u and u^-1 = u^2:
+    # (next coset, step, tree list, the two cosets it marks).  An s-step puts
+    # both ways of its pair in the tree, u^-1 the u-edge that ends at cur
     root = canon_i(0, 1)
     order = [root]
-    pos = {root: 0}
-    lifts = {root: IntMat.identity()}
-    tree = set()
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for g, e in (("s", 1), ("u", 1), ("u", -1)):
-            if g == "s":
-                nxt = perm_s[cur]
-            else:
-                nxt = perm_u[cur] if e == 1 else perm_u_inv[cur]
-            if nxt in pos:
-                continue
-            pos[nxt] = len(order)
-            order.append(nxt)
-            step = ROT if g == "s" else (SIX if e == 1 else SIX_INV)
-            lifts[nxt] = lifts[cur] * step
-            if g == "s":
-                tree.add((cur, "s"))
-                tree.add((nxt, "s"))
-            elif e == 1:
-                tree.add((cur, "u"))
-            else:
-                tree.add((nxt, "u"))
+    lifts = [None] * mu
+    lifts[root] = IntMat.identity()
+    tree_s, tree_u = [False] * mu, [False] * mu
+    for cur in order:  # order grows while it is walked
+        ns, nu = perm_s[cur], perm_u[cur]
+        nv = perm_u[nu]
+        for nxt, step, tree, x, y in ((ns, ROT, tree_s, cur, ns),
+                                      (nu, SIX, tree_u, cur, cur),
+                                      (nv, SIX_INV, tree_u, nv, nv)):
+            if lifts[nxt] is None:
+                lifts[nxt] = lifts[cur] * step
+                order.append(nxt)
+                tree[x] = tree[y] = True
     if len(order) != mu:
         raise InternalInconsistency(f"walk reached {len(order)} of {mu} cosets")
     for t in order:
@@ -226,61 +216,42 @@ def free_basis(N):
         m = lifts[t] * (ROT if g == "s" else SIX) * lifts[tgt].inverse()
         return _normalize_sign(m, N)
 
+    # the rule of the module docstring over s-pairs, then u-triangles, each
+    # read from its first coset in walk order
+    one = IntMat.identity()
     gens = []
     expr = {}
-    for t in order:
-        t2 = perm_s[t]
-        if t2 == t:
-            raise InternalInconsistency(f"s fixes coset {t}")
-        if pos[t2] < pos[t]:
-            continue
-        if (t, "s") in tree:
-            expr[(t, "s")] = ()
-            expr[(t2, "s")] = ()
-        else:
-            m = edge_matrix(t, "s")
-            if m == IntMat.identity():
-                raise InternalInconsistency("trivial letter on a non-tree edge")
-            gens.append(m)
-            k = len(gens)
-            expr[(t, "s")] = (k,)
-            expr[(t2, "s")] = (-k,)
-    seen = set()
-    for t in order:
-        if t in seen:
-            continue
-        cyc = [t, perm_u[t], perm_u[perm_u[t]]]
-        if len(set(cyc)) != 3:
-            raise InternalInconsistency(f"u has a short cycle through coset {t}")
-        seen.update(cyc)
-        stat = [(c, "u") in tree for c in cyc]
-        nontree = [i for i in range(3) if not stat[i]]
-        if not nontree:
-            raise InternalInconsistency(f"u-triangle at coset {t} is all tree")
-        for i in range(3):
-            if stat[i]:
-                expr[(cyc[i], "u")] = ()
-        if len(nontree) == 1:
-            # both neighbors are tree edges, so the triangle relation makes
-            # the remaining letter trivial
-            if edge_matrix(cyc[nontree[0]], "u") != IntMat.identity():
-                raise InternalInconsistency("triangle relation violated")
-            expr[(cyc[nontree[0]], "u")] = ()
-        elif len(nontree) == 2:
-            j = stat.index(True)
-            i1, i2 = (j + 1) % 3, (j + 2) % 3
-            gens.append(edge_matrix(cyc[i1], "u"))
-            k = len(gens)
-            expr[(cyc[i1], "u")] = (k,)
-            expr[(cyc[i2], "u")] = (-k,)
-        else:
-            gens.append(edge_matrix(cyc[0], "u"))
-            k1 = len(gens)
-            gens.append(edge_matrix(cyc[1], "u"))
-            k2 = len(gens)
-            expr[(cyc[0], "u")] = (k1,)
-            expr[(cyc[1], "u")] = (k2,)
-            expr[(cyc[2], "u")] = (-k2, -k1)
+    for g, perm, tree, n in (("s", perm_s, tree_s, 2), ("u", perm_u, tree_u, 3)):
+        seen = [False] * mu
+        for t in order:
+            if seen[t]:
+                continue
+            cyc = [t, perm[t], perm[perm[t]]][:n]
+            if len(set(cyc)) != n:
+                raise InternalInconsistency(f"{g} has a short cycle through coset {t}")
+            free = []
+            for c in cyc:
+                seen[c] = True
+                if tree[c]:
+                    expr[(c, g)] = ()
+                else:
+                    free.append(c)
+            # an s-pair in the tree is one edge walked both ways; a triangle
+            # is a cycle, which no tree holds
+            if not free and n == 3:
+                raise InternalInconsistency(f"u-triangle at coset {t} is all tree")
+            if len(free) == 1 and edge_matrix(free[0], g) != one:
+                raise InternalInconsistency(f"relator {g}^{n} fails at coset {t}")
+            word = ()
+            for c in free[:-1]:
+                m = edge_matrix(c, g)
+                if m == one:
+                    raise InternalInconsistency("trivial letter on a non-tree edge")
+                gens.append(m)
+                expr[(c, g)] = (len(gens),)
+                word = (-len(gens),) + word
+            if free:
+                expr[(free[-1], g)] = word
     if len(gens) != 1 + mu // 6:
         raise InternalInconsistency(
             f"basis has {len(gens)} letters, expected {1 + mu // 6}")
@@ -298,9 +269,8 @@ def free_basis(N):
             y, w = perm_t[y], w + 1
         width.append(w)
         loop.append(tuple(_free_reduce(word)))
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root,
-                         [lifts[t] for t in range(mu)], gens, expr, perm_t,
-                         t_word, width, loop)
+    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root, lifts, gens, expr,
+                         perm_t, t_word, width, loop)
     _verify_edges(data, edge_matrix)
     return data
 

@@ -28,6 +28,7 @@ it skips zero entries of its left operand, which pays on the sparse rows
 it is given (the free rows of U in cohomology's induced operator).
 """
 
+from .errors import DimensionMismatch
 from .padic import vp
 
 
@@ -185,8 +186,10 @@ def charpoly_mod(A, p, r):
     that pass and below (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3 < 2^w after.
     The recurrence packs P_m in w2-bit fields, below (n+2) M^2 < 2^w2.
     """
-    M = p ** r
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise DimensionMismatch(f"charpoly of a non-square {n}-row matrix")
+    M = p ** r
     w = ((n + 1) ** 2 * M ** 3).bit_length()
     mask = (1 << w) - 1
     cols = [pack_row([row[j] % M for row in A], w) for j in range(n)]

@@ -51,6 +51,14 @@ def is_prime(n):
     return n == 2 or _is_odd_prime(n)
 
 
+def _check_modulus(p, r):
+    """BadRange unless p is an odd prime and the precision r >= 1."""
+    if not _is_odd_prime(p):
+        raise BadRange(f"p must be an odd prime, got {p}")
+    if r < 1:
+        raise BadRange(f"precision must be >= 1, got {r}")
+
+
 def vp(n, p):
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -79,10 +87,7 @@ class PrecInt:
     __slots__ = ("p", "r", "res")
 
     def __init__(self, p, r, value):
-        if not _is_odd_prime(p):
-            raise BadRange(f"p must be an odd prime, got {p}")
-        if r < 1:
-            raise BadRange(f"precision must be >= 1, got {r}")
+        _check_modulus(p, r)
         self.p = p
         self.r = r
         self.res = value % (p ** r)

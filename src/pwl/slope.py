@@ -70,7 +70,8 @@ class NewtonPolygon:
 
 
 def newton_polygon(coeffs, p, r):
-    n = len(coeffs) - 1
+    if not coeffs:
+        raise BadRange("Newton polygon of an empty coefficient list")
     M = p ** r
     points = []
     censored = []
@@ -222,8 +223,8 @@ def slope_factor(P, s, p, r):
         raise BadRange(f"slope cut {s} is below 1")
     if r < 1:
         raise PrecisionExhausted("no working digits left for a slope split")
-    if P[-1] % p ** r != 1:
-        raise BadRange(f"leading coefficient {P[-1]} is not 1 mod {p}^{r}")
+    if not P or P[-1] % p ** r != 1:
+        raise BadRange(f"a {len(P)}-coefficient P is not monic mod {p}^{r}")
     low, unitpart = _unit_root_split(P, p, r)
     if s == 1:
         return unitpart, low, 0

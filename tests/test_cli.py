@@ -1,6 +1,7 @@
 """End-to-end checks of the installed command line entry point."""
 
 import hashlib
+import importlib
 import json
 import os
 import runpy
@@ -273,3 +274,17 @@ def test_family_job_is_pinned(capsys):
         job["main"](["--seed", str(seed)])
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, seed
+
+
+def test_trace_targets_resolve():
+    # a renamed layer would only show up as "missing" in a traced run, with
+    # its per-layer metric stuck at 0
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "trace_job.py")
+    targets = runpy.run_path(path, run_name="trace_job")["TARGETS"]
+    assert targets
+    for modname, attr_path, name, _ in targets:
+        owner = importlib.import_module(modname)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), name

@@ -518,6 +518,15 @@ def test_specialize_cocycle_rejects_negative_degree():
             specialize_cocycle(k, c_fam)
 
 
+@pytest.mark.parametrize("p, r", [(3, 0), (9, 2), (4, 2), (1, 2), (2, 3)])
+def test_coefficient_modules_check_their_modulus(p, r):
+    # p must be an odd prime and r >= 1, as for a PrecInt
+    with pytest.raises(BadRange):
+        SymCoeffs(p, r, 2)
+    with pytest.raises(BadRange):
+        FamilyCoeffs(p, r, 2, 1, 60)
+
+
 def test_family_coeffs_rejects_short_window():
     with pytest.raises(WidthInsufficient):
         FamilyCoeffs(3, 2, 2, 5, 4)

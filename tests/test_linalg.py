@@ -3,9 +3,11 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwl.errors import DimensionMismatch
 from pwl.linalg import charpoly_mod, identity_mat, mat_mul, mat_vec, smith_mod
 
 
@@ -355,3 +357,9 @@ def test_charpoly_cayley_hamilton():
                     acc[i][j] = (acc[i][j] + c * power[i][j]) % M
             power = mat_mul(power, A, M)
         assert acc == [[0] * 3 for _ in range(3)]
+
+
+@pytest.mark.parametrize("A", [[[1, 2]], [[1], [2]], [[1, 2], [3]]])
+def test_charpoly_rejects_non_square(A):
+    with pytest.raises(DimensionMismatch):
+        charpoly_mod(A, 3, 2)

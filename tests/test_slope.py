@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
-from pwl.errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
-                        NotInvertible, PrecisionExhausted)
+from pwl.errors import (AmbiguousAtPrecision, BadRange, DimensionMismatch,
+                        InternalInconsistency, NotInvertible,
+                        PrecisionExhausted)
 from pwl.gamma1 import free_basis
 from pwl.linalg import charpoly_mod, mat_mul, smith_mod
 from pwl.slope import newton_polygon, ps_tp_inv, slope_factor
@@ -268,6 +269,18 @@ def test_slope_factor_refuses_fractional_slopes():
 def test_slope_factor_rejects_non_monic():
     with pytest.raises(BadRange):
         slope_factor([3, 1, 2], 1, 5, 3)
+
+
+def test_empty_polynomials_raise_bad_range():
+    with pytest.raises(BadRange):
+        newton_polygon([], 3, 2)
+    with pytest.raises(BadRange):
+        slope_factor([], 1, 3, 2)
+
+
+def test_ps_tp_inv_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        ps_tp_inv([[1, 2]], 1, 3, 2)
 
 
 def test_slope_factor_rejects_cut_below_one():
