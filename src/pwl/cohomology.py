@@ -10,11 +10,12 @@ paths), and their values combine with + and -:
                  matrix action; n = 0 is Z/p^r with the trivial action;
   FamilyCoeffs   coordinate windows of weight-space functions acted on
                  through the interpolated family action (each action
-                 consumes one width tail).
+                 reads out_width + one tail and returns out_width).
 
 Cocycle.eval folds the defining identity c(gh) = c(g) + g.c(h) along the
 rewriting of a group element, applying exactly one coefficient action per
-letter so the family width cost of an evaluation is a single tail.
+letter, each to a stored value, so no action is applied to the result of
+another.
 
 Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
@@ -28,8 +29,8 @@ with no rep, or two reps of one coset, raises.  The operator value
 (A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
 (adjugate) on the left.  One walk, _partner_words, rewrites each partner
 word gamma_theta; hecke_images folds it from adj(A_theta) and
-hecke_matrix packs it, one coefficient action per letter, so a family
-window spends one tail per operator.  hecke_matrix assembles the
+hecke_matrix packs it, one coefficient action per letter on a stored
+value (a family image is out_width wide).  hecke_matrix assembles the
 operator as a matrix on stacked generator values in one pass over the
 rewritten words, on packed rows (linalg.pack_row, W-bit fields with W
 worked out from the longest generator's letter count): a letter
@@ -51,7 +52,8 @@ from operator import add, mul
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
-from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
+from .iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
+                      family_tail, sp_vector)
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat
@@ -90,8 +92,11 @@ class SymCoeffs:
 class FamilyCoeffs:
     """Windows of weight-space functions with the family action.
 
-    stored_width must budget one tail per action applied to a value: an
-    evaluation and a double-coset operator each cost one.
+    act reads the first out_width + family_tail coordinates of a stored
+    value and returns out_width, so stored_width must budget one tail.
+    Cocycle._fold and hecke_images act once on each stored value, and
+    zero() is out_width wide, so their results are out_width wide: a
+    second action on them raises WidthInsufficient.
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
@@ -105,10 +110,12 @@ class FamilyCoeffs:
 
     def zero(self):
         return FamilyVec.zero(self.p, self.r, self.d, self.out_width,
-                              self.stored_width)
+                              self.out_width)
 
     def act(self, mat, x):
-        return act_family(mat, x)
+        tail = family_tail(self.p, self.r, self.d)
+        return act_family(mat, FamilyVec(self.p, self.r, self.d, self.out_width,
+                                         x.coords[:self.out_width + tail]))
 
     def eq(self, x, y):
         return x.agrees(y, min(self.out_width, x.width(), y.width()))
@@ -116,9 +123,9 @@ class FamilyCoeffs:
     def rand(self, rng):
         M = self.p ** self.r
         nb = branch_count(self.p)
-        coords = [WeightFn(self.p, self.r, self.d,
-                           [[rng.randrange(M) for _ in range(self.d)]
-                            for _ in range(nb)])
+        coords = [WeightFn._raw(self.p, self.r, self.d,
+                                [[rng.randrange(M) for _ in range(self.d)]
+                                 for _ in range(nb)])
                   for _ in range(self.stored_width)]
         return FamilyVec(self.p, self.r, self.d, self.out_width, coords)
 

@@ -18,7 +18,9 @@ component per branch: the kernel packs every branch and series coefficient
 of a coordinate into one int, so one big-int dot product per live term
 covers all of them.  Coordinate j influences output i only when
 j - i < p(r + d), so each application consumes family_tail(p, r, d)
-stored coordinates.
+stored coordinates.  The value path (cohomology.FamilyCoeffs.act) reads
+out_width + family_tail coordinates of a stored value and returns
+out_width.
 """
 
 from .errors import (DimensionMismatch, NotAdmissible, PrecisionMismatch,

@@ -237,12 +237,15 @@ def _c_factors(c, jmax, p, r):
         return cf
     vc = vp(c, p)
     u = c // p ** vc
+    um, unit, vfac = 1, 1, 0  # u^m, m!/p^vfac mod p^r, v_p(m!)
     for m in range(1, min(jmax + 1, tail_width(p, r))):
-        vfac = vp_factorial(m, p)
+        k = m
+        while k % p == 0:
+            k, vfac = k // p, vfac + 1
+        um, unit = um * u % M, unit * k % M
         e = m * vc - vfac
         if e < r:
-            unit = math.factorial(m) // p ** vfac
-            cf[m] = pow(u, m, M) * pow(p, e, M) % M * pow(unit, -1, M) % M
+            cf[m] = um * pow(p, e, M) % M * pow(unit, -1, M) % M
     return cf
 
 

@@ -188,7 +188,13 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
     Packed layout: F_j = pack_row(coords[j], W) holds coordinate j in
     W-bit fields.  A sum of packed ints adds field by field, so D_L(i), on
     every component and degree at once, is the one int
-    sum(map(mul, row_i, F[L:])).  Row i + 1 comes from row i by Pascal's
+    sum(map(mul, row_i, F[L:])).  Only F_j with j < n + max(live L) are
+    packed: row_i has the i + 1 <= n entries h = 0..i, so D_L(i) reads
+    F_(h+L) with h + L <= (n - 1) + max(live L).  These all exist:
+    max(live L) < tail_width(p, r), the _c_factors cut, and
+    tail_width(p, r) = ceil(r (p-1)/(p-2)) <= 2r <= tail for both
+    adapters (tail_width itself, or p(r + d)), so n + max(live L) <
+    n + tail = width.  Row i + 1 comes from row i by Pascal's
     rule, row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later
     stage runs over all i at once: one comprehension per live L, per
     (t, L) and per (t, z) below.
@@ -251,7 +257,7 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
     e = [[(k, L - t, math.comb(L, t) * cf[L] * pow(dinv, L, M) % M)
           for k, L in enumerate(live) if L >= t] for t, _ in kept]
     G = [[pack_row(gz, W) for gz in gt] for _, gt in kept]
-    F = [pack_row(x, W) for x in coords]
+    F = [pack_row(x, W) for x in coords[:n + live[-1]]]
     rows = [[1]]  # row_i by Pascal's rule
     for _ in range(n - 1):
         row = rows[-1]

@@ -13,10 +13,11 @@ from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotCoprime, NotFreeModule, WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
-from pwl.iwasawa import family_tail
+from pwl.iwasawa import WeightFn, act_family, family_tail
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
 from pwl.sympow import SymVec
+from pwl.verify import rand_monoid_mat
 
 
 def coboundary(coeffs, basis, b):
@@ -487,6 +488,45 @@ def test_family_hecke_intertwines_specialization():
     assert len(got.values) == fb.rank() == 7
     for x, y in zip(got.values, want.values):
         assert c_sym.coeffs.eq(x, y)
+
+
+def test_family_action_returns_out_width():
+    # the value path acts on out_width + one tail and returns out_width:
+    # the first out_width coordinates of the full action, whatever the
+    # stored width, for monoid matrices and level-subgroup words
+    p, r, d, out = 3, 3, 2, 3
+    tail = family_tail(p, r, d)
+    fb = free_basis(9)
+    rng = random.Random(19)
+    for extra in (tail, 2 * tail):
+        co = FamilyCoeffs(p, r, d, out, out + extra)
+        for _ in range(3):
+            x = co.rand(rng)
+            # rand skips the validated constructor: shaped and reduced
+            assert all(WeightFn(p, r, d, f.comps).comps == f.comps
+                       for f in x.coords)
+            for m in (rand_monoid_mat(rng, p, r), rand_word_matrix(rng, fb)):
+                got = co.act(m, x)
+                assert len(got.coords) == out
+                assert [f.comps for f in got.coords] == [
+                    f.comps for f in act_family(m, x).coords[:out]]
+    co = FamilyCoeffs(p, r, d, out, out + tail - 1)
+    with pytest.raises(WidthInsufficient):
+        co.act(IntMat.identity(), co.rand(rng))
+
+
+def test_family_operator_values_are_out_width():
+    # each stored value is acted on once per operator, so an image value
+    # is out_width wide and a second action raises rather than guess
+    p, r, d, out = 3, 3, 2, 3
+    fb = free_basis(9)
+    co = FamilyCoeffs(p, r, d, out, out + 2 * family_tail(p, r, d))
+    img = hecke_images(Cocycle.random(co, fb, random.Random(23)),
+                       t_ell_reps(3, fb))
+    assert [len(v.coords) for v in img.values] == [out] * fb.rank()
+    assert len(co.zero().coords) == out
+    with pytest.raises(WidthInsufficient):
+        co.act(fb.gens[0], img.values[0])
 
 
 def test_family_preimage_round_trip():

@@ -14,8 +14,8 @@ from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
                          char_series, family_tail, sp_k, sp_vector)
 from pwl.gamma1 import in_gamma1
 from pwl.matrices import IntMat
-from pwl.padic import PrecInt, Weight, eval_char
-from pwl.sympow import act_universal
+from pwl.padic import PrecInt, Weight, eval_char, tail_width
+from pwl.sympow import SeqVec, act_universal
 
 
 def rand_fn(rng, p, r, d):
@@ -154,6 +154,42 @@ def test_act_family_field_bound_stress(p, r):
         top = WeightFn(p, r, d, [[M - 1] * d for _ in range(branch_count(p))])
         fam = FamilyVec(p, r, d, t, [top] * (2 * t))
         assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
+
+
+def max_live(c, p, r):
+    """The largest L with c^L/L! != 0 mod p^r, exactly; for p | c its
+    valuation is at least L - (L - 1)/(p - 1) >= (L + 1)/2, so L < 2r."""
+    return max(L for L in range(2 * r) if ref_cf(c, L, p, r))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_kernel_reads_nothing_past_the_last_live_term(p):
+    # D_L(i) = sum_(h <= i) row_i[h] x_(h+L) with i < n outputs, so no
+    # coordinate at index >= n + max live L is read: overwriting them all
+    # leaves both kernels unchanged.  v_p(c) = 1 gives the widest live L,
+    # and in the family the coordinate just below that index is read
+    rng = random.Random(60 + p)
+    n = 3
+    for r in range(1, 5):
+        M = p ** r
+        c = p * (p + 1)
+        mat = IntMat(1 + M * p * (p + 1), rng.randrange(M), c, 1 + p)
+        cut = n + max_live(c, p, r)
+        chi = Weight(rng.randrange(p - 1), PrecInt(p, r, rng.randrange(M)))
+        seq = SeqVec(chi, n, [rng.randrange(M)
+                              for _ in range(n + tail_width(p, r))])
+        junk = SeqVec(chi, n, seq.coords[:cut]
+                      + [rng.randrange(M) for _ in seq.coords[cut:]])
+        assert act_universal(mat, junk).coords == act_universal(mat, seq).coords
+        d = 1 if p == 7 else 2
+        fam = rand_fam(rng, p, r, d, n, n + family_tail(p, r, d))
+        want = act_family(mat, fam).coords
+        junk = FamilyVec(p, r, d, n, fam.coords[:cut]
+                         + [rand_fn(rng, p, r, d) for _ in fam.coords[cut:]])
+        assert_same_residues(act_family(mat, junk), want)
+        read = FamilyVec(p, r, d, n, fam.coords[:cut - 1]
+                         + [rand_fn(rng, p, r, d)] + fam.coords[cut:])
+        assert act_family(mat, read).coords != want
 
 
 def branch_fn(zeta, p, r, d):

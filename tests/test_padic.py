@@ -1,6 +1,8 @@
+import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -298,6 +300,25 @@ class TestEvalChar:
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
             eval_char(Weight.of_int(2, 3, 2), PrecInt(3, 2, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_c_factors_match_exact_fractions(p):
+    # the table carries u^m, the unit part of m! and v_p(m!) from m to
+    # m + 1; the oracle is c^m/m! in lowest terms, and jmax runs past
+    # tail_width so the zero tail is checked too
+    rng = random.Random(70 + p)
+    for r in range(1, 13):
+        M = p ** r
+        jmax = padic.tail_width(p, r) + 3
+        for vc in (1, 2, 3):
+            for _ in range(3):
+                c = p ** vc * (p * rng.randrange(M) + rng.randrange(1, p))
+                want = []
+                for m in range(jmax + 1):
+                    q = Fraction(c ** m, math.factorial(m))
+                    want.append(q.numerator * pow(q.denominator, -1, M) % M)
+                assert padic._c_factors(c, jmax, p, r) == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
