@@ -16,8 +16,8 @@ import time
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
 from .gamma1 import free_basis
-from .iwasawa import branch_count, family_tail
-from .padic import _is_odd_prime, is_prime
+from .iwasawa import branch_count
+from .padic import _is_odd_prime, is_prime, tail_width
 from .qexp import eisenstein, hecke_t, pairing, trivial_char
 from .slope import newton_polygon, slope_factor
 from .verify import SUITES, run_suite
@@ -105,7 +105,7 @@ def slopes(a):
 
 def family(a):
     """Size a coordinate window for computations over the weight space."""
-    tail = family_tail(a.prime, a.precision, a.degree)
+    tail = tail_width(a.prime, a.precision)
     return {"prime": a.prime, "precision": a.precision, "degree": a.degree,
             "branches": branch_count(a.prime), "tail": tail,
             "out_width": a.out_width, "actions": a.actions,
@@ -139,7 +139,7 @@ COMMANDS = [
     ("family", family, [
         _PRIME, _PRECISION,
         ("--degree", dict(type=_at_least("--degree", 1), required=True,
-                          help="Weight-series truncation order d, mod X^d.")),
+                          help="Weight-series order d, mod X^d; only echoed.")),
         ("--out-width", dict(type=_at_least("--out-width", 1), default=1,
                              help="Certified coordinates (default: %(default)s).")),
         ("--actions", dict(type=_at_least("--actions", 0), default=1,

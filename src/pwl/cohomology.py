@@ -10,7 +10,8 @@ paths), and their values combine with + and -:
                  matrix action; n = 0 is Z/p^r with the trivial action;
   FamilyCoeffs   coordinate windows of weight-space functions acted on
                  through the interpolated family action (each action
-                 reads out_width + one tail and returns out_width).
+                 reads out_width + tail_width(p, r) coordinates and
+                 returns out_width).
 
 Cocycle.eval folds the defining identity c(gh) = c(g) + g.c(h) along the
 rewriting of a group element, applying exactly one coefficient action per
@@ -52,12 +53,11 @@ from operator import add, mul
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
-from .iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
-                      family_tail, sp_vector)
+from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
                      smith_mod, unpack_row)
 from .matrices import IntMat
-from .padic import _check_modulus, is_prime
+from .padic import _check_modulus, is_prime, tail_width
 from .sympow import SymVec, act_sym, specialize, sym_matrix
 
 
@@ -92,11 +92,11 @@ class SymCoeffs:
 class FamilyCoeffs:
     """Windows of weight-space functions with the family action.
 
-    act reads the first out_width + family_tail coordinates of a stored
-    value and returns out_width, so stored_width must budget one tail.
-    Cocycle._fold and hecke_images act once on each stored value, and
-    zero() is out_width wide, so their results are out_width wide: a
-    second action on them raises WidthInsufficient.
+    The one place that names an output width: act reads the first
+    out_width + tail_width(p, r) coordinates of a stored value (fewer
+    raise WidthInsufficient) and returns out_width.  Cocycle._fold and
+    hecke_images act once on each stored value, and zero() is out_width
+    wide, so their results are out_width wide: a second action raises.
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
@@ -109,16 +109,17 @@ class FamilyCoeffs:
         self.stored_width = stored_width
 
     def zero(self):
-        return FamilyVec.zero(self.p, self.r, self.d, self.out_width,
-                              self.out_width)
+        return FamilyVec.zero(self.p, self.r, self.d, self.out_width)
 
     def act(self, mat, x):
-        tail = family_tail(self.p, self.r, self.d)
-        return act_family(mat, FamilyVec(self.p, self.r, self.d, self.out_width,
-                                         x.coords[:self.out_width + tail]))
+        w = self.out_width + tail_width(self.p, self.r)
+        if len(x.coords) < w:
+            raise WidthInsufficient(
+                f"a stored value needs {w} coordinates, has {len(x.coords)}")
+        return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
 
     def eq(self, x, y):
-        return x.agrees(y, min(self.out_width, x.width(), y.width()))
+        return x.agrees(y, self.out_width)
 
     def rand(self, rng):
         M = self.p ** self.r
@@ -127,7 +128,7 @@ class FamilyCoeffs:
                                 [[rng.randrange(M) for _ in range(self.d)]
                                  for _ in range(nb)])
                   for _ in range(self.stored_width)]
-        return FamilyVec(self.p, self.r, self.d, self.out_width, coords)
+        return FamilyVec(self.p, self.r, self.d, coords)
 
 
 class Cocycle:
@@ -435,7 +436,7 @@ def family_preimage(cocycle, d):
             comps = [[0] * d for _ in range(branch_count(p))]
             comps[zeta][0] = x
             coords.append(WeightFn(p, r, d, comps))
-        F = FamilyVec(p, r, d, out_width, coords)
+        F = FamilyVec(p, r, d, coords)
         if specialize(sp_vector(k, F), k - 2) != v:
             raise InternalInconsistency("family preimage fails to specialize")
         values.append(F)

@@ -11,22 +11,28 @@ sp_k evaluates at an integer weight k: branch k mod p(p-1), X = k minus
 the branch residue; the substituted value has valuation >= 1, so the
 result carries precision min(r, d).
 
-A FamilyVec is a coordinate window whose entries are such functions;
-act_family applies the weight-minus-2 family of symmetric-power actions,
-running sympow._act_window (the same kernel as act_universal) with one
-component per branch: the kernel packs every branch and series coefficient
-of a coordinate into one int, so one big-int dot product per live term
-covers all of them.  Coordinate j influences output i only when
-j - i < p(r + d), so each application consumes family_tail(p, r, d)
-stored coordinates.  The value path (cohomology.FamilyCoeffs.act) reads
-out_width + family_tail coordinates of a stored value and returns
-out_width.
+A FamilyVec is a coordinate window whose entries are such functions, and
+its length is its certified width; act_family applies the weight-minus-2
+family of symmetric-power actions, running sympow._act_window (the same
+kernel as act_universal) with one component per branch: the kernel packs
+every branch and series coefficient of a coordinate into one int, so one
+big-int dot product per live term covers all of them.
+
+The family action uses up the universal tail, tail_width(p, r)
+coordinates, for every series degree d.  Input j reaches output i only
+through terms c^L/L! with L = j - h >= j - i (h <= i), and c^L/L! = 0 mod
+p^r once L >= tail_width(p, r), as p | c.  Every other factor on such a
+term is integral: (kappa - i)_L is a polynomial in X over Z, d^-1 is a
+unit, the binomial rows C(i, h) a^h b^(i-h) are integers, and the branch
+scale char_series(d) d^-2 has integral series.  So a dropped term is 0
+mod (p^r, X^d), and output i reads only inputs j < i + tail_width(p, r).
+The value path (cohomology.FamilyCoeffs.act) reads out_width +
+tail_width(p, r) coordinates of a stored value and returns out_width.
 """
 
-from .errors import (DimensionMismatch, NotAdmissible, PrecisionMismatch,
-                     WidthInsufficient)
-from .padic import PrecInt, Weight, _c_factors, _log_unit
-from .sympow import SeqVec, _act_window
+from .errors import DimensionMismatch, NotAdmissible, PrecisionMismatch
+from .padic import PrecInt, Weight, _c_factors, _check_modulus, _log_unit
+from .sympow import SeqVec, _act_window, _check_widths
 
 
 def _series_mul(a, b, M, d):
@@ -45,7 +51,9 @@ def branch_count(p):
 
 
 def family_tail(p, r, d):
-    """Stored coordinates consumed by one family action."""
+    """p(r + d), a window budget that no action reads: every action uses up
+    tail_width(p, r) coordinates.  It stays only because
+    perfbench/family_job.py sizes its pinned window with it."""
     return p * (r + d)
 
 
@@ -55,6 +63,7 @@ class WeightFn:
     __slots__ = ("p", "r", "d", "comps")
 
     def __init__(self, p, r, d, comps):
+        _check_modulus(p, r)
         nb = branch_count(p)
         if len(comps) != nb or any(len(c) != d for c in comps):
             raise DimensionMismatch(
@@ -162,54 +171,44 @@ def sp_k(k, fn):
 
 
 class FamilyVec:
-    """Coordinate window with WeightFn entries; surplus beyond out_width is
-    working room consumed by act_family."""
+    """Coordinate window with WeightFn entries; its length is its certified
+    width, and act_family uses up tail_width(p, r) of it."""
 
-    __slots__ = ("p", "r", "d", "out_width", "coords")
+    __slots__ = ("p", "r", "d", "coords")
 
-    def __init__(self, p, r, d, out_width, coords):
-        if len(coords) < out_width:
-            raise WidthInsufficient(
-                f"{len(coords)} coordinates cannot certify width {out_width}")
+    def __init__(self, p, r, d, coords):
         if not all(isinstance(c, WeightFn) for c in coords):
             raise NotAdmissible("family coordinates must be WeightFn")
         if any((c.p, c.r, c.d) != (p, r, d) for c in coords):
             raise PrecisionMismatch(f"coordinates not mod ({p}^{r}, X^{d})")
         self.p, self.r, self.d = p, r, d
-        self.out_width = out_width
         self.coords = list(coords)
 
     @classmethod
-    def zero(cls, p, r, d, out_width, width):
-        return cls(p, r, d, out_width,
-                   [WeightFn.zero(p, r, d) for _ in range(width)])
-
-    def width(self):
-        return len(self.coords)
+    def zero(cls, p, r, d, width):
+        return cls(p, r, d, [WeightFn.zero(p, r, d) for _ in range(width)])
 
     def __add__(self, other):
-        n = min(len(self.coords), len(other.coords))
         return FamilyVec(self.p, self.r, self.d,
-                         min(self.out_width, other.out_width),
-                         [x + y for x, y in zip(self.coords[:n], other.coords[:n])])
+                         [x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        n = min(len(self.coords), len(other.coords))
         return FamilyVec(self.p, self.r, self.d,
-                         min(self.out_width, other.out_width),
-                         [x - y for x, y in zip(self.coords[:n], other.coords[:n])])
+                         [x - y for x, y in zip(self.coords, other.coords)])
 
     def agrees(self, other, width):
+        _check_widths(self, other, width)
         return all(x == y for x, y in
                    zip(self.coords[:width], other.coords[:width]))
 
     def __repr__(self):
-        return (f"FamilyVec(out={self.out_width}, stored={len(self.coords)}, "
+        return (f"FamilyVec(width={len(self.coords)}, "
                 f"mod ({self.p}^{self.r}, X^{self.d}))")
 
 
 def act_family(mat, fam):
-    """Apply the weight-minus-2 family action; consumes family_tail coords.
+    """Apply the weight-minus-2 family action; uses up tail_width(p, r)
+    coordinates, whatever the series degree.
 
     _act_window with one component per branch zeta, at the weight
     zeta - 2 + X, scaled by char_series(d) d^-2: the factor d^(z - 2) in
@@ -225,15 +224,13 @@ def act_family(mat, fam):
 
     out = _act_window(mat, p, r,
                       [[x for c in f.comps for x in c] for f in fam.coords],
-                      range(-2, branch_count(p) - 2), scale,
-                      family_tail(p, r, dd), fam.out_width)
-    return FamilyVec(p, r, dd, fam.out_width,
-                     [WeightFn._raw(p, r, dd, coord) for coord in out])
+                      range(-2, branch_count(p) - 2), scale)
+    return FamilyVec(p, r, dd, [WeightFn._raw(p, r, dd, coord) for coord in out])
 
 
 def sp_vector(k, fam):
     """Specialize every coordinate at weight k, landing at weight k - 2."""
     rr = min(fam.r, fam.d)
     chi = Weight.of_int(k - 2, fam.p, rr)
-    return SeqVec(chi, fam.out_width, [sp_k(k, c).res for c in fam.coords])
+    return SeqVec(chi, [sp_k(k, c).res for c in fam.coords])
 

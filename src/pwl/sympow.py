@@ -20,10 +20,10 @@ live term L, and a Vandermonde split of the falling factorials keeps the
 weight-dependent series out of the per-coordinate loop.  The live L are
 those with c^L/L! != 0 mod p^r, read from padic._c_factors, the table
 padic sums for exp.  act_universal and act_family both reject a matrix
-outside the monoid (p | c, d a unit) with NotAdmissible.  At weight chi,
-output coordinate i only depends on inputs j with
-(j - i)(p - 2)/(p - 1) < r, so each application consumes tail_width(p, r)
-stored coordinates.  At integer weight n, dropping coordinates beyond n
+outside the monoid (p | c, d a unit) with NotAdmissible.  Output i only
+reads inputs j < i + tail_width(p, r), at weight chi and in the family
+alike, so a window of length w certifies w - tail_width(p, r) outputs.
+At integer weight n, dropping coordinates beyond n
 (specialize) intertwines act_universal with act_sym exactly; between two
 integer weights congruent mod p^(r-1)(p-1), truncation to the smaller
 degree (congr_project) is equivariant mod p^r.
@@ -40,7 +40,8 @@ from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, NotAdmissible, PrecisionMismatch,
                      WidthInsufficient)
 from .linalg import pack_row, unpack_row
-from .padic import PrecInt, Weight, _c_factors, binom, eval_char, tail_width
+from .padic import (PrecInt, Weight, _c_factors, _check_modulus, binom,
+                    eval_char, tail_width)
 
 
 def _entries_mod(mat, p, r):
@@ -54,6 +55,7 @@ class SymVec:
     __slots__ = ("p", "r", "n", "coords")
 
     def __init__(self, p, r, n, coords):
+        _check_modulus(p, r)
         if n < 0:
             raise BadRange(f"symmetric power degree {n} is negative")
         if len(coords) != n + 1:
@@ -133,30 +135,34 @@ def act_sym(mat, v):
     return SymVec(v.p, v.r, v.n, out)
 
 
+def _check_widths(x, y, width):
+    """WidthInsufficient unless both windows hold `width` coordinates."""
+    if min(len(x.coords), len(y.coords)) < width:
+        raise WidthInsufficient(f"cannot compare {width} coordinates of "
+                                f"windows of {len(x.coords)} and {len(y.coords)}")
+
+
 class SeqVec:
     """Window of coordinates at weight chi over Z/p^r.
 
-    coords may exceed out_width; the surplus is working room consumed by
-    each action (tail_width coordinates per application).
+    Its certified width is its length; each action uses up tail_width(p, r)
+    trailing coordinates and returns the rest.
     """
 
-    __slots__ = ("p", "r", "chi", "out_width", "coords")
+    __slots__ = ("p", "r", "chi", "coords")
 
-    def __init__(self, chi, out_width, coords):
+    def __init__(self, chi, coords):
         if not isinstance(chi, Weight):
             raise BadWeight(f"{chi!r} is not a Weight")
-        if len(coords) < out_width:
-            raise WidthInsufficient(
-                f"{len(coords)} coordinates cannot certify width {out_width}")
         self.p, self.r = chi.p, chi.r
         self.chi = chi
-        self.out_width = out_width
         M = self.p ** self.r
         self.coords = [c % M for c in coords]
 
     def agrees(self, other, width):
         """Equality of the first `width` coordinates mod p^min(r, r');
         False across primes or weights."""
+        _check_widths(self, other, width)
         if self.p != other.p or self.chi != other.chi:
             return False
         m = self.p ** min(self.r, other.r)
@@ -164,11 +170,10 @@ class SeqVec:
                    for x, y in zip(self.coords[:width], other.coords[:width]))
 
     def __repr__(self):
-        return (f"SeqVec(out={self.out_width}, stored={len(self.coords)}, "
-                f"mod {self.p}^{self.r})")
+        return f"SeqVec(width={len(self.coords)}, mod {self.p}^{self.r})"
 
 
-def _act_window(mat, p, r, coords, base, scale, tail, out_width):
+def _act_window(mat, p, r, coords, base, scale):
     """The weight action on windows of truncated series mod (p^r, X^dd).
 
     coords[j] is coordinate j: nz dd residues mod M = p^r, component-major,
@@ -178,26 +183,23 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
       g_z sum_L (kappa_z - i)_L (c^L/L!) d^-(i+L) D_L(i)_z,
       D_L(i) = sum_h row_i[h] x_(h+L),  row_i[h] = C(i,h) a^h b^(i-h),
     with g = scale(d) and (x)_L = x (x - 1) ... (x - L + 1).  The monoid
-    (p | c, d a unit) is checked before scale takes a power of d.  As
-    p | c, c^L/L! = 0 mod p^r once L v_p(c) - v_p(L!) >= r (for a
-    level-subgroup matrix, v_p(c) >= v_p(N)); only the live L with
-    c^L/L! != 0 are summed.  The skipped terms are exactly zero, so tail
-    stays the certified-width bound.  Returns each output coordinate as
-    its list of nz series.
+    (p | c, d a unit) is checked before scale takes a power of d.  Only
+    the live L, c^L/L! != 0 mod p^r, are summed: each is below
+    tail = tail_width(p, r) (the _c_factors cut), and a dead term is 0 mod
+    (p^r, X^dd) (proof in the iwasawa docstring).  So output i reads x_j
+    only for j = h + L < i + tail, and a window of width = len(coords)
+    certifies its n = width - tail outputs; n < 1 raises WidthInsufficient.
+    Returns each output coordinate as its list of nz series.
 
     Packed layout: F_j = pack_row(coords[j], W) holds coordinate j in
     W-bit fields.  A sum of packed ints adds field by field, so D_L(i), on
     every component and degree at once, is the one int
-    sum(map(mul, row_i, F[L:])).  Only F_j with j < n + max(live L) are
-    packed: row_i has the i + 1 <= n entries h = 0..i, so D_L(i) reads
-    F_(h+L) with h + L <= (n - 1) + max(live L).  These all exist:
-    max(live L) < tail_width(p, r), the _c_factors cut, and
-    tail_width(p, r) = ceil(r (p-1)/(p-2)) <= 2r <= tail for both
-    adapters (tail_width itself, or p(r + d)), so n + max(live L) <
-    n + tail = width.  Row i + 1 comes from row i by Pascal's
-    rule, row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later
-    stage runs over all i at once: one comprehension per live L, per
-    (t, L) and per (t, z) below.
+    sum(map(mul, row_i, F[L:])).  Only F_j with j < n + max(live L) <=
+    width - 1 are packed, since D_L(i) reads F_(h+L) with h <= i <= n - 1.
+    Row i + 1 comes from row i by Pascal's rule,
+    row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later stage runs
+    over all i at once: one comprehension per live L, per (t, L) and per
+    (t, z) below.
 
     Vandermonde regrouping about s = base[0]:
       (kappa - i)_L = sum_t C(L,t) (kappa - s)_t (s - i)_(L-t),
@@ -218,7 +220,7 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
     so W must hold every field exactly.  The coordinates (SeqVec and
     WeightFn keep them reduced), row_i, e_(t,L)(i) and G are residues in
     [0, M).  A field of D_L(i) sums at most i + 1 <= n products
-    row_i[h] x, n = width - tail the number of outputs, so it is at most
+    row_i[h] x, n the number of outputs, so it is at most
     n (M-1)^2; a field of B_t(i) sums at most |live L| of these times some
     e <= M - 1; field k of a block times G_(t,z) sums at most
     min(k + 1, 2 dd - 1 - k) <= dd products, and the output adds T of
@@ -227,11 +229,11 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
     no field carries into the next, and each block, product and unpack
     reads exact integers.
     """
-    width = len(coords)
+    width, tail = len(coords), tail_width(p, r)
     n = width - tail
-    if n < out_width:
+    if n < 1:
         raise WidthInsufficient(
-            f"need {out_width + tail} stored coordinates, have {width}")
+            f"{width} coordinates leave no output past a tail of {tail}")
     a, b, c, d = _entries_mod(mat, p, r)
     if c % p or d % p == 0:
         raise NotAdmissible(
@@ -286,7 +288,7 @@ def _act_window(mat, p, r, coords, base, scale, tail, out_width):
 
 
 def act_universal(mat, seq):
-    """Apply the weight-chi action; consumes tail_width stored coordinates.
+    """Apply the weight-chi action; uses up tail_width(p, r) coordinates.
 
     _act_window on one component of constants (dd = 1) at the wild part w
     of chi, scaled by d^chi, so the falling factorials are (w - i)_L.
@@ -294,9 +296,8 @@ def act_universal(mat, seq):
     """
     chi, p, r = seq.chi, seq.p, seq.r
     out = _act_window(mat, p, r, [[x] for x in seq.coords], [chi.wild.res],
-                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]],
-                      tail_width(p, r), seq.out_width)
-    return SeqVec(chi, seq.out_width, [x[0][0] for x in out])
+                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]])
+    return SeqVec(chi, [x[0][0] for x in out])
 
 
 def specialize(seq, n):
@@ -308,9 +309,9 @@ def specialize(seq, n):
     p, r = seq.p, seq.r
     if seq.chi.tame != n % (p - 1) or seq.chi.wild != n:
         raise BadWeight(f"weight is not the integer weight {n}")
-    if seq.out_width < n + 1 or len(seq.coords) < n + 1:
+    if len(seq.coords) < n + 1:
         raise WidthInsufficient(
-            f"need {n + 1} certified coordinates, have out_width {seq.out_width}")
+            f"need {n + 1} coordinates, have {len(seq.coords)}")
     return SymVec(p, r, n, seq.coords[:n + 1])
 
 

@@ -11,9 +11,11 @@ the order they run in.
 The suites take their sizes as keywords, defaulting to the sizes of
 `pwl verify`: precision, degree and trials (action); span, top, digits
 and trials (identity); trials (congruence and truncate); precision,
-eigenvalues and reorder (hecke); pairs and powers (slope).
-tests/test_acceptance.py runs the same suites at its own sizes, so each
-invariant is written once.
+eigenvalues and reorder (hecke); pairs and powers (slope).  The truncate
+suite's family windows hold tail_width(p, r) coordinates past its
+outputs, the tail every weight action uses up.  An unknown suite name
+raises BadRange.  tests/test_acceptance.py runs the same suites at its
+own sizes, so each invariant is written once.
 """
 
 import random
@@ -21,7 +23,7 @@ import random
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import BadLevel, BadRange, ContractViolated
 from .gamma1 import free_basis, in_gamma1
-from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, family_tail
+from .iwasawa import FamilyVec, WeightFn, act_family, branch_count
 from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
 from .matrices import IntMat
 from .padic import PrecInt, Weight, vp, vp_factorial
@@ -64,7 +66,7 @@ def suite_action(seed=0, precision=4, degree=3, trials=6):
             for _ in range(trials):
                 m1 = rand_monoid_mat(rng, p, precision)
                 m2 = rand_monoid_mat(rng, p, precision)
-                F = SeqVec(chi, degree, [rng.randrange(M) for _ in range(width)])
+                F = SeqVec(chi, [rng.randrange(M) for _ in range(width)])
                 lhs = act_universal(m1 * m2, F)
                 rhs = act_universal(m1, act_universal(m2, F))
                 _check(lhs.agrees(rhs, degree), "action composition law fails",
@@ -225,22 +227,15 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
     rng = random.Random(seed)
     fb = free_basis(N)
     vN = vp(N, p)
-    tail = family_tail(p, r, d)
-    out = k0 + 1                       # two coordinates past the window
-    width = out + tail
+    width = k0 + 1 + tail_width(p, r)  # two outputs past the window
     nb = branch_count(p)
     M = p ** r
     checked_group = checked_translate = 0
     for trial in range(trials):
-        coords = []
-        for i in range(width):
-            if i < k0 - 1:
-                coords.append(WeightFn.zero(p, r, d))
-            else:
-                coords.append(WeightFn(p, r, d,
-                                       [[rng.randrange(M) for _ in range(d)]
-                                        for _ in range(nb)]))
-        F = FamilyVec(p, r, d, out, coords)
+        F = FamilyVec(p, r, d, [WeightFn.zero(p, r, d)] * (k0 - 1) + [
+            WeightFn(p, r, d, [[rng.randrange(M) for _ in range(d)]
+                               for _ in range(nb)])
+            for _ in range(k0 - 1, width)])
 
         m = fb.gens[rng.randrange(fb.rank())]
         gam = m if rng.random() < 0.5 else m.inverse()
@@ -251,8 +246,7 @@ def verify_truncate_lemma(N, s, k0, p, r, d, trials=20, seed=0):
             raise ContractViolated("word leaves the level subgroup",
                                    payload={"matrix": gam.entries()})
         out_g = act_family(gam, F)
-        for i in range(min(k0 - 1, len(out_g.coords))):
-            fn = out_g.coords[i]
+        for i, fn in enumerate(out_g.coords[:k0 - 1]):
             for zeta in range(nb):
                 if not _ideal_member(fn.comps[zeta], vN, zeta - k0, p, r, d):
                     raise ContractViolated(
@@ -287,6 +281,8 @@ def run_suite(name, seed=0):
         return {"suite": "all", "passed": all(r["passed"] for r in reports),
                 "checks": sum(r["checks"] for r in reports),
                 "reports": reports}
+    if name not in _TABLE:
+        raise BadRange(f"no suite {name!r}; choose from all, {', '.join(SUITES)}")
     return _TABLE[name](seed)
 
 

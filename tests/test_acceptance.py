@@ -14,8 +14,7 @@ from fractions import Fraction
 from pwl.cohomology import (Cocycle, SymCoeffs, family_preimage, h1,
                             specialize_cocycle)
 from pwl.gamma1 import free_basis
-from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
-                         family_tail, sp_vector)
+from pwl.iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from pwl.padic import Weight
 from pwl.qexp import eisenstein, hecke_t, pairing, trivial_char
 from pwl.sympow import SeqVec, act_sym, act_universal, specialize, tail_width
@@ -56,8 +55,7 @@ def test_criterion_03_specialization_equivariance():
         rng = random.Random(300 + n)
         for _ in range(20):
             m = rand_monoid_mat(rng, p, r)
-            seq = SeqVec(chi, n + 1,
-                         [rng.randrange(p ** r) for _ in range(n + 1 + t)])
+            seq = SeqVec(chi, [rng.randrange(p ** r) for _ in range(n + 1 + t)])
             lhs = specialize(act_universal(m, seq), n)
             rhs = act_sym(m, specialize(seq, n))
             assert lhs == rhs
@@ -72,10 +70,11 @@ def test_criterion_04_congruence_projection():
 
 def test_criterion_05_family_specialization_intertwining():
     t0 = time.perf_counter()
+    # windows of 28 coordinates certify 28 - tail_width(3, 4) = 20 outputs,
+    # at precision min(r, d) = 4 after specialization too
     p, r, d = 3, 4, 4
-    tail = family_tail(p, r, d)
-    width = 4 + tail
-    assert width == 28
+    width = 28
+    assert width - tail_width(p, r) == 20
     M = p ** r
     nb = branch_count(p)
     for k in (2, 3, 4, 7):
@@ -86,10 +85,10 @@ def test_criterion_05_family_specialization_intertwining():
                                [[rng.randrange(M) for _ in range(d)]
                                 for _ in range(nb)])
                       for _ in range(width)]
-            F = FamilyVec(p, r, d, 4, coords)
+            F = FamilyVec(p, r, d, coords)
             lhs = sp_vector(k, act_family(m, F))
             rhs = act_universal(m, sp_vector(k, F))
-            assert lhs.agrees(rhs, 4)
+            assert lhs.agrees(rhs, 20)
     stamp("criterion 05 family intertwining", t0, 30.0)
 
 

@@ -62,12 +62,16 @@ def test_slopes_command():
 
 
 def test_family_window_calculator():
-    res = run_cli("--no-meta", "family", "--prime", "3", "--precision", "4",
-                  "--degree", "4", "--out-width", "3", "--actions", "2")
-    doc = json.loads(res.stdout)
-    assert doc == {"prime": 3, "precision": 4, "degree": 4, "branches": 6,
-                   "tail": 24, "out_width": 3, "actions": 2,
-                   "stored_width": 51, "schema": 1}
+    # each action uses up tail_width(3, 4) = 8 coordinates; the degree is
+    # only echoed, as the tail does not depend on it
+    for degree in ("1", "4", "9"):
+        res = run_cli("--no-meta", "family", "--prime", "3", "--precision",
+                      "4", "--degree", degree, "--out-width", "3",
+                      "--actions", "2")
+        doc = json.loads(res.stdout)
+        assert doc == {"prime": 3, "precision": 4, "degree": int(degree),
+                       "branches": 6, "tail": 8, "out_width": 3,
+                       "actions": 2, "stored_width": 19, "schema": 1}
 
 
 def test_eisenstein_command():

@@ -13,9 +13,10 @@ from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotCoprime, NotFreeModule, WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
-from pwl.iwasawa import WeightFn, act_family, family_tail
+from pwl.iwasawa import WeightFn, act_family
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
+from pwl.padic import tail_width
 from pwl.sympow import SymVec
 from pwl.verify import rand_monoid_mat
 
@@ -459,7 +460,7 @@ def test_specialize_commutes_with_eval():
     k = 4
     fb = free_basis(9)
     out = k - 1
-    co = FamilyCoeffs(p, r, d, out, out + family_tail(p, r, d))
+    co = FamilyCoeffs(p, r, d, out, out + tail_width(p, r))
     rng = random.Random(11)
     c_fam = Cocycle.random(co, fb, rng)
     c_sym = specialize_cocycle(k, c_fam)
@@ -473,13 +474,13 @@ def test_specialize_commutes_with_eval():
 def test_family_hecke_intertwines_specialization():
     # apply the p-operator in the family, specialize, and compare with the
     # symmetric-power operator applied to the specialized cocycle; one
-    # operator consumes one width tail
+    # operator uses up one tail
     p, r, d = 3, 4, 3
     k = 4
     fb = free_basis(9)
     reps = t_ell_reps(3, fb)
     out = k - 1
-    co = FamilyCoeffs(p, r, d, out, out + family_tail(p, r, d))
+    co = FamilyCoeffs(p, r, d, out, out + tail_width(p, r))
     rng = random.Random(13)
     c_fam = Cocycle.random(co, fb, rng)
     c_sym = specialize_cocycle(k, c_fam)
@@ -491,14 +492,15 @@ def test_family_hecke_intertwines_specialization():
 
 
 def test_family_action_returns_out_width():
-    # the value path acts on out_width + one tail and returns out_width:
+    # the value path acts on out_width + tail_width and returns out_width:
     # the first out_width coordinates of the full action, whatever the
-    # stored width, for monoid matrices and level-subgroup words
+    # stored width (p(r + d) is family_tail's budget), for monoid matrices and
+    # level-subgroup words; a stored value one coordinate short raises
     p, r, d, out = 3, 3, 2, 3
-    tail = family_tail(p, r, d)
+    tail = tail_width(p, r)
     fb = free_basis(9)
     rng = random.Random(19)
-    for extra in (tail, 2 * tail):
+    for extra in (tail, 2 * tail, p * (r + d)):
         co = FamilyCoeffs(p, r, d, out, out + extra)
         for _ in range(3):
             x = co.rand(rng)
@@ -520,7 +522,7 @@ def test_family_operator_values_are_out_width():
     # is out_width wide and a second action raises rather than guess
     p, r, d, out = 3, 3, 2, 3
     fb = free_basis(9)
-    co = FamilyCoeffs(p, r, d, out, out + 2 * family_tail(p, r, d))
+    co = FamilyCoeffs(p, r, d, out, out + 2 * tail_width(p, r))
     img = hecke_images(Cocycle.random(co, fb, random.Random(23)),
                        t_ell_reps(3, fb))
     assert [len(v.coords) for v in img.values] == [out] * fb.rank()
@@ -560,11 +562,16 @@ def test_specialize_cocycle_rejects_negative_degree():
 
 @pytest.mark.parametrize("p, r", [(3, 0), (9, 2), (4, 2), (1, 2), (2, 3)])
 def test_coefficient_modules_check_their_modulus(p, r):
-    # p must be an odd prime and r >= 1, as for a PrecInt
+    # p must be an odd prime and r >= 1, as for a PrecInt; the values
+    # check it too, so SymVec(4, 2, ...) is not acted on as if 4 were prime
     with pytest.raises(BadRange):
         SymCoeffs(p, r, 2)
     with pytest.raises(BadRange):
         FamilyCoeffs(p, r, 2, 1, 60)
+    with pytest.raises(BadRange):
+        SymVec(p, r, 1, [1, 2])
+    with pytest.raises(BadRange):
+        WeightFn(p, r, 2, [[0, 0]] * max(p * (p - 1), 0))
 
 
 def test_family_coeffs_rejects_short_window():

@@ -30,9 +30,8 @@ def const_fn(value, p, r, d):
                               for _ in range(branch_count(p))])
 
 
-def rand_fam(rng, p, r, d, out_width, width):
-    return FamilyVec(p, r, d, out_width,
-                     [rand_fn(rng, p, r, d) for _ in range(width)])
+def rand_fam(rng, p, r, d, width):
+    return FamilyVec(p, r, d, [rand_fn(rng, p, r, d) for _ in range(width)])
 
 
 def ref_cf(c, m, p, r):
@@ -54,7 +53,8 @@ def ref_falling(p, r, d, i, L):
 
 
 def ref_act_family(mat, fam):
-    """The family action's double sum over every j and h <= min(i, j)."""
+    """The family action's double sum over every stored j and
+    h <= min(i, j), for the width - tail_width(p, r) outputs i."""
     p, r, dd = fam.p, fam.r, fam.d
     width = len(fam.coords)
     M = p ** r
@@ -64,7 +64,7 @@ def ref_act_family(mat, fam):
     dinv = pow(d0, -1, M)
     zero = WeightFn.zero(p, r, dd)
     out = []
-    for i in range(width - family_tail(p, r, dd)):
+    for i in range(width - tail_width(p, r)):
         S = WeightFn.zero(p, r, dd)
         for j in range(width):
             if fam.coords[j] == zero:
@@ -86,8 +86,9 @@ def ref_act_family(mat, fam):
     return out
 
 
-def rand_family_case(rng, p, r, d, c, out_width):
-    """A monoid matrix with lower-left entry c and a window with zero coordinates."""
+def rand_family_case(rng, p, r, d, c, outputs):
+    """A monoid matrix with lower-left entry c and a window of outputs +
+    tail_width(p, r) coordinates, some of them zero."""
     M = p ** r
     dd = rng.choice([u for u in range(1, M) if u % p])
     a, b, c = rng.randrange(M), rng.randrange(M), c % M
@@ -95,8 +96,8 @@ def rand_family_case(rng, p, r, d, c, out_width):
     mat = IntMat(a + M * max(0, (b * c - a * dd) // (M * dd) + 1), b, c, dd)
     coords = [WeightFn.zero(p, r, d) if rng.random() < 0.3
               else rand_fn(rng, p, r, d)
-              for _ in range(out_width + family_tail(p, r, d))]
-    return mat, FamilyVec(p, r, d, out_width, coords)
+              for _ in range(outputs + tail_width(p, r))]
+    return mat, FamilyVec(p, r, d, coords)
 
 
 def assert_same_residues(got, want):
@@ -134,9 +135,9 @@ def test_act_family_matches_reference_wide():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((3, 5)), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 4), st.integers(1, 6), st.randoms(use_true_random=False))
-def test_act_family_property(p, r, d, vc, out_width, rng):
+def test_act_family_property(p, r, d, vc, outputs, rng):
     c = p ** vc * rng.randrange(1, p ** r) if rng.random() < 0.9 else 0
-    mat, fam = rand_family_case(rng, p, r, d, c, out_width)
+    mat, fam = rand_family_case(rng, p, r, d, c, outputs)
     assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
 
 
@@ -149,10 +150,10 @@ def test_act_family_field_bound_stress(p, r):
     # positive); stored width two tails, d <= 6 - r
     M = p ** r
     mat = IntMat(2 * M - 1, M - 1, p, M - 1)
+    t = tail_width(p, r)
     for d in range(1, 7 - r):
-        t = family_tail(p, r, d)
         top = WeightFn(p, r, d, [[M - 1] * d for _ in range(branch_count(p))])
-        fam = FamilyVec(p, r, d, t, [top] * (2 * t))
+        fam = FamilyVec(p, r, d, [top] * (2 * t))
         assert_same_residues(act_family(mat, fam), ref_act_family(mat, fam))
 
 
@@ -176,18 +177,17 @@ def test_kernel_reads_nothing_past_the_last_live_term(p):
         mat = IntMat(1 + M * p * (p + 1), rng.randrange(M), c, 1 + p)
         cut = n + max_live(c, p, r)
         chi = Weight(rng.randrange(p - 1), PrecInt(p, r, rng.randrange(M)))
-        seq = SeqVec(chi, n, [rng.randrange(M)
-                              for _ in range(n + tail_width(p, r))])
-        junk = SeqVec(chi, n, seq.coords[:cut]
+        seq = SeqVec(chi, [rng.randrange(M) for _ in range(n + tail_width(p, r))])
+        junk = SeqVec(chi, seq.coords[:cut]
                       + [rng.randrange(M) for _ in seq.coords[cut:]])
         assert act_universal(mat, junk).coords == act_universal(mat, seq).coords
         d = 1 if p == 7 else 2
-        fam = rand_fam(rng, p, r, d, n, n + family_tail(p, r, d))
+        fam = rand_fam(rng, p, r, d, n + tail_width(p, r))
         want = act_family(mat, fam).coords
-        junk = FamilyVec(p, r, d, n, fam.coords[:cut]
+        junk = FamilyVec(p, r, d, fam.coords[:cut]
                          + [rand_fn(rng, p, r, d) for _ in fam.coords[cut:]])
         assert_same_residues(act_family(mat, junk), want)
-        read = FamilyVec(p, r, d, n, fam.coords[:cut - 1]
+        read = FamilyVec(p, r, d, fam.coords[:cut - 1]
                          + [rand_fn(rng, p, r, d)] + fam.coords[cut:])
         assert act_family(mat, read).coords != want
 
@@ -279,7 +279,7 @@ def test_specialization_is_ring_hom():
 def test_act_identity():
     p, r, d = 3, 3, 2
     rng = random.Random(2)
-    fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d))
+    fam = rand_fam(rng, p, r, d, 3 + tail_width(p, r))
     out = act_family(IntMat.identity(), fam)
     assert out.agrees(fam, len(out.coords))
 
@@ -288,7 +288,7 @@ def test_act_diagonal():
     p, r, d = 3, 3, 2
     M = p ** r
     rng = random.Random(3)
-    fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d))
+    fam = rand_fam(rng, p, r, d, 3 + tail_width(p, r))
     for u in (4, 7, 11):
         out = act_family(IntMat(1, 0, 0, u), fam)
         cs = char_series(u, p, r, d)
@@ -305,7 +305,7 @@ def test_act_up_shape_closed_form():
     M = p ** r
     rng = random.Random(7)
     for theta in range(p):
-        fam = rand_fam(rng, p, r, d, 4, 4 + family_tail(p, r, d))
+        fam = rand_fam(rng, p, r, d, 4 + tail_width(p, r))
         out = act_family(IntMat(p, -theta, 0, 1), fam)
         for i in range(len(out.coords)):
             rhs = WeightFn.zero(p, r, d)
@@ -318,7 +318,7 @@ def test_act_up_shape_closed_form():
 def test_act_unipotent_closed_form():
     p, r, d = 3, 3, 2
     rng = random.Random(8)
-    fam = rand_fam(rng, p, r, d, 4, 4 + family_tail(p, r, d))
+    fam = rand_fam(rng, p, r, d, 4 + tail_width(p, r))
     out = act_family(IntMat(1, 1, 0, 1), fam)
     for i in range(len(out.coords)):
         rhs = WeightFn.zero(p, r, d)
@@ -328,17 +328,21 @@ def test_act_unipotent_closed_form():
 
 
 def test_act_width_guard():
-    p, r, d = 3, 2, 2
+    # w coordinates give w - tail_width outputs, whatever d; exactly
+    # tail_width coordinates give none and raise
     rng = random.Random(9)
-    fam = rand_fam(rng, p, r, d, 3, 3 + family_tail(p, r, d) - 1)
-    with pytest.raises(WidthInsufficient):
-        act_family(IntMat.identity(), fam)
+    for p, r, d in ((3, 2, 2), (5, 3, 1), (7, 2, 4)):
+        t = tail_width(p, r)
+        fam = rand_fam(rng, p, r, d, t + 1)
+        assert len(act_family(IntMat.identity(), fam).coords) == 1
+        with pytest.raises(WidthInsufficient):
+            act_family(IntMat.identity(), FamilyVec(p, r, d, fam.coords[:t]))
 
 
 def test_act_outside_monoid():
     # p must divide c and not d; (1 0; 1 1) used to raise a raw ValueError
     p, r, d = 3, 2, 2
-    fam = FamilyVec.zero(p, r, d, 1, 1 + family_tail(p, r, d))
+    fam = FamilyVec.zero(p, r, d, 1 + tail_width(p, r))
     for mat in (IntMat(1, 0, 1, 1), IntMat(1, 0, 3, 6)):
         with pytest.raises(NotAdmissible):
             act_family(mat, fam)
@@ -347,15 +351,48 @@ def test_act_outside_monoid():
 def test_intertwines_single_weight_action():
     # family action, then specialize at k == specialize, then weight k-2 action
     p, r, d = 3, 4, 3
-    tail = family_tail(p, r, d)
+    tail = tail_width(p, r)
     rng = random.Random(13)
     mats = [IntMat(2, 1, 3, 5), IntMat(1, 0, 3, 1), IntMat(4, 2, 6, 7)]
     for k in range(2, 8):
-        fam = rand_fam(rng, p, r, d, 3, 3 + tail)
+        fam = rand_fam(rng, p, r, d, 3 + tail)
         for mat in mats:
             left = sp_vector(k, act_family(mat, fam))
             right = act_universal(mat, sp_vector(k, fam))
             assert left.agrees(right, 3)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_family_tail_does_not_depend_on_degree(p):
+    # the family action uses up tail_width(p, r) coordinates for every
+    # series degree d: a window of out + tail_width gives the same out
+    # outputs as one of out + p(r + d), family_tail's budget.  v_p(c) = 1
+    # gives the widest set of live L
+    rng = random.Random(70 + p)
+    out = 3
+    for r in range(1, 6):
+        M = p ** r
+        for d in (1, 2, 4, 6):
+            dd = rng.choice([u for u in range(1, M) if u % p])
+            a, b, c = rng.randrange(M), rng.randrange(M), p * (p + 1)
+            mat = IntMat(a + M * max(0, (b * c - a * dd) // (M * dd) + 1),
+                         b, c, dd)
+            long = rand_fam(rng, p, r, d, out + p * (r + d))
+            short = FamilyVec(p, r, d, long.coords[:out + tail_width(p, r)])
+            want = act_family(mat, long).coords[:out]
+            assert_same_residues(act_family(mat, short), want)
+
+
+def test_family_vec_agrees_rejects_vacuous_widths():
+    p, r, d = 3, 2, 2
+    one = FamilyVec(p, r, d, [const_fn(1, p, r, d)])
+    two = FamilyVec(p, r, d, [const_fn(1, p, r, d), const_fn(2, p, r, d)])
+    assert one.agrees(two, 1) and two.agrees(one, 1)
+    for width in (2, 5):
+        with pytest.raises(WidthInsufficient):
+            one.agrees(two, width)
+        with pytest.raises(WidthInsufficient):
+            two.agrees(one, width)
 
 
 def test_family_tail_values():
@@ -388,7 +425,7 @@ def test_weight_fn_arithmetic_is_reduced():
                          (f * g, (f * g).comps)):
             assert got.comps == WeightFn(p, r, d, raw).comps
     mat = IntMat(2 + M, 5, 3, 4)  # a lifted: 2 * 4 - 5 * 3 < 0
-    fam = rand_fam(rng, p, r, d, 1, 1 + family_tail(p, r, d))
+    fam = rand_fam(rng, p, r, d, 1 + tail_width(p, r))
     for x in act_family(mat, fam).coords:
         assert len(x.comps) == branch_count(p)
         assert all(len(c) == d and all(0 <= e < M for e in c) for c in x.comps)
@@ -406,9 +443,9 @@ def test_weight_fn_precision_guard():
 
 def test_family_vec_rejects_raw_coordinates():
     with pytest.raises(NotAdmissible):
-        FamilyVec(3, 2, 2, 1, [0])
+        FamilyVec(3, 2, 2, [0])
     with pytest.raises(NotAdmissible):
-        FamilyVec(3, 2, 2, 1, [WeightFn.zero(3, 2, 2), [[0, 0]] * 6])
+        FamilyVec(3, 2, 2, [WeightFn.zero(3, 2, 2), [[0, 0]] * 6])
 
 
 def test_family_vec_rejects_other_precisions():
@@ -416,5 +453,5 @@ def test_family_vec_rejects_other_precisions():
     # and X^2 coordinates in an X^3 window would be read past their end
     for p, r, d in ((3, 2, 3), (3, 4, 2), (5, 4, 3)):
         with pytest.raises(PrecisionMismatch):
-            FamilyVec(3, 4, 3, 1, [WeightFn.zero(3, 4, 3),
-                                   WeightFn.zero(p, r, d)])
+            FamilyVec(3, 4, 3, [WeightFn.zero(3, 4, 3),
+                                WeightFn.zero(p, r, d)])

@@ -26,9 +26,9 @@ from pwl.sympow import (
 from pwl.verify import rand_monoid_mat
 
 
-def rand_seq(rng, chi, out_width, width):
+def rand_seq(rng, chi, width):
     M = chi.p ** chi.r
-    return SeqVec(chi, out_width, [rng.randrange(M) for _ in range(width)])
+    return SeqVec(chi, [rng.randrange(M) for _ in range(width)])
 
 
 def monoid_mat(p, r, a, b, c, d):
@@ -184,7 +184,7 @@ class TestActUniversal:
         p, r = 3, 3
         chi = Weight.of_int(4, p, r)
         rng = random.Random(3)
-        seq = rand_seq(rng, chi, 2, 2 + tail_width(p, r))
+        seq = rand_seq(rng, chi, 2 + tail_width(p, r))
         got = act_universal(IntMat.identity(), seq)
         assert got.coords[:2] == seq.coords[:2]
 
@@ -195,7 +195,7 @@ class TestActUniversal:
         m = IntMat(2, 0, 0, 3)
         rng = random.Random(4)
         width = 3 + tail_width(p, r)
-        seq = rand_seq(rng, chi, 3, width)
+        seq = rand_seq(rng, chi, width)
         got = act_universal(m, seq)
         M = p ** r
         for i in range(3):
@@ -211,7 +211,7 @@ class TestActUniversal:
         m = IntMat(1, b, 0, 1)
         rng = random.Random(5)
         width = 4 + tail_width(p, r)
-        seq = rand_seq(rng, chi, 4, width)
+        seq = rand_seq(rng, chi, width)
         got = act_universal(m, seq)
         M = p ** r
         for i in range(4):
@@ -220,11 +220,16 @@ class TestActUniversal:
             assert got.coords[i] == want
 
     def test_width_contract(self):
-        p, r = 3, 3
-        chi = Weight.of_int(2, p, r)
-        seq = SeqVec(chi, 2, [1] * (1 + tail_width(p, r)))
-        with pytest.raises(WidthInsufficient):
-            act_universal(IntMat.identity(), seq)
+        # a window of w coordinates gives w - tail_width outputs; a window
+        # of exactly tail_width coordinates gives none and raises
+        for p, r in ((3, 3), (5, 2), (7, 4)):
+            chi = Weight.of_int(2, p, r)
+            t = tail_width(p, r)
+            for extra in (1, 2, 5):
+                seq = SeqVec(chi, [1] * (t + extra))
+                assert len(act_universal(IntMat.identity(), seq).coords) == extra
+            with pytest.raises(WidthInsufficient):
+                act_universal(IntMat.identity(), SeqVec(chi, [1] * t))
 
     def test_action_law_smoke(self):
         p, r = 3, 3
@@ -234,7 +239,7 @@ class TestActUniversal:
         for _ in range(5):
             m1 = rand_monoid_mat(rng, p, r)
             m2 = rand_monoid_mat(rng, p, r)
-            seq = rand_seq(rng, chi, 3, 3 + 2 * t)
+            seq = rand_seq(rng, chi, 3 + 2 * t)
             lhs = act_universal(m1 * m2, seq)
             rhs = act_universal(m1, act_universal(m2, seq))
             assert lhs.agrees(rhs, 3)
@@ -254,7 +259,7 @@ class TestActUniversal:
                 m = monoid_mat(p, r, rng.randrange(M), rng.randrange(M), c, d)
                 coords = [0 if rng.random() < 0.3 else rng.randrange(M)
                           for _ in range(5 + t)]
-                seq = SeqVec(chi, 5, coords)
+                seq = SeqVec(chi, coords)
                 assert act_universal(m, seq).coords == ref_act_universal(m, seq)
 
     @pytest.mark.parametrize("p", (3, 5))
@@ -270,7 +275,7 @@ class TestActUniversal:
                 for wild in (tame, M - 1):
                     chi = Weight(tame, PrecInt(p, r, wild))
                     for width in (2 * t, 2 * t + 1):
-                        seq = SeqVec(chi, width - t, [M - 1] * width)
+                        seq = SeqVec(chi, [M - 1] * width)
                         assert (act_universal(m, seq).coords
                                 == ref_act_universal(m, seq))
 
@@ -284,22 +289,24 @@ class TestSpecialize:
             chi = Weight.of_int(n, p, r)
             for _ in range(5):
                 m = rand_monoid_mat(rng, p, r)
-                seq = rand_seq(rng, chi, n + 1, n + 1 + t)
+                seq = rand_seq(rng, chi, n + 1 + t)
                 lhs = specialize(act_universal(m, seq), n)
                 rhs = act_sym(m, specialize(seq, n))
                 assert lhs == rhs
 
     def test_weight_mismatch(self):
         chi = Weight.of_int(3, 3, 2)
-        seq = SeqVec(chi, 5, [0] * 10)
+        seq = SeqVec(chi, [0] * 10)
         with pytest.raises(BadWeight):
             specialize(seq, 4)
 
     def test_width_guard(self):
+        # a window's certified width is its length: 6 coordinates cannot
+        # specialize to the 7 of degree 6
         chi = Weight.of_int(6, 3, 2)
-        seq = SeqVec(chi, 3, [0] * 10)
+        assert specialize(SeqVec(chi, [0] * 7), 6).coords == [0] * 7
         with pytest.raises(WidthInsufficient):
-            specialize(seq, 6)
+            specialize(SeqVec(chi, [0] * 6), 6)
 
 
 class TestCongrProject:
@@ -423,7 +430,7 @@ class TestTypedErrors:
 
     def test_seqvec_weight(self):
         with pytest.raises(BadWeight):
-            SeqVec(4, 1, [0, 0])
+            SeqVec(4, [0, 0])
 
     def test_act_universal_outside_monoid(self):
         # p must divide c and not d; (1 0; 1 1) at p = 5, r = 1 used to
@@ -431,8 +438,7 @@ class TestTypedErrors:
         for mat, p, r in ((IntMat(1, 0, 1, 1), 5, 1),
                           (IntMat(1, 0, 1, 1), 3, 2),
                           (IntMat(1, 0, 3, 6), 3, 2)):
-            seq = SeqVec(Weight.of_int(2, p, r), 1,
-                         [1] * (1 + tail_width(p, r)))
+            seq = SeqVec(Weight.of_int(2, p, r), [1] * (1 + tail_width(p, r)))
             with pytest.raises(NotAdmissible):
                 act_universal(mat, seq)
 
@@ -452,7 +458,19 @@ class TestSymMatrixShape:
 def test_seqvec_agrees_needs_same_prime_and_weight():
     # as SymVec equality is False across degrees; the prime is compared
     # first, because Weights of different primes do not compare
-    v = SeqVec(Weight.of_int(2, 3, 4), 1, [1, 2, 3])
-    assert v.agrees(SeqVec(Weight.of_int(2, 3, 2), 1, [1, 2, 3]), 2)
-    assert not v.agrees(SeqVec(Weight.of_int(4, 3, 4), 1, [1, 2, 3]), 2)
-    assert not v.agrees(SeqVec(Weight.wild_only(2, 5, 4), 1, [1, 2, 3]), 2)
+    v = SeqVec(Weight.of_int(2, 3, 4), [1, 2, 3])
+    assert v.agrees(SeqVec(Weight.of_int(2, 3, 2), [1, 2, 3]), 2)
+    assert not v.agrees(SeqVec(Weight.of_int(4, 3, 4), [1, 2, 3]), 2)
+    assert not v.agrees(SeqVec(Weight.wild_only(2, 5, 4), [1, 2, 3]), 2)
+
+
+def test_seqvec_agrees_rejects_vacuous_widths():
+    # a side shorter than the compared width raises instead of passing on
+    # the coordinates it happens to hold
+    chi = Weight.of_int(1, 3, 1)
+    assert SeqVec(chi, [1]).agrees(SeqVec(chi, [1, 2]), 1)
+    for width in (2, 5):
+        with pytest.raises(WidthInsufficient):
+            SeqVec(chi, [1]).agrees(SeqVec(chi, [1, 2]), width)
+        with pytest.raises(WidthInsufficient):
+            SeqVec(chi, [1, 2]).agrees(SeqVec(chi, [1]), width)

@@ -20,6 +20,13 @@ def test_identity_and_congruence_suites_pass():
     assert run_suite("congruence", seed=3)["passed"]
 
 
+def test_unknown_suite_is_a_typed_error():
+    # a suite name is input: an unknown one is a typed error, not a KeyError
+    for name in ("nope", "", "ALL", "actions"):
+        with pytest.raises(BadRange):
+            run_suite(name)
+
+
 def test_broken_binomial_identity_raises(monkeypatch):
     def off_by_one(n, i, j, h):
         lhs, rhs = binom_identity(n, i, j, h)
