@@ -33,16 +33,18 @@ word gamma_theta; hecke_images folds it from adj(A_theta) and
 hecke_matrix packs it, one coefficient action per letter on a stored
 value (a family image is out_width wide).  hecke_matrix assembles the
 operator as a matrix on stacked generator values in one pass over the
-rewritten words, on packed rows (linalg.pack_row, W-bit fields with W
-worked out from the longest generator's letter count): a letter
-multiplies the D prefix rows by a generator action as D sums of int
-products, O(D^2) interpreted steps where a D x D mat_mul takes O(D^3),
-and the unreduced rows are summed per block before one reduction; a
-letter that acts as the identity (every letter on Sym^0) skips its
-product.  h1 stacks act_matrix(g) - I over the generators into the
-coboundary matrix and presents the quotient by its diagonalization,
-giving class coordinates, orders, and induced operator matrices (with
-charpoly available on free presentations).  The induced operator
+rewritten words, on packed columns (linalg.pack_row, W-bit fields with W
+worked out from D, p^r and the longest generator's letter count): a
+letter forms each of the D prefix columns as one C-level sum of int
+products and reduces all its fields at once by one Montgomery step (a
+mask, a multiply and a shift), O(D) interpreted steps where unpacking
+every field takes O(D^2) and a D x D mat_mul O(D^3); the unreduced
+columns are summed per block before one reduction, and a letter that
+acts as the identity (every letter on Sym^0) skips its product.  h1
+stacks act_matrix(g) - I over the generators into the coboundary matrix
+and presents the quotient by its diagonalization, giving class
+coordinates, orders, and induced operator matrices (with charpoly
+available on free presentations).  The induced operator
 multiplies only the free rows of U, which are sparse, into the operator,
 and reads the free columns of U^-1 as sparse columns.
 """
@@ -287,57 +289,82 @@ def hecke_matrix(coeffs, basis, reps):
     """Matrix of the operator on stacked generator values, assembled in
     one pass over the rewritten words.
 
-    Along a word the prefix matrix S (entries in [0, M), M = p^r) is
-    multiplied by one generator action per letter.  The generator actions
-    are packed once, row by row, into W-bit fields, so row i of S G is the
-    single int sum_t S[i][t] G[t] and unpacking it gives the reduced S for
-    the next letter.  Each letter adds the packed prefix rows P to its
-    block (h, q), or Z - P for a negative letter, where every field of Z
-    is z = D M (M - 1): every field of P is at most D (M - 1)^2 <= z, so
-    every field added is in [0, z], and z = 0 mod M, so Z - P = -P field
-    by field mod M.  With L the most letters over the words of one
-    generator, W = bits(L z) gives L z < 2^W: the block sums never carry
-    between fields and each block is unpacked once when its generator's
-    words are done.
+    Along a word the prefix matrix S (the action of adj A times the
+    letters so far) is carried as its D columns, each packed into W-bit
+    fields (linalg.pack_row) with every field in [0, 2M), M = p^r; it
+    starts from act_matrix(adj A), whose entries are in [0, M).  The
+    generator actions are stored once as scalar columns G' = G 2^k mod M,
+    so column j of the next prefix is x = sum_t P_t G'[t][j], one C-level
+    dot product, followed by one Montgomery reduction of all its fields
+    at once (Montgomery, Math. Comp. 44 (1985)): with LOW the low k bits
+    of every field and Mp = -M^-1 mod 2^k (M is odd),
+
+        m = ((x & LOW) Mp) & LOW;  x' = (x + m M) >> k.
+
+    Take k = bits(2 D M), so 2 D M < 2^k and hence 2M < 2^k, and
+    W = max(2k, bits(2 M L)), L the most letters over the words of one
+    generator.  Field by field:
+      - x_i <= D (2M - 1)(M - 1) < 2 D M^2 < 2^k M;
+      - (x_i mod 2^k) Mp < 2^(2k) <= 2^W, so the product with Mp does not
+        carry and m_i = -x_i M^-1 mod 2^k < 2^k;
+      - x_i + m_i M < 2^(k+1) M < 2^(2k) <= 2^W and it is 0 mod 2^k, so
+        x + m M adds field by field and shifting the whole int by k
+        shifts every field without a mask;
+      - x'_i = (x_i + m_i M) / 2^k < 2M, and x'_i = x_i 2^-k = sum_t
+        S[i][t] G[t][j] mod M.
+    Each letter adds the packed prefix columns P to its block (h, q), or
+    Z - P for a negative letter, where every field of Z is z = 2M: every
+    field added is in [0, 2M], and z = 0 mod M, so Z - P = -P field by
+    field mod M.  A block takes at most L of them, 2 M L < 2^W, so the
+    block sums never carry between fields, and each block is unpacked
+    once, with % M, column j of block (h, q) into row q D + j of the
+    transpose of T.
     """
     D = coeffs.dim()
     R = basis.rank()
     M = coeffs.p ** coeffs.r
     adjs, words = _partner_words(basis, reps)
-    z = D * M * (M - 1)
+    k = (2 * D * M).bit_length()
     L = max(sum(map(len, gen_words)) for gen_words in words)
-    W = (L * z).bit_length()
-    T = [[0] * (R * D) for _ in range(R * D)]
+    W = max(2 * k, (2 * M * L).bit_length())
+    LOW = pack_row([(1 << k) - 1] * D, W)
+    Mp = -pow(M, -1, 1 << k) % (1 << k)
+    Tt = [[0] * (R * D) for _ in range(R * D)]  # the transpose of T
+    eye = identity_mat(D)
 
-    def packed(mat):
-        return [pack_row(row, W) for row in mat]
+    def scaled_cols(mat):
+        # an identity letter leaves the prefix as it is: None skips it
+        if mat == eye:
+            return None
+        return [[(row[j] << k) % M for row in mat] for j in range(D)]
 
-    eye = packed(identity_mat(D))
-    gen_mats = [packed(coeffs.act_matrix(g)) for g in basis.gens]
-    inv_mats = [packed(coeffs.act_matrix(g.inverse())) for g in basis.gens]
-    Z = pack_row([z] * D, W)
-    no_rows = [0] * D
-    # each rep's adj(A) action, built once: S and P are rebound per
-    # letter, never mutated, so every generator's walk can start from it
-    starts = [(S, packed(S)) for S in map(coeffs.act_matrix, adjs)]
+    gen_cols = [scaled_cols(coeffs.act_matrix(g)) for g in basis.gens]
+    inv_cols = [scaled_cols(coeffs.act_matrix(g.inverse()))
+                for g in basis.gens]
+    Z = pack_row([2 * M] * D, W)
+    no_cols = [0] * D
+    # each rep's adj(A) action, packed once: P is rebound per letter,
+    # never mutated, so every generator's walk can start from it
+    starts = [[pack_row(col, W) for col in zip(*S)]
+              for S in map(coeffs.act_matrix, adjs)]
     for h, gen_words in enumerate(words):
-        blocks = {}  # letter index q -> summed packed rows of block (h, q)
-        for (S, P), word in zip(starts, gen_words):
-            for k in word:
-                q = abs(k) - 1
-                if k > 0:
-                    blocks[q] = list(map(add, blocks.get(q, no_rows), P))
-                Gp = gen_mats[q] if k > 0 else inv_mats[q]
-                if Gp != eye:  # an identity letter leaves S and P as they are
-                    P = [sum(map(mul, Si, Gp)) for Si in S]
-                    S = [unpack_row(x, D, W, M) for x in P]
-                if k < 0:
+        blocks = {}  # letter index q -> summed packed columns of block (h, q)
+        for P, word in zip(starts, gen_words):
+            for a in word:
+                q = abs(a) - 1
+                if a > 0:
+                    blocks[q] = list(map(add, blocks.get(q, no_cols), P))
+                G = gen_cols[q] if a > 0 else inv_cols[q]
+                if G is not None:
+                    P = [(x + (((x & LOW) * Mp) & LOW) * M) >> k
+                         for x in [sum(map(mul, P, Gj)) for Gj in G]]
+                if a < 0:
                     blocks[q] = [b + Z - x
-                                 for b, x in zip(blocks.get(q, no_rows), P)]
-        for q, rows in blocks.items():
-            for i in range(D):
-                T[h * D + i][q * D:(q + 1) * D] = unpack_row(rows[i], D, W, M)
-    return T
+                                 for b, x in zip(blocks.get(q, no_cols), P)]
+        for q, cols in blocks.items():
+            for j, x in enumerate(cols):
+                Tt[q * D + j][h * D:(h + 1) * D] = unpack_row(x, D, W, M)
+    return [list(row) for row in zip(*Tt)]
 
 
 class H1Presentation:
@@ -421,13 +448,16 @@ def family_preimage(cocycle, d):
     series (s_0, ..., s_(d-1)) takes the value sum_j s_j (k - zeta)^j.  Its
     first term has coefficient 1, so each coordinate v lifts to the
     constant series (v, 0, ..., 0) on branch zeta and to zero on every
-    other branch.
+    other branch.  The k - 1 lifted coordinates are followed by
+    tail_width(p, r) zero ones, the tail one action reads, so the lift can
+    be evaluated and operated on, not only specialized back.
     """
     sym = cocycle.coeffs
     p, r = sym.p, sym.r
     k = sym.n + 2
     out_width = k - 1
-    fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width)
+    tail = tail_width(p, r)
+    fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width + tail)
     zeta = k % branch_count(p)
     values = []
     for v in cocycle.values:
@@ -436,6 +466,7 @@ def family_preimage(cocycle, d):
             comps = [[0] * d for _ in range(branch_count(p))]
             comps[zeta][0] = x
             coords.append(WeightFn(p, r, d, comps))
+        coords += [WeightFn.zero(p, r, d) for _ in range(tail)]
         F = FamilyVec(p, r, d, coords)
         if specialize(sp_vector(k, F), k - 2) != v:
             raise InternalInconsistency("family preimage fails to specialize")

@@ -62,10 +62,10 @@ def _normalize_sign(m, N):
 class FreeBasisData:
     """Free generators of the level subgroup plus the rewriting table."""
 
-    __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "root", "lifts",
-                 "gens", "expr", "perm_t", "t_word", "width", "loop", "steps")
+    __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "root", "gens",
+                 "expr", "perm_t", "t_word", "width", "loop", "steps")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, root, lifts, gens, expr,
+    def __init__(self, N, mu, rows, perm_s, perm_u, root, gens, expr,
                  perm_t, t_word, width, loop):
         self.N = N
         self.mu = mu
@@ -73,7 +73,6 @@ class FreeBasisData:
         self.perm_s = perm_s
         self.perm_u = perm_u
         self.root = root
-        self.lifts = lifts
         self.gens = gens
         self.expr = expr
         self.perm_t = perm_t
@@ -269,7 +268,7 @@ def free_basis(N):
             y, w = perm_t[y], w + 1
         width.append(w)
         loop.append(tuple(_free_reduce(word)))
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root, lifts, gens, expr,
+    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root, gens, expr,
                          perm_t, t_word, width, loop)
     _verify_edges(data, edge_matrix)
     return data

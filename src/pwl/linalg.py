@@ -22,10 +22,13 @@ one int (entry j at bit w*j; Kronecker substitution).  A scalar times a
 packed row scales every field, and a sum of packed rows adds them field by
 field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
-a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix and
-charpoly_mod do, and share unpack_row.  mat_mul stays unpacked on purpose:
-it skips zero entries of its left operand, which pays on the sparse rows
-it is given (the free rows of U in cohomology's induced operator).
+a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix,
+sympow._act_window and charpoly_mod do, and share unpack_row
+(hecke_matrix only for its block sums: it reduces each per-letter product
+field by field in place, by one Montgomery step).  mat_mul stays unpacked
+on purpose: it skips zero entries of its left operand, which pays on the
+sparse rows it is given (the free rows of U in cohomology's induced
+operator).
 """
 
 from .errors import DimensionMismatch

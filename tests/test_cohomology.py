@@ -116,9 +116,40 @@ def test_hecke_matrix_matches_reference(N, n, p, r, kind):
     assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
 
 
+class FullCoeffs:
+    """Stub coefficients: every action is the D x D matrix with all entries
+    M - 1.  Not a representation, but hecke_matrix and ref_hecke_matrix
+    compute the same sums of products from it, with the largest entries
+    mod M there are."""
+
+    def __init__(self, D, p, r):
+        self.D, self.p, self.r = D, p, r
+
+    def dim(self):
+        return self.D
+
+    def act_matrix(self, mat):
+        return [[self.p ** self.r - 1] * self.D for _ in range(self.D)]
+
+
+@pytest.mark.parametrize("co, N, ell", [
+    pytest.param(FullCoeffs(D, p, r), N, 2, id=f"D{D}-{p}^{r}-N{N}")
+    for D, p, r in ((17, 3, 1), (2, 31, 8), (41, 3, 1), (5, 5, 3), (9, 3, 2),
+                    (2, 31, 1))
+    for N in (5, 7, 11, 13)
+] + [pytest.param(SymCoeffs(31, 4, 16), 5, 31, id="sym16-N5-T31")])
+def test_hecke_matrix_field_bound_stress(co, N, ell):
+    # the Montgomery step's fields near their bounds: W one bit short
+    # carries between fields, and at D M = 62 just below 2^6 a k one bit
+    # short lets the prefix fields outgrow W
+    fb = free_basis(N)
+    reps = t_ell_reps(ell, fb)
+    assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
+
+
 def test_hecke_matrix_identity_operator():
-    # one one-letter word per generator: the packed fields get the fewest
-    # bits any operator gets, W = bits(z)
+    # one one-letter word per generator: L = 1, so the packed fields get
+    # the fewest bits any operator gets, W = 2 bits(2 D M)
     fb = free_basis(7)
     co = SymCoeffs(5, 4, 5)
     n = fb.rank() * co.dim()
@@ -533,10 +564,12 @@ def test_family_operator_values_are_out_width():
 
 def test_family_preimage_round_trip():
     # the lift is the constant series (v, 0, 0) on the branch of the weight
-    # k = 3 mod p(p - 1) = 6, and zero on every other branch
+    # k = 3 mod p(p - 1) = 6, and zero on every other branch, followed by
+    # the tail_width(3, 3) = 6 zero coordinates one action reads
     fb = free_basis(9)
     co = SymCoeffs(3, 3, 1)
     rng = random.Random(17)
+    zero = [[0, 0, 0]] * 6
     for _ in range(5):
         c = Cocycle.random(co, fb, rng)
         lifted = family_preimage(c, d=3)
@@ -544,10 +577,27 @@ def test_family_preimage_round_trip():
         for x, y in zip(back.values, c.values):
             assert co.eq(x, y)
         for F, v in zip(lifted.values, c.values):
-            assert len(F.coords) == len(v.coords) == 2
+            assert len(v.coords) == 2
+            assert len(F.coords) == 2 + tail_width(3, 3) == 8
             for f, x in zip(F.coords, v.coords):
                 assert f.comps == [[x, 0, 0] if zeta == 3 else [0, 0, 0]
                                    for zeta in range(6)]
+            assert all(f.comps == zero for f in F.coords[2:])
+
+
+@pytest.mark.parametrize("r, n, d", [(3, 1, 3), (4, 2, 4)])
+def test_family_preimage_hecke_specializes(r, n, d):
+    # the lift stores the tail one action reads: U_3 on the lift, then
+    # specialized at k = n + 2, is U_3 on the specialized lift
+    fb = free_basis(9)
+    reps = t_ell_reps(3, fb)
+    c = Cocycle.random(SymCoeffs(3, r, n), fb, random.Random(29 + r))
+    lifted = family_preimage(c, d)
+    k = n + 2
+    got = specialize_cocycle(k, hecke_images(lifted, reps))
+    want = hecke_images(specialize_cocycle(k, lifted), reps)
+    for x, y in zip(got.values, want.values):
+        assert want.coeffs.eq(x, y)
 
 
 def test_specialize_cocycle_rejects_negative_degree():

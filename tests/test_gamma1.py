@@ -21,6 +21,27 @@ def coset_of(basis, mat):
     return basis.rows.index(_proj_canon(mat.c, mat.d, basis.N))
 
 
+def tree_lifts(basis):
+    """A lift of every coset, up to sign, read off the rewriting table: an
+    edge x -> y by the step g whose word is empty has lift_y = +-lift_x g,
+    and these edges include the spanning tree, rooted at the identity."""
+    edges = {}
+    for (x, g), word in basis.expr.items():
+        if not word:
+            y, step = ((basis.perm_s[x], ROT) if g == "s"
+                       else (basis.perm_u[x], SIX))
+            edges.setdefault(x, []).append((y, step))
+            edges.setdefault(y, []).append((x, step.inverse()))
+    lifts = {basis.root: IntMat.identity()}
+    order = [basis.root]
+    for x in order:  # order grows while it is walked
+        for y, step in edges.get(x, ()):
+            if y not in lifts:
+                lifts[y] = lifts[x] * step
+                order.append(y)
+    return [lifts[x] for x in range(basis.mu)]
+
+
 def floor_st_decompose(mat):
     """mat as ('s',) and ('t', e) tokens up to sign, by Euclid with floor
     quotients (t^0 tokens kept)."""
@@ -143,6 +164,7 @@ def test_t_orbits():
     # t^w_x replays to lift t^w_x lift^-1 up to sign
     for N in (4, 6, 12, 13):
         fb = free_basis(N)
+        lifts = tree_lifts(fb)
         for x in range(fb.mu):
             w = fb.width[x]
             assert N % w == 0
@@ -151,7 +173,7 @@ def test_t_orbits():
                 assert k == 0 or y != x
                 y = fb.perm_t[y]
             assert y == x
-            lift = fb.lifts[x]
+            lift = lifts[x]
             m = lift * IntMat(1, w, 0, 1) * lift.inverse()
             minus_m = IntMat(*(-e for e in m.entries()))
             assert word_matrix(fb, fb.loop[x]) in (m, minus_m)
@@ -177,7 +199,7 @@ def test_generators_in_group():
 def test_transversal_properties():
     for N in (5, 9):
         fb = free_basis(N)
-        for t, lift in enumerate(fb.lifts):
+        for t, lift in enumerate(tree_lifts(fb)):
             assert coset_of(fb, lift) == t
 
 
@@ -242,13 +264,14 @@ def test_express_t_powers(N):
     fb = free_basis(N)
     rng = random.Random(400 + N)
     cosets = range(fb.mu) if fb.mu <= 48 else rng.sample(range(fb.mu), 40)
+    lifts = tree_lifts(fb)
     for x in cosets:
         w = fb.width[x]
         for e in (w + 1, -(w + 1), 3 * w + w // 2, -2 * w, 7 * w, -1):
             y = x
             for _ in range(e % w):
                 y = fb.perm_t[y]
-            m = fb.lifts[x] * IntMat(1, e, 0, 1) * fb.lifts[y].inverse()
+            m = lifts[x] * IntMat(1, e, 0, 1) * lifts[y].inverse()
             if not in_gamma1(m, N):
                 m = IntMat(*(-v for v in m.entries()))
             assert in_gamma1(m, N)
