@@ -4,8 +4,9 @@ Every command prints one JSON document with sorted keys to stdout.
 Package errors become a JSON object on stderr and exit status 1, as does
 a failed `verify`; argparse exits with status 2 on argument problems and
 prints nothing to stdout.  With --no-meta the output carries no
-timestamp, so identical inputs give identical bytes.  The parser uses
-only the standard library.
+timestamp, so identical inputs give identical bytes.  Each command
+imports its modules when it runs: without cached bytecode, every process
+compiles each module it imports, and parsing needs only errors and padic.
 """
 
 import argparse
@@ -13,34 +14,35 @@ import json
 import sys
 import time
 
-from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import PwlError
-from .gamma1 import free_basis
-from .iwasawa import branch_count
 from .padic import _is_odd_prime, is_prime, tail_width
-from .qexp import eisenstein, hecke_t, pairing, trivial_char
-from .slope import newton_polygon, slope_factor
-from .verify import SUITES, run_suite
 
 SCHEMA = 1
 
 
-def _checked(option, test, what):
-    """argparse type: an int that passes test; any other int is a usage
-    error "Invalid value for '<option>': <value> <what>"."""
+def _checked(option, test, what, kind=int):
+    """argparse type: kind(text) if it passes test; any other value is a
+    usage error "Invalid value for '<option>': <value> <what>"."""
     def parse(text):
-        value = int(text)  # a ValueError reads "invalid int value"
+        value = kind(text)  # a ValueError reads "invalid int value"
         if not test(value):
             # ArgumentError(None, ...) reaches the parser's error() as is
             raise argparse.ArgumentError(
                 None, f"Invalid value for '{option}': {value} {what}")
         return value
-    parse.__name__ = "int"
+    parse.__name__ = kind.__name__
     return parse
 
 
 def _at_least(option, low):
     return _checked(option, lambda v: v >= low, f"is below {low}")
+
+
+def _suite(text):
+    """argparse type of --suite: reads verify.SUITES when verify parses."""
+    from .verify import SUITES
+    return _checked("--suite", lambda v: v == "all" or v in SUITES,
+                    f"is not all or one of {', '.join(SUITES)}", str)(text)
 
 
 _PRIME = ("--prime", dict(
@@ -57,6 +59,7 @@ _SYM = ("--sym", dict(type=_at_least("--sym", 0), default=0, help="Symmetric "
 
 def basis(a):
     """Free generators of the level subgroup and coset counts."""
+    from .gamma1 import free_basis
     fb = free_basis(a.level)
     return {"level": a.level, "rank": fb.rank(),
             "projective_cosets": fb.mu, "cosets": 2 * fb.mu,
@@ -65,6 +68,8 @@ def basis(a):
 
 def h1_cmd(a):
     """Presentation of first cohomology: free rank and divisors."""
+    from .cohomology import SymCoeffs, h1
+    from .gamma1 import free_basis
     pres = h1(SymCoeffs(a.prime, a.precision, a.sym), free_basis(a.level))
     return {"level": a.level, "prime": a.prime, "precision": a.precision,
             "sym": a.sym, "free_rank": pres.free_rank(),
@@ -73,6 +78,8 @@ def h1_cmd(a):
 
 def _charpoly(a):
     """Reps of T_ell and the charpoly of T_ell on the free quotient."""
+    from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
+    from .gamma1 import free_basis
     fb = free_basis(a.level)
     coeffs = SymCoeffs(a.prime, a.precision, a.sym)
     reps = t_ell_reps(a.ell, fb)
@@ -90,6 +97,7 @@ def hecke(a):
 
 def slopes(a):
     """Newton polygon of a Hecke operator and its unit-root factor."""
+    from .slope import newton_polygon, slope_factor
     _, P = _charpoly(a)
     poly = newton_polygon(P, a.prime, a.precision)
     Q, _, loss = slope_factor(P, 1, a.prime, a.precision)
@@ -105,6 +113,7 @@ def slopes(a):
 
 def family(a):
     """Size a coordinate window for computations over the weight space."""
+    from .iwasawa import branch_count
     tail = tail_width(a.prime, a.precision)
     return {"prime": a.prime, "precision": a.precision, "degree": a.degree,
             "branches": branch_count(a.prime), "tail": tail,
@@ -114,6 +123,7 @@ def family(a):
 
 def eisenstein_cmd(a):
     """Coefficients of the level-one Eisenstein series."""
+    from .qexp import eisenstein, hecke_t, pairing, trivial_char
     f = eisenstein(a.weight, a.terms)
     out = {"weight": a.weight, "terms": a.terms,
            "coefficients": [str(c) for c in f.coeffs]}
@@ -127,6 +137,7 @@ def eisenstein_cmd(a):
 
 def verify(a):
     """Run a self-check suite and report what it verified."""
+    from .verify import run_suite
     return run_suite(a.suite, seed=a.seed)
 
 
@@ -153,8 +164,8 @@ COMMANDS = [
                                            "is not a prime"),
                              help="Also apply the classical T_ell."))]),
     ("verify", verify, [
-        ("--suite", dict(choices=SUITES + ("all",), default="all",
-                         help="(default: %(default)s)"))]),
+        ("--suite", dict(type=_suite, default="all", help="A suite of "
+                         "pwl.verify, or all (default: %(default)s)."))]),
 ]
 
 

@@ -44,9 +44,9 @@ acts as the identity (every letter on Sym^0) skips its product.  h1
 stacks act_matrix(g) - I over the generators into the coboundary matrix
 and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
-available on free presentations).  The induced operator
-multiplies only the free rows of U, which are sparse, into the operator,
-and reads the free columns of U^-1 as sparse columns.
+available on free presentations).  The induced operator multiplies
+only the free rows of U, which are sparse, into the operator, and adds
+whole columns of that product, one per nonzero of U^-1's free columns.
 """
 
 import math
@@ -400,7 +400,7 @@ class H1Presentation:
         of U T U^-1, F the free indices.  On a free presentation T
         preserves the coboundaries exactly when Q T beta = 0, Q the rows F
         of U (sparse: mat_mul skips their zeros); that is checked first,
-        then Q T is read against the columns F of U^-1 as sparse columns."""
+        then column f adds U^-1[i][f] times column i of Q T per nonzero."""
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
         M = self.coeffs.p ** self.coeffs.r
@@ -409,10 +409,14 @@ class H1Presentation:
         if any(any(row) for row in mat_mul(QT, self.beta, M)):
             raise InternalInconsistency(
                 "operator does not preserve coboundaries")
-        cols = [[(i, row[f]) for i, row in enumerate(self.sf.Uinv) if row[f]]
-                for f in F]
-        return [[sum(row[i] * x for i, x in col) % M for col in cols]
-                for row in QT]
+        QTt, Uinvt, cols = list(zip(*QT)), list(zip(*self.sf.Uinv)), []
+        for f in F:
+            col = [0] * len(F)
+            for y, u in zip(QTt, Uinvt[f]):
+                if u:
+                    col = [a + u * b for a, b in zip(col, y)]
+            cols.append([a % M for a in col])
+        return [list(row) for row in zip(*cols)]
 
     def charpoly(self, T):
         return charpoly_mod(self.induced_matrix(T), self.coeffs.p, self.coeffs.r)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pwl import cli, errors
+from pwl import cli, errors, verify
 
 
 def run_cli(*args):
@@ -112,6 +112,45 @@ def test_parser_usage_errors():
         assert res.stderr
     res = run_cli("--help")
     assert res.returncode == 0 and "verify" in res.stdout
+
+
+def test_suite_names_come_from_verify():
+    # --suite is checked against verify.SUITES, read when verify parses
+    res = run_cli("--no-meta", "verify", "--suite", "nope")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "Invalid value for '--suite'" in res.stderr
+    assert all(name in res.stderr for name in verify.SUITES)
+    parser = cli._parser("pwl")
+    for name in verify.SUITES + ("all",):
+        assert parser.parse_args(["verify", "--suite", name]).suite == name
+
+
+def loaded_modules(*args):
+    """The pwl modules a fresh interpreter holds after `import pwl.cli`
+    and, given args, one in-process cli.main(args)."""
+    run = f"cli.main({list(args)!r}); " if args else ""
+    code = ("import json, sys; from pwl import cli; " + run +
+            "print(json.dumps([m for m in sys.modules "
+            "if m.split('.')[0] == 'pwl']), file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stderr))
+
+
+def test_commands_import_only_what_they_run():
+    # each process compiles every module it imports when no bytecode is
+    # cached, so parsing loads no command's modules and a command loads
+    # only its own
+    assert loaded_modules() == {"pwl", "pwl.cli", "pwl.errors", "pwl.padic"}
+    common = ("--level", "11", "--prime", "11", "--precision", "2",
+              "--ell", "2")
+    hecke = loaded_modules("--no-meta", "hecke", *common)
+    assert "pwl.cohomology" in hecke
+    assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp"}
+    slopes = loaded_modules("--no-meta", "slopes", *common)
+    assert "pwl.slope" in slopes
+    assert not slopes & {"pwl.verify", "pwl.qexp"}
 
 
 def test_main_in_process_matches_subprocess(capsys):
