@@ -25,11 +25,16 @@ sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
 a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix,
 sympow._act_window and charpoly_mod do, and share unpack_row
 (hecke_matrix only for its block sums: it reduces each per-letter product
-field by field in place, by one Montgomery step).  mat_mul stays unpacked
-on purpose: it skips zero entries of its left operand, which pays on the
-sparse rows it is given (the free rows of U in cohomology's induced
-operator).
+field by field in place, by one Montgomery step).  64-bit fields move
+through struct in one C call, others by one whole-int shift each (O(n^2 w)).
+charpoly_mod rounds w up to 64 if its bound fits; the short-row callers keep
+exact widths, where wider fields cost more in products than shifts save.
+mat_mul stays unpacked on purpose: it skips zero entries of its left operand,
+which pays on the sparse rows it is given (the free rows of U in
+cohomology's induced operator).
 """
+
+import struct
 
 from .errors import DimensionMismatch
 from .padic import vp
@@ -57,7 +62,9 @@ def mat_mul(A, B, M):
 
 def pack_row(row, w):
     """The nonnegative entries of row, each below 2^w, as the w-bit fields
-    of one int: entry j occupies bits w*j .. w*j + w - 1."""
+    of one int, entry j at bits w*j .. w*j + w - 1 (w = 64: one C call)."""
+    if w == 64:
+        return int.from_bytes(struct.pack(f"<{len(row)}Q", *row), "little")
     x = 0
     for v in reversed(row):
         x = (x << w) | v
@@ -65,7 +72,10 @@ def pack_row(row, w):
 
 
 def unpack_row(x, n, w, M):
-    """The first n w-bit fields of x, each reduced mod M."""
+    """The first n w-bit fields of x >= 0, mod M (w = 64: one C call)."""
+    if w == 64:
+        b = x.to_bytes(max(8 * n, (x.bit_length() + 7) // 8), "little")
+        return [v % M for v in struct.unpack_from(f"<{n}Q", b)]
     mask = (1 << w) - 1
     return [((x >> (w * j)) & mask) % M for j in range(n)]
 
@@ -168,6 +178,11 @@ def smith_mod(A, p, r):
     return SmithForm(p, r, m, n, exps, U, V, Uinv)
 
 
+def _width(bound):
+    """Field bits for values below bound: a 64-bit word if bound fits."""
+    return max(64, bound.bit_length())
+
+
 def charpoly_mod(A, p, r):
     """det(X I - A) mod p^r: ascending coefficients, monic.
 
@@ -186,39 +201,49 @@ def charpoly_mod(A, p, r):
     it clears) and the column pass col_{k+1} += sum c_i col_i.  A pivot
     row-passes a column at most once, adding y (M - c) < M^2 to a field,
     and never after its column pass, so a field is below (n+1) M^2 before
-    that pass and below (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3 < 2^w after.
-    The recurrence packs P_m in w2-bit fields, below (n+2) M^2 < 2^w2.
+    that pass and below (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3 after.  The
+    recurrence packs P_m in fields below (n+2) M^2; each width is _width of
+    its bound.  The recurrence reads only h_im, i <= m, and h_{i+1,i}, so H
+    keeps rows 0..k+1 of column k from pivot k's unpack, after its swap.
+    They are final: later row passes touch only columns j >= k' + 1 > k,
+    later column passes only column k' + 1, later swaps only rows >= k + 2.
     """
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatch(f"charpoly of a non-square {n}-row matrix")
     M = p ** r
-    w = ((n + 1) ** 2 * M ** 3).bit_length()
+    w = _width((n + 1) ** 2 * M ** 3)
     mask = (1 << w) - 1
-    cols = [pack_row([row[j] % M for row in A], w) for j in range(n)]
+    cols = [pack_row([x % M for x in col], w) for col in zip(*A)]
     pos = list(range(n))
+    H = []  # H[k][i] = h_ik for i <= k + 1: the band the recurrence reads
     for k in range(n - 2):
         col = unpack_row(cols[k], n, w, M)  # col[pos[i]] = h_ik
-        e, piv = min(((vp(col[pos[i]], p), i) for i in range(k + 1, n)
-                      if col[pos[i]]), default=(r, -1))
-        if piv < 0:
-            continue
         k1 = k + 1
+        e, piv = min(((vp(col[pos[i]], p), i) for i in range(k1, n)
+                      if col[pos[i]]), default=(r, k1))
         pos[k1], pos[piv] = pos[piv], pos[k1]
         cols[k1], cols[piv] = cols[piv], cols[k1]
+        H.append([col[s] for s in pos[:k + 2]])
+        if e == r:
+            continue  # column k is zero below the sub-diagonal
         pe = p ** e
         uinv = pow(col[pos[k1]] // pe, -1, M)
         mults = [(i, col[pos[i]] // pe * uinv % M) for i in range(k + 2, n)
                  if col[pos[i]]]
-        neg = sum((M - c) << (w * pos[i]) for i, c in mults)
+        neg = [0] * n
+        for i, c in mults:
+            neg[pos[i]] = M - c
+        neg = pack_row(neg, w)
         off = w * pos[k1]
         for j in range(k1, n):
             y = ((cols[j] >> off) & mask) % M
             if y:
                 cols[j] += y * neg
         cols[k1] += sum(c * cols[i] for i, c in mults)
-    H = [[(x >> w * s & mask) % M for s in pos] for x in cols]  # H[j][i] = h_ij
-    w2 = ((n + 2) * M * M).bit_length()
+    H += [[col[s] for s in pos]  # the last two columns: no pivot unpacks them
+          for col in [unpack_row(x, n, w, M) for x in cols[len(H):]]]
+    w2 = _width((n + 2) * M * M)
     polys = [1 % M]
     for m in range(n):
         new = (polys[-1] << w2) + (-H[m][m] % M) * polys[-1]

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwl.errors import DimensionMismatch
-from pwl.linalg import charpoly_mod, identity_mat, mat_mul, mat_vec, smith_mod
+from pwl.linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
+                        pack_row, smith_mod, unpack_row)
 
 
 def rand_mat(rng, m, n, M):
@@ -203,6 +204,49 @@ def test_kernel_basis_spans():
         assert len(spanned) == p ** kernel_exponent(sf)
 
 
+def pack_by_shifts(row, w):
+    """One shift-or per field: the reference for pack_row's word path."""
+    x = 0
+    for v in reversed(row):
+        x = (x << w) | v
+    return x
+
+
+def unpack_by_shifts(x, n, w, M):
+    """One shift and mask per field: the reference for unpack_row."""
+    return [(x >> (w * j) & ((1 << w) - 1)) % M for j in range(n)]
+
+
+TOP = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("row", [[], [0], [1], [TOP], [0, 0, 0],
+                                 [TOP, 0, 1, TOP], [1, TOP, TOP, 0, 0]])
+def test_word_fields_match_shifts(row):
+    # w = 64 moves fields through struct; it must agree with shifting,
+    # zero high fields and n = 0 included
+    n = len(row)
+    x = pack_row(row, 64)
+    assert x == pack_by_shifts(row, 64)
+    for M in (TOP + 1, 43 ** 3, 1):
+        assert unpack_row(x, n, 64, M) == unpack_by_shifts(x, n, 64, M)
+    assert unpack_row(x, n, 64, TOP + 1) == row
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.sampled_from((0, 1, TOP)) | st.integers(0, TOP),
+    min_size=2 * n - 1, max_size=2 * n - 1)))
+def test_unpack_words_reads_a_prefix(fields):
+    # the block-product case: an int of 2n - 1 fields, of which unpack_row
+    # reads only the first n
+    n = (len(fields) + 1) // 2
+    x = pack_by_shifts(fields, 64)
+    for M in (TOP + 1, 3 ** 4):
+        assert unpack_row(x, n, 64, M) == [v % M for v in fields[:n]]
+        assert unpack_row(x, n, 64, M) == unpack_by_shifts(x, n, 64, M)
+
+
 def berkowitz(A, M):
     """det(X I - A) over Z/M by the division-free Berkowitz method, O(n^4);
     ascending coefficients.  The oracle for charpoly_mod."""
@@ -267,6 +311,11 @@ def test_charpoly_matches_berkowitz():
                     A = pivot_stress(rng, n, p, r, kind)
                     assert charpoly_mod(A, p, r) == berkowitz(A, M), \
                         (p, r, n, kind)
+    # no pivot below the sub-diagonal at the width boundary: for 3^12,
+    # (n+1)^2 M^3 has 64 bits at n = 10 (word fields) and 65 at n = 11
+    for n in (10, 11):
+        A = pivot_stress(rng, n, 3, 12, "zero")
+        assert charpoly_mod(A, 3, 12) == berkowitz(A, 3 ** 12), n
 
 
 def unit_lower_inverse(L, M):
@@ -279,31 +328,43 @@ def unit_lower_inverse(L, M):
     return X
 
 
+def test_charpoly_width_is_a_word_while_the_bound_fits():
+    assert [_width(b) for b in (1, TOP, TOP + 1, 1 << 70)] == [64, 64, 65, 71]
+    # the boundary inputs of the conjugate-of-triangular test below sit on
+    # both sides of the word: the column width, then the recurrence width
+    M12, M19 = 3 ** 12, 3 ** 19
+    assert [_width((n + 1) ** 2 * M12 ** 3) for n in (10, 11)] == [64, 65]
+    assert [_width((n + 2) * M19 ** 2) for n in (11, 12)] == [64, 65]
+
+
 def test_charpoly_large_conjugate_of_triangular():
     # A = L T L^-1 with T upper-triangular, entries near M - 1: the
     # charpoly is prod (X - t_ii), at sizes where the packed fields of
     # charpoly_mod are wide enough to overflow if the width bound were off
+    # with the word boundary of charpoly_mod's widths: bits((n+1)^2 M^3) is
+    # 64, then 65 for 3^12 at n = 10, 11, and bits((n+2) M^2) for 3^19 at
+    # n = 11, 12
     rng = random.Random(9)
-    for p, r in ((43, 3), (23, 24)):
+    for p, r, n in ((43, 3, 40), (43, 3, 100), (23, 24, 40), (23, 24, 100),
+                    (3, 12, 10), (3, 12, 11), (3, 19, 11), (3, 19, 12)):
         M = p ** r
-        for n in (40, 100):
-            L = identity_mat(n)
-            T = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if j < i:
-                        L[i][j] = rng.randrange(M)
-                    else:
-                        T[i][j] = M - 1 - rng.randrange(3)
-            Linv = unit_lower_inverse(L, M)
-            assert mat_mul(L, Linv, M) == identity_mat(n)
-            A = mat_mul(mat_mul(L, T, M), Linv, M)
-            want = [1]
-            for i in range(n):
-                # multiply by X - t_ii
-                want = [(a - T[i][i] * b) % M
-                        for a, b in zip([0] + want, want + [0])]
-            assert charpoly_mod(A, p, r) == want, (p, r, n)
+        L = identity_mat(n)
+        T = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if j < i:
+                    L[i][j] = rng.randrange(M)
+                else:
+                    T[i][j] = M - 1 - rng.randrange(3)
+        Linv = unit_lower_inverse(L, M)
+        assert mat_mul(L, Linv, M) == identity_mat(n)
+        A = mat_mul(mat_mul(L, T, M), Linv, M)
+        want = [1]
+        for i in range(n):
+            # multiply by X - t_ii
+            want = [(a - T[i][i] * b) % M
+                    for a, b in zip([0] + want, want + [0])]
+        assert charpoly_mod(A, p, r) == want, (p, r, n)
 
 
 def test_charpoly_takes_unreduced_entries():
