@@ -11,10 +11,10 @@ sign) and one Reidemeister-Schreier rule over the cycles of s and of u
 generator, the last reads the inverse of their product) give a free
 generating set of rank 1 + mu/6, where mu is the projective index, and a
 table writing every directed coset edge in it.  FreeBasisData keeps the
-projective cosets themselves (rows and the permutations perm_s, perm_u
-and perm_t) and, per coset x, the reduced word of one t-step, the width
-w_x of x's t-orbit (its cusp width, a divisor of N) and the loop word of
-t^w_x from x.
+permutations perm_s and perm_t of the projective cosets (indexed in the
+sorted order of their canonical bottom rows) and, per coset x, the
+reduced word of one t-step, the width w_x of x's t-orbit (its cusp
+width, a divisor of N) and the loop word of t^w_x from x.
 
 express() writes a group element as +-t^e_0 s t^e_1 ... s t^e_n by the
 nearest-integer continued fraction of its left column (each step at
@@ -62,16 +62,14 @@ def _normalize_sign(m, N):
 class FreeBasisData:
     """Free generators of the level subgroup plus the rewriting table."""
 
-    __slots__ = ("N", "mu", "rows", "perm_s", "perm_u", "root", "gens",
-                 "expr", "perm_t", "t_word", "width", "loop", "steps")
+    __slots__ = ("N", "mu", "perm_s", "root", "gens", "expr", "perm_t",
+                 "t_word", "width", "loop", "steps")
 
-    def __init__(self, N, mu, rows, perm_s, perm_u, root, gens, expr,
-                 perm_t, t_word, width, loop):
+    def __init__(self, N, mu, perm_s, root, gens, expr, perm_t, t_word,
+                 width, loop):
         self.N = N
         self.mu = mu
-        self.rows = rows
         self.perm_s = perm_s
-        self.perm_u = perm_u
         self.root = root
         self.gens = gens
         self.expr = expr
@@ -268,8 +266,8 @@ def free_basis(N):
             y, w = perm_t[y], w + 1
         width.append(w)
         loop.append(tuple(_free_reduce(word)))
-    data = FreeBasisData(N, mu, rows, perm_s, perm_u, root, gens, expr,
-                         perm_t, t_word, width, loop)
+    data = FreeBasisData(N, mu, perm_s, root, gens, expr, perm_t, t_word,
+                         width, loop)
     _verify_edges(data, edge_matrix)
     return data
 

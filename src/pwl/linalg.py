@@ -1,21 +1,24 @@
 """Linear algebra over Z/p^r: diagonalization, solving, charpoly.
 
 smith_mod reduces a matrix to diag(p^e_1, ..., p^e_k) with e_1 <= e_2 <= ...
-by invertible row and column transforms (minimal-valuation pivoting, the
-first unit ends the search, unit normalization).  It returns U, V and also
-U^-1: every row operation on U is mirrored by the inverse column operation
-on Uinv (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
-A row swap is a column swap; scaling row k by u^-1 and then the batch
-U[i] -= f_i U[k] are one pass Uinv[:, k] = u Uinv[:, k] + sum f_i Uinv[:, i].
-So solving, changing to Smith coordinates and back, and cokernel
-presentations all come out of one reduction.  Matrices are lists of rows
-of plain ints.
+by invertible row and column transforms and returns U, V and U^-1, so
+solving, changing to Smith coordinates and back, and cokernel presentations
+all come out of one reduction.  Pivot k = p^e u is scaled to p^e and its
+column cleared by row operations row_i -= f_i row_k; two invariants then
+spare the rest.  Column k of B is now zero but in row k, so a column
+operation col_j -= f col_k changes only row k, which nothing reads again:
+it runs on V alone (held as columns), and B keeps only its trailing block.
+Columns k.. of U^-1 are still unit vectors e_perm[c], as pivots before k
+only swapped them, so column k of U^-1 is u at perm[k] and f_i at perm[i]:
+it is read off the multipliers.  Matrices are lists of rows of plain ints.
 
 charpoly_mod reduces a square matrix to Hessenberg form by similarities
-over Z/p^r (again with minimal-valuation pivots, so every multiplier is
-integral) and reads det(X I - A) off the division-free Hessenberg
-recurrence in O(n^2) interpreted steps on packed columns; coefficients are
-returned in ascending degree order with the leading coefficient last (monic).
+and reads det(X I - A), ascending and monic, off the division-free
+Hessenberg recurrence in O(n^2) interpreted steps on packed columns.
+Both reductions take pivots from _pivot (least valuation, first in scan
+order, the first unit ends the scan), so every multiplier x / p^e * u^-1
+is integral: smith_mod scans its trailing block by rows, charpoly_mod its
+column below the diagonal.
 
 pack_row / unpack_row hold a row of nonnegative ints as the w-bit fields of
 one int (entry j at bit w*j; Kronecker substitution).  A scalar times a
@@ -35,6 +38,7 @@ cohomology's induced operator).
 """
 
 import struct
+from itertools import chain
 
 from .errors import DimensionMismatch
 from .padic import vp
@@ -113,69 +117,66 @@ class SmithForm:
         return mat_vec(self.V, z, M)
 
 
+def _pivot(entries, p, r):
+    """(e, t): entry t is the first in scan order of least valuation e, the
+    first unit ending the scan; (r, 0) if every entry is 0 mod p^r."""
+    e, t = r, 0
+    for i, x in enumerate(entries):
+        if x:
+            v = vp(x, p)
+            if v < e:
+                e, t = v, i
+                if not v:
+                    break
+    return e, t
+
+
 def smith_mod(A, p, r):
     m = len(A)
     n = len(A[0]) if m else 0
     M = p ** r
-    B = [[x % M for x in row] for row in A]
+    B = [[x % M for x in row] for row in A]  # rows and columns k.. at pivot k
     U = identity_mat(m)
-    Uinv = identity_mat(m)
-    V = identity_mat(n)
+    Vt = identity_mat(n)  # the columns of V
+    Uinv = [[0] * m for _ in range(m)]  # column k is written at pivot k
+    perm = list(range(m))  # column c >= k of U^-1 is e_perm[c] at pivot k
     exps = []
     for k in range(min(m, n)):
-        piv_i = piv_j = -1
-        e = r
-        for i in range(k, m):
-            row = B[i]
-            for j in range(k, n):
-                x = row[j]
-                if x:
-                    v = vp(x, p)
-                    if v < e:
-                        piv_i, piv_j, e = i, j, v
-                        if not v:
-                            break
-            if not e:
-                break
-        if piv_i < 0:
-            exps.extend([r] * (min(m, n) - k))
+        e, t = _pivot(chain.from_iterable(B), p, r)
+        if e == r:
             break
-        if piv_i != k:
-            B[k], B[piv_i] = B[piv_i], B[k]
-            U[k], U[piv_i] = U[piv_i], U[k]
-            for row in Uinv:
-                row[k], row[piv_i] = row[piv_i], row[k]
-        if piv_j != k:
-            for row in B:
-                row[k], row[piv_j] = row[piv_j], row[k]
-            for row in V:
-                row[k], row[piv_j] = row[piv_j], row[k]
+        i, j = divmod(t, n - k)
+        B[0], B[i] = B[i], B[0]
+        U[k], U[k + i] = U[k + i], U[k]
+        perm[k], perm[k + i] = perm[k + i], perm[k]
+        for row in B:
+            row[0], row[j] = row[j], row[0]
+        Vt[k], Vt[k + j] = Vt[k + j], Vt[k]
         pe = p ** e
-        unit = B[k][k] // pe
+        unit = B[0][0] // pe
         uinv = pow(unit, -1, M)
-        B[k] = [x * uinv % M for x in B[k]]
+        piv = [x * uinv % M for x in B[0][1:]]
         U[k] = [x * uinv % M for x in U[k]]
-        mults = []
-        for i in range(m):
-            if i != k and B[i][k]:
-                f = B[i][k] // pe
-                B[i] = [(x - f * y) % M for x, y in zip(B[i], B[k])]
+        Uinv[perm[k]][k] = unit
+        for i, row in enumerate(B[1:], k + 1):
+            f = row[0] // pe
+            if f:
+                B[i - k] = [(x - f * y) % M for x, y in zip(row[1:], piv)]
                 U[i] = [(x - f * y) % M for x, y in zip(U[i], U[k])]
-                mults.append((i, f))
-        for row in Uinv:
-            row[k] = (unit * row[k] + sum(f * row[i] for i, f in mults)) % M
-        for j in range(n):
-            if j == k:
-                continue
-            f = B[k][j] // pe
-            if not f:
-                continue
-            for row in B:
-                row[j] = (row[j] - f * row[k]) % M
-            for row in V:
-                row[j] = (row[j] - f * row[k]) % M
+                Uinv[perm[i]][k] = f
+            else:
+                B[i - k] = row[1:]
+        del B[0]
+        for j, x in enumerate(piv, k + 1):
+            f = x // pe
+            if f:
+                Vt[j] = [(y - f * z) % M for y, z in zip(Vt[j], Vt[k])]
         exps.append(e)
-    return SmithForm(p, r, m, n, exps, U, V, Uinv)
+    for c in range(len(exps), m):
+        Uinv[perm[c]][c] = 1
+    exps += [r] * (min(m, n) - len(exps))
+    return SmithForm(p, r, m, n, exps, U, [list(row) for row in zip(*Vt)],
+                     Uinv)
 
 
 def _width(bound):
@@ -187,8 +188,8 @@ def charpoly_mod(A, p, r):
     """det(X I - A) mod p^r: ascending coefficients, monic.
 
     A is first brought to upper Hessenberg form H by similarities in
-    GL_n(Z/p^r).  For column k the sub-diagonal entry of least valuation
-    p^e * u is swapped into row k+1; every lower entry x then has
+    GL_n(Z/p^r).  For column k the entry of rows k+1.. that _pivot picks,
+    p^e * u, is swapped into row k+1; every lower entry x then has
     valuation >= e, so c = (x / p^e) * u^-1 satisfies c * p^e * u = x and
     row_i -= c row_{k+1}, col_{k+1} += c col_i clears it exactly.  The
     charpoly of H follows from the division-free recurrence
@@ -220,8 +221,8 @@ def charpoly_mod(A, p, r):
     for k in range(n - 2):
         col = unpack_row(cols[k], n, w, M)  # col[pos[i]] = h_ik
         k1 = k + 1
-        e, piv = min(((vp(col[pos[i]], p), i) for i in range(k1, n)
-                      if col[pos[i]]), default=(r, k1))
+        e, t = _pivot((col[s] for s in pos[k1:]), p, r)
+        piv = k1 + t
         pos[k1], pos[piv] = pos[piv], pos[k1]
         cols[k1], cols[piv] = cols[piv], cols[k1]
         H.append([col[s] for s in pos[:k + 2]])

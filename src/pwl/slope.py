@@ -219,8 +219,8 @@ def slope_factor(P, s, p, r):
     For s >= 2 a root of non-integral valuation below s raises
     AmbiguousAtPrecision.
     """
-    if s < 1:
-        raise BadRange(f"slope cut {s} is below 1")
+    if not isinstance(s, int) or s < 1:
+        raise BadRange(f"slope cut {s!r} is not an integer >= 1")
     if r < 1:
         raise PrecisionExhausted("no working digits left for a slope split")
     if not P or P[-1] % p ** r != 1:

@@ -39,7 +39,7 @@ import operator
 from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, NotAdmissible, PrecisionMismatch,
                      WidthInsufficient)
-from .linalg import pack_row, unpack_row
+from .linalg import mat_vec, pack_row, unpack_row
 from .padic import (PrecInt, Weight, _c_factors, _check_modulus, binom,
                     eval_char, tail_width)
 
@@ -130,9 +130,7 @@ def sym_matrix(n, mat, p, r):
 def act_sym(mat, v):
     """Apply the degree-n symmetric-power action to a SymVec."""
     m = sym_matrix(v.n, mat, v.p, v.r)
-    out = [sum(m[i][j] * v.coords[j] for j in range(v.n + 1))
-           for i in range(v.n + 1)]
-    return SymVec(v.p, v.r, v.n, out)
+    return SymVec(v.p, v.r, v.n, mat_vec(m, v.coords, v.p ** v.r))
 
 
 def _check_widths(x, y, width):

@@ -1,6 +1,8 @@
 """Cosets, free generating sets, and word rewriting."""
 
+import functools
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -16,20 +18,31 @@ from pwl.matrices import IntMat
 T_MAT = IntMat(1, 1, 0, 1)
 
 
+@functools.lru_cache
+def cosets(N):
+    """The projective cosets at level N as free_basis indexes them (sorted
+    canonical bottom rows) and the permutation u = s t makes of them."""
+    rows = sorted({_proj_canon(c, d, N) for c in range(N) for d in range(N)
+                   if math.gcd(c, d, N) == 1})
+    index = {row: i for i, row in enumerate(rows)}
+    return rows, [index[_proj_canon(d, d - c, N)] for c, d in rows]
+
+
 def coset_of(basis, mat):
     """Index of the projective coset of mat's bottom row, by a scan."""
-    return basis.rows.index(_proj_canon(mat.c, mat.d, basis.N))
+    return cosets(basis.N)[0].index(_proj_canon(mat.c, mat.d, basis.N))
 
 
 def tree_lifts(basis):
     """A lift of every coset, up to sign, read off the rewriting table: an
     edge x -> y by the step g whose word is empty has lift_y = +-lift_x g,
     and these edges include the spanning tree, rooted at the identity."""
+    perm_u = cosets(basis.N)[1]
     edges = {}
     for (x, g), word in basis.expr.items():
         if not word:
             y, step = ((basis.perm_s[x], ROT) if g == "s"
-                       else (basis.perm_u[x], SIX))
+                       else (perm_u[x], SIX))
             edges.setdefault(x, []).append((y, step))
             edges.setdefault(y, []).append((x, step.inverse()))
     lifts = {basis.root: IntMat.identity()}
@@ -64,8 +77,9 @@ def floor_st_decompose(mat):
 def ref_express(basis, mat):
     """The rewriting walk one s or u step at a time over the floor tokens,
     with t^e walked as (s u)^e and t^-e as (u^-1 s)^e."""
+    perm_u = cosets(basis.N)[1]
     perm_u_inv = [0] * basis.mu
-    for i, j in enumerate(basis.perm_u):
+    for i, j in enumerate(perm_u):
         perm_u_inv[j] = i
     out = []
     cur = basis.root
@@ -80,7 +94,7 @@ def ref_express(basis, mat):
                 cur = basis.perm_s[cur]
             elif g == "u":
                 out.extend(basis.expr[(cur, "u")])
-                cur = basis.perm_u[cur]
+                cur = perm_u[cur]
             else:
                 cur = perm_u_inv[cur]
                 out.extend(-x for x in reversed(basis.expr[(cur, "u")]))
@@ -137,25 +151,28 @@ def test_coset_counts_match_index_formula():
 def test_coset_permutation_relations():
     for N in (5, 7, 9, 11):
         fb = free_basis(N)
+        perm_u = cosets(N)[1]
         n = fb.mu
         assert sorted(fb.perm_s) == list(range(n))
-        assert sorted(fb.perm_u) == list(range(n))
+        assert sorted(perm_u) == list(range(n))
         # s^2 = u^3 = 1 in PSL_2(Z); the level subgroup is torsion-free,
-        # so neither s nor u fixes a coset
+        # so neither s nor u fixes a coset; t = s^-1 u acts as s then u
         for i in range(n):
             assert fb.perm_s[i] != i and fb.perm_s[fb.perm_s[i]] == i
-            assert fb.perm_u[i] != i
-            assert fb.perm_u[fb.perm_u[fb.perm_u[i]]] == i
+            assert perm_u[i] != i
+            assert perm_u[perm_u[perm_u[i]]] == i
+            assert fb.perm_t[i] == perm_u[fb.perm_s[i]]
 
 
 def test_coset_of_matches_action():
     fb = free_basis(7)
     m = ROT * T_MAT * ROT * T_MAT * T_MAT
+    perm_u = cosets(7)[1]
     i = coset_of(fb, m)
     assert fb.perm_s[i] == coset_of(fb, m * ROT)
-    assert fb.perm_u[i] == coset_of(fb, m * SIX)
+    assert perm_u[i] == coset_of(fb, m * SIX)
     # t = s^-1 u, and s^-1 = -s acts on cosets as s does
-    assert fb.perm_u[fb.perm_s[i]] == coset_of(fb, m * T_MAT)
+    assert perm_u[fb.perm_s[i]] == coset_of(fb, m * T_MAT)
     assert fb.perm_t[i] == coset_of(fb, m * T_MAT)
 
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl.errors import DimensionMismatch
-from pwl.linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
-                        pack_row, smith_mod, unpack_row)
+from pwl.gamma1 import free_basis
+from pwl.linalg import (SmithForm, _width, charpoly_mod, identity_mat, mat_mul,
+                        mat_vec, pack_row, smith_mod, unpack_row)
+from pwl.padic import vp
 
 
 def rand_mat(rng, m, n, M):
@@ -39,12 +42,84 @@ def kernel_basis(sf):
     return out
 
 
+def ref_smith(A, p, r):
+    """Smith form by full row and column passes on B, U and V, every row
+    operation on U mirrored into U^-1 as a column pass (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  The oracle for smith_mod's
+    pivots and outputs, entry for entry."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = p ** r
+    B = [[x % M for x in row] for row in A]
+    U = identity_mat(m)
+    Uinv = identity_mat(m)
+    V = identity_mat(n)
+    exps = []
+    for k in range(min(m, n)):
+        piv_i = piv_j = -1
+        e = r
+        for i in range(k, m):
+            row = B[i]
+            for j in range(k, n):
+                x = row[j]
+                if x:
+                    v = vp(x, p)
+                    if v < e:
+                        piv_i, piv_j, e = i, j, v
+                        if not v:
+                            break
+            if not e:
+                break
+        if piv_i < 0:
+            exps.extend([r] * (min(m, n) - k))
+            break
+        if piv_i != k:
+            B[k], B[piv_i] = B[piv_i], B[k]
+            U[k], U[piv_i] = U[piv_i], U[k]
+            for row in Uinv:
+                row[k], row[piv_i] = row[piv_i], row[k]
+        if piv_j != k:
+            for row in B:
+                row[k], row[piv_j] = row[piv_j], row[k]
+            for row in V:
+                row[k], row[piv_j] = row[piv_j], row[k]
+        pe = p ** e
+        unit = B[k][k] // pe
+        uinv = pow(unit, -1, M)
+        B[k] = [x * uinv % M for x in B[k]]
+        U[k] = [x * uinv % M for x in U[k]]
+        mults = []
+        for i in range(m):
+            if i != k and B[i][k]:
+                f = B[i][k] // pe
+                B[i] = [(x - f * y) % M for x, y in zip(B[i], B[k])]
+                U[i] = [(x - f * y) % M for x, y in zip(U[i], U[k])]
+                mults.append((i, f))
+        for row in Uinv:
+            row[k] = (unit * row[k] + sum(f * row[i] for i, f in mults)) % M
+        for j in range(n):
+            if j == k:
+                continue
+            f = B[k][j] // pe
+            if not f:
+                continue
+            for row in B:
+                row[j] = (row[j] - f * row[k]) % M
+            for row in V:
+                row[j] = (row[j] - f * row[k]) % M
+        exps.append(e)
+    return SmithForm(p, r, m, n, exps, U, V, Uinv)
+
+
 def check_smith(A, p, r):
-    """U A V is diag(p^exps) with exps ascending, and Uinv is U^-1."""
+    """U A V is diag(p^exps) with exps ascending, Uinv is U^-1, and every
+    output equals ref_smith's entry for entry."""
     M = p ** r
     m = len(A)
     n = len(A[0]) if m else 0
-    sf = smith_mod(A, p, r)
+    sf, ref = smith_mod(A, p, r), ref_smith(A, p, r)
+    assert (sf.m, sf.n, sf.exps) == (ref.m, ref.n, ref.exps)
+    assert (sf.U, sf.V, sf.Uinv) == (ref.U, ref.V, ref.Uinv)
     assert sf.exps == sorted(sf.exps)
     assert all(0 <= e <= r for e in sf.exps)
     assert len(sf.exps) == min(m, n)
@@ -121,6 +196,18 @@ def test_smith_property(p, r, m, n, data):
                     st.tuples(st.integers(0, 10 ** 12), st.integers(0, 7)),
                     min_size=n, max_size=n), label="row")]
     check_smith(A, p, r)
+
+
+def test_smith_matches_reference_on_pipeline_matrices():
+    # the level-5 Sym^16 coboundary matrix (51 x 17, the sym16_N5 job's
+    # Smith form) and the level-23 U_23 matrix on the free quotient (45 x 45)
+    beta = h1(SymCoeffs(31, 4, 16), free_basis(5)).beta
+    assert (len(beta), len(beta[0])) == (51, 17)
+    check_smith(beta, 31, 4)
+    fb, co = free_basis(23), SymCoeffs(23, 2, 0)
+    T = h1(co, fb).induced_matrix(hecke_matrix(co, fb, t_ell_reps(23, fb)))
+    assert (len(T), len(T[0])) == (45, 45)
+    check_smith(T, 23, 2)
 
 
 def test_solve_found_and_verified():

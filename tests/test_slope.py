@@ -371,8 +371,13 @@ def test_scaled_inverse_traps_non_invariant_image(monkeypatch):
      "not integral"),
     # X - 3 at s = 2 leaves one digit, where the block reads as 0
     (ps_tp_inv, ([[3]], 2, 3, 2), PrecisionExhausted, "singular"),
+    # a cut must be an int: a float would come back as a float matrix
+    (slope_factor, ([1, 0, 1], 1.5, 3, 4), BadRange, "not an integer"),
+    (ps_tp_inv, ([[2, 0], [0, 4]], 1.5, 3, 4), BadRange, "not an integer"),
+    (ps_tp_inv, ([[2, 0], [0, 4]], 2.0, 3, 4), BadRange, "not an integer"),
 ], ids=["no-digits", "scaling-exhausts", "R(A)-divisors", "non-integral",
-        "non-integral-at-prec", "singular"])
+        "non-integral-at-prec", "singular", "float-cut", "float-cut-ps",
+        "integral-float-cut-ps"])
 def test_slope_errors(call, args, error, match):
     with pytest.raises(error, match=match):
         call(*args)
