@@ -45,8 +45,9 @@ stacks act_matrix(g) - I over the generators into the coboundary matrix
 and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
 available on free presentations).  The induced operator multiplies
-only the free rows of U, which are sparse, into the operator, and adds
-whole columns of that product, one per nonzero of U^-1's free columns.
+only the free rows of U, which are sparse, into the operator, and
+selects columns of that product: each free column of U^-1 is a unit
+vector.
 """
 
 import math
@@ -399,8 +400,9 @@ class H1Presentation:
         """Matrix of T on the free quotient coordinates: rows and columns F
         of U T U^-1, F the free indices.  On a free presentation T
         preserves the coboundaries exactly when Q T beta = 0, Q the rows F
-        of U (sparse: mat_mul skips their zeros); that is checked first,
-        then column f adds U^-1[i][f] times column i of Q T per nonzero."""
+        of U (sparse: mat_mul skips their zeros); that is checked first.
+        Column f of U^-1 is a unit vector e_s (SmithForm), so column f of
+        the result is column s of Q T: a selection, not a product."""
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
         M = self.coeffs.p ** self.coeffs.r
@@ -409,14 +411,14 @@ class H1Presentation:
         if any(any(row) for row in mat_mul(QT, self.beta, M)):
             raise InternalInconsistency(
                 "operator does not preserve coboundaries")
-        QTt, Uinvt, cols = list(zip(*QT)), list(zip(*self.sf.Uinv)), []
+        S = []
         for f in F:
-            col = [0] * len(F)
-            for y, u in zip(QTt, Uinvt[f]):
-                if u:
-                    col = [a + u * b for a, b in zip(col, y)]
-            cols.append([a % M for a in col])
-        return [list(row) for row in zip(*cols)]
+            col = [row[f] for row in self.sf.Uinv]
+            if col.count(0) != len(col) - 1 or 1 not in col:
+                raise InternalInconsistency(
+                    f"column {f} of U^-1 is not a unit vector")
+            S.append(col.index(1))
+        return [[row[s] for s in S] for row in QT]
 
     def charpoly(self, T):
         return charpoly_mod(self.induced_matrix(T), self.coeffs.p, self.coeffs.r)

@@ -31,19 +31,9 @@ tail_width(p, r) coordinates of a stored value and returns out_width.
 """
 
 from .errors import DimensionMismatch, NotAdmissible, PrecisionMismatch
+from .linalg import poly_mul
 from .padic import PrecInt, Weight, _c_factors, _check_modulus, _log_unit
 from .sympow import SeqVec, _act_window, _check_widths
-
-
-def _series_mul(a, b, M, d):
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(d - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % M
-    return out
 
 
 def branch_count(p):
@@ -104,7 +94,7 @@ class WeightFn:
         self._compat(other)
         M = self.p ** self.r
         return WeightFn._raw(self.p, self.r, self.d,
-                             [_series_mul(a, b, M, self.d)
+                             [poly_mul(a, b, M)[:self.d]
                               for a, b in zip(self.comps, other.comps)])
 
     __rmul__ = __mul__

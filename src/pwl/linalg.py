@@ -26,15 +26,19 @@ packed row scales every field, and a sum of packed rows adds them field by
 field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
 a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix,
-sympow._act_window and charpoly_mod do, and share unpack_row
+sympow._act_window, charpoly_mod and poly_mul do, and share unpack_row
 (hecke_matrix only for its block sums: it reduces each per-letter product
-field by field in place, by one Montgomery step).  64-bit fields move
-through struct in one C call, others by one whole-int shift each (O(n^2 w)).
-charpoly_mod rounds w up to 64 if its bound fits; the short-row callers keep
-exact widths, where wider fields cost more in products than shifts save.
-mat_mul stays unpacked on purpose: it skips zero entries of its left operand,
-which pays on the sparse rows it is given (the free rows of U in
-cohomology's induced operator).
+field by field in place, by one Montgomery step).  poly_mul multiplies two
+packed polynomials as one int: a field of the product sums at most
+min(len f, len g) products of reduced coefficients, so it stays below
+w = bits(min(len f, len g) M^2).  64-bit fields move through struct in one
+C call, others by one whole-int shift each (O(n^2 w)).  charpoly_mod rounds
+w up to 64 if its bound fits; the short-row callers keep exact widths, where
+wider fields cost more in products than shifts save.
+mat_mul stays unpacked on purpose: it skips zero entries of its left operand
+and zero rows of its right one, which pays on what cohomology's induced
+operator gives it (the free rows of U are sparse, and the coboundary matrix
+is zero on trivial coefficients, so the preservation check costs nothing).
 """
 
 import struct
@@ -49,18 +53,17 @@ def identity_mat(n):
 
 
 def mat_mul(A, B, M):
-    n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
+    live = [(t, Bt) for t, Bt in enumerate(B) if any(Bt)]
+    out = []
+    for Ai in A:
+        row = [0] * m
+        for t, Bt in live:
             a = Ai[t]
             if a:
-                Bt = B[t]
                 for j in range(m):
                     row[j] = (row[j] + a * Bt[j]) % M
+        out.append(row)
     return out
 
 
@@ -84,12 +87,23 @@ def unpack_row(x, n, w, M):
     return [((x >> (w * j)) & mask) % M for j in range(n)]
 
 
+def poly_mul(f, g, M):
+    """f g mod M, ascending coefficients, by one product of packed rows: a
+    field of it sums min(len f, len g) products below M^2."""
+    f, g = [x % M for x in f], [x % M for x in g]
+    w = max(1, (min(len(f), len(g)) * M * M).bit_length())
+    return unpack_row(pack_row(f, w) * pack_row(g, w), len(f) + len(g) - 1,
+                      w, M)
+
+
 def mat_vec(A, v, M):
     return [sum(a * x for a, x in zip(row, v)) % M for row in A]
 
 
 class SmithForm:
-    """U A V = diag(p^exps) mod p^r with U, V invertible; Uinv = U^-1."""
+    """U A V = diag(p^exps) mod p^r with U, V invertible; Uinv = U^-1.
+    A column of Uinv with no pivot (exponent r, or past min(m, n)) is a
+    unit vector, e_perm[c]: H1Presentation.induced_matrix selects by it."""
 
     __slots__ = ("p", "r", "m", "n", "exps", "U", "V", "Uinv")
 

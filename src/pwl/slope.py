@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
                      NotInvertible, PrecisionExhausted)
-from .linalg import charpoly_mod, mat_mul, smith_mod
+from .linalg import charpoly_mod, mat_mul, poly_mul, smith_mod
 from .padic import vp
 
 
@@ -111,16 +111,6 @@ def _poly_trim(f, M):
     return f
 
 
-def _poly_mul(f, g, M):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % M
-    return out
-
-
 def _poly_add(f, g, M):
     n = max(len(f), len(g))
     return [((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % M
@@ -143,8 +133,8 @@ def _poly_divmod(f, g, M):
 
 def _newton_step(v, B, A, M):
     """v (2 - v B) mod A: squares the error 1 - v B of v as B^-1 mod A."""
-    vB = _poly_divmod(_poly_mul(v, B, M), A, M)[1]
-    return _poly_divmod(_poly_mul(v, _poly_add([2], [-x for x in vB], M), M),
+    vB = _poly_divmod(poly_mul(v, B, M), A, M)[1]
+    return _poly_divmod(poly_mul(v, _poly_add([2], [-x for x in vB], M), M),
                         A, M)[1]
 
 
@@ -162,7 +152,7 @@ def _lift_low_factor(P, A, v, p, r):
         Mm = p ** m
         B, e = _poly_divmod(P, A, Mm)
         v = _newton_step(v, B, A, Mm)
-        A = _poly_add(A, _poly_divmod(_poly_mul(v, e, Mm), A, Mm)[1], Mm)
+        A = _poly_add(A, _poly_divmod(poly_mul(v, e, Mm), A, Mm)[1], Mm)
     return A
 
 
@@ -243,7 +233,7 @@ def slope_factor(P, s, p, r):
     Mq = p ** (r - loss)
     Q1 = [c * p ** (len(Qs) - 1 - i) % Mq for i, c in enumerate(Qs)]
     R1 = [c * p ** (len(Rs) - 1 - i) % Mq for i, c in enumerate(Rs)]
-    Q = _poly_mul(unitpart, Q1, Mq)
+    Q = poly_mul(unitpart, Q1, Mq)
     return _poly_trim(Q, Mq), R1, loss
 
 

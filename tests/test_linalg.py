@@ -11,7 +11,7 @@ from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl.errors import DimensionMismatch
 from pwl.gamma1 import free_basis
 from pwl.linalg import (SmithForm, _width, charpoly_mod, identity_mat, mat_mul,
-                        mat_vec, pack_row, smith_mod, unpack_row)
+                        mat_vec, pack_row, poly_mul, smith_mod, unpack_row)
 from pwl.padic import vp
 
 
@@ -132,6 +132,11 @@ def check_smith(A, p, r):
     assert det_mod_p(sf.V, p) != 0
     assert mat_mul(sf.U, sf.Uinv, M) == identity_mat(m)
     assert mat_mul(sf.Uinv, sf.U, M) == identity_mat(m)
+    # the unpivoted columns of U^-1 are unit vectors: induced_matrix reads
+    # the free columns as a selection
+    for c in range(sum(e < r for e in sf.exps), m):
+        col = sorted(row[c] for row in sf.Uinv)
+        assert col == [0] * (m - 1) + [1], c
 
 
 def det_int(A):
@@ -332,6 +337,58 @@ def test_unpack_words_reads_a_prefix(fields):
     for M in (TOP + 1, 3 ** 4):
         assert unpack_row(x, n, 64, M) == [v % M for v in fields[:n]]
         assert unpack_row(x, n, 64, M) == unpack_by_shifts(x, n, 64, M)
+
+
+def schoolbook_mul(f, g, M):
+    """f g mod M by one product per pair of coefficients: the reference
+    for poly_mul."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % M
+    return out
+
+
+@pytest.mark.parametrize("M", [3 ** 4, 43 ** 3, 23 ** 24, 3 ** 20])
+def test_poly_mul_matches_schoolbook(M):
+    # 23^24: fields of 218 to 221 bits, wider than a word; 3^20:
+    # 64-bit fields (struct) where a factor has length 1; every
+    # coefficient M - 1 fills each field to its bound, min(len f, len g)
+    # (M - 1)^2
+    rng = random.Random(10)
+    for lf in range(1, 13):
+        for lg in range(1, 13):
+            top = [M - 1] * lf, [M - 1] * lg
+            assert poly_mul(*top, M) == schoolbook_mul(*top, M)
+            f = [rng.randrange(-3 * M, 3 * M) for _ in range(lf)]
+            g = [rng.choice((0, 1, M - 1, M, -1, rng.randrange(M)))
+                 for _ in range(lg)]
+            assert poly_mul(f, g, M) == schoolbook_mul(f, g, M), (f, g)
+            assert poly_mul(g, f, M) == schoolbook_mul(f, g, M), (f, g)
+
+
+def triple_sum(A, B, M):
+    """A B mod M entry by entry: the reference for mat_mul."""
+    m = len(B[0]) if B else 0
+    return [[sum(Ai[t] * B[t][j] for t in range(len(B))) % M
+             for j in range(m)] for Ai in A]
+
+
+def test_mat_mul_matches_triple_sum():
+    rng = random.Random(11)
+    M = 43 ** 3
+    for n, k, m in [(3, 3, 3), (4, 2, 5), (1, 6, 1), (5, 1, 2), (0, 3, 2),
+                    (3, 0, 0), (2, 3, 0)]:
+        for _ in range(4):
+            A = [[rng.choice((0, 0, 1, M - 1, rng.randrange(-M, 2 * M)))
+                  for _ in range(k)] for _ in range(n)]
+            B = rand_mat(rng, k, m, M)
+            for t in range(k):
+                if rng.random() < 0.4:
+                    B[t] = [0] * m  # zero rows of B are skipped
+            Z = [[0] * m for _ in range(k)]
+            for Bv in (B, Z):
+                assert mat_mul(A, Bv, M) == triple_sum(A, Bv, M), (A, Bv)
 
 
 def berkowitz(A, M):
