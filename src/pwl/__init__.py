@@ -18,15 +18,13 @@ Submodules:
 __version__ = "0.1.0"
 
 from .errors import PwlError
-from .padic import PrecInt, Weight, binom, unit_project, pow_unit, eval_char
+from .padic import PrecInt, Weight, binom, eval_char
 
 __all__ = [
     "PwlError",
     "PrecInt",
     "Weight",
     "binom",
-    "unit_project",
-    "pow_unit",
     "eval_char",
     "__version__",
 ]

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .errors import PwlError
+from .errors import BadRange, PwlError
 from .padic import _is_odd_prime, is_prime, tail_width
 
 SCHEMA = 1
@@ -22,14 +22,19 @@ SCHEMA = 1
 
 def _checked(option, test, what, kind=int):
     """argparse type: kind(text) if it passes test; any other value is a
-    usage error "Invalid value for '<option>': <value> <what>"."""
+    usage error "Invalid value for '<option>': <value> <what>", or with
+    the message of the BadRange that test raises on it."""
     def parse(text):
         value = kind(text)  # a ValueError reads "invalid int value"
-        if not test(value):
-            # ArgumentError(None, ...) reaches the parser's error() as is
-            raise argparse.ArgumentError(
-                None, f"Invalid value for '{option}': {value} {what}")
-        return value
+        try:
+            if test(value):
+                return value
+            why = f"{value} {what}"
+        except BadRange as exc:  # a value past what the test decides
+            why = str(exc)
+        # ArgumentError(None, ...) reaches the parser's error() as is
+        raise argparse.ArgumentError(
+            None, f"Invalid value for '{option}': {why}")
     parse.__name__ = kind.__name__
     return parse
 

@@ -121,9 +121,6 @@ class FamilyCoeffs:
                 f"a stored value needs {w} coordinates, has {len(x.coords)}")
         return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
 
-    def eq(self, x, y):
-        return x.agrees(y, self.out_width)
-
     def rand(self, rng):
         M = self.p ** self.r
         nb = branch_count(self.p)

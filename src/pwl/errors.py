@@ -20,10 +20,6 @@ class NotAUnit(PwlError):
     """Inversion or unit projection of an element divisible by p."""
 
 
-class NotOneUnit(PwlError):
-    """One-unit exponentiation applied to an element not congruent to 1 mod p."""
-
-
 class PrecisionMismatch(PwlError):
     """Operands disagree on the prime (or an op demands equal precision)."""
 

@@ -5,17 +5,15 @@ r >= 1 and a canonical residue in [0, p^r).  Every operation records the
 precision of its output; in particular division by m! consumes v_p(m!)
 digits and raises PrecisionExhausted when none would remain.
 
-Every power of a unit goes through one log and one exp.  _log_one_unit
-sums the log series of a one-unit, _log_unit gives log<d> of any unit d
-as log(d^(p-1)) / (p-1), since log kills roots of unity, and exp is the
-sum of the c^m/m! table _c_factors, which is cut at tail_width terms (the
-same width one weight action consumes in sympow).  So pow_unit(d, n) is
-exp(n log d), unit_project(d) = <d> is exp(log<d>), and
-iwasawa.char_series and sympow._act_window read the same log and table.
-
 A Weight is a character of the units, split as (tame, wild) with
 tame in [0, p-2] and wild a PrecInt w.  eval_char evaluates it on a unit
-d as d^tame exp((w - tame) log<d>).
+d as d^tame exp((w - tame) log<d>), and is the one power of a p-adic unit:
+<d> is eval_char at Weight.wild_only(1), and d^n for a one-unit d is
+eval_char at Weight.wild_only(n).  _log_unit gives log<d> as
+log(d^(p-1)) / (p-1), since log kills roots of unity, and exp is the sum
+of the c^m/m! table _c_factors, which is cut at tail_width terms (the
+same width one weight action consumes in sympow).
+iwasawa.char_series and sympow._act_window read the same log and table.
 """
 
 import math
@@ -24,27 +22,39 @@ from .errors import (
     BadRange,
     PrecisionExhausted,
     NotAUnit,
-    NotOneUnit,
     PrecisionMismatch,
     BadWeight,
-    InternalInconsistency,
 )
 
-_PRIME_CACHE = {}
+# the first 13 primes; Miller-Rabin on them is exact below psi_13
+# (Sorenson and Webster, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 def _is_odd_prime(p):
-    if p not in _PRIME_CACHE:
-        ok = p >= 3 and p % 2 == 1
-        if ok:
-            f = 3
-            while f * f <= p:
-                if p % f == 0:
-                    ok = False
-                    break
-                f += 2
-        _PRIME_CACHE[p] = ok
-    return _PRIME_CACHE[p]
+    """Deterministic Miller-Rabin; BadRange at or above psi_13."""
+    if p >= _PSI13:
+        raise BadRange(f"{p} is not below {_PSI13}, where the primality "
+                       "test stops being exact")
+    if p < 3 or p % 2 == 0:
+        return False
+    if p <= _BASES[-1]:
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n):
@@ -120,12 +130,6 @@ class PrecInt:
             return NotImplemented
         return PrecInt(self.p, r, self.res - o)
 
-    def __rsub__(self, other):
-        o, r = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrecInt(self.p, r, o - self.res)
-
     def __mul__(self, other):
         o, r = self._coerce(other)
         if o is None:
@@ -133,22 +137,6 @@ class PrecInt:
         return PrecInt(self.p, r, self.res * o)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrecInt(self.p, self.r, -self.res)
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise BadRange(f"exponent must be a natural number, got {e}")
-        return PrecInt(self.p, self.r, pow(self.res, e, self.modulus))
-
-    def is_unit(self):
-        return self.res % self.p != 0
-
-    def inverse(self):
-        if not self.is_unit():
-            raise NotAUnit(f"{self.res} is divisible by {self.p}")
-        return PrecInt(self.p, self.r, pow(self.res, -1, self.modulus))
 
     def divexact(self, k):
         """Divide by a nonzero integer k, consuming v_p(k) digits."""
@@ -169,11 +157,6 @@ class PrecInt:
         res = (self.res // self.p ** v) * pow(unit, -1, self.p ** r2) * sign
         return PrecInt(self.p, r2, res)
 
-    def reduce(self, r2):
-        if not 1 <= r2 <= self.r:
-            raise BadRange(f"cannot reduce precision {self.r} to {r2}")
-        return PrecInt(self.p, r2, self.res)
-
     def __eq__(self, other):
         # equality mod the smaller of the two precisions
         o, r = self._coerce(other)
@@ -189,16 +172,13 @@ class PrecInt:
 
 
 def binom_int(n, m):
-    """Exact integer binomial for any integer n and natural m."""
+    """Exact integer binomial for any integer n and natural m:
+    C(n, m) = (-1)^m C(m - n - 1, m) when n < 0."""
     if m < 0:
         raise BadRange(f"binomial index {m} is negative")
-    num = 1
-    for h in range(m):
-        num *= n - h
-    q, rem = divmod(num, math.factorial(m))
-    if rem:
-        raise InternalInconsistency(f"{m}! does not divide {num}")
-    return q
+    if n >= 0:
+        return math.comb(n, m)
+    return (-1) ** m * math.comb(m - n - 1, m)
 
 
 def binom(n, m):
@@ -249,20 +229,17 @@ def _c_factors(c, jmax, p, r):
     return cf
 
 
-def _exp(c, p, r):
-    """exp(c) mod p^r for c divisible by p: the sum of the c^m/m! table."""
-    return sum(_c_factors(c, tail_width(p, r), p, r)) % p ** r
-
-
-def _log_one_unit(u, p, R):
-    """log u mod p^R for an integer one-unit u: sum_m (-1)^(m+1) x^m / m
-    with x = u - 1.  Term m has valuation >= m - v_p(m) >= m - lg(m),
-    lg(m) = floor(log_p m).  m - lg(m) never decreases as m grows, so the
-    sum stops at the first m with m - lg(m) >= R."""
-    if u % p != 1:
-        raise NotOneUnit(f"{u} is not 1 mod {p}")
+def _log_unit(d, p, R):
+    """log<d> mod p^R for an integer unit d, <d> its one-unit part:
+    log(1 + x) / (p - 1) with 1 + x = d^(p-1), since log kills roots of
+    unity, and log(1 + x) = sum_m (-1)^(m+1) x^m / m.  Term m has
+    valuation >= m - v_p(m) >= m - lg(m), lg(m) = floor(log_p m).
+    m - lg(m) never decreases as m grows, so the sum stops at the first m
+    with m - lg(m) >= R."""
+    if d % p == 0:
+        raise NotAUnit(f"{d} is divisible by {p}")
     M = p ** R
-    x = (u - 1) % M
+    x = pow(d, p - 1, M) - 1
     acc, m, lg, pk = 0, 1, 0, p  # pk = p^(lg + 1)
     while m - lg < R:
         v = vp(m, p) if m % p == 0 else 0
@@ -272,37 +249,7 @@ def _log_one_unit(u, p, R):
         m += 1
         if m == pk:
             lg, pk = lg + 1, pk * p
-    return acc % M
-
-
-def _log_unit(d, p, R):
-    """log<d> mod p^R for an integer unit d, <d> its one-unit part."""
-    if d % p == 0:
-        raise NotAUnit(f"{d} is divisible by {p}")
-    M = p ** R
-    return _log_one_unit(pow(d, p - 1, M), p, R) * pow(p - 1, -1, M) % M
-
-
-def unit_project(d):
-    """Projection of a unit onto the one-units: <d> = exp(log<d>)."""
-    p, r = d.p, d.r
-    return PrecInt(p, r, _exp(_log_unit(d.res, p, r), p, r))
-
-
-def pow_unit(d, n):
-    """d^n = exp(n log d) for a one-unit d and integer or PrecInt exponent n.
-
-    Output precision is r for integer n and min(r, precision(n) + 1)
-    otherwise, as p | log d.
-    """
-    p = d.p
-    r = min(d.r, n.r + 1) if isinstance(n, PrecInt) else d.r
-    L = _log_one_unit(d.res, p, r)
-    if isinstance(n, PrecInt):
-        if n.p != p:
-            raise PrecisionMismatch(f"primes differ: {p} vs {n.p}")
-        n = n.res
-    return PrecInt(p, r, _exp(n * L, p, r))
+    return acc * pow(p - 1, -1, M) % M
 
 
 class Weight:
@@ -358,5 +305,5 @@ def eval_char(chi, d):
     L = _log_unit(d.res, p, r)
     if w.p != p:
         raise PrecisionMismatch(f"primes differ: {p} vs {w.p}")
-    return PrecInt(p, r, pow(d.res, t, p ** r)
-                   * _exp((w.res - t) * L, p, r))
+    exp = sum(_c_factors((w.res - t) * L, tail_width(p, r), p, r))
+    return PrecInt(p, r, pow(d.res, t, p ** r) * exp)

@@ -58,9 +58,6 @@ class QExp:
                 f"coefficient {h} beyond stored exponent {self.truncation()}")
         return self.coeffs[h]
 
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QExp([{head}{', ...' if len(self.coeffs) > 6 else ''}])"

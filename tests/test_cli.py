@@ -168,13 +168,27 @@ def test_rejects_bad_prime_and_precision():
              "--prime"),
             (("family", "--prime", "4", "--precision", "2", "--degree", "2"),
              "--prime"),
+            # psi_13: past where the primality test is exact
+            (("h1", "--level", "5", "--prime", "3317044064679887385961981",
+              "--precision", "1"), "--prime"),
             (("h1", "--level", "11", "--prime", "11", "--precision", "0"),
              "--precision"),
             *((("hecke", "--level", "11", "--prime", "11", "--precision",
-                "2", "--ell", ell), "--ell") for ell in ("4", "1", "0"))):
+                "2", "--ell", ell), "--ell")
+              for ell in ("4", "1", "0", "3317044064679887385961981"))):
         res = run_cli("--no-meta", *args)
         assert res.returncode == 2 and res.stdout == ""
         assert f"Invalid value for '{option}'" in res.stderr
+
+
+
+def test_huge_prime_parses_quickly():
+    # 2^61 - 1: trial division to its square root took minutes
+    res = subprocess.run(
+        [sys.executable, "-m", "pwl.cli", "--no-meta", "h1", "--level", "5",
+         "--prime", str(2 ** 61 - 1), "--precision", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert res.returncode == 0 and json.loads(res.stdout)["free_rank"] == 3
 
 
 # small valid arguments per command, for the integer option sweep below

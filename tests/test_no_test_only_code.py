@@ -1,33 +1,145 @@
 """Every function and class in src/pwl is reached from the program itself.
 
-The program is src/pwl and the benchmark scripts in perfbench.  A
-definition counts as reached when its name appears there as a name, an
-attribute, an imported name or an identifier-like string (the CLI looks
-some up by name).  Dunder methods are exempt, and ALLOWED lists the names
-that only tests call, each with its reason.
+The program is the CLI and the benchmark's family job.  The gate runs it
+in this process under sys.setprofile: every command of cli.COMMANDS once
+on small inputs, one command that ends in a PwlError, and
+perfbench/family_job.run(1).  A def in src/pwl, nested ones included, is
+reached when the profiler sees a call enter its code, keyed by file and
+first line, so two defs of one name are told apart.  ALLOWED lists, by
+qualified name, the defs that only tests enter, each with its reason.
 
-The match is by name only, so a definition is missed whenever another
-object of the same name is used: the deleted tautological weight `z` hid
-behind a local `z`, and `PadicMat.det` behind `IntMat.det`.
+__repr__ and __hash__ are exempt: the program prints JSON built from
+plain values and keys nothing by a pwl object, so __repr__ serves only
+error messages and debugging, and PrecInt.__hash__ exists to raise.
+
+A class is reached when its name appears in the program (src/pwl and
+perfbench) as a name, an attribute or an imported name: the errors are
+raised, not called into, on the runs above.
 """
 
 import ast
+import contextlib
+import importlib.util
+import io
+import sys
 from pathlib import Path
+
+import pytest
+
+from pwl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "pwl").glob("*.py"))
 PROGRAM = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+EXEMPT = {"__repr__", "__hash__"}
+
+# one small run of each command; the last ends in BadWeight (exit 1)
+RUNS = {
+    "basis": ["basis", "--level", "11"],
+    "h1": ["h1", "--level", "11", "--prime", "3", "--precision", "2",
+           "--sym", "2"],
+    "hecke": ["hecke", "--level", "11", "--prime", "11", "--precision", "2",
+              "--ell", "2"],
+    "slopes": ["slopes", "--level", "11", "--prime", "11", "--precision",
+               "2", "--ell", "2"],
+    "family": ["family", "--prime", "3", "--precision", "4", "--degree", "4"],
+    "eisenstein": ["eisenstein", "--weight", "12", "--terms", "6",
+                   "--hecke-ell", "2"],
+    "verify": ["verify", "--suite", "all"],
+}
+FAILING = ["eisenstein", "--weight", "3"]
 
 ALLOWED = {
     "family_preimage": "acceptance criterion 14 lifts Sym^n cocycles with it",
-    "eval": "the tests' oracle for a cocycle's value on a group element",
-    "class_coords": "the class map the H^1 tests check operators against",
-    "shift": "the tests' oracle for lowering a weight by an integer",
+    "Cocycle.eval": "the tests' oracle for a cocycle's value on a group "
+                    "element",
+    "Cocycle.__add__": "the tests' oracle for the linearity of Hecke images "
+                       "and class maps",
+    "Cocycle.__sub__": "the tests' oracle for the linearity of Hecke images "
+                       "and class maps",
+    "Cocycle.stacked_coords": "the stacked coordinates the class-map tests "
+                              "read",
+    "H1Presentation.class_coords": "the class map the H^1 tests check "
+                                   "operators against",
+    "Weight.shift": "the tests' oracle for lowering a weight by an integer",
+    "WeightFn.__mul__": "the reference family action in test_iwasawa "
+                        "multiplies weight functions",
+    "WeightFn.scale": "the reference family action in test_iwasawa scales "
+                      "weight functions",
+    "WeightFn.__eq__": "test_iwasawa compares the reference family action "
+                       "with act_family",
+    "FamilyVec.agrees": "the family tests compare windows to a certified "
+                        "width with it",
+    "SymCoeffs.rand": "Cocycle.random draws the Sym^n cocycles of the H^1 "
+                      "and Hecke tests with it",
+    "_roots_over_p": "slope_factor's cut at s >= 2, which no command asks for",
 }
 
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _defs():
+    """{(file, first line): qualified name} of every def in src/pwl; the
+    first line is the first decorator's, as in co_firstlineno."""
+    found = {}
+
+    def walk(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if child.name not in EXEMPT:
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    found[(str(path), first)] = name
+                walk(child, name + ".", path)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".", path)
+            else:
+                walk(child, prefix, path)
+
+    for path in SRC:
+        walk(_tree(path), "", path)
+    return found
+
+
+def _load(path, name):
+    """A fresh copy of the module at path, as a new process loads it."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _entered():
+    """(file, first line) of every code object called while the program
+    is loaded and runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_firstlineno))
+
+    out, err = io.StringIO(), io.StringIO()
+    sys.setprofile(profile)
+    try:
+        # the CLI builds its option types when it is loaded
+        main = _load(ROOT / "src" / "pwl" / "cli.py", "pwl.cli").main
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            for args in RUNS.values():
+                main(["--no-meta"] + args)
+            with pytest.raises(SystemExit) as exc:
+                main(["--no-meta"] + FAILING)
+        job = _load(ROOT / "perfbench" / "family_job.py", "family_job")
+        result = job.run(1)
+    finally:
+        sys.setprofile(None)
+    assert exc.value.code == 1 and '"BadWeight"' in err.getvalue()
+    assert result["agree"] == [True] * 7
+    assert out.getvalue().count("\n") == len(RUNS)
+    return {(str(Path(f).resolve()), line) for f, line in seen}
 
 
 def _used_names():
@@ -40,32 +152,27 @@ def _used_names():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.update(node.name.split("."))
-            elif (isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                used.add(node.value)
     return used
 
 
-def _defined_names():
-    defined = {}
-    for path in SRC:
-        for node in ast.walk(_tree(path)):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    return defined
+def test_runs_cover_every_command():
+    assert sorted(RUNS) == sorted(name for name, _, _ in cli.COMMANDS)
 
 
 def test_every_definition_is_reached():
+    defs = _defs()
+    entered = _entered()
+    unreached = {name: f"{Path(path).name}:{line}"
+                 for (path, line), name in defs.items()
+                 if (path, line) not in entered}
     used = _used_names()
-    unreached = {name: where for name, where in _defined_names().items()
-                 if name not in used}
+    unreached.update({node.name: f"{path.name}:{node.lineno}"
+                      for path in SRC for node in ast.walk(_tree(path))
+                      if isinstance(node, ast.ClassDef)
+                      and node.name not in used})
     extra = {name: where for name, where in unreached.items()
              if name not in ALLOWED}
     assert extra == {}, f"only tests reach {extra}"
-    # an entry whose name is gone or now reached must leave ALLOWED
+    # an entry whose def is gone or now entered must leave ALLOWED
     stale = sorted(set(ALLOWED) - set(unreached))
-    assert stale == [], f"ALLOWED names {stale} are not test-only definitions"
+    assert stale == [], f"ALLOWED names {stale} are not test-only defs"

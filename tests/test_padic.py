@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +12,8 @@ from pwl.errors import (
     BadRange,
     PrecisionExhausted,
     NotAUnit,
-    NotOneUnit,
     PrecisionMismatch,
     BadWeight,
-    InternalInconsistency,
 )
 from pwl.padic import (
     PrecInt,
@@ -24,8 +21,6 @@ from pwl.padic import (
     binom,
     binom_int,
     eval_char,
-    pow_unit,
-    unit_project,
     vp,
     vp_factorial,
 )
@@ -53,19 +48,15 @@ class TestPrecInt:
         with pytest.raises(PrecisionMismatch):
             PrecInt(3, 2, 1) + PrecInt(5, 2, 1)
 
-    def test_inverse(self):
-        x = PrecInt(3, 2, 4)
-        assert x.inverse() == 7
-        assert x * x.inverse() == 1
-        with pytest.raises(NotAUnit):
-            PrecInt(3, 2, 6).inverse()
-
     def test_divexact(self):
         x = PrecInt(3, 3, 18)
         y = x.divexact(9)
         assert y.r == 1 and y.res == 2
         with pytest.raises(PrecisionExhausted):
             PrecInt(3, 2, 9).divexact(9)
+        for k in (0, 3.0):
+            with pytest.raises(BadRange):
+                x.divexact(k)
 
     def test_eq_mod_min_precision(self):
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
@@ -76,20 +67,28 @@ class TestPrecInt:
             with pytest.raises(BadRange):
                 PrecInt(p, r, 5)
 
-    def test_reduce_cannot_invent_digits(self):
-        assert PrecInt(3, 4, 10).reduce(2) == PrecInt(3, 2, 1)
-        for r2 in (0, 5, 7):
-            with pytest.raises(BadRange):
-                PrecInt(3, 4, 10).reduce(r2)
 
-    def test_rejects_bad_exponent_and_divisor(self):
-        x = PrecInt(3, 2, 4)
-        for e in (-1, 2.0):
-            with pytest.raises(BadRange):
-                x ** e
-        for k in (0, 3.0):
-            with pytest.raises(BadRange):
-                x.divexact(k)
+def test_is_odd_prime_matches_trial_division():
+    def trial(n):
+        return n >= 3 and n % 2 == 1 and all(
+            n % f for f in range(3, math.isqrt(n) + 1, 2))
+    assert all(padic._is_odd_prime(n) == trial(n) for n in range(-3, 3000))
+    assert padic.is_prime(2) and not padic.is_prime(1)
+
+
+def test_strong_pseudoprimes_are_rejected():
+    # a Carmichael number; a strong pseudoprime to bases 2, 3, 5 and 7;
+    # psi_12, a strong pseudoprime to bases 2 to 37 that base 41 rejects
+    for n in (561, 3215031751, 318665857834031151167461):
+        assert not padic._is_odd_prime(n)
+    assert padic._is_odd_prime(2 ** 61 - 1)
+
+
+def test_primality_stops_at_psi13():
+    assert padic._is_odd_prime(3317044064679887385961979) is False
+    for n in (3317044064679887385961981, 2 ** 127 - 1):
+        with pytest.raises(BadRange):
+            padic._is_odd_prime(n)
 
 
 def test_vp_of_zero_raises():
@@ -148,11 +147,12 @@ class TestBinom:
         with pytest.raises(BadRange):
             binom_int(5, -2)
 
-    def test_remainder_trap(self, monkeypatch):
-        # unreachable with a correct factorial: inject a wrong one
-        monkeypatch.setattr(padic, "math", SimpleNamespace(factorial=lambda m: 7))
-        with pytest.raises(InternalInconsistency):
-            binom_int(5, 3)
+    def test_integer_matches_falling_factorial(self):
+        for n in range(-30, 31):
+            prod = 1
+            for m in range(13):
+                assert binom_int(n, m) == Fraction(prod, math.factorial(m))
+                prod *= n - m
 
     def test_pascal_rule(self):
         rng = random.Random(7)
@@ -165,28 +165,35 @@ class TestBinom:
             assert lhs == rhs
 
 
+def bracket(d):
+    """<d>, the one-unit part of d: eval_char at the weight wild_only(1)."""
+    return eval_char(Weight.wild_only(1, d.p, d.r), d)
+
+
 class TestUnitProject:
     def test_frozen_values(self):
-        assert unit_project(PrecInt(5, 2, 2)) == 11
-        assert unit_project(PrecInt(3, 2, 2)) == 7
+        assert bracket(PrecInt(5, 2, 2)) == 11
+        assert bracket(PrecInt(3, 2, 2)) == 7
 
     def test_teichmuller_is_root_of_unity(self):
         # d / <d> is the Teichmuller lift of d: a (p-1)-st root of unity
         # congruent to d mod p
         for p, r in [(3, 5), (5, 4), (7, 3)]:
-            for d0 in range(1, p ** r):
+            M = p ** r
+            for d0 in range(1, M):
                 if d0 % p == 0:
                     continue
-                d = PrecInt(p, r, d0)
-                w = d * unit_project(d).inverse()
-                assert w ** (p - 1) == 1
-                assert w.res % p == d0 % p
+                u = bracket(PrecInt(p, r, d0))
+                assert u.r == r
+                w = d0 * pow(u.res, -1, M) % M
+                assert pow(w, p - 1, M) == 1
+                assert w % p == d0 % p
 
     def test_identity_on_one_units(self):
         for p, r in [(3, 4), (5, 3)]:
             for k in range(p ** (r - 1)):
                 d = PrecInt(p, r, 1 + p * k)
-                assert unit_project(d) == d
+                assert bracket(d) == d
 
     def test_multiplicative(self):
         rng = random.Random(11)
@@ -195,9 +202,9 @@ class TestUnitProject:
             r = rng.randrange(2, 6)
             a = PrecInt(p, r, rng.randrange(1, p ** r))
             b = PrecInt(p, r, rng.randrange(1, p ** r))
-            if not (a.is_unit() and b.is_unit()):
+            if a.res % p == 0 or b.res % p == 0:
                 continue
-            assert unit_project(a * b) == unit_project(a) * unit_project(b)
+            assert bracket(a * b) == bracket(a) * bracket(b)
 
     def test_binomial_series_agrees(self):
         # (.)^(p-1) then binomial series with exponent 1/(p-1), at padded precision
@@ -207,24 +214,33 @@ class TestUnitProject:
             for d0 in range(1, p ** r):
                 if d0 % p == 0:
                     continue
-                d = PrecInt(p, pad, d0)
-                x = d ** (p - 1) - 1
+                x = PrecInt(p, pad, d0 ** (p - 1) - 1)
                 acc = PrecInt(p, r, 0)
                 xpow = PrecInt(p, pad, 1)
                 for h in range(4 * r):
-                    acc = acc + (binom(beta - 0, h).reduce(r) * xpow.reduce(r))
+                    # binom(beta, h) keeps pad - v_p(h!) >= r digits
+                    acc = acc + binom(beta, h) * xpow
                     xpow = xpow * x
-                assert acc == unit_project(PrecInt(p, r, d0))
+                assert acc.r == r
+                assert acc == bracket(PrecInt(p, r, d0))
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
-            unit_project(PrecInt(3, 2, 3))
+            bracket(PrecInt(3, 2, 3))
+
+
+def power(d, n):
+    """d^n for a one-unit d: eval_char at the weight wild_only(n), or at
+    the wild part n when n is a PrecInt."""
+    if isinstance(n, PrecInt):
+        return eval_char(Weight(0, n), d)
+    return eval_char(Weight.wild_only(n, d.p, d.r), d)
 
 
 class TestPowUnit:
     def test_frozen_values(self):
-        assert pow_unit(PrecInt(3, 3, 4), 3) == 10  # 64 mod 27
-        inv = pow_unit(PrecInt(3, 3, 4), -1)
+        assert power(PrecInt(3, 3, 4), 3) == 10  # 64 mod 27
+        inv = power(PrecInt(3, 3, 4), -1)
         assert inv == 1 - 3 + 9  # geometric series mod 27
 
     def test_matches_modular_exponentiation(self):
@@ -234,12 +250,16 @@ class TestPowUnit:
             r = rng.randrange(1, 6)
             d = PrecInt(p, r, 1 + p * rng.randrange(p ** (r - 1) if r > 1 else 1))
             n = rng.randrange(0, 500)
-            assert pow_unit(d, n) == pow(d.res, n, p ** r)
+            got = power(d, n)
+            assert got.r == r and got == pow(d.res, n, p ** r)
 
     def test_precint_exponent(self):
+        # p | log d, so an exponent known to precision s gives d^n to
+        # precision min(r, s + 1)
         d = PrecInt(5, 3, 6)
-        n = PrecInt(5, 3, 44)
-        assert pow_unit(d, n) == pow(6, 44, 125)
+        for s, r in ((3, 3), (2, 3), (1, 2)):
+            got = power(d, PrecInt(5, s, 44))
+            assert got.r == r and got == pow(6, 44, 125)
 
     def test_homomorphism_in_exponent(self):
         rng = random.Random(9)
@@ -248,11 +268,7 @@ class TestPowUnit:
             r = 4
             d = PrecInt(p, r, 1 + p * rng.randrange(p ** (r - 1)))
             m, n = rng.randrange(-100, 100), rng.randrange(-100, 100)
-            assert pow_unit(d, m) * pow_unit(d, n) == pow_unit(d, m + n)
-
-    def test_not_one_unit(self):
-        with pytest.raises(NotOneUnit):
-            pow_unit(PrecInt(3, 2, 2), 5)
+            assert power(d, m) * power(d, n) == power(d, m + n)
 
 
 class TestEvalChar:
@@ -276,7 +292,7 @@ class TestEvalChar:
             chi = Weight(rng.randrange(p - 1), PrecInt(p, 4, rng.randrange(p ** 4)))
             a = PrecInt(p, 4, rng.randrange(1, p ** 4))
             b = PrecInt(p, 4, rng.randrange(1, p ** 4))
-            if not (a.is_unit() and b.is_unit()):
+            if a.res % p == 0 or b.res % p == 0:
                 continue
             assert eval_char(chi, a * b) == eval_char(chi, a) * eval_char(chi, b)
 
@@ -323,13 +339,29 @@ def test_c_factors_match_exact_fractions(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_exp_log_round_trip(p):
-    # at the exact stopping rule: the last m summed has m - lg(m) = R - 1,
-    # so u - 1 = p (a unit) makes its term nonzero whenever v_p(m) = lg(m)
+    # <u> = exp(log<u>) = u on a one-unit u, at the exact stopping rule:
+    # the last m summed has m - lg(m) = R - 1, so x = u^(p-1) - 1 of
+    # valuation 1 makes its term nonzero whenever v_p(m) = lg(m)
     rng = random.Random(p)
     for R in range(1, 41):
-        M = p ** R
-        for u in (1 + p, 1 - p, 1 + p * rng.randrange(M), 1 + p ** 2):
-            assert padic._exp(padic._log_one_unit(u, p, R), p, R) == u % M
+        for u in (1 + p, 1 - p, 1 + p * rng.randrange(p ** R), 1 + p ** 2):
+            assert bracket(PrecInt(p, R, u)) == u
+
+
+def test_log_matches_exact_series():
+    # log<d> = log(d^(p-1)) / (p-1), the series summed in exact fractions
+    # well past the stopping rule; the sum is p-integral
+    rng = random.Random(29)
+    for p in (3, 5, 7):
+        for R in range(1, 13):
+            M = p ** R
+            for d in (2, p - 1, p + 1, rng.randrange(1, M) * p + 1,
+                      rng.randrange(M) * p + rng.randrange(1, p)):
+                x = d ** (p - 1) - 1
+                s = sum(Fraction((-1) ** (m + 1) * x ** m, m)
+                        for m in range(1, 3 * R + 3)) / (p - 1)
+                want = s.numerator * pow(s.denominator, -1, M) % M
+                assert padic._log_unit(d, p, R) == want
 
 
 def test_log_is_additive():
@@ -337,24 +369,18 @@ def test_log_is_additive():
     for p in (3, 5, 7):
         for R in range(1, 41):
             M = p ** R
-            u, v = (1 + p * rng.randrange(M) for _ in range(2))
-            lhs = padic._log_one_unit(u * v, p, R)
-            rhs = padic._log_one_unit(u, p, R) + padic._log_one_unit(v, p, R)
+            u, v = (p * rng.randrange(M) + rng.randrange(1, p)
+                    for _ in range(2))
+            lhs = padic._log_unit(u * v, p, R)
+            rhs = padic._log_unit(u, p, R) + padic._log_unit(v, p, R)
             assert lhs == rhs % M
-
-
-def test_log_one_unit_guards():
-    # the log series takes one-units only; _log_unit feeds it d^(p-1)
-    for u in (0, 2, 3, -1):
-        with pytest.raises(NotOneUnit):
-            padic._log_one_unit(u, 3, 4)
 
 
 @pytest.mark.parametrize("call, args, error", [
     (eval_char, (Weight.of_int(2, 5, 3), PrecInt(3, 3, 2)), PrecisionMismatch),
-    (pow_unit, (PrecInt(3, 3, 4), PrecInt(5, 3, 2)), PrecisionMismatch),
+    (eval_char, (Weight.wild_only(2, 3, 3), PrecInt(5, 3, 2)), PrecisionMismatch),
     (eval_char, (Weight.of_int(2, 3, 3), PrecInt(3, 3, 3)), NotAUnit),
-    (pow_unit, (PrecInt(3, 3, 2), 5), NotOneUnit),
+    (padic._log_unit, (6, 3, 2), NotAUnit),
     (char_series, (6, 3, 3, 2), NotAUnit),
 ])
 def test_unit_power_errors(call, args, error):

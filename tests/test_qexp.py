@@ -151,8 +151,3 @@ def test_rejects_non_prime_index_and_negative_truncation():
     with pytest.raises(BadRange):
         eisenstein(4, -1)
     assert eisenstein(4, 0).coeffs == [Fraction(1, 240)]
-
-
-def test_series_arithmetic():
-    assert QExp([1, 2]) == QExp([1, 2])
-    assert QExp([1, 2]) != QExp([1, 3])
