@@ -54,9 +54,6 @@ class TestPrecInt:
         assert y.r == 1 and y.res == 2
         with pytest.raises(PrecisionExhausted):
             PrecInt(3, 2, 9).divexact(9)
-        for k in (0, 3.0):
-            with pytest.raises(BadRange):
-                x.divexact(k)
 
     def test_eq_mod_min_precision(self):
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
@@ -66,6 +63,13 @@ class TestPrecInt:
         for p, r in ((4, 2), (2, 2), (9, 1), (3, 0), (5, -1)):
             with pytest.raises(BadRange):
                 PrecInt(p, r, 5)
+
+    def test_rejects_bad_exponent_and_divisor(self):
+        # PrecInt has no power; the divisor of divexact is still checked
+        x = PrecInt(3, 2, 4)
+        for k in (0, 3.0):
+            with pytest.raises(BadRange):
+                x.divexact(k)
 
 
 def test_is_odd_prime_matches_trial_division():
