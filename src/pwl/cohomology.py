@@ -33,14 +33,16 @@ word gamma_theta; hecke_images folds it from adj(A_theta) and
 hecke_matrix packs it, one coefficient action per letter on a stored
 value (a family image is out_width wide).  hecke_matrix assembles the
 operator as a matrix on stacked generator values in one pass over the
-rewritten words, on packed columns (linalg.pack_row, W-bit fields with W
-worked out from D, p^r and the longest generator's letter count): a
-letter forms each of the D prefix columns as one C-level sum of int
-products and reduces all its fields at once by one Montgomery step (a
-mask, a multiply and a shift), O(D) interpreted steps where unpacking
-every field takes O(D^2) and a D x D mat_mul O(D^3); the unreduced
-columns are summed per block before one reduction, and a letter that
-acts as the identity (every letter on Sym^0) skips its product.  h1
+rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
+through its k nonzero columns or rows, k <= min(r, n + 1) for every T_p
+rep (Sym^n contracts mod p^r under adj A), and carries along a word only
+the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
+wherever the bounds fit): a letter is k C-level dot products, one
+Montgomery step and one struct unpack, O(k D) int products where the
+full D x D prefix takes O(D^2).  The unreduced states are summed per
+block and per L, reps with one L share the sums, and each L is folded
+into each sum once; a letter that acts as the identity (every letter on
+Sym^0) skips its product and costs one packed add.  h1
 stacks act_matrix(g) - I over the generators into the coboundary matrix
 and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
@@ -51,7 +53,8 @@ vector.
 """
 
 import math
-from operator import add, mul
+import struct
+from operator import mul
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotCoprime, NotFreeModule, WidthInsufficient)
@@ -283,86 +286,148 @@ def hecke_images(cocycle, reps):
     return Cocycle(coeffs, cocycle.basis, out)
 
 
+def _factor_start(S):
+    """((R0, k, L), Y0) with S = L Y0 exactly, k the rows of Y0: by the
+    nonzero columns C of S (Y0 = I[C, :], L = S[:, C]) when they are fewer
+    than the span R = R0.. of its nonzero rows, else by R (Y0 = S[R, :],
+    L the injection of R, written ()).  A column plan keeps rows R0.. of
+    S[:, C]; the rows outside R are zero."""
+    D = len(S)
+    cols = [t for t in range(D) if any(row[t] for row in S)]
+    rows = [i for i, row in enumerate(S) if any(row)] or [0]
+    span = S[rows[0]:rows[-1] + 1]
+    if len(cols) < len(span):
+        L = tuple(tuple(row[t] for t in cols) for row in span)
+        return ((rows[0], len(cols), L),
+                [[int(t == c) for t in range(D)] for c in cols])
+    return (rows[0], len(span), ()), span
+
+
 def hecke_matrix(coeffs, basis, reps):
     """Matrix of the operator on stacked generator values, assembled in
     one pass over the rewritten words.
 
-    Along a word the prefix matrix S (the action of adj A times the
-    letters so far) is carried as its D columns, each packed into W-bit
-    fields (linalg.pack_row) with every field in [0, 2M), M = p^r; it
-    starts from act_matrix(adj A), whose entries are in [0, M).  The
-    generator actions are stored once as scalar columns G' = G 2^k mod M,
-    so column j of the next prefix is x = sum_t P_t G'[t][j], one C-level
-    dot product, followed by one Montgomery reduction of all its fields
-    at once (Montgomery, Math. Comp. 44 (1985)): with LOW the low k bits
-    of every field and Mp = -M^-1 mod 2^k (M is odd),
+    Block (h, q) of T sums +S P over the letters q and -S P G_q^-1 over
+    the letters -q of the words of generator h, S = act_matrix(adj A) for
+    the word's rep A and P the action of the letters before.  Four facts
+    make the walk exact at O(k D) int products per letter, not O(D^2):
 
-        m = ((x & LOW) Mp) & LOW;  x' = (x + m M) >> k.
+    1. The factorization is exact.  _factor_start writes S = L Y0 with
+       k = min(|C|, |R|) rows in Y0: S e_t = 0 for t outside C, so
+       S = S[:, C] I[C, :], and e_i^T S = 0 for i outside R, so
+       S = I[:, R] S[R, :].  Then S P = L (Y0 P), so the walk carries
+       only the k x D state Y = Y0 P, each block is the sum over plans
+       (R0, k, L) of L times the signed sum of its reps' states, and reps
+       with one plan share those sums: Sym^0 (S = (1)) and the
+       sigma-type starts below have the injection plan, whose fold only
+       places rows.
+    2. Every T_p rep has k <= min(r, n + 1).  Row i of sym_matrix is
+       (a X + b)^i (c X + d)^(n-i).  For A = (1 j; 0 p), adj A =
+       (p, -j; 0, 1) and row i is (p X - j)^i, whose X^t coefficient is
+       divisible by p^t: columns t >= r vanish mod p^r.  For sigma_p =
+       (a b; N d) (p 0; 0 1), adj = (d, -b; -pN, pa) and row i is
+       (d X - b)^i p^(n-i) (a - N X)^(n-i): rows i <= n - r vanish.
+    3. The Montgomery row bound.  Y is one int of k rows of D W-bit
+       fields (linalg.pack_row), row c at bit c D W, every field in
+       [0, 2M), M = p^r; Y0's are in [0, M).  A letter's action is stored
+       once as packed rows of G' = G 2^kap mod M, so row c of the next
+       state is x = sum_t Y[c][t] G'_t, one C-level dot product, and the
+       k rows are reduced at once by one Montgomery step (Montgomery,
+       Math. Comp. 44 (1985)): with LOW the low kap bits of every field
+       and Mp = -M^-1 mod 2^kap (M is odd),
 
-    Take k = bits(2 D M), so 2 D M < 2^k and hence 2M < 2^k, and
-    W = max(2k, bits(2 M L)), L the most letters over the words of one
-    generator.  Field by field:
-      - x_i <= D (2M - 1)(M - 1) < 2 D M^2 < 2^k M;
-      - (x_i mod 2^k) Mp < 2^(2k) <= 2^W, so the product with Mp does not
-        carry and m_i = -x_i M^-1 mod 2^k < 2^k;
-      - x_i + m_i M < 2^(k+1) M < 2^(2k) <= 2^W and it is 0 mod 2^k, so
-        x + m M adds field by field and shifting the whole int by k
-        shifts every field without a mask;
-      - x'_i = (x_i + m_i M) / 2^k < 2M, and x'_i = x_i 2^-k = sum_t
-        S[i][t] G[t][j] mod M.
-    Each letter adds the packed prefix columns P to its block (h, q), or
-    Z - P for a negative letter, where every field of Z is z = 2M: every
-    field added is in [0, 2M], and z = 0 mod M, so Z - P = -P field by
-    field mod M.  A block takes at most L of them, 2 M L < 2^W, so the
-    block sums never carry between fields, and each block is unpacked
-    once, with % M, column j of block (h, q) into row q D + j of the
-    transpose of T.
+           m = ((x & LOW) Mp) & LOW;  x' = (x + m M) >> kap.
+
+       Take kap = bits(2 D M), so 2 D M < 2^kap, and W >= 2 kap.  Field
+       by field x_i <= D (2M - 1)(M - 1) < 2 D M^2 < 2^kap M, so m_i <
+       2^kap, x_i + m_i M < 2^(kap+1) M < 2^(2 kap) <= 2^W and it is
+       0 mod 2^kap: the shift divides every field without a mask, and
+       x'_i = (x_i + m_i M) / 2^kap < 2M, x'_i = x_i 2^-kap mod M.  The
+       next letter reads the fields back as scalars: one struct unpack
+       when W = 64 (W is rounded up to 64 wherever the bounds fit), else
+       unpack_row's shifts, mod 2^W so that they stay the fields.
+    4. The fold bound.  Each letter adds the state to its plan's sum for
+       (h, q), or Z - Y for a negative letter, where every field of Z is
+       2M = 0 mod M: every field added is in [0, 2M].  Generator h's words
+       have at most `most` letters in all, so the fields of a sum, and
+       the sums over plans of their fields, are at most 2 M most.  Row i
+       of block (h, q) is the sum over plans of row i of L times the
+       plan's sum, one dot product with the sum's packed rows, so its
+       fields are at most lam 2 M most, lam >= 1 the largest row sum of
+       any L (1 for an injection), and W >= bits(2 M most lam) keeps them
+       apart.  Row i of T's block row h holds block q at bit q D W and is
+       unpacked once, mod M.
     """
     D = coeffs.dim()
     R = basis.rank()
     M = coeffs.p ** coeffs.r
     adjs, words = _partner_words(basis, reps)
-    k = (2 * D * M).bit_length()
-    L = max(sum(map(len, gen_words)) for gen_words in words)
-    W = max(2 * k, (2 * M * L).bit_length())
-    LOW = pack_row([(1 << k) - 1] * D, W)
-    Mp = -pow(M, -1, 1 << k) % (1 << k)
-    Tt = [[0] * (R * D) for _ in range(R * D)]  # the transpose of T
+    factors = [_factor_start(S) for S in map(coeffs.act_matrix, adjs)]
+    lam = max([1] + [sum(Li) for (_, _, L), _ in factors for Li in L])
+    kap = (2 * D * M).bit_length()
+    most = max(sum(map(len, gen_words)) for gen_words in words)
+    W = max(2 * kap, (2 * M * most * lam).bit_length())
+    if W < 64:
+        W = 64
+    DW = D * W
+    LOW = pack_row([(1 << kap) - 1] * D * max(k for (_, k, _), _ in factors),
+                   W)
+    Mp = -pow(M, -1, 1 << kap) % (1 << kap)
+    ROW = (1 << DW) - 1
     eye = identity_mat(D)
 
-    def scaled_cols(mat):
-        # an identity letter leaves the prefix as it is: None skips it
+    def scaled_rows(mat):
+        # an identity letter leaves the state as it is: None skips it
         if mat == eye:
             return None
-        return [[(row[j] << k) % M for row in mat] for j in range(D)]
+        return [pack_row([(x << kap) % M for x in row], W) for row in mat]
 
-    gen_cols = [scaled_cols(coeffs.act_matrix(g)) for g in basis.gens]
-    inv_cols = [scaled_cols(coeffs.act_matrix(g.inverse()))
+    gen_rows = [scaled_rows(coeffs.act_matrix(g)) for g in basis.gens]
+    inv_rows = [scaled_rows(coeffs.act_matrix(g.inverse()))
                 for g in basis.gens]
-    Z = pack_row([2 * M] * D, W)
-    no_cols = [0] * D
-    # each rep's adj(A) action, packed once: P is rebound per letter,
-    # never mutated, so every generator's walk can start from it
-    starts = [[pack_row(col, W) for col in zip(*S)]
-              for S in map(coeffs.act_matrix, adjs)]
-    for h, gen_words in enumerate(words):
-        blocks = {}  # letter index q -> summed packed columns of block (h, q)
-        for P, word in zip(starts, gen_words):
+    plans = {}
+    # per rep: its plan's index, Y0 packed and as scalars (rebound per
+    # letter, never mutated, so every generator's walk starts from them),
+    # the offsets of its rows, Z, and its k D fields' count and unpacker
+    starts = []
+    for plan, Y0 in factors:
+        n = plan[1] * D
+        flat = [x for row in Y0 for x in row]
+        starts.append((plans.setdefault(plan, len(plans)), pack_row(flat, W),
+                       flat, range(0, n, D),
+                       pack_row([2 * M] * n, W), n,
+                       struct.Struct(f"<{n}Q").unpack))
+    T = []
+    for gen_words in words:
+        sums = [{} for _ in plans]  # per plan: q -> summed packed states
+        for (g, x, e, offs, Z, n, unpack), word in zip(starts, gen_words):
+            acc = sums[g]
             for a in word:
-                q = abs(a) - 1
                 if a > 0:
-                    blocks[q] = list(map(add, blocks.get(q, no_cols), P))
-                G = gen_cols[q] if a > 0 else inv_cols[q]
+                    q = a - 1
+                    acc[q] = acc.get(q, 0) + x
+                    G = gen_rows[q]
+                else:
+                    q = -a - 1
+                    G = inv_rows[q]
                 if G is not None:
-                    P = [(x + (((x & LOW) * Mp) & LOW) * M) >> k
-                         for x in [sum(map(mul, P, Gj)) for Gj in G]]
+                    x = sum([sum(map(mul, e[s:s + D], G)) << (s * W)
+                             for s in offs])
+                    x = (x + (((x & LOW) * Mp) & LOW) * M) >> kap
+                    e = (unpack(x.to_bytes(8 * n, "little")) if W == 64
+                         else unpack_row(x, n, W, 1 << W))
                 if a < 0:
-                    blocks[q] = [b + Z - x
-                                 for b, x in zip(blocks.get(q, no_cols), P)]
-        for q, cols in blocks.items():
-            for j, x in enumerate(cols):
-                Tt[q * D + j][h * D:(h + 1) * D] = unpack_row(x, D, W, M)
-    return [list(row) for row in zip(*Tt)]
+                    acc[q] = acc.get(q, 0) + Z - x
+        Th = [0] * D  # row i of block row h, block q at bit q D W
+        for (R0, k, L), acc in zip(plans, sums):
+            for q, y in acc.items():
+                rows = [(y >> s) & ROW for s in range(0, k * DW, DW)]
+                if L:
+                    rows = [sum(map(mul, Li, rows)) for Li in L]
+                for i, v in enumerate(rows, R0):
+                    Th[i] += v << (q * DW)
+        T += [unpack_row(y, R * D, W, M) for y in Th]
+    return T
 
 
 class H1Presentation:

@@ -27,13 +27,15 @@ field, so a dot product with the rows of a packed matrix is one C-level
 sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
 a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix,
 sympow._act_window, charpoly_mod and poly_mul do, and share unpack_row
-(hecke_matrix only for its block sums: it reduces each per-letter product
-field by field in place, by one Montgomery step).  poly_mul multiplies two
-packed polynomials as one int: a field of the product sums at most
-min(len f, len g) products of reduced coefficients, so it stays below
-w = bits(min(len f, len g) M^2).  64-bit fields move through struct in one
-C call, others by one whole-int shift each (O(n^2 w)).  charpoly_mod rounds
-w up to 64 if its bound fits; the short-row callers keep exact widths, where
+(hecke_matrix for its block rows, and for its per-letter state when the
+fields are wider than a word: it reduces a letter's k packed rows at once,
+by one Montgomery step, and reads a 64-bit state back by one struct
+unpack of its own).  poly_mul multiplies two packed polynomials as one
+int: a field of the product sums at most min(len f, len g) products of
+reduced coefficients, so it stays below w = bits(min(len f, len g) M^2).
+64-bit fields move through struct in one C call, others by one whole-int
+shift each (O(n^2 w)).  charpoly_mod and hecke_matrix round w up to 64 if
+their bounds fit; the other short-row callers keep exact widths, where
 wider fields cost more in products than shifts save.
 mat_mul stays unpacked on purpose: it skips zero entries of its left operand
 and zero rows of its right one, which pays on what cohomology's induced

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwl import cohomology
 from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
@@ -97,6 +99,11 @@ HECKE_CASES = [
     (13, 5, 3, 8, "Tl"),
     (13, 0, 31, 4, "Tl"),
     (13, 1, 5, 1, "Tp"),
+    # the rank path: sigma is factored by rows, the A_j by columns, k = r
+    (5, 16, 31, 4, "Tp"),
+    (9, 4, 3, 2, "Tp"),  # U_3 at 3 | N: columns only
+    (11, 12, 5, 3, "Tp"),
+    (7, 10, 7, 2, "Tp"),
 ]
 
 
@@ -132,19 +139,67 @@ class FullCoeffs:
         return [[self.p ** self.r - 1] * self.D for _ in range(self.D)]
 
 
+class RankCoeffs(FullCoeffs):
+    """FullCoeffs whose rep actions (determinant != 1) keep only the
+    columns, or only the rows, in `keep` at M - 1 and are 0 elsewhere, so
+    each start factors through exactly those with every bound of the rank
+    path at its largest: the generator actions are all M - 1."""
+
+    def __init__(self, D, p, r, by, keep):
+        super().__init__(D, p, r)
+        self.by, self.keep = by, keep
+
+    def act_matrix(self, mat):
+        full = super().act_matrix(mat)
+        if mat.det() == 1:
+            return full
+        if self.by == "cols":
+            return [[x if t in self.keep else 0 for t, x in enumerate(row)]
+                    for row in full]
+        return [row if i in self.keep else [0] * self.D
+                for i, row in enumerate(full)]
+
+
 @pytest.mark.parametrize("co, N, ell", [
     pytest.param(FullCoeffs(D, p, r), N, 2, id=f"D{D}-{p}^{r}-N{N}")
     for D, p, r in ((17, 3, 1), (2, 31, 8), (41, 3, 1), (5, 5, 3), (9, 3, 2),
                     (2, 31, 1))
     for N in (5, 7, 11, 13)
+] + [pytest.param(RankCoeffs(D, p, r, by, keep), N, ell,
+                  id=f"D{D}-{p}^{r}-{by}{''.join(map(str, keep))}-N{N}")
+     for D, p, r, by, keep in (
+         # Montgomery edges: 2 D M just below 2^35 and 2^36, W = 2 kap
+         (2, 97, 5, "rows", (1,)), (4, 97, 5, "rows", (1, 3)),
+         # column plans, lam = k (M - 1): the fold bound meets 2 kap
+         (5, 31, 6, "cols", (0, 2)), (3, 97, 5, "cols", (1,)),
+         # 64-bit fields (struct), with a gap in the kept rows
+         (17, 3, 2, "cols", (0, 1, 2, 3)), (9, 5, 2, "rows", (4, 6, 7)))
+     for N, ell in ((5, 2), (7, 3), (13, 2))
 ] + [pytest.param(SymCoeffs(31, 4, 16), 5, 31, id="sym16-N5-T31")])
 def test_hecke_matrix_field_bound_stress(co, N, ell):
-    # the Montgomery step's fields near their bounds: W one bit short
-    # carries between fields, and at D M = 62 just below 2^6 a k one bit
-    # short lets the prefix fields outgrow W
+    # the Montgomery step and the fold near their bounds: W one bit short
+    # lets a field carry into the next, and kap one bit short lets a state
+    # field reach 2M, so that Z - Y borrows from the next
     fb = free_basis(N)
     reps = t_ell_reps(ell, fb)
     assert hecke_matrix(co, fb, reps) == ref_hecke_matrix(co, fb, reps)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+@pytest.mark.parametrize("p, r, m", [(13, 9, 20), (5, 14, 30)])
+def test_hecke_matrix_fold_bound_stress(N, p, r, m):
+    # the one rep 2 g^m, g the first generator, has one coset, and the
+    # partner word of each generator h is g^m h g^-m: 2m of its 2m + 1
+    # letters are g, so one block's sums take nearly all of `most`, and
+    # keeping one column at M - 1 makes lam = M - 1.  W is then the fold
+    # bound's, above 2 kap, with the largest field near 2^W: W one bit
+    # short, or lam left out of it, carries between fields
+    fb = free_basis(N)
+    A = IntMat(2, 0, 0, 2)
+    for _ in range(m):
+        A = A * fb.gens[0]
+    co = RankCoeffs(2, p, r, "cols", (1,))
+    assert hecke_matrix(co, fb, [A]) == ref_hecke_matrix(co, fb, [A])
 
 
 def test_hecke_matrix_identity_operator():
@@ -198,6 +253,50 @@ def test_hecke_matrix_work_counts(monkeypatch):
     hecke_images(c, reps)
     assert len(quotients) == 1035
     assert sum(letters) == 13564
+
+
+def test_hecke_matrix_rank_rows(monkeypatch):
+    # Sym^16 T_31 at level 5, r = 4 (the sym16_N5 workload): each of the
+    # 32 reps' starts factors through min(r, n + 1) = 4 rows, not 17
+    rows = []
+    factor = cohomology._factor_start
+
+    def counted_factor(S):
+        plan, Y0 = factor(S)
+        rows.append(len(Y0))
+        return plan, Y0
+
+    monkeypatch.setattr(cohomology, "_factor_start", counted_factor)
+    fb = free_basis(5)
+    hecke_matrix(SymCoeffs(31, 4, 16), fb, t_ell_reps(31, fb))
+    assert rows == [4] * 32
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7, 31)), st.integers(1, 5), st.integers(0, 24),
+       st.data())
+def test_t_p_start_columns_vanish(p, r, n, data):
+    # adj (1 j; 0 p) = (p -j; 0 1) acts by rows (p X - j)^i: column t is
+    # 0 mod p^min(t, r), so the start has at most min(r, n + 1) nonzero
+    # columns
+    j = data.draw(st.integers(0, p - 1))
+    S = SymCoeffs(p, r, n).act_matrix(IntMat(p, -j, 0, 1))
+    for t in range(n + 1):
+        assert all(row[t] % p ** min(t, r) == 0 for row in S)
+    assert sum(any(row[t] for row in S) for t in range(n + 1)) <= min(r, n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7, 31)), st.integers(1, 5), st.integers(0, 24),
+       st.integers(5, 40))
+def test_sigma_start_rows_vanish(p, r, n, N):
+    # adj(diamond_rep(p, N) (p 0; 0 1)) = (d -b; -pN pa) acts by rows
+    # (d X - b)^i p^(n-i) (a - N X)^(n-i): at most min(r, n + 1) are nonzero
+    if N % p == 0:
+        N += 1
+    sigma = diamond_rep(p, N) * IntMat(p, 0, 0, 1)
+    S = SymCoeffs(p, r, n).act_matrix(sigma.cofactor())
+    assert sum(map(any, S)) <= min(r, n + 1)
 
 
 def test_h1_trivial_level11():
