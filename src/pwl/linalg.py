@@ -1,46 +1,44 @@
 """Linear algebra over Z/p^r: diagonalization, solving, charpoly.
 
-smith_mod reduces a matrix to diag(p^e_1, ..., p^e_k) with e_1 <= e_2 <= ...
-by invertible row and column transforms and returns U, V and U^-1, so
-solving, changing to Smith coordinates and back, and cokernel presentations
-all come out of one reduction.  Pivot k = p^e u is scaled to p^e and its
-column cleared by row operations row_i -= f_i row_k; two invariants then
-spare the rest.  Column k of B is now zero but in row k, so a column
-operation col_j -= f col_k changes only row k, which nothing reads again:
-it runs on V alone (held as columns), and B keeps only its trailing block.
-Columns k.. of U^-1 are still unit vectors e_perm[c], as pivots before k
-only swapped them, so column k of U^-1 is u at perm[k] and f_i at perm[i]:
-it is read off the multipliers.  Matrices are lists of rows of plain ints.
+Matrices are lists of rows of plain ints.  pack_row / unpack_row hold a
+vector of nonnegative ints as the w-bit fields of one int (entry j at bit
+w*j): a scalar times a packed vector scales every field and a sum adds
+them field by field, exactly while no field reaches 2^w.  Each caller
+(hecke_matrix, sym_matrix, _act_window, poly_mul, the two reductions)
+picks w from a bound on its fields; _width rounds one up to a word if it
+fits, as 64-bit fields move through struct in one C call, others by one
+whole-int shift each.
 
-charpoly_mod reduces a square matrix to Hessenberg form by similarities
-and reads det(X I - A), ascending and monic, off the division-free
-Hessenberg recurrence in O(n^2) interpreted steps on packed columns.
-Both reductions take pivots from _pivot (least valuation, first in scan
-order, the first unit ends the scan), so every multiplier x / p^e * u^-1
-is integral: smith_mod scans its trailing block by rows, charpoly_mod its
-column below the diagonal.
+One elimination.  smith_mod and charpoly_mod hold their matrix as packed
+columns, row i in field pos[i] (a row swap swaps two entries of pos), and
+clear a pivot's column by one row pass row_i -= c_i row_s (_row_pass):
+every column gains y * neg, y its field s read mod M = p^r and neg the
+packed -c_i mod M, so a pass is O(n) big-int operations.  Pivots come
+from _pivot (least valuation, first in scan order, the first unit ends
+the scan), so each multiplier c_i = (x_i / p^e) u^-1 of a pivot p^e u is
+integral.  The bound, proved once: y and every field of neg are below M,
+so a pass adds less than M^2 to a field, and fields that start below M
+stay below (q + 1) M^2 through q passes.
 
-pack_row / unpack_row hold a row of nonnegative ints as the w-bit fields of
-one int (entry j at bit w*j; Kronecker substitution).  A scalar times a
-packed row scales every field, and a sum of packed rows adds them field by
-field, so a dot product with the rows of a packed matrix is one C-level
-sum(map(mul, ...)) as long as no field reaches 2^w.  The caller picks w from
-a bound on the entries: cohomology.hecke_matrix, sympow.sym_matrix,
-sympow._act_window, charpoly_mod and poly_mul do, and share unpack_row
-(hecke_matrix for its block rows, and for its per-letter state when the
-fields are wider than a word: it reduces a letter's k packed rows at once,
-by one Montgomery step, and reads a 64-bit state back by one struct
-unpack of its own).  poly_mul multiplies two packed polynomials as one
-int: a field of the product sums at most min(len f, len g) products of
-reduced coefficients, so it stays below w = bits(min(len f, len g) M^2).
-64-bit fields move through struct in one C call, others by one whole-int
-shift each (O(n^2 w)).  charpoly_mod and hecke_matrix round w up to 64 if
-their bounds fit; the other short-row callers keep exact widths, where
-wider fields cost more in products than shifts save.
-mat_mul stays unpacked on purpose: it skips zero entries of its left operand
-and zero rows of its right one, which pays on what cohomology's induced
-operator gives it (the free rows of U are sparse, and the coboundary matrix
-is zero on trivial coefficients, so the preservation check costs nothing).
+smith_mod reduces A to diag(p^e_1, ..., p^e_k), e_1 <= e_2 <= ..., by
+invertible row and column transforms and returns U, V and U^-1, for
+solving, Smith coordinates and cokernel presentations.  Pivot k is what
+_pivot picks in the trailing block of B read by rows (rows in pos order,
+columns in list order).  It is swapped to (k, k), a column swap being a
+list swap, and one row pass clears column k of B and updates U, packed
+alike; field s = pos[k] of its neg, u^-1 - 1 mod M, scales row k by u^-1
+in the same pass.  Column k of B is now zero but in row k, so a column
+operation col_j -= f_j col_k changes only row k, which nothing reads
+again: it runs on V alone, as a row pass on V's packed rows (column j in
+field vpos[j]).  Every vector takes at most one pass per pivot, so
+w = _width((min(m, n) + 1) M^2).  Columns k.. of U^-1 are still unit
+vectors e_pos[c], as pivots before k only swapped them, so column k of
+U^-1 is u at pos[k] and f_i at pos[i]: it is read off the multipliers.
+A column of U still equal to the identity's is not unpacked.
+
+mat_mul stays unpacked: it skips zero entries of its left operand and zero
+rows of its right one, as in the sparse free rows of U and the zero
+coboundary matrix of trivial coefficients.
 """
 
 import struct
@@ -105,17 +103,14 @@ def mat_vec(A, v, M):
 class SmithForm:
     """U A V = diag(p^exps) mod p^r with U, V invertible; Uinv = U^-1.
     A column of Uinv with no pivot (exponent r, or past min(m, n)) is a
-    unit vector, e_perm[c]: H1Presentation.induced_matrix selects by it."""
+    unit vector: H1Presentation.induced_matrix selects by it."""
 
     __slots__ = ("p", "r", "m", "n", "exps", "U", "V", "Uinv")
 
     def __init__(self, p, r, m, n, exps, U, V, Uinv):
         self.p, self.r = p, r
         self.m, self.n = m, n
-        self.exps = exps
-        self.U = U
-        self.V = V
-        self.Uinv = Uinv
+        self.exps, self.U, self.V, self.Uinv = exps, U, V, Uinv
 
     def solve(self, b):
         """Particular solution of A x = b, or None."""
@@ -136,68 +131,83 @@ class SmithForm:
 def _pivot(entries, p, r):
     """(e, t): entry t is the first in scan order of least valuation e, the
     first unit ending the scan; (r, 0) if every entry is 0 mod p^r."""
-    e, t = r, 0
+    e, t, pe = r, 0, p ** r
     for i, x in enumerate(entries):
-        if x:
-            v = vp(x, p)
-            if v < e:
-                e, t = v, i
-                if not v:
-                    break
+        if x % pe:  # valuation below e
+            e, t = vp(x, p), i
+            if not e:
+                break
+            pe = p ** e
     return e, t
-
-
-def smith_mod(A, p, r):
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = p ** r
-    B = [[x % M for x in row] for row in A]  # rows and columns k.. at pivot k
-    U = identity_mat(m)
-    Vt = identity_mat(n)  # the columns of V
-    Uinv = [[0] * m for _ in range(m)]  # column k is written at pivot k
-    perm = list(range(m))  # column c >= k of U^-1 is e_perm[c] at pivot k
-    exps = []
-    for k in range(min(m, n)):
-        e, t = _pivot(chain.from_iterable(B), p, r)
-        if e == r:
-            break
-        i, j = divmod(t, n - k)
-        B[0], B[i] = B[i], B[0]
-        U[k], U[k + i] = U[k + i], U[k]
-        perm[k], perm[k + i] = perm[k + i], perm[k]
-        for row in B:
-            row[0], row[j] = row[j], row[0]
-        Vt[k], Vt[k + j] = Vt[k + j], Vt[k]
-        pe = p ** e
-        unit = B[0][0] // pe
-        uinv = pow(unit, -1, M)
-        piv = [x * uinv % M for x in B[0][1:]]
-        U[k] = [x * uinv % M for x in U[k]]
-        Uinv[perm[k]][k] = unit
-        for i, row in enumerate(B[1:], k + 1):
-            f = row[0] // pe
-            if f:
-                B[i - k] = [(x - f * y) % M for x, y in zip(row[1:], piv)]
-                U[i] = [(x - f * y) % M for x, y in zip(U[i], U[k])]
-                Uinv[perm[i]][k] = f
-            else:
-                B[i - k] = row[1:]
-        del B[0]
-        for j, x in enumerate(piv, k + 1):
-            f = x // pe
-            if f:
-                Vt[j] = [(y - f * z) % M for y, z in zip(Vt[j], Vt[k])]
-        exps.append(e)
-    for c in range(len(exps), m):
-        Uinv[perm[c]][c] = 1
-    exps += [r] * (min(m, n) - len(exps))
-    return SmithForm(p, r, m, n, exps, U, [list(row) for row in zip(*Vt)],
-                     Uinv)
 
 
 def _width(bound):
     """Field bits for values below bound: a 64-bit word if bound fits."""
     return max(64, bound.bit_length())
+
+
+def _row_pass(vecs, start, s, negs, w, M):
+    """row_i += negs[i] row_s on the matrix whose columns are the packed
+    vecs[start:]: each column gains y * pack(negs), y its field s mod M."""
+    neg, off, mask = pack_row(negs, w), w * s, (1 << w) - 1
+    for j in range(start, len(vecs)):
+        y = (vecs[j] >> off & mask) % M
+        if y:
+            vecs[j] += y * neg
+
+
+def smith_mod(A, p, r):
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise DimensionMismatch(f"Smith form of a ragged {m}-row matrix")
+    M = p ** r
+    w = _width((min(m, n) + 1) * M * M)
+    mask = (1 << w) - 1
+    cols = [pack_row([x % M for x in col], w) for col in zip(*A)]  # of B
+    Ucols = [1 << w * c for c in range(m)]  # B's and U's row i: field pos[i]
+    Vrows = [1 << w * c for c in range(n)]  # V's column j: field vpos[j]
+    pos, vpos = list(range(m)), list(range(n))
+    Uinv = [[0] * m for _ in range(m)]  # column k is written at pivot k
+    exps = []
+    for k in range(min(m, n)):
+        e, t = _pivot(chain.from_iterable(
+            [(x >> w * s & mask) % M for x in cols[k:]] for s in pos[k:]),
+            p, r)
+        if e == r:
+            break
+        i, j = divmod(t, n - k)
+        pos[k], pos[k + i] = pos[k + i], pos[k]
+        cols[k], cols[k + j] = cols[k + j], cols[k]
+        vpos[k], vpos[k + j] = vpos[k + j], vpos[k]
+        col, pe, s = unpack_row(cols[k], m, w, M), p ** e, pos[k]
+        Uinv[s][k] = unit = col[s] // pe
+        uinv = pow(unit, -1, M)
+        vnegs = [0] * n  # f_j = (x_j u^-1 mod M) / p^e, x_j in pivot row k
+        for j in range(k + 1, n):
+            vnegs[vpos[j]] = -((cols[j] >> w * s & mask) % M * uinv % M
+                               // pe) % M
+        negs = [0] * m
+        negs[s] = (uinv - 1) % M  # row_k *= u^-1 in the same pass
+        for i in pos[k + 1:]:
+            Uinv[i][k] = f = col[i] // pe
+            negs[i] = -f * uinv % M
+        _row_pass(cols, k + 1, s, negs, w, M)
+        _row_pass(Ucols, 0, s, negs, w, M)
+        _row_pass(Vrows, 0, vpos[k], vnegs, w, M)
+        exps.append(e)
+    for c in range(len(exps), m):
+        Uinv[pos[c]][c] = 1
+    exps += [r] * (min(m, n) - len(exps))
+    U = [[0] * s + [1] + [0] * (m - 1 - s) for s in pos]
+    for c, x in enumerate(Ucols):
+        if x != 1 << w * c:  # a row pass touched column c
+            col = unpack_row(x, m, w, M)
+            for i, s in enumerate(pos):
+                U[i][c] = col[s]
+    V = [[row[c] for c in vpos] for row in
+         (unpack_row(x, n, w, M) for x in Vrows)]
+    return SmithForm(p, r, m, n, exps, U, V, Uinv)
 
 
 def charpoly_mod(A, p, r):
@@ -210,17 +220,13 @@ def charpoly_mod(A, p, r):
     row_i -= c row_{k+1}, col_{k+1} += c col_i clears it exactly.  The
     charpoly of H follows from the division-free recurrence
     P_m = (X - h_mm) P_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) P_{i-1}
-    on its leading blocks.  Column j of H is one int of w-bit fields
-    (pack_row), row i in field pos[i] (a row swap swaps two entries of
-    pos), reduced mod M = p^r only where read.  Pivot k is O(n) big-int
-    operations: the row pass col_j += y_j * neg for j > k (y_j = h_{k+1,j}
-    mod M, neg the packed M - c_i; column k skips it, as nothing reads what
-    it clears) and the column pass col_{k+1} += sum c_i col_i.  A pivot
-    row-passes a column at most once, adding y (M - c) < M^2 to a field,
-    and never after its column pass, so a field is below (n+1) M^2 before
-    that pass and below (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3 after.  The
-    recurrence packs P_m in fields below (n+2) M^2; each width is _width of
-    its bound.  The recurrence reads only h_im, i <= m, and h_{i+1,i}, so H
+    on its leading blocks.  Pivot k is the row pass on columns j > k
+    (column k skips it, as nothing reads what it clears) and the column
+    pass col_{k+1} += sum c_i col_i.  A column takes at most one row pass
+    per pivot and none after its column pass, so its fields are below
+    (n+1) M^2 before that pass and (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3
+    after.  The recurrence packs P_m in fields below (n+2) M^2; each width
+    is _width of its bound.  The recurrence reads only h_im, i <= m, and h_{i+1,i}, so H
     keeps rows 0..k+1 of column k from pivot k's unpack, after its swap.
     They are final: later row passes touch only columns j >= k' + 1 > k,
     later column passes only column k' + 1, later swaps only rows >= k + 2.
@@ -230,7 +236,6 @@ def charpoly_mod(A, p, r):
         raise DimensionMismatch(f"charpoly of a non-square {n}-row matrix")
     M = p ** r
     w = _width((n + 1) ** 2 * M ** 3)
-    mask = (1 << w) - 1
     cols = [pack_row([x % M for x in col], w) for col in zip(*A)]
     pos = list(range(n))
     H = []  # H[k][i] = h_ik for i <= k + 1: the band the recurrence reads
@@ -248,15 +253,10 @@ def charpoly_mod(A, p, r):
         uinv = pow(col[pos[k1]] // pe, -1, M)
         mults = [(i, col[pos[i]] // pe * uinv % M) for i in range(k + 2, n)
                  if col[pos[i]]]
-        neg = [0] * n
+        negs = [0] * n
         for i, c in mults:
-            neg[pos[i]] = M - c
-        neg = pack_row(neg, w)
-        off = w * pos[k1]
-        for j in range(k1, n):
-            y = ((cols[j] >> off) & mask) % M
-            if y:
-                cols[j] += y * neg
+            negs[pos[i]] = M - c
+        _row_pass(cols, k1, pos[k1], negs, w, M)
         cols[k1] += sum(c * cols[i] for i, c in mults)
     H += [[col[s] for s in pos]  # the last two columns: no pivot unpacks them
           for col in [unpack_row(x, n, w, M) for x in cols[len(H):]]]

@@ -205,14 +205,52 @@ def test_smith_property(p, r, m, n, data):
 
 def test_smith_matches_reference_on_pipeline_matrices():
     # the level-5 Sym^16 coboundary matrix (51 x 17, the sym16_N5 job's
-    # Smith form) and the level-23 U_23 matrix on the free quotient (45 x 45)
+    # Smith form), the zero level-43 one (155 x 1, the charpoly_N43 job's:
+    # no pivot, so U stays the identity) and the level-23 U_23 matrix on the
+    # free quotient (45 x 45)
     beta = h1(SymCoeffs(31, 4, 16), free_basis(5)).beta
     assert (len(beta), len(beta[0])) == (51, 17)
     check_smith(beta, 31, 4)
+    beta = h1(SymCoeffs(43, 3, 0), free_basis(43)).beta
+    assert (len(beta), len(beta[0])) == (155, 1) and not any(map(any, beta))
+    check_smith(beta, 43, 3)
     fb, co = free_basis(23), SymCoeffs(23, 2, 0)
     T = h1(co, fb).induced_matrix(hecke_matrix(co, fb, t_ell_reps(23, fb)))
     assert (len(T), len(T[0])) == (45, 45)
     check_smith(T, 23, 2)
+
+
+def growth_matrix(m, n, M):
+    """L R mod M, L (m x q) with every entry on and below its diagonal 1,
+    R (q x n) with 1 on its diagonal and M - 1 above, q = min(m, n).
+    smith_mod pivots on the diagonal with every multiplier 1 and every
+    pivot-row entry M - 1, so field (i, j) of B takes min(i, j) passes of
+    (M - 1)^2: past half of the width bound (min(m, n) + 1) M^2."""
+    q = min(m, n)
+    L = [[int(k <= i) for k in range(q)] for i in range(m)]
+    R = [[M - 1 if k < j else int(k == j) for j in range(n)]
+         for k in range(q)]
+    return mat_mul(L, R, M)
+
+
+@pytest.mark.parametrize("m, n, w", [(12, 12, 64), (12, 30, 64),
+                                     (13, 13, 65), (20, 20, 65)])
+def test_smith_fields_at_the_width_bound(m, n, w):
+    # M = 3^19: (min(m, n) + 1) M^2 is just below 2^64 at min(m, n) = 12
+    # (64-bit fields, through struct) and just above it at 13 (65 bits,
+    # by shifts).  Every entry M - 1 takes one pass and stops; the growth
+    # matrix fills B's fields to 11 (M - 1)^2 > 2^63 at 12 and
+    # 19 (M - 1)^2 > 2^64 at 20, so a width one bit narrower overflows
+    M = 3 ** 19
+    assert _width((min(m, n) + 1) * M * M) == w
+    check_smith([[M - 1] * n for _ in range(m)], 3, 19)
+    check_smith(growth_matrix(m, n, M), 3, 19)
+
+
+@pytest.mark.parametrize("A", [[[1, 2], [3]], [[3], [1, 2]]])
+def test_smith_rejects_ragged_rows(A):
+    with pytest.raises(DimensionMismatch):
+        smith_mod(A, 3, 2)
 
 
 def test_solve_found_and_verified():
