@@ -3,8 +3,8 @@
 The level subgroup is free (rank 1 + mu/6), so a 1-cocycle is determined
 by arbitrary values on the free generators and H^1 is the quotient of the
 value space by coboundaries.  Coefficient systems share a small duck
-interface (zero/act/eq/rand; SymCoeffs adds dim/act_matrix for the matrix
-paths), and their values combine with + and -:
+interface (zero/act/rand; SymCoeffs adds dim/act_matrix for the matrix
+paths, and eq), and their values combine with + and -:
 
   SymCoeffs      symmetric-power vectors acted on through the weight-n
                  matrix action; n = 0 is Z/p^r with the trivial action;
@@ -48,8 +48,8 @@ and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
 available on free presentations).  The induced operator multiplies
 only the free rows of U, which are sparse, into the operator, and
-selects columns of that product: each free column of U^-1 is a unit
-vector.
+selects columns of that product: U^-1 maps each free coordinate f to
+the unit vector e_pos[f].
 """
 
 import math
@@ -370,8 +370,8 @@ def hecke_matrix(coeffs, basis, reps):
     if W < 64:
         W = 64
     DW = D * W
-    LOW = pack_row([(1 << kap) - 1] * D * max(k for (_, k, _), _ in factors),
-                   W)
+    LOW = pack_row([(1 << kap) - 1] * D
+                   * max((k for (_, k, _), _ in factors), default=0), W)
     Mp = -pow(M, -1, 1 << kap) % (1 << kap)
     ROW = (1 << DW) - 1
     eye = identity_mat(D)
@@ -463,8 +463,11 @@ class H1Presentation:
         of U T U^-1, F the free indices.  On a free presentation T
         preserves the coboundaries exactly when Q T beta = 0, Q the rows F
         of U (sparse: mat_mul skips their zeros); that is checked first.
-        Column f of U^-1 is a unit vector e_s (SmithForm), so column f of
-        the result is column s of Q T: a selection, not a product."""
+        A free f has no pivot, so U^-1 e_f = e_pos[f] (SmithForm): column f
+        of the result is column pos[f] of Q T, a selection, not a product."""
+        n = len(self.moduli)
+        if len(T) != n or any(len(row) != n for row in T):
+            raise DimensionMismatch(f"operator is not {n} x {n}")
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
         M = self.coeffs.p ** self.coeffs.r
@@ -473,13 +476,12 @@ class H1Presentation:
         if any(any(row) for row in mat_mul(QT, self.beta, M)):
             raise InternalInconsistency(
                 "operator does not preserve coboundaries")
-        S = []
-        for f in F:
-            col = [row[f] for row in self.sf.Uinv]
-            if col.count(0) != len(col) - 1 or 1 not in col:
+        S = [self.sf.pos[f] for f in F]
+        for f, s in zip(F, S):
+            col = [row[s] for row in self.sf.U]
+            if col[f] != 1 or col.count(0) != len(col) - 1:
                 raise InternalInconsistency(
-                    f"column {f} of U^-1 is not a unit vector")
-            S.append(col.index(1))
+                    f"column {s} of U is not the unit vector e_{f}")
         return [[row[s] for s in S] for row in QT]
 
     def charpoly(self, T):

@@ -21,20 +21,21 @@ so a pass adds less than M^2 to a field, and fields that start below M
 stay below (q + 1) M^2 through q passes.
 
 smith_mod reduces A to diag(p^e_1, ..., p^e_k), e_1 <= e_2 <= ..., by
-invertible row and column transforms and returns U, V and U^-1, for
-solving, Smith coordinates and cokernel presentations.  Pivot k is what
-_pivot picks in the trailing block of B read by rows (rows in pos order,
-columns in list order).  It is swapped to (k, k), a column swap being a
-list swap, and one row pass clears column k of B and updates U, packed
-alike; field s = pos[k] of its neg, u^-1 - 1 mod M, scales row k by u^-1
-in the same pass.  Column k of B is now zero but in row k, so a column
-operation col_j -= f_j col_k changes only row k, which nothing reads
-again: it runs on V alone, as a row pass on V's packed rows (column j in
-field vpos[j]).  Every vector takes at most one pass per pivot, so
-w = _width((min(m, n) + 1) M^2).  Columns k.. of U^-1 are still unit
-vectors e_pos[c], as pivots before k only swapped them, so column k of
-U^-1 is u at pos[k] and f_i at pos[i]: it is read off the multipliers.
-A column of U still equal to the identity's is not unpacked.
+invertible row and column transforms and returns U, V and the row order
+pos, for solving, Smith coordinates and cokernel presentations.  Pivot k
+is what _pivot picks in the trailing block of B read by rows (rows in
+pos order, columns in list order).  It is swapped to (k, k), a column
+swap being a list swap, and one row pass clears column k of B and
+updates U, packed alike; field s = pos[k] of its neg, u^-1 - 1 mod M,
+scales row k by u^-1 in the same pass.  Column k of B is now zero but in
+row k, so a column operation col_j -= f_j col_k changes only row k,
+which nothing reads again: it runs on V alone, as a row pass on V's
+packed rows (column j in field vpos[j]).  Every vector takes at most one
+pass per pivot, so w = _width((min(m, n) + 1) M^2).  For every c without
+a pivot, column pos[c] of U is e_c, so U^-1 e_c = e_pos[c]: packed
+column pos[c] of U starts with its only 1 in field pos[c], which is
+never a pivot's field, so no row pass touches the column.  A column of U
+still equal to the identity's is not unpacked.
 
 mat_mul stays unpacked: it skips zero entries of its left operand and zero
 rows of its right one, as in the sparse free rows of U and the zero
@@ -101,19 +102,21 @@ def mat_vec(A, v, M):
 
 
 class SmithForm:
-    """U A V = diag(p^exps) mod p^r with U, V invertible; Uinv = U^-1.
-    A column of Uinv with no pivot (exponent r, or past min(m, n)) is a
-    unit vector: H1Presentation.induced_matrix selects by it."""
+    """U A V = diag(p^exps) mod p^r with U, V invertible, pos the row order
+    of the elimination: U^-1 e_c = e_pos[c] for each c with no pivot
+    (exponent r, or past min(m, n)), the selection induced_matrix reads."""
 
-    __slots__ = ("p", "r", "m", "n", "exps", "U", "V", "Uinv")
+    __slots__ = ("p", "r", "m", "n", "exps", "U", "V", "pos")
 
-    def __init__(self, p, r, m, n, exps, U, V, Uinv):
+    def __init__(self, p, r, m, n, exps, U, V, pos):
         self.p, self.r = p, r
         self.m, self.n = m, n
-        self.exps, self.U, self.V, self.Uinv = exps, U, V, Uinv
+        self.exps, self.U, self.V, self.pos = exps, U, V, pos
 
     def solve(self, b):
         """Particular solution of A x = b, or None."""
+        if len(b) != self.m:
+            raise DimensionMismatch(f"b has {len(b)} entries, not {self.m}")
         p, r = self.p, self.r
         M = p ** r
         y = mat_vec(self.U, b, M)
@@ -168,7 +171,6 @@ def smith_mod(A, p, r):
     Ucols = [1 << w * c for c in range(m)]  # B's and U's row i: field pos[i]
     Vrows = [1 << w * c for c in range(n)]  # V's column j: field vpos[j]
     pos, vpos = list(range(m)), list(range(n))
-    Uinv = [[0] * m for _ in range(m)]  # column k is written at pivot k
     exps = []
     for k in range(min(m, n)):
         e, t = _pivot(chain.from_iterable(
@@ -181,8 +183,7 @@ def smith_mod(A, p, r):
         cols[k], cols[k + j] = cols[k + j], cols[k]
         vpos[k], vpos[k + j] = vpos[k + j], vpos[k]
         col, pe, s = unpack_row(cols[k], m, w, M), p ** e, pos[k]
-        Uinv[s][k] = unit = col[s] // pe
-        uinv = pow(unit, -1, M)
+        uinv = pow(col[s] // pe, -1, M)
         vnegs = [0] * n  # f_j = (x_j u^-1 mod M) / p^e, x_j in pivot row k
         for j in range(k + 1, n):
             vnegs[vpos[j]] = -((cols[j] >> w * s & mask) % M * uinv % M
@@ -190,14 +191,11 @@ def smith_mod(A, p, r):
         negs = [0] * m
         negs[s] = (uinv - 1) % M  # row_k *= u^-1 in the same pass
         for i in pos[k + 1:]:
-            Uinv[i][k] = f = col[i] // pe
-            negs[i] = -f * uinv % M
+            negs[i] = -(col[i] // pe) * uinv % M
         _row_pass(cols, k + 1, s, negs, w, M)
         _row_pass(Ucols, 0, s, negs, w, M)
         _row_pass(Vrows, 0, vpos[k], vnegs, w, M)
         exps.append(e)
-    for c in range(len(exps), m):
-        Uinv[pos[c]][c] = 1
     exps += [r] * (min(m, n) - len(exps))
     U = [[0] * s + [1] + [0] * (m - 1 - s) for s in pos]
     for c, x in enumerate(Ucols):
@@ -207,7 +205,7 @@ def smith_mod(A, p, r):
                 U[i][c] = col[s]
     V = [[row[c] for c in vpos] for row in
          (unpack_row(x, n, w, M) for x in Vrows)]
-    return SmithForm(p, r, m, n, exps, U, V, Uinv)
+    return SmithForm(p, r, m, n, exps, U, V, pos)
 
 
 def charpoly_mod(A, p, r):

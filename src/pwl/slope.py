@@ -23,7 +23,7 @@ is zero on the R part and injective on the Q part, so its image has rank
 deg Q inside the slope < s lattice.  A Smith form U K V = diag(p^e) with
 divisor 0 deg Q times and prec elsewhere says that this image is a direct
 summand, so the whole lattice, spanned by the first deg Q columns of
-U^-1; any other divisors raise AmbiguousAtPrecision.  K is a polynomial
+K V; any other divisors raise AmbiguousAtPrecision.  K is a polynomial
 in A, so U A U^-1 is block upper triangular with the block M0 of A on the
 image in its top left corner; a nonzero entry below it is a bug trap.  A
 second Smith form U0 M0 V0 = diag(p^e_i) gives W = V0 diag(p^(s - e_i))
@@ -253,18 +253,20 @@ def ps_tp_inv(A, s, p, r):
     """(W, basis, prec): W = p^s * inverse of A on its slope < s part.
 
     basis (n x deg Q) spans that part and W is the matrix of p^s A^-1 on
-    it in that basis: A basis W = p^s basis mod p^prec.
+    it in that basis: A basis W = p^s basis mod p^prec.  basis is K V's
+    first deg Q columns: U K V = D, D_jj = 1 for j < deg Q, so K V = U^-1 D.
     """
     Q, R, loss = slope_factor(charpoly_mod(A, p, r), s, p, r)
     rank, prec = len(Q) - 1, r - loss
     if rank == 0:
         raise NotInvertible("no finite-slope part below the requested cut")
     M = p ** prec
-    sf = smith_mod(_poly_eval_matrix(R, A, M), p, prec)
+    K = _poly_eval_matrix(R, A, M)
+    sf = smith_mod(K, p, prec)
     if sf.exps != [0] * rank + [prec] * (len(A) - rank):
         raise AmbiguousAtPrecision(
             f"R(A) has divisors {sf.exps}, expected {rank} units")
-    basis = [row[:rank] for row in sf.Uinv]
+    basis = mat_mul(K, [row[:rank] for row in sf.V], M)
     UAB = mat_mul(sf.U, mat_mul(A, basis, M), M)
     if any(any(row) for row in UAB[rank:]):
         # R(A) is a polynomial in A, so A maps its image into itself

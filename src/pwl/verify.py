@@ -41,6 +41,14 @@ def _check(ok, what, **payload):
         raise ContractViolated(what, payload=payload)
 
 
+def double_root(P, a, M):
+    """(X - a)^2 divides P mod M: P(a) = P'(a) = 0, as P = (X - a) Q + P(a)
+    with Q(a) = P'(a); P has ascending coefficients."""
+    value = sum(c * a ** i for i, c in enumerate(P))
+    slope = sum(i * c * a ** (i - 1) for i, c in enumerate(P) if i)
+    return value % M == slope % M == 0
+
+
 def rand_monoid_mat(rng, p, r):
     """A random (a b; c d) mod p^r with p | c and d a unit, made exact by
     raising a by the least multiple of p^r (each adds p^r d) with ad > bc."""
@@ -132,13 +140,9 @@ def suite_hecke(seed=0, precision=3, eigenvalues=NEWFORM_11A,
            "T2 and T3 do not commute")
     pres = h1(coeffs, basis) if eigenvalues else None
     for ell, lam in eigenvalues.items():
-        # (X - lam)^2 | P iff P(lam) = P'(lam) = 0: P = (X - lam) Q + P(lam)
-        # with Q(lam) = P'(lam)
         P = pres.charpoly(T[ell])
-        value = sum(c * lam ** i for i, c in enumerate(P)) % M
-        slope = sum(i * c * lam ** (i - 1) for i, c in enumerate(P) if i) % M
-        _check(value == slope == 0, f"{lam} is no double eigenvalue of T{ell}",
-               P=P)
+        _check(double_root(P, lam, M),
+               f"{lam} is no double eigenvalue of T{ell}", P=P)
     rng = random.Random(f"{seed}:hecke")
     for ell in reorder:
         alt = []

@@ -444,6 +444,19 @@ def test_value_and_matrix_paths_agree():
             assert want == img.stacked_coords()
 
 
+def test_empty_reps_give_the_zero_operator():
+    # no reps: the value path gives the zero cocycle, the matrix path the
+    # zero matrix
+    fb, co = free_basis(5), SymCoeffs(3, 2, 1)
+    n = fb.rank() * co.dim()
+    T = hecke_matrix(co, fb, [])
+    assert T == [[0] * n for _ in range(n)]
+    c = Cocycle.random(co, fb, random.Random(5))
+    img = hecke_images(c, [])
+    assert img.stacked_coords() == [0] * n
+    assert mat_vec(T, c.stacked_coords(), co.p ** co.r) == [0] * n
+
+
 def test_eval_twisted_homomorphism():
     fb = free_basis(9)
     co = SymCoeffs(3, 4, 2)
@@ -532,6 +545,23 @@ def test_induced_matrix_needs_coboundary_stable_operator():
         pres.induced_matrix(collapse)
 
 
+def test_induced_matrix_traps_a_wrong_selection():
+    # column pos[f] of U must be e_f: two free entries of pos swapped put
+    # the selection out of step with U
+    fb, co = free_basis(7), SymCoeffs(5, 3, 2)
+    pres = h1(co, fb)
+    F = [i for i, e in enumerate(pres.moduli) if e == co.r]
+    n = len(pres.moduli)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert len(F) >= 2
+    assert pres.induced_matrix(eye) == [[int(i == j) for j in range(len(F))]
+                                        for i in range(len(F))]
+    pos = pres.sf.pos
+    pos[F[0]], pos[F[1]] = pos[F[1]], pos[F[0]]
+    with pytest.raises(InternalInconsistency, match="unit vector"):
+        pres.induced_matrix(eye)
+
+
 def test_induced_matrix_needs_free_presentation():
     fb = free_basis(9)
     co = SymCoeffs(3, 3, 2)
@@ -541,6 +571,16 @@ def test_induced_matrix_needs_free_presentation():
     eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     with pytest.raises(NotFreeModule):
         pres.induced_matrix(eye)
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 7), (5, 5), (5, 6)])
+def test_induced_matrix_checks_operator_shape(rows, cols):
+    # n = 3 generators x dim 2 = 6: each shape is reported as a shape
+    fb, co = free_basis(5), SymCoeffs(3, 2, 1)
+    pres = h1(co, fb)
+    assert len(pres.moduli) == 6
+    with pytest.raises(DimensionMismatch):
+        pres.induced_matrix([[0] * cols for _ in range(rows)])
 
 
 def reference_beta(co, fb):
@@ -553,10 +593,28 @@ def reference_beta(co, fb):
     return [list(row) for row in zip(*cols)]
 
 
+def inverse_mod(U, p, r):
+    """U^-1 mod p^r by Gauss-Jordan on [U | I], each pivot a unit."""
+    M, m = p ** r, len(U)
+    rows = [[x % M for x in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(U)]
+    for k in range(m):
+        piv = next(i for i in range(k, m) if rows[i][k] % p)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][k], -1, M)
+        rows[k] = [x * inv % M for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                rows[i] = [(x - row[k] * y) % M for x, y in zip(row, rows[k])]
+    return [row[m:] for row in rows]
+
+
 def reference_induced(pres, T):
-    """U T U^-1 as two dense products, restricted to the free indices."""
-    M = pres.coeffs.p ** pres.coeffs.r
-    full = mat_mul(mat_mul(pres.sf.U, T, M), pres.sf.Uinv, M)
+    """U T U^-1 as two dense products, U^-1 by Gauss-Jordan, restricted to
+    the free indices."""
+    p, r = pres.coeffs.p, pres.coeffs.r
+    M = p ** r
+    full = mat_mul(mat_mul(pres.sf.U, T, M), inverse_mod(pres.sf.U, p, r), M)
     F = [i for i, e in enumerate(pres.moduli) if e == pres.coeffs.r]
     return [[full[a][b] for b in F] for a in F]
 

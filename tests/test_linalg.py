@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
-from pwl.errors import DimensionMismatch
+from pwl.errors import (AmbiguousAtPrecision, DimensionMismatch,
+                        NotInvertible, PrecisionExhausted)
 from pwl.gamma1 import free_basis
-from pwl.linalg import (SmithForm, _width, charpoly_mod, identity_mat, mat_mul,
+from pwl.linalg import (_width, charpoly_mod, identity_mat, mat_mul,
                         mat_vec, pack_row, poly_mul, smith_mod, unpack_row)
 from pwl.padic import vp
+from pwl.slope import _poly_eval_matrix, ps_tp_inv, slope_factor
 
 
 def rand_mat(rng, m, n, M):
@@ -45,8 +47,9 @@ def kernel_basis(sf):
 def ref_smith(A, p, r):
     """Smith form by full row and column passes on B, U and V, every row
     operation on U mirrored into U^-1 as a column pass (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).  The oracle for smith_mod's
-    pivots and outputs, entry for entry."""
+    Computational Algebraic Number Theory, 2.4).  (exps, U, V, U^-1): the
+    oracle for smith_mod's pivots and outputs, entry for entry, and for the
+    U^-1 that smith_mod does not build."""
     m = len(A)
     n = len(A[0]) if m else 0
     M = p ** r
@@ -108,18 +111,20 @@ def ref_smith(A, p, r):
             for row in V:
                 row[j] = (row[j] - f * row[k]) % M
         exps.append(e)
-    return SmithForm(p, r, m, n, exps, U, V, Uinv)
+    return exps, U, V, Uinv
 
 
 def check_smith(A, p, r):
-    """U A V is diag(p^exps) with exps ascending, Uinv is U^-1, and every
-    output equals ref_smith's entry for entry."""
+    """U A V is diag(p^exps) with exps ascending; exps, U and V equal
+    ref_smith's entry for entry; ref_smith's U^-1 inverts U, its unpivoted
+    columns c are e_pos[c] (column pos[c] of U is e_c), and A V = U^-1 D."""
     M = p ** r
     m = len(A)
     n = len(A[0]) if m else 0
-    sf, ref = smith_mod(A, p, r), ref_smith(A, p, r)
-    assert (sf.m, sf.n, sf.exps) == (ref.m, ref.n, ref.exps)
-    assert (sf.U, sf.V, sf.Uinv) == (ref.U, ref.V, ref.Uinv)
+    sf = smith_mod(A, p, r)
+    exps, U, V, Uinv = ref_smith(A, p, r)
+    assert (sf.m, sf.n) == (m, n)
+    assert (sf.exps, sf.U, sf.V) == (exps, U, V)
     assert sf.exps == sorted(sf.exps)
     assert all(0 <= e <= r for e in sf.exps)
     assert len(sf.exps) == min(m, n)
@@ -130,13 +135,22 @@ def check_smith(A, p, r):
             assert D[i][j] == want
     assert det_mod_p(sf.U, p) != 0
     assert det_mod_p(sf.V, p) != 0
-    assert mat_mul(sf.U, sf.Uinv, M) == identity_mat(m)
-    assert mat_mul(sf.Uinv, sf.U, M) == identity_mat(m)
-    # the unpivoted columns of U^-1 are unit vectors: induced_matrix reads
-    # the free columns as a selection
+    assert mat_mul(sf.U, Uinv, M) == identity_mat(m)
+    assert mat_mul(Uinv, sf.U, M) == identity_mat(m)
+    # the unpivoted coordinates: induced_matrix selects column pos[c]
+    assert sorted(sf.pos) == list(range(m))
     for c in range(sum(e < r for e in sf.exps), m):
-        col = sorted(row[c] for row in sf.Uinv)
-        assert col == [0] * (m - 1) + [1], c
+        e_c = [int(i == c) for i in range(m)]
+        assert [row[sf.pos[c]] for row in sf.U] == e_c, c
+        assert [row[c] for row in Uinv] == [int(i == sf.pos[c])
+                                            for i in range(m)], c
+    # U A V = D, so column j of A V is p^e_j times column j of U^-1 (and
+    # zero past min(m, n)): ps_tp_inv reads its basis off A V
+    AV = mat_mul(A, sf.V, M)
+    for j in range(n):
+        want = ([row[j] * p ** sf.exps[j] % M for row in Uinv]
+                if j < len(sf.exps) else [0] * m)
+        assert [row[j] for row in AV] == want, j
 
 
 def det_int(A):
@@ -220,6 +234,43 @@ def test_smith_matches_reference_on_pipeline_matrices():
     check_smith(T, 23, 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 5)), st.integers(2, 5), st.integers(1, 3),
+       st.data())
+def test_ps_tp_inv_basis_is_unit_columns_of_uinv(p, r, s, data):
+    """ps_tp_inv's basis, the first deg Q columns of K V (K = R(A)), is the
+    first deg Q columns of ref_smith's U^-1 for K.  A = S T S^-1: T upper
+    triangular with ascending diagonal valuations in 0..r (r: a zero
+    entry), S unit lower times unit upper triangular."""
+    M = p ** r
+    n = data.draw(st.integers(1, 6), label="n")
+    entry = st.integers(0, M - 1)
+    vals = sorted(data.draw(st.lists(st.integers(0, r), min_size=n,
+                                     max_size=n), label="valuations"))
+    T = [[data.draw(entry) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    for i, v in enumerate(vals):
+        unit = data.draw(st.integers(1, p - 1)) + p * data.draw(entry)
+        T[i][i] = unit * p ** v % M
+    L = [[data.draw(entry) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    R = [[data.draw(entry) if j > i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    S = mat_mul(L, R, M)
+    sf = smith_mod(S, p, r)  # U S V = I, so S^-1 = V U
+    A = mat_mul(mat_mul(S, T, M), mat_mul(sf.V, sf.U, M), M)
+    try:
+        B = ps_tp_inv(A, s, p, r)[1]
+    except (AmbiguousAtPrecision, NotInvertible, PrecisionExhausted):
+        return
+    _, R, loss = slope_factor(charpoly_mod(A, p, r), s, p, r)
+    prec = r - loss  # K's precision, not the one ps_tp_inv returns for W
+    exps, _, _, Uinv = ref_smith(_poly_eval_matrix(R, A, p ** prec), p, prec)
+    k = exps.count(0)
+    assert exps == [0] * k + [prec] * (n - k)
+    assert B == [row[:k] for row in Uinv]
+
+
 def growth_matrix(m, n, M):
     """L R mod M, L (m x q) with every entry on and below its diagonal 1,
     R (q x n) with 1 on its diagonal and M - 1 above, q = min(m, n).
@@ -272,6 +323,12 @@ def test_solve_unsolvable():
     assert smith_mod([[9, 0], [0, 9]], 3, 2).solve([3, 1]) is None
     # zero rows constrain the right-hand side
     assert smith_mod([[0], [0]], 3, 2).solve([0, 1]) is None
+
+
+@pytest.mark.parametrize("b", [[1, 0, 5], [1]])
+def test_solve_checks_length(b):
+    with pytest.raises(DimensionMismatch):
+        smith_mod([[1, 0], [0, 3]], 3, 2).solve(b)
 
 
 def test_invert():
