@@ -60,8 +60,8 @@ from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
-from .linalg import (charpoly_mod, identity_mat, mat_mul, mat_vec, pack_row,
-                     smith_mod, unpack_row)
+from .linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
+                     pack_row, smith_mod, unpack_row)
 from .matrices import IntMat
 from .padic import _check_modulus, is_prime, tail_width
 from .sympow import SymVec, act_sym, specialize, sym_matrix
@@ -344,7 +344,7 @@ def hecke_matrix(coeffs, basis, reps):
        0 mod 2^kap: the shift divides every field without a mask, and
        x'_i = (x_i + m_i M) / 2^kap < 2M, x'_i = x_i 2^-kap mod M.  The
        next letter reads the fields back as scalars: one struct unpack
-       when W = 64 (W is rounded up to 64 wherever the bounds fit), else
+       when W = 64 (_width rounds W up to 64 where the bounds fit), else
        unpack_row's shifts, mod 2^W so that they stay the fields.
     4. The fold bound.  Each letter adds the state to its plan's sum for
        (h, q), or Z - Y for a negative letter, where every field of Z is
@@ -366,9 +366,7 @@ def hecke_matrix(coeffs, basis, reps):
     lam = max([1] + [sum(Li) for (_, _, L), _ in factors for Li in L])
     kap = (2 * D * M).bit_length()
     most = max(sum(map(len, gen_words)) for gen_words in words)
-    W = max(2 * kap, (2 * M * most * lam).bit_length())
-    if W < 64:
-        W = 64
+    W = max(2 * kap, _width(2 * M * most * lam))
     DW = D * W
     LOW = pack_row([(1 << kap) - 1] * D
                    * max((k for (_, k, _), _ in factors), default=0), W)
@@ -433,15 +431,11 @@ def hecke_matrix(coeffs, basis, reps):
 class H1Presentation:
     """Quotient of stacked generator values by the coboundary image."""
 
-    __slots__ = ("coeffs", "basis", "beta", "sf", "moduli")
+    __slots__ = ("coeffs", "beta", "sf", "moduli")
 
-    def __init__(self, coeffs, basis, beta, sf):
-        self.coeffs = coeffs
-        self.basis = basis
-        self.beta = beta
-        self.sf = sf
-        total = basis.rank() * coeffs.dim()
-        self.moduli = list(sf.exps) + [coeffs.r] * (total - len(sf.exps))
+    def __init__(self, coeffs, beta, sf):
+        self.coeffs, self.beta, self.sf = coeffs, beta, sf
+        self.moduli = list(sf.exps) + [coeffs.r] * (len(beta) - len(sf.exps))
 
     def free_rank(self):
         return sum(1 for e in self.moduli if e == self.coeffs.r)
@@ -449,13 +443,11 @@ class H1Presentation:
     def is_free(self):
         return all(e in (0, self.coeffs.r) for e in self.moduli)
 
-    def class_coords(self, cocycle_or_stack):
-        """Class of a cocycle (or of its stacked coordinates), one entry
-        mod p^e per divisor: the class map the H^1 tests check against."""
-        stack = (cocycle_or_stack.stacked_coords()
-                 if isinstance(cocycle_or_stack, Cocycle) else cocycle_or_stack)
+    def class_coords(self, cocycle):
+        """Class of a cocycle (whose length Cocycle checks), one entry mod
+        p^e per divisor: the class map the H^1 tests check against."""
         p = self.coeffs.p
-        w = mat_vec(self.sf.U, stack, p ** self.coeffs.r)
+        w = mat_vec(self.sf.U, cocycle.stacked_coords(), p ** self.coeffs.r)
         return tuple(x % p ** e for x, e in zip(w, self.moduli))
 
     def induced_matrix(self, T):
@@ -498,7 +490,7 @@ def h1(coeffs, basis):
         for i, row in enumerate(coeffs.act_matrix(g)):
             beta.append([(x - (i == t)) % M for t, x in enumerate(row)])
     sf = smith_mod(beta, coeffs.p, coeffs.r)
-    return H1Presentation(coeffs, basis, beta, sf)
+    return H1Presentation(coeffs, beta, sf)
 
 
 def specialize_cocycle(k, cocycle):

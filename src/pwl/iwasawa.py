@@ -180,11 +180,18 @@ class FamilyVec:
 
     def __add__(self, other):
         return FamilyVec(self.p, self.r, self.d,
-                         [x + y for x, y in zip(self.coords, other.coords)])
+                         [x + y for x, y in self._pairs(other)])
 
     def __sub__(self, other):
         return FamilyVec(self.p, self.r, self.d,
-                         [x - y for x, y in zip(self.coords, other.coords)])
+                         [x - y for x, y in self._pairs(other)])
+
+    def _pairs(self, other):
+        """Coordinate pairs; DimensionMismatch unless the widths agree."""
+        if len(self.coords) != len(other.coords):
+            raise DimensionMismatch(f"windows of width {len(self.coords)} "
+                                    f"and {len(other.coords)}")
+        return zip(self.coords, other.coords)
 
     def agrees(self, other, width):
         _check_widths(self, other, width)

@@ -4,10 +4,10 @@ Matrices are lists of rows of plain ints.  pack_row / unpack_row hold a
 vector of nonnegative ints as the w-bit fields of one int (entry j at bit
 w*j): a scalar times a packed vector scales every field and a sum adds
 them field by field, exactly while no field reaches 2^w.  Each caller
-(hecke_matrix, sym_matrix, _act_window, poly_mul, the two reductions)
-picks w from a bound on its fields; _width rounds one up to a word if it
-fits, as 64-bit fields move through struct in one C call, others by one
-whole-int shift each.
+picks w from a bound on its fields.  hecke_matrix and the two reductions
+round it through _width, up to a word if it fits, as 64-bit fields move
+through struct in one C call, others by one whole-int shift each;
+sym_matrix, _act_window and poly_mul keep their exact widths.
 
 One elimination.  smith_mod and charpoly_mod hold their matrix as packed
 columns, row i in field pos[i] (a row swap swaps two entries of pos), and
@@ -54,6 +54,8 @@ def identity_mat(n):
 
 
 def mat_mul(A, B, M):
+    if any(len(Ai) != len(B) for Ai in A):
+        raise DimensionMismatch(f"A has a row that is not {len(B)} long")
     m = len(B[0]) if B else 0
     live = [(t, Bt) for t, Bt in enumerate(B) if any(Bt)]
     out = []
@@ -98,6 +100,8 @@ def poly_mul(f, g, M):
 
 
 def mat_vec(A, v, M):
+    if any(len(row) != len(v) for row in A):
+        raise DimensionMismatch(f"A has a row that is not {len(v)} long")
     return [sum(a * x for a, x in zip(row, v)) % M for row in A]
 
 
@@ -114,9 +118,8 @@ class SmithForm:
         self.exps, self.U, self.V, self.pos = exps, U, V, pos
 
     def solve(self, b):
-        """Particular solution of A x = b, or None."""
-        if len(b) != self.m:
-            raise DimensionMismatch(f"b has {len(b)} entries, not {self.m}")
+        """Particular solution of A x = b, or None; U is m x m, so for
+        m >= 1 mat_vec rejects a b without m entries."""
         p, r = self.p, self.r
         M = p ** r
         y = mat_vec(self.U, b, M)

@@ -11,10 +11,10 @@ inverse of B modulo A.  Run modulo X^k over F_p, k doubling, it inverts
 B0 modulo X^w.  Quadratic Hensel lifting then refines only the low
 factor A, monic with A = X^w mod p: each pass doubles its precision by
 A += v (P mod A) mod A, after one more Newton step keeps v inverse to
-B = P div A.  Hensel uniqueness fixes A, the unit-root factor is the
-exact quotient P div A, and no precision is lost.  Deeper cuts
-substitute X -> pX, divide by the forced power of p (losing that much
-precision, which is tracked), and recurse.
+B = P div A.  One lift serves every w, 0 and deg P too.  Hensel
+uniqueness fixes A, the unit-root factor is the exact quotient P div A,
+and no precision is lost.  Deeper cuts substitute X -> pX, divide by
+the forced power of p (losing that much precision, tracked), and recurse.
 
 ps_tp_inv restricts a matrix A to its slope < s part and returns p^s *
 (block inverse), the scaled inverse whose powers contract.  With
@@ -158,16 +158,14 @@ def _lift_low_factor(P, A, v, p, r):
 
 def _unit_root_split(P, p, r):
     """P = low * unitpart mod p^r with low monic collecting roots of
-    positive valuation (reduction X^w) and unitpart the coprime rest."""
+    positive valuation (reduction X^w) and unitpart the coprime rest.  The
+    lift covers w = 0 (e = P mod [1] = 0, so low = [1]) and w = deg P (B = 1,
+    so each pass sets A = P mod p^m, and low = P, unitpart = [1])."""
     M = p ** r
     P = [c % M for c in P]
     w = 0
     while w < len(P) - 1 and P[w] % p == 0:
         w += 1
-    if w == 0:
-        return [1], P
-    if w == len(P) - 1:
-        return P, [1]
     # B0 = P div X^w mod p has a unit constant term, so Newton steps
     # modulo X^k, k doubling, invert it modulo X^w
     B0 = [c % p for c in P[w:]]
@@ -218,9 +216,8 @@ def slope_factor(P, s, p, r):
     low, unitpart = _unit_root_split(P, p, r)
     if s == 1:
         return unitpart, low, 0
+    # n1 = 0: the recursion on [1] gives ([1], [1], 0), Q = unitpart, R = [1]
     n1 = len(low) - 1
-    if n1 == 0:
-        return unitpart, [1], 0
     if r - n1 < 1:
         raise PrecisionExhausted(
             f"scaling by p^{n1} exhausts precision {r}")

@@ -288,12 +288,16 @@ PINNED_OUTPUTS = [
     (("hecke", "--level", "13", "--prime", "7", "--precision", "3",
       "--ell", "2", "--sym", "4"),
      "68b2f4bd6ff96b6835b70de9c8c6468192606ad965de136b4cd05b9fa9dc52a5"),
+    # T_2 has no unit root: its one slope factor lift runs at w = deg P
+    (("slopes", "--level", "7", "--prime", "3", "--precision", "4",
+      "--ell", "2"),
+     "1cc3ad02145019bf4d29da48fa88f3e1b240041156331dd64b4bd4d2fd8a39c8"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
                          ids=["slopes_N23", "hecke_N43", "sym16_N5",
-                              "hecke_N37", "sym4_N13"])
+                              "hecke_N37", "sym4_N13", "slopes_N7"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)

@@ -395,6 +395,18 @@ def test_family_vec_agrees_rejects_vacuous_widths():
             two.agrees(one, width)
 
 
+def test_family_vec_sum_rejects_unequal_widths():
+    rng = random.Random(41)
+    p, r, d = 3, 2, 2
+    five, three = rand_fam(rng, p, r, d, 5), rand_fam(rng, p, r, d, 3)
+    for x, y in ((five, three), (three, five)):
+        with pytest.raises(DimensionMismatch):
+            x + y
+        with pytest.raises(DimensionMismatch):
+            x - y
+    assert len((five + five).coords) == len((five - five).coords) == 5
+
+
 def test_family_tail_values():
     assert family_tail(3, 4, 3) == 21
     assert family_tail(5, 2, 2) == 20

@@ -486,6 +486,26 @@ def test_mat_mul_matches_triple_sum():
                 assert mat_mul(A, Bv, M) == triple_sum(A, Bv, M), (A, Bv)
 
 
+@pytest.mark.parametrize("A, B", [
+    ([[1, 2, 3]], [[1], [1]]),    # A is wider than B is tall
+    ([[1]], [[1], [1]]),          # A is narrower
+    ([[1, 2], [3]], [[1], [1]]),  # one short row of A
+])
+def test_mat_mul_checks_shapes(A, B):
+    with pytest.raises(DimensionMismatch):
+        mat_mul(A, B, 7)
+
+
+@pytest.mark.parametrize("A, v", [
+    ([[1, 2]], [1, 2, 3]),
+    ([[1, 2, 3]], [1, 2]),
+    ([[1, 2], [3]], [1, 2]),
+])
+def test_mat_vec_checks_shapes(A, v):
+    with pytest.raises(DimensionMismatch):
+        mat_vec(A, v, 7)
+
+
 def berkowitz(A, M):
     """det(X I - A) over Z/M by the division-free Berkowitz method, O(n^4);
     ascending coefficients.  The oracle for charpoly_mod."""

@@ -221,6 +221,22 @@ def test_slope_factor_trivial_sides():
     assert (Qg, Rg, loss) == ([1], R, 0)
 
 
+@pytest.mark.parametrize("P, s, unit_only", [
+    ([-1, 5, 7 * 81, 82], 1, True),      # a unit constant term: w = 0
+    ([-1, 5, 7 * 81, 82], 2, True),      # only unit roots, cut at 2
+    ([5, 82], 3, True),
+    ([82], 1, True),                      # deg P = 0: w = 0 = deg P
+    ([-3, 6 * 81 + 9, 3, 82], 1, False),  # P = X^3 mod 3: w = deg P
+    ([3 + 81, 82], 1, False),
+])
+def test_slope_factor_one_sided_splits(P, s, unit_only):
+    # the lift from X^w serves w = 0 and w = deg P: P comes back mod 3^4
+    # on its own side, [1] on the other, with no loss
+    red = [c % 81 for c in P]
+    want = (red, [1], 0) if unit_only else ([1], red, 0)
+    assert slope_factor(P, s, 3, 4) == want
+
+
 def test_slope_factor_depth_two():
     p, r = 3, 8
     M = p ** r
