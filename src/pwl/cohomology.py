@@ -191,8 +191,6 @@ def _gamma1_quotient(B, A, N):
     """B adj(A) / det A if it is an integer matrix in Gamma_1(N), else None:
     B and A lie in the same left coset exactly when it is not None."""
     det = A.det()
-    if B.det() != det:
-        return None
     C = B * A.cofactor()
     if any(e % det for e in C.entries()):
         return None
@@ -529,8 +527,8 @@ def family_preimage(cocycle, d):
             comps[zeta][0] = x
             coords.append(WeightFn(p, r, d, comps))
         coords += [WeightFn.zero(p, r, d) for _ in range(tail)]
-        F = FamilyVec(p, r, d, coords)
-        if specialize(sp_vector(k, F), k - 2) != v:
-            raise InternalInconsistency("family preimage fails to specialize")
-        values.append(F)
-    return Cocycle(fam_coeffs, cocycle.basis, values)
+        values.append(FamilyVec(p, r, d, coords))
+    out = Cocycle(fam_coeffs, cocycle.basis, values)
+    if specialize_cocycle(k, out).values != cocycle.values:
+        raise InternalInconsistency("family preimage fails to specialize")
+    return out

@@ -89,15 +89,11 @@ class WeightFn:
                               for a, b in zip(self.comps, other.comps)])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._compat(other)
         M = self.p ** self.r
         return WeightFn._raw(self.p, self.r, self.d,
                              [poly_mul(a, b, M)[:self.d]
                               for a, b in zip(self.comps, other.comps)])
-
-    __rmul__ = __mul__
 
     def scale(self, k):
         M = self.p ** self.r

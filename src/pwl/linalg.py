@@ -118,8 +118,9 @@ class SmithForm:
         self.exps, self.U, self.V, self.pos = exps, U, V, pos
 
     def solve(self, b):
-        """Particular solution of A x = b, or None; U is m x m, so for
-        m >= 1 mat_vec rejects a b without m entries."""
+        """Particular solution of A x = b, or None."""
+        if len(b) != self.m:  # mat_vec sees no column count when m = 0
+            raise DimensionMismatch(f"b has {len(b)} entries, not {self.m}")
         p, r = self.p, self.r
         M = p ** r
         y = mat_vec(self.U, b, M)

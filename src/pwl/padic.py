@@ -145,7 +145,7 @@ class PrecInt:
         sign = 1
         if k < 0:
             k, sign = -k, -1
-        v = vp(k, self.p) if k % self.p == 0 else 0
+        v = vp(k, self.p)
         if self.r <= v:
             raise PrecisionExhausted(
                 f"division by p^{v} * unit at precision {self.r}")

@@ -47,12 +47,9 @@ from .padic import vp
 class NewtonPolygon:
     """Lower hull of the coefficient valuations of a monic polynomial."""
 
-    __slots__ = ("p", "r", "points", "censored", "vertices", "segments",
-                 "ambiguous")
+    __slots__ = ("censored", "vertices", "segments", "ambiguous")
 
-    def __init__(self, p, r, points, censored, vertices, segments, ambiguous):
-        self.p, self.r = p, r
-        self.points = points
+    def __init__(self, censored, vertices, segments, ambiguous):
         self.censored = censored
         self.vertices = vertices
         self.segments = segments
@@ -80,7 +77,7 @@ def newton_polygon(coeffs, p, r):
             points.append((i, r))
             censored.append(True)
         else:
-            points.append((i, min(vp(c, p), r)))
+            points.append((i, vp(c, p)))  # below r, as c % p^r != 0
             censored.append(False)
     hull = [points[0]]
     for pt in points[1:]:
@@ -101,7 +98,7 @@ def newton_polygon(coeffs, p, r):
             if (points[i][1] - y1) * (x2 - x1) == (y2 - y1) * (i - x1):
                 on_hull.add(i)
     ambiguous = sorted(i for i in on_hull if censored[i])
-    return NewtonPolygon(p, r, points, censored, hull, segments, ambiguous)
+    return NewtonPolygon(censored, hull, segments, ambiguous)
 
 
 def _poly_trim(f, M):

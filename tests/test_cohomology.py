@@ -386,6 +386,14 @@ def test_keyed_partner_rejects_incomplete_and_repeated_reps():
         hecke_matrix(SymCoeffs(3, 2, 0), fb, [twin] + reps)
 
 
+def test_gamma1_quotient_needs_determinant_one():
+    # (3 0; 0 3) adj(1 0; 0 3) / 3 = (3 0; 0 1) is integral but not in
+    # Gamma_1(11); (1 0; 0 12) over the identity is integral with
+    # a = d = 1 and c = 0 mod 11, and only its determinant 12 rules it out
+    assert _gamma1_quotient(IntMat(3, 0, 0, 3), IntMat(1, 0, 0, 3), 11) is None
+    assert _gamma1_quotient(IntMat(1, 0, 0, 12), IntMat.identity(), 11) is None
+
+
 def test_hecke_commute_and_order_independence():
     p, r = 11, 4
     M = p ** r
@@ -740,6 +748,23 @@ def test_family_preimage_round_trip():
                 assert f.comps == [[x, 0, 0] if zeta == 3 else [0, 0, 0]
                                    for zeta in range(6)]
             assert all(f.comps == zero for f in F.coords[2:])
+
+
+def test_family_preimage_traps_a_lift_that_does_not_specialize_back(
+        monkeypatch):
+    # a specialization one off in a single coordinate must raise the trap
+    real = cohomology.specialize_cocycle
+
+    def off_by_one(k, cocycle):
+        out = real(k, cocycle)
+        v = out.values[0]
+        out.values[0] = SymVec(v.p, v.r, v.n, [v.coords[0] + 1] + v.coords[1:])
+        return out
+
+    monkeypatch.setattr(cohomology, "specialize_cocycle", off_by_one)
+    c = Cocycle.random(SymCoeffs(3, 3, 1), free_basis(9), random.Random(5))
+    with pytest.raises(InternalInconsistency, match="fails to specialize"):
+        family_preimage(c, d=3)
 
 
 @pytest.mark.parametrize("r, n, d", [(3, 1, 3), (4, 2, 4)])

@@ -331,6 +331,14 @@ def test_solve_checks_length(b):
         smith_mod([[1, 0], [0, 3]], 3, 2).solve(b)
 
 
+def test_solve_checks_length_with_no_rows():
+    # U is 0 x 0, so no row of it can compare its length with b's
+    sf = smith_mod([], 3, 2)
+    with pytest.raises(DimensionMismatch):
+        sf.solve([1])
+    assert sf.solve([]) == []
+
+
 def test_invert():
     rng = random.Random(3)
     p, r = 5, 3
