@@ -83,13 +83,8 @@ def h1_cmd(a):
 
 def _charpoly(a):
     """Reps of T_ell and the charpoly of T_ell on the free quotient."""
-    from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
-    from .gamma1 import free_basis
-    fb = free_basis(a.level)
-    coeffs = SymCoeffs(a.prime, a.precision, a.sym)
-    reps = t_ell_reps(a.ell, fb)
-    pres = h1(coeffs, fb)
-    return reps, pres.charpoly(hecke_matrix(coeffs, fb, reps))
+    from .shapiro import hecke_charpoly
+    return hecke_charpoly(a.level, a.prime, a.precision, a.ell, a.sym)
 
 
 def hecke(a):

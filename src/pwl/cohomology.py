@@ -1,13 +1,20 @@
 """First cohomology of the level subgroups and its double-coset operators.
 
-The level subgroup is free (rank 1 + mu/6), so a 1-cocycle is determined
-by arbitrary values on the free generators and H^1 is the quotient of the
-value space by coboundaries.  Coefficient systems share a small duck
-interface (zero/act/rand; SymCoeffs adds dim/act_matrix for the matrix
-paths, and eq), and their values combine with + and -:
+Gamma_1(N) is free (rank 1 + mu/6), so a 1-cocycle is determined by
+arbitrary values on the free generators and H^1 is the quotient of the
+value space by coboundaries.  Gamma_0(N) (gamma1.free_basis with H =
+(Z/N)^*) also has elliptic generators t of order m = 2 or 3, and a
+cocycle has N_t c(t) = 0, N_t = 1 + t + ... + t^(m-1); for m a unit mod
+p, h1 adds the columns of N_t to the coboundaries, and the operator is
+read through Pi_t = 1 - N_t / m on t's block, the projection onto the
+cocycle values.  Coefficient systems share a small duck interface
+(zero/act/rand; SymCoeffs adds dim/act_matrix for the matrix paths, and
+eq), and their values combine with + and -:
 
   SymCoeffs      symmetric-power vectors acted on through the weight-n
                  matrix action; n = 0 is Z/p^r with the trivial action;
+                 with a character chi of (Z/N)^*, Sym^n(chi): g acts by
+                 chi(d_g) times its matrix;
   FamilyCoeffs   coordinate windows of weight-space functions acted on
                  through the interpolated family action (each action
                  reads out_width + tail_width(p, r) coordinates and
@@ -22,10 +29,11 @@ Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
 divide N, with sigma_ell = diamond_rep(ell, N) (Diamond-Shurman, A First
 Course in Modular Forms, Prop. 5.2.1).  Each translate A gamma is matched
-to the rep that absorbs it in O(1): the left coset Gamma_1(N) B is keyed
-by the Hermite form H of B's row lattice (an invariant of SL_2(Z) B) and
-the bottom row mod N of B H^-1, one dict holds the key of every rep, and
-one exact coset test _gamma1_quotient confirms the match.  A translate
+to the rep that absorbs it in O(1): the left coset Gamma_H(N) B is keyed
+by the Hermite form E of B's row lattice (an invariant of SL_2(Z) B) and
+the least over x in H of the bottom rows mod N of x B E^-1, one dict
+holds the key of every rep, and one exact coset test _gamma1_quotient
+confirms the match.  A translate
 with no rep, or two reps of one coset, raises.  The operator value
 (A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
 (adjugate) on the left.  One walk, _partner_words, rewrites each partner
@@ -42,8 +50,13 @@ Montgomery step and one struct unpack, O(k D) int products where the
 full D x D prefix takes O(D^2).  The unreduced states are summed per
 block and per L, reps with one L share the sums, and each L is folded
 into each sum once; a letter that acts as the identity (every letter on
-Sym^0) skips its product and costs one packed add.  h1
-stacks act_matrix(g) - I over the generators into the coboundary matrix
+Sym^0) skips its product and costs one packed add.  The sums are also
+kept apart by the class of the prefix's d in (Z/N)^*/+-1 (one class on
+Gamma_1(N)), so that one walk of Gamma_0(N)'s words serves every
+character chi: the operator on Sym^n(chi) is the sum over classes c of
+chi(c) times class c's sum (pwl.shapiro assembles it); on Sym^0 the
+sums are letter counts.  h1 stacks act_matrix(g) - I over the
+generators into the coboundary matrix, with the N_t columns beside it,
 and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
 available on free presentations).  The induced operator multiplies
@@ -57,9 +70,8 @@ import struct
 from operator import mul
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                     NotCoprime, NotFreeModule, WidthInsufficient)
+                     NotAUnit, NotCoprime, NotFreeModule, WidthInsufficient)
 from .gamma1 import in_gamma1
-from .iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from .linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
                      pack_row, smith_mod, unpack_row)
 from .matrices import IntMat
@@ -68,11 +80,13 @@ from .sympow import SymVec, act_sym, specialize, sym_matrix
 
 
 class SymCoeffs:
-    """Degree-n symmetric-power vectors mod p^r."""
+    """Degree-n symmetric-power vectors mod p^r, Sym^n(chi) when a
+    character chi of (Z/N)^* is given, as its values mod p^r at
+    0, ..., N - 1: g then acts by chi(d_g) times its Sym^n matrix."""
 
-    def __init__(self, p, r, n):
+    def __init__(self, p, r, n, chi=None):
         _check_modulus(p, r)
-        self.p, self.r, self.n = p, r, n
+        self.p, self.r, self.n, self.chi = p, r, n, chi
 
     def dim(self):
         return self.n + 1
@@ -80,11 +94,20 @@ class SymCoeffs:
     def zero(self):
         return SymVec(self.p, self.r, self.n, [0] * (self.n + 1))
 
+    def _scale(self, mat):
+        return 1 if self.chi is None else self.chi[mat.d % len(self.chi)]
+
     def act(self, mat, x):
-        return act_sym(mat, x)
+        s = self._scale(mat)
+        y = act_sym(mat, x)
+        return y if s == 1 else SymVec(self.p, self.r, self.n,
+                                       [s * c for c in y.coords])
 
     def act_matrix(self, mat):
-        return sym_matrix(self.n, mat, self.p, self.r)
+        S = sym_matrix(self.n, mat, self.p, self.r)
+        s = self._scale(mat)
+        M = self.p ** self.r
+        return S if s == 1 else [[s * x % M for x in row] for row in S]
 
     def eq(self, x, y):
         return x == y
@@ -115,9 +138,11 @@ class FamilyCoeffs:
         self.stored_width = stored_width
 
     def zero(self):
+        from .iwasawa import FamilyVec
         return FamilyVec.zero(self.p, self.r, self.d, self.out_width)
 
     def act(self, mat, x):
+        from .iwasawa import FamilyVec, act_family
         w = self.out_width + tail_width(self.p, self.r)
         if len(x.coords) < w:
             raise WidthInsufficient(
@@ -125,6 +150,7 @@ class FamilyCoeffs:
         return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
 
     def rand(self, rng):
+        from .iwasawa import FamilyVec, WeightFn, branch_count
         M = self.p ** self.r
         nb = branch_count(self.p)
         coords = [WeightFn._raw(self.p, self.r, self.d,
@@ -187,15 +213,15 @@ class Cocycle:
         return out
 
 
-def _gamma1_quotient(B, A, N):
-    """B adj(A) / det A if it is an integer matrix in Gamma_1(N), else None:
+def _gamma1_quotient(B, A, N, H=(1,)):
+    """B adj(A) / det A if it is an integer matrix in Gamma_H(N), else None:
     B and A lie in the same left coset exactly when it is not None."""
     det = A.det()
     C = B * A.cofactor()
     if any(e % det for e in C.entries()):
         return None
     G = IntMat(*(e // det for e in C.entries()))
-    return G if in_gamma1(G, N) else None
+    return G if in_gamma1(G, N, H) else None
 
 
 def diamond_rep(n, N):
@@ -211,7 +237,8 @@ def diamond_rep(n, N):
 def t_ell_reps(ell, basis):
     """Reps A of the cosets Gamma_1(N) A that make up the double coset
     Gamma_1(N) diag(1, ell) Gamma_1(N), for a prime ell (Diamond-Shurman,
-    Prop. 5.2.1)."""
+    Prop. 5.2.1); the same for Gamma_0(N), as sigma_ell lies in it.  Each
+    adj A has d = 1 mod N."""
     if not is_prime(ell):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
     N = basis.N
@@ -221,10 +248,11 @@ def t_ell_reps(ell, basis):
     return reps
 
 
-def _coset_key(B, N):
-    """Key of the left coset Gamma_1(N) B = Gamma_1(N) U H: the Hermite
-    form H = (g, b; 0, h) of B's row lattice, 0 <= b < h, and the bottom
-    row mod N of U = B H^-1 in SL_2(Z), which fixes Gamma_1(N) U."""
+def _coset_key(B, N, H):
+    """Key of the left coset Gamma_H(N) B = Gamma_H(N) U E: the Hermite
+    form E = (g, b; 0, h) of B's row lattice, 0 <= b < h, and the least
+    of the bottom rows mod N of x U, x in H, U = B E^-1 in SL_2(Z): they
+    fix Gamma_H(N) U."""
     a, b, c, d = B.entries()
     # extended Euclid: x a + y c = g = gcd(a, c) > 0
     g, g1, x, x1, y, y1 = a, c, 1, 0, 0, 1
@@ -238,24 +266,25 @@ def _coset_key(B, N):
     h = (a * d - b * c) // g
     top = (x * b + y * d) % h
     u = c // g
-    return g, top, h, u % N, (d - u * top) // h % N
+    v = (d - u * top) // h
+    return g, top, h, min(((e * u) % N, (e * v) % N) for e in H)
 
 
-def _coset_index(reps, N):
+def _coset_index(reps, N, H=(1,)):
     """Coset key -> rep; raises if two reps share a coset."""
     index = {}
     for A in reps:
-        key = _coset_key(A, N)
+        key = _coset_key(A, N, H)
         if key in index:
             raise InternalInconsistency(f"{index[key]} and {A} share a coset")
         index[key] = A
     return index
 
 
-def _coset_partner(B, index, N):
-    """B A^-1 in Gamma_1(N) for the rep A of B's coset (exactly checked)."""
-    A = index.get(_coset_key(B, N))
-    G = None if A is None else _gamma1_quotient(B, A, N)
+def _coset_partner(B, index, N, H=(1,)):
+    """B A^-1 in Gamma_H(N) for the rep A of B's coset (exactly checked)."""
+    A = index.get(_coset_key(B, N, H))
+    G = None if A is None else _gamma1_quotient(B, A, N, H)
     if G is None:
         raise InternalInconsistency("no representative absorbs the translate")
     return G
@@ -265,8 +294,9 @@ def _partner_words(basis, reps):
     """adj A for each rep A, and per generator gamma the words of the
     partners of A gamma in rep order: the walk both operators fold or
     pack."""
-    index = _coset_index(reps, basis.N)
-    words = [[basis.express(_coset_partner(A * gam, index, basis.N))
+    N, H = basis.N, basis.H
+    index = _coset_index(reps, N, H)
+    words = [[basis.express(_coset_partner(A * gam, index, N, H))
               for A in reps] for gam in basis.gens]
     return [A.cofactor() for A in reps], words
 
@@ -302,13 +332,23 @@ def _factor_start(S):
 
 
 def hecke_matrix(coeffs, basis, reps):
-    """Matrix of the operator on stacked generator values, assembled in
-    one pass over the rewritten words.
+    """Class sums of the operator on stacked generator values, assembled
+    in one pass over the rewritten words: R D rows and C R D columns, C
+    the basis's classes, so for Gamma_1(N) (C = 1) the operator's matrix.
 
-    Block (h, q) of T sums +S P over the letters q and -S P G_q^-1 over
-    the letters -q of the words of generator h, S = act_matrix(adj A) for
-    the word's rep A and P the action of the letters before.  Four facts
-    make the walk exact at O(k D) int products per letter, not O(D^2):
+    Block (h, c R + q) of T sums +S P over the letters q and -S P G_q^-1
+    over the letters -q of the words of generator h whose prefix lies in
+    class c, S = act_matrix(adj A) for the word's rep A and P the action
+    of the letters before.  The prefix of a letter q is adj(A) times the
+    letters before it, and that of a letter -q includes G_q^-1: its
+    bottom row is (0, d) mod N, and the walk carries d mod N along,
+    multiplying by d of each letter.  A state whose d is minus its
+    class's rep enters the sum negated when n = D - 1 is odd, as the
+    blocks have chi(-1) = (-1)^n.  The operator on Sym^n(chi) is then
+    the sum over classes c of chi(c) times block column c: chi(d) S P
+    is what the letter adds there (h1's coefficients act so).  Four
+    facts make the walk exact at O(k D) int products per letter, not
+    O(D^2):
 
     1. The factorization is exact.  _factor_start writes S = L Y0 with
        k = min(|C|, |R|) rows in Y0: S e_t = 0 for t outside C, so
@@ -345,16 +385,17 @@ def hecke_matrix(coeffs, basis, reps):
        when W = 64 (_width rounds W up to 64 where the bounds fit), else
        unpack_row's shifts, mod 2^W so that they stay the fields.
     4. The fold bound.  Each letter adds the state to its plan's sum for
-       (h, q), or Z - Y for a negative letter, where every field of Z is
-       2M = 0 mod M: every field added is in [0, 2M].  Generator h's words
+       (h, c R + q), or Z - Y for a negative letter or a negated state
+       (not both), where every field of Z is 2M = 0 mod M: every field
+       added is in [0, 2M].  Generator h's words
        have at most `most` letters in all, so the fields of a sum, and
        the sums over plans of their fields, are at most 2 M most.  Row i
        of block (h, q) is the sum over plans of row i of L times the
        plan's sum, one dot product with the sum's packed rows, so its
        fields are at most lam 2 M most, lam >= 1 the largest row sum of
        any L (1 for an injection), and W >= bits(2 M most lam) keeps them
-       apart.  Row i of T's block row h holds block q at bit q D W and is
-       unpacked once, mod M.
+       apart.  Row i of T's block row h holds block c R + q at bit
+       (c R + q) D W and is unpacked once, mod M.
     """
     D = coeffs.dim()
     R = basis.rank()
@@ -381,31 +422,42 @@ def hecke_matrix(coeffs, basis, reps):
     gen_rows = [scaled_rows(coeffs.act_matrix(g)) for g in basis.gens]
     inv_rows = [scaled_rows(coeffs.act_matrix(g.inverse()))
                 for g in basis.gens]
+    # the d mod N of each letter's action, and per unit d the block offset
+    # c R of its class c and whether its state enters the class negated
+    N = basis.N
+    gen_d = [g.d % N for g in basis.gens]
+    inv_d = [g.a % N for g in basis.gens]
+    odd = (D - 1) % 2
+    cls = {d: (c * R, neg and odd) for d, (c, neg) in basis.class_of.items()}
     plans = {}
     # per rep: its plan's index, Y0 packed and as scalars (rebound per
     # letter, never mutated, so every generator's walk starts from them),
-    # the offsets of its rows, Z, and its k D fields' count and unpacker
+    # the offsets of its rows, Z, its k D fields' count and unpacker, and
+    # the d mod N of adj A
     starts = []
-    for plan, Y0 in factors:
+    for (plan, Y0), adj in zip(factors, adjs):
         n = plan[1] * D
         flat = [x for row in Y0 for x in row]
         starts.append((plans.setdefault(plan, len(plans)), pack_row(flat, W),
                        flat, range(0, n, D),
                        pack_row([2 * M] * n, W), n,
-                       struct.Struct(f"<{n}Q").unpack))
+                       struct.Struct(f"<{n}Q").unpack, adj.d % N))
     T = []
     for gen_words in words:
-        sums = [{} for _ in plans]  # per plan: q -> summed packed states
-        for (g, x, e, offs, Z, n, unpack), word in zip(starts, gen_words):
+        sums = [{} for _ in plans]  # per plan: c R + q -> summed states
+        for (g, x, e, offs, Z, n, unpack, dd), word in zip(starts, gen_words):
             acc = sums[g]
             for a in word:
                 if a > 0:
                     q = a - 1
-                    acc[q] = acc.get(q, 0) + x
+                    c, neg = cls[dd]
+                    acc[c + q] = acc.get(c + q, 0) + (Z - x if neg else x)
                     G = gen_rows[q]
+                    dd = dd * gen_d[q] % N
                 else:
                     q = -a - 1
                     G = inv_rows[q]
+                    dd = dd * inv_d[q] % N
                 if G is not None:
                     x = sum([sum(map(mul, e[s:s + D], G)) << (s * W)
                              for s in offs])
@@ -413,26 +465,28 @@ def hecke_matrix(coeffs, basis, reps):
                     e = (unpack(x.to_bytes(8 * n, "little")) if W == 64
                          else unpack_row(x, n, W, 1 << W))
                 if a < 0:
-                    acc[q] = acc.get(q, 0) + Z - x
-        Th = [0] * D  # row i of block row h, block q at bit q D W
+                    c, neg = cls[dd]
+                    acc[c + q] = acc.get(c + q, 0) + (x if neg else Z - x)
+        Th = [0] * D  # row i of block row h
         for (R0, k, L), acc in zip(plans, sums):
-            for q, y in acc.items():
+            for cq, y in acc.items():
                 rows = [(y >> s) & ROW for s in range(0, k * DW, DW)]
                 if L:
                     rows = [sum(map(mul, Li, rows)) for Li in L]
                 for i, v in enumerate(rows, R0):
-                    Th[i] += v << (q * DW)
-        T += [unpack_row(y, R * D, W, M) for y in Th]
+                    Th[i] += v << (cq * DW)
+        T += [unpack_row(y, len(basis.classes) * R * D, W, M) for y in Th]
     return T
 
 
 class H1Presentation:
-    """Quotient of stacked generator values by the coboundary image."""
+    """Quotient of stacked generator values by the coboundary image and
+    the images of N_t; proj holds (t, Pi_t) per elliptic generator t."""
 
-    __slots__ = ("coeffs", "beta", "sf", "moduli")
+    __slots__ = ("coeffs", "beta", "sf", "moduli", "proj")
 
-    def __init__(self, coeffs, beta, sf):
-        self.coeffs, self.beta, self.sf = coeffs, beta, sf
+    def __init__(self, coeffs, beta, sf, proj):
+        self.coeffs, self.beta, self.sf, self.proj = coeffs, beta, sf, proj
         self.moduli = list(sf.exps) + [coeffs.r] * (len(beta) - len(sf.exps))
 
     def free_rank(self):
@@ -449,18 +503,25 @@ class H1Presentation:
         return tuple(x % p ** e for x, e in zip(w, self.moduli))
 
     def induced_matrix(self, T):
-        """Matrix of T on the free quotient coordinates: rows and columns F
-        of U T U^-1, F the free indices.  On a free presentation T
-        preserves the coboundaries exactly when Q T beta = 0, Q the rows F
-        of U (sparse: mat_mul skips their zeros); that is checked first.
-        A free f has no pivot, so U^-1 e_f = e_pos[f] (SmithForm): column f
-        of the result is column pos[f] of Q T, a selection, not a product."""
+        """Matrix of T Pi on the free quotient coordinates: rows and columns
+        F of U T Pi U^-1, F the free indices.  Pi is Pi_t on the block of
+        each elliptic generator t and I elsewhere, so T Pi is defined on
+        every value vector.  On a free presentation T Pi preserves the
+        relations exactly when Q T Pi beta = 0, Q the rows F of U (sparse:
+        mat_mul skips their zeros); that is checked first.  A free f has no
+        pivot, so U^-1 e_f = e_pos[f] (SmithForm): column f of the result
+        is column pos[f] of Q T Pi, a selection, not a product."""
         n = len(self.moduli)
         if len(T) != n or any(len(row) != n for row in T):
             raise DimensionMismatch(f"operator is not {n} x {n}")
         if not self.is_free():
             raise NotFreeModule(f"mixed elementary divisors {self.moduli}")
         M = self.coeffs.p ** self.coeffs.r
+        D = self.coeffs.dim()
+        for t, Pi in self.proj:
+            block = mat_mul([row[t * D:t * D + D] for row in T], Pi, M)
+            T = [row[:t * D] + new + row[t * D + D:]
+                 for row, new in zip(T, block)]
         F = [i for i, e in enumerate(self.moduli) if e == self.coeffs.r]
         QT = mat_mul([self.sf.U[f] for f in F], T, M)
         if any(any(row) for row in mat_mul(QT, self.beta, M)):
@@ -481,20 +542,46 @@ class H1Presentation:
 def h1(coeffs, basis):
     """Presentation of H^1: beta stacks act_matrix(g) - I over the
     generators g, so its column t is the coboundary of the t-th unit
-    vector, and one Smith form of beta gives the quotient."""
+    vector, and one Smith form of beta gives the quotient.
+
+    An elliptic generator t of order m adds the columns of
+    N_t = 1 + t + ... + t^(m-1) on t's block: a cocycle has N_t c(t) = 0.
+    As t^m acts as 1, t N_t = N_t and N_t^2 = m N_t; when m is a unit mod
+    p (else NotAUnit), Pi_t = 1 - N_t / m is the projection onto ker N_t
+    along im N_t, the cocycles are V^gens / sum_t im N_t, and
+    H^1 = V^gens / (coboundaries + sum_t im N_t)."""
     M = coeffs.p ** coeffs.r
+    D = coeffs.dim()
+    rel = len(basis.elliptic) * D
     beta = []
     for g in basis.gens:
         for i, row in enumerate(coeffs.act_matrix(g)):
-            beta.append([(x - (i == t)) % M for t, x in enumerate(row)])
+            beta.append([(x - (i == t)) % M for t, x in enumerate(row)]
+                        + [0] * rel)
+    proj = []
+    for j, (t, m) in enumerate(basis.elliptic):
+        if m % coeffs.p == 0:
+            raise NotAUnit(
+                f"an elliptic generator of order {m} at p = {coeffs.p}")
+        G = coeffs.act_matrix(basis.gens[t])
+        Nt = power = identity_mat(D)
+        for _ in range(m - 1):
+            power = mat_mul(power, G, M)
+            Nt = [[x + y for x, y in zip(a, b)] for a, b in zip(Nt, power)]
+        for i in range(D):
+            beta[t * D + i][D + j * D:D + j * D + D] = [x % M for x in Nt[i]]
+        inv = pow(m, -1, M)
+        proj.append((t, [[((i == k) - x * inv) % M for k, x in enumerate(row)]
+                         for i, row in enumerate(Nt)]))
     sf = smith_mod(beta, coeffs.p, coeffs.r)
-    return H1Presentation(coeffs, beta, sf)
+    return H1Presentation(coeffs, beta, sf, proj)
 
 
 def specialize_cocycle(k, cocycle):
     """Family-coefficient cocycle evaluated at integer weight k, as a
     symmetric-power cocycle of degree k - 2; raises WidthInsufficient
     below k - 1 certified coordinates."""
+    from .iwasawa import sp_vector
     coeffs = cocycle.coeffs
     out_coeffs = SymCoeffs(coeffs.p, min(coeffs.r, coeffs.d), k - 2)
     values = [specialize(sp_vector(k, F), k - 2) for F in cocycle.values]
@@ -512,6 +599,7 @@ def family_preimage(cocycle, d):
     tail_width(p, r) zero ones, the tail one action reads, so the lift can
     be evaluated and operated on, not only specialized back.
     """
+    from .iwasawa import FamilyVec, WeightFn, branch_count
     sym = cocycle.coeffs
     p, r = sym.p, sym.r
     k = sym.n + 2

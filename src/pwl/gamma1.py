@@ -1,29 +1,43 @@
-"""Cosets and free generating sets for level subgroups of SL_2(Z).
+"""Cosets and generating sets for the level subgroups Gamma_H(N) of SL_2(Z).
 
-Right cosets of the level-N subgroup (lower-left entry divisible by N,
-diagonal 1 mod N) inside SL_2(Z) correspond to unimodular bottom rows
-(c, d) mod N.  For N >= 4 the subgroup is torsion-free and injects into
-PSL_2(Z), which is freely generated modulo s^2 = u^3 = 1 by the rotation
-s = (0 -1; 1 0) and u = s * t with t the unit translation.  A breadth
-first Schreier transversal over the projective cosets (rows up to global
-sign) and one Reidemeister-Schreier rule over the cycles of s and of u
+For a subgroup H of (Z/N)^* let Gamma_H(N) be the matrices of SL_2(Z)
+with lower-left entry divisible by N and d mod N in H: H = {1} is
+Gamma_1(N), H = (Z/N)^* is Gamma_0(N).  free_basis(N, H) builds every
+one of them by one Reidemeister-Schreier routine; free_basis(N) is
+Gamma_1(N).  Its right cosets in PSL_2(Z) correspond to unimodular bottom
+rows (c, d) mod N up to multiplication by +-H.  PSL_2(Z) is the free
+product of <s | s^2> and <u | u^3>, s = (0 -1; 1 0) the rotation and
+u = s t with t the unit translation.  A breadth first Schreier
+transversal over the cosets and one rule over the cycles of s and of u
 (tree edges read (), each other edge but the last of a cycle is a new
-generator, the last reads the inverse of their product) give a free
-generating set of rank 1 + mu/6, where mu is the projective index, and a
-table writing every directed coset edge in it.  FreeBasisData keeps the
-permutations perm_s and perm_t of the projective cosets (indexed in the
-sorted order of their canonical bottom rows) and, per coset x, the
-reduced word of one t-step, the width w_x of x's t-orbit (its cusp
-width, a divisor of N) and the loop word of t^w_x from x.
+generator, the last reads the inverse of their product) give the
+generators and a table writing every directed coset edge in them.  A
+coset that s or u fixes is a cycle of one edge: it becomes an elliptic
+generator g of order m = 2 or 3 in PSL_2(Z), with the relation g^m = 1,
+and `elliptic` lists each with its order.  With e_2 and e_3 of them and
+mu cosets there are 1 + (mu + 3 e_2 + 2 e_3)/6 generators, and the group
+is free on the others.  For N >= 4, Gamma_1(N) is torsion-free (no
+elliptic generator) and injects into PSL_2(Z), so it is free of rank
+1 + mu/6; when -1 lies in H, Gamma_H(N) contains -1, and its words
+and generators are read in PSL_2(Z), up to sign.  FreeBasisData keeps
+the permutations perm_s and perm_t of the cosets (indexed in the sorted
+order of their canonical bottom rows) and, per coset x, the reduced word
+of one t-step, the width w_x of x's t-orbit (its cusp width, a divisor
+of N) and the loop word of t^w_x from x.
+
+The classes of a basis key cohomology.hecke_matrix's sums by the d of a
+word's prefix: Gamma_1(N) has one class, and any larger H has one class
+per unit d mod N up to sign, so that a character chi of (Z/N)^* with
+chi(-1) = (-1)^n weighs each class once.
 
 express() writes a group element as +-t^e_0 s t^e_1 ... s t^e_n by the
 nearest-integer continued fraction of its left column (each step at
 least halves the lower-left entry c, so n <= 1 + log_2 |c|), then walks
 the cosets: an s costs one table entry, and t^e with e = q w_x + k,
 |k| <= w_x / 2, costs q copies of the loop word and one memoized word of
-k t-steps.  Reduced words in a free group are unique, so the reduced
-result is the same whatever the walk; express replays it against the
-input as an exact check.
+k t-steps.  The walk is deterministic, so an element has one word;
+express replays it against the input as an exact check, up to sign when
+-1 lies in H.
 
 free_basis builds the basis afresh on every call and replays every
 rewriting entry against the matrix of its directed edge before returning.
@@ -31,7 +45,7 @@ rewriting entry against the matrix of its directed edge before returning.
 
 import math
 
-from .errors import BadLevel, InternalInconsistency, NotInGroup
+from .errors import BadLevel, InternalInconsistency, NotCoprime, NotInGroup
 from .matrices import IntMat
 
 ROT = IntMat(0, -1, 1, 0)
@@ -39,48 +53,70 @@ SIX = IntMat(0, -1, 1, 1)        # rot * translation, order 3 in PSL_2(Z)
 SIX_INV = IntMat(1, 1, -1, 0)
 
 
-def in_gamma1(mat, N):
-    """Membership test: determinant 1, c = 0 and a = d = 1 mod N."""
-    return (mat.det() == 1 and mat.c % N == 0
-            and mat.a % N == 1 and mat.d % N == 1)
+def in_gamma1(mat, N, H=(1,)):
+    """Membership in Gamma_H(N): determinant 1, c = 0 and d in H mod N
+    (then a = d^-1 mod N); the default H = {1} is Gamma_1(N)."""
+    return mat.det() == 1 and mat.c % N == 0 and mat.d % N in H
 
 
-def _proj_canon(c, d, N):
-    x = (c % N, d % N)
-    y = ((-c) % N, (-d) % N)
-    return min(x, y)
+def _proj_canon(c, d, N, units=(1, -1)):
+    """Least of the rows h (c, d) mod N over h in units (+-H)."""
+    return min(((h * c) % N, (h * d) % N) for h in units)
 
 
-def _normalize_sign(m, N):
-    # exactly one of +-m has diagonal 1 mod N once N >= 3
-    for w in (m, IntMat(-m.a, -m.b, -m.c, -m.d)):
-        if in_gamma1(w, N):
+def _negate(m):
+    return IntMat(-m.a, -m.b, -m.c, -m.d)
+
+
+def _normalize_sign(m, N, H):
+    # the one of +-m in Gamma_H(N); when -1 is in H, the one with d mod N
+    # below N/2 (d is a unit, so N/2 is not d mod N for N >= 3)
+    for w in (m, _negate(m)):
+        if in_gamma1(w, N, H) and (N - 1 not in H or 2 * (w.d % N) < N):
             return w
     raise InternalInconsistency(f"{m} is not in the level-{N} subgroup up to sign")
 
 
 class FreeBasisData:
-    """Free generators of the level subgroup plus the rewriting table."""
+    """Generators of the level subgroup plus the rewriting table."""
 
-    __slots__ = ("N", "mu", "perm_s", "root", "gens", "expr", "perm_t",
-                 "t_word", "width", "loop", "steps")
+    __slots__ = ("N", "H", "mu", "perm_s", "root", "gens", "elliptic",
+                 "classes", "class_of", "expr", "perm_t", "t_word", "width",
+                 "loop", "steps")
 
-    def __init__(self, N, mu, perm_s, root, gens, expr, perm_t, t_word,
-                 width, loop):
+    def __init__(self, N, H, mu, perm_s, root, gens, elliptic, expr, perm_t,
+                 t_word, width, loop):
         self.N = N
+        self.H = H
         self.mu = mu
         self.perm_s = perm_s
         self.root = root
         self.gens = gens
+        self.elliptic = elliptic  # (generator index, order) per elliptic one
         self.expr = expr
         self.perm_t = perm_t
         self.t_word = t_word
         self.width = width
         self.loop = loop
         self.steps = {}  # (coset, k) -> (word of t^k from it, end coset)
+        # class reps, 1 alone for Gamma_1(N), else the units up to sign,
+        # and per unit d mod N its class and whether d is minus the rep
+        units = [d for d in range(N) if math.gcd(d, N) == 1]
+        if len(H) == 1:
+            self.classes = [1]
+            self.class_of = dict.fromkeys(units, (0, False))
+        else:
+            self.classes = sorted({min(d, N - d) for d in units})
+            pos = {c: i for i, c in enumerate(self.classes)}
+            self.class_of = {d: (pos[min(d, N - d)], d > N - d) for d in units}
 
     def rank(self):
         return len(self.gens)
+
+    def _replays(self, word, mat):
+        """The word spells mat, up to sign when -1 lies in H."""
+        m = _word_matrix(self.gens, word)
+        return m == mat or (self.N - 1 in self.H and m == _negate(mat))
 
     def _t_steps(self, x, k):
         """Reduced word of t^k from coset x, 0 < |k| < width, and its end."""
@@ -95,8 +131,8 @@ class FreeBasisData:
         return step
 
     def express(self, mat):
-        """Word in the free generators equal to mat, as signed 1-based indices."""
-        if not in_gamma1(mat, self.N):
+        """Word in the generators equal to mat, as signed 1-based indices."""
+        if not in_gamma1(mat, self.N, self.H):
             raise NotInGroup(f"{mat} is not in the level-{self.N} subgroup")
         out = []
         cur = self.root
@@ -118,7 +154,7 @@ class FreeBasisData:
         if cur != self.root:
             raise InternalInconsistency("rewriting walk did not close up")
         red = _free_reduce(out)
-        if _word_matrix(self.gens, red) != mat:
+        if not self._replays(red, mat):
             raise InternalInconsistency("replayed word disagrees with input")
         return tuple(red)
 
@@ -166,23 +202,51 @@ def _st_decompose(mat):
     return exps
 
 
-def free_basis(N):
-    """Free generators and rewriting data for level N, every rewriting
-    entry checked against its edge matrix."""
+def _subgroup(gens, N):
+    """The subgroup of (Z/N)^* that the units gens generate."""
+    H = {1}
+    todo = [1]
+    for x in todo:  # todo grows while it is walked
+        for g in gens:
+            y = x * g % N
+            if y not in H:
+                H.add(y)
+                todo.append(y)
+    return frozenset(H)
+
+
+def free_basis(N, H=(1,)):
+    """Generators and rewriting data of Gamma_H(N), H generated by the
+    units H mod N (the default is Gamma_1(N)), every rewriting entry
+    checked against its edge matrix."""
     if N < 4:
         raise BadLevel(f"level {N} has torsion; need N >= 4")
-    rows = sorted({_proj_canon(c, d, N) for c in range(N) for d in range(N)
-                   if math.gcd(math.gcd(c, d), N) == 1})
+    if any(math.gcd(h, N) != 1 for h in H):
+        raise NotCoprime(f"a generator of H is not a unit mod {N}")
+    H = _subgroup(H, N)
+    pm = sorted(H | {-h % N for h in H})
+    # each unimodular row mod N, keyed to the least row of its +-H orbit
+    least = {}
+    for c in range(N):
+        for d in range(N):
+            if (c, d) not in least and math.gcd(math.gcd(c, d), N) == 1:
+                low = _proj_canon(c, d, N, pm)
+                for h in pm:
+                    least[(h * c) % N, (h * d) % N] = low
+    rows = sorted(set(least.values()))
     index = {row: i for i, row in enumerate(rows)}
     mu = len(rows)
-    if mu % 6:
-        raise InternalInconsistency(f"{mu} projective cosets, not a multiple of 6")
 
     def canon_i(c, d):
-        return index[_proj_canon(c, d, N)]
+        return index[least[(c % N, d % N)]]
 
     perm_s = [canon_i(d, -c) for (c, d) in rows]
     perm_u = [canon_i(d, d - c) for (c, d) in rows]
+    e2 = sum(x == y for x, y in enumerate(perm_s))
+    e3 = sum(x == y for x, y in enumerate(perm_u))
+    if (mu + 3 * e2 + 2 * e3) % 6:
+        raise InternalInconsistency(
+            f"{mu} cosets with {e2} and {e3} fixed points: no multiple of 6")
 
     # breadth-first Schreier transversal by the steps s, u and u^-1 = u^2:
     # (next coset, step, tree list, the two cosets it marks).  An s-step puts
@@ -211,17 +275,23 @@ def free_basis(N):
     def edge_matrix(t, g):
         tgt = perm_s[t] if g == "s" else perm_u[t]
         m = lifts[t] * (ROT if g == "s" else SIX) * lifts[tgt].inverse()
-        return _normalize_sign(m, N)
+        return _normalize_sign(m, N, H)
 
     # the rule of the module docstring over s-pairs, then u-triangles, each
-    # read from its first coset in walk order
+    # read from its first coset in walk order; a fixed point is no tree edge
     one = IntMat.identity()
-    gens = []
+    gens, elliptic = [], []
     expr = {}
     for g, perm, tree, n in (("s", perm_s, tree_s, 2), ("u", perm_u, tree_u, 3)):
         seen = [False] * mu
         for t in order:
             if seen[t]:
+                continue
+            if perm[t] == t:  # an elliptic generator of order n
+                seen[t] = True
+                gens.append(edge_matrix(t, g))
+                expr[(t, g)] = (len(gens),)
+                elliptic.append((len(gens) - 1, n))
                 continue
             cyc = [t, perm[t], perm[perm[t]]][:n]
             if len(set(cyc)) != n:
@@ -249,9 +319,10 @@ def free_basis(N):
                 word = (-len(gens),) + word
             if free:
                 expr[(free[-1], g)] = word
-    if len(gens) != 1 + mu // 6:
+    expected = 1 + (mu + 3 * e2 + 2 * e3) // 6
+    if len(gens) != expected:
         raise InternalInconsistency(
-            f"basis has {len(gens)} letters, expected {1 + mu // 6}")
+            f"basis has {len(gens)} letters, expected {expected}")
 
     # t = s^-1 u acts on cosets as s then u; each t-orbit is a cusp of
     # width w, and t^w loops back to the coset it starts from
@@ -266,8 +337,8 @@ def free_basis(N):
             y, w = perm_t[y], w + 1
         width.append(w)
         loop.append(tuple(_free_reduce(word)))
-    data = FreeBasisData(N, mu, perm_s, root, gens, expr, perm_t, t_word,
-                         width, loop)
+    data = FreeBasisData(N, H, mu, perm_s, root, gens, elliptic, expr,
+                         perm_t, t_word, width, loop)
     _verify_edges(data, edge_matrix)
     return data
 
@@ -275,5 +346,5 @@ def free_basis(N):
 def _verify_edges(data, edge_matrix):
     # every rewriting entry must replay to the matrix of its directed edge
     for (t, g), word in data.expr.items():
-        if _word_matrix(data.gens, word) != edge_matrix(t, g):
+        if not data._replays(word, edge_matrix(t, g)):
             raise InternalInconsistency(f"edge ({t}, {g}) fails to replay")

@@ -11,11 +11,11 @@ the order they run in.
 The suites take their sizes as keywords, defaulting to the sizes of
 `pwl verify`: precision, degree and trials (action); span, top, digits
 and trials (identity); trials (congruence and truncate); precision,
-eigenvalues and reorder (hecke); pairs and powers (slope).  The truncate
-suite's family windows hold tail_width(p, r) coordinates past its
-outputs, the tail every weight action uses up.  An unknown suite name
-raises BadRange.  tests/test_acceptance.py runs the same suites at its
-own sizes, so each invariant is written once.
+eigenvalues and reorder (hecke); pairs and powers (slope); cases
+(shapiro).  The truncate suite's family windows hold tail_width(p, r)
+coordinates past its outputs, the tail every weight action uses up.  An
+unknown suite name raises BadRange.  tests/test_acceptance.py runs the
+same suites at its own sizes, so each invariant is written once.
 """
 
 import random
@@ -24,12 +24,19 @@ from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import BadLevel, BadRange, ContractViolated
 from .gamma1 import free_basis, in_gamma1
 from .iwasawa import FamilyVec, WeightFn, act_family, branch_count
-from .linalg import charpoly_mod, identity_mat, mat_mul, smith_mod
+from .linalg import charpoly_mod, identity_mat, mat_mul, poly_mul, smith_mod
 from .matrices import IntMat
 from .padic import PrecInt, Weight, vp, vp_factorial
+from .shapiro import blocks
 from .slope import newton_polygon, ps_tp_inv, slope_factor
 from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
     congr_project, tail_width
+
+# (N, p, r, ell, n) of the shapiro suite: elliptic generators of order 2
+# and 3 at level 13, none at level 23 (U_23, where chi(ell) is 0), and
+# odd and even n with p != N
+SHAPIRO_CASES = ((13, 13, 3, 2, 0), (23, 23, 4, 23, 0), (7, 13, 4, 2, 3),
+                 (13, 37, 3, 2, 4))
 
 # a_ell of the newform 11a; the cusp part of H^1 at level 11 is
 # two-dimensional, so each is a double root of the T_ell charpoly
@@ -195,6 +202,42 @@ def suite_slope(seed=0, pairs=((11, 11), (3, 9)), powers=2):
             "checks": checks}
 
 
+def suite_shapiro(seed=0, cases=SHAPIRO_CASES):
+    """Shapiro's lemma at each (N, p, r, ell, n) of cases: hecke and
+    slopes split there, the block ranks sum to the free rank of
+    H^1(Gamma_1(N), Sym^n), the block charpolys multiply to its T_ell
+    charpoly mod p^r, and, for ell prime to N, each block's
+    P_(chi^-1)(X) is chi(ell)^(-d) P_chi(chi(ell) X), d its degree."""
+    checks = 0
+    for N, p, r, ell, n in cases:
+        M = p ** r
+        _, parts = blocks(N, p, r, ell, n)
+        _check(len(parts) > 1, "no character split", N=N, p=p, n=n)
+        basis = free_basis(N)
+        coeffs = SymCoeffs(p, r, n)
+        pres = h1(coeffs, basis)
+        whole = pres.charpoly(hecke_matrix(coeffs, basis,
+                                           t_ell_reps(ell, basis)))
+        _check(sum(x.free_rank() for _, x, _ in parts) == pres.free_rank(),
+               "block ranks do not sum to the free rank", N=N, p=p, n=n)
+        product = [1]
+        for _, _, P in parts:
+            product = poly_mul(product, P, M)
+        _check(product == whole, "block charpolys do not multiply to the "
+               "charpoly", N=N, p=p, ell=ell, n=n, product=product, P=whole)
+        checks += 2
+        if N % ell:
+            polys = {tuple(chi): P for chi, _, P in parts}
+            for chi, P in polys.items():
+                inv = tuple(pow(x, -1, M) if x else 0 for x in chi)
+                a, d = chi[ell % N], len(P) - 1
+                want = [c * pow(a, k - d, M) % M for k, c in enumerate(P)]
+                _check(polys[inv] == want, "P_(chi^-1)(X) is not "
+                       "chi(ell)^-d P_chi(chi(ell) X)", N=N, chi=chi, P=P)
+                checks += 1
+    return {"suite": "shapiro", "passed": True, "checks": checks}
+
+
 def suite_truncate(seed=0, trials=4):
     """Window contracts for the family action at the base level."""
     report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=trials,
@@ -293,5 +336,6 @@ def run_suite(name, seed=0):
 
 _TABLE = {"action": suite_action, "identity": suite_identity,
           "congruence": suite_congruence, "hecke": suite_hecke,
-          "slope": suite_slope, "truncate": suite_truncate}
+          "slope": suite_slope, "truncate": suite_truncate,
+          "shapiro": suite_shapiro}
 SUITES = tuple(_TABLE)

@@ -146,11 +146,11 @@ def test_commands_import_only_what_they_run():
     common = ("--level", "11", "--prime", "11", "--precision", "2",
               "--ell", "2")
     hecke = loaded_modules("--no-meta", "hecke", *common)
-    assert "pwl.cohomology" in hecke
-    assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp"}
+    assert {"pwl.cohomology", "pwl.shapiro"} <= hecke
+    assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp", "pwl.iwasawa"}
     slopes = loaded_modules("--no-meta", "slopes", *common)
     assert "pwl.slope" in slopes
-    assert not slopes & {"pwl.verify", "pwl.qexp"}
+    assert not slopes & {"pwl.verify", "pwl.qexp", "pwl.iwasawa"}
 
 
 def test_main_in_process_matches_subprocess(capsys):
@@ -269,9 +269,10 @@ def test_readme_usage_lines_run():
 
 # sha256 of the --no-meta stdout bytes of the three benchmark CLI jobs
 # (perfbench/run.py WORKLOADS) and of the level-37 T_37 charpoly, the
-# longest coset walk (78324 letters), and of a Sym^4 charpoly at level 13
-# whose H^1 presentation has U != I (75 stacked coordinates, free rank 70):
-# any change to their output bytes fails here
+# longest Gamma_1 coset walk (78324 letters), and of a Sym^4 charpoly at
+# level 13 whose H^1 presentation has U != I (75 stacked coordinates,
+# free rank 70): any change to their output bytes fails here.  The last
+# four pin the character split (shapiro) and its fallback to Gamma_1(N)
 PINNED_OUTPUTS = [
     (("slopes", "--level", "23", "--prime", "23", "--precision", "24",
       "--ell", "23"),
@@ -292,12 +293,30 @@ PINNED_OUTPUTS = [
     (("slopes", "--level", "7", "--prime", "3", "--precision", "4",
       "--ell", "2"),
      "1cc3ad02145019bf4d29da48fa88f3e1b240041156331dd64b4bd4d2fd8a39c8"),
+    # split: Gamma_0(53) has two elliptic generators of order 2
+    (("hecke", "--level", "53", "--prime", "53", "--precision", "3",
+      "--ell", "2"),
+     "002a38a8142d61e9cc99deb8ba1f5a5a602304e2712f98f9655e80e5bdf50954"),
+    # split: Gamma_0(13) has two of order 2 and two of order 3
+    (("hecke", "--level", "13", "--prime", "13", "--precision", "3",
+      "--ell", "2"),
+     "6cb6b40dcca420ccea90058f3af4d27b539774d461a4aefbd9f32d1ad328a2c9"),
+    # fallback: 3 divides |(Z/9)^*| = 6
+    (("hecke", "--level", "9", "--prime", "3", "--precision", "3",
+      "--ell", "2"),
+     "c67fcacd92a968099640fd2e0dc6eb54abf1d5565f48fb2fbc060c45d3d99fea"),
+    # fallback: the characters of order 11 do not take values in Z_5
+    (("hecke", "--level", "23", "--prime", "5", "--precision", "3",
+      "--ell", "2"),
+     "21535a0783da219bc450f9a31fb4383eacb47077c5869661427d4404d251bf19"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
                          ids=["slopes_N23", "hecke_N43", "sym16_N5",
-                              "hecke_N37", "sym4_N13", "slopes_N7"])
+                              "hecke_N37", "sym4_N13", "slopes_N7",
+                              "hecke_N53", "hecke_N13", "hecke_N9_p3",
+                              "hecke_N23_p5"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)
@@ -305,10 +324,22 @@ def test_benchmark_outputs_are_pinned(args, digest):
     assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
+def test_not_free_error_is_pinned():
+    # a torsion block sends the split back to Gamma_1(11), whose moduli
+    # the NotFreeModule message lists: sha256 of the stderr bytes
+    res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta",
+                          "hecke", "--level", "11", "--prime", "11",
+                          "--precision", "3", "--ell", "2", "--sym", "2"],
+                         capture_output=True)
+    assert res.returncode == 1 and res.stdout == b""
+    assert hashlib.sha256(res.stderr).hexdigest() == (
+        "4883aa53847f172bf03fe0eab733616e4b69bc8c41da3b5434e4644c3c1ac16a")
+
+
 # the same for `pwl --no-meta --seed S verify --suite all` (its report
 # holds check counts only, so both seeds print the same bytes) and for the
 # family_N9 job's stdout at seeds 1-5
-VERIFY_ALL = "56eef5c7d7a27c76ec03f16e8d63d4c92f3cb294390815052f0ba045eaea0d9e"
+VERIFY_ALL = "16dceff5e8d5709cffda23769d014156bb88ec55e52f900b7e320cf381b700e7"
 FAMILY_JOB_OUTPUTS = {
     1: "cd2607bd1c1d913ab6832ac5d22a550690660a4265e7f43ba9ec768de25f6dd9",
     2: "438fa6c543ecd0e43990d5456a8c775956614fc2ac4dead90a7be7a011074aa1",

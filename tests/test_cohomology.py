@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwl import cohomology
+from pwl import cohomology, shapiro
 from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
                             _coset_partner, _gamma1_quotient, diamond_rep,
                             family_preimage, h1, hecke_images, hecke_matrix,
                             specialize_cocycle, t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                        NotCoprime, NotFreeModule, WidthInsufficient)
+                        NotAUnit, NotCoprime, NotFreeModule,
+                        WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
 from pwl.iwasawa import WeightFn, act_family
 from pwl.linalg import mat_mul, mat_vec
@@ -231,9 +232,9 @@ def test_hecke_matrix_work_counts(monkeypatch):
     quotients, letters = [], []
     quotient, express = cohomology._gamma1_quotient, FreeBasisData.express
 
-    def counted_quotient(B, A, N):
+    def counted_quotient(*args):
         quotients.append(1)
-        return quotient(B, A, N)
+        return quotient(*args)
 
     def counted_express(self, mat):
         word = express(self, mat)
@@ -809,3 +810,51 @@ def test_coefficient_modules_check_their_modulus(p, r):
 def test_family_coeffs_rejects_short_window():
     with pytest.raises(WidthInsufficient):
         FamilyCoeffs(3, 2, 2, 5, 4)
+
+
+@pytest.mark.parametrize("N, p, r, n, ell", [
+    (7, 13, 3, 3, 2),    # n odd: states of d = -c enter class c negated
+    (11, 11, 2, 1, 11),  # U_11, n odd, no elliptic generator
+    (13, 13, 2, 0, 2),   # Sym^0: the class sums are letter counts
+    (13, 37, 2, 4, 2),
+])
+def test_class_sums_twist_like_the_value_path(N, p, r, n, ell):
+    # on Gamma_0(N) the operator on Sym^n(chi) is sum_c chi(c) times class
+    # c's block column of hecke_matrix; the value path folds each letter
+    # with chi(d) Sym^n of its prefix, on any values, cocycle or not
+    basis, chars = shapiro._split(N, p, r, n)
+    assert len(basis.classes) == (N - 1) // 2
+    reps = t_ell_reps(ell, basis)
+    W = hecke_matrix(SymCoeffs(p, r, n), basis, reps)
+    RD, M = len(W), p ** r
+    assert all(len(row) == len(basis.classes) * RD for row in W)
+    rng = random.Random(N + n)
+    for chi in chars[:3]:
+        co = SymCoeffs(p, r, n, chi)
+        T = [[sum(chi[c] * row[i * RD + j]
+                  for i, c in enumerate(basis.classes)) % M
+              for j in range(RD)] for row in W]
+        c = Cocycle.random(co, basis, rng)
+        assert (mat_vec(T, c.stacked_coords(), M)
+                == hecke_images(c, reps).stacked_coords())
+
+
+def test_elliptic_relations_in_h1():
+    # H^1(Gamma_0(13), Z/13^3) has rank 2 g + cusps - 1 = 1: each of the
+    # four elliptic generators adds N_t = m, a unit, so only the free one
+    # is left, and T_2 acts there by 1 + 2
+    basis, chars = shapiro._split(13, 13, 3, 0)
+    assert [m for _, m in basis.elliptic] == [2, 2, 3, 3]
+    assert set(chars[0][d] for d in range(1, 13)) == {1}
+    co = SymCoeffs(13, 3, 0, chars[0])
+    pres = h1(co, basis)
+    assert len(pres.beta[0]) == 1 + 4 and pres.moduli == [0] * 4 + [3]
+    assert [t for t, _ in pres.proj] == [t for t, _ in basis.elliptic]
+    T = hecke_matrix(SymCoeffs(13, 3, 0), basis, t_ell_reps(2, basis))
+    RD = len(T)
+    T1 = [[sum(row[i * RD + j] for i in range(6)) % 13 ** 3
+           for j in range(RD)] for row in T]
+    assert pres.charpoly(T1) == [13 ** 3 - 3, 1]
+    # N_t / 3 needs 3 to be a unit: at p = 3 h1 refuses Gamma_0(13)
+    with pytest.raises(NotAUnit):
+        h1(SymCoeffs(3, 2, 0), basis)

@@ -10,7 +10,7 @@ import pytest
 
 from pwl import gamma1
 from pwl.cohomology import _coset_index, _coset_partner, t_ell_reps
-from pwl.errors import BadLevel, InternalInconsistency, NotInGroup
+from pwl.errors import BadLevel, InternalInconsistency, NotCoprime, NotInGroup
 from pwl.gamma1 import (ROT, SIX, _free_reduce, _proj_canon, _st_decompose,
                         free_basis, in_gamma1)
 from pwl.matrices import IntMat
@@ -341,3 +341,65 @@ def test_express_replay_check_raises():
     fb.loop[fb.root] = ()
     with pytest.raises(InternalInconsistency, match="replayed word"):
         fb.express(IntMat(1, 5, 0, 1))
+
+
+def _legendre(a, N):
+    return 0 if a % N == 0 else (1 if pow(a, (N - 1) // 2, N) == 1 else -1)
+
+
+# prime N, a primitive root g mod N, and the generator count of Gamma_0(N)
+GAMMA0_CASES = [(5, 2, 3), (7, 3, 3), (11, 2, 3), (13, 2, 5), (23, 5, 5),
+                (37, 2, 9), (43, 3, 9), (53, 2, 11)]
+
+
+@pytest.mark.parametrize("N, g, rank", GAMMA0_CASES)
+def test_gamma0_presentation(N, g, rank):
+    # H = <g> = (Z/N)^*: N + 1 cosets, e_2 = 1 + (-1/N) fixed points of s
+    # and e_3 = 1 + (-3/N) of u (Shimura, ch. 1), each an elliptic
+    # generator t of that order: t^m = -+1 and no lower power is
+    fb = free_basis(N, (g,))
+    assert len(fb.H) == N - 1 and fb.mu == N + 1 and fb.rank() == rank
+    orders = sorted(m for _, m in fb.elliptic)
+    assert orders == ([2] * (1 + _legendre(-1, N))
+                      + [3] * (1 + _legendre(-3, N)))
+    minus = IntMat(-1, 0, 0, -1)
+    for k, m in fb.elliptic:
+        powers = [fb.gens[k]]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * fb.gens[k])
+        assert powers[-1] in (IntMat.identity(), minus)
+        assert all(x not in (IntMat.identity(), minus) for x in powers[:-1])
+    assert all(in_gamma1(x, N, fb.H) for x in fb.gens)
+    assert fb.classes == list(range(1, (N + 1) // 2))
+    assert all(fb.class_of[d] == (min(d, N - d) - 1, d > N - d)
+               for d in range(1, N))
+
+
+@pytest.mark.parametrize("N, g", [(13, 2), (43, 3), (11, 2)])
+def test_gamma0_express_up_to_sign(N, g):
+    # -1 lies in Gamma_0(N): a word spells its element up to sign, and the
+    # walk, being deterministic, gives +-m one word
+    fb = free_basis(N, (g,))
+    rng = random.Random(500 + N)
+    minus = IntMat(-1, 0, 0, -1)
+    for _ in range(40):
+        word = [rng.choice([1, -1]) * rng.randrange(1, fb.rank() + 1)
+                for _ in range(rng.randrange(0, 20))]
+        m = word_matrix(fb, word)
+        red = fb.express(m)
+        assert word_matrix(fb, red) in (m, minus * m)
+        assert fb.express(minus * m) == red
+    assert fb.express(IntMat(1, 0, N, 1)) == fb.express(IntMat(-1, 0, -N, -1))
+    with pytest.raises(NotInGroup):
+        fb.express(ROT)
+
+
+def test_gamma_h_between():
+    # H = <4> mod 13 has order 6 and holds -1 = 4^3: 2 * 84 / 6 = 28
+    # cosets, a sixth of Gamma_1(13)'s, and H = {1} is Gamma_1 itself
+    fb = free_basis(13, (4,))
+    assert sorted(fb.H) == [1, 3, 4, 9, 10, 12] and fb.mu == 28
+    assert free_basis(13, (1,)).gens == free_basis(13).gens
+    assert free_basis(13, (12,)).mu == free_basis(13).mu
+    with pytest.raises(NotCoprime):
+        free_basis(12, (2,))

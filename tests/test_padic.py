@@ -55,6 +55,20 @@ class TestPrecInt:
         with pytest.raises(PrecisionExhausted):
             PrecInt(3, 2, 9).divexact(9)
 
+    def test_divexact_negative_divisor(self):
+        # 38 * -2 = -76 = 5 mod 81: the sign is kept, no digit is used
+        y = PrecInt(3, 4, 5).divexact(-2)
+        assert y.r == 4 and y.res == 38
+        y = PrecInt(3, 4, 18).divexact(-9)
+        assert y.r == 2 and y.res == 7
+
+    def test_divexact_residue_not_divisible(self):
+        # p^v | k but p^v does not divide the residue: no exact quotient
+        with pytest.raises(PrecisionExhausted, match="not divisible"):
+            PrecInt(3, 4, 5).divexact(3)
+        with pytest.raises(PrecisionExhausted, match="not divisible"):
+            PrecInt(5, 3, 30).divexact(-25)
+
     def test_eq_mod_min_precision(self):
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
         assert PrecInt(3, 3, 10) != PrecInt(3, 2, 4)
