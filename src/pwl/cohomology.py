@@ -47,15 +47,18 @@ rep (Sym^n contracts mod p^r under adj A), and carries along a word only
 the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
 wherever the bounds fit): a letter is k C-level dot products, one
 Montgomery step and one struct unpack, O(k D) int products where the
-full D x D prefix takes O(D^2).  The unreduced states are summed per
+full D x D prefix takes O(D^2).  Reps with one start (Y0 and the d of
+adj A) share a walk: the words of every generator from that start are
+walked in sorted order, and each word reuses the states of the prefix it
+shares with the word before it.  The unreduced states are summed per
 block and per L, reps with one L share the sums, and each L is folded
-into each sum once; a letter that acts as the identity (every letter on
-Sym^0) skips its product and costs one packed add.  The sums are also
-kept apart by the class of the prefix's d in (Z/N)^*/+-1 (one class on
-Gamma_1(N)), so that one walk of Gamma_0(N)'s words serves every
-character chi: the operator on Sym^n(chi) is the sum over classes c of
-chi(c) times class c's sum (pwl.shapiro assembles it); on Sym^0 the
-sums are letter counts.  h1 stacks act_matrix(g) - I over the
+once per generator over all its blocks; a letter that acts as the
+identity (every letter on Sym^0) skips its product and costs one packed
+add.  The sums are also kept apart by the class of the prefix's d in
+(Z/N)^*/+-1 (one class on Gamma_1(N)), so that one walk of Gamma_0(N)'s
+words serves every character chi: the operator on Sym^n(chi) is the sum
+over classes c of chi(c) times class c's sum (pwl.shapiro assembles it);
+on Sym^0 the sums are letter counts.  h1 stacks act_matrix(g) - I over the
 generators into the coboundary matrix, with the N_t columns beside it,
 and presents the quotient by its diagonalization, giving class
 coordinates, orders, and induced operator matrices (with charpoly
@@ -67,7 +70,8 @@ the unit vector e_pos[f].
 
 import math
 import struct
-from operator import mul
+from itertools import compress, count
+from operator import itemgetter, mul, ne
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotAUnit, NotCoprime, NotFreeModule, WidthInsufficient)
@@ -321,7 +325,7 @@ def _factor_start(S):
     L the injection of R, written ()).  A column plan keeps rows R0.. of
     S[:, C]; the rows outside R are zero."""
     D = len(S)
-    cols = [t for t in range(D) if any(row[t] for row in S)]
+    cols = [t for t, col in enumerate(zip(*S)) if any(col)]
     rows = [i for i, row in enumerate(S) if any(row)] or [0]
     span = S[rows[0]:rows[-1] + 1]
     if len(cols) < len(span):
@@ -329,6 +333,15 @@ def _factor_start(S):
         return ((rows[0], len(cols), L),
                 [[int(t == c) for t in range(D)] for c in cols])
     return (rows[0], len(span), ()), span
+
+
+def _reader(n, w):
+    """x -> its first n w-bit fields, unreduced (one struct call at w =
+    64): the one call hecke_matrix's walk makes per state product."""
+    if w == 64:
+        unpack = struct.Struct(f"<{n}Q").unpack
+        return lambda x: unpack(x.to_bytes(8 * n, "little"))
+    return lambda x: unpack_row(x, n, w, 1 << w)
 
 
 def hecke_matrix(coeffs, basis, reps):
@@ -346,9 +359,9 @@ def hecke_matrix(coeffs, basis, reps):
     class's rep enters the sum negated when n = D - 1 is odd, as the
     blocks have chi(-1) = (-1)^n.  The operator on Sym^n(chi) is then
     the sum over classes c of chi(c) times block column c: chi(d) S P
-    is what the letter adds there (h1's coefficients act so).  Four
+    is what the letter adds there (h1's coefficients act so).  Five
     facts make the walk exact at O(k D) int products per letter, not
-    O(D^2):
+    O(D^2), and at one product per distinct prefix of a start's words:
 
     1. The factorization is exact.  _factor_start writes S = L Y0 with
        k = min(|C|, |R|) rows in Y0: S e_t = 0 for t outside C, so
@@ -391,11 +404,31 @@ def hecke_matrix(coeffs, basis, reps):
        have at most `most` letters in all, so the fields of a sum, and
        the sums over plans of their fields, are at most 2 M most.  Row i
        of block (h, q) is the sum over plans of row i of L times the
-       plan's sum, one dot product with the sum's packed rows, so its
-       fields are at most lam 2 M most, lam >= 1 the largest row sum of
-       any L (1 for an injection), and W >= bits(2 M most lam) keeps them
-       apart.  Row i of T's block row h holds block c R + q at bit
-       (c R + q) D W and is unpacked once, mod M.
+       plan's sum, so its fields are at most lam 2 M most, lam >= 1 the
+       largest row sum of any L (1 for an injection), and W >=
+       bits(2 M most lam) keeps them apart.  Each (h, plan) is folded
+       once: row t of every block sum of the plan goes at its block's
+       offset, bit (c R + q) D W, into one int per t, and one dot
+       product of row i of L with those k ints gives row i of every
+       block at once.  Field by field that is the same sum, so no field
+       reaches the next.  Row i of T's block row h, the sum over plans,
+       holds block c R + q at that offset and is unpacked once, mod M.
+    5. Sharing is exact.  A state and its d mod N depend only on the
+       start (Y0 and the d of adj A) and the letters before it, and what
+       a letter adds depends only on those: a word that shares its first
+       s letters with an earlier word of the same start reuses their
+       states and adds the same values, to its own generator's and
+       plan's sums.  So reps with one start share one walk over every
+       generator's words, and all generators' sums are live at once.
+       The words are walked in sorted order, keeping the path of the
+       last word, so a word reuses the prefix it shares with the word
+       just before it, and that is the longest it shares with any
+       earlier word: for u <= v <= w, a prefix P of both u and w is one
+       of v, as v cannot leave P below u or above w, nor stop inside P
+       (it would sort before u).  The sums are those of separate walks,
+       term for term, so fact 4's bound holds.  At Sym^16, level 5, T_31
+       the state products fall from 938 to 645 (772 if only the words
+       of one generator shared).
     """
     D = coeffs.dim()
     R = basis.rank()
@@ -430,28 +463,38 @@ def hecke_matrix(coeffs, basis, reps):
     odd = (D - 1) % 2
     cls = {d: (c * R, neg and odd) for d, (c, neg) in basis.class_of.items()}
     plans = {}
-    # per rep: its plan's index, Y0 packed and as scalars (rebound per
-    # letter, never mutated, so every generator's walk starts from them),
-    # the offsets of its rows, Z, its k D fields' count and unpacker, and
-    # the d mod N of adj A
-    starts = []
-    for (plan, Y0), adj in zip(factors, adjs):
-        n = plan[1] * D
+    plan_of = [plans.setdefault(plan, len(plans)) for plan, _ in factors]
+    sums = [[{} for _ in plans] for _ in words]  # c R + q -> summed states
+    # per walk start, keyed by Y0 packed, its k D fields' count and the d
+    # mod N of adj A: Y0 as scalars, the offsets of its rows, Z, its field
+    # reader, and the (word, sum) pairs of every generator and rep that
+    # start there
+    walks = {}
+    for i, ((_, Y0), adj, g) in enumerate(zip(factors, adjs, plan_of)):
         flat = [x for row in Y0 for x in row]
-        starts.append((plans.setdefault(plan, len(plans)), pack_row(flat, W),
-                       flat, range(0, n, D),
-                       pack_row([2 * M] * n, W), n,
-                       struct.Struct(f"<{n}Q").unpack, adj.d % N))
-    T = []
-    for gen_words in words:
-        sums = [{} for _ in plans]  # per plan: c R + q -> summed states
-        for (g, x, e, offs, Z, n, unpack, dd), word in zip(starts, gen_words):
-            acc = sums[g]
-            for a in word:
+        n = len(flat)
+        key = (pack_row(flat, W), n, adj.d % N)
+        if key not in walks:
+            walks[key] = (flat, range(0, n, D), pack_row([2 * M] * n, W),
+                          _reader(n, W), [])
+        walks[key][-1].extend((gen_words[i], gen_sums[g])
+                              for gen_words, gen_sums in zip(words, sums))
+    for (x0, _, dd0), (e0, offs, Z, read, todo) in walks.items():
+        todo.sort(key=itemgetter(0))
+        path = []  # per letter of the last word: (x, e, dd) after it, and
+        last = ()  # what it added where
+        for word, acc in todo:
+            s = next(compress(count(), map(ne, word, last)),
+                     min(len(word), len(last)))
+            del path[s:]
+            for _, _, _, cq, y in path:
+                acc[cq] = acc.get(cq, 0) + y
+            x, e, dd = path[-1][:3] if path else (x0, e0, dd0)
+            for a in word[s:]:
                 if a > 0:
                     q = a - 1
                     c, neg = cls[dd]
-                    acc[c + q] = acc.get(c + q, 0) + (Z - x if neg else x)
+                    cq, y = c + q, (Z - x if neg else x)
                     G = gen_rows[q]
                     dd = dd * gen_d[q] % N
                 else:
@@ -459,23 +502,30 @@ def hecke_matrix(coeffs, basis, reps):
                     G = inv_rows[q]
                     dd = dd * inv_d[q] % N
                 if G is not None:
-                    x = sum([sum(map(mul, e[s:s + D], G)) << (s * W)
-                             for s in offs])
+                    x = sum([sum(map(mul, e[o:o + D], G)) << (o * W)
+                             for o in offs])
                     x = (x + (((x & LOW) * Mp) & LOW) * M) >> kap
-                    e = (unpack(x.to_bytes(8 * n, "little")) if W == 64
-                         else unpack_row(x, n, W, 1 << W))
+                    e = read(x)
                 if a < 0:
                     c, neg = cls[dd]
-                    acc[c + q] = acc.get(c + q, 0) + (x if neg else Z - x)
+                    cq, y = c + q, (x if neg else Z - x)
+                acc[cq] = acc.get(cq, 0) + y
+                path.append((x, e, dd, cq, y))
+            last = word
+    T = []
+    width = len(basis.classes) * R * D
+    for gen_sums in sums:
         Th = [0] * D  # row i of block row h
-        for (R0, k, L), acc in zip(plans, sums):
-            for cq, y in acc.items():
-                rows = [(y >> s) & ROW for s in range(0, k * DW, DW)]
-                if L:
-                    rows = [sum(map(mul, Li, rows)) for Li in L]
-                for i, v in enumerate(rows, R0):
-                    Th[i] += v << (cq * DW)
-        T += [unpack_row(y, len(basis.classes) * R * D, W, M) for y in Th]
+        for (R0, k, L), acc in zip(plans, gen_sums):
+            # row t of every block of the plan's sum, at the block's offset
+            rows = [sum([((y >> t) & ROW) << (cq * DW)
+                         for cq, y in acc.items()])
+                    for t in range(0, k * DW, DW)]
+            if L:
+                rows = [sum(map(mul, Li, rows)) for Li in L]
+            for i, v in enumerate(rows, R0):
+                Th[i] += v
+        T += [unpack_row(y, width, W, M) for y in Th]
     return T
 
 

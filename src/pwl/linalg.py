@@ -4,10 +4,10 @@ Matrices are lists of rows of plain ints.  pack_row / unpack_row hold a
 vector of nonnegative ints as the w-bit fields of one int (entry j at bit
 w*j): a scalar times a packed vector scales every field and a sum adds
 them field by field, exactly while no field reaches 2^w.  Each caller
-picks w from a bound on its fields.  hecke_matrix and the two reductions
-round it through _width, up to a word if it fits, as 64-bit fields move
-through struct in one C call, others by one whole-int shift each;
-sym_matrix, _act_window and poly_mul keep their exact widths.
+picks w from a bound on its fields.  hecke_matrix, mat_mul and the two
+reductions round it through _width, up to a word if it fits, as 64-bit
+fields move through struct in one C call, others by one whole-int shift
+each; sym_matrix, _act_window and poly_mul keep their exact widths.
 
 One elimination.  smith_mod and charpoly_mod hold their matrix as packed
 columns, row i in field pos[i] (a row swap swaps two entries of pos), and
@@ -37,9 +37,17 @@ column pos[c] of U starts with its only 1 in field pos[c], which is
 never a pivot's field, so no row pass touches the column.  A column of U
 still equal to the identity's is not unpacked.
 
-mat_mul stays unpacked: it skips zero entries of its left operand and zero
-rows of its right one, as in the sparse free rows of U and the zero
-coboundary matrix of trivial coefficients.
+mat_mul packs by the width of its right operand B.  Below _PACK_WIDTH
+columns it multiplies entry by entry, skipping zero entries of A and
+zero rows of B, as in the sparse free rows of U and the zero coboundary
+matrix of trivial coefficients: there one packed row and one unpack per
+row of A cost more than the few products they replace.  From
+_PACK_WIDTH on, each nonzero entry of A is one multiply-add of a packed
+row of B (its docstring proves the bound).  On the products the CLI
+makes, 2 vCPU, Python 3.11: at Sym^16, level 5 (widths 17 and 51, A
+dense) the packed path takes 0.5 ms where the loop takes 3.2; on the
+level-53 blocks (width 11) it takes 0.81 ms against 0.54, and at width
+22 with A the sparse free rows of U the two are about even.
 """
 
 import struct
@@ -53,10 +61,33 @@ def identity_mat(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# the least width of B that mat_mul multiplies by packed rows (measured)
+_PACK_WIDTH = 16
+
+
 def mat_mul(A, B, M):
+    """A B mod M.  Below _PACK_WIDTH columns of B, entry by entry, skipping
+    zero entries of A and zero rows of B.  From _PACK_WIDTH on, with A and
+    B reduced mod M first, row i of the product is one int: the sum over
+    nonzero a = A[i][t] of a times row t of B packed in w-bit fields, one
+    multiply-add each, unpacked once.  A field sums at most len(B)
+    products of two entries in [0, M), so it is at most len(B) (M - 1)^2,
+    and w = _width of that bound keeps it below 2^w."""
     if any(len(Ai) != len(B) for Ai in A):
         raise DimensionMismatch(f"A has a row that is not {len(B)} long")
     m = len(B[0]) if B else 0
+    if m >= _PACK_WIDTH:
+        w = _width(len(B) * (M - 1) ** 2)
+        rows = [pack_row([x % M for x in Bt], w) for Bt in B]
+        out = []
+        for Ai in A:
+            x = 0
+            for a, Bt in zip(Ai, rows):
+                a %= M
+                if a:
+                    x += a * Bt
+            out.append(unpack_row(x, m, w, M))
+        return out
     live = [(t, Bt) for t, Bt in enumerate(B) if any(Bt)]
     out = []
     for Ai in A:

@@ -273,6 +273,32 @@ def test_hecke_matrix_rank_rows(monkeypatch):
     assert rows == [4] * 32
 
 
+@pytest.mark.parametrize("N, H, p, r, n, ell, products", [
+    (5, (1,), 31, 4, 16, 31, 645),  # sym16_N5: 938 unshared, 772 per gen
+    (13, (2,), 7, 3, 4, 2, 47),     # Sym^4 T_2 on Gamma_0(13): 67 unshared
+    (11, (2,), 11, 3, 1, 11, 173),  # Sym^1 U_11 on Gamma_0(11): 231
+])
+def test_hecke_matrix_state_products(monkeypatch, N, H, p, r, n, ell,
+                                     products):
+    # one state product per distinct nonidentity prefix of a start's
+    # words: the walk reads each product's fields through one _reader call
+    calls = []
+    reader = cohomology._reader
+
+    def counted_reader(n, w):
+        read = reader(n, w)
+
+        def counted(x):
+            calls.append(x)
+            return read(x)
+        return counted
+
+    monkeypatch.setattr(cohomology, "_reader", counted_reader)
+    fb = free_basis(N, H)
+    hecke_matrix(SymCoeffs(p, r, n), fb, t_ell_reps(ell, fb))
+    assert len(calls) == products
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((3, 5, 7, 31)), st.integers(1, 5), st.integers(0, 24),
        st.data())

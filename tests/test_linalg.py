@@ -11,8 +11,9 @@ from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl.errors import (AmbiguousAtPrecision, DimensionMismatch,
                         NotInvertible, PrecisionExhausted)
 from pwl.gamma1 import free_basis
-from pwl.linalg import (_width, charpoly_mod, identity_mat, mat_mul,
-                        mat_vec, pack_row, poly_mul, smith_mod, unpack_row)
+from pwl.linalg import (_PACK_WIDTH, _width, charpoly_mod, identity_mat,
+                        mat_mul, mat_vec, pack_row, poly_mul, smith_mod,
+                        unpack_row)
 from pwl.padic import vp
 from pwl.slope import _poly_eval_matrix, ps_tp_inv, slope_factor
 
@@ -494,10 +495,47 @@ def test_mat_mul_matches_triple_sum():
                 assert mat_mul(A, Bv, M) == triple_sum(A, Bv, M), (A, Bv)
 
 
+def test_mat_mul_packed_matches_triple_sum():
+    # B at least _PACK_WIDTH wide: A and B are reduced mod M before the
+    # packed multiply-adds, so entries of A below 0 or from M on count
+    # as their residues, and zero rows of B add nothing
+    rng = random.Random(12)
+    for M in (7 ** 3, 43 ** 3, 31 ** 4, 23 ** 24):
+        for n, k, m in [(3, 5, _PACK_WIDTH), (4, 1, _PACK_WIDTH + 1),
+                        (2, 17, 51), (0, 3, _PACK_WIDTH), (5, 0, 40)]:
+            A = [[rng.choice((0, 0, 1, M - 1, -1, -M, M, -M - 1,
+                              rng.randrange(-3 * M, 3 * M)))
+                  for _ in range(k)] for _ in range(n)]
+            B = [[rng.choice((0, M - 1, rng.randrange(-M, 2 * M)))
+                  for _ in range(m)] for _ in range(k)]
+            for t in range(k):
+                if rng.random() < 0.4:
+                    B[t] = [0] * m
+            assert mat_mul(A, B, M) == triple_sum(A, B, M), (A, B)
+
+
+@pytest.mark.parametrize("M, k", [
+    (43 ** 3, 4),
+    (2 ** 30 + 1, 15),  # 15 (M - 1)^2 < 2^64: the largest fields of a word
+    (2 ** 30 + 1, 16),  # 16 (M - 1)^2 = 2^64: the first 65-bit width
+])
+def test_mat_mul_packed_at_field_bound(M, k):
+    # every entry M - 1: each field of the packed product is k (M - 1)^2,
+    # the bound len(B) (M - 1)^2 itself
+    for m in (_PACK_WIDTH, _PACK_WIDTH + 3):
+        A = [[M - 1] * k for _ in range(3)]
+        B = [[M - 1] * m for _ in range(k)]
+        assert mat_mul(A, B, M) == triple_sum(A, B, M) == [[k % M] * m] * 3
+    assert _width(15 * 2 ** 60) == 64 and _width(16 * 2 ** 60) == 65
+
+
 @pytest.mark.parametrize("A, B", [
     ([[1, 2, 3]], [[1], [1]]),    # A is wider than B is tall
     ([[1]], [[1], [1]]),          # A is narrower
     ([[1, 2], [3]], [[1], [1]]),  # one short row of A
+    # the same on B at least _PACK_WIDTH wide
+    ([[1, 2, 3]], [[1] * _PACK_WIDTH] * 2),
+    ([[1, 2], [3]], [[1] * _PACK_WIDTH] * 2),
 ])
 def test_mat_mul_checks_shapes(A, B):
     with pytest.raises(DimensionMismatch):
