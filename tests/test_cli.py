@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,11 @@ def test_eisenstein_command():
     doc = json.loads(res.stdout)
     assert doc["coefficients"][:3] == ["1/240", "1", "9"]
     assert doc["hecke_pairing"] == "9"
+    # T_2 E_4 = 9 E_4 at every coefficient it knows, not only at q^1
+    coeffs = [Fraction(c) for c in doc["coefficients"]]
+    assert [Fraction(c) for c in doc["hecke_coefficients"]] == [
+        9 * c for c in coeffs[:4]]
+    assert doc["hecke_coefficients"] == ["3/80", "9", "81", "252"]
 
 
 def test_verify_command():
@@ -309,6 +315,11 @@ PINNED_OUTPUTS = [
     (("hecke", "--level", "23", "--prime", "5", "--precision", "3",
       "--ell", "2"),
      "21535a0783da219bc450f9a31fb4383eacb47077c5869661427d4404d251bf19"),
+    # split, n odd: the chi(-1) = -1 blocks, where SymCoeffs.act_matrix
+    # scales Sym^3 by a character that is not trivial
+    (("hecke", "--level", "7", "--prime", "13", "--precision", "4",
+      "--ell", "2", "--sym", "3"),
+     "953713ac46cb38259eea7755ea0a5be996757b08eaac9bdfee555a0db86d0382"),
 ]
 
 
@@ -316,7 +327,7 @@ PINNED_OUTPUTS = [
                          ids=["slopes_N23", "hecke_N43", "sym16_N5",
                               "hecke_N37", "sym4_N13", "slopes_N7",
                               "hecke_N53", "hecke_N13", "hecke_N9_p3",
-                              "hecke_N23_p5"])
+                              "hecke_N23_p5", "sym3_N7_p13"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)
