@@ -81,15 +81,10 @@ def h1_cmd(a):
             "is_free": pres.is_free(), "moduli": pres.moduli}
 
 
-def _charpoly(a):
-    """Reps of T_ell and the charpoly of T_ell on the free quotient."""
-    from .shapiro import hecke_charpoly
-    return hecke_charpoly(a.level, a.prime, a.precision, a.ell, a.sym)
-
-
 def hecke(a):
     """Characteristic polynomial of a Hecke operator on the free quotient."""
-    reps, poly = _charpoly(a)
+    from .shapiro import hecke_charpoly
+    reps, poly = hecke_charpoly(a.level, a.prime, a.precision, a.ell, a.sym)
     return {"level": a.level, "prime": a.prime, "precision": a.precision,
             "ell": a.ell, "sym": a.sym, "cosets": len(reps),
             "charpoly": poly}
@@ -97,8 +92,9 @@ def hecke(a):
 
 def slopes(a):
     """Newton polygon of a Hecke operator and its unit-root factor."""
+    from .shapiro import hecke_charpoly
     from .slope import newton_polygon, slope_factor
-    _, P = _charpoly(a)
+    _, P = hecke_charpoly(a.level, a.prime, a.precision, a.ell, a.sym)
     poly = newton_polygon(P, a.prime, a.precision)
     Q, _, loss = slope_factor(P, 1, a.prime, a.precision)
     return {"level": a.level, "prime": a.prime, "precision": a.precision,
@@ -123,12 +119,12 @@ def family(a):
 
 def eisenstein_cmd(a):
     """Coefficients of the level-one Eisenstein series."""
-    from .qexp import eisenstein, hecke_t, pairing, trivial_char
+    from .qexp import eisenstein, hecke_t, pairing
     f = eisenstein(a.weight, a.terms)
     out = {"weight": a.weight, "terms": a.terms,
            "coefficients": [str(c) for c in f.coeffs]}
     if a.hecke_ell is not None:
-        g = hecke_t(a.hecke_ell, a.weight, trivial_char(1), f)
+        g = hecke_t(a.hecke_ell, a.weight, (1,), f)
         out["hecke_ell"] = a.hecke_ell
         out["hecke_coefficients"] = [str(c) for c in g.coeffs]
         out["hecke_pairing"] = str(pairing(g))

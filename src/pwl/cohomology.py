@@ -11,10 +11,11 @@ cocycle values.  Coefficient systems share a small duck interface
 (zero/act/rand; SymCoeffs adds dim/act_matrix for the matrix paths, and
 eq), and their values combine with + and -:
 
-  SymCoeffs      symmetric-power vectors acted on through the weight-n
-                 matrix action; n = 0 is Z/p^r with the trivial action;
-                 with a character chi of (Z/N)^*, Sym^n(chi): g acts by
-                 chi(d_g) times its matrix;
+  SymCoeffs      Sym^n(chi): symmetric-power vectors on which g acts
+                 by chi(d_g) times its weight-n matrix, chi a Dirichlet
+                 character as its tuple of values (default (1,), the
+                 trivial one); n = 0 with (1,) is Z/p^r with the
+                 trivial action;
   FamilyCoeffs   coordinate windows of weight-space functions acted on
                  through the interpolated family action (each action
                  reads out_width + tail_width(p, r) coordinates and
@@ -80,15 +81,16 @@ from .linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
                      pack_row, smith_mod, unpack_row)
 from .matrices import IntMat
 from .padic import _check_modulus, is_prime, tail_width
-from .sympow import SymVec, act_sym, specialize, sym_matrix
+from .sympow import SymVec, specialize, sym_matrix
 
 
 class SymCoeffs:
-    """Degree-n symmetric-power vectors mod p^r, Sym^n(chi) when a
-    character chi of (Z/N)^* is given, as its values mod p^r at
-    0, ..., N - 1: g then acts by chi(d_g) times its Sym^n matrix."""
+    """Degree-n symmetric-power vectors mod p^r twisted by a Dirichlet
+    character chi, the tuple of its values mod p^r at 0, ..., m - 1,
+    read at d % m: g acts by chi(d_g) times its Sym^n matrix.  The
+    default chi = (1,) is the trivial character, Sym^n itself."""
 
-    def __init__(self, p, r, n, chi=None):
+    def __init__(self, p, r, n, chi=(1,)):
         _check_modulus(p, r)
         self.p, self.r, self.n, self.chi = p, r, n, chi
 
@@ -98,19 +100,14 @@ class SymCoeffs:
     def zero(self):
         return SymVec(self.p, self.r, self.n, [0] * (self.n + 1))
 
-    def _scale(self, mat):
-        return 1 if self.chi is None else self.chi[mat.d % len(self.chi)]
-
     def act(self, mat, x):
-        s = self._scale(mat)
-        y = act_sym(mat, x)
-        return y if s == 1 else SymVec(self.p, self.r, self.n,
-                                       [s * c for c in y.coords])
+        M = self.p ** self.r
+        return SymVec(self.p, self.r, self.n,
+                      mat_vec(self.act_matrix(mat), x.coords, M))
 
     def act_matrix(self, mat):
         S = sym_matrix(self.n, mat, self.p, self.r)
-        s = self._scale(mat)
-        M = self.p ** self.r
+        s, M = self.chi[mat.d % len(self.chi)], self.p ** self.r
         return S if s == 1 else [[s * x % M for x in row] for row in S]
 
     def eq(self, x, y):

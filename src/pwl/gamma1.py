@@ -253,8 +253,7 @@ def free_basis(N, H=(1,)):
     # both ways of its pair in the tree, u^-1 the u-edge that ends at cur
     root = canon_i(0, 1)
     order = [root]
-    lifts = [None] * mu
-    lifts[root] = IntMat.identity()
+    lifts = {root: IntMat.identity()}
     tree_s, tree_u = [False] * mu, [False] * mu
     for cur in order:  # order grows while it is walked
         ns, nu = perm_s[cur], perm_u[cur]
@@ -262,7 +261,7 @@ def free_basis(N, H=(1,)):
         for nxt, step, tree, x, y in ((ns, ROT, tree_s, cur, ns),
                                       (nu, SIX, tree_u, cur, cur),
                                       (nv, SIX_INV, tree_u, nv, nv)):
-            if lifts[nxt] is None:
+            if nxt not in lifts:
                 lifts[nxt] = lifts[cur] * step
                 order.append(nxt)
                 tree[x] = tree[y] = True

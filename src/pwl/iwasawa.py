@@ -121,14 +121,8 @@ class WeightFn:
 
 
 def char_series(u, p, r, d):
-    """The function k -> u^k for a unit u: branch zeta is u^zeta exp(X log<u>).
-
-    u is an integer or a PrecInt of precision >= r, else PrecisionMismatch.
-    """
-    if isinstance(u, PrecInt):
-        if u.p != p or u.r < r:
-            raise PrecisionMismatch(f"{u!r} is not known mod {p}^{r}")
-        u = u.res
+    """The function k -> u^k for an integer unit u: branch zeta is
+    u^zeta exp(X log<u>)."""
     # L^h / h! mod p^r depends only on L mod p^r, as p | L
     coeffs = _c_factors(_log_unit(u, p, r), d - 1, p, r)
     M = p ** r

@@ -3,7 +3,10 @@
 Coefficients live in whatever ring the caller supplies: Fractions for
 Eisenstein constant terms, plain ints for cusp form fixtures, PrecInt
 for p-adic data.  The operators only add and multiply coefficients, so
-any of these work.
+any of these work.  A Dirichlet character mod m is the tuple of its
+values at 0, ..., m - 1 (0 at non-units), read at n % m, the one
+representation pwl.shapiro and cohomology.SymCoeffs use too; the
+trivial character is (1,).
 """
 
 import math
@@ -11,32 +14,6 @@ from fractions import Fraction
 
 from .errors import BadRange, BadWeight, TruncationTooShort
 from .padic import is_prime
-
-
-class DirichletChar:
-    """Character mod N stored by unit values; missing units default to 1."""
-
-    __slots__ = ("modulus", "values")
-
-    def __init__(self, modulus, values=None):
-        if modulus < 1:
-            raise BadRange(f"character modulus {modulus} is below 1")
-        self.modulus = modulus
-        self.values = {}
-        for u, x in (values or {}).items():
-            if math.gcd(u % modulus, modulus) != 1:
-                raise BadRange(f"character key {u} is not a unit mod {modulus}")
-            self.values[u % modulus] = x
-
-    def __call__(self, n):
-        n %= self.modulus
-        if math.gcd(n, self.modulus) != 1:
-            return 0
-        return self.values.get(n, 1)
-
-
-def trivial_char(N=1):
-    return DirichletChar(N)
 
 
 class QExp:
@@ -97,10 +74,12 @@ def hecke_t(ell, k, eps, f):
     """Classical T_ell: b_h = a(ell h) + eps(ell) ell^(k-1) a(h/ell), the
     second term only when ell | h.
 
-    The formula is T_ell only for a prime ell; any other ell is BadRange.
-    eps(ell) = 0 when ell divides the character modulus, which switches
-    the second term off exactly when it should be.  The result is known
-    through exponent T // ell.
+    eps is a Dirichlet character mod m as the tuple of its values at
+    0, ..., m - 1, read at ell % m; (1,) is the trivial character.  The
+    formula is T_ell only for a prime ell; any other ell is BadRange.
+    eps(ell) = 0 when ell divides m, which switches the second term off
+    exactly when it should be.  The result is known through exponent
+    T // ell.
     """
     if not is_prime(ell):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
@@ -113,7 +92,7 @@ def hecke_t(ell, k, eps, f):
     for h in range(newT + 1):
         b = f.a(ell * h)
         if h % ell == 0:
-            b = b + eps(ell) * ell ** (k - 1) * f.a(h // ell)
+            b = b + eps[ell % len(eps)] * ell ** (k - 1) * f.a(h // ell)
         out.append(b)
     return QExp(out)
 

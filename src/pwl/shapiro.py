@@ -5,7 +5,8 @@ H^1(Gamma_1(N), V) = H^1(Gamma_0(N), V (x) Z_p[H]) for H = (Z/N)^*
 acting on Z_p[H] through d.  When H is cyclic of order phi, p does not
 divide phi, and every character chi of H with chi(-1) = (-1)^n has order
 dividing p - 1, Z_p[H] is the sum of the lines Z_p(chi), with the chi
-taken as Teichmueller powers mod p^r, and
+taken as Teichmueller powers mod p^r (each the tuple of its values at
+0, ..., N - 1, as cohomology.SymCoeffs reads it), and
 
     H^1(Gamma_1(N), Sym^n) = sum over those chi of H^1(Gamma_0(N), Sym^n(chi)),
 
@@ -27,7 +28,8 @@ generators than Gamma_1(N), the one fixed rule for where the split
 saves work (it saves express calls and charpoly rows; at level 5 both
 groups have 3 generators, and the split only adds work).  Otherwise,
 and when a block is not free, it runs H = {1}: Gamma_1(N) with the one
-trivial block, through the same code, so that a level below 4 still
+block of the trivial character (1,), whose operator is the walk's one
+class sum, through the same code, so that a level below 4 still
 raises BadLevel from free_basis and a torsion module raises
 NotFreeModule with the moduli of H^1(Gamma_1(N)).
 """
@@ -80,7 +82,7 @@ def _root_of_unity(e, p, r):
 def _split(N, p, r, n):
     """(basis, characters): Gamma_0(N) and the tables of its characters
     chi(-1) = (-1)^n (values mod p^r at 0..N-1) when every precondition
-    holds, else Gamma_1(N) and [None]."""
+    holds, else Gamma_1(N) and the trivial character [(1,)]."""
     powers = _unit_powers(N)
     if powers is not None:
         phi = len(powers)
@@ -96,34 +98,32 @@ def _split(N, p, r, n):
                     chi = [0] * N
                     for k, d in enumerate(powers):
                         chi[d] = pow(w, i * k, M)
-                    chars.append(chi)
+                    chars.append(tuple(chi))
                 return basis, chars
-    return free_basis(N), [None]
+    return free_basis(N), [(1,)]
 
 
 def blocks(N, p, r, ell, n):
     """(reps of T_ell, [(chi, presentation, charpoly)] per block): one
     hecke_matrix walk, then T_chi = sum over classes c of chi(c) times
-    class c's block column."""
+    class c's block column; on Gamma_1(N), one class, T = W."""
     basis, chars = _split(N, p, r, n)
     pres = [h1(SymCoeffs(p, r, n, chi), basis) for chi in chars]
-    if not all(x.is_free() for x in pres) and chars != [None]:
-        basis, chars = free_basis(N), [None]
+    if len(basis.classes) > 1 and not all(x.is_free() for x in pres):
+        basis, chars = free_basis(N), [(1,)]
         pres = [h1(SymCoeffs(p, r, n), basis)]
     reps = t_ell_reps(ell, basis)
     W = hecke_matrix(SymCoeffs(p, r, n), basis, reps)
-    RD, M = len(W), p ** r
-    # per row of W, the column j of every class side by side
-    cols = [list(zip(*(row[k:k + RD] for k in range(0, len(row), RD))))
-            for row in W]
-    parts = []
-    for chi, x in zip(chars, pres):
-        T = W  # Gamma_1(N): one class, no character
-        if chi is not None:
-            w = [chi[c] for c in basis.classes]
-            T = [[sum(map(mul, w, col)) % M for col in row] for row in cols]
-        parts.append((chi, x, x.charpoly(T)))
-    return reps, parts
+    Ts = [W]  # Gamma_1(N): one class
+    if len(basis.classes) > 1:
+        RD, M = len(W), p ** r
+        # per row of W, the column j of every class side by side
+        cols = [list(zip(*(row[k:k + RD] for k in range(0, len(row), RD))))
+                for row in W]
+        Ts = ([[sum(map(mul, w, col)) % M for col in row] for row in cols]
+              for w in ([chi[c] for c in basis.classes] for chi in chars))
+    return reps, [(chi, x, x.charpoly(T))
+                  for chi, x, T in zip(chars, pres, Ts)]
 
 
 def hecke_charpoly(N, p, r, ell, n):

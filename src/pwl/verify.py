@@ -227,7 +227,7 @@ def suite_shapiro(seed=0, cases=SHAPIRO_CASES):
                "charpoly", N=N, p=p, ell=ell, n=n, product=product, P=whole)
         checks += 2
         if N % ell:
-            polys = {tuple(chi): P for chi, _, P in parts}
+            polys = {chi: P for chi, _, P in parts}
             for chi, P in polys.items():
                 inv = tuple(pow(x, -1, M) if x else 0 for x in chi)
                 a, d = chi[ell % N], len(P) - 1

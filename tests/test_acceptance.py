@@ -16,7 +16,7 @@ from pwl.cohomology import (Cocycle, SymCoeffs, family_preimage, h1,
 from pwl.gamma1 import free_basis
 from pwl.iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
 from pwl.padic import Weight
-from pwl.qexp import eisenstein, hecke_t, pairing, trivial_char
+from pwl.qexp import eisenstein, hecke_t, pairing
 from pwl.sympow import SeqVec, act_sym, act_universal, specialize, tail_width
 from pwl.verify import (NEWFORM_11A, rand_monoid_mat, suite_action,
                         suite_congruence, suite_hecke, suite_identity,
@@ -160,7 +160,7 @@ def test_criterion_13_eisenstein_and_pairing():
             assert f.a(h) == sum(d ** (k - 1)
                                  for d in range(1, h + 1) if h % d == 0)
     f4 = eisenstein(4, 10)
-    g = hecke_t(2, 4, trivial_char(1), f4)
+    g = hecke_t(2, 4, (1,), f4)
     assert pairing(g) == 9
     assert all(g.a(h) == 9 * f4.a(h) for h in range(6))
     stamp("criterion 13 eisenstein and pairing", t0, 5.0)

@@ -258,11 +258,6 @@ def test_char_series_matches_character_eval():
 def test_char_series_guard():
     with pytest.raises(NotAUnit):
         char_series(6, 3, 3, 2)
-    # 4 mod 3 cannot give 4^k mod 3^4: sp_k(4, .) would read 1, not 13
-    for u in (PrecInt(3, 1, 4), PrecInt(3, 3, 4), PrecInt(5, 4, 4)):
-        with pytest.raises(PrecisionMismatch):
-            char_series(u, 3, 4, 4)
-    assert sp_k(4, char_series(PrecInt(3, 5, 4), 3, 4, 4)) == 13
 
 
 def test_specialization_is_ring_hom():

@@ -60,7 +60,7 @@ def test_split_characters(N, p, r, n, count):
 ])
 def test_split_falls_back_to_gamma1(N, p, r, n):
     basis, chars = _split(N, p, r, n)
-    assert chars == [None] and len(basis.H) == 1
+    assert chars == [(1,)] and len(basis.H) == 1
 
 
 def test_torsion_block_falls_back_to_gamma1():
