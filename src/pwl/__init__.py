@@ -1,13 +1,14 @@
 """Finite-precision p-adic machinery for weight families of modular symbols.
 
 Submodules:
-  padic       p-adic integers with precision bookkeeping, weight characters
+  padic       primality and p-adic valuations
   matrices    exact 2x2 integer matrices, the one matrix type
-  sympow      symmetric-power actions and their interpolation in the weight
-  iwasawa     analytic functions on the weight space, family action
+  sympow      symmetric-power vectors and their matrix action
+  iwasawa     the weight space: p-adic integers with precision, weight
+              characters, the interpolated action, family cocycles
   gamma1      cosets and free bases for Gamma_1(N)
   linalg      matrix algebra over Z/p^r (canonical forms, solving, charpoly)
-  cohomology  cocycles, H^1 presentations, Hecke operators
+  cohomology  H^1 presentations and Hecke matrices
   slope       Newton polygons, slope splitting
   qexp        q-expansions, Eisenstein series, Hecke action on coefficients
   verify      randomized checks of the contracts, shared by the CLI and tests
@@ -18,13 +19,5 @@ Submodules:
 __version__ = "0.1.0"
 
 from .errors import PwlError
-from .padic import PrecInt, Weight, binom, eval_char
 
-__all__ = [
-    "PwlError",
-    "PrecInt",
-    "Weight",
-    "binom",
-    "eval_char",
-    "__version__",
-]
+__all__ = ["PwlError", "__version__"]

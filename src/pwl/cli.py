@@ -6,7 +6,9 @@ a JSON object on stderr and exit status 1; argparse exits with status 2
 on argument problems and prints nothing to stdout.  With --no-meta the
 output carries no timestamp, so identical inputs give identical bytes.
 Each command imports its modules when it runs: without cached bytecode,
-a process compiles each module it imports; parsing needs only errors and padic.
+a process compiles each module it imports.  Parsing needs only errors and
+padic (primality); the matrix commands (basis, h1, hecke, slopes) load
+none of the weight-family code of iwasawa, and no fractions.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 import time
 
 from .errors import BadRange, PwlError
-from .padic import _is_odd_prime, is_prime, tail_width
+from .padic import _is_odd_prime, is_prime
 
 SCHEMA = 1
 
@@ -100,8 +102,7 @@ def slopes(a):
     return {"level": a.level, "prime": a.prime, "precision": a.precision,
             "ell": a.ell, "sym": a.sym,
             "vertices": [list(v) for v in poly.vertices],
-            "root_valuations": [[str(v), m]
-                                for v, m in poly.root_valuations()],
+            "root_valuations": [list(v) for v in poly.root_valuations()],
             "censored_on_hull": poly.ambiguous,
             "unit_root_factor": Q, "unit_root_rank": len(Q) - 1,
             "factor_precision": a.precision - loss}
@@ -109,7 +110,7 @@ def slopes(a):
 
 def family(a):
     """Size a coordinate window for computations over the weight space."""
-    from .iwasawa import branch_count
+    from .iwasawa import branch_count, tail_width
     tail = tail_width(a.prime, a.precision)
     return {"prime": a.prime, "precision": a.precision, "degree": a.degree,
             "branches": branch_count(a.prime), "tail": tail,

@@ -7,24 +7,13 @@ value space by coboundaries.  Gamma_0(N) (gamma1.free_basis with H =
 cocycle has N_t c(t) = 0, N_t = 1 + t + ... + t^(m-1); for m a unit mod
 p, h1 adds the columns of N_t to the coboundaries, and the operator is
 read through Pi_t = 1 - N_t / m on t's block, the projection onto the
-cocycle values.  Coefficient systems share a small duck interface
-(zero/act/rand; SymCoeffs adds dim/act_matrix for the matrix paths, and
-eq), and their values combine with + and -:
-
-  SymCoeffs      Sym^n(chi): symmetric-power vectors on which g acts
-                 by chi(d_g) times its weight-n matrix, chi a Dirichlet
-                 character as its tuple of values (default (1,), the
-                 trivial one); n = 0 with (1,) is Z/p^r with the
-                 trivial action;
-  FamilyCoeffs   coordinate windows of weight-space functions acted on
-                 through the interpolated family action (each action
-                 reads out_width + tail_width(p, r) coordinates and
-                 returns out_width).
-
-Cocycle.eval folds the defining identity c(gh) = c(g) + g.c(h) along the
-rewriting of a group element, applying exactly one coefficient action per
-letter, each to a stored value, so no action is applied to the result of
-another.
+cocycle values.  The coefficients are SymCoeffs, Sym^n(chi):
+symmetric-power vectors on which g acts by chi(d_g) times its weight-n
+matrix, chi a Dirichlet character as its tuple of values (default (1,),
+the trivial one); n = 0 with (1,) is Z/p^r with the trivial action.
+Its dim/act_matrix serve the matrix paths here, and its zero/act/rand/eq
+the value path (cocycles, hecke_images, weight families), which lives
+in pwl.iwasawa beside FamilyCoeffs, the family coefficient system.
 
 Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
@@ -38,11 +27,10 @@ confirms the match.  A translate
 with no rep, or two reps of one coset, raises.  The operator value
 (A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
 (adjugate) on the left.  One walk, _partner_words, rewrites each partner
-word gamma_theta; hecke_images folds it from adj(A_theta) and
+word gamma_theta; iwasawa.hecke_images folds it from adj(A_theta) and
 hecke_matrix packs it, one coefficient action per letter on a stored
-value (a family image is out_width wide).  hecke_matrix assembles the
-operator as a matrix on stacked generator values in one pass over the
-rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
+value.  hecke_matrix assembles the operator as a matrix on stacked
+generator values in one pass over the rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
 through its k nonzero columns or rows, k <= min(r, n + 1) for every T_p
 rep (Sym^n contracts mod p^r under adj A), and carries along a word only
 the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
@@ -75,13 +63,26 @@ from itertools import compress, count
 from operator import itemgetter, mul, ne
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                     NotAUnit, NotCoprime, NotFreeModule, WidthInsufficient)
+                     NotAUnit, NotCoprime, NotFreeModule)
 from .gamma1 import in_gamma1
 from .linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
                      pack_row, smith_mod, unpack_row)
 from .matrices import IntMat
-from .padic import _check_modulus, is_prime, tail_width
-from .sympow import SymVec, specialize, sym_matrix
+from .padic import _check_modulus, is_prime
+from .sympow import SymVec, sym_matrix
+
+# The value path moved to pwl.iwasawa; perfbench/family_job.py still
+# imports these names from here.  The aliases go with ROADMAP item 10/11's
+# benchmark change, which may edit perfbench/.
+_MOVED = ("Cocycle", "FamilyCoeffs", "hecke_images", "specialize_cocycle",
+          "family_preimage")
+
+
+def __getattr__(name):  # PEP 562: a moved name, read from pwl.iwasawa
+    if name in _MOVED:
+        from . import iwasawa
+        return getattr(iwasawa, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SymCoeffs:
@@ -117,101 +118,6 @@ class SymCoeffs:
         M = self.p ** self.r
         return SymVec(self.p, self.r, self.n,
                       [rng.randrange(M) for _ in range(self.n + 1)])
-
-
-class FamilyCoeffs:
-    """Windows of weight-space functions with the family action.
-
-    The one place that names an output width: act reads the first
-    out_width + tail_width(p, r) coordinates of a stored value (fewer
-    raise WidthInsufficient) and returns out_width.  Cocycle._fold and
-    hecke_images act once on each stored value, and zero() is out_width
-    wide, so their results are out_width wide: a second action raises.
-    """
-
-    def __init__(self, p, r, d, out_width, stored_width):
-        _check_modulus(p, r)
-        if stored_width < out_width:
-            raise WidthInsufficient(
-                f"stored width {stored_width} is below out width {out_width}")
-        self.p, self.r, self.d = p, r, d
-        self.out_width = out_width
-        self.stored_width = stored_width
-
-    def zero(self):
-        from .iwasawa import FamilyVec
-        return FamilyVec.zero(self.p, self.r, self.d, self.out_width)
-
-    def act(self, mat, x):
-        from .iwasawa import FamilyVec, act_family
-        w = self.out_width + tail_width(self.p, self.r)
-        if len(x.coords) < w:
-            raise WidthInsufficient(
-                f"a stored value needs {w} coordinates, has {len(x.coords)}")
-        return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
-
-    def rand(self, rng):
-        from .iwasawa import FamilyVec, WeightFn, branch_count
-        M = self.p ** self.r
-        nb = branch_count(self.p)
-        coords = [WeightFn._raw(self.p, self.r, self.d,
-                                [[rng.randrange(M) for _ in range(self.d)]
-                                 for _ in range(nb)])
-                  for _ in range(self.stored_width)]
-        return FamilyVec(self.p, self.r, self.d, coords)
-
-
-class Cocycle:
-    """1-cocycle on the free generators of the level subgroup."""
-
-    __slots__ = ("coeffs", "basis", "values")
-
-    def __init__(self, coeffs, basis, values):
-        if len(values) != basis.rank():
-            raise DimensionMismatch(
-                f"{len(values)} values for {basis.rank()} generators")
-        self.coeffs = coeffs
-        self.basis = basis
-        self.values = list(values)
-
-    @classmethod
-    def random(cls, coeffs, basis, rng):
-        return cls(coeffs, basis, [coeffs.rand(rng) for _ in range(basis.rank())])
-
-    def __add__(self, other):
-        return Cocycle(self.coeffs, self.basis,
-                       [x + y for x, y in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return Cocycle(self.coeffs, self.basis,
-                       [x - y for x, y in zip(self.values, other.values)])
-
-    def eval(self, target):
-        """Value on a group element (IntMat): its rewritten word folded
-        from the identity."""
-        return self._fold(self.basis.express(target), IntMat.identity())
-
-    def _fold(self, word, cur):
-        """cur.c(w) for the group element w that `word` spells, folding
-        c(gh) = c(g) + g.c(h) letter by letter with the prefix matrix
-        starting at cur: one coefficient action per letter."""
-        val = self.coeffs.zero()
-        for k in word:
-            if k > 0:
-                g = self.basis.gens[k - 1]
-                val += self.coeffs.act(cur, self.values[k - 1])
-                cur = cur * g
-            else:
-                g = self.basis.gens[-k - 1]
-                cur = cur * g.inverse()
-                val -= self.coeffs.act(cur, self.values[-k - 1])
-        return val
-
-    def stacked_coords(self):
-        out = []
-        for v in self.values:
-            out.extend(v.coords)
-        return out
 
 
 def _gamma1_quotient(B, A, N, H=(1,)):
@@ -300,19 +206,6 @@ def _partner_words(basis, reps):
     words = [[basis.express(_coset_partner(A * gam, index, N, H))
               for A in reps] for gam in basis.gens]
     return [A.cofactor() for A in reps], words
-
-
-def hecke_images(cocycle, reps):
-    """Value-level double-coset operator: new cocycle on the generators."""
-    coeffs = cocycle.coeffs
-    adjs, words = _partner_words(cocycle.basis, reps)
-    out = []
-    for gen_words in words:
-        val = coeffs.zero()
-        for adj, word in zip(adjs, gen_words):
-            val += cocycle._fold(word, adj)
-        out.append(val)
-    return Cocycle(coeffs, cocycle.basis, out)
 
 
 def _factor_start(S):
@@ -622,48 +515,3 @@ def h1(coeffs, basis):
                          for i, row in enumerate(Nt)]))
     sf = smith_mod(beta, coeffs.p, coeffs.r)
     return H1Presentation(coeffs, beta, sf, proj)
-
-
-def specialize_cocycle(k, cocycle):
-    """Family-coefficient cocycle evaluated at integer weight k, as a
-    symmetric-power cocycle of degree k - 2; raises WidthInsufficient
-    below k - 1 certified coordinates."""
-    from .iwasawa import sp_vector
-    coeffs = cocycle.coeffs
-    out_coeffs = SymCoeffs(coeffs.p, min(coeffs.r, coeffs.d), k - 2)
-    values = [specialize(sp_vector(k, F), k - 2) for F in cocycle.values]
-    return Cocycle(out_coeffs, cocycle.basis, values)
-
-
-def family_preimage(cocycle, d):
-    """Interpolate a symmetric-power cocycle into family coefficients.
-
-    The weight k = n + 2 lies on the branch zeta = k mod p(p-1), where the
-    series (s_0, ..., s_(d-1)) takes the value sum_j s_j (k - zeta)^j.  Its
-    first term has coefficient 1, so each coordinate v lifts to the
-    constant series (v, 0, ..., 0) on branch zeta and to zero on every
-    other branch.  The k - 1 lifted coordinates are followed by
-    tail_width(p, r) zero ones, the tail one action reads, so the lift can
-    be evaluated and operated on, not only specialized back.
-    """
-    from .iwasawa import FamilyVec, WeightFn, branch_count
-    sym = cocycle.coeffs
-    p, r = sym.p, sym.r
-    k = sym.n + 2
-    out_width = k - 1
-    tail = tail_width(p, r)
-    fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width + tail)
-    zeta = k % branch_count(p)
-    values = []
-    for v in cocycle.values:
-        coords = []
-        for x in v.coords:
-            comps = [[0] * d for _ in range(branch_count(p))]
-            comps[zeta][0] = x
-            coords.append(WeightFn(p, r, d, comps))
-        coords += [WeightFn.zero(p, r, d) for _ in range(tail)]
-        values.append(FamilyVec(p, r, d, coords))
-    out = Cocycle(fam_coeffs, cocycle.basis, values)
-    if specialize_cocycle(k, out).values != cocycle.values:
-        raise InternalInconsistency("family preimage fails to specialize")
-    return out

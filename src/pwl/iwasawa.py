@@ -1,4 +1,20 @@
-"""Analytic functions on the p-adic weight space and the family action.
+"""The p-adic weight space: precision integers, weight characters, the
+interpolated symmetric-power action, and cocycles in weight families.
+
+A PrecInt is a p-adic integer known modulo p^r: an odd prime p, a precision
+r >= 1 and a canonical residue in [0, p^r).  Every operation records the
+precision of its output; in particular division by m! consumes v_p(m!)
+digits and raises PrecisionExhausted when none would remain.
+
+A Weight is a character of the units, split as (tame, wild) with
+tame in [0, p-2] and wild a PrecInt w.  eval_char evaluates it on a unit
+d as d^tame exp((w - tame) log<d>), and is the one power of a p-adic unit:
+<d> is eval_char at Weight.wild_only(1), and d^n for a one-unit d is
+eval_char at Weight.wild_only(n).  _log_unit gives log<d> as
+log(d^(p-1)) / (p-1), since log kills roots of unity, and exp is the sum
+of the c^m/m! table _c_factors, which is cut at tail_width terms (the
+same width one weight action consumes).  char_series and _act_window
+read the same log and table.
 
 The weight space splits into p(p-1) branches indexed by the residue of the
 weight modulo p(p-1); an analytic function is stored as one truncated power
@@ -6,34 +22,290 @@ series per branch, in the variable X centered at that residue, with
 coefficients mod p^r and degree < d (joint precision ideal (p^r, X^d)).
 
 char_series(u) interpolates k -> u^k for a unit u, as exp(X log<u>) on
-each branch, from padic's log (_log_unit) and c^m/m! table (_c_factors).
-sp_k evaluates at an integer weight k: branch k mod p(p-1), X = k minus
-the branch residue; the substituted value has valuation >= 1, so the
-result carries precision min(r, d).
+each branch.  sp_k evaluates at an integer weight k: branch k mod p(p-1),
+X = k minus the branch residue; the substituted value has valuation >= 1,
+so the result carries precision min(r, d).
 
-A FamilyVec is a coordinate window whose entries are such functions, and
-its length is its certified width; act_family applies the weight-minus-2
-family of symmetric-power actions, running sympow._act_window (the same
-kernel as act_universal) with one component per branch: the kernel packs
-every branch and series coefficient of a coordinate into one int, so one
-big-int dot product per live term covers all of them.
+SeqVec holds an infinite-coordinate analogue of sympow.SymVec at a p-adic
+weight chi: a finite window of coordinates over Z/p^r.  _act_window is
+the one implementation of the interpolated action, on windows of
+truncated series in the weight; act_universal runs it at the single
+weight chi and act_family with the weight left as a variable.  It packs
+each input coordinate, all its components and series degrees, into one
+int of W-bit fields, so each output coordinate costs one big-int dot
+product per live term L, and a Vandermonde split of the falling
+factorials keeps the weight-dependent series out of the per-coordinate
+loop.  The live L are those with c^L/L! != 0 mod p^r, read from
+_c_factors, the table eval_char sums for exp.  act_universal and
+act_family both reject a matrix outside the monoid (p | c, d a unit)
+with NotAdmissible.  At integer weight n, dropping coordinates beyond n
+(specialize) intertwines act_universal with sympow.act_sym exactly;
+between two integer weights congruent mod p^(r-1)(p-1), truncation to
+the smaller degree (congr_project) is equivariant mod p^r.
+binom_identity evaluates both sides of the alternating-sum identity
+  sum_m (-1)^(m-h) binom(n-m, i-m) C(j, m) C(m, h) = binom(n-j, i-h) C(j, h)
+used to verify the action's composition law coefficientwise.
 
-The family action uses up the universal tail, tail_width(p, r)
+A FamilyVec is a coordinate window whose entries are weight-space
+functions, and its length is its certified width; act_family applies the
+weight-minus-2 family of symmetric-power actions, running _act_window
+with one component per branch: the kernel packs every branch and series
+coefficient of a coordinate into one int, so one big-int dot product per
+live term covers all of them.
+
+Every weight action uses up the universal tail, tail_width(p, r)
 coordinates, for every series degree d.  Input j reaches output i only
 through terms c^L/L! with L = j - h >= j - i (h <= i), and c^L/L! = 0 mod
 p^r once L >= tail_width(p, r), as p | c.  Every other factor on such a
 term is integral: (kappa - i)_L is a polynomial in X over Z, d^-1 is a
 unit, the binomial rows C(i, h) a^h b^(i-h) are integers, and the branch
 scale char_series(d) d^-2 has integral series.  So a dropped term is 0
-mod (p^r, X^d), and output i reads only inputs j < i + tail_width(p, r).
-The value path (cohomology.FamilyCoeffs.act) reads out_width +
-tail_width(p, r) coordinates of a stored value and returns out_width.
+mod (p^r, X^d), output i reads only inputs j < i + tail_width(p, r), and
+a window of length w certifies w - tail_width(p, r) outputs.
+
+The value path, which no CLI command runs: FamilyCoeffs has the duck
+interface of cohomology.SymCoeffs (zero/act/rand) on windows of
+weight-space functions; an action reads out_width + tail_width(p, r)
+coordinates of a stored value and returns out_width.  A Cocycle holds
+values on the free generators, in either system.  Cocycle.eval folds
+c(gh) = c(g) + g.c(h) along the rewriting of a group element, one
+coefficient action per letter, each on a stored value, so no action is
+applied to the result of another.  hecke_images folds the words of
+cohomology._partner_words, which hecke_matrix packs.  specialize_cocycle
+takes a family cocycle to Sym^(k-2) at weight k, family_preimage lifts
+back.  hecke_images and specialize_cocycle import cohomology when they
+run, so `pwl family` loads none of it.
 """
 
-from .errors import DimensionMismatch, NotAdmissible, PrecisionMismatch
-from .linalg import poly_mul
-from .padic import PrecInt, Weight, _c_factors, _check_modulus, _log_unit
-from .sympow import SeqVec, _act_window, _check_widths
+import math
+from operator import mul
+
+from .errors import (BadRange, BadWeight, CongruenceViolated,
+                     DimensionMismatch, InternalInconsistency, NotAdmissible,
+                     NotAUnit, PrecisionExhausted, PrecisionMismatch,
+                     WidthInsufficient)
+from .linalg import pack_row, poly_mul, unpack_row
+from .matrices import IntMat
+from .padic import _check_modulus, vp, vp_factorial
+from .sympow import SymVec, _entries_mod
+
+
+class PrecInt:
+    """p-adic integer known mod p^r, canonical residue in [0, p^r)."""
+
+    __slots__ = ("p", "r", "res")
+
+    def __init__(self, p, r, value):
+        _check_modulus(p, r)
+        self.p = p
+        self.r = r
+        self.res = value % (p ** r)
+
+    @property
+    def modulus(self):
+        return self.p ** self.r
+
+    def _coerce(self, other):
+        # returns (other residue, min precision); ints are exact
+        if isinstance(other, PrecInt):
+            if other.p != self.p:
+                raise PrecisionMismatch(f"primes differ: {self.p} vs {other.p}")
+            return other.res, min(self.r, other.r)
+        if isinstance(other, int):
+            return other, self.r
+        return None, None
+
+    def __add__(self, other):
+        o, r = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return PrecInt(self.p, r, self.res + o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o, r = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return PrecInt(self.p, r, self.res - o)
+
+    def __mul__(self, other):
+        o, r = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return PrecInt(self.p, r, self.res * o)
+
+    __rmul__ = __mul__
+
+    def divexact(self, k):
+        """Divide by a nonzero integer k, consuming v_p(k) digits."""
+        if not isinstance(k, int) or k == 0:
+            raise BadRange(f"divisor must be a nonzero integer, got {k}")
+        sign = 1
+        if k < 0:
+            k, sign = -k, -1
+        v = vp(k, self.p)
+        if self.r <= v:
+            raise PrecisionExhausted(
+                f"division by p^{v} * unit at precision {self.r}")
+        if self.res % self.p ** v != 0:
+            raise PrecisionExhausted(
+                f"residue {self.res} not divisible by p^{v}")
+        r2 = self.r - v
+        unit = k // self.p ** v
+        res = (self.res // self.p ** v) * pow(unit, -1, self.p ** r2) * sign
+        return PrecInt(self.p, r2, res)
+
+    def __eq__(self, other):
+        # equality mod the smaller of the two precisions
+        o, r = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.res - o) % self.p ** r == 0
+
+    def __hash__(self):
+        raise TypeError("PrecInt compares mod min precision; not hashable")
+
+    def __repr__(self):
+        return f"PrecInt({self.res} mod {self.p}^{self.r})"
+
+
+def binom_int(n, m):
+    """Exact integer binomial for any integer n and natural m:
+    C(n, m) = (-1)^m C(m - n - 1, m) when n < 0."""
+    if m < 0:
+        raise BadRange(f"binomial index {m} is negative")
+    if n >= 0:
+        return math.comb(n, m)
+    return (-1) ** m * math.comb(m - n - 1, m)
+
+
+def binom(n, m):
+    """Extended binomial coefficient (1/m!) * prod_{h<m} (n - h).
+
+    Integer n gives the exact integer value; a PrecInt n gives a PrecInt of
+    precision r - v_p(m!), raising PrecisionExhausted when r <= v_p(m!).
+    """
+    if isinstance(n, int):
+        return binom_int(n, m)
+    p = n.p
+    v = vp_factorial(m, p)
+    if n.r <= v:
+        raise PrecisionExhausted(
+            f"binom(-, {m}) needs more than v_p({m}!) = {v} digits, have {n.r}")
+    M = n.modulus
+    prod = 1
+    for h in range(m):
+        prod = prod * ((n.res - h) % M) % M
+    return PrecInt(p, n.r, prod).divexact(math.factorial(m))
+
+
+def tail_width(p, r):
+    """Smallest t with t(p-2)/(p-1) >= r: later terms vanish mod p^r."""
+    return -((-r * (p - 1)) // (p - 2))
+
+
+def _c_factors(c, jmax, p, r):
+    """[c^m/m! mod p^r for m = 0..jmax] for c divisible by p (so each is
+    integral).  m v_p(c) - v_p(m!) >= m - (m-1)/(p-1) > m (p-2)/(p-1) >= r
+    once m >= tail_width(p, r), so only smaller m are computed."""
+    M = p ** r
+    cf = [1] + [0] * jmax
+    c %= M
+    if c == 0:
+        return cf
+    vc = vp(c, p)
+    u = c // p ** vc
+    um, unit, vfac = 1, 1, 0  # u^m, m!/p^vfac mod p^r, v_p(m!)
+    for m in range(1, min(jmax + 1, tail_width(p, r))):
+        k = m
+        while k % p == 0:
+            k, vfac = k // p, vfac + 1
+        um, unit = um * u % M, unit * k % M
+        e = m * vc - vfac
+        if e < r:
+            cf[m] = um * pow(p, e, M) % M * pow(unit, -1, M) % M
+    return cf
+
+
+def _log_unit(d, p, R):
+    """log<d> mod p^R for an integer unit d, <d> its one-unit part:
+    log(1 + x) / (p - 1) with 1 + x = d^(p-1), since log kills roots of
+    unity, and log(1 + x) = sum_m (-1)^(m+1) x^m / m.  Term m has
+    valuation >= m - v_p(m) >= m - lg(m), lg(m) = floor(log_p m).
+    m - lg(m) never decreases as m grows, so the sum stops at the first m
+    with m - lg(m) >= R."""
+    if d % p == 0:
+        raise NotAUnit(f"{d} is divisible by {p}")
+    M = p ** R
+    x = pow(d, p - 1, M) - 1
+    acc, m, lg, pk = 0, 1, 0, p  # pk = p^(lg + 1)
+    while m - lg < R:
+        v = vp(m, p) if m % p == 0 else 0
+        # x^m / p^v mod p^R needs x^m mod p^(R + v)
+        term = pow(x, m, M * p ** v) // p ** v * pow(m // p ** v, -1, M)
+        acc += term if m % 2 else -term
+        m += 1
+        if m == pk:
+            lg, pk = lg + 1, pk * p
+    return acc * pow(p - 1, -1, M) % M
+
+
+class Weight:
+    """Weight character split into tame (mod p-1) and wild (PrecInt) parts."""
+
+    __slots__ = ("tame", "wild")
+
+    def __init__(self, tame, wild):
+        if not isinstance(wild, PrecInt):
+            raise BadWeight(f"wild part {wild!r} is not a PrecInt")
+        if not 0 <= tame <= wild.p - 2:
+            raise BadWeight(f"tame part {tame} outside [0, {wild.p - 2}]")
+        self.tame = tame
+        self.wild = wild
+
+    @property
+    def p(self):
+        return self.wild.p
+
+    @property
+    def r(self):
+        return self.wild.r
+
+    @classmethod
+    def of_int(cls, n, p, r):
+        """The character x -> x^n: tame n mod (p-1), wild n."""
+        return cls(n % (p - 1), PrecInt(p, r, n))
+
+    @classmethod
+    def wild_only(cls, n, p, r):
+        """The character trivial on roots of unity with wild part n."""
+        return cls(0, PrecInt(p, r, n))
+
+    def shift(self, m):
+        """The weight lowered by the integer character x -> x^m."""
+        return Weight((self.tame - m) % (self.p - 1), self.wild - m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self.tame == other.tame and self.wild == other.wild
+
+    def __repr__(self):
+        return f"Weight(tame={self.tame}, wild={self.wild!r})"
+
+
+def eval_char(chi, d):
+    """Value of the weight character chi on a unit d: d^t <d>^(w - t) =
+    d^t exp((w - t) log<d>), t = tame and w = wild, at precision
+    min(r, precision(w) + 1)."""
+    p, t, w = d.p, chi.tame, chi.wild
+    r = min(d.r, w.r + 1)
+    L = _log_unit(d.res, p, r)
+    if w.p != p:
+        raise PrecisionMismatch(f"primes differ: {p} vs {w.p}")
+    exp = sum(_c_factors((w.res - t) * L, tail_width(p, r), p, r))
+    return PrecInt(p, r, pow(d.res, t, p ** r) * exp)
 
 
 def branch_count(p):
@@ -150,6 +422,218 @@ def sp_k(k, fn):
     return PrecInt(p, min(r, d), acc)
 
 
+def _check_widths(x, y, width):
+    """WidthInsufficient unless both windows hold `width` coordinates."""
+    if min(len(x.coords), len(y.coords)) < width:
+        raise WidthInsufficient(f"cannot compare {width} coordinates of "
+                                f"windows of {len(x.coords)} and {len(y.coords)}")
+
+
+class SeqVec:
+    """Window of coordinates at weight chi over Z/p^r.
+
+    Its certified width is its length; each action uses up tail_width(p, r)
+    trailing coordinates and returns the rest.
+    """
+
+    __slots__ = ("p", "r", "chi", "coords")
+
+    def __init__(self, chi, coords):
+        if not isinstance(chi, Weight):
+            raise BadWeight(f"{chi!r} is not a Weight")
+        self.p, self.r = chi.p, chi.r
+        self.chi = chi
+        M = self.p ** self.r
+        self.coords = [c % M for c in coords]
+
+    def agrees(self, other, width):
+        """Equality of the first `width` coordinates mod p^min(r, r');
+        False across primes or weights."""
+        _check_widths(self, other, width)
+        if self.p != other.p or self.chi != other.chi:
+            return False
+        m = self.p ** min(self.r, other.r)
+        return all((x - y) % m == 0
+                   for x, y in zip(self.coords[:width], other.coords[:width]))
+
+    def __repr__(self):
+        return f"SeqVec(width={len(self.coords)}, mod {self.p}^{self.r})"
+
+
+def _act_window(mat, p, r, coords, base, scale):
+    """The weight action on windows of truncated series mod (p^r, X^dd).
+
+    coords[j] is coordinate j: nz dd residues mod M = p^r, component-major,
+    so coords[j][z dd + k] is the X^k coefficient of its series x_(j,z) on
+    component z, at the weight kappa_z = base[z] + X (nz = len(base)).
+    Output coordinate i on component z is
+      g_z sum_L (kappa_z - i)_L (c^L/L!) d^-(i+L) D_L(i)_z,
+      D_L(i) = sum_h row_i[h] x_(h+L),  row_i[h] = C(i,h) a^h b^(i-h),
+    with g = scale(d) and (x)_L = x (x - 1) ... (x - L + 1).  The monoid
+    (p | c, d a unit) is checked before scale takes a power of d.  Only
+    the live L, c^L/L! != 0 mod p^r, are summed: each is below
+    tail = tail_width(p, r) (the _c_factors cut), and a dead term is 0 mod
+    (p^r, X^dd) (proof in the module docstring).  So output i reads x_j
+    only for j = h + L < i + tail, and a window of width = len(coords)
+    certifies its n = width - tail outputs; n < 1 raises WidthInsufficient.
+    Returns each output coordinate as its list of nz series.
+
+    Packed layout: F_j = pack_row(coords[j], W) holds coordinate j in
+    W-bit fields.  A sum of packed ints adds field by field, so D_L(i), on
+    every component and degree at once, is the one int
+    sum(map(mul, row_i, F[L:])).  Only F_j with j < n + max(live L) <=
+    width - 1 are packed, since D_L(i) reads F_(h+L) with h <= i <= n - 1.
+    Row i + 1 comes from row i by Pascal's rule,
+    row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later stage runs
+    over all i at once: one comprehension per live L, per (t, L) and per
+    (t, z) below.
+
+    Vandermonde regrouping about s = base[0]:
+      (kappa - i)_L = sum_t C(L,t) (kappa - s)_t (s - i)_(L-t),
+    so the output is sum_t G_(t,z) B_t(i) with the series
+      G_(t,z) = g_z (base[z] - s + X)_t,
+    built once per call, and the packed sums
+      B_t(i) = sum_(live L >= t) e_(t,L)(i) D_L(i),
+      e_(t,L)(i) = C(L,t) (c^L/L!) d^-L (s - i)_(L-t) d^-i mod M,
+    whose integer coefficients do not depend on z.  Only the t < max(live
+    L) + 1 with some G_(t,z) != 0 are kept; call their number T.  (With
+    one component of constants, as in act_universal, G_(t,0) = 0 for
+    t >= 1, so T = 1 and each L costs one coefficient per i.)  Per
+    (i, z), each kept t costs one product of the W-bit fields z dd ..
+    z dd + dd - 1 of B_t(i) (a block) with packed G_(t,z); the low dd
+    fields of the sum over t are output i's series on component z.
+
+    Field bound: nothing is reduced between packing and the last unpack,
+    so W must hold every field exactly.  The coordinates (SeqVec and
+    WeightFn keep them reduced), row_i, e_(t,L)(i) and G are residues in
+    [0, M).  A field of D_L(i) sums at most i + 1 <= n products
+    row_i[h] x, n the number of outputs, so it is at most
+    n (M-1)^2; a field of B_t(i) sums at most |live L| of these times some
+    e <= M - 1; field k of a block times G_(t,z) sums at most
+    min(k + 1, 2 dd - 1 - k) <= dd products, and the output adds T of
+    them.  So every field is at most
+      T dd (M-1) |live L| (M-1) n (M-1)^2 < 2^W,
+    no field carries into the next, and each block, product and unpack
+    reads exact integers.
+    """
+    width, tail = len(coords), tail_width(p, r)
+    n = width - tail
+    if n < 1:
+        raise WidthInsufficient(
+            f"{width} coordinates leave no output past a tail of {tail}")
+    a, b, c, d = _entries_mod(mat, p, r)
+    if c % p or d % p == 0:
+        raise NotAdmissible(
+            f"({a} {b}; {c} {d}) mod {p}^{r} is outside the monoid: "
+            f"need c = 0 and d a unit mod {p}")
+    M = p ** r
+    nz = len(base)
+    dd = len(coords[0]) // nz
+    dinv = pow(d, -1, M)
+    cf = _c_factors(c, width - 1, p, r)
+    live = [L for L in range(width) if cf[L]]
+    s = base[0]
+    g, kept = scale(d), []
+    for t in range(live[-1] + 1):  # g[z] = g_z (base[z] - s + X)_t
+        if t:
+            g = [[((bz - s - t + 1) * x + y) % M for x, y in zip(gz, [0] + gz)]
+                 for gz, bz in zip(g, base)]
+        if not any(map(any, g)):
+            break  # a zero G_t makes every later G_t zero
+        kept.append((t, g))
+    W = (len(kept) * dd * len(live) * n * (M - 1) ** 4).bit_length() or 1
+    # B_t(i) = sum over (k, u, q) in e[t] of q (s - i)_u d^-i D_(live[k])
+    e = [[(k, L - t, math.comb(L, t) * cf[L] * pow(dinv, L, M) % M)
+          for k, L in enumerate(live) if L >= t] for t, _ in kept]
+    G = [[pack_row(gz, W) for gz in gt] for _, gt in kept]
+    F = [pack_row(x, W) for x in coords[:n + live[-1]]]
+    rows = [[1]]  # row_i by Pascal's rule
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([(b * x + a * y) % M
+                     for x, y in zip(row + [0], [0] + row)])
+    D = [[sum(map(mul, row, FL)) for row in rows]
+         for FL in [F[L:] for L in live]]
+    fall = [[pow(dinv, i, M) for i in range(n)]]  # (s - i)_u d^-i
+    for u in range(live[-1]):
+        fall.append([f * (s - i - u) % M for i, f in enumerate(fall[-1])])
+    B = []
+    for et in e:
+        Bt = [0] * n
+        for k, u, q in et:
+            Bt = [y + q * f % M * x for y, f, x in zip(Bt, fall[u], D[k])]
+        B.append(Bt)
+    blk = (1 << (W * dd)) - 1
+    comps = []  # comps[z][i]: output i's series on component z
+    for z, sh in enumerate(range(0, W * dd * nz, W * dd)):
+        y = [0] * n
+        for Bt, Gt in zip(B, G):
+            gz = Gt[z]
+            y = [v + (x >> sh & blk) * gz for v, x in zip(y, Bt)]
+        comps.append([unpack_row(v, dd, W, M) for v in y])
+    return list(map(list, zip(*comps)))
+
+
+def act_universal(mat, seq):
+    """Apply the weight-chi action; uses up tail_width(p, r) coordinates.
+
+    _act_window on one component of constants (dd = 1) at the wild part w
+    of chi, scaled by d^chi, so the falling factorials are (w - i)_L.
+    Raises NotAdmissible outside the monoid, WidthInsufficient when short.
+    """
+    chi, p, r = seq.chi, seq.p, seq.r
+    out = _act_window(mat, p, r, [[x] for x in seq.coords], [chi.wild.res],
+                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]])
+    return SeqVec(chi, [x[0][0] for x in out])
+
+
+def specialize(seq, n):
+    """Truncate to coordinates 0..n, landing in the degree-n symmetric power.
+
+    Requires chi to be the integer weight n at full precision; then the
+    truncation intertwines act_universal with act_sym exactly.
+    """
+    p, r = seq.p, seq.r
+    if seq.chi.tame != n % (p - 1) or seq.chi.wild != n:
+        raise BadWeight(f"weight is not the integer weight {n}")
+    if len(seq.coords) < n + 1:
+        raise WidthInsufficient(
+            f"need {n + 1} coordinates, have {len(seq.coords)}")
+    return SymVec(p, r, n, seq.coords[:n + 1])
+
+
+def congr_project(r, n1, n0, v):
+    """Truncate degree n1 to degree n0 at precision r.
+
+    Equivariant for the p-stabilized monoid when n1 - n0 is a multiple of
+    p^(r-1)(p-1).
+    """
+    if n0 > n1:
+        raise BadRange(f"target degree {n0} exceeds source degree {n1}")
+    if v.n != n1:
+        raise DimensionMismatch(f"vector has degree {v.n}, not {n1}")
+    p = v.p
+    if (n1 - n0) % (p ** (r - 1) * (p - 1)) != 0:
+        raise CongruenceViolated(
+            f"{n1} - {n0} is not a multiple of p^{r - 1}(p-1)")
+    r2 = min(v.r, r)
+    return SymVec(p, r2, n0, v.coords[:n0 + 1])
+
+
+def binom_identity(n, i, j, h):
+    """Both sides of the alternating-sum binomial identity, for comparison.
+
+    Returns (lhs, rhs); exact integers for integer n, PrecInts otherwise.
+    Raises BadRange when h > min(i, j).
+    """
+    if h > min(i, j):
+        raise BadRange(f"h = {h} exceeds min(i, j) = {min(i, j)}")
+    lhs = sum(binom(n - m, i - m) * ((-1) ** (m - h)
+                                     * math.comb(j, m) * math.comb(m, h))
+              for m in range(h, min(i, j) + 1))
+    return lhs, binom(n - j, i - h) * math.comb(j, h)
+
+
 class FamilyVec:
     """Coordinate window with WeightFn entries; its length is its certified
     width, and act_family uses up tail_width(p, r) of it."""
@@ -221,3 +705,152 @@ def sp_vector(k, fam):
     chi = Weight.of_int(k - 2, fam.p, rr)
     return SeqVec(chi, [sp_k(k, c).res for c in fam.coords])
 
+
+class FamilyCoeffs:
+    """Windows of weight-space functions with the family action.
+
+    The one place that names an output width: act reads the first
+    out_width + tail_width(p, r) coordinates of a stored value (fewer
+    raise WidthInsufficient) and returns out_width.  Cocycle._fold and
+    hecke_images act once on each stored value, and zero() is out_width
+    wide, so their results are out_width wide: a second action raises.
+    """
+
+    def __init__(self, p, r, d, out_width, stored_width):
+        _check_modulus(p, r)
+        if stored_width < out_width:
+            raise WidthInsufficient(
+                f"stored width {stored_width} is below out width {out_width}")
+        self.p, self.r, self.d = p, r, d
+        self.out_width = out_width
+        self.stored_width = stored_width
+
+    def zero(self):
+        return FamilyVec.zero(self.p, self.r, self.d, self.out_width)
+
+    def act(self, mat, x):
+        w = self.out_width + tail_width(self.p, self.r)
+        if len(x.coords) < w:
+            raise WidthInsufficient(
+                f"a stored value needs {w} coordinates, has {len(x.coords)}")
+        return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
+
+    def rand(self, rng):
+        M = self.p ** self.r
+        nb = branch_count(self.p)
+        coords = [WeightFn._raw(self.p, self.r, self.d,
+                                [[rng.randrange(M) for _ in range(self.d)]
+                                 for _ in range(nb)])
+                  for _ in range(self.stored_width)]
+        return FamilyVec(self.p, self.r, self.d, coords)
+
+
+class Cocycle:
+    """1-cocycle on the free generators of the level subgroup."""
+
+    __slots__ = ("coeffs", "basis", "values")
+
+    def __init__(self, coeffs, basis, values):
+        if len(values) != basis.rank():
+            raise DimensionMismatch(
+                f"{len(values)} values for {basis.rank()} generators")
+        self.coeffs = coeffs
+        self.basis = basis
+        self.values = list(values)
+
+    @classmethod
+    def random(cls, coeffs, basis, rng):
+        return cls(coeffs, basis, [coeffs.rand(rng) for _ in range(basis.rank())])
+
+    def __add__(self, other):
+        return Cocycle(self.coeffs, self.basis,
+                       [x + y for x, y in zip(self.values, other.values)])
+
+    def __sub__(self, other):
+        return Cocycle(self.coeffs, self.basis,
+                       [x - y for x, y in zip(self.values, other.values)])
+
+    def eval(self, target):
+        """Value on a group element (IntMat): its rewritten word folded
+        from the identity."""
+        return self._fold(self.basis.express(target), IntMat.identity())
+
+    def _fold(self, word, cur):
+        """cur.c(w) for the group element w that `word` spells, folding
+        c(gh) = c(g) + g.c(h) letter by letter with the prefix matrix
+        starting at cur: one coefficient action per letter."""
+        val = self.coeffs.zero()
+        for k in word:
+            if k > 0:
+                g = self.basis.gens[k - 1]
+                val += self.coeffs.act(cur, self.values[k - 1])
+                cur = cur * g
+            else:
+                g = self.basis.gens[-k - 1]
+                cur = cur * g.inverse()
+                val -= self.coeffs.act(cur, self.values[-k - 1])
+        return val
+
+    def stacked_coords(self):
+        out = []
+        for v in self.values:
+            out.extend(v.coords)
+        return out
+
+
+def hecke_images(cocycle, reps):
+    """Value-level double-coset operator: new cocycle on the generators."""
+    coeffs = cocycle.coeffs
+    from .cohomology import _partner_words
+    adjs, words = _partner_words(cocycle.basis, reps)
+    out = []
+    for gen_words in words:
+        val = coeffs.zero()
+        for adj, word in zip(adjs, gen_words):
+            val += cocycle._fold(word, adj)
+        out.append(val)
+    return Cocycle(coeffs, cocycle.basis, out)
+
+
+def specialize_cocycle(k, cocycle):
+    """Family-coefficient cocycle evaluated at integer weight k, as a
+    symmetric-power cocycle of degree k - 2; raises WidthInsufficient
+    below k - 1 certified coordinates."""
+    from .cohomology import SymCoeffs
+    coeffs = cocycle.coeffs
+    out_coeffs = SymCoeffs(coeffs.p, min(coeffs.r, coeffs.d), k - 2)
+    values = [specialize(sp_vector(k, F), k - 2) for F in cocycle.values]
+    return Cocycle(out_coeffs, cocycle.basis, values)
+
+
+def family_preimage(cocycle, d):
+    """Interpolate a symmetric-power cocycle into family coefficients.
+
+    The weight k = n + 2 lies on the branch zeta = k mod p(p-1), where the
+    series (s_0, ..., s_(d-1)) takes the value sum_j s_j (k - zeta)^j.  Its
+    first term has coefficient 1, so each coordinate v lifts to the
+    constant series (v, 0, ..., 0) on branch zeta and to zero on every
+    other branch.  The k - 1 lifted coordinates are followed by
+    tail_width(p, r) zero ones, the tail one action reads, so the lift can
+    be evaluated and operated on, not only specialized back.
+    """
+    sym = cocycle.coeffs
+    p, r = sym.p, sym.r
+    k = sym.n + 2
+    out_width = k - 1
+    tail = tail_width(p, r)
+    fam_coeffs = FamilyCoeffs(p, r, d, out_width, out_width + tail)
+    zeta = k % branch_count(p)
+    values = []
+    for v in cocycle.values:
+        coords = []
+        for x in v.coords:
+            comps = [[0] * d for _ in range(branch_count(p))]
+            comps[zeta][0] = x
+            coords.append(WeightFn(p, r, d, comps))
+        coords += [WeightFn.zero(p, r, d) for _ in range(tail)]
+        values.append(FamilyVec(p, r, d, coords))
+    out = Cocycle(fam_coeffs, cocycle.basis, values)
+    if specialize_cocycle(k, out).values != cocycle.values:
+        raise InternalInconsistency("family preimage fails to specialize")
+    return out

@@ -3,7 +3,7 @@
 IntMat is the one matrix type: elements of Gamma_1(N), double-coset seeds
 and members of the p-stabilized monoid (p | c, d a unit).  A matrix is
 exact; the vectors it acts on carry the precision, and each kernel reduces
-the entries mod p^r itself (sympow._act_window also checks the monoid).
+the entries mod p^r itself (iwasawa._act_window also checks the monoid).
 
 cofactor sends (a b; c d) to (d -b; -c a); it is an antihomomorphism
 ((A*B).cofactor() = B.cofactor() * A.cofactor()) and preserves the

@@ -35,7 +35,6 @@ NotFreeModule with the moduli of H^1(Gamma_1(N)).
 """
 
 import math
-from operator import mul
 
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .gamma1 import free_basis
@@ -105,8 +104,9 @@ def _split(N, p, r, n):
 
 def blocks(N, p, r, ell, n):
     """(reps of T_ell, [(chi, presentation, charpoly)] per block): one
-    hecke_matrix walk, then T_chi = sum over classes c of chi(c) times
-    class c's block column; on Gamma_1(N), one class, T = W."""
+    hecke_matrix walk W, then T_chi = sum over classes c of chi(c) times
+    class c's block column, read off W's nonzero entries (W is sparse);
+    on Gamma_1(N), one class, T = W."""
     basis, chars = _split(N, p, r, n)
     pres = [h1(SymCoeffs(p, r, n, chi), basis) for chi in chars]
     if len(basis.classes) > 1 and not all(x.is_free() for x in pres):
@@ -117,11 +117,18 @@ def blocks(N, p, r, ell, n):
     Ts = [W]  # Gamma_1(N): one class
     if len(basis.classes) > 1:
         RD, M = len(W), p ** r
-        # per row of W, the column j of every class side by side
-        cols = [list(zip(*(row[k:k + RD] for k in range(0, len(row), RD))))
-                for row in W]
-        Ts = ([[sum(map(mul, w, col)) % M for col in row] for row in cols]
-              for w in ([chi[c] for c in basis.classes] for chi in chars))
+        # per row of W, its nonzero entries as (column j, class c, value)
+        nz = [[(k % RD, basis.classes[k // RD], x)
+               for k, x in enumerate(row) if x] for row in W]
+        Ts = []
+        for chi in chars:
+            T = []
+            for entries in nz:
+                row = [0] * RD
+                for j, c, x in entries:
+                    row[j] += chi[c] * x
+                T.append([y % M for y in row])
+            Ts.append(T)
     return reps, [(chi, x, x.charpoly(T))
                   for chi, x, T in zip(chars, pres, Ts)]
 

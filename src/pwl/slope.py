@@ -36,7 +36,7 @@ well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so row i of
 V0^-1 (W - W') vanishes only mod p^(prec - e_i).
 """
 
-from fractions import Fraction
+import math
 
 from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
                      NotInvertible, PrecisionExhausted)
@@ -45,7 +45,8 @@ from .padic import vp
 
 
 class NewtonPolygon:
-    """Lower hull of the coefficient valuations of a monic polynomial."""
+    """Lower hull of the coefficient valuations of a monic polynomial;
+    segments holds each hull segment as its integer (rise, run)."""
 
     __slots__ = ("censored", "vertices", "segments", "ambiguous")
 
@@ -56,10 +57,17 @@ class NewtonPolygon:
         self.ambiguous = ambiguous
 
     def root_valuations(self):
-        """(valuation, multiplicity) pairs, one per segment."""
-        return [(-s, length) for s, length in self.segments]
+        """(valuation, multiplicity) pairs, one per segment, the valuation
+        -rise/run in lowest terms as a string: "0", "1", "1/2"."""
+        out = []
+        for rise, run in self.segments:
+            g = math.gcd(rise, run)
+            num, den = -rise // g, run // g
+            out.append((str(num) if den == 1 else f"{num}/{den}", run))
+        return out
 
     def slope_multiplicity(self, val):
+        """Roots of valuation val, a string as root_valuations writes it."""
         for v, length in self.root_valuations():
             if v == val:
                 return length
@@ -89,9 +97,8 @@ def newton_polygon(coeffs, p, r):
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
+    segments = [(y2 - y1, x2 - x1)
+                for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
     on_hull = set()
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         for i in range(x1, x2 + 1):

@@ -23,14 +23,15 @@ import random
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .errors import BadLevel, BadRange, ContractViolated
 from .gamma1 import free_basis, in_gamma1
-from .iwasawa import FamilyVec, WeightFn, act_family, branch_count
+from .iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
+                      act_family, act_universal, binom_identity, branch_count,
+                      congr_project, tail_width)
 from .linalg import charpoly_mod, identity_mat, mat_mul, poly_mul, smith_mod
 from .matrices import IntMat
-from .padic import PrecInt, Weight, vp, vp_factorial
+from .padic import vp, vp_factorial
 from .shapiro import blocks
 from .slope import newton_polygon, ps_tp_inv, slope_factor
-from .sympow import SeqVec, SymVec, act_sym, act_universal, binom_identity, \
-    congr_project, tail_width
+from .sympow import SymVec, act_sym
 
 # (N, p, r, ell, n) of the shapiro suite: elliptic generators of order 2
 # and 3 at level 13, none at level 23 (U_23, where chi(ell) is 0), and
@@ -180,7 +181,7 @@ def suite_slope(seed=0, pairs=((11, 11), (3, 9)), powers=2):
         T = pres.induced_matrix(hecke_matrix(coeffs, basis,
                                              t_ell_reps(p, basis)))
         P = charpoly_mod(T, p, precision)
-        mult = newton_polygon(P, p, precision).slope_multiplicity(0)
+        mult = newton_polygon(P, p, precision).slope_multiplicity("0")
         _check(mult >= 1, "no unit-root slope", P=P)
         Q, _, loss = slope_factor(P, 1, p, precision)
         _check(loss == 0 and len(Q) - 1 == mult,

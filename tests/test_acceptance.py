@@ -11,13 +11,14 @@ import random
 import time
 from fractions import Fraction
 
-from pwl.cohomology import (Cocycle, SymCoeffs, family_preimage, h1,
-                            specialize_cocycle)
+from pwl.cohomology import SymCoeffs, h1
 from pwl.gamma1 import free_basis
-from pwl.iwasawa import FamilyVec, WeightFn, act_family, branch_count, sp_vector
-from pwl.padic import Weight
+from pwl.iwasawa import (Cocycle, FamilyVec, SeqVec, Weight, WeightFn,
+                         act_family, act_universal, branch_count,
+                         family_preimage, sp_vector, specialize,
+                         specialize_cocycle, tail_width)
 from pwl.qexp import eisenstein, hecke_t, pairing
-from pwl.sympow import SeqVec, act_sym, act_universal, specialize, tail_width
+from pwl.sympow import act_sym
 from pwl.verify import (NEWFORM_11A, rand_monoid_mat, suite_action,
                         suite_congruence, suite_hecke, suite_identity,
                         suite_slope, suite_truncate)

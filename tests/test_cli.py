@@ -132,12 +132,14 @@ def test_suite_names_come_from_verify():
 
 
 def loaded_modules(*args):
-    """The pwl modules a fresh interpreter holds after `import pwl.cli`
-    and, given args, one in-process cli.main(args)."""
+    """The pwl modules, and fractions and decimal if loaded, that a fresh
+    interpreter holds after `import pwl.cli` and, given args, one
+    in-process cli.main(args)."""
     run = f"cli.main({list(args)!r}); " if args else ""
     code = ("import json, sys; from pwl import cli; " + run +
             "print(json.dumps([m for m in sys.modules "
-            "if m.split('.')[0] == 'pwl']), file=sys.stderr)")
+            "if m.split('.')[0] == 'pwl' or m in ('fractions', 'decimal')]),"
+            " file=sys.stderr)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
@@ -153,10 +155,27 @@ def test_commands_import_only_what_they_run():
               "--ell", "2")
     hecke = loaded_modules("--no-meta", "hecke", *common)
     assert {"pwl.cohomology", "pwl.shapiro"} <= hecke
-    assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp", "pwl.iwasawa"}
+    assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp", "pwl.iwasawa",
+                        "fractions", "decimal"}
     slopes = loaded_modules("--no-meta", "slopes", *common)
     assert "pwl.slope" in slopes
-    assert not slopes & {"pwl.verify", "pwl.qexp", "pwl.iwasawa"}
+    assert not slopes & {"pwl.verify", "pwl.qexp", "pwl.iwasawa",
+                         "fractions", "decimal"}
+    family = loaded_modules("--no-meta", "family", "--prime", "3",
+                            "--precision", "4", "--degree", "4")
+    assert "pwl.iwasawa" in family
+    assert not family & {"pwl.cohomology", "pwl.gamma1"}
+
+
+def test_moved_value_path_names_resolve_from_cohomology():
+    # perfbench still imports the value path from pwl.cohomology
+    from pwl import cohomology, iwasawa
+    for name in ("Cocycle", "FamilyCoeffs", "hecke_images",
+                 "specialize_cocycle", "family_preimage"):
+        assert getattr(cohomology, name) is getattr(iwasawa, name)
+    for name in ("act_family", "PrecInt", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cohomology, name)
 
 
 def test_main_in_process_matches_subprocess(capsys):

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwl import cohomology, shapiro
-from pwl.cohomology import (Cocycle, FamilyCoeffs, SymCoeffs, _coset_index,
-                            _coset_partner, _gamma1_quotient, diamond_rep,
-                            family_preimage, h1, hecke_images, hecke_matrix,
-                            specialize_cocycle, t_ell_reps)
+from pwl import cohomology, iwasawa, shapiro
+from pwl.cohomology import (SymCoeffs, _coset_index, _coset_partner,
+                            _gamma1_quotient, diamond_rep, h1, hecke_matrix,
+                            t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotAUnit, NotCoprime, NotFreeModule,
                         WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
-from pwl.iwasawa import WeightFn, act_family
+from pwl.iwasawa import (Cocycle, FamilyCoeffs, WeightFn, act_family,
+                         family_preimage, hecke_images, specialize_cocycle,
+                         tail_width)
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
-from pwl.padic import tail_width
 from pwl.sympow import SymVec
 from pwl.verify import rand_monoid_mat
 
@@ -780,7 +780,7 @@ def test_family_preimage_round_trip():
 def test_family_preimage_traps_a_lift_that_does_not_specialize_back(
         monkeypatch):
     # a specialization one off in a single coordinate must raise the trap
-    real = cohomology.specialize_cocycle
+    real = iwasawa.specialize_cocycle
 
     def off_by_one(k, cocycle):
         out = real(k, cocycle)
@@ -788,7 +788,7 @@ def test_family_preimage_traps_a_lift_that_does_not_specialize_back(
         out.values[0] = SymVec(v.p, v.r, v.n, [v.coords[0] + 1] + v.coords[1:])
         return out
 
-    monkeypatch.setattr(cohomology, "specialize_cocycle", off_by_one)
+    monkeypatch.setattr(iwasawa, "specialize_cocycle", off_by_one)
     c = Cocycle.random(SymCoeffs(3, 3, 1), free_basis(9), random.Random(5))
     with pytest.raises(InternalInconsistency, match="fails to specialize"):
         family_preimage(c, d=3)

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from pwl.errors import (DimensionMismatch, NotAdmissible, NotAUnit,
                         PrecisionMismatch, WidthInsufficient)
-from pwl.iwasawa import (FamilyVec, WeightFn, act_family, branch_count,
-                         char_series, family_tail, sp_k, sp_vector)
+from pwl.iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
+                         act_family, act_universal, branch_count, char_series,
+                         eval_char, family_tail, sp_k, sp_vector, tail_width)
 from pwl.gamma1 import in_gamma1
 from pwl.matrices import IntMat
-from pwl.padic import PrecInt, Weight, eval_char, tail_width
-from pwl.sympow import SeqVec, act_universal
 
 
 def rand_fn(rng, p, r, d):

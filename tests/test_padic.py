@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwl import padic
-from pwl.iwasawa import char_series
+from pwl import iwasawa, padic
 from pwl.errors import (
     BadRange,
     PrecisionExhausted,
@@ -15,15 +14,15 @@ from pwl.errors import (
     PrecisionMismatch,
     BadWeight,
 )
-from pwl.padic import (
+from pwl.iwasawa import (
     PrecInt,
     Weight,
     binom,
     binom_int,
+    char_series,
     eval_char,
-    vp,
-    vp_factorial,
 )
+from pwl.padic import vp, vp_factorial
 
 
 class TestPrecInt:
@@ -344,7 +343,7 @@ def test_c_factors_match_exact_fractions(p):
     rng = random.Random(70 + p)
     for r in range(1, 13):
         M = p ** r
-        jmax = padic.tail_width(p, r) + 3
+        jmax = iwasawa.tail_width(p, r) + 3
         for vc in (1, 2, 3):
             for _ in range(3):
                 c = p ** vc * (p * rng.randrange(M) + rng.randrange(1, p))
@@ -352,7 +351,7 @@ def test_c_factors_match_exact_fractions(p):
                 for m in range(jmax + 1):
                     q = Fraction(c ** m, math.factorial(m))
                     want.append(q.numerator * pow(q.denominator, -1, M) % M)
-                assert padic._c_factors(c, jmax, p, r) == want
+                assert iwasawa._c_factors(c, jmax, p, r) == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -379,7 +378,7 @@ def test_log_matches_exact_series():
                 s = sum(Fraction((-1) ** (m + 1) * x ** m, m)
                         for m in range(1, 3 * R + 3)) / (p - 1)
                 want = s.numerator * pow(s.denominator, -1, M) % M
-                assert padic._log_unit(d, p, R) == want
+                assert iwasawa._log_unit(d, p, R) == want
 
 
 def test_log_is_additive():
@@ -389,8 +388,8 @@ def test_log_is_additive():
             M = p ** R
             u, v = (p * rng.randrange(M) + rng.randrange(1, p)
                     for _ in range(2))
-            lhs = padic._log_unit(u * v, p, R)
-            rhs = padic._log_unit(u, p, R) + padic._log_unit(v, p, R)
+            lhs = iwasawa._log_unit(u * v, p, R)
+            rhs = iwasawa._log_unit(u, p, R) + iwasawa._log_unit(v, p, R)
             assert lhs == rhs % M
 
 
@@ -398,7 +397,7 @@ def test_log_is_additive():
     (eval_char, (Weight.of_int(2, 5, 3), PrecInt(3, 3, 2)), PrecisionMismatch),
     (eval_char, (Weight.wild_only(2, 3, 3), PrecInt(5, 3, 2)), PrecisionMismatch),
     (eval_char, (Weight.of_int(2, 3, 3), PrecInt(3, 3, 3)), NotAUnit),
-    (padic._log_unit, (6, 3, 2), NotAUnit),
+    (iwasawa._log_unit, (6, 3, 2), NotAUnit),
     (char_series, (6, 3, 3, 2), NotAUnit),
 ])
 def test_unit_power_errors(call, args, error):

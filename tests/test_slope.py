@@ -1,6 +1,7 @@
 """Newton polygons, slope splits and scaled inverses."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -121,7 +122,7 @@ def test_polygon_two_segments():
     # constant has valuation 3, middle 1, leading 0
     poly = newton_polygon([27 * 2, -3, 1], p, r)
     assert poly.vertices == [(0, 3), (1, 1), (2, 0)]
-    assert poly.root_valuations() == [(2, 1), (1, 1)]
+    assert poly.root_valuations() == [("2", 1), ("1", 1)]
     assert poly.ambiguous == []
 
 
@@ -140,8 +141,24 @@ def test_polygon_from_linear_factors():
             roots.append(u * p ** v % M)
         poly = newton_polygon(from_roots(roots, M), p, r)
         got = sorted((v, m) for v, m in poly.root_valuations())
-        want = sorted((v, vals.count(v)) for v in set(vals))
+        want = sorted((str(v), vals.count(v)) for v in set(vals))
         assert got == want
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([-3, 0, 1], [("1/2", 2)]),        # X^2 - 3
+    ([9, 0, 0, 0, 1], [("1/2", 4)]),   # rise -2 over run 4, in lowest terms
+    ([9, 0, 0, 1], [("2/3", 3)]),      # X^3 - 9
+    ([5, 1, 1], [("0", 2)]),           # unit roots only
+])
+def test_root_valuation_strings(coeffs, want):
+    # each valuation is the string Fraction(-rise, run) prints
+    poly = newton_polygon(coeffs, 3, 6)
+    oracle = [(str(Fraction(y1 - y2, x2 - x1)), x2 - x1) for (x1, y1), (x2, y2)
+              in zip(poly.vertices, poly.vertices[1:])]
+    assert poly.root_valuations() == oracle == want
+    assert poly.slope_multiplicity(want[0][0]) == want[0][1]
+    assert poly.slope_multiplicity("3") == 0
 
 
 def test_polygon_censored_vertex_flagged():
@@ -455,7 +472,7 @@ def test_level_eleven_unit_root_factor():
     T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
     P = charpoly_mod(T11, 11, 4)
     poly = newton_polygon(P, 11, 4)
-    mult = poly.slope_multiplicity(0)
+    mult = poly.slope_multiplicity("0")
     assert mult >= 1
     Q, R, loss = slope_factor(P, 1, 11, 4)
     assert loss == 0 and len(Q) - 1 == mult

@@ -11,18 +11,18 @@ from pwl.errors import (BadRange, BadWeight, CongruenceViolated,
                         WidthInsufficient)
 from pwl.linalg import mat_mul
 from pwl.matrices import IntMat
-from pwl.padic import PrecInt, Weight, eval_char
-from pwl.sympow import (
+from pwl.iwasawa import (
+    PrecInt,
     SeqVec,
-    SymVec,
-    act_sym,
+    Weight,
     act_universal,
     binom_identity,
     congr_project,
+    eval_char,
     specialize,
-    sym_matrix,
     tail_width,
 )
+from pwl.sympow import SymVec, act_sym, sym_matrix
 from pwl.verify import rand_monoid_mat
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from pwl import verify
 from pwl.errors import BadLevel, BadRange, ContractViolated
-from pwl.sympow import SymVec, binom_identity
+from pwl.iwasawa import binom_identity
+from pwl.sympow import SymVec
 from pwl.verify import _ideal_member, run_suite, verify_truncate_lemma
 
 
