@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwl import cli, errors, verify
+from pwl import cli, cohomology, errors, iwasawa, verify
 
 
 def run_cli(*args):
@@ -169,7 +169,6 @@ def test_commands_import_only_what_they_run():
 
 def test_moved_value_path_names_resolve_from_cohomology():
     # perfbench still imports the value path from pwl.cohomology
-    from pwl import cohomology, iwasawa
     for name in ("Cocycle", "FamilyCoeffs", "hecke_images",
                  "specialize_cocycle", "family_preimage"):
         assert getattr(cohomology, name) is getattr(iwasawa, name)
