@@ -11,9 +11,9 @@ cocycle values.  The coefficients are SymCoeffs, Sym^n(chi):
 symmetric-power vectors on which g acts by chi(d_g) times its weight-n
 matrix, chi a Dirichlet character as its tuple of values (default (1,),
 the trivial one); n = 0 with (1,) is Z/p^r with the trivial action.
-Its dim/act_matrix serve the matrix paths here, and its zero/act/rand/eq
-the value path (cocycles, hecke_images, weight families), which lives
-in pwl.iwasawa beside FamilyCoeffs, the family coefficient system.
+Its dim/act_matrix serve the matrix paths here, and its act_sums/rand/eq
+the value path (cocycles, hecke_images) in pwl.iwasawa, beside
+FamilyCoeffs, the family coefficients.
 
 Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
@@ -23,14 +23,13 @@ to the rep that absorbs it in O(1): the left coset Gamma_H(N) B is keyed
 by the Hermite form E of B's row lattice (an invariant of SL_2(Z) B) and
 the least over x in H of the bottom rows mod N of x B E^-1, one dict
 holds the key of every rep, and one exact coset test _gamma1_quotient
-confirms the match.  A translate
-with no rep, or two reps of one coset, raises.  The operator value
-(A c)(g) = sum_theta adj(A_theta).c(gamma_theta) uses the main involution
-(adjugate) on the left.  One walk, _partner_words, rewrites each partner
-word gamma_theta; iwasawa.hecke_images folds it from adj(A_theta) and
-hecke_matrix packs it, one coefficient action per letter on a stored
-value.  hecke_matrix assembles the operator as a matrix on stacked
-generator values in one pass over the rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
+confirms the match.  A translate with no rep, or two reps of one coset,
+raises.  The operator value (A c)(g) = sum_theta adj(A_theta).c(gamma_theta)
+uses the main involution (adjugate) on the left.  One walk,
+_partner_words, rewrites each partner word gamma_theta, which
+iwasawa.hecke_images sums and hecke_matrix packs: it assembles the
+operator as a matrix on stacked generator values in one pass over the
+rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
 through its k nonzero columns or rows, k <= min(r, n + 1) for every T_p
 rep (Sym^n contracts mod p^r under adj A), and carries along a word only
 the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
@@ -98,13 +97,13 @@ class SymCoeffs:
     def dim(self):
         return self.n + 1
 
-    def zero(self):
-        return SymVec(self.p, self.r, self.n, [0] * (self.n + 1))
-
-    def act(self, mat, x):
-        M = self.p ** self.r
-        return SymVec(self.p, self.r, self.n,
-                      mat_vec(self.act_matrix(mat), x.coords, M))
+    def act_sums(self, batches, values):
+        """Per batch of terms (g, j, sign), sum sign g.values[j]."""
+        S = {g: self.act_matrix(g) for g in {t[0] for b in batches for t in b}}
+        return [SymVec(self.p, self.r, self.n, [
+            sum(sign * sum(map(mul, S[g][i], values[j].coords))
+                for g, j, sign in batch) for i in range(self.n + 1)])
+            for batch in batches]
 
     def act_matrix(self, mat):
         S = sym_matrix(self.n, mat, self.p, self.r)

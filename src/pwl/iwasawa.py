@@ -29,14 +29,15 @@ so the result carries precision min(r, d).
 SeqVec holds an infinite-coordinate analogue of sympow.SymVec at a p-adic
 weight chi: a finite window of coordinates over Z/p^r.  _act_window is
 the one implementation of the interpolated action, on windows of
-truncated series in the weight; act_universal runs it at the single
-weight chi and act_family with the weight left as a variable.  It packs
-each input coordinate, all its components and series degrees, into one
-int of W-bit fields, so each output coordinate costs one big-int dot
-product per live term L, and a Vandermonde split of the falling
-factorials keeps the weight-dependent series out of the per-coordinate
-loop.  The live L are those with c^L/L! != 0 mod p^r, read from
-_c_factors, the table eval_char sums for exp.  act_universal and
+truncated series in the weight: it computes signed sums of actions,
+sum sign g.x, one per batch of terms; act_universal runs one term at
+the single weight chi and act_family one with the weight left as a
+variable.  It packs each input coordinate, all its components and
+series degrees, into one int of W-bit fields, so each output coordinate
+costs one big-int dot product per live term L, and a Vandermonde split
+of the falling factorials keeps the weight-dependent series out of the
+per-coordinate loop.  The live L are those with c^L/L! != 0 mod p^r,
+read from _c_factors, the table eval_char sums for exp.  act_universal and
 act_family both reject a matrix outside the monoid (p | c, d a unit)
 with NotAdmissible.  At integer weight n, dropping coordinates beyond n
 (specialize) intertwines act_universal with sympow.act_sym exactly;
@@ -64,21 +65,24 @@ mod (p^r, X^d), output i reads only inputs j < i + tail_width(p, r), and
 a window of length w certifies w - tail_width(p, r) outputs.
 
 The value path, which no CLI command runs: FamilyCoeffs has the duck
-interface of cohomology.SymCoeffs (zero/act/rand) on windows of
-weight-space functions; an action reads out_width + tail_width(p, r)
-coordinates of a stored value and returns out_width.  A Cocycle holds
-values on the free generators, in either system.  Cocycle.eval folds
-c(gh) = c(g) + g.c(h) along the rewriting of a group element, one
-coefficient action per letter, each on a stored value, so no action is
-applied to the result of another.  hecke_images folds the words of
-cohomology._partner_words, which hecke_matrix packs.  specialize_cocycle
-takes a family cocycle to Sym^(k-2) at weight k, family_preimage lifts
-back.  hecke_images and specialize_cocycle import cohomology when they
-run, so `pwl family` loads none of it.
+interface of cohomology.SymCoeffs (act_sums/rand) on windows of
+weight-space functions; act_sums reads out_width + tail_width(p, r)
+coordinates of each stored value and returns sums out_width wide.  A
+Cocycle holds values on the free generators, in either system.
+Cocycle._terms unrolls c(gh) = c(g) + g.c(h) along a word into terms
+(prefix matrix, generator, sign), each acting on a stored value, so no
+action is applied to the result of another.  Cocycle.eval sums one
+word's terms; hecke_images makes one batch per generator from the words
+of cohomology._partner_words (which hecke_matrix packs) and sums every
+batch in one act_sums call: in the family one kernel pass, which
+prepares each prefix matrix once and unpacks once per batch.
+specialize_cocycle takes a family cocycle to Sym^(k-2) at weight k,
+family_preimage lifts back.  hecke_images and specialize_cocycle import
+cohomology when they run, so `pwl family` loads none of it.
 """
 
 import math
-from operator import mul
+from operator import add, mul
 
 from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, InternalInconsistency, NotAdmissible,
@@ -201,7 +205,10 @@ def binom(n, m):
 
 
 def tail_width(p, r):
-    """Smallest t with t(p-2)/(p-1) >= r: later terms vanish mod p^r."""
+    """Smallest t with t(p-2)/(p-1) >= r: later terms vanish mod p^r.
+    There is none at p = 2: BadRange below 3."""
+    if p < 3:
+        raise BadRange(f"no tail at p = {p}: the weight action needs p >= 3")
     return -((-r * (p - 1)) // (p - 2))
 
 
@@ -346,22 +353,11 @@ class WeightFn:
     def zero(cls, p, r, d):
         return cls._raw(p, r, d, [[0] * d for _ in range(branch_count(p))])
 
-    def __add__(self, other):
-        self._compat(other)
-        M = self.p ** self.r
-        return WeightFn._raw(self.p, self.r, self.d,
-                             [[(x + y) % M for x, y in zip(a, b)]
-                              for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        M = self.p ** self.r
-        return WeightFn._raw(self.p, self.r, self.d,
-                             [[(x - y) % M for x, y in zip(a, b)]
-                              for a, b in zip(self.comps, other.comps)])
-
     def __mul__(self, other):
-        self._compat(other)
+        if (self.p, self.r, self.d) != (other.p, other.r, other.d):
+            raise PrecisionMismatch(
+                f"mod ({self.p}^{self.r}, X^{self.d}) vs "
+                f"mod ({other.p}^{other.r}, X^{other.d})")
         M = self.p ** self.r
         return WeightFn._raw(self.p, self.r, self.d,
                              [poly_mul(a, b, M)[:self.d]
@@ -371,12 +367,6 @@ class WeightFn:
         M = self.p ** self.r
         return WeightFn._raw(self.p, self.r, self.d,
                              [[x * k % M for x in c] for c in self.comps])
-
-    def _compat(self, other):
-        if (self.p, self.r, self.d) != (other.p, other.r, other.d):
-            raise PrecisionMismatch(
-                f"mod ({self.p}^{self.r}, X^{self.d}) vs "
-                f"mod ({other.p}^{other.r}, X^{other.d})")
 
     def __eq__(self, other):
         if not isinstance(other, WeightFn):
@@ -460,29 +450,33 @@ class SeqVec:
         return f"SeqVec(width={len(self.coords)}, mod {self.p}^{self.r})"
 
 
-def _act_window(mat, p, r, coords, base, scale):
-    """The weight action on windows of truncated series mod (p^r, X^dd).
+def _act_window(batches, windows, p, r, base, scale):
+    """Signed sums of the weight action on windows of truncated series
+    mod (p^r, X^dd): batch k, a list of terms (g, j, sign) with sign
+    +1 or -1, gives the window sum sign g.x_j, x_j = windows[j].
 
-    coords[j] is coordinate j: nz dd residues mod M = p^r, component-major,
-    so coords[j][z dd + k] is the X^k coefficient of its series x_(j,z) on
-    component z, at the weight kappa_z = base[z] + X (nz = len(base)).
-    Output coordinate i on component z is
+    windows[j][m] is coordinate m of x_j: nz dd residues mod M = p^r,
+    component-major, so windows[j][m][z dd + k] is the X^k coefficient of
+    its series x_(m,z) on component z, at the weight kappa_z = base[z] + X
+    (nz = len(base)); the windows share one width.  Output coordinate i
+    of g.x on component z is
       g_z sum_L (kappa_z - i)_L (c^L/L!) d^-(i+L) D_L(i)_z,
       D_L(i) = sum_h row_i[h] x_(h+L),  row_i[h] = C(i,h) a^h b^(i-h),
     with g = scale(d) and (x)_L = x (x - 1) ... (x - L + 1).  The monoid
     (p | c, d a unit) is checked before scale takes a power of d.  Only
     the live L, c^L/L! != 0 mod p^r, are summed: each is below
     tail = tail_width(p, r) (the _c_factors cut), and a dead term is 0 mod
-    (p^r, X^dd) (proof in the module docstring).  So output i reads x_j
-    only for j = h + L < i + tail, and a window of width = len(coords)
-    certifies its n = width - tail outputs; n < 1 raises WidthInsufficient.
-    Returns each output coordinate as its list of nz series.
+    (p^r, X^dd) (proof in the module docstring).  So output i reads x_m
+    only for m = h + L < i + tail, and a window of width w certifies its
+    n = w - tail outputs; n < 1 raises WidthInsufficient before any
+    matrix is checked.  Returns per batch its n output coordinates, each
+    as its list of nz series.
 
-    Packed layout: F_j = pack_row(coords[j], W) holds coordinate j in
-    W-bit fields.  A sum of packed ints adds field by field, so D_L(i), on
+    Packed layout: F_m = pack_row(x_m, W) holds coordinate m in W-bit
+    fields.  A sum of packed ints adds field by field, so D_L(i), on
     every component and degree at once, is the one int
-    sum(map(mul, row_i, F[L:])).  Only F_j with j < n + max(live L) <=
-    width - 1 are packed, since D_L(i) reads F_(h+L) with h <= i <= n - 1.
+    sum(map(mul, row_i, F[L:])).  Only F_m with m < n + max(live L) <=
+    w - 1 are packed, since D_L(i) reads F_(h+L) with h <= i <= n - 1.
     Row i + 1 comes from row i by Pascal's rule,
     row_(i+1)[h] = b row_i[h] + a row_i[h-1] mod M.  Each later stage runs
     over all i at once: one comprehension per live L, per (t, L) and per
@@ -490,9 +484,9 @@ def _act_window(mat, p, r, coords, base, scale):
 
     Vandermonde regrouping about s = base[0]:
       (kappa - i)_L = sum_t C(L,t) (kappa - s)_t (s - i)_(L-t),
-    so the output is sum_t G_(t,z) B_t(i) with the series
-      G_(t,z) = g_z (base[z] - s + X)_t,
-    built once per call, and the packed sums
+    so g.x is sum_t G_(t,z) B_t(i) with the series
+      G_(t,z) = g_z (base[z] - s + X)_t
+    and the packed sums
       B_t(i) = sum_(live L >= t) e_(t,L)(i) D_L(i),
       e_(t,L)(i) = C(L,t) (c^L/L!) d^-L (s - i)_(L-t) d^-i mod M,
     whose integer coefficients do not depend on z.  Only the t < max(live
@@ -501,7 +495,19 @@ def _act_window(mat, p, r, coords, base, scale):
     t >= 1, so T = 1 and each L costs one coefficient per i.)  Per
     (i, z), each kept t costs one product of the W-bit fields z dd ..
     z dd + dd - 1 of B_t(i) (a block) with packed G_(t,z); the low dd
-    fields of the sum over t are output i's series on component z.
+    fields of the sum over t, y_z(i), are output i of g.x on component z.
+
+    Sharing: the work of a term reads g only through its entries mod M
+    and x only through j.  So the monoid check, _c_factors, the live L,
+    e_(t,L), the Pascal rows and the falling factorials are made once
+    per distinct g mod M; scale(d) and the packed G_(t,z), which depend
+    only on d and max(live L), once per such pair; F once per window;
+    and D_L, B_t and the y_z(i) once per distinct (g mod M, j).  Each
+    y_z(i) is added, unreduced and whole, to the accumulators of every
+    term that uses it: per batch one accumulator sums its +1 terms and
+    one its -1 terms, a term listed m times adding m times.  Each
+    accumulator is unpacked once per (i, z), and the output is the
+    difference of the two, mod M.
 
     Field bound: nothing is reduced between packing and the last unpack,
     so W must hold every field exactly.  The coordinates (SeqVec and
@@ -510,80 +516,114 @@ def _act_window(mat, p, r, coords, base, scale):
     row_i[h] x, n the number of outputs, so it is at most
     n (M-1)^2; a field of B_t(i) sums at most |live L| of these times some
     e <= M - 1; field k of a block times G_(t,z) sums at most
-    min(k + 1, 2 dd - 1 - k) <= dd products, and the output adds T of
-    them.  So every field is at most
-      T dd (M-1) |live L| (M-1) n (M-1)^2 < 2^W,
+    min(k + 1, 2 dd - 1 - k) <= dd products, and y_z(i) adds T of them,
+    on all of its 2 dd - 1 fields.  An accumulator adds at most `most`
+    of these, most the largest number of terms in one batch.  So, with T
+    and |live L| the largest over the call's matrices, every field is at
+    most
+      most T dd (M-1) |live L| (M-1) n (M-1)^2 < 2^W,
     no field carries into the next, and each block, product and unpack
     reads exact integers.
     """
-    width, tail = len(coords), tail_width(p, r)
+    width, tail = len(windows[0]), tail_width(p, r)
     n = width - tail
     if n < 1:
         raise WidthInsufficient(
             f"{width} coordinates leave no output past a tail of {tail}")
-    a, b, c, d = _entries_mod(mat, p, r)
-    if c % p or d % p == 0:
-        raise NotAdmissible(
-            f"({a} {b}; {c} {d}) mod {p}^{r} is outside the monoid: "
-            f"need c = 0 and d a unit mod {p}")
     M = p ** r
     nz = len(base)
-    dd = len(coords[0]) // nz
-    dinv = pow(d, -1, M)
-    cf = _c_factors(c, width - 1, p, r)
-    live = [L for L in range(width) if cf[L]]
+    dd = len(windows[0][0]) // nz
     s = base[0]
-    g, kept = scale(d), []
-    for t in range(live[-1] + 1):  # g[z] = g_z (base[z] - s + X)_t
-        if t:
-            g = [[((bz - s - t + 1) * x + y) % M for x, y in zip(gz, [0] + gz)]
-                 for gz, bz in zip(g, base)]
-        if not any(map(any, g)):
-            break  # a zero G_t makes every later G_t zero
-        kept.append((t, g))
-    W = (len(kept) * dd * len(live) * n * (M - 1) ** 4).bit_length() or 1
-    # B_t(i) = sum over (k, u, q) in e[t] of q (s - i)_u d^-i D_(live[k])
-    e = [[(k, L - t, math.comb(L, t) * cf[L] * pow(dinv, L, M) % M)
-          for k, L in enumerate(live) if L >= t] for t, _ in kept]
-    G = [[pack_row(gz, W) for gz in gt] for _, gt in kept]
-    F = [pack_row(x, W) for x in coords[:n + live[-1]]]
-    rows = [[1]]  # row_i by Pascal's rule
-    for _ in range(n - 1):
-        row = rows[-1]
-        rows.append([(b * x + a * y) % M
-                     for x, y in zip(row + [0], [0] + row)])
-    D = [[sum(map(mul, row, FL)) for row in rows]
-         for FL in [F[L:] for L in live]]
-    fall = [[pow(dinv, i, M) for i in range(n)]]  # (s - i)_u d^-i
-    for u in range(live[-1]):
-        fall.append([f * (s - i - u) % M for i, f in enumerate(fall[-1])])
-    B = []
-    for et in e:
-        Bt = [0] * n
-        for k, u, q in et:
-            Bt = [y + q * f % M * x for y, f, x in zip(Bt, fall[u], D[k])]
-        B.append(Bt)
+    uses = {}  # (g mod M, j) -> (batch, is -1) per term
+    for k, batch in enumerate(batches):
+        for mat, j, sign in batch:
+            uses.setdefault((_entries_mod(mat, p, r), j), []).append(
+                (k, sign < 0))
+    plans, kept = {}, {}  # per g mod M; per (d, max live L) the kept G_t
+    for key, _ in uses:
+        if key in plans:
+            continue
+        a, b, c, d = key
+        if c % p or d % p == 0:
+            raise NotAdmissible(
+                f"({a} {b}; {c} {d}) mod {p}^{r} is outside the monoid: "
+                f"need c = 0 and d a unit mod {p}")
+        dinv = pow(d, -1, M)
+        cf = _c_factors(c, width - 1, p, r)
+        live = [L for L in range(width) if cf[L]]
+        dt = (d, live[-1])
+        if dt not in kept:
+            g, kept[dt] = scale(d), []
+            for t in range(live[-1] + 1):  # g[z] = g_z (base[z] - s + X)_t
+                if t:
+                    g = [[((bz - s - t + 1) * x + y) % M
+                          for x, y in zip(gz, [0] + gz)]
+                         for gz, bz in zip(g, base)]
+                if not any(map(any, g)):
+                    break  # a zero G_t makes every later G_t zero
+                kept[dt].append(g)
+        # B_t(i) = sum over (k, u, q) in e[t] of q (s - i)_u d^-i D_(live[k])
+        e = [[(k, L - t, math.comb(L, t) * cf[L] * pow(dinv, L, M) % M)
+              for k, L in enumerate(live) if L >= t]
+             for t in range(len(kept[dt]))]
+        rows = [[1]]  # row_i by Pascal's rule
+        for _ in range(n - 1):
+            row = rows[-1]
+            rows.append([(b * x + a * y) % M
+                         for x, y in zip(row + [0], [0] + row)])
+        fall = [[pow(dinv, i, M) for i in range(n)]]  # (s - i)_u d^-i
+        for u in range(live[-1]):
+            fall.append([f * (s - i - u) % M for i, f in enumerate(fall[-1])])
+        plans[key] = (live, e, rows, fall, dt)
+    most = max(map(len, batches), default=0)
+    T = max(map(len, kept.values()), default=0)
+    nL = max((len(plan[0]) for plan in plans.values()), default=0)
+    W = (most * T * dd * nL * n * (M - 1) ** 4).bit_length() or 1
+    G = {dt: [[pack_row(gz, W) for gz in gt] for gt in gs]
+         for dt, gs in kept.items()}
+    top = max((L for _, L in kept), default=0)
+    F = [[pack_row(x, W) for x in win[:n + top]] for win in windows]
+    acc = [[[[0] * n for _ in base] for _ in "+-"] for _ in batches]
     blk = (1 << (W * dd)) - 1
-    comps = []  # comps[z][i]: output i's series on component z
-    for z, sh in enumerate(range(0, W * dd * nz, W * dd)):
-        y = [0] * n
-        for Bt, Gt in zip(B, G):
-            gz = Gt[z]
-            y = [v + (x >> sh & blk) * gz for v, x in zip(y, Bt)]
-        comps.append([unpack_row(v, dd, W, M) for v in y])
-    return list(map(list, zip(*comps)))
+    for (key, j), where in uses.items():
+        live, e, rows, fall, dt = plans[key]
+        D = [[sum(map(mul, row, FL)) for row in rows]
+             for FL in [F[j][L:] for L in live]]
+        B = []
+        for et in e:
+            Bt = [0] * n
+            for k, u, q in et:
+                Bt = [y + q * f % M * x for y, f, x in zip(Bt, fall[u], D[k])]
+            B.append(Bt)
+        for z, sh in enumerate(range(0, W * dd * nz, W * dd)):
+            y = [0] * n
+            for Bt, Gt in zip(B, G[dt]):
+                gz = Gt[z]
+                y = [v + (x >> sh & blk) * gz for v, x in zip(y, Bt)]
+            for k, neg in where:
+                sums = acc[k][neg]
+                sums[z] = list(map(add, sums[z], y))
+    out = []
+    for pos, neg in acc:  # comps[z][i]: output i's series on component z
+        comps = [[[(u - v) % M for u, v in zip(unpack_row(x, dd, W, M),
+                                                unpack_row(y, dd, W, M))]
+                  for x, y in zip(xs, ys)] for xs, ys in zip(pos, neg)]
+        out.append(list(map(list, zip(*comps))))
+    return out
 
 
 def act_universal(mat, seq):
     """Apply the weight-chi action; uses up tail_width(p, r) coordinates.
 
-    _act_window on one component of constants (dd = 1) at the wild part w
-    of chi, scaled by d^chi, so the falling factorials are (w - i)_L.
+    One term of _act_window, on one component of constants (dd = 1) at
+    the wild part w of chi, scaled by d^chi, so the falling factorials
+    are (w - i)_L.
     Raises NotAdmissible outside the monoid, WidthInsufficient when short.
     """
     chi, p, r = seq.chi, seq.p, seq.r
-    out = _act_window(mat, p, r, [[x] for x in seq.coords], [chi.wild.res],
-                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]])
+    out = _act_window([[(mat, 0, 1)]], [[[x] for x in seq.coords]], p, r,
+                      [chi.wild.res],
+                      lambda d: [[eval_char(chi, PrecInt(p, r, d)).res]])[0]
     return SeqVec(chi, [x[0][0] for x in out])
 
 
@@ -648,25 +688,6 @@ class FamilyVec:
         self.p, self.r, self.d = p, r, d
         self.coords = list(coords)
 
-    @classmethod
-    def zero(cls, p, r, d, width):
-        return cls(p, r, d, [WeightFn.zero(p, r, d) for _ in range(width)])
-
-    def __add__(self, other):
-        return FamilyVec(self.p, self.r, self.d,
-                         [x + y for x, y in self._pairs(other)])
-
-    def __sub__(self, other):
-        return FamilyVec(self.p, self.r, self.d,
-                         [x - y for x, y in self._pairs(other)])
-
-    def _pairs(self, other):
-        """Coordinate pairs; DimensionMismatch unless the widths agree."""
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch(f"windows of width {len(self.coords)} "
-                                    f"and {len(other.coords)}")
-        return zip(self.coords, other.coords)
-
     def agrees(self, other, width):
         _check_widths(self, other, width)
         return all(x == y for x, y in
@@ -677,26 +698,30 @@ class FamilyVec:
                 f"mod ({self.p}^{self.r}, X^{self.d}))")
 
 
-def act_family(mat, fam):
-    """Apply the weight-minus-2 family action; uses up tail_width(p, r)
-    coordinates, whatever the series degree.
-
-    _act_window with one component per branch zeta, at the weight
+def _family_sums(batches, values, p, r, dd):
+    """_act_window with one component per branch zeta, at the weight
     zeta - 2 + X, scaled by char_series(d) d^-2: the factor d^(z - 2) in
-    the tautological weight z.  Each coordinate goes in as its branch
-    series laid end to end.
-    """
-    p, r, dd = fam.p, fam.r, fam.d
+    the tautological weight z.  values[j] is the coordinate list (of
+    WeightFn) of window j, and each coordinate goes in as its branch
+    series laid end to end.  Returns one FamilyVec per batch."""
     M = p ** r
 
     def scale(d):
         d2 = pow(d, -2, M)
         return [[x * d2 % M for x in g] for g in char_series(d, p, r, dd).comps]
 
-    out = _act_window(mat, p, r,
-                      [[x for c in f.comps for x in c] for f in fam.coords],
-                      range(-2, branch_count(p) - 2), scale)
-    return FamilyVec(p, r, dd, [WeightFn._raw(p, r, dd, coord) for coord in out])
+    windows = [[[x for c in f.comps for x in c] for f in coords]
+               for coords in values]
+    out = _act_window(batches, windows, p, r, range(-2, branch_count(p) - 2),
+                      scale)
+    return [FamilyVec(p, r, dd, [WeightFn._raw(p, r, dd, c) for c in win])
+            for win in out]
+
+
+def act_family(mat, fam):
+    """Apply the weight-minus-2 family action; uses up tail_width(p, r)
+    coordinates, whatever the series degree: one term of _family_sums."""
+    return _family_sums([[(mat, 0, 1)]], [fam.coords], fam.p, fam.r, fam.d)[0]
 
 
 def sp_vector(k, fam):
@@ -709,15 +734,17 @@ def sp_vector(k, fam):
 class FamilyCoeffs:
     """Windows of weight-space functions with the family action.
 
-    The one place that names an output width: act reads the first
-    out_width + tail_width(p, r) coordinates of a stored value (fewer
-    raise WidthInsufficient) and returns out_width.  Cocycle._fold and
-    hecke_images act once on each stored value, and zero() is out_width
-    wide, so their results are out_width wide: a second action raises.
+    The one place that names an output width: act_sums reads the first
+    out_width + tail_width(p, r) coordinates of every value (fewer raise
+    WidthInsufficient, before any matrix is checked) and returns sums
+    out_width wide.  Cocycle.eval and hecke_images act on stored values,
+    so their results are out_width wide: a second action raises.
     """
 
     def __init__(self, p, r, d, out_width, stored_width):
         _check_modulus(p, r)
+        if out_width < 1:
+            raise BadRange(f"out width {out_width} is below 1")
         if stored_width < out_width:
             raise WidthInsufficient(
                 f"stored width {stored_width} is below out width {out_width}")
@@ -725,15 +752,16 @@ class FamilyCoeffs:
         self.out_width = out_width
         self.stored_width = stored_width
 
-    def zero(self):
-        return FamilyVec.zero(self.p, self.r, self.d, self.out_width)
-
-    def act(self, mat, x):
+    def act_sums(self, batches, values):
+        """Per batch of terms (g, j, sign), the sum of sign g.values[j]:
+        one kernel call for every batch."""
         w = self.out_width + tail_width(self.p, self.r)
-        if len(x.coords) < w:
+        short = min(len(x.coords) for x in values)
+        if short < w:
             raise WidthInsufficient(
-                f"a stored value needs {w} coordinates, has {len(x.coords)}")
-        return act_family(mat, FamilyVec(self.p, self.r, self.d, x.coords[:w]))
+                f"a stored value needs {w} coordinates, has {short}")
+        return _family_sums(batches, [x.coords[:w] for x in values],
+                            self.p, self.r, self.d)
 
     def rand(self, rng):
         M = self.p ** self.r
@@ -762,34 +790,27 @@ class Cocycle:
     def random(cls, coeffs, basis, rng):
         return cls(coeffs, basis, [coeffs.rand(rng) for _ in range(basis.rank())])
 
-    def __add__(self, other):
-        return Cocycle(self.coeffs, self.basis,
-                       [x + y for x, y in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return Cocycle(self.coeffs, self.basis,
-                       [x - y for x, y in zip(self.values, other.values)])
-
     def eval(self, target):
-        """Value on a group element (IntMat): its rewritten word folded
-        from the identity."""
-        return self._fold(self.basis.express(target), IntMat.identity())
+        """Value on a group element (IntMat): one sum over the letters of
+        its rewritten word, from the identity."""
+        terms = self._terms(self.basis.express(target), IntMat.identity())
+        return self.coeffs.act_sums([terms], self.values)[0]
 
-    def _fold(self, word, cur):
-        """cur.c(w) for the group element w that `word` spells, folding
-        c(gh) = c(g) + g.c(h) letter by letter with the prefix matrix
-        starting at cur: one coefficient action per letter."""
-        val = self.coeffs.zero()
+    def _terms(self, word, cur):
+        """cur.c(w) for the group element w that `word` spells, as terms
+        (prefix matrix, value index, sign) of c(gh) = c(g) + g.c(h), the
+        prefix starting at cur: g_j adds +prefix.c(g_j), and g_j^-1 adds
+        -(prefix g_j^-1).c(g_j)."""
+        terms = []
         for k in word:
+            g = self.basis.gens[abs(k) - 1]
             if k > 0:
-                g = self.basis.gens[k - 1]
-                val += self.coeffs.act(cur, self.values[k - 1])
+                terms.append((cur, k - 1, 1))
                 cur = cur * g
             else:
-                g = self.basis.gens[-k - 1]
                 cur = cur * g.inverse()
-                val -= self.coeffs.act(cur, self.values[-k - 1])
-        return val
+                terms.append((cur, -k - 1, -1))
+        return terms
 
     def stacked_coords(self):
         out = []
@@ -799,17 +820,15 @@ class Cocycle:
 
 
 def hecke_images(cocycle, reps):
-    """Value-level double-coset operator: new cocycle on the generators."""
-    coeffs = cocycle.coeffs
+    """Value-level double-coset operator: new cocycle on the generators,
+    one batch of terms per generator, from every rep's partner word, and
+    one act_sums call for them all."""
     from .cohomology import _partner_words
     adjs, words = _partner_words(cocycle.basis, reps)
-    out = []
-    for gen_words in words:
-        val = coeffs.zero()
-        for adj, word in zip(adjs, gen_words):
-            val += cocycle._fold(word, adj)
-        out.append(val)
-    return Cocycle(coeffs, cocycle.basis, out)
+    batches = [[t for adj, word in zip(adjs, gen_words)
+                for t in cocycle._terms(word, adj)] for gen_words in words]
+    return Cocycle(cocycle.coeffs, cocycle.basis,
+                   cocycle.coeffs.act_sums(batches, cocycle.values))
 
 
 def specialize_cocycle(k, cocycle):

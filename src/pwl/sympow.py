@@ -12,7 +12,7 @@ the weight (SeqVec, the window kernel _act_window, specialize and
 congr_project) lives in pwl.iwasawa.
 """
 
-from .errors import BadRange, DimensionMismatch, PrecisionMismatch
+from .errors import BadRange, DimensionMismatch
 from .linalg import mat_vec, unpack_row
 from .padic import _check_modulus
 
@@ -37,24 +37,6 @@ class SymVec:
         self.p, self.r, self.n = p, r, n
         M = p ** r
         self.coords = [c % M for c in coords]
-
-    def _compat(self, other):
-        if self.p != other.p:
-            raise PrecisionMismatch(f"primes differ: {self.p} vs {other.p}")
-        if self.n != other.n:
-            raise DimensionMismatch(f"degrees differ: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        self._compat(other)
-        r = min(self.r, other.r)
-        return SymVec(self.p, r, self.n,
-                      [x + y for x, y in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        r = min(self.r, other.r)
-        return SymVec(self.p, r, self.n,
-                      [x - y for x, y in zip(self.coords, other.coords)])
 
     def reduce(self, r2):
         if not 1 <= r2 <= self.r:

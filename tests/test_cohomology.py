@@ -12,12 +12,12 @@ from pwl.cohomology import (SymCoeffs, _coset_index, _coset_partner,
                             _gamma1_quotient, diamond_rep, h1, hecke_matrix,
                             t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                        NotAUnit, NotCoprime, NotFreeModule,
+                        NotAdmissible, NotAUnit, NotCoprime, NotFreeModule,
                         WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
-from pwl.iwasawa import (Cocycle, FamilyCoeffs, WeightFn, act_family,
-                         family_preimage, hecke_images, specialize_cocycle,
-                         tail_width)
+from pwl.iwasawa import (Cocycle, FamilyCoeffs, FamilyVec, WeightFn,
+                         act_family, branch_count, family_preimage,
+                         hecke_images, specialize_cocycle, tail_width)
 from pwl.linalg import mat_mul, mat_vec
 from pwl.matrices import IntMat
 from pwl.sympow import SymVec
@@ -25,8 +25,18 @@ from pwl.verify import rand_monoid_mat
 
 
 def coboundary(coeffs, basis, b):
-    """The cocycle g -> g.b - b."""
-    return Cocycle(coeffs, basis, [coeffs.act(g, b) - b for g in basis.gens])
+    """The cocycle g -> g.b - b, as one signed sum per generator."""
+    batches = [[(g, 0, 1), (IntMat.identity(), 0, -1)] for g in basis.gens]
+    return Cocycle(coeffs, basis, coeffs.act_sums(batches, [b]))
+
+
+def combine(c1, c2, sign):
+    """c1 + sign c2 for cocycles with Sym^n values."""
+    co = c1.coeffs
+    return Cocycle(co, c1.basis, [
+        SymVec(co.p, co.r, co.n,
+               [x + sign * y for x, y in zip(u.coords, v.coords)])
+        for u, v in zip(c1.values, c2.values)])
 
 
 def rand_word_matrix(rng, basis, max_len=6):
@@ -501,16 +511,19 @@ def test_eval_twisted_homomorphism():
         w1 = rand_word_matrix(rng, fb)
         w2 = rand_word_matrix(rng, fb)
         lhs = c.eval(w1 * w2)
-        rhs = c.eval(w1) + co.act(w1, c.eval(w2))
+        M = co.p ** co.r
+        rhs = SymVec(co.p, co.r, co.n, [
+            x + y for x, y in zip(c.eval(w1).coords, mat_vec(
+                co.act_matrix(w1), c.eval(w2).coords, M))])
         assert co.eq(lhs, rhs)
-        assert co.eq(c.eval(IntMat.identity()), co.zero())
+        assert co.eq(c.eval(IntMat.identity()), SymVec(3, 4, 2, [0, 0, 0]))
 
 
 def test_cocycle_rejects_wrong_value_count(monkeypatch):
     fb = free_basis(7)
     co = SymCoeffs(5, 2, 1)
     with pytest.raises(DimensionMismatch):
-        Cocycle(co, fb, [co.zero()] * (fb.rank() - 1))
+        Cocycle(co, fb, [SymVec(5, 2, 1, [0, 0])] * (fb.rank() - 1))
     # a basis whose rank disagrees with its generator list
     monkeypatch.setattr(FreeBasisData, "rank", lambda self: len(self.gens) + 1)
     with pytest.raises(DimensionMismatch):
@@ -527,7 +540,7 @@ def test_coboundaries_vanish_in_h1():
         cob = coboundary(co, fb, b)
         assert all(x == 0 for x in pres.class_coords(cob))
         c = Cocycle.random(co, fb, rng)
-        assert pres.class_coords(c) == pres.class_coords(c + cob)
+        assert pres.class_coords(c) == pres.class_coords(combine(c, cob, 1))
 
 
 def test_class_coords_detect_coboundaries():
@@ -540,7 +553,7 @@ def test_class_coords_detect_coboundaries():
         c1 = Cocycle.random(co, fb, rng)
         c2 = Cocycle.random(co, fb, rng)
         same = pres.class_coords(c1) == pres.class_coords(c2)
-        diff = (c1 - c2).stacked_coords()
+        diff = combine(c1, c2, -1).stacked_coords()
         solvable = pres.sf.solve(diff) is not None
         assert same == solvable
         hits += 0 if same else 1
@@ -731,13 +744,158 @@ def test_family_action_returns_out_width():
             assert all(WeightFn(p, r, d, f.comps).comps == f.comps
                        for f in x.coords)
             for m in (rand_monoid_mat(rng, p, r), rand_word_matrix(rng, fb)):
-                got = co.act(m, x)
+                got, = co.act_sums([[(m, 0, 1)]], [x])
                 assert len(got.coords) == out
                 assert [f.comps for f in got.coords] == [
                     f.comps for f in act_family(m, x).coords[:out]]
     co = FamilyCoeffs(p, r, d, out, out + tail - 1)
     with pytest.raises(WidthInsufficient):
-        co.act(IntMat.identity(), co.rand(rng))
+        co.act_sums([[(IntMat.identity(), 0, 1)]], [co.rand(rng)])
+
+
+def flat(co, v):
+    """A value's residues: Sym^n coordinates, or every branch series of
+    every family coordinate laid end to end."""
+    if isinstance(co, SymCoeffs):
+        return list(v.coords)
+    return [x for f in v.coords for comp in f.comps for x in comp]
+
+
+def act_one(co, g, v):
+    """g.v, flat, by one act_family on the window one action reads, or by
+    mat_vec of act_matrix."""
+    if isinstance(co, SymCoeffs):
+        return mat_vec(co.act_matrix(g), v.coords, co.p ** co.r)
+    w = co.out_width + tail_width(co.p, co.r)
+    return flat(co, act_family(g, FamilyVec(co.p, co.r, co.d, v.coords[:w])))
+
+
+def fold_images(c, reps):
+    """hecke_images letter by letter: c(gh) = c(g) + g.c(h) along each
+    partner word from adj(A), one action per letter, each partial sum
+    reduced mod p^r."""
+    co, basis = c.coeffs, c.basis
+    M = co.p ** co.r
+    adjs, words = cohomology._partner_words(basis, reps)
+    out = []
+    for gen_words in words:
+        total = [0] * len(act_one(co, IntMat.identity(), c.values[0]))
+        for cur, word in zip(adjs, gen_words):
+            for k in word:
+                g, v = basis.gens[abs(k) - 1], c.values[abs(k) - 1]
+                if k < 0:
+                    cur = cur * g.inverse()
+                sign = 1 if k > 0 else -1
+                total = [(x + sign * y) % M
+                         for x, y in zip(total, act_one(co, cur, v))]
+                if k > 0:
+                    cur = cur * g
+        out.append(total)
+    return out
+
+
+# (N, p, ell): ell = p and ell prime to N; the family needs p | N (its
+# monoid has p | c), Sym^n runs every case
+BATCH_CASES = [(9, 3, 3), (9, 3, 2), (10, 5, 5), (10, 5, 3), (12, 3, 3),
+               (12, 3, 5), (15, 3, 3), (15, 5, 2), (9, 5, 2), (12, 5, 5)]
+
+
+@pytest.mark.parametrize("N, p, ell", BATCH_CASES)
+def test_hecke_images_match_the_per_letter_fold(N, p, ell):
+    fb = free_basis(N)
+    reps = t_ell_reps(ell, fb)
+    systems = [SymCoeffs(p, 3, 2), SymCoeffs(p, 2, 1, (0, 1, p ** 2 - 1))]
+    if N % p == 0:
+        r = 3 if p == 3 else 2
+        systems.append(FamilyCoeffs(p, r, 2, 2, 2 + tail_width(p, r) + 1))
+    for co in systems:
+        for seed in (1, 2):
+            c = Cocycle.random(co, fb, random.Random(N * 100 + seed))
+            got = [flat(co, v) for v in hecke_images(c, reps).values]
+            assert got == fold_images(c, reps)
+
+
+@pytest.mark.parametrize("N, p", [(9, 3), (10, 5)])
+def test_hecke_images_field_bound_stress(N, p):
+    # every stored residue is M - 1, through the operator's largest batch,
+    # and one batch of 64 copies of a term whose matrix has a = b = d = -1
+    # mod p^r and v_p(c) = 1 (the widest set of live L)
+    r, d = 2, 2
+    M = p ** r
+    fb = free_basis(N)
+    co = FamilyCoeffs(p, r, d, 3, 3 + tail_width(p, r))
+    top = WeightFn(p, r, d, [[M - 1] * d for _ in range(branch_count(p))])
+    c = Cocycle(co, fb, [FamilyVec(p, r, d, [top] * co.stored_width)]
+                * fb.rank())
+    reps = t_ell_reps(p, fb)
+    got = [flat(co, v) for v in hecke_images(c, reps).values]
+    assert got == fold_images(c, reps)
+    mat = IntMat(2 * M - 1, M - 1, p, M - 1)
+    one = act_one(co, mat, c.values[0])
+    many, = co.act_sums([[(mat, 0, 1)] * 64], c.values[:1])
+    assert flat(co, many) == [64 * x % M for x in one]
+
+
+def test_act_sums_shares_repeated_terms():
+    # a (matrix, value) pair twice in one batch and again in another,
+    # with both signs, and an empty batch
+    p, r, d = 3, 3, 2
+    M = p ** r
+    rng = random.Random(31)
+    co = FamilyCoeffs(p, r, d, 3, 3 + tail_width(p, r))
+    values = [co.rand(rng) for _ in range(3)]
+    g, h = rand_monoid_mat(rng, p, r), rand_monoid_mat(rng, p, r)
+    batches = [[(g, 0, 1), (h, 1, -1), (g, 0, 1)],
+               [(g, 0, -1), (g, 2, 1), (h, 1, -1)], []]
+    got = co.act_sums(batches, values)
+    assert len(got) == 3
+    for batch, out in zip(batches, got):
+        want = [0] * (3 * branch_count(p) * d)
+        for mat, j, sign in batch:
+            want = [(x + sign * y) % M
+                    for x, y in zip(want, act_one(co, mat, values[j]))]
+        assert flat(co, out) == want
+    sym = SymCoeffs(p, r, 2)
+    svals = [sym.rand(rng) for _ in range(3)]
+    for batch, out in zip(batches, sym.act_sums(batches, svals)):
+        want = [0, 0, 0]
+        for mat, j, sign in batch:
+            want = [(x + sign * y) % M
+                    for x, y in zip(want, act_one(sym, mat, svals[j]))]
+        assert out.coords == want
+
+
+def test_family_empty_words_and_reps_give_zero():
+    # the identity's empty word and the operator with no reps sum no terms
+    p, r, d, out = 3, 3, 2, 2
+    fb = free_basis(9)
+    co = FamilyCoeffs(p, r, d, out, out + tail_width(p, r))
+    c = Cocycle.random(co, fb, random.Random(37))
+    zero = [0] * (out * branch_count(p) * d)
+    assert flat(co, c.eval(IntMat.identity())) == zero
+    img = hecke_images(c, [])
+    assert [flat(co, v) for v in img.values] == [zero] * fb.rank()
+
+
+def test_act_sums_checks_width_before_the_monoid():
+    # a value too short for one action raises WidthInsufficient even when a
+    # matrix is outside the monoid; with the width, NotAdmissible
+    p, r, d = 3, 2, 2
+    co = FamilyCoeffs(p, r, d, 2, 2 + tail_width(p, r))
+    rng = random.Random(41)
+    good, short = co.rand(rng), FamilyVec(p, r, d, co.rand(rng).coords[:3])
+    bad = IntMat(1, 0, 1, 1)
+    with pytest.raises(WidthInsufficient):
+        co.act_sums([[(bad, 0, 1)]], [good, short])
+    with pytest.raises(NotAdmissible):
+        co.act_sums([[(IntMat.identity(), 0, 1)], [(bad, 1, -1)]],
+                    [good, good])
+
+
+@pytest.mark.parametrize("out_width", (0, -1))
+def test_family_coeffs_rejects_no_output(out_width):
+    with pytest.raises(BadRange):
+        FamilyCoeffs(3, 4, 4, out_width, 8)
 
 
 def test_family_operator_values_are_out_width():
@@ -749,9 +907,10 @@ def test_family_operator_values_are_out_width():
     img = hecke_images(Cocycle.random(co, fb, random.Random(23)),
                        t_ell_reps(3, fb))
     assert [len(v.coords) for v in img.values] == [out] * fb.rank()
-    assert len(co.zero().coords) == out
+    zero, = co.act_sums([[]], [co.rand(random.Random(24))])
+    assert len(zero.coords) == out
     with pytest.raises(WidthInsufficient):
-        co.act(fb.gens[0], img.values[0])
+        co.act_sums([[(fb.gens[0], 0, 1)]], [img.values[0]])
 
 
 def test_family_preimage_round_trip():
@@ -813,7 +972,8 @@ def test_specialize_cocycle_rejects_negative_degree():
     # weight k < 2 would be Sym^(k - 2) of negative degree
     fb = free_basis(9)
     co = FamilyCoeffs(3, 2, 2, 1, 1)
-    c_fam = Cocycle(co, fb, [co.zero()] * fb.rank())
+    c_fam = Cocycle(co, fb, [FamilyVec(3, 2, 2, [WeightFn.zero(3, 2, 2)])]
+                    * fb.rank())
     for k in (1, 0):
         with pytest.raises(BadRange):
             specialize_cocycle(k, c_fam)

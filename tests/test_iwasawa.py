@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwl.errors import (DimensionMismatch, NotAdmissible, NotAUnit,
-                        PrecisionMismatch, WidthInsufficient)
+from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible,
+                        NotAUnit, PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
                          act_family, act_universal, branch_count, char_series,
                          eval_char, family_tail, sp_k, sp_vector, tail_width)
@@ -27,6 +27,12 @@ def const_fn(value, p, r, d):
     """The constant function value on every branch."""
     return WeightFn(p, r, d, [[value] + [0] * (d - 1)
                               for _ in range(branch_count(p))])
+
+
+def fn_add(f, g):
+    """f + g, coefficientwise, for weight functions mod one (p^r, X^d)."""
+    return WeightFn(f.p, f.r, f.d, [[x + y for x, y in zip(a, b)]
+                                    for a, b in zip(f.comps, g.comps)])
 
 
 def rand_fam(rng, p, r, d, width):
@@ -80,7 +86,7 @@ def ref_act_family(mat, fam):
                 for zeta in range(nb):
                     for k in range(dd):
                         Q[zeta][k] = (Q[zeta][k] + scal * PL[zeta][k]) % M
-            S = S + WeightFn(p, r, dd, Q) * fam.coords[j]
+            S = fn_add(S, WeightFn(p, r, dd, Q) * fam.coords[j])
         out.append(G * S)
     return out
 
@@ -203,7 +209,7 @@ def test_branch_idempotents():
     total = WeightFn.zero(p, r, d)
     for i, e in enumerate(es):
         assert e * e == e
-        total = total + e
+        total = fn_add(total, e)
         for j, f in enumerate(es):
             if i != j:
                 assert e * f == WeightFn.zero(p, r, d)
@@ -267,7 +273,7 @@ def test_specialization_is_ring_hom():
         g = rand_fn(rng, p, r, d)
         for k in (0, 2, 5, 9):
             assert sp_k(k, f * g) == sp_k(k, f) * sp_k(k, g)
-            assert sp_k(k, f + g) == sp_k(k, f) + sp_k(k, g)
+            assert sp_k(k, fn_add(f, g)) == sp_k(k, f) + sp_k(k, g)
 
 
 def test_act_identity():
@@ -305,7 +311,7 @@ def test_act_up_shape_closed_form():
             rhs = WeightFn.zero(p, r, d)
             for j in range(i + 1):
                 scal = math.comb(i, j) * pow(p, j, M) * pow(-theta, i - j, M)
-                rhs = rhs + fam.coords[j].scale(scal)
+                rhs = fn_add(rhs, fam.coords[j].scale(scal))
             assert out.coords[i] == rhs
 
 
@@ -317,7 +323,7 @@ def test_act_unipotent_closed_form():
     for i in range(len(out.coords)):
         rhs = WeightFn.zero(p, r, d)
         for j in range(i + 1):
-            rhs = rhs + fam.coords[j].scale(math.comb(i, j))
+            rhs = fn_add(rhs, fam.coords[j].scale(math.comb(i, j)))
         assert out.coords[i] == rhs
 
 
@@ -336,7 +342,7 @@ def test_act_width_guard():
 def test_act_outside_monoid():
     # p must divide c and not d; (1 0; 1 1) used to raise a raw ValueError
     p, r, d = 3, 2, 2
-    fam = FamilyVec.zero(p, r, d, 1 + tail_width(p, r))
+    fam = FamilyVec(p, r, d, [WeightFn.zero(p, r, d)] * (1 + tail_width(p, r)))
     for mat in (IntMat(1, 0, 1, 1), IntMat(1, 0, 3, 6)):
         with pytest.raises(NotAdmissible):
             act_family(mat, fam)
@@ -377,6 +383,15 @@ def test_family_tail_does_not_depend_on_degree(p):
             assert_same_residues(act_family(mat, short), want)
 
 
+def test_tail_width_needs_an_odd_prime():
+    # t(p - 2)/(p - 1) >= r has no solution at p = 2: a typed error, not a
+    # bare ZeroDivisionError; p = 3 is the first prime with a tail
+    for r in (1, 4):
+        with pytest.raises(BadRange):
+            tail_width(2, r)
+    assert tail_width(3, 4) == 8 and tail_width(5, 2) == 3
+
+
 def test_family_vec_agrees_rejects_vacuous_widths():
     p, r, d = 3, 2, 2
     one = FamilyVec(p, r, d, [const_fn(1, p, r, d)])
@@ -387,18 +402,6 @@ def test_family_vec_agrees_rejects_vacuous_widths():
             one.agrees(two, width)
         with pytest.raises(WidthInsufficient):
             two.agrees(one, width)
-
-
-def test_family_vec_sum_rejects_unequal_widths():
-    rng = random.Random(41)
-    p, r, d = 3, 2, 2
-    five, three = rand_fam(rng, p, r, d, 5), rand_fam(rng, p, r, d, 3)
-    for x, y in ((five, three), (three, five)):
-        with pytest.raises(DimensionMismatch):
-            x + y
-        with pytest.raises(DimensionMismatch):
-            x - y
-    assert len((five + five).coords) == len((five - five).coords) == 5
 
 
 def test_family_tail_values():
@@ -415,7 +418,7 @@ def test_weight_fn_shape_guard():
 
 
 def test_weight_fn_arithmetic_is_reduced():
-    # +, -, scaling and act_family build their results without
+    # scaling, products and act_family build their results without
     # the public constructor; each must hold the residues it would give
     rng = random.Random(31)
     p, r, d = 3, 3, 3
@@ -423,11 +426,7 @@ def test_weight_fn_arithmetic_is_reduced():
     for _ in range(10):
         f, g = rand_fn(rng, p, r, d), rand_fn(rng, p, r, d)
         k = rng.randrange(-5 * M, 5 * M)
-        for got, raw in ((f + g, [[x + y for x, y in zip(a, b)]
-                                  for a, b in zip(f.comps, g.comps)]),
-                         (f - g, [[x - y for x, y in zip(a, b)]
-                                  for a, b in zip(f.comps, g.comps)]),
-                         (f.scale(k), [[x * k for x in a] for a in f.comps]),
+        for got, raw in ((f.scale(k), [[x * k for x in a] for a in f.comps]),
                          (f * g, (f * g).comps)):
             assert got.comps == WeightFn(p, r, d, raw).comps
     mat = IntMat(2 + M, 5, 3, 4)  # a lifted: 2 * 4 - 5 * 3 < 0
@@ -441,8 +440,6 @@ def test_weight_fn_precision_guard():
     f = const_fn(1, 3, 2, 2)
     for g in (const_fn(1, 3, 3, 2), const_fn(1, 3, 2, 3),
               const_fn(1, 5, 2, 2)):
-        with pytest.raises(PrecisionMismatch):
-            f + g
         with pytest.raises(PrecisionMismatch):
             f * g
 

@@ -53,10 +53,6 @@ ALLOWED = {
     "family_preimage": "acceptance criterion 14 lifts Sym^n cocycles with it",
     "Cocycle.eval": "the tests' oracle for a cocycle's value on a group "
                     "element",
-    "Cocycle.__add__": "the tests' oracle for the linearity of Hecke images "
-                       "and class maps",
-    "Cocycle.__sub__": "the tests' oracle for the linearity of Hecke images "
-                       "and class maps",
     "Cocycle.stacked_coords": "the stacked coordinates the class-map tests "
                               "read",
     "H1Presentation.class_coords": "the class map the H^1 tests check "

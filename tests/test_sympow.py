@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwl.errors import (BadRange, BadWeight, CongruenceViolated,
-                        DimensionMismatch, NotAdmissible, PrecisionMismatch,
-                        WidthInsufficient)
+                        DimensionMismatch, NotAdmissible, WidthInsufficient)
 from pwl.linalg import mat_mul
 from pwl.matrices import IntMat
 from pwl.iwasawa import (
@@ -402,20 +401,6 @@ class TestTypedErrors:
     def test_symvec_length(self):
         with pytest.raises(DimensionMismatch):
             SymVec(3, 2, 2, [0, 0])
-
-    def test_symvec_degree_mismatch(self):
-        u, v = SymVec(3, 2, 1, [1, 2]), SymVec(3, 2, 2, [1, 2, 3])
-        with pytest.raises(DimensionMismatch):
-            u + v
-        with pytest.raises(DimensionMismatch):
-            u - v
-
-    def test_symvec_prime_mismatch(self):
-        u, v = SymVec(3, 2, 1, [1, 2]), SymVec(5, 2, 1, [1, 2])
-        with pytest.raises(PrecisionMismatch):
-            u + v
-        with pytest.raises(PrecisionMismatch):
-            u - v
 
     def test_symvec_reduce_range(self):
         v = SymVec(3, 2, 1, [1, 2])
