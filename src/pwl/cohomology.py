@@ -25,11 +25,10 @@ the least over x in H of the bottom rows mod N of x B E^-1, one dict
 holds the key of every rep, and one exact coset test _gamma1_quotient
 confirms the match.  A translate with no rep, or two reps of one coset,
 raises.  The operator value (A c)(g) = sum_theta adj(A_theta).c(gamma_theta)
-uses the main involution (adjugate) on the left.  One walk,
-_partner_words, rewrites each partner word gamma_theta, which
-iwasawa.hecke_images sums and hecke_matrix packs: it assembles the
-operator as a matrix on stacked generator values in one pass over the
-rewritten words.  It writes each rep's start act_matrix(adj A) as L Y0
+uses the main involution (adjugate) on the left.  One walk, _partner_words,
+rewrites each partner word gamma_theta, which iwasawa.hecke_images sums
+and hecke_matrix packs into the operator's matrix on stacked generator
+values in one pass.  It writes each rep's start act_matrix(adj A) as L Y0
 through its k nonzero columns or rows, k <= min(r, n + 1) for every T_p
 rep (Sym^n contracts mod p^r under adj A), and carries along a word only
 the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
@@ -99,6 +98,8 @@ class SymCoeffs:
 
     def act_sums(self, batches, values):
         """Per batch of terms (g, j, sign), sum sign g.values[j]."""
+        if any(v.n != self.n for v in values):
+            raise DimensionMismatch(f"a value is not of degree {self.n}")
         S = {g: self.act_matrix(g) for g in {t[0] for b in batches for t in b}}
         return [SymVec(self.p, self.r, self.n, [
             sum(sign * sum(map(mul, S[g][i], values[j].coords))

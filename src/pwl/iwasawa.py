@@ -69,16 +69,14 @@ interface of cohomology.SymCoeffs (act_sums/rand) on windows of
 weight-space functions; act_sums reads out_width + tail_width(p, r)
 coordinates of each stored value and returns sums out_width wide.  A
 Cocycle holds values on the free generators, in either system.
-Cocycle._terms unrolls c(gh) = c(g) + g.c(h) along a word into terms
-(prefix matrix, generator, sign), each acting on a stored value, so no
-action is applied to the result of another.  Cocycle.eval sums one
-word's terms; hecke_images makes one batch per generator from the words
-of cohomology._partner_words (which hecke_matrix packs) and sums every
-batch in one act_sums call: in the family one kernel pass, which
-prepares each prefix matrix once and unpacks once per batch.
-specialize_cocycle takes a family cocycle to Sym^(k-2) at weight k,
-family_preimage lifts back.  hecke_images and specialize_cocycle import
-cohomology when they run, so `pwl family` loads none of it.
+Cocycle._terms unrolls c(gh) = c(g) + g.c(h) along a word into signed
+terms, each acting on a stored value, so no action is applied to the
+result of another.  Cocycle.eval sums one word's terms, and hecke_images
+one batch per generator of the words of cohomology._partner_words (which
+hecke_matrix packs), all in one act_sums call.  specialize_cocycle
+takes a family cocycle to Sym^(k-2) at weight k, family_preimage lifts
+back.  hecke_images and specialize_cocycle import cohomology when they
+run, so `pwl family` loads none of it.
 """
 
 import math
@@ -698,20 +696,20 @@ class FamilyVec:
                 f"mod ({self.p}^{self.r}, X^{self.d}))")
 
 
-def _family_sums(batches, values, p, r, dd):
-    """_act_window with one component per branch zeta, at the weight
-    zeta - 2 + X, scaled by char_series(d) d^-2: the factor d^(z - 2) in
-    the tautological weight z.  values[j] is the coordinate list (of
-    WeightFn) of window j, and each coordinate goes in as its branch
-    series laid end to end.  Returns one FamilyVec per batch."""
+def _family_sums(batches, values):
+    """_act_window on FamilyVecs of one (p, r, d), one component per
+    branch zeta, at the weight zeta - 2 + X, scaled by char_series(d)
+    d^-2: the factor d^(z - 2) in the tautological weight z.  Each
+    coordinate goes in as its branch series laid end to end."""
+    p, r, dd = values[0].p, values[0].r, values[0].d
     M = p ** r
 
     def scale(d):
         d2 = pow(d, -2, M)
         return [[x * d2 % M for x in g] for g in char_series(d, p, r, dd).comps]
 
-    windows = [[[x for c in f.comps for x in c] for f in coords]
-               for coords in values]
+    windows = [[[x for c in f.comps for x in c] for f in v.coords]
+               for v in values]
     out = _act_window(batches, windows, p, r, range(-2, branch_count(p) - 2),
                       scale)
     return [FamilyVec(p, r, dd, [WeightFn._raw(p, r, dd, c) for c in win])
@@ -721,7 +719,7 @@ def _family_sums(batches, values, p, r, dd):
 def act_family(mat, fam):
     """Apply the weight-minus-2 family action; uses up tail_width(p, r)
     coordinates, whatever the series degree: one term of _family_sums."""
-    return _family_sums([[(mat, 0, 1)]], [fam.coords], fam.p, fam.r, fam.d)[0]
+    return _family_sums([[(mat, 0, 1)]], [fam])[0]
 
 
 def sp_vector(k, fam):
@@ -760,8 +758,9 @@ class FamilyCoeffs:
         if short < w:
             raise WidthInsufficient(
                 f"a stored value needs {w} coordinates, has {short}")
-        return _family_sums(batches, [x.coords[:w] for x in values],
-                            self.p, self.r, self.d)
+        # FamilyVec checks that each coordinate is mod (p^r, X^d)
+        return _family_sums(batches, [FamilyVec(self.p, self.r, self.d,
+                                                x.coords[:w]) for x in values])
 
     def rand(self, rng):
         M = self.p ** self.r

@@ -13,7 +13,7 @@ from pwl.cohomology import (SymCoeffs, _coset_index, _coset_partner,
                             t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotAdmissible, NotAUnit, NotCoprime, NotFreeModule,
-                        WidthInsufficient)
+                        PrecisionMismatch, WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
 from pwl.iwasawa import (Cocycle, FamilyCoeffs, FamilyVec, WeightFn,
                          act_family, branch_count, family_preimage,
@@ -890,6 +890,18 @@ def test_act_sums_checks_width_before_the_monoid():
     with pytest.raises(NotAdmissible):
         co.act_sums([[(IntMat.identity(), 0, 1)], [(bad, 1, -1)]],
                     [good, good])
+
+
+def test_act_sums_check_their_values():
+    # a Sym^n value of another degree, or a family value whose coordinates
+    # are mod another (p^r, X^d), raises rather than being read as if it fit
+    one = [(IntMat.identity(), 0, 1)]
+    with pytest.raises(DimensionMismatch):
+        SymCoeffs(3, 2, 2).act_sums([one], [SymVec(3, 2, 1, [1, 2])])
+    co = FamilyCoeffs(3, 2, 2, 1, 1 + tail_width(3, 2))
+    other = FamilyCoeffs(3, 2, 3, 1, 1 + tail_width(3, 2))
+    with pytest.raises(PrecisionMismatch):
+        co.act_sums([one], [other.rand(random.Random(43))])
 
 
 @pytest.mark.parametrize("out_width", (0, -1))
