@@ -12,8 +12,7 @@ symmetric-power vectors on which g acts by chi(d_g) times its weight-n
 matrix, chi a Dirichlet character as its tuple of values (default (1,),
 the trivial one); n = 0 with (1,) is Z/p^r with the trivial action.
 Its dim/act_matrix serve the matrix paths here, and its act_sums/rand/eq
-the value path (cocycles, hecke_images) in pwl.iwasawa, beside
-FamilyCoeffs, the family coefficients.
+the value path in pwl.iwasawa (cocycles, hecke_images).
 
 Double-coset operators: T_ell for a prime ell has the closed-form reps
 (1 j; 0 ell), 0 <= j < ell, plus sigma_ell (ell 0; 0 1) when ell does not
