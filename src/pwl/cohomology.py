@@ -47,8 +47,8 @@ over classes c of chi(c) times class c's sum (pwl.shapiro assembles it);
 on Sym^0 the sums are letter counts.  h1 stacks act_matrix(g) - I over the
 generators into the coboundary matrix, with the N_t columns beside it,
 and presents the quotient by its diagonalization, giving class
-coordinates, orders, and induced operator matrices (with charpoly
-available on free presentations).  The induced operator multiplies
+coordinates, orders, and induced operator matrices on free
+presentations.  The induced operator multiplies
 only the free rows of U, which are sparse, into the operator, and
 selects columns of that product: U^-1 maps each free coordinate f to
 the unit vector e_pos[f].
@@ -60,10 +60,10 @@ from itertools import compress, count
 from operator import itemgetter, mul, ne
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
-                     NotAUnit, NotCoprime, NotFreeModule)
+                     NotAUnit, NotCoprime, NotFreeModule, PrecisionMismatch)
 from .gamma1 import in_gamma1
-from .linalg import (_width, charpoly_mod, identity_mat, mat_mul, mat_vec,
-                     pack_row, smith_mod, unpack_row)
+from .linalg import (_width, identity_mat, mat_mul, mat_vec, pack_row,
+                     smith_mod, unpack_row)
 from .matrices import IntMat
 from .padic import _check_modulus, is_prime
 from .sympow import SymVec, sym_matrix
@@ -99,6 +99,8 @@ class SymCoeffs:
         """Per batch of terms (g, j, sign), sum sign g.values[j]."""
         if any(v.n != self.n for v in values):
             raise DimensionMismatch(f"a value is not of degree {self.n}")
+        if any((v.p, v.r) != (self.p, self.r) for v in values):
+            raise PrecisionMismatch(f"a value is not mod {self.p}^{self.r}")
         S = {g: self.act_matrix(g) for g in {t[0] for b in batches for t in b}}
         return [SymVec(self.p, self.r, self.n, [
             sum(sign * sum(map(mul, S[g][i], values[j].coords))
@@ -473,9 +475,6 @@ class H1Presentation:
                 raise InternalInconsistency(
                     f"column {s} of U is not the unit vector e_{f}")
         return [[row[s] for s in S] for row in QT]
-
-    def charpoly(self, T):
-        return charpoly_mod(self.induced_matrix(T), self.coeffs.p, self.coeffs.r)
 
 
 def h1(coeffs, basis):

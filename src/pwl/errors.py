@@ -41,7 +41,8 @@ class BadRange(PwlError):
 
 
 class BadLevel(PwlError):
-    """The level N violates a precondition (p | N, N >= 5, ...)."""
+    """The level N violates a precondition: N >= 4 (free_basis), or p | N
+    (verify_truncate_lemma)."""
 
 
 class NotInGroup(PwlError):

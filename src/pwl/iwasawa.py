@@ -3,8 +3,8 @@ interpolated symmetric-power action, and cocycles in weight families.
 
 A PrecInt is a p-adic integer known modulo p^r: an odd prime p, a precision
 r >= 1 and a canonical residue in [0, p^r).  Every operation records the
-precision of its output; in particular division by m! consumes v_p(m!)
-digits and raises PrecisionExhausted when none would remain.
+precision of its output; in particular binom's division by m! consumes
+v_p(m!) digits and raises PrecisionExhausted when none would remain.
 
 A Weight is a character of the units, split as (tame, wild) with
 tame in [0, p-2] and wild a PrecInt w.  eval_char evaluates it on a unit
@@ -103,10 +103,6 @@ class PrecInt:
         self.r = r
         self.res = value % (p ** r)
 
-    @property
-    def modulus(self):
-        return self.p ** self.r
-
     def _coerce(self, other):
         # returns (other residue, min precision); ints are exact
         if isinstance(other, PrecInt):
@@ -139,25 +135,6 @@ class PrecInt:
 
     __rmul__ = __mul__
 
-    def divexact(self, k):
-        """Divide by a nonzero integer k, consuming v_p(k) digits."""
-        if not isinstance(k, int) or k == 0:
-            raise BadRange(f"divisor must be a nonzero integer, got {k}")
-        sign = 1
-        if k < 0:
-            k, sign = -k, -1
-        v = vp(k, self.p)
-        if self.r <= v:
-            raise PrecisionExhausted(
-                f"division by p^{v} * unit at precision {self.r}")
-        if self.res % self.p ** v != 0:
-            raise PrecisionExhausted(
-                f"residue {self.res} not divisible by p^{v}")
-        r2 = self.r - v
-        unit = k // self.p ** v
-        res = (self.res // self.p ** v) * pow(unit, -1, self.p ** r2) * sign
-        return PrecInt(self.p, r2, res)
-
     def __eq__(self, other):
         # equality mod the smaller of the two precisions
         o, r = self._coerce(other)
@@ -165,41 +142,28 @@ class PrecInt:
             return NotImplemented
         return (self.res - o) % self.p ** r == 0
 
-    def __hash__(self):
-        raise TypeError("PrecInt compares mod min precision; not hashable")
-
     def __repr__(self):
         return f"PrecInt({self.res} mod {self.p}^{self.r})"
-
-
-def binom_int(n, m):
-    """Exact integer binomial for any integer n and natural m:
-    C(n, m) = (-1)^m C(m - n - 1, m) when n < 0."""
-    if m < 0:
-        raise BadRange(f"binomial index {m} is negative")
-    if n >= 0:
-        return math.comb(n, m)
-    return (-1) ** m * math.comb(m - n - 1, m)
 
 
 def binom(n, m):
     """Extended binomial coefficient (1/m!) * prod_{h<m} (n - h).
 
-    Integer n gives the exact integer value; a PrecInt n gives a PrecInt of
-    precision r - v_p(m!), raising PrecisionExhausted when r <= v_p(m!).
+    The product of m consecutive integers is divisible by m!, so an
+    integer n gives the exact integer.  A PrecInt n gives a PrecInt of
+    precision r - v, v = v_p(m!), raising PrecisionExhausted when r <= v:
+    n = res mod p^r makes the products for n and res agree mod p^r, so
+    their quotients by m! agree mod p^(r-v).
     """
+    if m < 0:
+        raise BadRange(f"binomial index {m} is negative")
     if isinstance(n, int):
-        return binom_int(n, m)
-    p = n.p
-    v = vp_factorial(m, p)
+        return math.prod(range(n, n - m, -1)) // math.factorial(m)
+    v = vp_factorial(m, n.p)
     if n.r <= v:
         raise PrecisionExhausted(
             f"binom(-, {m}) needs more than v_p({m}!) = {v} digits, have {n.r}")
-    M = n.modulus
-    prod = 1
-    for h in range(m):
-        prod = prod * ((n.res - h) % M) % M
-    return PrecInt(p, n.r, prod).divexact(math.factorial(m))
+    return PrecInt(n.p, n.r - v, binom(n.res, m))
 
 
 def tail_width(p, r):

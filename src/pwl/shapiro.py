@@ -38,7 +38,7 @@ import math
 
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .gamma1 import free_basis
-from .linalg import poly_mul
+from .linalg import charpoly_mod, poly_mul
 
 
 def _prime_factors(m):
@@ -129,7 +129,7 @@ def blocks(N, p, r, ell, n):
                     row[j] += chi[c] * x
                 T.append([y % M for y in row])
             Ts.append(T)
-    return reps, [(chi, x, x.charpoly(T))
+    return reps, [(chi, x, charpoly_mod(x.induced_matrix(T), p, r))
                   for chi, x, T in zip(chars, pres, Ts)]
 
 

@@ -66,13 +66,6 @@ class NewtonPolygon:
             out.append((str(num) if den == 1 else f"{num}/{den}", run))
         return out
 
-    def slope_multiplicity(self, val):
-        """Roots of valuation val, a string as root_valuations writes it."""
-        for v, length in self.root_valuations():
-            if v == val:
-                return length
-        return 0
-
 
 def newton_polygon(coeffs, p, r):
     if not coeffs:

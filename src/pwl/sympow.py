@@ -38,11 +38,6 @@ class SymVec:
         M = p ** r
         self.coords = [c % M for c in coords]
 
-    def reduce(self, r2):
-        if not 1 <= r2 <= self.r:
-            raise BadRange(f"precision {r2} is outside 1..{self.r}")
-        return SymVec(self.p, r2, self.n, self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, SymVec):
             return NotImplemented

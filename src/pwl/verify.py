@@ -126,7 +126,7 @@ def suite_congruence(seed=0, trials=4):
                            [rng.randrange(p ** (r + 2)) for _ in range(n1 + 1)])
                 lhs = congr_project(r, n1, n0, act_sym(m, v))
                 rhs = act_sym(m, congr_project(r, n1, n0, v))
-                _check(lhs.reduce(r) == rhs.reduce(r),
+                _check(lhs == rhs,
                        "truncation is not equivariant", m=m, lhs=lhs, rhs=rhs)
                 checks += 1
     return {"suite": "congruence", "passed": True, "checks": checks}
@@ -149,7 +149,7 @@ def suite_hecke(seed=0, precision=3, eigenvalues=NEWFORM_11A,
            "T2 and T3 do not commute")
     pres = h1(coeffs, basis)
     for ell, lam in eigenvalues.items():
-        P = pres.charpoly(T[ell])
+        P = charpoly_mod(pres.induced_matrix(T[ell]), 11, precision)
         _check(double_root(P, lam, M),
                f"{lam} is no double eigenvalue of T{ell}", P=P)
     rng = random.Random(f"{seed}:hecke")
@@ -181,7 +181,8 @@ def suite_slope(seed=0, pairs=((11, 11), (3, 9)), powers=2):
         T = pres.induced_matrix(hecke_matrix(coeffs, basis,
                                              t_ell_reps(p, basis)))
         P = charpoly_mod(T, p, precision)
-        mult = newton_polygon(P, p, precision).slope_multiplicity("0")
+        vals = dict(newton_polygon(P, p, precision).root_valuations())
+        mult = vals.get("0", 0)
         _check(mult >= 1, "no unit-root slope", P=P)
         Q, _, loss = slope_factor(P, 1, p, precision)
         _check(loss == 0 and len(Q) - 1 == mult,
@@ -217,8 +218,8 @@ def suite_shapiro(seed=0, cases=SHAPIRO_CASES):
         basis = free_basis(N)
         coeffs = SymCoeffs(p, r, n)
         pres = h1(coeffs, basis)
-        whole = pres.charpoly(hecke_matrix(coeffs, basis,
-                                           t_ell_reps(ell, basis)))
+        whole = charpoly_mod(pres.induced_matrix(hecke_matrix(
+            coeffs, basis, t_ell_reps(ell, basis))), p, r)
         _check(sum(x.free_rank() for _, x, _ in parts) == pres.free_rank(),
                "block ranks do not sum to the free rank", N=N, p=p, n=n)
         product = [1]

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from pwl.iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
                          eval_char, family_tail, sp_k, sp_vector, tail_width)
 from pwl.gamma1 import in_gamma1
 from pwl.matrices import IntMat
+from reference import monoid_mat, ref_cf
 
 
 def rand_fn(rng, p, r, d):
@@ -37,12 +37,6 @@ def fn_add(f, g):
 
 def rand_fam(rng, p, r, d, width):
     return FamilyVec(p, r, d, [rand_fn(rng, p, r, d) for _ in range(width)])
-
-
-def ref_cf(c, m, p, r):
-    """c^m/m! mod p^r by exact rational arithmetic (p | c)."""
-    q = Fraction(c ** m, math.factorial(m))
-    return q.numerator * pow(q.denominator, -1, p ** r) % p ** r
 
 
 def ref_falling(p, r, d, i, L):
@@ -96,9 +90,8 @@ def rand_family_case(rng, p, r, d, c, outputs):
     tail_width(p, r) coordinates, some of them zero."""
     M = p ** r
     dd = rng.choice([u for u in range(1, M) if u % p])
-    a, b, c = rng.randrange(M), rng.randrange(M), c % M
-    # a rises by the least multiple of p^r that makes the determinant positive
-    mat = IntMat(a + M * max(0, (b * c - a * dd) // (M * dd) + 1), b, c, dd)
+    a, b = rng.randrange(M), rng.randrange(M)
+    mat = monoid_mat(p, r, a, b, c, dd)
     coords = [WeightFn.zero(p, r, d) if rng.random() < 0.3
               else rand_fn(rng, p, r, d)
               for _ in range(outputs + tail_width(p, r))]
@@ -374,9 +367,8 @@ def test_family_tail_does_not_depend_on_degree(p):
         M = p ** r
         for d in (1, 2, 4, 6):
             dd = rng.choice([u for u in range(1, M) if u % p])
-            a, b, c = rng.randrange(M), rng.randrange(M), p * (p + 1)
-            mat = IntMat(a + M * max(0, (b * c - a * dd) // (M * dd) + 1),
-                         b, c, dd)
+            a, b = rng.randrange(M), rng.randrange(M)
+            mat = monoid_mat(p, r, a, b, p * (p + 1), dd)
             long = rand_fam(rng, p, r, d, out + p * (r + d))
             short = FamilyVec(p, r, d, long.coords[:out + tail_width(p, r)])
             want = act_family(mat, long).coords[:out]

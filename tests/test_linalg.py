@@ -16,6 +16,7 @@ from pwl.linalg import (_PACK_WIDTH, _width, charpoly_mod, identity_mat,
                         unpack_row)
 from pwl.padic import vp
 from pwl.slope import _poly_eval_matrix, ps_tp_inv, slope_factor
+from reference import schoolbook_mul
 
 
 def rand_mat(rng, m, n, M):
@@ -441,16 +442,6 @@ def test_unpack_words_reads_a_prefix(fields):
     for M in (TOP + 1, 3 ** 4):
         assert unpack_row(x, n, 64, M) == [v % M for v in fields[:n]]
         assert unpack_row(x, n, 64, M) == unpack_by_shifts(x, n, 64, M)
-
-
-def schoolbook_mul(f, g, M):
-    """f g mod M by one product per pair of coefficients: the reference
-    for poly_mul."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % M
-    return out
 
 
 @pytest.mark.parametrize("M", [3 ** 4, 43 ** 3, 23 ** 24, 3 ** 20])

@@ -8,9 +8,8 @@ reached when the profiler sees a call enter its code, keyed by file and
 first line, so two defs of one name are told apart.  ALLOWED lists, by
 qualified name, the defs that only tests enter, each with its reason.
 
-__repr__ and __hash__ are exempt: the program prints JSON built from
-plain values and keys nothing by a pwl object, so __repr__ serves only
-error messages and debugging, and PrecInt.__hash__ exists to raise.
+__repr__ is exempt: the program prints JSON built from plain values, so
+__repr__ serves only error messages and debugging.
 
 A class is reached when its name appears in the program (src/pwl and
 perfbench) as a name, an attribute or an imported name: the errors are
@@ -31,7 +30,7 @@ from pwl import cli
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "pwl").glob("*.py"))
 PROGRAM = SRC + sorted((ROOT / "perfbench").glob("*.py"))
-EXEMPT = {"__repr__", "__hash__"}
+EXEMPT = {"__repr__"}
 
 # one small run of each command; the last ends in BadWeight (exit 1)
 RUNS = {

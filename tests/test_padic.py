@@ -18,7 +18,6 @@ from pwl.iwasawa import (
     PrecInt,
     Weight,
     binom,
-    binom_int,
     char_series,
     eval_char,
 )
@@ -28,7 +27,7 @@ from pwl.padic import vp, vp_factorial
 class TestPrecInt:
     def test_canonical_residue(self):
         x = PrecInt(3, 2, -1)
-        assert x.res == 8 and x.modulus == 9
+        assert x.res == 8 and x.r == 2
 
     def test_arith_min_precision(self):
         x = PrecInt(3, 4, 5)
@@ -47,27 +46,6 @@ class TestPrecInt:
         with pytest.raises(PrecisionMismatch):
             PrecInt(3, 2, 1) + PrecInt(5, 2, 1)
 
-    def test_divexact(self):
-        x = PrecInt(3, 3, 18)
-        y = x.divexact(9)
-        assert y.r == 1 and y.res == 2
-        with pytest.raises(PrecisionExhausted):
-            PrecInt(3, 2, 9).divexact(9)
-
-    def test_divexact_negative_divisor(self):
-        # 38 * -2 = -76 = 5 mod 81: the sign is kept, no digit is used
-        y = PrecInt(3, 4, 5).divexact(-2)
-        assert y.r == 4 and y.res == 38
-        y = PrecInt(3, 4, 18).divexact(-9)
-        assert y.r == 2 and y.res == 7
-
-    def test_divexact_residue_not_divisible(self):
-        # p^v | k but p^v does not divide the residue: no exact quotient
-        with pytest.raises(PrecisionExhausted, match="not divisible"):
-            PrecInt(3, 4, 5).divexact(3)
-        with pytest.raises(PrecisionExhausted, match="not divisible"):
-            PrecInt(5, 3, 30).divexact(-25)
-
     def test_eq_mod_min_precision(self):
         assert PrecInt(3, 3, 10) == PrecInt(3, 1, 1)
         assert PrecInt(3, 3, 10) != PrecInt(3, 2, 4)
@@ -76,13 +54,6 @@ class TestPrecInt:
         for p, r in ((4, 2), (2, 2), (9, 1), (3, 0), (5, -1)):
             with pytest.raises(BadRange):
                 PrecInt(p, r, 5)
-
-    def test_rejects_bad_exponent_and_divisor(self):
-        # PrecInt has no power; the divisor of divexact is still checked
-        x = PrecInt(3, 2, 4)
-        for k in (0, 3.0):
-            with pytest.raises(BadRange):
-                x.divexact(k)
 
 
 def test_is_odd_prime_matches_trial_division():
@@ -142,11 +113,12 @@ class TestBinom:
         assert binom(4, 7) == 0
 
     def test_precint_matches_integer(self):
-        for p, r in [(3, 6), (5, 4)]:
-            for n in range(0, 15):
+        # negative n and n >= p^r: the residue differs from n itself
+        for p, r in [(3, 6), (5, 4), (3, 2)]:
+            for n in range(-15, 15):
                 for m in range(0, 6):
                     got = binom(PrecInt(p, r, n), m)
-                    assert got == binom_int(n, m) % p ** got.r
+                    assert got == binom(n, m) % p ** got.r
 
     def test_precision_ledger(self):
         # v_3(9!) = 4, so binom(-, 9) costs 4 digits at p = 3
@@ -161,14 +133,12 @@ class TestBinom:
         for n in (5, PrecInt(3, 4, 5)):
             with pytest.raises(BadRange):
                 binom(n, -1)
-        with pytest.raises(BadRange):
-            binom_int(5, -2)
 
     def test_integer_matches_falling_factorial(self):
         for n in range(-30, 31):
             prod = 1
             for m in range(13):
-                assert binom_int(n, m) == Fraction(prod, math.factorial(m))
+                assert binom(n, m) == Fraction(prod, math.factorial(m))
                 prod *= n - m
 
     def test_pascal_rule(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pwl.errors import BadRange, BadWeight, TruncationTooShort
+from pwl.iwasawa import PrecInt
 from pwl.qexp import (QExp, bernoulli, divisor_sigma, eisenstein, hecke_t,
                       pairing)
 
@@ -78,6 +79,22 @@ def test_classical_hecke_eigenvalues_on_eisenstein():
         for h in range(g.truncation() + 1):
             assert g.a(h) == lam * f.a(h)
     assert pairing(hecke_t(2, 4, chi, eisenstein(4, 10))) == 9
+
+
+def test_precint_coefficients():
+    # E_4 to q^20 mod 7^3: a_0 = 1/240 is 7-integral, and T_2 only adds
+    # and multiplies, so it gives the residues of the rational T_2 E_4
+    M = 7 ** 3
+
+    def residue(c):
+        c = Fraction(c)
+        return c.numerator * pow(c.denominator, -1, M) % M
+
+    f = eisenstein(4, 20)
+    g = hecke_t(2, 4, (1,), QExp([PrecInt(7, 3, residue(c)) for c in f.coeffs]))
+    assert [(c.r, c.res) for c in g.coeffs] == [
+        (3, residue(c)) for c in hecke_t(2, 4, (1,), f).coeffs]
+    assert len(g.coeffs) == 11 and pairing(g) == 9
 
 
 def test_character_values_and_twisted_operator():
