@@ -120,7 +120,7 @@ def family(a):
 
 def eisenstein_cmd(a):
     """Coefficients of the level-one Eisenstein series."""
-    from .qexp import eisenstein, hecke_t, pairing
+    from .qexp import eisenstein, hecke_t
     f = eisenstein(a.weight, a.terms)
     out = {"weight": a.weight, "terms": a.terms,
            "coefficients": [str(c) for c in f.coeffs]}
@@ -128,7 +128,7 @@ def eisenstein_cmd(a):
         g = hecke_t(a.hecke_ell, a.weight, (1,), f)
         out["hecke_ell"] = a.hecke_ell
         out["hecke_coefficients"] = [str(c) for c in g.coeffs]
-        out["hecke_pairing"] = str(pairing(g))
+        out["hecke_pairing"] = str(g.a(1))
     return out
 
 

@@ -71,8 +71,7 @@ from .sympow import SymVec, sym_matrix
 # The value path moved to pwl.iwasawa; perfbench/family_job.py still
 # imports these names from here.  The aliases go with ROADMAP item 10/11's
 # benchmark change, which may edit perfbench/.
-_MOVED = ("Cocycle", "FamilyCoeffs", "hecke_images", "specialize_cocycle",
-          "family_preimage")
+_MOVED = ("Cocycle", "FamilyCoeffs", "hecke_images", "specialize_cocycle")
 
 
 def __getattr__(name):  # PEP 562: a moved name, read from pwl.iwasawa
@@ -90,6 +89,8 @@ class SymCoeffs:
 
     def __init__(self, p, r, n, chi=(1,)):
         _check_modulus(p, r)
+        if not chi:
+            raise BadRange("a character needs at least one value")
         self.p, self.r, self.n, self.chi = p, r, n, chi
 
     def dim(self):

@@ -41,8 +41,7 @@ class BadRange(PwlError):
 
 
 class BadLevel(PwlError):
-    """The level N violates a precondition: N >= 4 (free_basis), or p | N
-    (verify_truncate_lemma)."""
+    """The level N violates a precondition: N >= 4 (free_basis)."""
 
 
 class NotInGroup(PwlError):

@@ -338,12 +338,8 @@ def free_basis(N, H=(1,)):
         loop.append(tuple(_free_reduce(word)))
     data = FreeBasisData(N, H, mu, perm_s, root, gens, elliptic, expr,
                          perm_t, t_word, width, loop)
-    _verify_edges(data, edge_matrix)
-    return data
-
-
-def _verify_edges(data, edge_matrix):
     # every rewriting entry must replay to the matrix of its directed edge
-    for (t, g), word in data.expr.items():
+    for (t, g), word in expr.items():
         if not data._replays(word, edge_matrix(t, g)):
             raise InternalInconsistency(f"edge ({t}, {g}) fails to replay")
+    return data

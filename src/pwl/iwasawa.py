@@ -295,6 +295,8 @@ class WeightFn:
 
     def __init__(self, p, r, d, comps):
         _check_modulus(p, r)
+        if d < 1:
+            raise BadRange(f"series degree {d} is below 1")
         nb = branch_count(p)
         if len(comps) != nb or any(len(c) != d for c in comps):
             raise DimensionMismatch(
@@ -374,13 +376,6 @@ def sp_k(k, fn):
     return PrecInt(p, min(r, d), acc)
 
 
-def _check_widths(x, y, width):
-    """WidthInsufficient unless both windows hold `width` coordinates."""
-    if min(len(x.coords), len(y.coords)) < width:
-        raise WidthInsufficient(f"cannot compare {width} coordinates of "
-                                f"windows of {len(x.coords)} and {len(y.coords)}")
-
-
 class SeqVec:
     """Window of coordinates at weight chi over Z/p^r.
 
@@ -400,8 +395,12 @@ class SeqVec:
 
     def agrees(self, other, width):
         """Equality of the first `width` coordinates mod p^min(r, r');
-        False across primes or weights."""
-        _check_widths(self, other, width)
+        False across primes or weights; WidthInsufficient unless both
+        windows hold `width` coordinates."""
+        if min(len(self.coords), len(other.coords)) < width:
+            raise WidthInsufficient(
+                f"cannot compare {width} coordinates of windows of "
+                f"{len(self.coords)} and {len(other.coords)}")
         if self.p != other.p or self.chi != other.chi:
             return False
         m = self.p ** min(self.r, other.r)
@@ -650,11 +649,6 @@ class FamilyVec:
         self.p, self.r, self.d = p, r, d
         self.coords = list(coords)
 
-    def agrees(self, other, width):
-        _check_widths(self, other, width)
-        return all(x == y for x, y in
-                   zip(self.coords[:width], other.coords[:width]))
-
     def __repr__(self):
         return (f"FamilyVec(width={len(self.coords)}, "
                 f"mod ({self.p}^{self.r}, X^{self.d}))")
@@ -705,6 +699,8 @@ class FamilyCoeffs:
 
     def __init__(self, p, r, d, out_width, stored_width):
         _check_modulus(p, r)
+        if d < 1:
+            raise BadRange(f"series degree {d} is below 1")
         if out_width < 1:
             raise BadRange(f"out width {out_width} is below 1")
         if stored_width < out_width:

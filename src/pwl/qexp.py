@@ -74,15 +74,17 @@ def hecke_t(ell, k, eps, f):
     """Classical T_ell: b_h = a(ell h) + eps(ell) ell^(k-1) a(h/ell), the
     second term only when ell | h.
 
-    eps is a Dirichlet character mod m as the tuple of its values at
-    0, ..., m - 1, read at ell % m; (1,) is the trivial character.  The
-    formula is T_ell only for a prime ell; any other ell is BadRange.
-    eps(ell) = 0 when ell divides m, which switches the second term off
-    exactly when it should be.  The result is known through exponent
-    T // ell.
+    eps is a Dirichlet character mod m >= 1 as the tuple of its values
+    at 0, ..., m - 1, read at ell % m; (1,) is the trivial character.
+    The formula is T_ell only for a prime ell; any other ell, or an empty
+    eps, is BadRange.  eps(ell) = 0 when ell divides m, which switches the
+    second term off exactly when it should be.  The result is known
+    through exponent T // ell.
     """
     if not is_prime(ell):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
+    if not eps:
+        raise BadRange("a character needs at least one value")
     T = f.truncation()
     newT = T // ell
     if newT < 1:
@@ -95,8 +97,3 @@ def hecke_t(ell, k, eps, f):
             b = b + eps[ell % len(eps)] * ell ** (k - 1) * f.a(h // ell)
         out.append(b)
     return QExp(out)
-
-
-def pairing(f):
-    """Evaluation against the canonical linear functional: the q^1 term."""
-    return f.a(1)

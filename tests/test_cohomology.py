@@ -13,13 +13,15 @@ from pwl.cohomology import (SymCoeffs, _coset_index, _coset_partner,
                             t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotAdmissible, NotAUnit, NotCoprime, NotFreeModule,
-                        PrecisionMismatch, WidthInsufficient)
+                        PrecisionMismatch, PwlError, WidthInsufficient)
 from pwl.gamma1 import FreeBasisData, free_basis
 from pwl.iwasawa import (Cocycle, FamilyCoeffs, FamilyVec, WeightFn,
-                         act_family, branch_count, family_preimage,
-                         hecke_images, specialize_cocycle, tail_width)
+                         act_family, branch_count, char_series,
+                         family_preimage, hecke_images, specialize_cocycle,
+                         tail_width)
 from pwl.linalg import charpoly_mod, mat_mul, mat_vec
 from pwl.matrices import IntMat
+from pwl.qexp import eisenstein, hecke_t
 from pwl.sympow import SymVec
 from pwl.verify import rand_monoid_mat
 
@@ -334,14 +336,6 @@ def test_sigma_start_rows_vanish(p, r, n, N):
     sigma = diamond_rep(p, N) * IntMat(p, 0, 0, 1)
     S = SymCoeffs(p, r, n).act_matrix(sigma.cofactor())
     assert sum(map(any, S)) <= min(r, n + 1)
-
-
-def test_h1_trivial_level11():
-    fb = free_basis(11)
-    pres = h1(SymCoeffs(11, 6, 0), fb)
-    assert pres.free_rank() == 11
-    assert pres.is_free()
-    assert sum(pres.moduli) == 6 * 11
 
 
 def test_rep_counts():
@@ -976,6 +970,31 @@ def test_family_preimage_hecke_specializes(r, n, d):
     want = hecke_images(specialize_cocycle(k, lifted), reps)
     for x, y in zip(got.values, want.values):
         assert want.coeffs.eq(x, y)
+
+
+def sym_cocycle():
+    return Cocycle.random(SymCoeffs(3, 3, 1), free_basis(9), random.Random(5))
+
+
+DEGENERATE = {
+    "preimage-degree-0": lambda: family_preimage(sym_cocycle(), 0),
+    "preimage-degree-minus-1": lambda: family_preimage(sym_cocycle(), -1),
+    "family-degree-0": lambda: FamilyCoeffs(3, 4, 0, 3, 20),
+    "family-out-width-0": lambda: FamilyCoeffs(3, 4, 4, 0, 20),
+    "h1-empty-character": lambda: h1(SymCoeffs(5, 2, 0, ()), free_basis(5)),
+    "hecke-t-empty-character": lambda: hecke_t(2, 4, (), eisenstein(4, 10)),
+    "sym-degree-minus-1": lambda: SymVec(3, 2, -1, []),
+    "tail-at-2": lambda: tail_width(2, 1),
+    "char-series-degree-0": lambda: char_series(2, 3, 4, 0),
+}
+
+
+@pytest.mark.parametrize("call", DEGENERATE.values(), ids=DEGENERATE)
+def test_degenerate_sizes_raise_a_pwl_error(call):
+    # a degenerate size is refused with a typed error, not an IndexError
+    # or ZeroDivisionError from deep inside
+    with pytest.raises(PwlError):
+        call()
 
 
 def test_specialize_cocycle_rejects_negative_degree():

@@ -63,8 +63,6 @@ ALLOWED = {
                       "weight functions",
     "WeightFn.__eq__": "test_iwasawa compares the reference family action "
                        "with act_family",
-    "FamilyVec.agrees": "the family tests compare windows to a certified "
-                        "width with it",
     "SymCoeffs.rand": "Cocycle.random draws the Sym^n cocycles of the H^1 "
                       "and Hecke tests with it",
     "_roots_over_p": "slope_factor's cut at s >= 2, which no command asks for",

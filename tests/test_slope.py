@@ -7,12 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl import slope
 from pwl.errors import (AmbiguousAtPrecision, BadRange, DimensionMismatch,
                         InternalInconsistency, NotInvertible,
                         PrecisionExhausted)
-from pwl.gamma1 import free_basis
 from pwl.linalg import charpoly_mod, mat_mul, smith_mod
 from pwl.slope import newton_polygon, ps_tp_inv, slope_factor
 from reference import schoolbook_mul
@@ -463,18 +461,3 @@ def test_scaled_inverse_non_unit_determinant():
     assert B == [[1, 0], [0, 1]] and prec == 7
     assert mat_mul(A, W, 3 ** prec) == [[9, 0], [0, 9]]
 
-
-def test_level_eleven_unit_root_factor():
-    basis = free_basis(11)
-    coeffs = SymCoeffs(11, 4, 0)
-    pres = h1(coeffs, basis)
-    T11 = pres.induced_matrix(hecke_matrix(coeffs, basis, t_ell_reps(11, basis)))
-    P = charpoly_mod(T11, 11, 4)
-    mult = dict(newton_polygon(P, 11, 4).root_valuations()).get("0", 0)
-    assert mult >= 1
-    Q, R, loss = slope_factor(P, 1, 11, 4)
-    assert loss == 0 and len(Q) - 1 == mult
-    # the eta-product eigenvalue 1 is a unit root
-    assert sum(c for c in Q) % 11 == 0
-    W, bvecs, prec = ps_tp_inv(T11, 1, 11, 4)
-    assert_nilpotent(W, 11)

@@ -1,5 +1,5 @@
 """Self-check suites: they pass on the package and raise on a broken identity;
-the truncation-contract checker and its ideal-membership test.
+the truncate suite's contract checks and their ideal-membership test.
 
 The checks raise ContractViolated rather than assert, so a broken identity
 is caught under python -O as well.
@@ -10,10 +10,10 @@ import random
 import pytest
 
 from pwl import verify
-from pwl.errors import BadLevel, BadRange, ContractViolated
+from pwl.errors import BadRange, ContractViolated
 from pwl.iwasawa import binom_identity
 from pwl.sympow import SymVec
-from pwl.verify import _ideal_member, run_suite, verify_truncate_lemma
+from pwl.verify import _ideal_member, run_suite, suite_truncate
 
 
 def test_identity_and_congruence_suites_pass():
@@ -92,19 +92,13 @@ def test_ideal_member_degenerate_shift():
 
 
 def test_truncate_contracts_hold():
-    report = verify_truncate_lemma(9, 1, 2, 3, 4, 4, trials=5, seed=2)
-    assert report["trials"] == 5
-    assert report["group_coords_checked"] == 5
-    assert report["translate_coords_checked"] == 15
+    report = suite_truncate(seed=2, trials=5)
+    # 5 group coordinates and 15 translate coordinates
+    assert report["checks"] == 5 + 15
 
 
-def test_truncate_checker_detects_overclaim():
-    with pytest.raises(ContractViolated):
-        verify_truncate_lemma(9, 2, 2, 3, 4, 4, trials=3, seed=2)
-
-
-def test_truncate_checker_rejects_bad_input():
-    with pytest.raises(BadLevel):
-        verify_truncate_lemma(10, 1, 2, 3, 4, 4, trials=1)
-    with pytest.raises(BadRange):
-        verify_truncate_lemma(9, 1, 1, 3, 4, 4, trials=1)
+def test_truncate_checker_detects_overclaim(monkeypatch):
+    # slope bound s = 2 claims more than the p-translate gives
+    monkeypatch.setattr(verify, "TRUNCATE_CASE", (9, 2, 2, 3, 4, 4))
+    with pytest.raises(ContractViolated, match="slope ideal"):
+        suite_truncate(seed=2, trials=3)
