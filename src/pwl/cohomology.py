@@ -62,8 +62,8 @@ from operator import itemgetter, mul, ne
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotAUnit, NotCoprime, NotFreeModule, PrecisionMismatch)
 from .gamma1 import in_gamma1
-from .linalg import (_width, identity_mat, mat_mul, mat_vec, pack_row,
-                     smith_mod, unpack_row)
+from .linalg import (_poly_eval_matrix, _width, identity_mat, mat_mul,
+                     mat_vec, pack_row, smith_mod, unpack_row)
 from .matrices import IntMat
 from .padic import _check_modulus, is_prime
 from .sympow import SymVec, sym_matrix
@@ -122,7 +122,7 @@ class SymCoeffs:
                       [rng.randrange(M) for _ in range(self.n + 1)])
 
 
-def _gamma1_quotient(B, A, N, H=(1,)):
+def _gamma1_quotient(B, A, N, H):
     """B adj(A) / det A if it is an integer matrix in Gamma_H(N), else None:
     B and A lie in the same left coset exactly when it is not None."""
     det = A.det()
@@ -179,34 +179,28 @@ def _coset_key(B, N, H):
     return g, top, h, min(((e * u) % N, (e * v) % N) for e in H)
 
 
-def _coset_index(reps, N, H=(1,)):
-    """Coset key -> rep; raises if two reps share a coset."""
+def _partner_words(basis, reps):
+    """adj A for each rep A, and per generator gamma the words of the
+    partners of A gamma in rep order: the walk both operators fold or
+    pack, each translate's rep keyed by _coset_key and checked by
+    _gamma1_quotient; a repeated or missing coset raises."""
+    N, H = basis.N, basis.H
     index = {}
     for A in reps:
         key = _coset_key(A, N, H)
         if key in index:
             raise InternalInconsistency(f"{index[key]} and {A} share a coset")
         index[key] = A
-    return index
-
-
-def _coset_partner(B, index, N, H=(1,)):
-    """B A^-1 in Gamma_H(N) for the rep A of B's coset (exactly checked)."""
-    A = index.get(_coset_key(B, N, H))
-    G = None if A is None else _gamma1_quotient(B, A, N, H)
-    if G is None:
-        raise InternalInconsistency("no representative absorbs the translate")
-    return G
-
-
-def _partner_words(basis, reps):
-    """adj A for each rep A, and per generator gamma the words of the
-    partners of A gamma in rep order: the walk both operators fold or
-    pack."""
-    N, H = basis.N, basis.H
-    index = _coset_index(reps, N, H)
-    words = [[basis.express(_coset_partner(A * gam, index, N, H))
-              for A in reps] for gam in basis.gens]
+    words = [[] for _ in basis.gens]
+    for gam, row in zip(basis.gens, words):
+        for A in reps:
+            B = A * gam
+            rep = index.get(_coset_key(B, N, H))
+            G = None if rep is None else _gamma1_quotient(B, rep, N, H)
+            if G is None:
+                raise InternalInconsistency(
+                    "no representative absorbs the translate")
+            row.append(basis.express(G))
     return [A.cofactor() for A in reps], words
 
 
@@ -484,10 +478,11 @@ def h1(coeffs, basis):
     vector, and one Smith form of beta gives the quotient.
 
     An elliptic generator t of order m adds the columns of
-    N_t = 1 + t + ... + t^(m-1) on t's block: a cocycle has N_t c(t) = 0.
-    As t^m acts as 1, t N_t = N_t and N_t^2 = m N_t; when m is a unit mod
-    p (else NotAUnit), Pi_t = 1 - N_t / m is the projection onto ker N_t
-    along im N_t, the cocycles are V^gens / sum_t im N_t, and
+    N_t = 1 + t + ... + t^(m-1) (linalg._poly_eval_matrix) on t's block:
+    a cocycle has N_t c(t) = 0.  As t^m acts as 1, t N_t = N_t and
+    N_t^2 = m N_t; when m is a unit mod p (else NotAUnit),
+    Pi_t = 1 - N_t / m is the projection onto ker N_t along im N_t, the
+    cocycles are V^gens / sum_t im N_t, and
     H^1 = V^gens / (coboundaries + sum_t im N_t)."""
     M = coeffs.p ** coeffs.r
     D = coeffs.dim()
@@ -502,13 +497,9 @@ def h1(coeffs, basis):
         if m % coeffs.p == 0:
             raise NotAUnit(
                 f"an elliptic generator of order {m} at p = {coeffs.p}")
-        G = coeffs.act_matrix(basis.gens[t])
-        Nt = power = identity_mat(D)
-        for _ in range(m - 1):
-            power = mat_mul(power, G, M)
-            Nt = [[x + y for x, y in zip(a, b)] for a, b in zip(Nt, power)]
+        Nt = _poly_eval_matrix([1] * m, coeffs.act_matrix(basis.gens[t]), M)
         for i in range(D):
-            beta[t * D + i][D + j * D:D + j * D + D] = [x % M for x in Nt[i]]
+            beta[t * D + i][D + j * D:D + j * D + D] = Nt[i]
         inv = pow(m, -1, M)
         proj.append((t, [[((i == k) - x * inv) % M for k, x in enumerate(row)]
                          for i, row in enumerate(Nt)]))

@@ -59,7 +59,7 @@ def in_gamma1(mat, N, H=(1,)):
     return mat.det() == 1 and mat.c % N == 0 and mat.d % N in H
 
 
-def _proj_canon(c, d, N, units=(1, -1)):
+def _proj_canon(c, d, N, units):
     """Least of the rows h (c, d) mod N over h in units (+-H)."""
     return min(((h * c) % N, (h * d) % N) for h in units)
 

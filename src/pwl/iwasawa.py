@@ -713,6 +713,8 @@ class FamilyCoeffs:
     def act_sums(self, batches, values):
         """Per batch of terms (g, j, sign), the sum of sign g.values[j]:
         one kernel call for all the batches."""
+        if not values:
+            raise DimensionMismatch("no stored values to act on")
         w = self.out_width + tail_width(self.p, self.r)
         short = min(len(x.coords) for x in values)
         if short < w:

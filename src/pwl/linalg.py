@@ -1,13 +1,14 @@
 """Linear algebra over Z/p^r: diagonalization, solving, charpoly.
 
-Matrices are lists of rows of plain ints.  pack_row / unpack_row hold a
-vector of nonnegative ints as the w-bit fields of one int (entry j at bit
-w*j): a scalar times a packed vector scales every field and a sum adds
-them field by field, exactly while no field reaches 2^w.  Each caller
-picks w from a bound on its fields.  hecke_matrix, mat_mul and the two
-reductions round it through _width, up to a word if it fits, as 64-bit
-fields move through struct in one C call, others by one whole-int shift
-each; sym_matrix, _act_window and poly_mul keep their exact widths.
+Matrices are lists of rows of plain ints; _poly_eval_matrix is the one
+matrix-polynomial evaluator.  pack_row / unpack_row hold a vector of
+nonnegative ints as the w-bit fields of one int (entry j at bit w*j): a
+scalar times a packed vector scales every field and a sum adds them field
+by field, exactly while no field reaches 2^w.  Each caller picks w from a
+bound on its fields.  hecke_matrix, mat_mul and the two reductions round
+it through _width, up to a word if it fits, as 64-bit fields move through
+struct in one C call, others by one whole-int shift each; sym_matrix,
+_act_window and poly_mul keep their exact widths.
 
 One elimination.  smith_mod and charpoly_mod hold their matrix as packed
 columns, row i in field pos[i] (a row swap swaps two entries of pos), and
@@ -98,6 +99,18 @@ def mat_mul(A, B, M):
                 for j in range(m):
                     row[j] = (row[j] + a * Bt[j]) % M
         out.append(row)
+    return out
+
+
+def _poly_eval_matrix(f, A, M):
+    """f(A) mod M by Horner's rule, out = out A + c I, for f listed from
+    its constant term up."""
+    n = len(A)
+    out = [[f[-1] % M if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(f[:-1]):
+        out = mat_mul(out, A, M)
+        for i in range(n):
+            out[i][i] = (out[i][i] + c) % M
     return out
 
 

@@ -55,7 +55,9 @@ def _check_modulus(p, r):
 
 
 def vp(n, p):
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, p >= 2."""
+    if p < 2:
+        raise BadRange(f"no valuation at p = {p}")
     if n == 0:
         raise BadRange("the valuation of 0 is infinite")
     v = 0
@@ -66,7 +68,9 @@ def vp(n, p):
 
 
 def vp_factorial(m, p):
-    """v_p(m!) by the digit-sum formula."""
+    """v_p(m!) by the digit-sum formula, p >= 2."""
+    if p < 2:
+        raise BadRange(f"no valuation at p = {p}")
     if m < 0:
         raise BadRange(f"factorial of negative {m}")
     s, n = 0, m

@@ -77,7 +77,8 @@ def hecke_t(ell, k, eps, f):
     eps is a Dirichlet character mod m >= 1 as the tuple of its values
     at 0, ..., m - 1, read at ell % m; (1,) is the trivial character.
     The formula is T_ell only for a prime ell; any other ell, or an empty
-    eps, is BadRange.  eps(ell) = 0 when ell divides m, which switches the
+    eps, is BadRange, and a weight k < 1 (ell^(k-1) not an integer) is
+    BadWeight.  eps(ell) = 0 when ell divides m, which switches the
     second term off exactly when it should be.  The result is known
     through exponent T // ell.
     """
@@ -85,6 +86,8 @@ def hecke_t(ell, k, eps, f):
         raise BadRange(f"T_ell needs a prime ell, got {ell}")
     if not eps:
         raise BadRange("a character needs at least one value")
+    if k < 1:
+        raise BadWeight(f"weight {k} makes ell^(k-1) a fraction")
     T = f.truncation()
     newT = T // ell
     if newT < 1:

@@ -19,28 +19,29 @@ the forced power of p (losing that much precision, tracked), and recurse.
 ps_tp_inv restricts a matrix A to its slope < s part and returns p^s *
 (block inverse), the scaled inverse whose powers contract.  With
 (Q, R, loss) the split of the charpoly of A and prec = r - loss, K = R(A)
-is zero on the R part and injective on the Q part, so its image has rank
-deg Q inside the slope < s lattice.  A Smith form U K V = diag(p^e) with
-divisor 0 deg Q times and prec elsewhere says that this image is a direct
-summand, so the whole lattice, spanned by the first deg Q columns of
-K V; any other divisors raise AmbiguousAtPrecision.  K is a polynomial
-in A, so U A U^-1 is block upper triangular with the block M0 of A on the
-image in its top left corner; a nonzero entry below it is a bug trap.  A
-second Smith form U0 M0 V0 = diag(p^e_i) gives W = V0 diag(p^(s - e_i))
-U0, so that M0 W = p^s I.  e_max = max e_i above s raises NotInvertible:
-p^s M0^-1 is not integral, which is certified even when e_max reads as
-prec, since the true exponent is then >= prec.  e_max = prec <= s raises
-PrecisionExhausted: M0 reads as singular because its digits ran out.  W
-is reported mod p^(prec - e_max) and no further: if M0 W' = p^s I as
-well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so row i of
-V0^-1 (W - W') vanishes only mod p^(prec - e_i).
+(linalg._poly_eval_matrix) is zero on the R part and injective on the Q
+part, so its image has rank deg Q inside the slope < s lattice.  A Smith
+form U K V = diag(p^e) with divisor 0 deg Q times and prec elsewhere says
+that this image is a direct summand, so the whole lattice, spanned by the
+first deg Q columns of K V; any other divisors raise AmbiguousAtPrecision.
+K is a polynomial in A, so U A U^-1 is block upper triangular with the
+block M0 of A on the image in its top left corner; a nonzero entry below
+it is a bug trap.  A second Smith form U0 M0 V0 = diag(p^e_i) gives W = V0
+diag(p^(s - e_i)) U0, so that M0 W = p^s I.  e_max = max e_i above s
+raises NotInvertible: p^s M0^-1 is not integral, which is certified even
+when e_max reads as prec, since the true exponent is then >= prec.
+e_max = prec <= s raises PrecisionExhausted: M0 reads as singular because
+its digits ran out.  W is reported mod p^(prec - e_max) and no further: if
+M0 W' = p^s I as well, then diag(p^e) V0^-1 (W - W') = 0 mod p^prec, so
+row i of V0^-1 (W - W') vanishes only mod p^(prec - e_i).
 """
 
 import math
 
 from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
                      NotInvertible, PrecisionExhausted)
-from .linalg import charpoly_mod, mat_mul, poly_mul, smith_mod
+from .linalg import (_poly_eval_matrix, charpoly_mod, mat_mul, poly_mul,
+                     smith_mod)
 from .padic import vp
 
 
@@ -229,18 +230,6 @@ def slope_factor(P, s, p, r):
     R1 = [c * p ** (len(Rs) - 1 - i) % Mq for i, c in enumerate(Rs)]
     Q = poly_mul(unitpart, Q1, Mq)
     return _poly_trim(Q, Mq), R1, loss
-
-
-def _poly_eval_matrix(f, A, M):
-    """f(A) mod M by Horner's rule, out = out A + c I, for f listed from
-    its constant term up."""
-    n = len(A)
-    out = [[f[-1] % M if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(f[:-1]):
-        out = mat_mul(out, A, M)
-        for i in range(n):
-            out[i][i] = (out[i][i] + c) % M
-    return out
 
 
 def ps_tp_inv(A, s, p, r):

@@ -11,12 +11,12 @@ the order they run in.
 The suites take their sizes as keywords, defaulting to the sizes of
 `pwl verify`: precision, degree and trials (action); span, top, digits
 and trials (identity); trials (congruence and truncate); precision,
-eigenvalues and reorder (hecke); pairs and powers (slope); cases
-(shapiro).  The truncate suite runs at the one TRUNCATE_CASE, its
-family windows holding tail_width(p, r) coordinates past its outputs,
-the tail every weight action uses up.  An unknown suite name raises
-BadRange.  tests/test_acceptance.py runs the same suites at its own
-sizes, so each invariant is written once.
+eigenvalues and reorder (hecke); pairs and powers (slope).  The shapiro
+suite runs at the SHAPIRO_CASES and the truncate suite at the one
+TRUNCATE_CASE, its family windows holding tail_width(p, r) coordinates
+past its outputs, the tail every weight action uses up.  An unknown
+suite name raises BadRange.  tests/test_acceptance.py runs the same
+suites at its own sizes, so each invariant is written once.
 """
 
 import random
@@ -27,7 +27,8 @@ from .gamma1 import free_basis, in_gamma1
 from .iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
                       act_family, act_universal, binom_identity, branch_count,
                       congr_project, tail_width)
-from .linalg import charpoly_mod, identity_mat, mat_mul, poly_mul, smith_mod
+from .linalg import (_poly_eval_matrix, charpoly_mod, mat_mul, poly_mul,
+                     smith_mod)
 from .matrices import IntMat
 from .padic import vp, vp_factorial
 from .shapiro import blocks
@@ -195,28 +196,24 @@ def suite_slope(seed=0, pairs=((11, 11), (3, 9)), powers=2):
         _check(sum(Q) % p == 0, f"X = 1 is not a root mod {p}", Q=Q)
         W, _, prec = ps_tp_inv(T, 1, p, precision)
         _check(prec >= precision - 1, "scaled inverse lost digits", prec=prec)
-        k = len(W)
         for m in range(1, powers + 1):
-            Mm = p ** m
-            power = identity_mat(k)
-            for _ in range(k * m):
-                power = mat_mul(power, W, Mm)
+            power = _poly_eval_matrix([0] * (len(W) * m) + [1], W, p ** m)
             _check(all(x == 0 for row in power for x in row),
-                   "scaled inverse is not nilpotent", modulus=Mm, W=W)
+                   "scaled inverse is not nilpotent", modulus=p ** m, W=W)
         checks += 4 + powers
         rank = mult if rank is None else rank
     return {"suite": "slope", "passed": True, "ordinary_rank": rank,
             "checks": checks}
 
 
-def suite_shapiro(seed=0, cases=SHAPIRO_CASES):
-    """Shapiro's lemma at each (N, p, r, ell, n) of cases: hecke and
+def suite_shapiro(seed=0):
+    """Shapiro's lemma at each (N, p, r, ell, n) of SHAPIRO_CASES: hecke and
     slopes split there, the block ranks sum to the free rank of
     H^1(Gamma_1(N), Sym^n), the block charpolys multiply to its T_ell
     charpoly mod p^r, and, for ell prime to N, each block's
     P_(chi^-1)(X) is chi(ell)^(-d) P_chi(chi(ell) X), d its degree."""
     checks = 0
-    for N, p, r, ell, n in cases:
+    for N, p, r, ell, n in SHAPIRO_CASES:
         M = p ** r
         _, parts = blocks(N, p, r, ell, n)
         _check(len(parts) > 1, "no character split", N=N, p=p, n=n)
@@ -283,17 +280,14 @@ def suite_truncate(seed=0, trials=4):
         for _ in range(3):                 # words of four letters
             g2 = fb.gens[rng.randrange(fb.rank())]
             gam = gam * (g2 if rng.random() < 0.5 else g2.inverse())
-        if not in_gamma1(gam, N):
-            raise ContractViolated("word leaves the level subgroup",
-                                   payload={"matrix": gam.entries()})
+        _check(in_gamma1(gam, N), "word leaves the level subgroup",
+               matrix=gam.entries())
         out_g = act_family(gam, F)
         for i, fn in enumerate(out_g.coords[:k0 - 1]):
             for zeta in range(nb):
-                if not _ideal_member(fn.comps[zeta], vN, zeta - k0, p, r, d):
-                    raise ContractViolated(
-                        "group action escapes the level ideal",
-                        payload={"trial": trial, "coord": i, "branch": zeta,
-                                 "matrix": gam.entries()})
+                _check(_ideal_member(fn.comps[zeta], vN, zeta - k0, p, r, d),
+                       "group action escapes the level ideal", trial=trial,
+                       coord=i, branch=zeta, matrix=gam.entries())
             checks += 1
 
         theta = rng.randrange(p)
@@ -304,11 +298,8 @@ def suite_truncate(seed=0, trials=4):
                     ok = _ideal_member(fn.comps[zeta], s, zeta - k0, p, r, d)
                 else:
                     ok = all(x % p ** s == 0 for x in fn.comps[zeta])
-                if not ok:
-                    raise ContractViolated(
-                        "translate action escapes the slope ideal",
-                        payload={"trial": trial, "coord": i, "branch": zeta,
-                                 "theta": theta})
+                _check(ok, "translate action escapes the slope ideal",
+                       trial=trial, coord=i, branch=zeta, theta=theta)
             checks += 1
     return {"suite": "truncate", "passed": True, "checks": checks}
 

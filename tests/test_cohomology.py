@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwl import cohomology, iwasawa, shapiro
-from pwl.cohomology import (SymCoeffs, _coset_index, _coset_partner,
-                            _gamma1_quotient, diamond_rep, h1, hecke_matrix,
+from pwl.cohomology import (SymCoeffs, _coset_key, _gamma1_quotient,
+                            _partner_words, diamond_rep, h1, hecke_matrix,
                             t_ell_reps)
 from pwl.errors import (BadRange, DimensionMismatch, InternalInconsistency,
                         NotAdmissible, NotAUnit, NotCoprime, NotFreeModule,
@@ -60,7 +60,7 @@ def other_choice(reps, basis, rng):
 def scan_partner(B, reps, N):
     """B A^-1 for the first rep A that absorbs B, by testing every rep."""
     for A in reps:
-        G = _gamma1_quotient(B, A, N)
+        G = _gamma1_quotient(B, A, N, (1,))
         if G is not None:
             return G
     raise InternalInconsistency("no representative absorbs the translate")
@@ -370,7 +370,7 @@ def test_rep_invariants():
             for i, A in enumerate(reps):
                 assert A.det() == ell
                 assert A.a % N == 1 and A.c % N == 0
-                assert all(_gamma1_quotient(A, B, N) is None
+                assert all(_gamma1_quotient(A, B, N, (1,)) is None
                            for B in reps[i + 1:])
                 for g in moves:
                     scan_partner(A * g, reps, N)
@@ -389,11 +389,13 @@ def test_keyed_partner_matches_scan():
         rep_lists.append([diamond_rep(m, N) for m in range(1, N)
                           if math.gcd(m, N) == 1])
         for reps in rep_lists:
-            index = _coset_index(reps, N)
+            index = {_coset_key(A, N, (1,)): A for A in reps}
+            assert len(index) == len(reps)
             for A in reps:
                 for g in fb.gens:
                     B = A * g
-                    G = _coset_partner(B, index, N)
+                    G = _gamma1_quotient(B, index[_coset_key(B, N, (1,))],
+                                         N, (1,))
                     assert G == scan_partner(B, reps, N)
                     translates += 1
     assert translates == 38319
@@ -410,9 +412,9 @@ def test_keyed_partner_rejects_incomplete_and_repeated_reps():
                      reps[:-1])
     # a second rep of a coset already present: g A with g in the subgroup
     twin = fb.gens[0] * reps[2]
-    assert _gamma1_quotient(twin, reps[2], 11) == fb.gens[0]
+    assert _gamma1_quotient(twin, reps[2], 11, (1,)) == fb.gens[0]
     with pytest.raises(InternalInconsistency, match="share a coset"):
-        _coset_index(reps + [twin], 11)
+        _partner_words(fb, reps + [twin])
     with pytest.raises(InternalInconsistency, match="share a coset"):
         hecke_matrix(SymCoeffs(3, 2, 0), fb, [twin] + reps)
 
@@ -421,8 +423,10 @@ def test_gamma1_quotient_needs_determinant_one():
     # (3 0; 0 3) adj(1 0; 0 3) / 3 = (3 0; 0 1) is integral but not in
     # Gamma_1(11); (1 0; 0 12) over the identity is integral with
     # a = d = 1 and c = 0 mod 11, and only its determinant 12 rules it out
-    assert _gamma1_quotient(IntMat(3, 0, 0, 3), IntMat(1, 0, 0, 3), 11) is None
-    assert _gamma1_quotient(IntMat(1, 0, 0, 12), IntMat.identity(), 11) is None
+    assert _gamma1_quotient(IntMat(3, 0, 0, 3), IntMat(1, 0, 0, 3), 11,
+                            (1,)) is None
+    assert _gamma1_quotient(IntMat(1, 0, 0, 12), IntMat.identity(), 11,
+                            (1,)) is None
 
 
 def test_hecke_commute_and_order_independence():
@@ -983,6 +987,10 @@ DEGENERATE = {
     "family-out-width-0": lambda: FamilyCoeffs(3, 4, 4, 0, 20),
     "h1-empty-character": lambda: h1(SymCoeffs(5, 2, 0, ()), free_basis(5)),
     "hecke-t-empty-character": lambda: hecke_t(2, 4, (), eisenstein(4, 10)),
+    # ell^(k-1) = 1/2 would put floats in the coefficients
+    "hecke-t-weight-0": lambda: hecke_t(2, 0, (1,), eisenstein(4, 10)),
+    "family-act-sums-no-values": lambda: FamilyCoeffs(3, 4, 4, 3, 20).act_sums(
+        [[(IntMat.identity(), 0, 1)]], []),
     "sym-degree-minus-1": lambda: SymVec(3, 2, -1, []),
     "tail-at-2": lambda: tail_width(2, 1),
     "char-series-degree-0": lambda: char_series(2, 3, 4, 0),

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pwl import gamma1
-from pwl.cohomology import _coset_index, _coset_partner, t_ell_reps
+from pwl.cohomology import _gamma1_quotient, _partner_words, t_ell_reps
 from pwl.errors import BadLevel, InternalInconsistency, NotCoprime, NotInGroup
 from pwl.gamma1 import (ROT, SIX, _free_reduce, _proj_canon, _st_decompose,
                         free_basis, in_gamma1)
@@ -22,15 +22,16 @@ T_MAT = IntMat(1, 1, 0, 1)
 def cosets(N):
     """The projective cosets at level N as free_basis indexes them (sorted
     canonical bottom rows) and the permutation u = s t makes of them."""
-    rows = sorted({_proj_canon(c, d, N) for c in range(N) for d in range(N)
-                   if math.gcd(c, d, N) == 1})
+    rows = sorted({_proj_canon(c, d, N, (1, -1)) for c in range(N)
+                   for d in range(N) if math.gcd(c, d, N) == 1})
     index = {row: i for i, row in enumerate(rows)}
-    return rows, [index[_proj_canon(d, d - c, N)] for c, d in rows]
+    return rows, [index[_proj_canon(d, d - c, N, (1, -1))] for c, d in rows]
 
 
 def coset_of(basis, mat):
     """Index of the projective coset of mat's bottom row, by a scan."""
-    return cosets(basis.N)[0].index(_proj_canon(mat.c, mat.d, basis.N))
+    row = _proj_canon(mat.c, mat.d, basis.N, (1, -1))
+    return cosets(basis.N)[0].index(row)
 
 
 def tree_lifts(basis):
@@ -303,11 +304,13 @@ def test_express_on_hecke_translates(N):
     fb = free_basis(N)
     for ell in (2, 3, N):
         reps = t_ell_reps(ell, fb)
-        index = _coset_index(reps, N)
-        for A in reps:
-            for g in fb.gens:
-                G = _coset_partner(A * g, index, N)
-                assert fb.express(G) == ref_express(fb, G)
+        _, words = _partner_words(fb, reps)
+        for g, row in zip(fb.gens, words):
+            for A, word in zip(reps, row):
+                # the partner by a scan over every rep
+                scan = [_gamma1_quotient(A * g, B, N, (1,)) for B in reps]
+                G = next(G for G in scan if G is not None)
+                assert word == ref_express(fb, G)
 
 
 def test_express_rejects_outsiders():

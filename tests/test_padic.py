@@ -102,6 +102,21 @@ def test_vp_factorial_of_negative_raises():
     assert vp_factorial(9, 3) == 4
 
 
+@pytest.mark.parametrize("fn", [vp, vp_factorial])
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuation_needs_p_at_least_2(fn, p):
+    # at p = 1 and p = -1 the loops never end, so the timed-out
+    # subprocess runs before the in-process call
+    name = fn.__name__
+    res = subprocess.run(
+        [sys.executable, "-O", "-c",
+         f"from pwl.padic import {name}; {name}(5, {p})"],
+        capture_output=True, text=True, timeout=30)
+    assert res.returncode == 1 and "BadRange" in res.stderr
+    with pytest.raises(BadRange):
+        fn(5, p)
+
+
 class TestBinom:
     def test_small_integer(self):
         assert binom(5, 2) == 10
