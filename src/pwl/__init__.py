@@ -7,6 +7,7 @@ Submodules:
   iwasawa     the weight space: p-adic integers with precision, weight
               characters, the interpolated action, family cocycles
   gamma1      cosets and free bases for Gamma_1(N)
+  packed      vectors as the fields of one int, poly_mul, mat_vec
   linalg      matrix algebra over Z/p^r (canonical forms, solving, charpoly)
   cohomology  H^1 presentations and Hecke matrices
   slope       Newton polygons, slope splitting

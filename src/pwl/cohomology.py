@@ -30,7 +30,7 @@ and hecke_matrix packs into the operator's matrix on stacked generator
 values in one pass.  It writes each rep's start act_matrix(adj A) as L Y0
 through its k nonzero columns or rows, k <= min(r, n + 1) for every T_p
 rep (Sym^n contracts mod p^r under adj A), and carries along a word only
-the k x D state Y0 P, as k packed rows (linalg.pack_row, 64-bit fields
+the k x D state Y0 P, as k packed rows (packed.pack_row, 64-bit fields
 wherever the bounds fit): a letter is k C-level dot products, one
 Montgomery step and one struct unpack, O(k D) int products where the
 full D x D prefix takes O(D^2).  Reps with one start (Y0 and the d of
@@ -61,10 +61,9 @@ from operator import itemgetter, mul, ne
 
 from .errors import (BadRange, DimensionMismatch, InternalInconsistency,
                      NotAUnit, NotCoprime, NotFreeModule, PrecisionMismatch)
-from .gamma1 import in_gamma1
-from .linalg import (_poly_eval_matrix, _width, identity_mat, mat_mul,
-                     mat_vec, pack_row, smith_mod, unpack_row)
+from .gamma1 import _proj_canon, in_gamma1
 from .matrices import IntMat
+from .packed import _width, identity_mat, mat_vec, pack_row, unpack_row
 from .padic import _check_modulus, is_prime
 from .sympow import SymVec, sym_matrix
 
@@ -98,6 +97,11 @@ class SymCoeffs:
 
     def act_sums(self, batches, values):
         """Per batch of terms (g, j, sign), sum sign g.values[j]."""
+        if not values:
+            raise DimensionMismatch("no stored values to act on")
+        if any(not 0 <= j < len(values) for b in batches for _, j, _ in b):
+            raise DimensionMismatch(
+                f"a term reads a value outside the {len(values)} stored")
         if any(v.n != self.n for v in values):
             raise DimensionMismatch(f"a value is not of degree {self.n}")
         if any((v.p, v.r) != (self.p, self.r) for v in values):
@@ -176,7 +180,7 @@ def _coset_key(B, N, H):
     top = (x * b + y * d) % h
     u = c // g
     v = (d - u * top) // h
-    return g, top, h, min(((e * u) % N, (e * v) % N) for e in H)
+    return g, top, h, _proj_canon(u, v, N, H)
 
 
 def _partner_words(basis, reps):
@@ -265,7 +269,7 @@ def hecke_matrix(coeffs, basis, reps):
        (a b; N d) (p 0; 0 1), adj = (d, -b; -pN, pa) and row i is
        (d X - b)^i p^(n-i) (a - N X)^(n-i): rows i <= n - r vanish.
     3. The Montgomery row bound.  Y is one int of k rows of D W-bit
-       fields (linalg.pack_row), row c at bit c D W, every field in
+       fields (packed.pack_row), row c at bit c D W, every field in
        [0, 2M), M = p^r; Y0's are in [0, M).  A letter's action is stored
        once as packed rows of G' = G 2^kap mod M, so row c of the next
        state is x = sum_t Y[c][t] G'_t, one C-level dot product, and the
@@ -447,6 +451,7 @@ class H1Presentation:
         mat_mul skips their zeros); that is checked first.  A free f has no
         pivot, so U^-1 e_f = e_pos[f] (SmithForm): column f of the result
         is column pos[f] of Q T Pi, a selection, not a product."""
+        from .linalg import mat_mul
         n = len(self.moduli)
         if len(T) != n or any(len(row) != n for row in T):
             raise DimensionMismatch(f"operator is not {n} x {n}")
@@ -484,6 +489,7 @@ def h1(coeffs, basis):
     Pi_t = 1 - N_t / m is the projection onto ker N_t along im N_t, the
     cocycles are V^gens / sum_t im N_t, and
     H^1 = V^gens / (coboundaries + sum_t im N_t)."""
+    from .linalg import _poly_eval_matrix, smith_mod
     M = coeffs.p ** coeffs.r
     D = coeffs.dim()
     rel = len(basis.elliptic) * D

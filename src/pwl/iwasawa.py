@@ -74,9 +74,12 @@ terms, each acting on a stored value, so no action is applied to the
 result of another.  Cocycle.eval sums one word's terms, and hecke_images
 one batch per generator of the words of cohomology._partner_words (which
 hecke_matrix packs), all in one act_sums call.  specialize_cocycle
-takes a family cocycle to Sym^(k-2) at weight k, family_preimage lifts
-back.  hecke_images and specialize_cocycle import cohomology when they
-run, so `pwl family` loads none of it.
+takes a family cocycle to Sym^(k-2) at weight k, evaluating only the
+k - 1 coordinates it keeps; family_preimage lifts back.  FamilyCoeffs.rand
+draws the residues randrange would, through getrandbits (_residues).
+hecke_images and specialize_cocycle import cohomology when they run, and
+the packed rows come from pwl.packed, so `pwl family` loads neither
+cohomology nor linalg.
 """
 
 import math
@@ -86,8 +89,8 @@ from .errors import (BadRange, BadWeight, CongruenceViolated,
                      DimensionMismatch, InternalInconsistency, NotAdmissible,
                      NotAUnit, PrecisionExhausted, PrecisionMismatch,
                      WidthInsufficient)
-from .linalg import pack_row, poly_mul, unpack_row
 from .matrices import IntMat
+from .packed import pack_row, poly_mul, unpack_row
 from .padic import _check_modulus, vp, vp_factorial
 from .sympow import SymVec, _entries_mod
 
@@ -687,6 +690,22 @@ def sp_vector(k, fam):
     return SeqVec(chi, [sp_k(k, c).res for c in fam.coords])
 
 
+def _residues(rng, M, count):
+    """count draws of rng.randrange(M), in order, leaving rng as they do:
+    getrandbits(M.bit_length()), drawn again while it is >= M, is what
+    randrange(M) runs on Python 3.10 to 3.13 (_randbelow_with_getrandbits),
+    here without its two Python frames per draw."""
+    k = M.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        x = getrandbits(k)
+        while x >= M:
+            x = getrandbits(k)
+        out.append(x)
+    return out
+
+
 class FamilyCoeffs:
     """Windows of weight-space functions with the family action.
 
@@ -715,6 +734,9 @@ class FamilyCoeffs:
         one kernel call for all the batches."""
         if not values:
             raise DimensionMismatch("no stored values to act on")
+        if any(not 0 <= j < len(values) for b in batches for _, j, _ in b):
+            raise DimensionMismatch(
+                f"a term reads a value outside the {len(values)} stored")
         w = self.out_width + tail_width(self.p, self.r)
         short = min(len(x.coords) for x in values)
         if short < w:
@@ -725,13 +747,15 @@ class FamilyCoeffs:
                                                 x.coords[:w]) for x in values])
 
     def rand(self, rng):
-        M = self.p ** self.r
-        nb = branch_count(self.p)
-        coords = [WeightFn._raw(self.p, self.r, self.d,
-                                [[rng.randrange(M) for _ in range(self.d)]
-                                 for _ in range(nb)])
-                  for _ in range(self.stored_width)]
-        return FamilyVec(self.p, self.r, self.d, coords)
+        """stored_width coordinates of branch_count(p) series of d
+        residues each, drawn in that order."""
+        p, r, d = self.p, self.r, self.d
+        nb = branch_count(p)
+        xs = _residues(rng, p ** r, self.stored_width * nb * d)
+        comps = [xs[i:i + d] for i in range(0, len(xs), d)]
+        coords = [WeightFn._raw(p, r, d, comps[i:i + nb])
+                  for i in range(0, len(comps), nb)]
+        return FamilyVec(p, r, d, coords)
 
 
 class Cocycle:
@@ -795,11 +819,14 @@ def hecke_images(cocycle, reps):
 def specialize_cocycle(k, cocycle):
     """Family-coefficient cocycle evaluated at integer weight k, as a
     symmetric-power cocycle of degree k - 2; raises WidthInsufficient
-    below k - 1 certified coordinates."""
+    below k - 1 certified coordinates.  Only the k - 1 coordinates that
+    specialize keeps are evaluated."""
     from .cohomology import SymCoeffs
     coeffs = cocycle.coeffs
     out_coeffs = SymCoeffs(coeffs.p, min(coeffs.r, coeffs.d), k - 2)
-    values = [specialize(sp_vector(k, F), k - 2) for F in cocycle.values]
+    values = [specialize(sp_vector(k, FamilyVec(F.p, F.r, F.d,
+                                                F.coords[:k - 1])), k - 2)
+              for F in cocycle.values]
     return Cocycle(out_coeffs, cocycle.basis, values)
 
 

@@ -38,7 +38,8 @@ import math
 
 from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .gamma1 import free_basis
-from .linalg import charpoly_mod, poly_mul
+from .linalg import charpoly_mod
+from .packed import poly_mul
 
 
 def _prime_factors(m):

@@ -40,8 +40,8 @@ import math
 
 from .errors import (AmbiguousAtPrecision, BadRange, InternalInconsistency,
                      NotInvertible, PrecisionExhausted)
-from .linalg import (_poly_eval_matrix, charpoly_mod, mat_mul, poly_mul,
-                     smith_mod)
+from .linalg import _poly_eval_matrix, charpoly_mod, mat_mul, smith_mod
+from .packed import poly_mul
 from .padic import vp
 
 

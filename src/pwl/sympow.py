@@ -6,14 +6,14 @@ induced by T1 -> a T1 + c T2, T2 -> b T1 + d T2.  sym_matrix computes row i
 as the coefficients of (a X + b)^i (c X + d)^(n-i): with a, b, c, d reduced
 mod p^r, it evaluates the product at X = 2^B, B = bits((2(p^r - 1))^n),
 which bounds every coefficient, and reads the row off in B-bit fields
-(linalg.unpack_row), so a row costs a few big-int products, not O(n^2)
+(packed.unpack_row), so a row costs a few big-int products, not O(n^2)
 modular powers.  act_sym applies it to a SymVec.  Its interpolation in
 the weight (SeqVec, the window kernel _act_window, specialize and
 congr_project) lives in pwl.iwasawa.
 """
 
 from .errors import BadRange, DimensionMismatch
-from .linalg import mat_vec, unpack_row
+from .packed import mat_vec, unpack_row
 from .padic import _check_modulus
 
 

@@ -27,9 +27,9 @@ from .gamma1 import free_basis, in_gamma1
 from .iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
                       act_family, act_universal, binom_identity, branch_count,
                       congr_project, tail_width)
-from .linalg import (_poly_eval_matrix, charpoly_mod, mat_mul, poly_mul,
-                     smith_mod)
+from .linalg import _poly_eval_matrix, charpoly_mod, mat_mul, smith_mod
 from .matrices import IntMat
+from .packed import poly_mul
 from .padic import vp, vp_factorial
 from .shapiro import blocks
 from .slope import newton_polygon, ps_tp_inv, slope_factor

@@ -155,17 +155,17 @@ def test_commands_import_only_what_they_run():
     common = ("--level", "11", "--prime", "11", "--precision", "2",
               "--ell", "2")
     hecke = loaded_modules("--no-meta", "hecke", *common)
-    assert {"pwl.cohomology", "pwl.shapiro"} <= hecke
+    assert {"pwl.cohomology", "pwl.shapiro", "pwl.linalg"} <= hecke
     assert not hecke & {"pwl.verify", "pwl.slope", "pwl.qexp", "pwl.iwasawa",
                         "fractions", "decimal"}
     slopes = loaded_modules("--no-meta", "slopes", *common)
-    assert "pwl.slope" in slopes
+    assert {"pwl.slope", "pwl.linalg"} <= slopes
     assert not slopes & {"pwl.verify", "pwl.qexp", "pwl.iwasawa",
                          "fractions", "decimal"}
     family = loaded_modules("--no-meta", "family", "--prime", "3",
                             "--precision", "4", "--degree", "4")
     assert "pwl.iwasawa" in family
-    assert not family & {"pwl.cohomology", "pwl.gamma1"}
+    assert not family & {"pwl.cohomology", "pwl.gamma1", "pwl.linalg"}
 
 
 def test_moved_value_path_names_resolve_from_cohomology():
@@ -408,6 +408,22 @@ def test_family_job_is_pinned(capsys):
         job["main"](["--seed", str(seed)])
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, seed
+
+
+def test_family_job_loads_no_elimination():
+    # the family job multiplies packed rows but runs no Smith form and no
+    # charpoly, so a fresh process that runs it never compiles pwl.linalg
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import family_job; agree = family_job.run(1)['agree']; "
+            "print(json.dumps([agree, [m for m in sys.modules "
+            "if m.split('.')[0] == 'pwl']]))")
+    res = subprocess.run([sys.executable, "-c", code, bench],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    agree, loaded = json.loads(res.stdout)
+    assert agree == [True] * 7
+    assert "pwl.packed" in loaded and "pwl.linalg" not in loaded
 
 
 def test_trace_targets_resolve():

@@ -19,8 +19,9 @@ from pwl.iwasawa import (Cocycle, FamilyCoeffs, FamilyVec, WeightFn,
                          act_family, branch_count, char_series,
                          family_preimage, hecke_images, specialize_cocycle,
                          tail_width)
-from pwl.linalg import charpoly_mod, mat_mul, mat_vec
+from pwl.linalg import charpoly_mod, mat_mul
 from pwl.matrices import IntMat
+from pwl.packed import mat_vec
 from pwl.qexp import eisenstein, hecke_t
 from pwl.sympow import SymVec
 from pwl.verify import rand_monoid_mat
@@ -991,6 +992,11 @@ DEGENERATE = {
     "hecke-t-weight-0": lambda: hecke_t(2, 0, (1,), eisenstein(4, 10)),
     "family-act-sums-no-values": lambda: FamilyCoeffs(3, 4, 4, 3, 20).act_sums(
         [[(IntMat.identity(), 0, 1)]], []),
+    "sym-act-sums-no-values": lambda: SymCoeffs(3, 2, 0).act_sums(
+        [[(IntMat.identity(), 0, 1)]], []),
+    "family-act-sums-term-past-values": lambda: FamilyCoeffs(
+        3, 4, 4, 3, 20).act_sums([[(IntMat.identity(), 1, 1)]], [FamilyVec(
+            3, 4, 4, [WeightFn.zero(3, 4, 4)] * 20)]),
     "sym-degree-minus-1": lambda: SymVec(3, 2, -1, []),
     "tail-at-2": lambda: tail_width(2, 1),
     "char-series-degree-0": lambda: char_series(2, 3, 4, 0),
@@ -1014,6 +1020,24 @@ def test_specialize_cocycle_rejects_negative_degree():
     for k in (1, 0):
         with pytest.raises(BadRange):
             specialize_cocycle(k, c_fam)
+
+
+def test_specialize_cocycle_reads_the_kept_coordinates():
+    # a window wider than k - 1 specializes as its first k - 1 coordinates
+    # do, and a narrower one raises
+    p, r, d, k = 3, 4, 3, 5
+    fb = free_basis(9)
+    wide = Cocycle.random(FamilyCoeffs(p, r, d, k - 1, k + 6), fb,
+                          random.Random(17))
+
+    def cut(width):
+        return Cocycle(wide.coeffs, fb, [FamilyVec(p, r, d, F.coords[:width])
+                                         for F in wide.values])
+
+    assert ([v.coords for v in specialize_cocycle(k, wide).values]
+            == [v.coords for v in specialize_cocycle(k, cut(k - 1)).values])
+    with pytest.raises(WidthInsufficient):
+        specialize_cocycle(k, cut(k - 2))
 
 
 @pytest.mark.parametrize("p, r", [(3, 0), (9, 2), (4, 2), (1, 2), (2, 3)])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from pwl.errors import (BadRange, DimensionMismatch, NotAdmissible,
                         NotAUnit, PrecisionMismatch, WidthInsufficient)
 from pwl.iwasawa import (FamilyVec, PrecInt, SeqVec, Weight, WeightFn,
-                         act_family, act_universal, branch_count, char_series,
-                         eval_char, family_tail, sp_k, sp_vector, tail_width)
+                         _residues, act_family, act_universal, branch_count,
+                         char_series, eval_char, family_tail, sp_k, sp_vector,
+                         tail_width)
 from pwl.gamma1 import in_gamma1
 from pwl.matrices import IntMat
 from reference import monoid_mat, ref_cf
@@ -438,3 +439,14 @@ def test_family_vec_rejects_other_precisions():
         with pytest.raises(PrecisionMismatch):
             FamilyVec(3, 4, 3, [WeightFn.zero(3, 4, 3),
                                 WeightFn.zero(p, r, d)])
+
+
+@pytest.mark.parametrize("M", (1, 2, 3, 81, 2 ** 32 - 5, 2 ** 32 + 15,
+                               23 ** 24))
+def test_residues_draw_what_randrange_draws(M):
+    # the draws of FamilyCoeffs.rand: the values of n randrange(M) calls on
+    # a twin generator, which is left in the same state
+    rng, twin = random.Random(M), random.Random(M)
+    n = 200
+    assert _residues(rng, M, n) == [twin.randrange(M) for _ in range(n)]
+    assert rng.random() == twin.random()

@@ -11,9 +11,10 @@ from pwl.cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from pwl.errors import (AmbiguousAtPrecision, DimensionMismatch,
                         NotInvertible, PrecisionExhausted)
 from pwl.gamma1 import free_basis
-from pwl.linalg import (_PACK_WIDTH, _poly_eval_matrix, _width, charpoly_mod,
-                        identity_mat, mat_mul, mat_vec, pack_row, poly_mul,
-                        smith_mod, unpack_row)
+from pwl.linalg import (_PACK_WIDTH, _poly_eval_matrix, charpoly_mod, mat_mul,
+                        smith_mod)
+from pwl.packed import (_width, identity_mat, mat_vec, pack_row, poly_mul,
+                        unpack_row)
 from pwl.padic import vp
 from pwl.slope import ps_tp_inv, slope_factor
 from reference import schoolbook_mul
