@@ -10,6 +10,7 @@ Submodules:
   packed      vectors as the fields of one int, poly_mul, mat_vec
   linalg      matrix algebra over Z/p^r (canonical forms, solving, charpoly)
   cohomology  H^1 presentations and Hecke matrices
+  shapiro     Hecke charpolys as products of nebentypus blocks
   slope       Newton polygons, slope splitting
   qexp        q-expansions, Eisenstein series, Hecke action on coefficients
   verify      randomized checks of the contracts, shared by the CLI and tests

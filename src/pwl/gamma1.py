@@ -219,6 +219,8 @@ def free_basis(N, H=(1,)):
     """Generators and rewriting data of Gamma_H(N), H generated by the
     units H mod N (the default is Gamma_1(N)), every rewriting entry
     checked against its edge matrix."""
+    if N < 1:
+        raise BadLevel(f"level {N} is not positive; need N >= 4")
     if N < 4:
         raise BadLevel(f"level {N} has torsion; need N >= 4")
     if any(math.gcd(h, N) != 1 for h in H):

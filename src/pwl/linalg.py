@@ -220,11 +220,18 @@ def charpoly_mod(A, p, r):
     P_m = (X - h_mm) P_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) P_{i-1}
     on its leading blocks.  Pivot k is the row pass on columns j > k
     (column k skips it, as nothing reads what it clears) and the column
-    pass col_{k+1} += sum c_i col_i.  A column takes at most one row pass
-    per pivot and none after its column pass, so its fields are below
-    (n+1) M^2 before that pass and (n+1) M^2 (1 + (n-2) M) < (n+1)^2 M^3
-    after.  The recurrence packs P_m in fields below (n+2) M^2; each width
-    is _width of its bound.  The recurrence reads only h_im, i <= m, and h_{i+1,i}, so H
+    pass col_{k+1} += sum c_i col_i.  The column bound, with a = M - 1:
+    fields start at most a, and a row pass adds y (M - c) <= a^2 to each.
+    Pivot k's row pass reaches columns k+1.., so at its column pass column
+    k+1 and the n-k-2 columns it adds have had k+1 passes or fewer, fields
+    at most a (1 + (k+1) a).  With every c_i <= a, column k+1 ends at most
+    a (1 + (k+1) a) (1 + (n-k-2) a) = a (1 + (n-1) a + (k+1)(n-k-2) a^2)
+    and takes no pass after; two integers that sum to n-1 multiply to at
+    most (n-1)^2 // 4.  A column with no column pass ends at most a (1 +
+    (n-2) a), less.  So the columns are packed below a (1 + (n-1) a +
+    ((n-1)^2 // 4) a^2) + 1, about (n-1)^2 M^3 / 4, and the recurrence
+    packs P_m in fields below (n+2) M^2; each width is _width of its bound.
+    The recurrence reads only h_im, i <= m, and h_{i+1,i}, so H
     keeps rows 0..k+1 of column k from pivot k's unpack, after its swap.
     They are final: later row passes touch only columns j >= k' + 1 > k,
     later column passes only column k' + 1, later swaps only rows >= k + 2.
@@ -233,7 +240,8 @@ def charpoly_mod(A, p, r):
     if any(len(row) != n for row in A):
         raise DimensionMismatch(f"charpoly of a non-square {n}-row matrix")
     M = p ** r
-    w = _width((n + 1) ** 2 * M ** 3)
+    a = M - 1
+    w = _width(a * (1 + (n - 1) * a + (n - 1) ** 2 // 4 * a * a) + 1)
     cols = [pack_row([x % M for x in col], w) for col in zip(*A)]
     pos = list(range(n))
     H = []  # H[k][i] = h_ik for i <= k + 1: the band the recurrence reads

@@ -168,6 +168,42 @@ def test_commands_import_only_what_they_run():
     assert not family & {"pwl.cohomology", "pwl.gamma1", "pwl.linalg"}
 
 
+def exit_hook(*runs):
+    """A fresh interpreter imports pwl.cli and runs cli.main on each args
+    list of runs, catching SystemExit: the exit codes, the atexit
+    callbacks added since start-up, and gc.get_freeze_count() before and
+    after atexit._run_exitfuncs()."""
+    code = "\n".join([
+        "import atexit, gc, json, sys", "n = atexit._ncallbacks()",
+        "from pwl import cli", "codes = []",
+        f"for args in {[list(r) for r in runs]!r}:",
+        "    try:", "        codes.append(cli.main(args))",
+        "    except SystemExit as exc:", "        codes.append(exc.code)",
+        "added, frozen = atexit._ncallbacks() - n, gc.get_freeze_count()",
+        "atexit._run_exitfuncs()",
+        "print(json.dumps([codes, added, frozen, gc.get_freeze_count()]),"
+        " file=sys.stderr)"])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stderr.splitlines()[-1])
+
+
+def test_import_registers_no_exit_hook():
+    # the benchmark's start-up probe and library users import pwl.cli alone
+    assert exit_hook() == [[], 0, 0, 0]
+
+
+def test_main_freezes_at_exit_once():
+    # one callback however often main runs or however it ends; nothing is
+    # frozen until the interpreter exits
+    codes, added, before, after = exit_hook(
+        ["--no-meta", "basis", "--level", "11"],
+        ["--no-meta", "basis", "--level", "3"])
+    assert codes == [None, 1] and added == 1 and before == 0
+    assert after > 0
+
+
 def test_moved_value_path_names_resolve_from_cohomology():
     # perfbench still reads part of the value path from pwl.cohomology:
     # the aliases are exactly the names that family_job.py imports and

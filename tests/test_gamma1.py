@@ -324,10 +324,13 @@ def test_express_rejects_outsiders():
 
 
 def test_level_guard():
-    with pytest.raises(BadLevel):
+    with pytest.raises(BadLevel, match="level 3 has torsion; need N >= 4"):
         free_basis(3)
-    with pytest.raises(BadLevel):
+    with pytest.raises(BadLevel, match="level 0 is not positive; need N >= 4"):
         free_basis(0)
+    with pytest.raises(BadLevel,
+                       match="level -5 is not positive; need N >= 4"):
+        free_basis(-5)
 
 
 def test_basis_lift_check_raises(monkeypatch):

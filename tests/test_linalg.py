@@ -608,9 +608,9 @@ def test_charpoly_matches_berkowitz():
                     A = pivot_stress(rng, n, p, r, kind)
                     assert charpoly_mod(A, p, r) == berkowitz(A, M), \
                         (p, r, n, kind)
-    # no pivot below the sub-diagonal at the width boundary: for 3^12,
-    # (n+1)^2 M^3 has 64 bits at n = 10 (word fields) and 65 at n = 11
-    for n in (10, 11):
+    # no pivot below the sub-diagonal at the width boundary: for 3^12 the
+    # column bound has 64 bits at n = 23 (word fields) and 65 at n = 24
+    for n in (23, 24):
         A = pivot_stress(rng, n, 3, 12, "zero")
         assert charpoly_mod(A, 3, 12) == berkowitz(A, 3 ** 12), n
 
@@ -629,8 +629,9 @@ def test_charpoly_width_is_a_word_while_the_bound_fits():
     assert [_width(b) for b in (1, TOP, TOP + 1, 1 << 70)] == [64, 64, 65, 71]
     # the boundary inputs of the conjugate-of-triangular test below sit on
     # both sides of the word: the column width, then the recurrence width
-    M12, M19 = 3 ** 12, 3 ** 19
-    assert [_width((n + 1) ** 2 * M12 ** 3) for n in (10, 11)] == [64, 65]
+    a, M19 = 3 ** 12 - 1, 3 ** 19
+    assert [_width(a * (1 + (n - 1) * a + (n - 1) ** 2 // 4 * a * a) + 1)
+            for n in (23, 24)] == [64, 65]
     assert [_width((n + 2) * M19 ** 2) for n in (11, 12)] == [64, 65]
 
 
@@ -638,12 +639,12 @@ def test_charpoly_large_conjugate_of_triangular():
     # A = L T L^-1 with T upper-triangular, entries near M - 1: the
     # charpoly is prod (X - t_ii), at sizes where the packed fields of
     # charpoly_mod are wide enough to overflow if the width bound were off
-    # with the word boundary of charpoly_mod's widths: bits((n+1)^2 M^3) is
-    # 64, then 65 for 3^12 at n = 10, 11, and bits((n+2) M^2) for 3^19 at
-    # n = 11, 12
+    # with the word boundary of charpoly_mod's widths: the column bound,
+    # about (n-1)^2 M^3 / 4, has 64 bits, then 65, for 3^12 at n = 23, 24,
+    # and bits((n+2) M^2) for 3^19 at n = 11, 12
     rng = random.Random(9)
     for p, r, n in ((43, 3, 40), (43, 3, 100), (23, 24, 40), (23, 24, 100),
-                    (3, 12, 10), (3, 12, 11), (3, 19, 11), (3, 19, 12)):
+                    (3, 12, 23), (3, 12, 24), (3, 19, 11), (3, 19, 12)):
         M = p ** r
         L = identity_mat(n)
         T = [[0] * n for _ in range(n)]
