@@ -3,8 +3,10 @@
 For a subgroup H of (Z/N)^* let Gamma_H(N) be the matrices of SL_2(Z)
 with lower-left entry divisible by N and d mod N in H: H = {1} is
 Gamma_1(N), H = (Z/N)^* is Gamma_0(N).  free_basis(N, H) builds every
-one of them by one Reidemeister-Schreier routine; free_basis(N) is
-Gamma_1(N).  Its right cosets in PSL_2(Z) correspond to unimodular bottom
+one of them by one Reidemeister-Schreier routine, H given by any units
+that generate it: free_basis(N) is Gamma_1(N), and free_basis(N, H) for
+any generating set H of (Z/N)^*, cyclic or not, is Gamma_0(N).  The
+right cosets of Gamma_H(N) in PSL_2(Z) correspond to unimodular bottom
 rows (c, d) mod N up to multiplication by +-H.  PSL_2(Z) is the free
 product of <s | s^2> and <u | u^3>, s = (0 -1; 1 0) the rotation and
 u = s t with t the unit translation.  A breadth first Schreier

@@ -42,6 +42,8 @@ class QExp:
 
 def bernoulli(k):
     """B_k as a Fraction, from sum_{j<=m} C(m+1, j) B_j = 0 (B_1 = -1/2)."""
+    if k < 0:
+        raise BadRange(f"no Bernoulli number B_{k}")
     B = [Fraction(1)]
     for m in range(1, k + 1):
         B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
@@ -50,6 +52,8 @@ def bernoulli(k):
 
 def divisor_sigma(n, s):
     """sigma_s(n) = sum of e^s over the positive divisors e of n."""
+    if n < 1:
+        raise BadRange(f"sigma_s({n}) needs n >= 1")
     total = 0
     for e in range(1, math.isqrt(n) + 1):
         if n % e == 0:

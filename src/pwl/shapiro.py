@@ -2,11 +2,12 @@
 
 Shapiro's lemma (K. Brown, Cohomology of Groups, GTM 87, ch. III) gives
 H^1(Gamma_1(N), V) = H^1(Gamma_0(N), V (x) Z_p[H]) for H = (Z/N)^*
-acting on Z_p[H] through d.  When H is cyclic of order phi, p does not
-divide phi, and every character chi of H with chi(-1) = (-1)^n has order
-dividing p - 1, Z_p[H] is the sum of the lines Z_p(chi), with the chi
-taken as Teichmueller powers mod p^r (each the tuple of its values at
-0, ..., N - 1, as cohomology.SymCoeffs reads it), and
+acting on Z_p[H] through d.  Let lambda be the exponent of H for odd n,
+of H/+-1 for even n.  When p does not divide phi = |H| and lambda
+divides p - 1, Z_p[H] is the sum of the lines Z_p(chi), every chi with
+values in the Teichmueller lifts of mu_lambda mod p^r (each chi the
+tuple of its values at 0, ..., N - 1, as cohomology.SymCoeffs reads
+it), and, over the chi with chi(-1) = (-1)^n,
 
     H^1(Gamma_1(N), Sym^n) = sum over those chi of H^1(Gamma_0(N), Sym^n(chi)),
 
@@ -17,21 +18,33 @@ Approach, GSM 79, on modular symbols with character), so the charpoly
 of T_ell on the free quotient is the product of the block charpolys,
 the same polynomial mod p^r.  One walk of cohomology.hecke_matrix over
 Gamma_0(N)'s words gives the class sums, and block chi's operator is
-the sum over classes c of chi(c) times class c's sum.  Gamma_0(N) has
-elliptic generators; h1 presents their relations when each order is a
-unit mod p (p >= 5 when one has order 3).
+the sum over classes c of chi(c) times class c's sum.
 
-hecke_charpoly splits when every precondition holds: (Z/N)^* is cyclic,
-p does not divide phi, the characters above have order dividing p - 1,
-every elliptic order is a unit mod p, and Gamma_0(N) has fewer
-generators than Gamma_1(N), the one fixed rule for where the split
-saves work (it saves express calls and charpoly rows; at level 5 both
-groups have 3 generators, and the split only adds work).  Otherwise,
-and when a block is not free, it runs H = {1}: Gamma_1(N) with the one
-block of the trivial character (1,), whose operator is the walk's one
-class sum, through the same code, so that a level below 4 still
-raises BadLevel from free_basis and a torsion module raises
-NotFreeModule with the moduli of H^1(Gamma_1(N)).
+One loop over the units builds the characters, for any H.  Each is an
+exponent table k, chi(d) = w^k(d), w = z^(p^(r-1)) the Teichmueller
+lift of the first z = y^((p-1)/lambda), y = 2, 3, ..., of order lambda
+mod p.  The tables start on S = {+-1} with k(-1) = lambda/2 for odd n,
+0 for even n.  A unit g outside S has a least o with x = g^o in S; each
+table extends in o ways, k(s g^i) = k(s) + i t mod lambda for s in S,
+i < o, and the roots t = k(x)/o + j lambda/o, j < o, of o t = k(x) mod
+lambda; S grows to <S, g>.  o divides k(x): chi on S (on S/+-1 for even
+n) extends to H (to H/+-1), a group of exponent lambda, so with values
+in mu_lambda, and k(x) = o u mod lambda when the extension has
+chi(g) = w^u; o divides the order of g there, so o divides lambda too.
+The loop ends with prod o = phi/2 distinct tables, all the chi with
+chi(-1) = (-1)^n; free_basis on -1 and the g's is Gamma_0(N).
+
+hecke_charpoly splits when, beyond those two conditions, every elliptic
+order of Gamma_0(N) is a unit mod p (h1 presents their relations then)
+and Gamma_0(N) has fewer generators than Gamma_1(N), the one fixed rule
+for where the split saves work (at level 5 both have 3 generators, and
+the split only adds work).  Otherwise, and when a block is not free, it
+runs H = {1}: Gamma_1(N) with the one block of the trivial character
+(1,), whose operator is the walk's one class sum, through the same
+code, so that a level below 4 still raises BadLevel from free_basis
+and a torsion module raises NotFreeModule with the moduli of
+H^1(Gamma_1(N)).  A modulus p^r that is not an odd prime power with
+r >= 1 raises BadRange before either path.
 """
 
 import math
@@ -40,66 +53,46 @@ from .cohomology import SymCoeffs, h1, hecke_matrix, t_ell_reps
 from .gamma1 import free_basis
 from .linalg import charpoly_mod
 from .packed import poly_mul
+from .padic import _check_modulus
 
 
-def _prime_factors(m):
-    out, q = [], 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    return out + [m] * (m > 1)
-
-
-def _unit_powers(N):
-    """[g^0, ..., g^(phi-1)] mod N for a generator g of (Z/N)^*, or None
-    when (Z/N)^* is not cyclic: N is not 4, q^k or 2 q^k, q an odd prime."""
-    odd = N // 2 if N % 4 == 2 else N
-    if N < 4 or (N != 4 and (odd % 2 == 0 or len(_prime_factors(odd)) != 1)):
-        return None
-    phi = sum(math.gcd(d, N) == 1 for d in range(1, N))
-    qs = _prime_factors(phi)
-    g = next(g for g in range(2, N) if math.gcd(g, N) == 1
-             and all(pow(g, phi // q, N) != 1 for q in qs))
-    powers = [1]
-    for _ in range(phi - 1):
-        powers.append(powers[-1] * g % N)
-    return powers
-
-
-def _root_of_unity(e, p, r):
-    """A root of unity of order exactly e mod p^r, e | p - 1: the
-    Teichmueller lift z^(p^(r-1)) of an element z of order e mod p."""
-    qs = _prime_factors(e)
-    for y in range(2, p + 1):
-        z = pow(y, (p - 1) // e, p)
-        if all(pow(z, e // q, p) != 1 for q in qs):
-            return pow(z, p ** (r - 1), p ** r)
+def _order(g, S, m):
+    """The least o >= 1 with g^o mod m in the set S (1 in S, g a unit)."""
+    o, x = 1, g % m
+    while x not in S:
+        o, x = o + 1, x * g % m
+    return o
 
 
 def _split(N, p, r, n):
     """(basis, characters): Gamma_0(N) and the tables of its characters
     chi(-1) = (-1)^n (values mod p^r at 0..N-1) when every precondition
     holds, else Gamma_1(N) and the trivial character [(1,)]."""
-    powers = _unit_powers(N)
-    if powers is not None:
-        phi = len(powers)
-        e = phi if n % 2 else phi // 2  # the order of chi_1, or of chi_2
-        if phi % p and (p - 1) % e == 0:
-            basis = free_basis(N, (powers[1],))
-            if (basis.rank() < 1 + basis.mu * phi // 12
-                    and all(m % p for _, m in basis.elliptic)):
-                w, M = _root_of_unity(e, p, r), p ** r
-                chars = []
-                # n odd: chi_i(g^k) = w^(i k) for odd i; n even: all i < e
-                for i in range(n % 2, e, 1 + n % 2):
-                    chi = [0] * N
-                    for k, d in enumerate(powers):
-                        chi[d] = pow(w, i * k, M)
-                    chars.append(tuple(chi))
-                return basis, chars
+    _check_modulus(p, r)
+    units = [d for d in range(1, N) if math.gcd(d, N) == 1]
+    lam = math.lcm(*(_order(d, {1} if n % 2 else {1, N - 1}, N)
+                     for d in units))
+    if len(units) % p and (p - 1) % lam == 0:
+        # exponent tables k, chi = w^k, on the subgroup S of their keys
+        tables, gens = [{1: 0, N - 1: lam // 2 * (n % 2)}], [N - 1]
+        for g in units:
+            if g not in tables[0]:
+                o = _order(g, tables[0], N)
+                x, powers = pow(g, o, N), [pow(g, i, N) for i in range(o)]
+                tables = [{s * h % N: (k[s] + i * t) % lam for s in k
+                           for i, h in enumerate(powers)} for k in tables
+                          for t in range(k[x] // o, lam, lam // o)]
+                gens.append(g)
+        basis = free_basis(N, gens)
+        if (basis.rank() < 1 + basis.mu * len(units) // 12
+                and all(m % p for _, m in basis.elliptic)):
+            # w = z^(p^(r-1)) mod p^r depends on z = y^((p-1)/lam) mod p only
+            y = next(y for y in range(2, p)
+                     if _order(pow(y, (p - 1) // lam, p), {1}, p) == lam)
+            w = [pow(y, (p - 1) // lam * p ** (r - 1) * i, p ** r)
+                 for i in range(lam)]
+            return basis, [tuple(w[k[d]] if d in k else 0 for d in range(N))
+                           for k in tables]
     return free_basis(N), [(1,)]
 
 

@@ -344,8 +344,10 @@ def test_readme_usage_lines_run():
 # (perfbench/run.py WORKLOADS) and of the level-37 T_37 charpoly, the
 # longest Gamma_1 coset walk (78324 letters), and of a Sym^4 charpoly at
 # level 13 whose H^1 presentation has U != I (75 stacked coordinates,
-# free rank 70): any change to their output bytes fails here.  The last
-# four pin the character split (shapiro) and its fallback to Gamma_1(N)
+# free rank 70): any change to their output bytes fails here.  The rest
+# pin the character split (shapiro) and its fallback to Gamma_1(N); the
+# last three were recorded when their levels, whose unit groups are not
+# cyclic, still ran on Gamma_1(N)
 PINNED_OUTPUTS = [
     (("slopes", "--level", "23", "--prime", "23", "--precision", "24",
       "--ell", "23"),
@@ -387,6 +389,18 @@ PINNED_OUTPUTS = [
     (("hecke", "--level", "7", "--prime", "13", "--precision", "4",
       "--ell", "2", "--sym", "3"),
      "953713ac46cb38259eea7755ea0a5be996757b08eaac9bdfee555a0db86d0382"),
+    # split at p | N = 7 * 13: 36 blocks over Gamma_0(91)
+    (("hecke", "--level", "91", "--prime", "13", "--precision", "3",
+      "--ell", "2"),
+     "5dd7b0638f28b9e6c0a5b8e245ff3d485b966e4ca064cb5de0e95597e0c9b5b6"),
+    # split, n odd: (Z/21)^* = Z/2 x Z/6 has exponent 6, dividing 12
+    (("hecke", "--level", "21", "--prime", "13", "--precision", "3",
+      "--ell", "2", "--sym", "1"),
+     "0cc5ba48adf2fa5152d68065efb5f120909cd0d45eed24e95c3f71d532c87349"),
+    # split: (Z/8)^*/+-1 has exponent 2, dividing 3 - 1
+    (("slopes", "--level", "8", "--prime", "3", "--precision", "3",
+      "--ell", "3"),
+     "3a06cdbd1e601e112443691750161b30a05be7909da26c5fe3b6efa2140590a5"),
 ]
 
 
@@ -394,7 +408,9 @@ PINNED_OUTPUTS = [
                          ids=["slopes_N23", "hecke_N43", "sym16_N5",
                               "hecke_N37", "sym4_N13", "slopes_N7",
                               "hecke_N53", "hecke_N13", "hecke_N9_p3",
-                              "hecke_N23_p5", "sym3_N7_p13"])
+                              "hecke_N23_p5", "sym3_N7_p13",
+                              "hecke_N91_p13", "sym1_N21_p13",
+                              "slopes_N8_p3"])
 def test_benchmark_outputs_are_pinned(args, digest):
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta", *args],
                          capture_output=True)

@@ -22,7 +22,7 @@ from pwl.iwasawa import (Cocycle, FamilyCoeffs, FamilyVec, WeightFn,
 from pwl.linalg import charpoly_mod, mat_mul
 from pwl.matrices import IntMat
 from pwl.packed import mat_vec
-from pwl.qexp import eisenstein, hecke_t
+from pwl.qexp import bernoulli, divisor_sigma, eisenstein, hecke_t
 from pwl.sympow import SymVec
 from pwl.verify import rand_monoid_mat
 
@@ -1000,6 +1000,16 @@ DEGENERATE = {
     "sym-degree-minus-1": lambda: SymVec(3, 2, -1, []),
     "tail-at-2": lambda: tail_width(2, 1),
     "char-series-degree-0": lambda: char_series(2, 3, 4, 0),
+    # B_(-1) read as B_0 = 1, and sigma_s(0) as 0
+    "bernoulli-minus-1": lambda: bernoulli(-1),
+    "bernoulli-minus-2": lambda: bernoulli(-2),
+    "divisor-sigma-0": lambda: divisor_sigma(0, 3),
+    "divisor-sigma-minus-5": lambda: divisor_sigma(-5, 1),
+    # the Teichmueller power of a splitting level at r < 1
+    "hecke-charpoly-precision-0": lambda: shapiro.hecke_charpoly(
+        11, 11, 0, 2, 0),
+    "hecke-charpoly-precision-minus-1": lambda: shapiro.hecke_charpoly(
+        23, 23, -1, 23, 0),
 }
 
 
