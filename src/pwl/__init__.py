@@ -6,7 +6,7 @@ Submodules:
   sympow      symmetric-power vectors and their matrix action
   iwasawa     the weight space: p-adic integers with precision, weight
               characters, the interpolated action, family cocycles
-  gamma1      cosets and free bases for Gamma_1(N)
+  gamma1      cosets and free bases for Gamma_H(N), Gamma_1(N) the default
   packed      vectors as the fields of one int, poly_mul, mat_vec
   linalg      matrix algebra over Z/p^r (canonical forms, solving, charpoly)
   cohomology  H^1 presentations and Hecke matrices

@@ -52,8 +52,8 @@ def bernoulli(k):
 
 def divisor_sigma(n, s):
     """sigma_s(n) = sum of e^s over the positive divisors e of n."""
-    if n < 1:
-        raise BadRange(f"sigma_s({n}) needs n >= 1")
+    if n < 1 or s < 0:
+        raise BadRange(f"sigma_{s}({n}) needs n >= 1 and s >= 0")
     total = 0
     for e in range(1, math.isqrt(n) + 1):
         if n % e == 0:

@@ -1,13 +1,13 @@
 """Hecke charpolys on the nebentypus blocks of H^1(Gamma_1(N), Sym^n).
 
 Shapiro's lemma (K. Brown, Cohomology of Groups, GTM 87, ch. III) gives
-H^1(Gamma_1(N), V) = H^1(Gamma_0(N), V (x) Z_p[H]) for H = (Z/N)^*
-acting on Z_p[H] through d.  Let lambda be the exponent of H for odd n,
-of H/+-1 for even n.  When p does not divide phi = |H| and lambda
-divides p - 1, Z_p[H] is the sum of the lines Z_p(chi), every chi with
-values in the Teichmueller lifts of mu_lambda mod p^r (each chi the
-tuple of its values at 0, ..., N - 1, as cohomology.SymCoeffs reads
-it), and, over the chi with chi(-1) = (-1)^n,
+H^1(Gamma_1(N), V) = H^1(Gamma_0(N), V (x) Z/p^r[H]) as Z/p^r-modules,
+H = (Z/N)^* acting on Z/p^r[H] through d.  Let lambda be the exponent
+of H for odd n, of H/+-1 for even n.  When p does not divide phi = |H|
+and lambda divides p - 1, Z/p^r[H] is the sum of the lines Z/p^r(chi),
+every chi with values in the Teichmueller lifts of mu_lambda mod p^r
+(each chi the tuple of its values at 0, ..., N - 1, as
+cohomology.SymCoeffs reads it), and, over the chi with chi(-1) = (-1)^n,
 
     H^1(Gamma_1(N), Sym^n) = sum over those chi of H^1(Gamma_0(N), Sym^n(chi)),
 
@@ -38,13 +38,14 @@ hecke_charpoly splits when, beyond those two conditions, every elliptic
 order of Gamma_0(N) is a unit mod p (h1 presents their relations then)
 and Gamma_0(N) has fewer generators than Gamma_1(N), the one fixed rule
 for where the split saves work (at level 5 both have 3 generators, and
-the split only adds work).  Otherwise, and when a block is not free, it
-runs H = {1}: Gamma_1(N) with the one block of the trivial character
-(1,), whose operator is the walk's one class sum, through the same
-code, so that a level below 4 still raises BadLevel from free_basis
-and a torsion module raises NotFreeModule with the moduli of
-H^1(Gamma_1(N)).  A modulus p^r that is not an odd prime power with
-r >= 1 raises BadRange before either path.
+the split only adds work).  Otherwise it runs H = {1}: Gamma_1(N) with
+the one block of the trivial character (1,), whose operator is the
+walk's one class sum, through the same code, so that a level below 4
+still raises BadLevel from free_basis.  A modulus p^r that is not an
+odd prime power with r >= 1 raises BadRange before either path.  The
+displayed sum is one of Z/p^r-modules, so H^1(Gamma_1(N)) is free
+exactly when every block is, its torsion the union of theirs: a block
+that is not free raises NotFreeModule from its own induced_matrix.
 """
 
 import math
@@ -103,9 +104,6 @@ def blocks(N, p, r, ell, n):
     on Gamma_1(N), one class, T = W."""
     basis, chars = _split(N, p, r, n)
     pres = [h1(SymCoeffs(p, r, n, chi), basis) for chi in chars]
-    if len(basis.classes) > 1 and not all(x.is_free() for x in pres):
-        basis, chars = free_basis(N), [(1,)]
-        pres = [h1(SymCoeffs(p, r, n), basis)]
     reps = t_ell_reps(ell, basis)
     W = hecke_matrix(SymCoeffs(p, r, n), basis, reps)
     Ts = [W]  # Gamma_1(N): one class

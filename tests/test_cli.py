@@ -419,15 +419,16 @@ def test_benchmark_outputs_are_pinned(args, digest):
 
 
 def test_not_free_error_is_pinned():
-    # a torsion block sends the split back to Gamma_1(11), whose moduli
-    # the NotFreeModule message lists: sha256 of the stderr bytes
+    # Sym^2 at level 11 has torsion in a block of the split, whose own
+    # moduli (Gamma_0(11)'s 3 generators x 3 coordinates) the
+    # NotFreeModule message lists: sha256 of the stderr bytes
     res = subprocess.run([sys.executable, "-m", "pwl.cli", "--no-meta",
                           "hecke", "--level", "11", "--prime", "11",
                           "--precision", "3", "--ell", "2", "--sym", "2"],
                          capture_output=True)
     assert res.returncode == 1 and res.stdout == b""
     assert hashlib.sha256(res.stderr).hexdigest() == (
-        "4883aa53847f172bf03fe0eab733616e4b69bc8c41da3b5434e4644c3c1ac16a")
+        "731a8d2636d436675faf1ecd86437347a676885d0d09822a2b1027b066256ac5")
 
 
 # the same for `pwl --no-meta --seed S verify --suite all` (its report

@@ -1005,6 +1005,8 @@ DEGENERATE = {
     "bernoulli-minus-2": lambda: bernoulli(-2),
     "divisor-sigma-0": lambda: divisor_sigma(0, 3),
     "divisor-sigma-minus-5": lambda: divisor_sigma(-5, 1),
+    # e^s for s < 0 is a float
+    "divisor-sigma-s-minus-1": lambda: divisor_sigma(6, -1),
     # the Teichmueller power of a splitting level at r < 1
     "hecke-charpoly-precision-0": lambda: shapiro.hecke_charpoly(
         11, 11, 0, 2, 0),

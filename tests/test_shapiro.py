@@ -1,11 +1,13 @@
 """The character split of hecke and slopes: its preconditions, its
-characters and its fallback to Gamma_1(N)."""
+characters, its fallback to Gamma_1(N) when one fails, and its blocks
+as H^1(Gamma_1(N)) as a module, torsion raised from a block."""
 
 import math
 
 import pytest
 
 from pwl import shapiro, verify
+from pwl.cohomology import SymCoeffs, h1
 from pwl.errors import BadLevel, BadRange, ContractViolated, NotFreeModule
 from pwl.gamma1 import free_basis
 from pwl.shapiro import _split, hecke_charpoly
@@ -112,12 +114,46 @@ def test_precision_below_1_is_bad_range_split_or_not(N, p, r):
         hecke_charpoly(N, p, r, 2, 0)
 
 
-def test_torsion_block_falls_back_to_gamma1():
-    # Sym^2 at level 11 mod 11^3 has torsion; the error lists the moduli of
-    # H^1(Gamma_1(11)), 11 generators times 3 coordinates
+@pytest.mark.parametrize("N, p, r, ell, n, count", [
+    (11, 11, 3, 2, 2, 9),    # Gamma_0(11): 3 generators x 3 coordinates
+    (23, 23, 3, 2, 1, 10),   # Gamma_0(23): 5 generators x 2 coordinates
+    (9, 7, 3, 2, 12, 39)])   # p prime to N, 3 blocks; Gamma_0(9): 3 x 13
+def test_torsion_block_raises_from_the_split(N, p, r, ell, n, count,
+                                             monkeypatch):
+    # a block with torsion raises NotFreeModule with its own moduli, on
+    # Gamma_0(N)'s generators, and no Gamma_1(N) basis is built
+    def gamma_h(N, H=(1,)):
+        assert H != (1,), "Gamma_1 built"
+        return free_basis(N, H)
+
+    monkeypatch.setattr(shapiro, "free_basis", gamma_h)
     with pytest.raises(NotFreeModule) as exc:
-        hecke_charpoly(11, 11, 3, 2, 2)
-    assert str(exc.value).count(",") == 32
+        hecke_charpoly(N, p, r, ell, n)
+    assert str(exc.value).count(",") == count - 1
+
+
+@pytest.mark.parametrize("N, p, r, n, has_torsion", [
+    (11, 11, 3, 1, True), (11, 11, 3, 2, True), (13, 13, 3, 2, True),
+    (23, 23, 3, 1, True), (9, 7, 3, 12, True),
+    (7, 13, 3, 3, False), (13, 37, 3, 4, False), (15, 13, 3, 2, False),
+    (21, 13, 3, 1, False)])
+def test_blocks_are_gamma1_as_a_module(N, p, r, n, has_torsion):
+    # Shapiro as Z/p^r-modules: the blocks' torsion moduli are those of
+    # H^1(Gamma_1(N)) and their free ranks sum to its free rank, so the
+    # split raises NotFreeModule exactly when Gamma_1(N) has torsion
+    basis, chars = _split(N, p, r, n)
+    assert len(chars) > 1 and len(basis.H) > 1
+    pres = [h1(SymCoeffs(p, r, n, chi), basis) for chi in chars]
+    whole = h1(SymCoeffs(p, r, n), free_basis(N))
+    torsion = sorted(e for x in pres for e in x.moduli if 0 < e < r)
+    assert torsion == sorted(e for e in whole.moduli if 0 < e < r)
+    assert bool(torsion) == has_torsion
+    assert sum(x.free_rank() for x in pres) == whole.free_rank()
+    if torsion:
+        with pytest.raises(NotFreeModule):
+            hecke_charpoly(N, p, r, 2, n)
+    else:
+        hecke_charpoly(N, p, r, 2, n)
 
 
 @pytest.mark.parametrize("N", [3, 2, 1, 0, -5])
